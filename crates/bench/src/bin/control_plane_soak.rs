@@ -13,39 +13,14 @@
 //! loss (orphaning every task), then a recovery whose heartbeat triggers the
 //! reconcile pass — and the restore lands inside the dead window.
 
+use bench::perf::soak_scenario;
 use bench::{parse_args, Scale};
-use papaya_core::TaskConfig;
-use papaya_data::population::{Population, PopulationConfig};
-use papaya_sim::scenario::{EvalPolicy, FleetSpec, Report, RunLimits, Scenario};
+use papaya_sim::scenario::Report;
 use papaya_sim::Parallelism;
 use std::process::ExitCode;
 
 fn soak_run(scale: Scale, seed: u64, restore_at: Option<f64>, parallelism: Parallelism) -> Report {
-    let (population_size, hours) = match scale {
-        Scale::Quick => (1_500, 1.5),
-        Scale::Full => (10_000, 4.0),
-    };
-    let population = Population::generate(
-        &PopulationConfig::default().with_size(population_size),
-        seed,
-    );
-    let mut builder = Scenario::builder()
-        .population(population)
-        .task(TaskConfig::async_task("keyboard-lm", 48, 12))
-        .task(TaskConfig::async_task("smart-reply", 24, 8))
-        .task(TaskConfig::sync_task("photo-ranker", 30, 0.3))
-        .fleet(FleetSpec::new(2, 3))
-        .limits(RunLimits::default().with_max_virtual_time_hours(hours))
-        .eval(EvalPolicy::default().with_interval_s(300.0))
-        .parallelism(parallelism)
-        .crash_at(1200.0, 0)
-        .crash_at(1800.0, 1)
-        .recover_at(2700.0, 0)
-        .seed(seed);
-    if let Some(time_s) = restore_at {
-        builder = builder.restore_control_plane_at(time_s);
-    }
-    builder.build().run()
+    soak_scenario(scale == Scale::Quick, seed, restore_at, parallelism).run()
 }
 
 fn main() -> ExitCode {

@@ -316,6 +316,37 @@ pub const SCENARIO_NAMES: [&str; 7] = [
     "fleet-scale",
 ];
 
+/// The `control_plane_soak` scenario: three tasks on a 2-Aggregator fleet
+/// through a partial failure (t=1200 s), total loss (t=1800 s, orphaning
+/// every task) and a recovery (t=2700 s) whose heartbeat triggers the
+/// reconcile pass, with an optional control-plane checkpoint restore in
+/// between.  Shared by the soak binary and the golden-fingerprint test.
+pub fn soak_scenario(
+    quick: bool,
+    seed: u64,
+    restore_at: Option<f64>,
+    parallelism: Parallelism,
+) -> Scenario {
+    let (population_size, hours) = if quick { (1_500, 1.5) } else { (10_000, 4.0) };
+    let mut builder = Scenario::builder()
+        .population(population(population_size, seed))
+        .task(TaskConfig::async_task("keyboard-lm", 48, 12))
+        .task(TaskConfig::async_task("smart-reply", 24, 8))
+        .task(TaskConfig::sync_task("photo-ranker", 30, 0.3))
+        .fleet(FleetSpec::new(2, 3))
+        .limits(RunLimits::default().with_max_virtual_time_hours(hours))
+        .eval(EvalPolicy::default().with_interval_s(300.0))
+        .parallelism(parallelism)
+        .crash_at(1200.0, 0)
+        .crash_at(1800.0, 1)
+        .recover_at(2700.0, 0)
+        .seed(seed);
+    if let Some(time_s) = restore_at {
+        builder = builder.restore_control_plane_at(time_s);
+    }
+    builder.build()
+}
+
 /// Measured performance of one scenario at one thread count.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ScenarioPerf {
