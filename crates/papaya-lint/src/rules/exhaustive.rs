@@ -160,8 +160,8 @@ const DISPATCH_CHECKS: &[DispatchCheck] = &[
         events_file: "papaya-sim/src/events.rs",
         dispatch_file: "papaya-sim/src/scenario.rs",
         scrutinee: &["event", ".", "kind"],
-        min_sites: 2,
-        sites_label: "both scenario run loops",
+        min_sites: 1,
+        sites_label: "the scenario run loop",
     },
     DispatchCheck {
         enum_name: "ControlEvent",
@@ -173,7 +173,7 @@ const DISPATCH_CHECKS: &[DispatchCheck] = &[
     },
 ];
 
-/// Every event enum must be exhaustively dispatched: the scenario run loops
+/// Every event enum must be exhaustively dispatched: the scenario run loop
 /// must name every `EventKind` variant, and the control plane's single
 /// apply dispatcher must name every `ControlEvent` variant — with no `_`
 /// wildcard arm in either.
@@ -185,7 +185,7 @@ impl Rule for EventDispatch {
     }
 
     fn description(&self) -> &'static str {
-        "every EventKind variant must be named in both scenario dispatch matches and every ControlEvent variant in the control-plane apply dispatcher, with no `_` wildcard arm"
+        "every EventKind variant must be named in the scenario run loop's dispatch match and every ControlEvent variant in the control-plane apply dispatcher, with no `_` wildcard arm"
     }
 
     fn check(&self, ws: &Workspace, out: &mut Vec<Finding>) {

@@ -232,21 +232,24 @@ fn config_validate_accepts_explicit_field_ignore() {
 const EVENTS_FIXTURE: &str = "pub enum EventKind { Alpha, Beta { id: u64 } }\n";
 
 fn dispatch_fixture(arms: &str) -> String {
-    // Two run loops, as in the real scenario file.
-    format!(
-        "pub fn run_direct(event: Event) {{\n    match event.kind {{ {arms} }}\n}}\n\
-         pub fn run_fleet(event: Event) {{\n    match event.kind {{ {arms} }}\n}}\n"
-    )
+    // One run loop, as in the real scenario file.
+    format!("pub fn run(event: Event) {{\n    match event.kind {{ {arms} }}\n}}\n")
 }
 
 #[test]
 fn event_dispatch_passes_when_both_matches_name_every_variant() {
+    // One dispatch site is required; a file with more has each checked.
     let arms = "EventKind::Alpha => {} EventKind::Beta { .. } => {}";
-    let w = ws(&[
-        ("crates/papaya-sim/src/events.rs", EVENTS_FIXTURE),
-        ("crates/papaya-sim/src/scenario.rs", &dispatch_fixture(arms)),
-    ]);
-    assert_clean(&analyze(&w));
+    for sites in [1, 2] {
+        let w = ws(&[
+            ("crates/papaya-sim/src/events.rs", EVENTS_FIXTURE),
+            (
+                "crates/papaya-sim/src/scenario.rs",
+                &dispatch_fixture(arms).repeat(sites),
+            ),
+        ]);
+        assert_clean(&analyze(&w));
+    }
 }
 
 #[test]
@@ -257,13 +260,12 @@ fn event_dispatch_fires_on_unhandled_variant() {
         ("crates/papaya-sim/src/scenario.rs", &dispatch_fixture(arms)),
     ]);
     let findings = analyze(&w);
-    // Both dispatch sites miss `Beta`.
     assert_eq!(
         findings
             .iter()
             .filter(|f| f.rule == "event-dispatch" && f.message.contains("EventKind::Beta"))
             .count(),
-        2,
+        1,
         "{:?}",
         findings
     );
@@ -292,14 +294,14 @@ fn event_dispatch_fires_when_a_run_loop_is_missing() {
         ("crates/papaya-sim/src/events.rs", EVENTS_FIXTURE),
         (
             "crates/papaya-sim/src/scenario.rs",
-            "pub fn run(event: Event) { match event.kind { EventKind::Alpha => {} EventKind::Beta { .. } => {} } }\n",
+            "pub fn run(event: Event) { let _ = event; }\n",
         ),
     ]);
     let findings = analyze(&w);
     assert!(
         findings
             .iter()
-            .any(|f| f.rule == "event-dispatch" && f.message.contains("need at least 2")),
+            .any(|f| f.rule == "event-dispatch" && f.message.contains("need at least 1")),
         "{:?}",
         findings
     );
@@ -529,7 +531,8 @@ fn seeded_task_config_field_fails_lint() {
     );
 }
 
-/// Adding an `EventKind` variant must fail the lint in both run loops.
+/// Adding an `EventKind` variant the run loop does not name must fail the
+/// lint, and so must hiding it behind a `_` arm.
 #[test]
 fn seeded_event_variant_fails_lint() {
     let (epath, events) = real("crates/papaya-sim/src/events.rs");
@@ -541,8 +544,11 @@ fn seeded_event_variant_fails_lint() {
         seeded, events,
         "EventKind declaration moved; update the test"
     );
-    let scenario = real("crates/papaya-sim/src/scenario.rs");
-    let w = Workspace::from_sources(vec![(epath, seeded), scenario]);
+    let (spath, scenario) = real("crates/papaya-sim/src/scenario.rs");
+    let w = Workspace::from_sources(vec![
+        (epath.clone(), seeded.clone()),
+        (spath.clone(), scenario.clone()),
+    ]);
     let findings = analyze(&w);
     assert_eq!(
         findings
@@ -551,8 +557,30 @@ fn seeded_event_variant_fails_lint() {
                 |f| f.rule == "event-dispatch" && f.message.contains("EventKind::SeededNewEvent")
             )
             .count(),
-        2,
-        "both dispatch paths must flag the seeded variant: {:?}",
+        1,
+        "the run loop must flag the seeded variant: {:?}",
+        findings
+            .iter()
+            .filter(|f| f.rule == "event-dispatch")
+            .collect::<Vec<_>>()
+    );
+
+    // Swallowing the new variant with a wildcard arm is caught too.
+    let wildcarded = scenario.replace(
+        "EventKind::ReconcileTick => self.reconcile_tick(),",
+        "EventKind::ReconcileTick => self.reconcile_tick(),\n                _ => {}",
+    );
+    assert_ne!(
+        wildcarded, scenario,
+        "the run loop's dispatch moved; update the test"
+    );
+    let w = Workspace::from_sources(vec![(epath, seeded), (spath, wildcarded)]);
+    let findings = analyze(&w);
+    assert!(
+        findings
+            .iter()
+            .any(|f| f.rule == "event-dispatch" && f.message.contains("wildcard")),
+        "lint did not catch the wildcard arm: {:?}",
         findings
             .iter()
             .filter(|f| f.rule == "event-dispatch")

@@ -14,26 +14,27 @@ pub type SimTime = f64;
 /// What happens when an event fires.
 #[derive(Clone, Debug, PartialEq)]
 pub enum EventKind {
-    /// A participating client finished local training and reports/uploads.
+    /// [`EventKind::TaskClientFinished`] for task 0.
     ClientFinished {
         /// Device id of the client.
         client_id: usize,
         /// Identifier of this participation (ties the finish to its start).
         participation_id: u64,
     },
-    /// A participating client failed (dropout, crash, or timeout abort).
+    /// [`EventKind::TaskClientFailed`] for task 0.
     ClientFailed {
         /// Device id of the client.
         client_id: usize,
         /// Identifier of this participation.
         participation_id: u64,
     },
-    /// Periodic evaluation of the global model.
+    /// [`EventKind::EvaluateTask`] for task 0.
     Evaluate,
-    /// Periodic utilization sample.
+    /// Periodic utilization sample (direct runs; fleet runs sample at
+    /// control-plane ticks).
     SampleUtilization,
-    /// Multi-task: a client participating in `task` finished local training
-    /// and uploads its update.
+    /// A client participating in `task` finished local training and uploads
+    /// its update.
     TaskClientFinished {
         /// The task the client trained for.
         task: usize,
@@ -42,8 +43,8 @@ pub enum EventKind {
         /// Identifier of this participation.
         participation_id: u64,
     },
-    /// Multi-task: a client participating in `task` failed (dropout, crash,
-    /// or timeout abort).
+    /// A client participating in `task` failed (dropout, crash, or timeout
+    /// abort).
     TaskClientFailed {
         /// The task the client was training for.
         task: usize,
@@ -52,33 +53,33 @@ pub enum EventKind {
         /// Identifier of this participation.
         participation_id: u64,
     },
-    /// Multi-task: periodic evaluation of one task's global model.
+    /// Periodic evaluation of one task's global model.
     EvaluateTask {
         /// The task to evaluate.
         task: usize,
     },
-    /// Multi-task: periodic control-plane sweep — live Aggregators heartbeat,
+    /// Fleet: periodic control-plane sweep — live Aggregators heartbeat,
     /// the Coordinator detects failures and reassigns orphaned tasks, client
     /// demand is pooled and new clients are assigned.
     ControlPlaneTick,
-    /// Multi-task: periodic Selector refresh of the Coordinator's assignment
+    /// Fleet: periodic Selector refresh of the Coordinator's assignment
     /// map (between a reassignment and the next refresh, stale Selectors
     /// refuse to route).
     RefreshSelectors,
-    /// Multi-task: injected failure — the given Aggregator process dies and
+    /// Fleet: injected failure — the given Aggregator process dies and
     /// stops heartbeating; its buffered state is lost.
     AggregatorCrash {
         /// The Aggregator that dies.
         aggregator: usize,
     },
-    /// Multi-task: injected recovery — a crashed Aggregator comes back and
+    /// Fleet: injected recovery — a crashed Aggregator comes back and
     /// heartbeats immediately; orphaned tasks are re-placed on it by the
     /// reconcile pass the heartbeat triggers.
     AggregatorRecover {
         /// The Aggregator that comes back.
         aggregator: usize,
     },
-    /// Multi-task: a control-plane reconciliation pass — the Coordinator
+    /// Fleet: a control-plane reconciliation pass — the Coordinator
     /// diffs desired placement (every task on a healthy Aggregator) against
     /// actual routes and emits corrective placements.  Scheduled only when
     /// the pass would do work, so scenarios that never diverge process no

@@ -60,10 +60,6 @@ pub struct ShardedSamplingPool {
     slot: Vec<u32>,
 }
 
-/// The historical name; the sharded pool is a drop-in replacement with the
-/// same drawn sequence.
-pub type SamplingPool = ShardedSamplingPool;
-
 impl ShardedSamplingPool {
     /// Idle-state bytes per managed device: one `u32` free-list entry plus
     /// one `u32` slot index.  `docs/SCALING.md` budgets against this and a
@@ -208,7 +204,7 @@ mod tests {
 
     #[test]
     fn acquire_removes_and_release_restores() {
-        let mut pool = SamplingPool::new(10);
+        let mut pool = ShardedSamplingPool::new(10);
         let mut rng = StdRng::seed_from_u64(1);
         assert_eq!(pool.available(), 10);
         let a = pool.acquire_random(&mut rng).unwrap();
@@ -221,7 +217,7 @@ mod tests {
 
     #[test]
     fn exhaustion_returns_none() {
-        let mut pool = SamplingPool::new(3);
+        let mut pool = ShardedSamplingPool::new(3);
         let mut rng = StdRng::seed_from_u64(2);
         let mut taken = HashSet::new();
         for _ in 0..3 {
@@ -323,7 +319,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "already free")]
     fn double_release_panics() {
-        let mut pool = SamplingPool::new(2);
+        let mut pool = ShardedSamplingPool::new(2);
         pool.release(0);
     }
 }

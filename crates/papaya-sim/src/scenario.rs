@@ -1,24 +1,31 @@
-//! The unified simulation entrypoint: one builder for every workload shape.
+//! The simulation entrypoint: one builder and one run loop for every
+//! workload shape.
 //!
-//! Historically the crate had two front-ends — a single-task `Simulation`
-//! and a multi-tenant `MultiTaskSimulation` — with duplicated config
-//! builders, run loops, and result types.  A [`Scenario`] subsumes both: it
-//! composes tasks, a shared device population, an optional control-plane
-//! fleet (Aggregators/Selectors), a crash schedule, run limits, an
-//! evaluation policy, and a seed, and returns one unified [`Report`]
-//! (per-task [`TaskReport`]s plus a fleet roll-up).  The old front-ends
-//! survive as thin shims over `Scenario`.
+//! A [`Scenario`] composes tasks, a shared device population, an optional
+//! control-plane fleet (Aggregators/Selectors), a crash schedule, run
+//! limits, an evaluation policy, and a seed, and returns one [`Report`]
+//! (per-task [`TaskReport`]s plus a fleet roll-up).
 //!
-//! Two execution shapes:
+//! Every scenario runs on the same event loop — one event queue, one device
+//! pool, one [`TaskRuntime`] per task, one dispatch over
+//! [`EventKind`] — with or without a control plane:
 //!
-//! * **Direct** (no [`FleetSpec`]): exactly one task, driven straight off
-//!   the event queue — selection, dropouts, timeouts, evaluation.  This is
-//!   the configuration behind every single-task figure of the paper.
+//! * **Direct** (no [`FleetSpec`]): exactly one task, with a freed device
+//!   replaced the moment it is freed and utilization sampled periodically.
+//!   This is the configuration behind every single-task figure of the
+//!   paper.
 //! * **Fleet** (with a [`FleetSpec`]): any number of tasks placed on
-//!   persistent Aggregators by the Coordinator, devices routed through
-//!   Selectors by capability tier, injectable Aggregator crashes with
-//!   buffered-update loss and task reassignment (Sections 4, 6.2–6.3,
-//!   Appendix E.4).
+//!   persistent Aggregators by the Coordinator, devices assigned at
+//!   control-plane ticks and routed through Selectors by capability tier,
+//!   injectable Aggregator crashes with buffered-update loss and task
+//!   reassignment (Sections 4, 6.2–6.3, Appendix E.4).
+//!
+//! Three differences between the two are deliberate and pinned by the
+//! committed fingerprints (`crates/bench/tests/golden_fingerprints.txt`):
+//! a direct run seeds its runtime with the scenario seed itself while a
+//! fleet run salts it per task; the two start from different initial
+//! events, whose order fixes the tie-breaking sequence numbers; and only a
+//! direct run records a utilization sample on every refill and round end.
 //!
 //! # Quickstart
 //!
@@ -48,8 +55,8 @@ use crate::executor::{Executor, Parallelism};
 use crate::metrics::{
     ControlPlaneStats, FleetSummary, MetricsCollector, MetricsSummary, TaskSummary,
 };
-use crate::sampling::{SamplingPool, DEFAULT_SHARD_CAPACITY};
-use crate::task_runtime::{ServerOptimizerKind, TaskRuntime};
+use crate::sampling::{ShardedSamplingPool, DEFAULT_SHARD_CAPACITY};
+use crate::task_runtime::{FreedClient, ServerOptimizerKind, TaskRuntime, UpdateOutcome};
 use papaya_core::adversary::AdversarySpec;
 use papaya_core::client::ClientTrainer;
 use papaya_core::config::{SecAggMode, TaskConfig, TrainingMode};
@@ -622,8 +629,6 @@ pub struct Scenario {
     limits: RunLimits,
     eval: EvalPolicy,
     tier_policy: TierPolicy,
-    selection_latency_s: f64,
-    utilization_sample_interval_s: f64,
     server_optimizer: ServerOptimizerKind,
     seed: u64,
 }
@@ -640,8 +645,6 @@ pub struct ScenarioBuilder {
     limits: RunLimits,
     eval: EvalPolicy,
     tier_policy: TierPolicy,
-    selection_latency_s: f64,
-    utilization_sample_interval_s: f64,
     server_optimizer: ServerOptimizerKind,
     secagg_override: Option<SecAggMode>,
     dp_override: Option<DpConfig>,
@@ -663,8 +666,6 @@ impl Default for ScenarioBuilder {
             limits: RunLimits::default(),
             eval: EvalPolicy::default(),
             tier_policy: TierPolicy::default(),
-            selection_latency_s: 2.0,
-            utilization_sample_interval_s: 60.0,
             server_optimizer: ServerOptimizerKind::FedAvg,
             secagg_override: None,
             dp_override: None,
@@ -755,18 +756,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Sets the delay between a client being selected and starting to train.
-    pub fn selection_latency_s(mut self, latency_s: f64) -> Self {
-        self.selection_latency_s = latency_s;
-        self
-    }
-
-    /// Sets the utilization sampler interval (direct scenarios).
-    pub fn utilization_sample_interval_s(mut self, interval_s: f64) -> Self {
-        self.utilization_sample_interval_s = interval_s;
-        self
-    }
-
     /// Sets the server optimizer applied to every task's aggregated deltas.
     pub fn server_optimizer(mut self, kind: ServerOptimizerKind) -> Self {
         self.server_optimizer = kind;
@@ -840,10 +829,13 @@ impl ScenarioBuilder {
     /// one, no tasks, more than one task (or injected crashes/recoveries,
     /// or a control-plane restore) without a fleet, a fleet without
     /// Aggregators or Selectors, a heartbeat timeout not exceeding the
-    /// control-plane interval, a non-finite restore time, or a task config
-    /// the pipeline would not honor (a non-positive/non-finite client
-    /// timeout, or a capability-tier restriction without a fleet to
-    /// enforce it).
+    /// control-plane interval, a periodic interval (evaluation,
+    /// control-plane sweep, Selector refresh) that is not positive and
+    /// finite, a crash or recovery at a non-finite or negative time or on
+    /// an Aggregator the fleet does not have, a non-finite restore time, or
+    /// a task config the pipeline would not honor (a
+    /// non-positive/non-finite client timeout, or a capability-tier
+    /// restriction without a fleet to enforce it).
     pub fn build(mut self) -> Scenario {
         // papaya-lint: allow(panic-hygiene) -- documented builder contract: build() panics without a population (see doc comment)
         let population = self.population.expect("a population is required");
@@ -873,13 +865,25 @@ impl ScenarioBuilder {
             validate_task_config(task, self.fleet.is_some());
         }
         validate_run_limits(&self.limits);
+        assert_positive_interval("eval.interval_s", self.eval.interval_s);
         if let Some(fleet) = &self.fleet {
             assert!(fleet.aggregators > 0, "at least one aggregator is required");
             assert!(fleet.selectors > 0, "at least one selector is required");
+            assert_positive_interval("control_plane_interval_s", fleet.control_plane_interval_s);
+            assert_positive_interval(
+                "selector_refresh_interval_s",
+                fleet.selector_refresh_interval_s,
+            );
             assert!(
                 fleet.heartbeat_timeout_s > fleet.control_plane_interval_s,
                 "heartbeat timeout must exceed the control-plane interval"
             );
+            for crash in &self.crashes {
+                validate_injection("crash", crash.time_s, crash.aggregator, fleet);
+            }
+            for recovery in &self.recoveries {
+                validate_injection("recovery", recovery.time_s, recovery.aggregator, fleet);
+            }
         } else {
             assert_eq!(
                 self.tasks.len(),
@@ -933,8 +937,6 @@ impl ScenarioBuilder {
             limits: self.limits,
             eval: self.eval,
             tier_policy: self.tier_policy,
-            selection_latency_s: self.selection_latency_s,
-            utilization_sample_interval_s: self.utilization_sample_interval_s,
             server_optimizer: self.server_optimizer,
             seed,
         }
@@ -1015,14 +1017,14 @@ fn validate_task_config(task: &TaskConfig, has_fleet: bool) {
 ///
 /// # Panics
 ///
-/// Panics on limits the run loops would not honor: a non-positive or
+/// Panics on limits the run loop would not honor: a non-positive or
 /// non-finite virtual-time budget, a zero client-update budget, or a
 /// non-finite target loss.
 fn validate_run_limits(limits: &RunLimits) {
     let RunLimits {
-        max_virtual_time_s,      // hard stop in both run loops
-        max_client_updates,      // checked on every (Task)ClientFinished
-        target_loss,             // checked on every Evaluate(Task)
+        max_virtual_time_s,      // hard stop of the run loop
+        max_client_updates,      // checked on every client upload
+        target_loss,             // checked on every evaluation
         parallelism: _,          // executor pool size; any value is honored
         trace_budget: _,         // validated at construction by TraceBudget::bounded
         sampling_shard_capacity, // must be able to hold at least one id
@@ -1046,6 +1048,32 @@ fn validate_run_limits(limits: &RunLimits) {
     }
 }
 
+/// A periodic handler reschedules itself at `now + interval`: a zero
+/// interval spins forever at one virtual instant, a negative one walks time
+/// backwards, and a NaN poisons the event queue.
+fn assert_positive_interval(name: &str, interval_s: f64) {
+    assert!(
+        interval_s.is_finite() && interval_s > 0.0,
+        "{name} must be positive and finite, got {interval_s}"
+    );
+}
+
+/// An injected crash or recovery must land at a schedulable time on an
+/// Aggregator the fleet has: the event queue rejects non-finite times
+/// mid-run, and an unknown id would be counted as a failure (and, through
+/// its recovery heartbeat, registered as a ghost Aggregator).
+fn validate_injection(kind: &str, time_s: f64, aggregator: AggregatorId, fleet: &FleetSpec) {
+    assert!(
+        time_s.is_finite() && time_s >= 0.0,
+        "{kind} time must be finite and non-negative, got {time_s}"
+    );
+    assert!(
+        aggregator < fleet.aggregators,
+        "{kind} targets aggregator {aggregator} but the fleet has {}",
+        fleet.aggregators
+    );
+}
+
 impl Scenario {
     /// Starts composing a scenario.
     pub fn builder() -> ScenarioBuilder {
@@ -1065,10 +1093,7 @@ impl Scenario {
     /// bit-identical either way.
     pub fn run(&self) -> Report {
         let executor = Executor::from_parallelism(self.limits.parallelism);
-        match &self.fleet {
-            None => DirectState::new(self, executor).run(),
-            Some(fleet) => FleetState::new(self, fleet, executor).run(),
-        }
+        Run::new(self, executor).run()
     }
 
     /// The fleet's initial placement as the control plane would report it at
@@ -1134,306 +1159,19 @@ fn roll_up(virtual_hours: f64, tasks: &[TaskReport], stats: ControlPlaneStats) -
 }
 
 // ---------------------------------------------------------------------------
-// Direct path: one task driven straight off the event queue.
+// The run loop.
 // ---------------------------------------------------------------------------
 
-struct DirectState<'a> {
-    scenario: &'a Scenario,
-    rng: StdRng,
-    queue: EventQueue,
-    runtime: TaskRuntime,
-    pool: SamplingPool,
-    next_participation_id: u64,
-    /// Latest aggregation deadline an `AggregatorDeadline` event has been
-    /// scheduled for (deadline strategies only; deadlines only move
-    /// forward, so one value suffices).
-    scheduled_deadline: Option<f64>,
-    now: SimTime,
-}
+/// Delay between a client being selected and starting to train.
+const SELECTION_LATENCY_S: f64 = 2.0;
 
-impl<'a> DirectState<'a> {
-    fn new(scenario: &'a Scenario, executor: Option<Arc<Executor>>) -> Self {
-        let mut rng = StdRng::seed_from_u64(scenario.seed);
-        // Fixed evaluation sample.
-        let eval_ids = sample_eval_ids(
-            &mut rng,
-            scenario.population.len(),
-            scenario.eval.sample_size,
-        );
-        let mut runtime = TaskRuntime::new(
-            scenario.tasks[0].clone(),
-            scenario.server_optimizer,
-            Arc::clone(&scenario.trainers[0]),
-            eval_ids,
-            scenario.seed,
-            scenario.limits.target_loss,
-        );
-        runtime.set_executor(executor);
-        runtime.set_trace_budget(scenario.limits.trace_budget);
-        DirectState {
-            scenario,
-            rng,
-            queue: EventQueue::new(),
-            runtime,
-            pool: SamplingPool::with_shard_capacity(
-                scenario.population.len(),
-                scenario.limits.sampling_shard_capacity,
-            ),
-            next_participation_id: 0,
-            scheduled_deadline: None,
-            now: 0.0,
-        }
-    }
-
-    /// Schedules an exact readiness check when the aggregator reports a new
-    /// deadline (a buffer opened or reopened).  No-op for count-based
-    /// strategies, which never report one.
-    fn schedule_deadline_check(&mut self) {
-        if let Some(deadline) = self.runtime.next_deadline_s() {
-            if self.scheduled_deadline != Some(deadline) {
-                self.scheduled_deadline = Some(deadline);
-                self.queue.schedule(
-                    deadline.max(self.now),
-                    EventKind::AggregatorDeadline { task: 0 },
-                );
-            }
-        }
-    }
-
-    fn run(mut self) -> Report {
-        self.fill_demand();
-        self.queue.schedule(0.0, EventKind::Evaluate);
-        self.queue.schedule(0.0, EventKind::SampleUtilization);
-
-        let limits = self.scenario.limits;
-        let mut stop_reason = StopReason::MaxVirtualTime;
-        let mut events_processed = 0u64;
-        while let Some(event) = self.queue.pop() {
-            if event.time > limits.max_virtual_time_s {
-                stop_reason = StopReason::MaxVirtualTime;
-                self.now = limits.max_virtual_time_s;
-                break;
-            }
-            self.now = event.time;
-            events_processed += 1;
-            match event.kind {
-                EventKind::ClientFinished {
-                    client_id,
-                    participation_id,
-                } => {
-                    self.handle_client_finished(client_id, participation_id);
-                    if let Some(max) = limits.max_client_updates {
-                        if self.runtime.metrics().comm_trips >= max {
-                            stop_reason = StopReason::MaxClientUpdates;
-                            break;
-                        }
-                    }
-                }
-                EventKind::ClientFailed {
-                    client_id: _,
-                    participation_id,
-                } => {
-                    if let Some(freed_client) = self.runtime.client_failed(participation_id) {
-                        self.pool.release(freed_client);
-                        self.fill_demand();
-                    }
-                }
-                EventKind::Evaluate => {
-                    self.runtime.evaluate(self.now);
-                    if self.runtime.target_reached() {
-                        stop_reason = StopReason::TargetLossReached;
-                        break;
-                    }
-                    self.queue.schedule(
-                        self.now + self.scenario.eval.interval_s,
-                        EventKind::Evaluate,
-                    );
-                }
-                EventKind::SampleUtilization => {
-                    self.runtime.record_utilization(self.now);
-                    self.queue.schedule(
-                        self.now + self.scenario.utilization_sample_interval_s,
-                        EventKind::SampleUtilization,
-                    );
-                }
-                EventKind::AggregatorDeadline { task: _ } => {
-                    // Exact timed release; a stale check (the buffer closed
-                    // or moved since scheduling) polls as a no-op.
-                    if let Some(outcome) = self.runtime.poll(self.now) {
-                        if outcome.tsa_key_released {
-                            self.queue
-                                .schedule(self.now, EventKind::TsaKeyRelease { task: 0 });
-                        }
-                        if outcome.dp_released {
-                            self.queue
-                                .schedule(self.now, EventKind::DpRelease { task: 0 });
-                        }
-                        if outcome.robust_released {
-                            self.queue
-                                .schedule(self.now, EventKind::RobustRelease { task: 0 });
-                        }
-                        for freed in &outcome.freed {
-                            self.pool.release(freed.client_id);
-                        }
-                        self.fill_demand();
-                    }
-                }
-                EventKind::TsaKeyRelease { task: _ } => {
-                    // The TSA unmasked the buffer that just closed; refresh
-                    // the task's secure-aggregation metrics from the
-                    // aggregator's telemetry.
-                    self.runtime.sync_secure_telemetry();
-                }
-                EventKind::DpRelease { task: _ } => {
-                    // A noised aggregate was published and composed into the
-                    // cumulative ε; refresh the DP metrics and enforce the
-                    // privacy budget.
-                    self.runtime.sync_dp_telemetry();
-                    if self.runtime.privacy_budget_exhausted() {
-                        stop_reason = StopReason::PrivacyBudgetExhausted;
-                        break;
-                    }
-                }
-                EventKind::RobustRelease { task: _ } => {
-                    // A defense-mediated release went out; refresh the
-                    // robustness metrics from the aggregator's telemetry.
-                    self.runtime.sync_robust_telemetry();
-                }
-                // Fleet-plane events, listed explicitly so a new
-                // `EventKind` variant is a compile error in this match.
-                EventKind::TaskClientFinished { .. }
-                | EventKind::TaskClientFailed { .. }
-                | EventKind::EvaluateTask { .. }
-                | EventKind::ControlPlaneTick
-                | EventKind::RefreshSelectors
-                | EventKind::AggregatorCrash { .. }
-                | EventKind::AggregatorRecover { .. }
-                | EventKind::ReconcileTick => {
-                    unreachable!("direct scenarios schedule no fleet events")
-                }
-            }
-            self.schedule_deadline_check();
-        }
-
-        // Final evaluation so `final_loss` reflects the last model.
-        self.runtime.evaluate(self.now);
-
-        let virtual_hours = self.now / 3600.0;
-        let name = self.runtime.config().name.clone();
-        let report = task_report(0, name, 0, self.runtime, self.now);
-        let fleet = roll_up(
-            virtual_hours,
-            std::slice::from_ref(&report),
-            ControlPlaneStats::default(),
-        );
-        Report {
-            stop_reason,
-            virtual_hours,
-            events_processed,
-            tasks: vec![report],
-            fleet,
-        }
-    }
-
-    fn fill_demand(&mut self) {
-        let demand = self.runtime.demand();
-        for _ in 0..demand {
-            if !self.select_one_client() {
-                break; // population exhausted
-            }
-        }
-        self.runtime.record_utilization(self.now);
-    }
-
-    /// Selects one idle device uniformly at random; returns false when every
-    /// device is already participating.
-    fn select_one_client(&mut self) -> bool {
-        let client_id = match self.pool.acquire_random(&mut self.rng) {
-            Some(id) => id,
-            None => return false,
-        };
-        let device = self.scenario.population.device(client_id);
-        let participation_id = self.next_participation_id;
-        self.next_participation_id += 1;
-
-        let timeout = self.runtime.config().client_timeout_s;
-        let start = self.now + self.scenario.selection_latency_s;
-        let drops_out = self.rng.gen::<f64>() < device.dropout_prob;
-        let exceeds_timeout = device.exceeds_timeout(timeout);
-        let execution_time = device.clamped_execution_time(timeout);
-
-        self.runtime
-            .begin_participation(participation_id, client_id, execution_time);
-
-        if drops_out {
-            // The client fails partway through its (clamped) execution.
-            let fraction: f64 = self.rng.gen_range(0.05..0.95);
-            self.queue.schedule(
-                start + fraction * execution_time,
-                EventKind::ClientFailed {
-                    client_id,
-                    participation_id,
-                },
-            );
-        } else if exceeds_timeout {
-            // The client is aborted at the timeout.
-            self.queue.schedule(
-                start + timeout,
-                EventKind::ClientFailed {
-                    client_id,
-                    participation_id,
-                },
-            );
-        } else {
-            self.queue.schedule(
-                start + execution_time,
-                EventKind::ClientFinished {
-                    client_id,
-                    participation_id,
-                },
-            );
-            // This participation will reach its finish event: start its
-            // local training on the worker pool now (no-op sequentially).
-            self.runtime.prefetch_training(participation_id);
-        }
-        true
-    }
-
-    fn handle_client_finished(&mut self, client_id: usize, participation_id: u64) {
-        let outcome = match self.runtime.offer_update(participation_id, self.now) {
-            Some(outcome) => outcome,
-            None => return, // aborted earlier (round ended or staleness abort)
-        };
-        if outcome.tsa_key_released {
-            self.queue
-                .schedule(self.now, EventKind::TsaKeyRelease { task: 0 });
-        }
-        if outcome.dp_released {
-            self.queue
-                .schedule(self.now, EventKind::DpRelease { task: 0 });
-        }
-        if outcome.robust_released {
-            self.queue
-                .schedule(self.now, EventKind::RobustRelease { task: 0 });
-        }
-        self.pool.release(client_id);
-        for freed in &outcome.freed {
-            self.pool.release(freed.client_id);
-        }
-        if outcome.round_ended {
-            self.runtime.record_utilization(self.now);
-        }
-        self.fill_demand();
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Fleet path: tasks on persistent Aggregators behind the control plane.
-// ---------------------------------------------------------------------------
+/// Interval of the utilization sampler of direct runs (fleet runs sample on
+/// every control-plane tick instead).
+const UTILIZATION_SAMPLE_INTERVAL_S: f64 = 60.0;
 
 /// The control plane as of t=0: Coordinator created from the scenario
 /// seed, Aggregators registered, tasks submitted in id order.  Shared by
-/// [`FleetState::new`] and [`Scenario::fleet_status`] so the preview and
+/// [`FleetPlane::new`] and [`Scenario::fleet_status`] so the preview and
 /// the run agree on initial placement.
 fn initial_control_plane(scenario: &Scenario, fleet: &FleetSpec) -> ControlPlaneService {
     let mut service = ControlPlaneService::new(fleet.heartbeat_timeout_s, scenario.seed ^ 0xC0FFEE);
@@ -1446,60 +1184,30 @@ fn initial_control_plane(scenario: &Scenario, fleet: &FleetSpec) -> ControlPlane
     service
 }
 
-struct FleetState<'a> {
-    scenario: &'a Scenario,
+/// Everything only a fleet run has: the control-plane service, Selectors,
+/// Aggregator liveness, and the routing and failover bookkeeping.
+struct FleetPlane<'a> {
     fleet: &'a FleetSpec,
-    rng: StdRng,
-    queue: EventQueue,
-    runtimes: Vec<TaskRuntime>,
     service: ControlPlaneService,
     selectors: Vec<Selector>,
     selector_cursor: usize,
     crashed: BTreeSet<AggregatorId>,
-    pool: SamplingPool,
     tiers: Vec<u8>,
     /// Aggregator each in-flight participation will upload to (the route
     /// the client received at selection time).
     upload_route: BTreeMap<u64, AggregatorId>,
-    next_participation_id: u64,
     reassignments: Vec<u64>,
-    /// Latest aggregation deadline an `AggregatorDeadline` event has been
-    /// scheduled for, per task (deadline strategies only).
-    scheduled_deadlines: Vec<Option<f64>>,
     stats: ControlPlaneStats,
     /// Whether a [`EventKind::ReconcileTick`] is already queued (the pass
     /// is scheduled at most once per divergence episode).
     reconcile_scheduled: bool,
     /// Whether the injected control-plane restore already happened.
     restored: bool,
-    now: SimTime,
 }
 
-impl<'a> FleetState<'a> {
-    fn new(scenario: &'a Scenario, fleet: &'a FleetSpec, executor: Option<Arc<Executor>>) -> Self {
-        let mut rng = StdRng::seed_from_u64(scenario.seed);
+impl<'a> FleetPlane<'a> {
+    fn new(scenario: &Scenario, fleet: &'a FleetSpec) -> Self {
         let service = initial_control_plane(scenario, fleet);
-        let mut runtimes = Vec::with_capacity(scenario.tasks.len());
-        for (task_id, task) in scenario.tasks.iter().enumerate() {
-            let eval_ids = sample_eval_ids(
-                &mut rng,
-                scenario.population.len(),
-                scenario.eval.sample_size,
-            );
-            let mut runtime = TaskRuntime::new(
-                task.clone(),
-                scenario.server_optimizer,
-                Arc::clone(&scenario.trainers[task_id]),
-                eval_ids,
-                scenario.seed ^ ((task_id as u64 + 1) << 32),
-                scenario.limits.target_loss,
-            );
-            // All runtimes share one pool; participation ids are unique
-            // across tasks, so jobs never collide.
-            runtime.set_executor(executor.clone());
-            runtime.set_trace_budget(scenario.limits.trace_budget);
-            runtimes.push(runtime);
-        }
         let mut selectors = vec![Selector::new(); fleet.selectors];
         for selector in &mut selectors {
             selector.refresh(service.coordinator());
@@ -1509,194 +1217,64 @@ impl<'a> FleetState<'a> {
             .iter()
             .map(|device| scenario.tier_policy.tier(&device))
             .collect();
-        FleetState {
-            scenario,
+        FleetPlane {
             fleet,
-            rng,
-            queue: EventQueue::new(),
-            runtimes,
             service,
             selectors,
             selector_cursor: 0,
             crashed: BTreeSet::new(),
-            pool: SamplingPool::with_shard_capacity(
-                scenario.population.len(),
-                scenario.limits.sampling_shard_capacity,
-            ),
             tiers,
             upload_route: BTreeMap::new(),
-            next_participation_id: 0,
             reassignments: vec![0; scenario.tasks.len()],
-            scheduled_deadlines: vec![None; scenario.tasks.len()],
             stats: ControlPlaneStats::default(),
             reconcile_scheduled: false,
             restored: false,
-            now: 0.0,
         }
     }
 
-    fn total_comm_trips(&self) -> u64 {
-        self.runtimes.iter().map(|r| r.metrics().comm_trips).sum()
-    }
-
-    /// Schedules exact readiness checks for tasks whose aggregator reports
-    /// a new deadline (a buffer opened or reopened).  No-op for count-based
-    /// strategies, which never report one.
-    fn schedule_deadline_checks(&mut self) {
-        for task in 0..self.runtimes.len() {
-            if let Some(deadline) = self.runtimes[task].next_deadline_s() {
-                if self.scheduled_deadlines[task] != Some(deadline) {
-                    self.scheduled_deadlines[task] = Some(deadline);
-                    self.queue.schedule(
-                        deadline.max(self.now),
-                        EventKind::AggregatorDeadline { task },
-                    );
-                }
+    /// If the scenario asks for a mid-run control-plane restore, throw away
+    /// the live service state at the first control tick past the requested
+    /// time and rebuild it from (checkpoint + log suffix).  Deliberately
+    /// in-band (not an event): a restore must not change the event count,
+    /// because its whole point is proving the run is bit-identical with and
+    /// without it.
+    fn maybe_restore(&mut self, now: SimTime, restore_s: Option<f64>) {
+        if let Some(restore_s) = restore_s {
+            if !self.restored && now >= restore_s {
+                self.restored = true;
+                self.service.restore_from_checkpoint();
+                self.stats.coordinator_restores += 1;
             }
         }
     }
 
-    fn run(mut self) -> Report {
-        self.queue.schedule(0.0, EventKind::ControlPlaneTick);
-        self.queue.schedule(
-            self.fleet.selector_refresh_interval_s,
-            EventKind::RefreshSelectors,
-        );
-        for task in 0..self.runtimes.len() {
-            self.queue.schedule(0.0, EventKind::EvaluateTask { task });
-        }
-        for crash in &self.scenario.crashes {
-            self.queue.schedule(
-                crash.time_s,
-                EventKind::AggregatorCrash {
-                    aggregator: crash.aggregator,
-                },
-            );
-        }
-        for recovery in &self.scenario.recoveries {
-            self.queue.schedule(
-                recovery.time_s,
-                EventKind::AggregatorRecover {
-                    aggregator: recovery.aggregator,
-                },
-            );
-        }
+    /// Routes a client assigned to `task` on `aggregator` through the next
+    /// Selector.  Returns false when the client must retry later (stale
+    /// Selector map or dead Aggregator).
+    fn route(&mut self, task: usize, aggregator: AggregatorId) -> bool {
+        let selector = &self.selectors[self.selector_cursor % self.selectors.len()];
+        self.selector_cursor += 1;
 
-        let limits = self.scenario.limits;
-        let mut stop_reason = StopReason::MaxVirtualTime;
-        let mut events_processed = 0u64;
-        while let Some(event) = self.queue.pop() {
-            if event.time > limits.max_virtual_time_s {
-                self.now = limits.max_virtual_time_s;
-                break;
-            }
-            self.now = event.time;
-            events_processed += 1;
-            match event.kind {
-                EventKind::ControlPlaneTick => self.control_plane_tick(),
-                EventKind::RefreshSelectors => self.refresh_selectors(),
-                EventKind::AggregatorCrash { aggregator } => {
-                    if self.crashed.insert(aggregator) {
-                        self.stats.aggregator_failures += 1;
-                    }
-                }
-                EventKind::AggregatorRecover { aggregator } => self.handle_recovery(aggregator),
-                EventKind::ReconcileTick => self.reconcile_tick(),
-                EventKind::TaskClientFinished {
-                    task,
-                    client_id,
-                    participation_id,
-                } => {
-                    self.handle_client_finished(task, client_id, participation_id);
-                    if let Some(max) = limits.max_client_updates {
-                        if self.total_comm_trips() >= max {
-                            stop_reason = StopReason::MaxClientUpdates;
-                            break;
-                        }
-                    }
-                }
-                EventKind::TaskClientFailed {
-                    task,
-                    client_id: _,
-                    participation_id,
-                } => {
-                    self.upload_route.remove(&participation_id);
-                    if let Some(freed) = self.runtimes[task].client_failed(participation_id) {
-                        self.pool.release(freed);
-                    }
-                }
-                EventKind::AggregatorDeadline { task } => {
-                    // Exact timed release; a stale check (the buffer closed
-                    // or moved since scheduling) polls as a no-op.
-                    if let Some(outcome) = self.runtimes[task].poll(self.now) {
-                        if outcome.tsa_key_released {
-                            self.queue
-                                .schedule(self.now, EventKind::TsaKeyRelease { task });
-                        }
-                        if outcome.dp_released {
-                            self.queue.schedule(self.now, EventKind::DpRelease { task });
-                        }
-                        if outcome.robust_released {
-                            self.queue
-                                .schedule(self.now, EventKind::RobustRelease { task });
-                        }
-                        for freed in &outcome.freed {
-                            self.upload_route.remove(&freed.participation_id);
-                            self.pool.release(freed.client_id);
-                        }
-                    }
-                }
-                EventKind::TsaKeyRelease { task } => {
-                    // The TSA unmasked the buffer that just closed; refresh
-                    // the task's secure-aggregation metrics.
-                    self.runtimes[task].sync_secure_telemetry();
-                }
-                EventKind::DpRelease { task } => {
-                    // A noised aggregate was published and composed into
-                    // the cumulative ε; refresh the task's DP metrics and
-                    // enforce the budget — one task overspending its ε
-                    // stops the whole scenario (the operator must re-budget
-                    // before any further release is defensible).
-                    self.runtimes[task].sync_dp_telemetry();
-                    if self.runtimes[task].privacy_budget_exhausted() {
-                        stop_reason = StopReason::PrivacyBudgetExhausted;
-                        break;
-                    }
-                }
-                EventKind::RobustRelease { task } => {
-                    // A defense-mediated release went out; refresh the
-                    // task's robustness metrics.
-                    self.runtimes[task].sync_robust_telemetry();
-                }
-                EventKind::EvaluateTask { task } => {
-                    self.runtimes[task].evaluate(self.now);
-                    if limits.target_loss.is_some()
-                        && self.runtimes.iter().all(|r| r.target_reached())
-                    {
-                        stop_reason = StopReason::TargetLossReached;
-                        break;
-                    }
-                    self.queue.schedule(
-                        self.now + self.scenario.eval.interval_s,
-                        EventKind::EvaluateTask { task },
-                    );
-                }
-                // Direct-path events, listed explicitly so a new
-                // `EventKind` variant is a compile error in this match.
-                EventKind::ClientFinished { .. }
-                | EventKind::ClientFailed { .. }
-                | EventKind::Evaluate
-                | EventKind::SampleUtilization => {
-                    unreachable!("fleet scenarios schedule no direct-path events")
-                }
-            }
-            self.schedule_deadline_checks();
+        // A Selector whose map sequence is behind the Coordinator's refuses
+        // to route and asks the client to retry while it refreshes.
+        if selector.is_stale(self.service.coordinator()) {
+            self.stats.stale_route_refusals += 1;
+            return false;
         }
+        match selector.route(task) {
+            RouteOutcome::StaleMap => {
+                self.stats.stale_route_refusals += 1;
+                false
+            }
+            // The connection to a dead Aggregator fails outright; the
+            // client retries at a later check-in.
+            RouteOutcome::Routed(routed) => !self.crashed.contains(&routed) && routed == aggregator,
+        }
+    }
 
-        // Final evaluation so every task's final loss reflects its last model.
-        for runtime in &mut self.runtimes {
-            runtime.evaluate(self.now);
-        }
+    /// Per-task reassignment counts and the end-of-run control-plane
+    /// counters.
+    fn into_report_parts(mut self) -> (Vec<u64>, ControlPlaneStats) {
         self.stats.final_map_sequence = self.service.coordinator().sequence();
         let counters = self.service.counters();
         self.stats.heartbeats = counters.heartbeats;
@@ -1708,7 +1286,207 @@ impl<'a> FleetState<'a> {
         self.stats.control_log_events = self.service.log().len();
         self.stats.checkpoints_taken = self.service.checkpoints_taken();
         self.stats.checkpoint_age_events = self.service.checkpoint_age_events();
+        (self.reassignments, self.stats)
+    }
+}
 
+/// One scenario run: the event queue, the shared device pool, one
+/// [`TaskRuntime`] per task, and — on fleet runs — the control plane.
+///
+/// Without a plane, freed devices are replaced the moment they are freed
+/// ([`Run::fill_demand`]) and utilization is sampled periodically; with
+/// one, clients are assigned at control-plane ticks.  Everything else is
+/// shared.
+struct Run<'a> {
+    scenario: &'a Scenario,
+    rng: StdRng,
+    queue: EventQueue,
+    runtimes: Vec<TaskRuntime>,
+    pool: ShardedSamplingPool,
+    next_participation_id: u64,
+    /// Latest aggregation deadline an `AggregatorDeadline` event has been
+    /// scheduled for, per task (deadline strategies only; deadlines only
+    /// move forward, so one value per task suffices).
+    scheduled_deadlines: Vec<Option<f64>>,
+    plane: Option<FleetPlane<'a>>,
+    now: SimTime,
+}
+
+impl<'a> Run<'a> {
+    fn new(scenario: &'a Scenario, executor: Option<Arc<Executor>>) -> Self {
+        let mut rng = StdRng::seed_from_u64(scenario.seed);
+        let plane = scenario
+            .fleet
+            .as_ref()
+            .map(|fleet| FleetPlane::new(scenario, fleet));
+        let mut runtimes = Vec::with_capacity(scenario.tasks.len());
+        for (task_id, task) in scenario.tasks.iter().enumerate() {
+            // Fixed evaluation sample.
+            let eval_ids = sample_eval_ids(
+                &mut rng,
+                scenario.population.len(),
+                scenario.eval.sample_size,
+            );
+            // Pinned fingerprints depend on both spellings: a direct run's
+            // only runtime takes the scenario seed itself, a fleet run
+            // salts it per task.
+            let runtime_seed = match plane {
+                None => scenario.seed,
+                Some(_) => scenario.seed ^ ((task_id as u64 + 1) << 32),
+            };
+            let mut runtime = TaskRuntime::new(
+                task.clone(),
+                scenario.server_optimizer,
+                Arc::clone(&scenario.trainers[task_id]),
+                eval_ids,
+                runtime_seed,
+                scenario.limits.target_loss,
+            );
+            // All runtimes share one pool; participation ids are unique
+            // across tasks, so jobs never collide.
+            runtime.set_executor(executor.clone());
+            runtime.set_trace_budget(scenario.limits.trace_budget);
+            runtimes.push(runtime);
+        }
+        Run {
+            scenario,
+            rng,
+            queue: EventQueue::new(),
+            runtimes,
+            pool: ShardedSamplingPool::with_shard_capacity(
+                scenario.population.len(),
+                scenario.limits.sampling_shard_capacity,
+            ),
+            next_participation_id: 0,
+            scheduled_deadlines: vec![None; scenario.tasks.len()],
+            plane,
+            now: 0.0,
+        }
+    }
+
+    /// Queues the events every run starts from.  The order fixes their
+    /// sequence numbers, which break ties between simultaneous events, so
+    /// it is part of what the pinned fingerprints pin.
+    fn schedule_initial_events(&mut self) {
+        match &self.plane {
+            None => {
+                self.fill_demand(0);
+                self.queue
+                    .schedule(0.0, EventKind::EvaluateTask { task: 0 });
+                self.queue.schedule(0.0, EventKind::SampleUtilization);
+            }
+            Some(plane) => {
+                self.queue.schedule(0.0, EventKind::ControlPlaneTick);
+                self.queue.schedule(
+                    plane.fleet.selector_refresh_interval_s,
+                    EventKind::RefreshSelectors,
+                );
+                for task in 0..self.runtimes.len() {
+                    self.queue.schedule(0.0, EventKind::EvaluateTask { task });
+                }
+                for crash in &self.scenario.crashes {
+                    self.queue.schedule(
+                        crash.time_s,
+                        EventKind::AggregatorCrash {
+                            aggregator: crash.aggregator,
+                        },
+                    );
+                }
+                for recovery in &self.scenario.recoveries {
+                    self.queue.schedule(
+                        recovery.time_s,
+                        EventKind::AggregatorRecover {
+                            aggregator: recovery.aggregator,
+                        },
+                    );
+                }
+            }
+        }
+    }
+
+    fn run(mut self) -> Report {
+        self.schedule_initial_events();
+
+        let max_virtual_time_s = self.scenario.limits.max_virtual_time_s;
+        let mut stop_reason = StopReason::MaxVirtualTime;
+        let mut events_processed = 0u64;
+        while let Some(event) = self.queue.pop() {
+            if event.time > max_virtual_time_s {
+                self.now = max_virtual_time_s;
+                break;
+            }
+            self.now = event.time;
+            events_processed += 1;
+            // The un-scoped client and evaluation events are task 0's.
+            let mut stop = None;
+            match event.kind {
+                EventKind::ClientFinished {
+                    client_id,
+                    participation_id,
+                } => stop = self.client_finished(0, client_id, participation_id),
+                EventKind::TaskClientFinished {
+                    task,
+                    client_id,
+                    participation_id,
+                } => stop = self.client_finished(task, client_id, participation_id),
+                EventKind::ClientFailed {
+                    client_id: _,
+                    participation_id,
+                } => self.client_failed(0, participation_id),
+                EventKind::TaskClientFailed {
+                    task,
+                    client_id: _,
+                    participation_id,
+                } => self.client_failed(task, participation_id),
+                EventKind::Evaluate => stop = self.evaluate(0),
+                EventKind::EvaluateTask { task } => stop = self.evaluate(task),
+                EventKind::SampleUtilization => self.sample_utilization(),
+                EventKind::AggregatorDeadline { task } => self.aggregator_deadline(task),
+                EventKind::TsaKeyRelease { task } => {
+                    // The TSA unmasked the buffer that just closed; refresh
+                    // the task's secure-aggregation metrics from the
+                    // aggregator's telemetry.
+                    self.runtimes[task].sync_secure_telemetry();
+                }
+                EventKind::DpRelease { task } => {
+                    // A noised aggregate was published and composed into
+                    // the cumulative ε; refresh the task's DP metrics and
+                    // enforce the budget — one task overspending its ε
+                    // stops the whole scenario (the operator must re-budget
+                    // before any further release is defensible).
+                    self.runtimes[task].sync_dp_telemetry();
+                    if self.runtimes[task].privacy_budget_exhausted() {
+                        stop = Some(StopReason::PrivacyBudgetExhausted);
+                    }
+                }
+                EventKind::RobustRelease { task } => {
+                    // A defense-mediated release went out; refresh the
+                    // task's robustness metrics from the aggregator's
+                    // telemetry.
+                    self.runtimes[task].sync_robust_telemetry();
+                }
+                // Control-plane events; no-ops on a run without a plane.
+                EventKind::ControlPlaneTick => self.control_plane_tick(),
+                EventKind::RefreshSelectors => self.refresh_selectors(),
+                EventKind::AggregatorCrash { aggregator } => self.aggregator_crash(aggregator),
+                EventKind::AggregatorRecover { aggregator } => self.aggregator_recover(aggregator),
+                EventKind::ReconcileTick => self.reconcile_tick(),
+            }
+            if let Some(reason) = stop {
+                stop_reason = reason;
+                break;
+            }
+            self.schedule_deadline_checks();
+        }
+
+        // Final evaluation so every task's final loss reflects its last model.
+        for runtime in &mut self.runtimes {
+            runtime.evaluate(self.now);
+        }
+        let (reassignments, stats) = match self.plane {
+            Some(plane) => plane.into_report_parts(),
+            None => (vec![0; self.runtimes.len()], ControlPlaneStats::default()),
+        };
         let virtual_hours = self.now / 3600.0;
         let mut reports = Vec::with_capacity(self.runtimes.len());
         for (task_id, runtime) in self.runtimes.into_iter().enumerate() {
@@ -1716,12 +1494,12 @@ impl<'a> FleetState<'a> {
             reports.push(task_report(
                 task_id,
                 name,
-                self.reassignments[task_id],
+                reassignments[task_id],
                 runtime,
                 self.now,
             ));
         }
-        let fleet = roll_up(virtual_hours, &reports, self.stats);
+        let fleet = roll_up(virtual_hours, &reports, stats);
         Report {
             stop_reason,
             virtual_hours,
@@ -1731,185 +1509,35 @@ impl<'a> FleetState<'a> {
         }
     }
 
-    /// One control-plane sweep: heartbeats, failure detection and task
-    /// reassignment, demand pooling, and client assignment.
-    fn control_plane_tick(&mut self) {
-        self.maybe_restore_control_plane();
+    // -- Participation lifecycle (every run) --------------------------------
 
-        // Live Aggregators heartbeat; crashed ones stay silent.
-        for id in 0..self.fleet.aggregators {
-            if !self.crashed.contains(&id) {
-                self.service.heartbeat(id, self.now);
-            }
-        }
-
-        // Failure detection: tasks moved to a surviving Aggregator lose
-        // their buffered updates.  Tasks orphaned by total loss lose them
-        // too (the buffers died with the Aggregator); their re-placement
-        // waits for the reconcile pass triggered by the first recovery.
-        let sweep = self.service.detect_failures(self.now);
-        for task in sweep.reassigned {
-            self.runtimes[task].drop_buffered_updates();
-            self.reassignments[task] += 1;
-            self.stats.task_reassignments += 1;
-        }
-        for task in sweep.orphaned {
-            self.runtimes[task].drop_buffered_updates();
-        }
-
-        // Demand pooling: every runtime reports its current client demand.
-        for (task_id, runtime) in self.runtimes.iter().enumerate() {
-            self.service.report_demand(task_id, runtime.demand());
-        }
-
-        // Client assignment: idle devices check in and are assigned to
-        // eligible tasks until demand is met (or no check-in succeeds).
-        let total_demand: usize = (0..self.runtimes.len())
-            .map(|task| self.service.coordinator().effective_demand(task))
-            .sum();
-        let mut assigned = 0;
-        let mut turned_away = Vec::new();
-        let max_checkins = 4 * total_demand + 8;
-        for _ in 0..max_checkins {
-            if assigned >= total_demand {
-                break;
-            }
-            let client_id = match self.pool.acquire_random(&mut self.rng) {
-                Some(id) => id,
-                None => break, // every device is already participating
-            };
-            match self.service.assign_client(self.tiers[client_id]) {
-                Some((task, aggregator)) => {
-                    if self.route_and_start(task, aggregator, client_id) {
-                        assigned += 1;
-                    } else {
-                        turned_away.push(client_id);
-                    }
-                }
-                None => turned_away.push(client_id), // no eligible task now
-            }
-        }
-        for client_id in turned_away {
-            self.pool.release(client_id);
-        }
-
-        for runtime in &mut self.runtimes {
-            runtime.record_utilization(self.now);
-        }
-        self.maybe_schedule_reconcile();
-        self.queue.schedule(
-            self.now + self.fleet.control_plane_interval_s,
-            EventKind::ControlPlaneTick,
-        );
-    }
-
-    /// An injected Aggregator recovery: the process comes back, heartbeats
-    /// immediately (register-or-refresh), and any orphaned or pending tasks
-    /// are re-placed by the reconcile pass the heartbeat makes possible.
-    fn handle_recovery(&mut self, aggregator: AggregatorId) {
-        if self.crashed.remove(&aggregator) {
-            self.stats.aggregator_recoveries += 1;
-            self.service.heartbeat(aggregator, self.now);
-            self.maybe_schedule_reconcile();
-        }
-    }
-
-    /// A reconciliation pass: diff desired placement (every task routed to a
-    /// healthy Aggregator) against actual routes and correct divergence.
-    /// Re-placing an orphan counts as a reassignment; first placement of a
-    /// pending task does not.
-    fn reconcile_tick(&mut self) {
-        self.reconcile_scheduled = false;
-        let corrections = self.service.reconcile(self.now);
-        for correction in corrections {
-            if correction.was_placed {
-                self.reassignments[correction.task] += 1;
-                self.stats.task_reassignments += 1;
-            }
-        }
-    }
-
-    /// Schedules a reconcile pass at the current instant iff one would do
-    /// work and none is already queued.  Scenarios whose placement never
-    /// diverges therefore process no extra events — a property the pinned
-    /// historical fingerprints depend on.
-    fn maybe_schedule_reconcile(&mut self) {
-        if !self.reconcile_scheduled && self.service.needs_reconciliation() {
-            self.reconcile_scheduled = true;
-            self.queue.schedule(self.now, EventKind::ReconcileTick);
-        }
-    }
-
-    /// If the scenario asks for a mid-run control-plane restore, throw away
-    /// the live service state at the first control tick past the requested
-    /// time and rebuild it from (checkpoint + log suffix).  Deliberately
-    /// in-band (not an event): a restore must not change the event count,
-    /// because its whole point is proving the run is bit-identical with and
-    /// without it.
-    fn maybe_restore_control_plane(&mut self) {
-        if let Some(restore_s) = self.scenario.control_plane_restore_s {
-            if !self.restored && self.now >= restore_s {
-                self.restored = true;
-                self.service.restore_from_checkpoint();
-                self.stats.coordinator_restores += 1;
-            }
-        }
-    }
-
-    /// Routes an assigned client through the next Selector and, if routing
-    /// succeeds, starts the participation.  Returns false when the client
-    /// must retry later (stale Selector map or dead Aggregator).
-    fn route_and_start(&mut self, task: usize, aggregator: AggregatorId, client_id: usize) -> bool {
-        let selector_index = self.selector_cursor % self.selectors.len();
-        self.selector_cursor += 1;
-        let selector = &self.selectors[selector_index];
-
-        // A Selector whose map sequence is behind the Coordinator's refuses
-        // to route and asks the client to retry while it refreshes.
-        if selector.is_stale(self.service.coordinator()) {
-            self.stats.stale_route_refusals += 1;
-            return false;
-        }
-        match selector.route(task) {
-            RouteOutcome::StaleMap => {
-                self.stats.stale_route_refusals += 1;
-                return false;
-            }
-            RouteOutcome::Routed(routed) => {
-                // The connection to a dead Aggregator fails outright; the
-                // client retries at a later check-in.
-                if self.crashed.contains(&routed) || routed != aggregator {
-                    return false;
-                }
-            }
-        }
-
+    /// Starts `client_id` on `task`: draws its dropout, schedules how the
+    /// participation ends, and returns its id.
+    fn start_participation(&mut self, task: usize, client_id: usize) -> u64 {
         let device = self.scenario.population.device(client_id);
         let participation_id = self.next_participation_id;
         self.next_participation_id += 1;
 
         let timeout = self.runtimes[task].config().client_timeout_s;
-        let start = self.now + self.scenario.selection_latency_s;
+        let start = self.now + SELECTION_LATENCY_S;
         let drops_out = self.rng.gen::<f64>() < device.dropout_prob;
         let exceeds_timeout = device.exceeds_timeout(timeout);
         let execution_time = device.clamped_execution_time(timeout);
 
         self.runtimes[task].begin_participation(participation_id, client_id, execution_time);
-        self.upload_route.insert(participation_id, aggregator);
 
-        if drops_out {
-            let fraction: f64 = self.rng.gen_range(0.05..0.95);
-            self.queue.schedule(
-                start + fraction * execution_time,
-                EventKind::TaskClientFailed {
-                    task,
-                    client_id,
-                    participation_id,
-                },
-            );
+        // A dropout fails partway through its (clamped) execution; a
+        // straggler is aborted at the timeout.
+        let fails_after = if drops_out {
+            Some(self.rng.gen_range(0.05..0.95) * execution_time)
         } else if exceeds_timeout {
+            Some(timeout)
+        } else {
+            None
+        };
+        if let Some(after) = fails_after {
             self.queue.schedule(
-                start + timeout,
+                start + after,
                 EventKind::TaskClientFailed {
                     task,
                     client_id,
@@ -1929,39 +1557,24 @@ impl<'a> FleetState<'a> {
             // local training on the worker pool now (no-op sequentially).
             self.runtimes[task].prefetch_training(participation_id);
         }
-        true
+        participation_id
     }
 
-    fn refresh_selectors(&mut self) {
-        for selector in &mut self.selectors {
-            if selector.is_stale(self.service.coordinator()) {
-                selector.refresh(self.service.coordinator());
-            }
+    /// Direct runs only: selects idle devices uniformly at random until the
+    /// task's demand is met or every device is already participating.
+    fn fill_demand(&mut self, task: usize) {
+        for _ in 0..self.runtimes[task].demand() {
+            let Some(client_id) = self.pool.acquire_random(&mut self.rng) else {
+                break; // population exhausted
+            };
+            self.start_participation(task, client_id);
         }
-        self.queue.schedule(
-            self.now + self.fleet.selector_refresh_interval_s,
-            EventKind::RefreshSelectors,
-        );
+        self.runtimes[task].record_utilization(self.now);
     }
 
-    fn handle_client_finished(&mut self, task: usize, client_id: usize, participation_id: u64) {
-        let destination = self.upload_route.remove(&participation_id);
-        // An upload addressed to a dead Aggregator is lost in transit; the
-        // participation failed from the task's point of view.
-        if destination
-            .map(|agg| self.crashed.contains(&agg))
-            .unwrap_or(false)
-        {
-            self.stats.lost_in_transit_updates += 1;
-            if let Some(freed) = self.runtimes[task].client_failed(participation_id) {
-                self.pool.release(freed);
-            }
-            return;
-        }
-        let outcome = match self.runtimes[task].offer_update(participation_id, self.now) {
-            Some(outcome) => outcome,
-            None => return, // aborted earlier (round end, staleness, failover)
-        };
+    /// Makes the release events of a server update visible in the event
+    /// stream (TSA key release, DP release, robust release).
+    fn schedule_releases(&mut self, task: usize, outcome: &UpdateOutcome) {
         if outcome.tsa_key_released {
             self.queue
                 .schedule(self.now, EventKind::TsaKeyRelease { task });
@@ -1973,10 +1586,275 @@ impl<'a> FleetState<'a> {
             self.queue
                 .schedule(self.now, EventKind::RobustRelease { task });
         }
-        self.pool.release(client_id);
-        for freed in &outcome.freed {
-            self.upload_route.remove(&freed.participation_id);
+    }
+
+    /// Returns the devices of participations a server update aborted
+    /// (staleness bound or round end) to the pool.
+    fn release_freed(&mut self, freed: &[FreedClient]) {
+        for freed in freed {
+            if let Some(plane) = &mut self.plane {
+                plane.upload_route.remove(&freed.participation_id);
+            }
             self.pool.release(freed.client_id);
+        }
+    }
+
+    /// Schedules exact readiness checks for tasks whose aggregator reports
+    /// a new deadline (a buffer opened or reopened).  No-op for count-based
+    /// strategies, which never report one.
+    fn schedule_deadline_checks(&mut self) {
+        for task in 0..self.runtimes.len() {
+            if let Some(deadline) = self.runtimes[task].next_deadline_s() {
+                if self.scheduled_deadlines[task] != Some(deadline) {
+                    self.scheduled_deadlines[task] = Some(deadline);
+                    self.queue.schedule(
+                        deadline.max(self.now),
+                        EventKind::AggregatorDeadline { task },
+                    );
+                }
+            }
+        }
+    }
+
+    /// A client's upload arrives; stops the run once the client-update
+    /// budget is spent.
+    fn client_finished(
+        &mut self,
+        task: usize,
+        client_id: usize,
+        participation_id: u64,
+    ) -> Option<StopReason> {
+        self.receive_upload(task, client_id, participation_id);
+        let max = self.scenario.limits.max_client_updates?;
+        let received: u64 = self.runtimes.iter().map(|r| r.metrics().comm_trips).sum();
+        (received >= max).then_some(StopReason::MaxClientUpdates)
+    }
+
+    fn receive_upload(&mut self, task: usize, client_id: usize, participation_id: u64) {
+        if let Some(plane) = &mut self.plane {
+            // An upload addressed to a dead Aggregator is lost in transit;
+            // the participation failed from the task's point of view.
+            let destination = plane.upload_route.remove(&participation_id);
+            if destination.is_some_and(|aggregator| plane.crashed.contains(&aggregator)) {
+                plane.stats.lost_in_transit_updates += 1;
+                self.client_failed(task, participation_id);
+                return;
+            }
+        }
+        let outcome = match self.runtimes[task].offer_update(participation_id, self.now) {
+            Some(outcome) => outcome,
+            None => return, // aborted earlier (round end, staleness, failover)
+        };
+        self.schedule_releases(task, &outcome);
+        self.pool.release(client_id);
+        self.release_freed(&outcome.freed);
+        if self.plane.is_none() {
+            if outcome.round_ended {
+                self.runtimes[task].record_utilization(self.now);
+            }
+            self.fill_demand(task);
+        }
+    }
+
+    /// A participation ended without an upload (dropout, timeout, or an
+    /// upload lost in transit); its device is free again.
+    fn client_failed(&mut self, task: usize, participation_id: u64) {
+        if let Some(plane) = &mut self.plane {
+            plane.upload_route.remove(&participation_id);
+        }
+        if let Some(freed_client) = self.runtimes[task].client_failed(participation_id) {
+            self.pool.release(freed_client);
+            if self.plane.is_none() {
+                self.fill_demand(task);
+            }
+        }
+    }
+
+    /// Evaluates `task`; stops the run once every task has reached the
+    /// target loss.
+    fn evaluate(&mut self, task: usize) -> Option<StopReason> {
+        self.runtimes[task].evaluate(self.now);
+        if self.runtimes.iter().all(|r| r.target_reached()) {
+            return Some(StopReason::TargetLossReached);
+        }
+        self.queue.schedule(
+            self.now + self.scenario.eval.interval_s,
+            EventKind::EvaluateTask { task },
+        );
+        None
+    }
+
+    /// Exact timed release; a stale check (the buffer closed or moved since
+    /// scheduling) polls as a no-op.
+    fn aggregator_deadline(&mut self, task: usize) {
+        if let Some(outcome) = self.runtimes[task].poll(self.now) {
+            self.schedule_releases(task, &outcome);
+            self.release_freed(&outcome.freed);
+            if self.plane.is_none() {
+                self.fill_demand(task);
+            }
+        }
+    }
+
+    /// Direct runs' periodic utilization sample.
+    fn sample_utilization(&mut self) {
+        for runtime in &mut self.runtimes {
+            runtime.record_utilization(self.now);
+        }
+        self.queue.schedule(
+            self.now + UTILIZATION_SAMPLE_INTERVAL_S,
+            EventKind::SampleUtilization,
+        );
+    }
+
+    // -- Control plane (fleet runs) -----------------------------------------
+
+    /// One control-plane sweep: heartbeats, failure detection and task
+    /// reassignment, demand pooling, and client assignment.
+    fn control_plane_tick(&mut self) {
+        let Some(plane) = &mut self.plane else { return };
+        let now = self.now;
+        let tick_interval_s = plane.fleet.control_plane_interval_s;
+        plane.maybe_restore(now, self.scenario.control_plane_restore_s);
+
+        // Live Aggregators heartbeat; crashed ones stay silent.
+        for id in 0..plane.fleet.aggregators {
+            if !plane.crashed.contains(&id) {
+                plane.service.heartbeat(id, now);
+            }
+        }
+
+        // Failure detection: tasks moved to a surviving Aggregator lose
+        // their buffered updates.  Tasks orphaned by total loss lose them
+        // too (the buffers died with the Aggregator); their re-placement
+        // waits for the reconcile pass triggered by the first recovery.
+        let sweep = plane.service.detect_failures(now);
+        for task in sweep.reassigned {
+            self.runtimes[task].drop_buffered_updates();
+            plane.reassignments[task] += 1;
+            plane.stats.task_reassignments += 1;
+        }
+        for task in sweep.orphaned {
+            self.runtimes[task].drop_buffered_updates();
+        }
+
+        // Demand pooling: every runtime reports its current client demand.
+        for (task_id, runtime) in self.runtimes.iter().enumerate() {
+            plane.service.report_demand(task_id, runtime.demand());
+        }
+
+        // Client assignment: idle devices check in and are assigned to
+        // eligible tasks until demand is met (or no check-in succeeds).
+        let total_demand: usize = (0..self.runtimes.len())
+            .map(|task| plane.service.coordinator().effective_demand(task))
+            .sum();
+        let mut assigned = 0;
+        let mut turned_away = Vec::new();
+        let max_checkins = 4 * total_demand + 8;
+        for _ in 0..max_checkins {
+            if assigned >= total_demand {
+                break;
+            }
+            let Some(client_id) = self.pool.acquire_random(&mut self.rng) else {
+                break; // every device is already participating
+            };
+            if self.check_in(client_id) {
+                assigned += 1;
+            } else {
+                turned_away.push(client_id);
+            }
+        }
+        for client_id in turned_away {
+            self.pool.release(client_id);
+        }
+
+        for runtime in &mut self.runtimes {
+            runtime.record_utilization(now);
+        }
+        self.maybe_schedule_reconcile();
+        self.queue
+            .schedule(now + tick_interval_s, EventKind::ControlPlaneTick);
+    }
+
+    /// An idle device checks in: the Coordinator assigns it a task, the
+    /// next Selector routes it to the task's Aggregator, and its
+    /// participation starts.  Returns false when the device is turned away
+    /// (no eligible task now, or a failed route).
+    fn check_in(&mut self, client_id: usize) -> bool {
+        let Some(plane) = &mut self.plane else {
+            return false;
+        };
+        let Some((task, aggregator)) = plane.service.assign_client(plane.tiers[client_id]) else {
+            return false;
+        };
+        if !plane.route(task, aggregator) {
+            return false;
+        }
+        let participation_id = self.start_participation(task, client_id);
+        if let Some(plane) = &mut self.plane {
+            plane.upload_route.insert(participation_id, aggregator);
+        }
+        true
+    }
+
+    fn refresh_selectors(&mut self) {
+        let Some(plane) = &mut self.plane else { return };
+        for selector in &mut plane.selectors {
+            if selector.is_stale(plane.service.coordinator()) {
+                selector.refresh(plane.service.coordinator());
+            }
+        }
+        self.queue.schedule(
+            self.now + plane.fleet.selector_refresh_interval_s,
+            EventKind::RefreshSelectors,
+        );
+    }
+
+    /// An injected Aggregator failure: the process dies and stops
+    /// heartbeating; the Coordinator notices at a later tick.
+    fn aggregator_crash(&mut self, aggregator: AggregatorId) {
+        let Some(plane) = &mut self.plane else { return };
+        if plane.crashed.insert(aggregator) {
+            plane.stats.aggregator_failures += 1;
+        }
+    }
+
+    /// An injected Aggregator recovery: the process comes back, heartbeats
+    /// immediately (register-or-refresh), and any orphaned or pending tasks
+    /// are re-placed by the reconcile pass the heartbeat makes possible.
+    fn aggregator_recover(&mut self, aggregator: AggregatorId) {
+        let Some(plane) = &mut self.plane else { return };
+        if plane.crashed.remove(&aggregator) {
+            plane.stats.aggregator_recoveries += 1;
+            plane.service.heartbeat(aggregator, self.now);
+            self.maybe_schedule_reconcile();
+        }
+    }
+
+    /// A reconciliation pass: diff desired placement (every task routed to a
+    /// healthy Aggregator) against actual routes and correct divergence.
+    /// Re-placing an orphan counts as a reassignment; first placement of a
+    /// pending task does not.
+    fn reconcile_tick(&mut self) {
+        let Some(plane) = &mut self.plane else { return };
+        plane.reconcile_scheduled = false;
+        for correction in plane.service.reconcile(self.now) {
+            if correction.was_placed {
+                plane.reassignments[correction.task] += 1;
+                plane.stats.task_reassignments += 1;
+            }
+        }
+    }
+
+    /// Schedules a reconcile pass at the current instant iff one would do
+    /// work and none is already queued.  Scenarios whose placement never
+    /// diverges therefore process no extra events — a property the pinned
+    /// historical fingerprints depend on.
+    fn maybe_schedule_reconcile(&mut self) {
+        let Some(plane) = &mut self.plane else { return };
+        if !plane.reconcile_scheduled && plane.service.needs_reconciliation() {
+            plane.reconcile_scheduled = true;
+            self.queue.schedule(self.now, EventKind::ReconcileTick);
         }
     }
 }
@@ -2468,6 +2346,72 @@ mod tests {
             .build();
     }
 
+    fn one_task() -> ScenarioBuilder {
+        Scenario::builder()
+            .population(population(100))
+            .task(TaskConfig::async_task("a", 8, 2))
+    }
+
+    fn two_aggregator_fleet() -> ScenarioBuilder {
+        one_task().fleet(FleetSpec::new(2, 1))
+    }
+
+    #[test]
+    #[should_panic(expected = "eval.interval_s must be positive and finite")]
+    fn zero_eval_interval_rejected() {
+        // Would reschedule `Evaluate` at `now + 0` forever.
+        let _ = one_task()
+            .eval(EvalPolicy::default().with_interval_s(0.0))
+            .build();
+    }
+
+    #[test]
+    #[should_panic(expected = "control_plane_interval_s must be positive and finite")]
+    fn zero_control_plane_interval_rejected() {
+        let _ = one_task()
+            .fleet(FleetSpec::new(2, 1).with_control_plane_interval_s(0.0))
+            .build();
+    }
+
+    #[test]
+    #[should_panic(expected = "selector_refresh_interval_s must be positive and finite")]
+    fn negative_selector_refresh_interval_rejected() {
+        let _ = one_task()
+            .fleet(FleetSpec::new(2, 1).with_selector_refresh_interval_s(-45.0))
+            .build();
+    }
+
+    #[test]
+    #[should_panic(expected = "crash time must be finite and non-negative")]
+    fn non_finite_crash_time_rejected() {
+        // Used to pass `build()` and panic inside `run()` at
+        // `EventQueue::schedule`.
+        let _ = two_aggregator_fleet().crash_at(f64::NAN, 0).build();
+    }
+
+    #[test]
+    #[should_panic(expected = "recovery time must be finite and non-negative")]
+    fn negative_recovery_time_rejected() {
+        let _ = two_aggregator_fleet()
+            .crash_at(10.0, 0)
+            .recover_at(-1.0, 0)
+            .build();
+    }
+
+    #[test]
+    #[should_panic(expected = "crash targets aggregator 9 but the fleet has 2")]
+    fn crash_of_unknown_aggregator_rejected() {
+        let _ = two_aggregator_fleet().crash_at(10.0, 9).build();
+    }
+
+    #[test]
+    #[should_panic(expected = "recovery targets aggregator 9 but the fleet has 2")]
+    fn recovery_of_unknown_aggregator_rejected() {
+        // Used to register ghost Aggregator 9 through its recovery
+        // heartbeat.
+        let _ = two_aggregator_fleet().recover_at(20.0, 9).build();
+    }
+
     #[test]
     fn stop_reasons_display_readably() {
         assert_eq!(
@@ -2492,22 +2436,18 @@ mod tests {
     fn timed_hybrid_strategy_runs_end_to_end() {
         // Aggregation goal far above what the concurrency can deliver: only
         // the deadline can release buffers, so every server update proves
-        // the third strategy works through the whole stack.  The huge
-        // utilization-sampler interval pins down that releases come from
-        // exact deadline events, not from piggybacking on periodic polls.
+        // the third strategy works through the whole stack.
         let report = Scenario::builder()
             .population(population(400))
             .task(TaskConfig::timed_hybrid_task("hybrid", 24, 10_000, 240.0))
             .limits(RunLimits::default().with_max_virtual_time_hours(2.0))
             .eval(EvalPolicy::default().with_interval_s(600.0))
-            .utilization_sample_interval_s(1e6)
             .seed(7)
             .build()
             .run();
         let task = report.single();
         // 2 h / 240 s deadline ≈ 30 release windows; allow slack for
-        // arrival gaps but demand far more than a sampler-driven run
-        // (interval 1e6 s) could produce.
+        // arrival gaps.
         assert!(
             task.server_updates() > 15,
             "deadline releases did not happen on time: {}",

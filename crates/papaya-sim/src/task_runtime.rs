@@ -1,4 +1,4 @@
-//! Per-task training state, factored out of the single-task engine.
+//! Per-task server-side training state.
 //!
 //! A [`TaskRuntime`] owns everything one federated task needs server-side:
 //! the versioned model and its optimizer, the aggregation strategy (held as
@@ -10,8 +10,8 @@
 //! [`client_failed`](TaskRuntime::client_failed),
 //! [`demand`](TaskRuntime::demand), [`evaluate`](TaskRuntime::evaluate),
 //! [`poll`](TaskRuntime::poll) —
-//! so the same runtime can be driven by any [`crate::scenario::Scenario`]
-//! path or placed on a simulated Aggregator process.
+//! so the same runtime is driven by the [`crate::scenario::Scenario`] run
+//! loop with or without a control plane.
 //!
 //! The runtime is deliberately ignorant of *who* participates and *when*:
 //! client selection, event scheduling, dropouts, and timeouts belong to the
@@ -20,7 +20,7 @@
 //! reproducing the paper's fault-tolerance semantics (buffered state is
 //! lost with the Aggregator; training resumes after reassignment).  For
 //! in-flight participations a driver can either let their uploads fail
-//! lazily when they arrive (what the fleet scenario path does: the upload
+//! lazily when they arrive (what a fleet run does: the upload
 //! is addressed to the dead Aggregator and is reported through
 //! [`client_failed`](TaskRuntime::client_failed)) or abort them all
 //! eagerly with
