@@ -13,7 +13,7 @@
 //! loss (orphaning every task), then a recovery whose heartbeat triggers the
 //! reconcile pass — and the restore lands inside the dead window.
 
-use bench::perf::soak_scenario;
+use bench::scenarios::soak_scenario;
 use bench::{parse_args, Scale};
 use papaya_sim::scenario::Report;
 use papaya_sim::Parallelism;

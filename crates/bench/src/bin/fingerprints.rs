@@ -12,7 +12,7 @@
 //! cargo run --release -p bench --bin fingerprints -- --full
 //! ```
 
-use bench::perf::{build_scenario, SCENARIO_NAMES};
+use bench::scenarios::{build_scenario, SCENARIO_NAMES};
 use papaya_sim::Parallelism;
 
 fn main() {

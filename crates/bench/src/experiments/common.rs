@@ -64,27 +64,39 @@ pub struct CliArgs {
     pub seed: u64,
 }
 
-/// Parses `--quick` / `--full` / `--seed N` from `std::env::args`.
+/// Parses `--quick` / `--full` / `--seed N` from `std::env::args`.  A flag
+/// it does not know, a `--seed` without a value, or a seed that is not a
+/// `u64` prints the error and a usage line and exits with status 2: a typo
+/// must not silently reproduce a different figure.
 pub fn parse_args() -> CliArgs {
-    let args: Vec<String> = std::env::args().collect();
-    let mut scale = Scale::Quick;
-    let mut seed = 42u64;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--quick" => scale = Scale::Quick,
-            "--full" => scale = Scale::Full,
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    parse_from(&args).unwrap_or_else(|error| {
+        eprintln!("error: {error}\nusage: [--quick | --full] [--seed N]");
+        std::process::exit(2)
+    })
+}
+
+/// [`parse_args`] over an explicit argument list (program name excluded).
+fn parse_from(args: &[String]) -> Result<CliArgs, String> {
+    let mut parsed = CliArgs {
+        scale: Scale::Quick,
+        seed: 42,
+    };
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--quick" => parsed.scale = Scale::Quick,
+            "--full" => parsed.scale = Scale::Full,
             "--seed" => {
-                if let Some(value) = args.get(i + 1) {
-                    seed = value.parse().unwrap_or(seed);
-                    i += 1;
-                }
+                let value = args.next().ok_or("--seed needs a value")?;
+                parsed.seed = value
+                    .parse()
+                    .map_err(|_| format!("--seed {value:?} is not an unsigned integer"))?;
             }
-            _ => {}
+            other => return Err(format!("unknown argument {other:?}")),
         }
-        i += 1;
     }
-    CliArgs { scale, seed }
+    Ok(parsed)
 }
 
 /// The surrogate configuration used by the convergence experiments: enough
@@ -188,6 +200,37 @@ mod tests {
         assert!(Scale::Quick.population_size() < Scale::Full.population_size());
         assert!(Scale::Quick.concurrencies().len() <= Scale::Full.concurrencies().len());
         assert!(Scale::Quick.reference_concurrency() < Scale::Full.reference_concurrency());
+    }
+
+    fn parse(args: &[&str]) -> Result<CliArgs, String> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        parse_from(&args)
+    }
+
+    #[test]
+    fn parse_from_reads_scale_and_seed() {
+        let defaults = parse(&[]).expect("no arguments is valid");
+        assert_eq!((defaults.scale, defaults.seed), (Scale::Quick, 42));
+        let args = parse(&["--full", "--seed", "7"]).expect("valid arguments");
+        assert_eq!((args.scale, args.seed), (Scale::Full, 7));
+    }
+
+    #[test]
+    fn parse_from_rejects_an_unknown_flag() {
+        let error = parse(&["--quick", "--sede", "7"]).unwrap_err();
+        assert!(error.contains("--sede"), "{error}");
+    }
+
+    #[test]
+    fn parse_from_rejects_a_dangling_seed() {
+        let error = parse(&["--full", "--seed"]).unwrap_err();
+        assert!(error.contains("needs a value"), "{error}");
+    }
+
+    #[test]
+    fn parse_from_rejects_a_non_numeric_seed() {
+        let error = parse(&["--seed", "abc"]).unwrap_err();
+        assert!(error.contains("abc"), "{error}");
     }
 
     #[test]

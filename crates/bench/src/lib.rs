@@ -16,9 +16,13 @@
 //! `--quick` shrinks the population and concurrency sweep so a run finishes
 //! in seconds; omit it for the full-scale (minutes-long) sweep recorded in
 //! `EXPERIMENTS.md`.
+//!
+//! [`scenarios`] defines the canonical named scenarios whose fingerprints
+//! are committed in `tests/golden_fingerprints.txt`.  Nothing in this crate
+//! measures wall-clock, throughput or memory: that is the repo benchmark's
+//! job (`benchmark/` at the repository root).
 
 pub mod experiments;
-pub mod perf;
-pub mod rss;
+pub mod scenarios;
 
 pub use experiments::common::{parse_args, CliArgs, Scale};

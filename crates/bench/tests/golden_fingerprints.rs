@@ -2,18 +2,23 @@
 //! run loop is checked against the tree rather than against memory.
 //!
 //! `golden_fingerprints.txt` holds one `name<TAB>fingerprint` line per
-//! scenario: the seven canonical `perf_suite` scenarios (quick sizes, seed
-//! 42 — the values `cargo run -p bench --bin fingerprints` prints) plus
-//! three shapes that set lacks: a direct synchronous task with
+//! scenario: the seven canonical scenarios of `bench::scenarios` (quick
+//! sizes, seed 42 — the values `cargo run -p bench --bin fingerprints`
+//! prints) plus three shapes that set lacks: a direct synchronous task with
 //! over-selection and dropouts, a direct `robust(dp(secure(fedbuff)))`
 //! stack under scaled attackers, and the `control_plane_soak` fleet run
 //! (crash, total loss, control-plane restore, recovery).
+//!
+//! Every scenario runs twice, on the event-loop thread alone and on a
+//! four-thread worker pool, and both runs must produce the committed line:
+//! this is the one place that holds every canonical scenario to the
+//! executor's bit-identity contract.
 //!
 //! A change that must not alter behaviour leaves the file byte-identical.
 //! One that means to alter it replaces the file with the text this test
 //! prints on mismatch, and the diff of the file is the review artifact.
 
-use bench::perf::{build_scenario, soak_scenario, SCENARIO_NAMES};
+use bench::scenarios::{build_scenario, soak_scenario, SCENARIO_NAMES};
 use papaya_core::config::SecAggMode;
 use papaya_core::{AdversarySpec, DpConfig, Malice, RobustConfig, RobustDefense, TaskConfig};
 use papaya_data::population::{Population, PopulationConfig};
@@ -35,11 +40,15 @@ fn population(size: usize, dropout: f64) -> Population {
 /// Direct synchronous rounds with 30 % over-selection over a population
 /// where one selection in five drops out: round-end aborts, failed
 /// participations and their replacements all feed the fingerprint.
-fn sync_over_selection() -> Scenario {
+fn sync_over_selection(parallelism: Parallelism) -> Scenario {
     Scenario::builder()
         .population(population(1_200, 0.2))
         .task(TaskConfig::sync_task("sync-over-selection", 60, 0.3))
-        .limits(RunLimits::default().with_max_virtual_time_hours(3.0))
+        .limits(
+            RunLimits::default()
+                .with_max_virtual_time_hours(3.0)
+                .with_parallelism(parallelism),
+        )
         .eval(EvalPolicy::default().with_interval_s(600.0))
         .seed(SEED)
         .build()
@@ -48,7 +57,7 @@ fn sync_over_selection() -> Scenario {
 /// Direct FedBuff under the full decorator stack with 10 % scaled
 /// attackers: TSA, DP and robust releases are all scheduled and the
 /// conditional robustness section of the fingerprint is hashed.
-fn robust_dp_secure_stack() -> Scenario {
+fn robust_dp_secure_stack(parallelism: Parallelism) -> Scenario {
     Scenario::builder()
         .population(population(600, 0.05))
         .task(
@@ -63,38 +72,47 @@ fn robust_dp_secure_stack() -> Scenario {
         .limits(
             RunLimits::default()
                 .with_max_virtual_time_hours(10.0)
-                .with_max_client_updates(400),
+                .with_max_client_updates(400)
+                .with_parallelism(parallelism),
         )
         .eval(EvalPolicy::default().with_interval_s(600.0))
         .seed(SEED)
         .build()
 }
 
-#[test]
-fn fingerprints_match_the_golden_file() {
+/// The golden file's text as the tree produces it at `parallelism`.
+fn fingerprints(parallelism: Parallelism) -> String {
     let mut scenarios: Vec<(&str, Scenario)> = SCENARIO_NAMES
         .iter()
-        .map(|&name| {
-            (
-                name,
-                build_scenario(name, true, Parallelism::sequential(), SEED),
-            )
-        })
+        .map(|&name| (name, build_scenario(name, true, parallelism, SEED)))
         .collect();
-    scenarios.push(("direct-sync-over-selection", sync_over_selection()));
-    scenarios.push(("direct-robust-dp-secure", robust_dp_secure_stack()));
+    scenarios.push((
+        "direct-sync-over-selection",
+        sync_over_selection(parallelism),
+    ));
+    scenarios.push((
+        "direct-robust-dp-secure",
+        robust_dp_secure_stack(parallelism),
+    ));
     scenarios.push((
         "control-plane-soak",
-        soak_scenario(true, SEED, Some(2_000.0), Parallelism::sequential()),
+        soak_scenario(true, SEED, Some(2_000.0), parallelism),
     ));
-
-    let actual: String = scenarios
+    scenarios
         .iter()
         .map(|(name, scenario)| format!("{name}\t{}\n", scenario.run().fingerprint()))
-        .collect();
-    assert!(
-        actual == GOLDEN,
-        "fingerprints moved; if that is intended, replace \
-         crates/bench/tests/golden_fingerprints.txt with:\n{actual}"
-    );
+        .collect()
+}
+
+#[test]
+fn fingerprints_match_the_golden_file() {
+    for parallelism in [Parallelism::sequential(), Parallelism(4)] {
+        let actual = fingerprints(parallelism);
+        assert!(
+            actual == GOLDEN,
+            "fingerprints at {parallelism:?} differ from the golden file; if they \
+             moved at every thread count and that is intended, replace \
+             crates/bench/tests/golden_fingerprints.txt with:\n{actual}"
+        );
+    }
 }

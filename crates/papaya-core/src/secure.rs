@@ -145,8 +145,10 @@ impl SecureTelemetry {
 }
 
 /// Wall-clock seconds the secure pipeline spent on the event-loop thread,
-/// split by protocol stage — the `--profile` breakdown of the benchmark
-/// suite.  Speculatively precomputed masks are charged to the worker pool,
+/// split by protocol stage — what the repo benchmark's traced run
+/// (`benchmark/`, `--trace 1`) reports as `secure.handshake_s`,
+/// `secure.mask_s`, `secure.encode_s` and `secure.unmask_s`.
+/// Speculatively precomputed masks are charged to the worker pool,
 /// not here, so under speculation `handshake_s + mask_s` collapse toward
 /// zero while `encode_s`/`unmask_s` (inherently on-loop) remain.
 ///

@@ -185,8 +185,8 @@ impl SurrogateObjective {
 /// consuming one sequential RNG stream, precisely so that idle clients
 /// cost nothing.
 ///
-/// This is the trainer behind the `fedbuff-1m` perf scenario
-/// (`docs/SCALING.md`): a million idle clients cost 4 MB here instead of
+/// This is the trainer behind the `fedbuff-1m` scenario and the
+/// benchmark's `million-idle` workload (`docs/SCALING.md`): a million idle clients cost 4 MB here instead of
 /// half a gigabyte.
 #[derive(Clone, Debug)]
 pub struct ProceduralSurrogate {

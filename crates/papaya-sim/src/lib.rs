@@ -65,9 +65,7 @@ pub mod task_runtime;
 
 pub use control_plane::{ControlEvent, ControlPlaneService, Correction, EventLog, FleetStatus};
 pub use executor::{Executor, ExecutorStats, Parallelism};
-pub use metrics::{
-    ControlPlaneStats, FleetSummary, MetricsSummary, ParticipationRecord, TaskSummary,
-};
+pub use metrics::{ControlPlaneStats, FleetSummary, MetricsSummary, ParticipationRecord};
 pub use scenario::{
     EvalPolicy, FleetSpec, InjectedCrash, Report, RunLimits, Scenario, ScenarioBuilder, StopReason,
     TaskReport, TierPolicy,

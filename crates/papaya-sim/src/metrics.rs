@@ -73,7 +73,8 @@ pub struct MetricsCollector {
     /// On-loop wall-clock breakdown of the secure pipeline (handshake,
     /// mask expansion, encode, unmask).  Machine-dependent, so it is kept
     /// out of [`SecureTelemetry`] and never hashed into run fingerprints;
-    /// `perf_suite --profile` surfaces it for overhead triage.
+    /// the repo benchmark's traced run of `secure-stack` reports it as
+    /// `secure.{handshake,mask,encode,unmask}_s`.
     // papaya-lint: allow(metrics-fingerprint) -- wall-clock profiling is machine-dependent by nature; hashing it would break the determinism pin it exists to protect
     pub secure_timings: SecureTimings,
     /// Differential-privacy telemetry, synced from the task's
@@ -253,36 +254,6 @@ impl MetricsCollector {
     }
 }
 
-/// End-of-run report for one task of a multi-tenant simulation.
-#[derive(Clone, Debug)]
-pub struct TaskSummary {
-    /// Task identifier (index into the fleet's task list).
-    pub task_id: usize,
-    /// Human-readable task name.
-    pub name: String,
-    /// Population loss at the first evaluation.
-    pub initial_loss: f64,
-    /// Population loss at the last evaluation.
-    pub final_loss: f64,
-    /// Times this task was moved to a new Aggregator after a failure.
-    pub reassignments: u64,
-    /// Buffered updates this task lost to Aggregator failures.
-    pub lost_buffered_updates: u64,
-    /// The task's run summary (rates, staleness, utilization).
-    pub summary: MetricsSummary,
-}
-
-impl TaskSummary {
-    /// Fraction of the initial loss still remaining at the end of the run
-    /// (1.0 means no progress; small values mean strong convergence).
-    pub fn remaining_loss_fraction(&self) -> f64 {
-        if self.initial_loss.abs() < f64::EPSILON {
-            return 1.0;
-        }
-        self.final_loss / self.initial_loss
-    }
-}
-
 /// Control-plane counters a multi-tenant run accumulates outside any single
 /// task: failures, reassignments, and routing outcomes.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -458,17 +429,17 @@ pub struct FleetSummary {
 }
 
 impl FleetSummary {
-    /// Rolls up per-task summaries and control-plane counters.  Collectors
-    /// are borrowed — only scalar counters are read, never copied traces.
+    /// Rolls up one collector per task and the control-plane counters.
+    /// Collectors are borrowed — only scalar counters are read, never
+    /// copied traces.
     pub fn roll_up(
         virtual_hours: f64,
-        tasks: &[TaskSummary],
         collectors: &[&MetricsCollector],
         control_plane: ControlPlaneStats,
     ) -> Self {
         FleetSummary {
             virtual_hours,
-            tasks: tasks.len(),
+            tasks: collectors.len(),
             total_comm_trips: collectors.iter().map(|m| m.comm_trips).sum(),
             total_server_updates: collectors.iter().map(|m| m.server_updates).sum(),
             total_failed_participations: collectors.iter().map(|m| m.failed_participations).sum(),
@@ -600,26 +571,6 @@ mod tests {
         b.comm_trips = 50;
         b.server_updates = 5;
         b.utilization_trace = vec![(0.0, 10), (1.0, 10)].into();
-        let tasks = vec![
-            TaskSummary {
-                task_id: 0,
-                name: "a".into(),
-                initial_loss: 2.0,
-                final_loss: 0.5,
-                reassignments: 1,
-                lost_buffered_updates: 2,
-                summary: a.summarize(3600.0),
-            },
-            TaskSummary {
-                task_id: 1,
-                name: "b".into(),
-                initial_loss: 1.0,
-                final_loss: 0.9,
-                reassignments: 0,
-                lost_buffered_updates: 0,
-                summary: b.summarize(3600.0),
-            },
-        ];
         let stats = ControlPlaneStats {
             aggregator_failures: 1,
             task_reassignments: 1,
@@ -628,7 +579,7 @@ mod tests {
             final_map_sequence: 3,
             ..Default::default()
         };
-        let fleet = FleetSummary::roll_up(1.0, &tasks, &[&a, &b], stats.clone());
+        let fleet = FleetSummary::roll_up(1.0, &[&a, &b], stats.clone());
         assert_eq!(fleet.tasks, 2);
         assert_eq!(fleet.total_comm_trips, 150);
         assert_eq!(fleet.total_server_updates, 15);
@@ -636,7 +587,6 @@ mod tests {
         assert_eq!(fleet.total_lost_buffered_updates, 2);
         assert_eq!(fleet.mean_active_clients, 15.0);
         assert_eq!(fleet.control_plane, stats);
-        assert!((tasks[0].remaining_loss_fraction() - 0.25).abs() < 1e-12);
     }
 
     #[test]

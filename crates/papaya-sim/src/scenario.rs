@@ -52,9 +52,7 @@ use crate::cluster::{AggregatorId, RouteOutcome, Selector, TaskSpec};
 use crate::control_plane::{ControlPlaneService, FleetStatus};
 use crate::events::{EventKind, EventQueue, SimTime};
 use crate::executor::{Executor, Parallelism};
-use crate::metrics::{
-    ControlPlaneStats, FleetSummary, MetricsCollector, MetricsSummary, TaskSummary,
-};
+use crate::metrics::{ControlPlaneStats, FleetSummary, MetricsCollector, MetricsSummary};
 use crate::sampling::{ShardedSamplingPool, DEFAULT_SHARD_CAPACITY};
 use crate::task_runtime::{FreedClient, ServerOptimizerKind, TaskRuntime, UpdateOutcome};
 use papaya_core::adversary::AdversarySpec;
@@ -373,19 +371,6 @@ impl TaskReport {
     pub fn server_updates(&self) -> u64 {
         self.metrics.server_updates
     }
-
-    /// The per-task summary in multi-tenant [`TaskSummary`] form.
-    pub fn to_task_summary(&self) -> TaskSummary {
-        TaskSummary {
-            task_id: self.task_id,
-            name: self.name.clone(),
-            initial_loss: self.initial_loss,
-            final_loss: self.final_loss,
-            reassignments: self.reassignments,
-            lost_buffered_updates: self.lost_buffered_updates,
-            summary: self.summary.clone(),
-        }
-    }
 }
 
 /// The outcome of a scenario run: per-task reports plus the fleet roll-up.
@@ -395,8 +380,9 @@ pub struct Report {
     pub stop_reason: StopReason,
     /// Total virtual hours simulated.
     pub virtual_hours: f64,
-    /// Discrete events processed by the run loop (the perf harness divides
-    /// this by wall-clock time for an events/sec throughput figure).
+    /// Discrete events processed by the run loop (the repo benchmark
+    /// divides the traced run's wall-clock by this for
+    /// `scenario.ns_per_event`).
     pub events_processed: u64,
     /// Per-task end-of-run reports, in task order.
     pub tasks: Vec<TaskReport>,
@@ -462,8 +448,10 @@ impl Report {
     /// timing, every counter, the full loss curves, utilization and
     /// participation traces, and the bit patterns of the final model
     /// parameters of every task.  Two runs are bit-identical iff their
-    /// fingerprints are equal — this is what the determinism suite and the
-    /// perf harness compare across [`Parallelism`] settings.
+    /// fingerprints are equal — this is what the determinism suite, the
+    /// committed golden fingerprints and the repo benchmark (every run
+    /// against the process's first, the worker pool against the sequential
+    /// path) compare across [`Parallelism`] settings.
     pub fn fingerprint(&self) -> String {
         let mut h = Fnv::new();
         h.u64(match self.stop_reason {
@@ -746,13 +734,6 @@ impl ScenarioBuilder {
     /// Sets the capability-tier policy used at device check-in.
     pub fn tier_policy(mut self, policy: TierPolicy) -> Self {
         self.tier_policy = policy;
-        self
-    }
-
-    /// Sets the client-training parallelism (shorthand for the
-    /// [`RunLimits::parallelism`] field).
-    pub fn parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.limits.parallelism = parallelism;
         self
     }
 
@@ -1152,12 +1133,6 @@ fn task_report(
     }
 }
 
-fn roll_up(virtual_hours: f64, tasks: &[TaskReport], stats: ControlPlaneStats) -> FleetSummary {
-    let summaries: Vec<TaskSummary> = tasks.iter().map(TaskReport::to_task_summary).collect();
-    let collectors: Vec<&MetricsCollector> = tasks.iter().map(|t| &t.metrics).collect();
-    FleetSummary::roll_up(virtual_hours, &summaries, &collectors, stats)
-}
-
 // ---------------------------------------------------------------------------
 // The run loop.
 // ---------------------------------------------------------------------------
@@ -1499,7 +1474,8 @@ impl<'a> Run<'a> {
                 self.now,
             ));
         }
-        let fleet = roll_up(virtual_hours, &reports, stats);
+        let collectors: Vec<&MetricsCollector> = reports.iter().map(|r| &r.metrics).collect();
+        let fleet = FleetSummary::roll_up(virtual_hours, &collectors, stats);
         Report {
             stop_reason,
             virtual_hours,
@@ -1936,9 +1912,12 @@ mod tests {
             Scenario::builder()
                 .population(population(500))
                 .task(TaskConfig::async_task("t", 32, 8))
-                .limits(RunLimits::default().with_max_virtual_time_hours(0.5))
+                .limits(
+                    RunLimits::default()
+                        .with_max_virtual_time_hours(0.5)
+                        .with_parallelism(parallelism),
+                )
                 .eval(EvalPolicy::default().with_interval_s(600.0))
-                .parallelism(parallelism)
                 .seed(11)
                 .build()
                 .run()
@@ -1966,9 +1945,12 @@ mod tests {
             Scenario::builder()
                 .population(population(300))
                 .task(TaskConfig::async_task("t", 16, 4).with_secagg(SecAggMode::AsyncSecAgg))
-                .limits(RunLimits::default().with_max_virtual_time_hours(0.25))
+                .limits(
+                    RunLimits::default()
+                        .with_max_virtual_time_hours(0.25)
+                        .with_parallelism(parallelism),
+                )
                 .eval(EvalPolicy::default().with_interval_s(600.0))
-                .parallelism(parallelism)
                 .seed(21)
                 .build()
                 .run()

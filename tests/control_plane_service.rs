@@ -122,9 +122,12 @@ fn turbulent_run(restore_at: Option<f64>, parallelism: Parallelism) -> Report {
         .task(TaskConfig::async_task("smart-reply", 24, 8))
         .task(TaskConfig::sync_task("photo-ranker", 30, 0.3))
         .fleet(FleetSpec::new(2, 3))
-        .limits(RunLimits::default().with_max_virtual_time_hours(1.5))
+        .limits(
+            RunLimits::default()
+                .with_max_virtual_time_hours(1.5)
+                .with_parallelism(parallelism),
+        )
         .eval(EvalPolicy::default().with_interval_s(300.0))
-        .parallelism(parallelism)
         .crash_at(1200.0, 0)
         .crash_at(1800.0, 1)
         // Aggregator 0 comes back — NOT the orphans' owner — so recovery

@@ -31,9 +31,12 @@ fn run(task: TaskConfig, hours: f64, parallelism: Parallelism) -> Report {
     Scenario::builder()
         .population(population(600))
         .task(task)
-        .limits(RunLimits::default().with_max_virtual_time_hours(hours))
+        .limits(
+            RunLimits::default()
+                .with_max_virtual_time_hours(hours)
+                .with_parallelism(parallelism),
+        )
         .eval(EvalPolicy::default().with_interval_s(600.0))
-        .parallelism(parallelism)
         .seed(53)
         .build()
         .run()

@@ -29,8 +29,8 @@ fn population(n: usize) -> Population {
 /// Runs the same composition at the pre-existing sequential path,
 /// `Parallelism(1)`, and `Parallelism(4)`, and asserts all three reports
 /// are bit-identical.  Returns the sequential report for extra assertions.
-fn assert_identical_across_thread_counts(build: impl Fn() -> ScenarioBuilder) -> Report {
-    let run = |parallelism: Parallelism| build().parallelism(parallelism).build().run();
+fn assert_identical_across_thread_counts(build: impl Fn(Parallelism) -> ScenarioBuilder) -> Report {
+    let run = |parallelism: Parallelism| build(parallelism).build().run();
     let sequential = run(Parallelism::sequential());
     let reference = sequential.fingerprint();
     for parallelism in [Parallelism(1), Parallelism(4)] {
@@ -55,11 +55,15 @@ fn assert_identical_across_thread_counts(build: impl Fn() -> ScenarioBuilder) ->
 
 #[test]
 fn fedbuff_direct_scenario_is_bit_identical() {
-    let report = assert_identical_across_thread_counts(|| {
+    let report = assert_identical_across_thread_counts(|parallelism| {
         Scenario::builder()
             .population(population(700))
             .task(TaskConfig::async_task("fedbuff", 48, 12))
-            .limits(RunLimits::default().with_max_virtual_time_hours(1.0))
+            .limits(
+                RunLimits::default()
+                    .with_max_virtual_time_hours(1.0)
+                    .with_parallelism(parallelism),
+            )
             .eval(EvalPolicy::default().with_interval_s(600.0))
             .seed(31)
     });
@@ -70,12 +74,16 @@ fn fedbuff_direct_scenario_is_bit_identical() {
 
 #[test]
 fn sync_round_direct_scenario_is_bit_identical() {
-    let report = assert_identical_across_thread_counts(|| {
+    let report = assert_identical_across_thread_counts(|parallelism| {
         Scenario::builder()
             .population(population(700))
             // Over-selection: round-end aborts discard prefetched results.
             .task(TaskConfig::sync_task("sync", 40, 0.3))
-            .limits(RunLimits::default().with_max_virtual_time_hours(2.0))
+            .limits(
+                RunLimits::default()
+                    .with_max_virtual_time_hours(2.0)
+                    .with_parallelism(parallelism),
+            )
             .eval(EvalPolicy::default().with_interval_s(600.0))
             .seed(32)
     });
@@ -84,11 +92,15 @@ fn sync_round_direct_scenario_is_bit_identical() {
 
 #[test]
 fn timed_hybrid_direct_scenario_is_bit_identical() {
-    let report = assert_identical_across_thread_counts(|| {
+    let report = assert_identical_across_thread_counts(|parallelism| {
         Scenario::builder()
             .population(population(500))
             .task(TaskConfig::timed_hybrid_task("hybrid", 24, 40, 240.0))
-            .limits(RunLimits::default().with_max_virtual_time_hours(2.0))
+            .limits(
+                RunLimits::default()
+                    .with_max_virtual_time_hours(2.0)
+                    .with_parallelism(parallelism),
+            )
             .eval(EvalPolicy::default().with_interval_s(600.0))
             .seed(33)
     });
@@ -102,14 +114,18 @@ fn secagg_direct_scenario_is_bit_identical() {
     // secure report — including the masked counters, TEE byte counts, and
     // the quantization-error trace the fingerprint hashes — must stay
     // bit-identical at any thread count.
-    let report = assert_identical_across_thread_counts(|| {
+    let report = assert_identical_across_thread_counts(|parallelism| {
         Scenario::builder()
             .population(population(500))
             .task(
                 TaskConfig::async_task("secure-fedbuff", 32, 8)
                     .with_secagg(SecAggMode::AsyncSecAgg),
             )
-            .limits(RunLimits::default().with_max_virtual_time_hours(0.75))
+            .limits(
+                RunLimits::default()
+                    .with_max_virtual_time_hours(0.75)
+                    .with_parallelism(parallelism),
+            )
             .eval(EvalPolicy::default().with_interval_s(600.0))
             .seed(36)
     });
@@ -127,14 +143,18 @@ fn dp_direct_scenario_is_bit_identical() {
     // seeded stream on the event-loop thread, so a noised report — clip
     // counters, per-release noise std, and the cumulative ε trace the
     // fingerprint hashes — must stay bit-identical at any thread count.
-    let report = assert_identical_across_thread_counts(|| {
+    let report = assert_identical_across_thread_counts(|parallelism| {
         Scenario::builder()
             .population(population(500))
             .task(
                 TaskConfig::async_task("dp-fedbuff", 32, 8)
                     .with_dp(DpConfig::new(2.0, 1.0).with_sampling_rate(0.05)),
             )
-            .limits(RunLimits::default().with_max_virtual_time_hours(0.75))
+            .limits(
+                RunLimits::default()
+                    .with_max_virtual_time_hours(0.75)
+                    .with_parallelism(parallelism),
+            )
             .eval(EvalPolicy::default().with_interval_s(600.0))
             .seed(37)
     });
@@ -152,7 +172,7 @@ fn stacked_dp_secagg_scenario_is_bit_identical() {
     // The full privacy stack — clipping, masking, TSA key releases, decode,
     // noise, accounting — all on the event-loop thread, bit-identical at
     // any Parallelism.
-    let report = assert_identical_across_thread_counts(|| {
+    let report = assert_identical_across_thread_counts(|parallelism| {
         Scenario::builder()
             .population(population(400))
             .task(
@@ -160,7 +180,11 @@ fn stacked_dp_secagg_scenario_is_bit_identical() {
                     .with_secagg(SecAggMode::AsyncSecAgg)
                     .with_dp(DpConfig::new(2.0, 0.5).with_sampling_rate(0.05)),
             )
-            .limits(RunLimits::default().with_max_virtual_time_hours(0.5))
+            .limits(
+                RunLimits::default()
+                    .with_max_virtual_time_hours(0.5)
+                    .with_parallelism(parallelism),
+            )
             .eval(EvalPolicy::default().with_interval_s(600.0))
             .seed(38)
     });
@@ -177,7 +201,7 @@ fn robust_defense_under_attack_is_bit_identical() {
     // order, so an attacked-and-defended report — including the attack
     // trace and robustness telemetry the fingerprint hashes — must stay
     // bit-identical at any thread count.
-    let report = assert_identical_across_thread_counts(|| {
+    let report = assert_identical_across_thread_counts(|parallelism| {
         Scenario::builder()
             .population(population(500))
             .task(
@@ -187,7 +211,11 @@ fn robust_defense_under_attack_is_bit_identical() {
                     }))
                     .with_adversary(AdversarySpec::new(0.2, Malice::SignFlip { scale: 5.0 })),
             )
-            .limits(RunLimits::default().with_max_virtual_time_hours(0.75))
+            .limits(
+                RunLimits::default()
+                    .with_max_virtual_time_hours(0.75)
+                    .with_parallelism(parallelism),
+            )
             .eval(EvalPolicy::default().with_interval_s(600.0))
             .seed(39)
     });
@@ -205,7 +233,7 @@ fn staleness_liar_with_secure_median_stack_is_bit_identical() {
     // on both executor paths (the speculative pool result is discarded);
     // stacked under SecAgg with a coordinate-median defense this pins the
     // trickiest executor interplay the adversary machinery has.
-    let report = assert_identical_across_thread_counts(|| {
+    let report = assert_identical_across_thread_counts(|parallelism| {
         Scenario::builder()
             .population(population(400))
             .task(
@@ -214,7 +242,11 @@ fn staleness_liar_with_secure_median_stack_is_bit_identical() {
                     .with_robust(RobustConfig::new(RobustDefense::CoordinateMedian))
                     .with_adversary(AdversarySpec::new(0.25, Malice::StalenessLiar)),
             )
-            .limits(RunLimits::default().with_max_virtual_time_hours(0.5))
+            .limits(
+                RunLimits::default()
+                    .with_max_virtual_time_hours(0.5)
+                    .with_parallelism(parallelism),
+            )
             .eval(EvalPolicy::default().with_interval_s(600.0))
             .seed(40)
     });
@@ -226,7 +258,7 @@ fn staleness_liar_with_secure_median_stack_is_bit_identical() {
 
 #[test]
 fn fleet_with_crash_is_bit_identical() {
-    let report = assert_identical_across_thread_counts(|| {
+    let report = assert_identical_across_thread_counts(|parallelism| {
         Scenario::builder()
             .population(population(1500))
             .task(TaskConfig::async_task("a", 48, 12))
@@ -234,7 +266,11 @@ fn fleet_with_crash_is_bit_identical() {
             .task(TaskConfig::timed_hybrid_task("h", 16, 32, 600.0))
             .fleet(FleetSpec::new(2, 2))
             .crash_at(1200.0, 0)
-            .limits(RunLimits::default().with_max_virtual_time_hours(1.5))
+            .limits(
+                RunLimits::default()
+                    .with_max_virtual_time_hours(1.5)
+                    .with_parallelism(parallelism),
+            )
             .eval(EvalPolicy::default().with_interval_s(600.0))
             .seed(34)
     });
@@ -248,14 +284,15 @@ fn fleet_with_crash_is_bit_identical() {
 fn max_client_updates_stop_is_bit_identical() {
     // Stopping mid-stream leaves speculative jobs in flight at executor
     // drop; the report must not depend on their fate.
-    let report = assert_identical_across_thread_counts(|| {
+    let report = assert_identical_across_thread_counts(|parallelism| {
         Scenario::builder()
             .population(population(600))
             .task(TaskConfig::async_task("budget", 64, 8))
             .limits(
                 RunLimits::default()
                     .with_max_virtual_time_hours(20.0)
-                    .with_max_client_updates(400),
+                    .with_max_client_updates(400)
+                    .with_parallelism(parallelism),
             )
             .eval(EvalPolicy::default().with_interval_s(600.0))
             .seed(35)
