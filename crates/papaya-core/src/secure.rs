@@ -43,15 +43,15 @@ use crate::aggregator::{AccumulateOutcome, Aggregator, AggregatorStats};
 use crate::client::ClientUpdate;
 use crate::config::{TaskConfig, TrainingMode};
 use papaya_crypto::chacha20::ChaCha20Rng;
-use papaya_crypto::dh::{DhPrecomputedPublic, SharedSecret};
-use papaya_crypto::hmac::hmac_sha256;
+use papaya_crypto::hmac::HmacKey;
 use papaya_crypto::sha256::sha256;
 use papaya_nn::params::ParamVec;
 use papaya_secagg::fixed_point::FixedPointCodec;
 use papaya_secagg::group::GroupParams;
-use papaya_secagg::session::{HandshakePlan, MaskPlanKind, MaskRef};
+use papaya_secagg::session::{HandshakeContext, HandshakePlan, MaskPlanKind, MaskRef, RatchetKey};
 use papaya_secagg::{SecAggClient, SecAggConfig, Tsa, TsaPublication, UntrustedAggregator};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 use std::time::Instant;
 
 // Re-exported so the `Aggregator` trait hooks and the simulator's executor
@@ -144,19 +144,25 @@ impl SecureTelemetry {
     }
 }
 
-/// Wall-clock seconds the secure pipeline spent on the event-loop thread,
-/// split by protocol stage — what the repo benchmark's traced run
+/// Wall-clock seconds the secure pipeline spent on the event-loop thread
+/// in its four arithmetic stages — what the repo benchmark's traced run
 /// (`benchmark/`, `--trace 1`) reports as `secure.handshake_s`,
-/// `secure.mask_s`, `secure.encode_s` and `secure.unmask_s`.
-/// Speculatively precomputed masks are charged to the worker pool,
-/// not here, so under speculation `handshake_s + mask_s` collapse toward
-/// zero while `encode_s`/`unmask_s` (inherently on-loop) remain.
+/// `secure.mask_s`, `secure.encode_s` and `secure.unmask_s`.  The stages
+/// are not the whole decorator: planning, the host's masked sum, the inner
+/// strategy's reference fold and the release bookkeeping are untimed
+/// (a few percent of `secure.busy_s` on the benchmark's `secure-stack`).
+/// Speculatively precomputed masks are charged to the worker pool, not
+/// here, so under speculation `mask_s` collapses toward zero and
+/// `handshake_s` falls to the TSA's half, while `encode_s`/`unmask_s`
+/// (inherently on-loop) remain.
 ///
 /// Excluded from [`SecureTelemetry`] (and from result fingerprints): wall
 /// time is machine-dependent, and fingerprints must not be.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct SecureTimings {
-    /// Session handshakes (attestation check + Diffie–Hellman) run inline.
+    /// Session handshakes: the client's half (attestation check, key
+    /// generation, Diffie–Hellman completion) when it runs inline, and the
+    /// TSA's half ([`Tsa::establish_session`], always on the loop).
     pub handshake_s: f64,
     /// Mask ratchet + expansion run inline.
     pub mask_s: f64,
@@ -167,7 +173,7 @@ pub struct SecureTimings {
 }
 
 impl SecureTimings {
-    /// Total on-loop seconds across all stages.
+    /// On-loop seconds summed over the four stages.
     pub fn total_s(&self) -> f64 {
         self.handshake_s + self.mask_s + self.encode_s + self.unmask_s
     }
@@ -222,9 +228,9 @@ struct SessionState {
     /// key is derived (keyed by client id and TSA epoch), so post-crash
     /// re-handshakes get fresh keys without any shared protocol RNG draws —
     /// the property that makes speculative precompute order-safe.
-    client_master: [u8; 32],
-    /// Established sessions: client id → cached shared secret.
-    secrets: BTreeMap<usize, SharedSecret>,
+    client_master: HmacKey,
+    /// Established sessions: client id → cached ratchet key.
+    session_keys: BTreeMap<usize, RatchetKey>,
     /// Next ratchet counter per client.  Burned at *plan* time: even a
     /// participation later rejected by policy consumes its counter, so no
     /// two uploads ever share a mask seed.
@@ -241,11 +247,12 @@ struct SessionState {
     /// Plans below this id predate an invalidation; their speculative
     /// results are rejected on arrival.
     valid_from_plan_id: u64,
-    /// Fixed-base window table for the TSA's epoch key, built on the first
-    /// handshake of each epoch and shared (via `Arc`) by every handshake
-    /// plan of that epoch.  An epoch bump (crash, reset, republication)
-    /// naturally misses the cache and rebuilds.
-    epoch_table: Option<(u64, DhPrecomputedPublic)>,
+    /// The epoch-invariant handshake material (group, TSA offer,
+    /// publication, fixed-base table for the epoch key), built on the first
+    /// handshake of each epoch and shared by every handshake plan of that
+    /// epoch.  An epoch bump (crash, reset, republication) misses the cache
+    /// and rebuilds.
+    handshake_context: Option<Arc<HandshakeContext>>,
     /// Reusable mask-expansion buffer for inline (non-speculative) computes.
     scratch: MaskScratch,
 }
@@ -263,15 +270,15 @@ fn session_state(session: &mut Option<SessionState>) -> &mut SessionState {
 impl SessionState {
     fn new(seed: u64) -> Self {
         SessionState {
-            client_master: derive_seed(b"papaya/secagg-client-master/", seed),
-            secrets: BTreeMap::new(),
+            client_master: HmacKey::new(&derive_seed(b"papaya/secagg-client-master/", seed)),
+            session_keys: BTreeMap::new(),
             counters: BTreeMap::new(),
             planned: BTreeMap::new(),
             provided: BTreeMap::new(),
             pending_refs: Vec::new(),
             next_plan_id: 0,
             valid_from_plan_id: 0,
-            epoch_table: None,
+            handshake_context: None,
             scratch: MaskScratch::default(),
         }
     }
@@ -412,41 +419,35 @@ impl SecureAggregator {
 
     /// Builds the next mask plan for `client_id`, burning a ratchet counter.
     fn session_plan(&mut self, client_id: usize) -> MaskPlan {
-        let cached = session_state(&mut self.session)
-            .secrets
-            .get(&client_id)
-            .copied();
-        let kind = match cached {
-            Some(secret) => MaskPlanKind::Resumed { secret },
+        let session = session_state(&mut self.session);
+        let kind = match session.session_keys.get(&client_id) {
+            Some(key) => MaskPlanKind::Resumed { key: key.clone() },
             None => {
-                let init = self.tsa.session_init();
-                let session = session_state(&mut self.session);
+                let epoch = self.tsa.session_epoch();
+                let context = match &session.handshake_context {
+                    Some(context) if context.epoch() == epoch => Arc::clone(context),
+                    _ => {
+                        let context = Arc::new(HandshakeContext::new(
+                            &self.config.dh_group,
+                            self.tsa.session_init(),
+                            self.publication.clone(),
+                        ));
+                        session.handshake_context = Some(Arc::clone(&context));
+                        context
+                    }
+                };
                 // Per-(client, epoch) deterministic handshake key: stable
                 // within an epoch (a rejected first contact retries with the
                 // same secret but a fresh counter), fresh across epochs.
-                let mut info = (client_id as u64).to_be_bytes().to_vec();
-                info.extend_from_slice(&init.epoch.to_be_bytes());
-                let client_key_seed = hmac_sha256(&session.client_master, &info);
-                // One fixed-base table per epoch, amortized over every
-                // first contact of the epoch.
-                let table = match &session.epoch_table {
-                    Some((epoch, table)) if *epoch == init.epoch => table.clone(),
-                    _ => {
-                        let table = self.config.dh_group.precompute_public(&init.tsa_public);
-                        session.epoch_table = Some((init.epoch, table.clone()));
-                        table
-                    }
-                };
-                MaskPlanKind::Handshake(Box::new(HandshakePlan {
-                    group: self.config.dh_group.clone(),
-                    client_key_seed,
-                    init,
-                    publication: self.publication.clone(),
-                    tsa_precomputed: Some(table),
-                }))
+                let mut info = [0u8; 16];
+                info[..8].copy_from_slice(&(client_id as u64).to_be_bytes());
+                info[8..].copy_from_slice(&epoch.to_be_bytes());
+                MaskPlanKind::Handshake(HandshakePlan {
+                    client_key_seed: session.client_master.mac(&info),
+                    context,
+                })
             }
         };
-        let session = session_state(&mut self.session);
         let counter_slot = session.counters.entry(client_id).or_insert(0);
         let counter = *counter_slot;
         *counter_slot += 1;
@@ -476,7 +477,8 @@ impl SecureAggregator {
                 let pre = plan.compute(&mut session.scratch);
                 let elapsed = start.elapsed().as_secs_f64();
                 // The handshake's modexps dwarf the mask expansion, so an
-                // inline first contact is charged entirely to handshakes.
+                // inline first contact is charged entirely to handshakes
+                // (the TSA's half is added where the session is established).
                 match plan.kind {
                     MaskPlanKind::Handshake(_) => self.timings.handshake_s += elapsed,
                     MaskPlanKind::Resumed { .. } => self.timings.mask_s += elapsed,
@@ -509,17 +511,14 @@ impl SecureAggregator {
         scaled.scale(weight as f32);
         // papaya-lint: allow(wall-clock) -- stage timing for SecureTimings; profiling only, never fingerprinted
         let start = Instant::now();
-        let mut masked = self
-            .config
-            .codec
-            .encode_vec(scaled.as_slice())
-            .add(&pre.mask);
+        let mut masked = self.config.codec.encode_vec(scaled.as_slice());
+        masked.add_assign(&pre.mask);
         if deviation == Some(crate::adversary::DeviationKind::GarbageMask) {
             // A garbage-mask client pads twice: the TSA's unmask removes
             // one copy and the released aggregate keeps a full
             // pseudorandom pad — caught downstream as an out-of-range
             // release (the decode no longer matches the clear reference).
-            masked = masked.add(&pre.mask);
+            masked.add_assign(&pre.mask);
         }
         self.timings.encode_s += start.elapsed().as_secs_f64();
 
@@ -535,10 +534,13 @@ impl SecureAggregator {
         }
         if outcome.accepted() {
             if let Some(handshake) = pre.handshake {
+                // papaya-lint: allow(wall-clock) -- stage timing for SecureTimings; profiling only, never fingerprinted
+                let start = Instant::now();
                 self.tsa
                     .establish_session(client_id as u64, &handshake.client_public);
+                self.timings.handshake_s += start.elapsed().as_secs_f64();
                 let session = session_state(&mut self.session);
-                session.secrets.insert(client_id, handshake.secret);
+                session.session_keys.insert(client_id, handshake.key);
             }
             self.host
                 .submit_masked(&masked)
@@ -744,7 +746,7 @@ impl Aggregator for SecureAggregator {
         if let Some(session) = self.session.as_mut() {
             self.host.discard_masked_sum();
             self.tsa.invalidate_sessions();
-            session.secrets.clear();
+            session.session_keys.clear();
             session.counters.clear();
             session.planned.clear();
             session.provided.clear();
@@ -1127,7 +1129,7 @@ mod tests {
         agg.accumulate(update(0, vec![1.0, 1.0], 10, 0), 7, 0.0);
         assert_eq!(agg.tsa.active_sessions(), 0);
         let session = agg.session.as_ref().unwrap();
-        assert!(session.secrets.is_empty());
+        assert!(session.session_keys.is_empty());
         assert!(session.pending_refs.is_empty());
         // ...but its ratchet counter is burned, so the retry can never
         // reuse the rejected participation's mask seed.
@@ -1232,10 +1234,11 @@ mod tests {
         let (spec_out, spec_hits, spec_timings) = run(true);
         assert_eq!(inline_out, spec_out);
         assert_eq!(inline_hits, spec_hits);
-        // With every mask provided speculatively, no handshake or mask
-        // expansion ever ran on the "event loop".
-        assert_eq!(spec_timings.handshake_s, 0.0);
+        // With every mask provided speculatively, no client handshake or
+        // mask expansion ever ran on the "event loop": what is left of
+        // `handshake_s` is the TSA's half, paid once per first contact.
         assert_eq!(spec_timings.mask_s, 0.0);
+        assert!(spec_timings.handshake_s > 0.0);
         assert!(spec_timings.encode_s > 0.0);
     }
 

@@ -106,12 +106,20 @@ impl<const N: usize> Uint<N> {
     /// Serializes to big-endian bytes (`N * 8` bytes, zero padded).
     pub fn to_be_bytes(&self) -> Vec<u8> {
         let mut out = vec![0u8; N * 8];
-        for (i, limb) in self.limbs.iter().enumerate() {
-            let bytes = limb.to_be_bytes();
-            let start = N * 8 - (i + 1) * 8;
-            out[start..start + 8].copy_from_slice(&bytes);
-        }
+        self.write_be_bytes(&mut out);
         out
+    }
+
+    /// Writes the big-endian serialization into `out` without allocating.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` is not exactly `N * 8` bytes long.
+    pub fn write_be_bytes(&self, out: &mut [u8]) {
+        assert_eq!(out.len(), N * 8, "output must be the serialized width");
+        for (chunk, limb) in out.chunks_exact_mut(8).zip(self.limbs.iter().rev()) {
+            chunk.copy_from_slice(&limb.to_be_bytes());
+        }
     }
 
     /// Parses a hexadecimal string (no `0x` prefix, whitespace ignored).
@@ -272,6 +280,11 @@ impl<const N: usize> Ord for Uint<N> {
 /// number of limbs the modulus actually occupies.  Arithmetic runs at the
 /// modulus's *active* width, so a 256-bit group embedded in a `Uint<32>`
 /// costs 4-limb multiplications, not 32-limb ones.
+///
+/// The two widths the shipped Diffie–Hellman groups use (4 limbs, 32 limbs)
+/// run the multiplication body with the width as a compile-time constant on
+/// `[u64; w]` arrays; every other width runs the same body with the width
+/// read at run time.  The choice is made from the modulus alone.
 #[derive(Clone, Debug)]
 pub struct Montgomery<const N: usize> {
     modulus: Uint<N>,
@@ -284,6 +297,99 @@ pub struct Montgomery<const N: usize> {
     r2: Uint<N>,
     /// `R mod modulus` (the Montgomery form of 1).
     r1: Uint<N>,
+}
+
+/// CIOS (coarsely integrated operand scanning) Montgomery multiplication:
+/// returns `a * b * 2^(-64 w) mod n` for reduced `a` and `b`, computed on the
+/// low `w` limbs of `W`-limb arrays (limbs `w..W` of every operand must be
+/// zero, and stay zero in the result).  The two overflow limbs of the
+/// accumulator are held in scalars.
+///
+/// This is the only multiplication body in the module.  It is
+/// `#[inline(always)]` so that a caller passing `w` as a literal gets
+/// constant loop bounds and an accumulator the compiler can keep in
+/// registers; a caller passing the modulus's run-time width gets the general
+/// loop.  Both compute the same limbs.
+// Index style keeps the CIOS carry chains legible across `t`, `a`, `b`.
+#[allow(clippy::needless_range_loop)]
+#[inline(always)]
+fn cios<const W: usize>(
+    w: usize,
+    a: &[u64; W],
+    b: &[u64; W],
+    n: &[u64; W],
+    n0_inv: u64,
+) -> [u64; W] {
+    assert!(0 < w && w <= W, "active width exceeds the array width");
+    let mut t = [0u64; W];
+    let mut t_hi = 0u64; // t[w]
+    let mut t_hi2; // t[w + 1]; assigned each iteration before use
+    for i in 0..w {
+        // t += a[i] * b
+        let mut carry = 0u128;
+        for j in 0..w {
+            let sum = t[j] as u128 + (a[i] as u128) * (b[j] as u128) + carry;
+            t[j] = sum as u64;
+            carry = sum >> 64;
+        }
+        let sum = t_hi as u128 + carry;
+        t_hi = sum as u64;
+        t_hi2 = (sum >> 64) as u64;
+
+        // m = t[0] * n0_inv mod 2^64
+        let m = t[0].wrapping_mul(n0_inv);
+        // t += m * n; then shift right one limb.
+        let sum = t[0] as u128 + (m as u128) * (n[0] as u128);
+        let mut carry = sum >> 64;
+        for j in 1..w {
+            let sum = t[j] as u128 + (m as u128) * (n[j] as u128) + carry;
+            t[j - 1] = sum as u64;
+            carry = sum >> 64;
+        }
+        let sum = t_hi as u128 + carry;
+        t[w - 1] = sum as u64;
+        t_hi = t_hi2 + ((sum >> 64) as u64);
+    }
+    // One conditional subtraction brings the result below the modulus.
+    let mut at_least_n = true;
+    for j in (0..w).rev() {
+        if t[j] != n[j] {
+            at_least_n = t[j] > n[j];
+            break;
+        }
+    }
+    if t_hi != 0 || at_least_n {
+        let mut borrow = false;
+        for j in 0..w {
+            let (d, b1) = t[j].overflowing_sub(n[j]);
+            let (d, b2) = d.overflowing_sub(borrow as u64);
+            t[j] = d;
+            borrow = b1 | b2;
+        }
+    }
+    t
+}
+
+/// The low `W` limbs of `x`, for handing to [`cios`].
+fn narrow<const N: usize, const W: usize>(x: &Uint<N>) -> [u64; W] {
+    let mut out = [0u64; W];
+    out.copy_from_slice(&x.limbs[..W]);
+    out
+}
+
+/// The value 1 on `W` limbs: multiplying by it converts out of Montgomery
+/// form.
+fn one<const W: usize>() -> [u64; W] {
+    let mut out = [0u64; W];
+    out[0] = 1;
+    out
+}
+
+/// `W` limbs zero-extended back to the storage width.
+fn widen<const N: usize, const W: usize>(x: &[u64; W]) -> Uint<N> {
+    let mut limbs = [0u64; N];
+    limbs[..W].copy_from_slice(x);
+    Uint { limbs }
 }
 
 impl<const N: usize> Montgomery<N> {
@@ -328,6 +434,16 @@ impl<const N: usize> Montgomery<N> {
         &self.modulus
     }
 
+    /// Width of the arrays this context's arithmetic runs on: the active
+    /// width where it has a fixed-width instantiation, the storage width
+    /// otherwise.  Fixed-base tables are laid out at this stride.
+    fn array_width(&self) -> usize {
+        match self.active {
+            4 | 32 => self.active,
+            _ => N,
+        }
+    }
+
     /// Converts into Montgomery form.  Operands at or above the modulus are
     /// reduced first: active-width multiplication requires both inputs'
     /// limbs beyond the modulus width to be zero.
@@ -348,49 +464,19 @@ impl<const N: usize> Montgomery<N> {
     ///
     /// Both operands must be reduced (below the modulus); every caller in
     /// this module guarantees it.  Runs at the modulus's active width `w`:
-    /// only the low `w` limbs participate, with the two CIOS overflow limbs
-    /// held in scalars, and the accumulator lives on the stack.
-    // Index style keeps the CIOS carry chains legible across `t`, `a`, `b`.
-    #[allow(clippy::needless_range_loop)]
+    /// only the low `w` limbs participate.
     pub fn mont_mul(&self, a: &Uint<N>, b: &Uint<N>) -> Uint<N> {
-        // CIOS (coarsely integrated operand scanning).
-        let w = self.active;
-        let n = &self.modulus.limbs;
-        let mut t = [0u64; N];
-        let mut t_hi = 0u64; // t[w]
-        let mut t_hi2; // t[w + 1]; assigned each iteration before use
-        for i in 0..w {
-            // t += a[i] * b
-            let mut carry = 0u128;
-            for j in 0..w {
-                let sum = t[j] as u128 + (a.limbs[i] as u128) * (b.limbs[j] as u128) + carry;
-                t[j] = sum as u64;
-                carry = sum >> 64;
-            }
-            let sum = t_hi as u128 + carry;
-            t_hi = sum as u64;
-            t_hi2 = (sum >> 64) as u64;
+        match self.active {
+            4 => self.mul_at::<4>(4, a, b),
+            32 => self.mul_at::<32>(32, a, b),
+            w => self.mul_at::<N>(w, a, b),
+        }
+    }
 
-            // m = t[0] * n0_inv mod 2^64
-            let m = t[0].wrapping_mul(self.n0_inv);
-            // t += m * n; then shift right one limb.
-            let sum = t[0] as u128 + (m as u128) * (n[0] as u128);
-            let mut carry = sum >> 64;
-            for j in 1..w {
-                let sum = t[j] as u128 + (m as u128) * (n[j] as u128) + carry;
-                t[j - 1] = sum as u64;
-                carry = sum >> 64;
-            }
-            let sum = t_hi as u128 + carry;
-            t[w - 1] = sum as u64;
-            t_hi = t_hi2 + ((sum >> 64) as u64);
-        }
-        let result = Uint { limbs: t };
-        if t_hi != 0 || result.cmp_value(&self.modulus) != Ordering::Less {
-            result.overflowing_sub(&self.modulus).0
-        } else {
-            result
-        }
+    #[inline(always)]
+    fn mul_at<const W: usize>(&self, w: usize, a: &Uint<N>, b: &Uint<N>) -> Uint<N> {
+        let n = narrow::<N, W>(&self.modulus);
+        widen(&cios(w, &narrow(a), &narrow(b), &n, self.n0_inv))
     }
 
     /// Modular multiplication `a * b mod modulus` for ordinary (non-Montgomery)
@@ -405,30 +491,55 @@ impl<const N: usize> Montgomery<N> {
     /// 4-bit window over Montgomery form (left-to-right): ~w/4 windowed
     /// multiplies instead of one per set bit, on top of the w squarings.
     pub fn pow_mod<const E: usize>(&self, base: &Uint<N>, exponent: &Uint<E>) -> Uint<N> {
+        match self.active {
+            4 => self.pow_at::<4, E>(4, base, exponent),
+            32 => self.pow_at::<32, E>(32, base, exponent),
+            w => self.pow_at::<N, E>(w, base, exponent),
+        }
+    }
+
+    /// [`pow_mod`](Montgomery::pow_mod) on `W`-limb arrays at active width
+    /// `w`; operands are narrowed once on entry and the result widened once
+    /// on exit, so the ~335 multiplications in between move `W` limbs each,
+    /// not `N`.
+    #[inline(always)]
+    fn pow_at<const W: usize, const E: usize>(
+        &self,
+        w: usize,
+        base: &Uint<N>,
+        exponent: &Uint<E>,
+    ) -> Uint<N> {
         let highest = match exponent.highest_bit() {
             Some(h) => h,
             None => return Uint::one().reduce(&self.modulus),
         };
-        // odd_powers[d - 1] = base^d in Montgomery form, d = 1..=15.
-        let base_m = self.to_mont(&base.reduce(&self.modulus));
+        let n = narrow::<N, W>(&self.modulus);
+        // powers[d - 1] = base^d in Montgomery form, d = 1..=15.
+        let base_m = cios(
+            w,
+            &narrow(&base.reduce(&self.modulus)),
+            &narrow(&self.r2),
+            &n,
+            self.n0_inv,
+        );
         let mut powers = [base_m; 15];
         for d in 1..15 {
-            powers[d] = self.mont_mul(&powers[d - 1], &base_m);
+            powers[d] = cios(w, &powers[d - 1], &base_m, &n, self.n0_inv);
         }
-        let mut acc = self.r1; // Montgomery form of 1.
+        let mut acc: [u64; W] = narrow(&self.r1); // Montgomery form of 1.
         let top_window = highest / 4;
-        for w in (0..=top_window).rev() {
-            if w != top_window {
+        for window in (0..=top_window).rev() {
+            if window != top_window {
                 for _ in 0..4 {
-                    acc = self.mont_mul(&acc, &acc);
+                    acc = cios(w, &acc, &acc, &n, self.n0_inv);
                 }
             }
-            let digit = exponent.window4(w);
+            let digit = exponent.window4(window);
             if digit != 0 {
-                acc = self.mont_mul(&acc, &powers[digit as usize - 1]);
+                acc = cios(w, &acc, &powers[digit as usize - 1], &n, self.n0_inv);
             }
         }
-        self.from_mont(&acc)
+        widen(&cios(w, &acc, &one(), &n, self.n0_inv))
     }
 
     /// Builds a fixed-base window table for repeated exponentiations of the
@@ -440,7 +551,8 @@ impl<const N: usize> Montgomery<N> {
     /// from roughly four exponentiations on the same base.
     pub fn precompute_base(&self, base: &Uint<N>, exp_bits: usize) -> FixedBase<N> {
         let windows = exp_bits.div_ceil(4);
-        let mut table = Vec::with_capacity(windows * 15);
+        let stride = self.array_width();
+        let mut table = Vec::with_capacity(windows * 15 * stride);
         // window_base = base^(16^i) in Montgomery form.
         let mut window_base = self.to_mont(&base.reduce(&self.modulus));
         for i in 0..windows {
@@ -449,15 +561,19 @@ impl<const N: usize> Montgomery<N> {
                     window_base = self.mont_mul(&window_base, &window_base);
                 }
             }
-            // table[i * 15 + (d - 1)] = base^(d * 16^i), d = 1..=15.
+            // Entry i * 15 + (d - 1) = base^(d * 16^i), d = 1..=15.
             let mut acc = window_base;
-            table.push(acc);
+            table.extend_from_slice(&acc.limbs[..stride]);
             for _ in 1..15 {
                 acc = self.mont_mul(&acc, &window_base);
-                table.push(acc);
+                table.extend_from_slice(&acc.limbs[..stride]);
             }
         }
-        FixedBase { table, windows }
+        FixedBase {
+            table,
+            stride,
+            windows,
+        }
     }
 
     /// Fixed-base exponentiation against a table from
@@ -466,7 +582,8 @@ impl<const N: usize> Montgomery<N> {
     ///
     /// # Panics
     ///
-    /// Panics if the exponent has set bits beyond the table's `exp_bits`.
+    /// Panics if the exponent has set bits beyond the table's `exp_bits`, or
+    /// if the table was built by a context of another modulus width.
     pub fn pow_mod_fixed<const E: usize>(
         &self,
         base: &FixedBase<N>,
@@ -476,14 +593,37 @@ impl<const N: usize> Montgomery<N> {
             exponent.highest_bit().map_or(0, |h| h / 4 + 1) <= base.windows,
             "exponent exceeds the precomputed window count"
         );
-        let mut acc = self.r1; // Montgomery form of 1.
-        for w in 0..base.windows {
-            let digit = exponent.window4(w);
+        assert_eq!(
+            base.stride,
+            self.array_width(),
+            "fixed-base table was built for another modulus width"
+        );
+        match self.active {
+            4 => self.pow_fixed_at::<4, E>(4, base, exponent),
+            32 => self.pow_fixed_at::<32, E>(32, base, exponent),
+            w => self.pow_fixed_at::<N, E>(w, base, exponent),
+        }
+    }
+
+    #[inline(always)]
+    fn pow_fixed_at<const W: usize, const E: usize>(
+        &self,
+        w: usize,
+        base: &FixedBase<N>,
+        exponent: &Uint<E>,
+    ) -> Uint<N> {
+        let n = narrow::<N, W>(&self.modulus);
+        let mut acc: [u64; W] = narrow(&self.r1); // Montgomery form of 1.
+        let mut entry = [0u64; W];
+        for window in 0..base.windows {
+            let digit = exponent.window4(window);
             if digit != 0 {
-                acc = self.mont_mul(&acc, &base.table[w * 15 + digit as usize - 1]);
+                let at = (window * 15 + digit as usize - 1) * W;
+                entry.copy_from_slice(&base.table[at..at + W]);
+                acc = cios(w, &acc, &entry, &n, self.n0_inv);
             }
         }
-        self.from_mont(&acc)
+        widen(&cios(w, &acc, &one(), &n, self.n0_inv))
     }
 }
 
@@ -493,10 +633,17 @@ impl<const N: usize> Montgomery<N> {
 /// ([`Montgomery::pow_mod_fixed`]) needs no squarings at all, which is what
 /// makes per-epoch bases (a group generator, a TSA epoch key) cheap to
 /// exponentiate thousands of times.
+///
+/// Entries are stored back to back at the width the owning context
+/// multiplies at, so the table of a 256-bit group is 30 KiB whatever the
+/// storage width of its [`Uint`].
 #[derive(Clone, Debug)]
 pub struct FixedBase<const N: usize> {
-    /// `table[i * 15 + (d - 1)] = base^(d * 16^i)` in Montgomery form.
-    table: Vec<Uint<N>>,
+    /// Entry `i * 15 + (d - 1)`, `stride` limbs long, is `base^(d * 16^i)`
+    /// in Montgomery form.
+    table: Vec<u64>,
+    /// Limbs per entry.
+    stride: usize,
     /// Number of 4-bit exponent windows covered.
     windows: usize,
 }
@@ -515,6 +662,7 @@ fn inv_mod_2_64(a: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn roundtrip_bytes() {
@@ -723,21 +871,92 @@ mod tests {
         );
     }
 
+    const P256: &str = "fffffffffffffffffffffffffffffffffffffffffffffffffffffffefffffc2f";
+    const RFC3526_2048: &str = "FFFFFFFFFFFFFFFFC90FDAA22168C234C4C6628B80DC1CD129024E088A67CC74\
+         020BBEA63B139B22514A08798E3404DDEF9519B3CD3A431B302B0A6DF25F1437\
+         4FE1356D6D51C245E485B576625E7EC6F44C42E9A637ED6B0BFF5CB6F406B7ED\
+         EE386BFB5A899FA5AE9F24117C4B1FE649286651ECE45B3DC2007CB8A163BF05\
+         98DA48361C55D39A69163FA8FD24CF5F83655D23DCA3AD961C62F356208552BB\
+         9ED529077096966D670C354E4ABC9804F1746C08CA18217C32905E462E36CE3B\
+         E39E772C180E86039B2783A2EC07A28FB5C55DF06F4C52C9DE2BCBF695581718\
+         3995497CEA956AE515D2261898FA051015728E5A8AACAA68FFFFFFFFFFFFFFFF";
+
+    /// The fixed-width instantiation the public entry points pick for
+    /// `modulus`, against the run-time-width instantiation of the same body
+    /// (what a modulus of any other width runs): every multiplication and
+    /// exponentiation must agree limb for limb.
+    fn fixed_width_agrees_with_run_time_width(
+        modulus: U2048,
+        a: [u64; 32],
+        b: [u64; 32],
+        e: [u64; 4],
+    ) -> Result<(), TestCaseError> {
+        let ctx = Montgomery::new(modulus);
+        prop_assert!(ctx.active == 4 || ctx.active == 32, "a shipped width");
+        let a = U2048::from_limbs(a).reduce(&modulus);
+        let b = U2048::from_limbs(b).reduce(&modulus);
+        let e = U256::from_limbs(e);
+        prop_assert_eq!(ctx.mont_mul(&a, &b), ctx.mul_at::<32>(ctx.active, &a, &b));
+        let by_run_time_width = ctx.pow_at::<32, 4>(ctx.active, &a, &e);
+        prop_assert_eq!(ctx.pow_mod(&a, &e), by_run_time_width);
+        let table = ctx.precompute_base(&a, 256);
+        prop_assert_eq!(ctx.pow_mod_fixed(&table, &e), by_run_time_width);
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        #[test]
+        fn fixed_width_4_matches_run_time_width(
+            a in any::<[u64; 4]>(), b in any::<[u64; 4]>(), e in any::<[u64; 4]>(),
+        ) {
+            let widen = |x: [u64; 4]| core::array::from_fn(|i| if i < 4 { x[i] } else { 0 });
+            fixed_width_agrees_with_run_time_width(U2048::from_hex(P256), widen(a), widen(b), e)?;
+        }
+
+        #[test]
+        fn fixed_width_32_matches_run_time_width(
+            a in any::<[u64; 32]>(), b in any::<[u64; 32]>(), e in any::<[u64; 4]>(),
+        ) {
+            fixed_width_agrees_with_run_time_width(U2048::from_hex(RFC3526_2048), a, b, e)?;
+        }
+
+        /// A one-limb prime has no fixed-width instantiation: the run-time
+        /// width is all it runs, checked against 128-bit arithmetic.
+        #[test]
+        fn one_limb_prime_matches_u128_arithmetic(
+            a in any::<u64>(), b in any::<u64>(), e in any::<u64>(),
+        ) {
+            const P: u64 = 0xffff_ffff_ffff_ffc5; // 2^64 - 59
+            let ctx = Montgomery::new(U2048::from_u64(P));
+            prop_assert_eq!(ctx.active, 1);
+            let (a, b) = (a % P, b % P);
+            let mul = |x: u64, y: u64| (x as u128 * y as u128 % P as u128) as u64;
+            prop_assert_eq!(
+                ctx.mul_mod(&U2048::from_u64(a), &U2048::from_u64(b)),
+                U2048::from_u64(mul(a, b))
+            );
+            let (mut acc, mut square) = (1u64, a);
+            for bit in 0..64 {
+                if e >> bit & 1 == 1 {
+                    acc = mul(acc, square);
+                }
+                square = mul(square, square);
+            }
+            let exponent = U256::from_u64(e);
+            prop_assert_eq!(ctx.pow_mod(&U2048::from_u64(a), &exponent), U2048::from_u64(acc));
+            let table = ctx.precompute_base(&U2048::from_u64(a), 64);
+            prop_assert_eq!(ctx.pow_mod_fixed(&table, &exponent), U2048::from_u64(acc));
+        }
+    }
+
     #[test]
     fn fermat_little_theorem_2048bit_group() {
         // RFC 3526 group 14 modulus at full 32-limb width: the w == N case
         // must be untouched by the active-width path.  A short exponent
         // keeps the test fast.
-        let p = U2048::from_hex(
-            "FFFFFFFFFFFFFFFFC90FDAA22168C234C4C6628B80DC1CD129024E088A67CC74\
-             020BBEA63B139B22514A08798E3404DDEF9519B3CD3A431B302B0A6DF25F1437\
-             4FE1356D6D51C245E485B576625E7EC6F44C42E9A637ED6B0BFF5CB6F406B7ED\
-             EE386BFB5A899FA5AE9F24117C4B1FE649286651ECE45B3DC2007CB8A163BF05\
-             98DA48361C55D39A69163FA8FD24CF5F83655D23DCA3AD961C62F356208552BB\
-             9ED529077096966D670C354E4ABC9804F1746C08CA18217C32905E462E36CE3B\
-             E39E772C180E86039B2783A2EC07A28FB5C55DF06F4C52C9DE2BCBF695581718\
-             3995497CEA956AE515D2261898FA051015728E5A8AACAA68FFFFFFFFFFFFFFFF",
-        );
+        let p = U2048::from_hex(RFC3526_2048);
         let ctx = Montgomery::new(p);
         // g^(2^20) via pow_mod against 20 iterated mul_mod squarings.
         let g = U2048::from_u64(2);

@@ -142,35 +142,53 @@ impl ChaCha20Rng {
         Self::from_seed(digest)
     }
 
+    /// Advances to the next keystream block.
+    fn refill(&mut self) {
+        self.block_idx = self.block_idx.wrapping_add(1);
+        self.block = self.cipher.block(self.block_idx);
+        self.offset = 0;
+    }
+
+    /// The next `K` keystream bytes: one copy out of the current block when
+    /// it still holds `K`, byte by byte across the block boundary otherwise.
+    #[inline]
+    fn next_bytes<const K: usize>(&mut self) -> [u8; K] {
+        if self.offset == 64 {
+            self.refill();
+        }
+        let mut bytes = [0u8; K];
+        if self.offset + K <= 64 {
+            bytes.copy_from_slice(&self.block[self.offset..self.offset + K]);
+            self.offset += K;
+        } else {
+            for b in bytes.iter_mut() {
+                *b = self.next_byte();
+            }
+        }
+        bytes
+    }
+
     /// Returns the next byte of keystream.
     #[inline]
     pub fn next_byte(&mut self) -> u8 {
         if self.offset == 64 {
-            self.block_idx = self.block_idx.wrapping_add(1);
-            self.block = self.cipher.block(self.block_idx);
-            self.offset = 0;
+            self.refill();
         }
         let b = self.block[self.offset];
         self.offset += 1;
         b
     }
 
-    /// Returns the next 32 bits of keystream.
+    /// Returns the next 32 bits of keystream (little-endian).
     #[inline]
     pub fn next_u32(&mut self) -> u32 {
-        let mut bytes = [0u8; 4];
-        for b in bytes.iter_mut() {
-            *b = self.next_byte();
-        }
-        u32::from_le_bytes(bytes)
+        u32::from_le_bytes(self.next_bytes())
     }
 
-    /// Returns the next 64 bits of keystream.
+    /// Returns the next 64 bits of keystream (little-endian).
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
-        let lo = self.next_u32() as u64;
-        let hi = self.next_u32() as u64;
-        (hi << 32) | lo
+        u64::from_le_bytes(self.next_bytes())
     }
 
     /// Fills `dest` with keystream bytes.
@@ -186,13 +204,39 @@ impl ChaCha20Rng {
     ///
     /// Panics if `bound == 0`.
     pub fn next_below(&mut self, bound: u64) -> u64 {
+        let mut out = [0u64];
+        self.fill_below(bound, &mut out);
+        out[0]
+    }
+
+    /// Fills `dest` with uniformly random values below `bound`: the stream
+    /// of [`next_below`](ChaCha20Rng::next_below) draws, with the rejection
+    /// zone worked out once for the whole slice.
+    ///
+    /// A 64-bit draw `v` is kept when `v < zone`, the largest multiple of
+    /// `bound` that fits below `u64::MAX`, and mapped to `v mod bound`.
+    /// Which draws are rejected is part of the stream both ends of the
+    /// masking protocol regenerate, so that rule is fixed; only the
+    /// reduction is free to be a mask when `bound` is a power of two.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bound == 0`.
+    pub fn fill_below(&mut self, bound: u64, dest: &mut [u64]) {
         assert!(bound > 0, "bound must be positive");
         let zone = u64::MAX - (u64::MAX % bound);
-        loop {
-            let v = self.next_u64();
-            if v < zone {
-                return v % bound;
-            }
+        let low_bits = bound.is_power_of_two().then(|| bound - 1);
+        for slot in dest.iter_mut() {
+            let v = loop {
+                let v = self.next_u64();
+                if v < zone {
+                    break v;
+                }
+            };
+            *slot = match low_bits {
+                Some(mask) => v & mask,
+                None => v % bound,
+            };
         }
     }
 }

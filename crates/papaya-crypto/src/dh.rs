@@ -119,17 +119,18 @@ impl DhGroup {
     pub fn precompute_public(&self, key: &DhPublicKey) -> DhPrecomputedPublic {
         DhPrecomputedPublic {
             element: key.element,
-            table: Arc::new(self.ctx.precompute_base(&key.element, EXPONENT_BITS)),
+            table: self.ctx.precompute_base(&key.element, EXPONENT_BITS),
         }
     }
 }
 
 /// A peer public key with a fixed-base window table attached; see
-/// [`DhGroup::precompute_public`].
+/// [`DhGroup::precompute_public`].  The table is tens of KiB: share it by
+/// reference (or behind the caller's `Arc`), not by cloning.
 #[derive(Clone, Debug)]
 pub struct DhPrecomputedPublic {
     element: U2048,
-    table: Arc<FixedBase<LIMBS>>,
+    table: FixedBase<LIMBS>,
 }
 
 impl DhPrecomputedPublic {
@@ -142,6 +143,10 @@ impl DhPrecomputedPublic {
 }
 
 impl DhPublicKey {
+    /// Serialized size in bytes: every group element crosses the wire at
+    /// the 2048-bit storage width, whatever the group.
+    pub const BYTE_LEN: usize = LIMBS * 8;
+
     /// Returns the raw group element.
     pub fn element(&self) -> &U2048 {
         &self.element
@@ -149,7 +154,14 @@ impl DhPublicKey {
 
     /// Serializes the public key to big-endian bytes.
     pub fn to_bytes(&self) -> Vec<u8> {
-        self.element.to_be_bytes()
+        self.to_byte_array().to_vec()
+    }
+
+    /// [`to_bytes`](DhPublicKey::to_bytes) without the allocation.
+    pub fn to_byte_array(&self) -> [u8; Self::BYTE_LEN] {
+        let mut out = [0u8; Self::BYTE_LEN];
+        self.element.write_be_bytes(&mut out);
+        out
     }
 
     /// Deserializes a public key from big-endian bytes.
@@ -208,9 +220,11 @@ impl DhPrivateKey {
     }
 
     fn derive_secret(&self, shared_element: &U2048) -> SharedSecret {
+        let mut element_bytes = [0u8; DhPublicKey::BYTE_LEN];
+        shared_element.write_be_bytes(&mut element_bytes);
         let mut hasher = Sha256::new();
         hasher.update(self.group.name.as_bytes());
-        hasher.update(&shared_element.to_be_bytes());
+        hasher.update(&element_bytes);
         hasher.finalize()
     }
 }

@@ -8,6 +8,51 @@ use crate::sha256::Sha256;
 
 const BLOCK_SIZE: usize = 64;
 
+/// An HMAC-SHA256 key with both pad blocks already absorbed: the SHA-256
+/// chaining values after `key ^ ipad` and after `key ^ opad`.
+///
+/// Every MAC under one key starts from these two states, so a caller that
+/// MACs many short messages under a long-lived key (a session's ratchet)
+/// pays two compressions a message instead of four.
+/// [`hmac_sha256`] is `HmacKey::new(key).mac(message)`.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct HmacKey {
+    inner: [u32; 8],
+    outer: [u32; 8],
+}
+
+impl HmacKey {
+    /// Absorbs the key's two pad blocks.  Keys longer than the SHA-256
+    /// block size are first hashed, per RFC 2104.
+    pub fn new(key: &[u8]) -> Self {
+        let mut key_block = [0u8; BLOCK_SIZE];
+        if key.len() > BLOCK_SIZE {
+            let digest = crate::sha256::sha256(key);
+            key_block[..32].copy_from_slice(&digest);
+        } else {
+            key_block[..key.len()].copy_from_slice(key);
+        }
+        let pad_state = |pad: u8| {
+            let mut hasher = Sha256::new();
+            hasher.update(&key_block.map(|b| b ^ pad));
+            hasher.chaining_value()
+        };
+        HmacKey {
+            inner: pad_state(0x36),
+            outer: pad_state(0x5c),
+        }
+    }
+
+    /// Computes `HMAC-SHA256(key, message)`.
+    pub fn mac(&self, message: &[u8]) -> [u8; 32] {
+        let mut inner = Sha256::after_one_block(self.inner);
+        inner.update(message);
+        let mut outer = Sha256::after_one_block(self.outer);
+        outer.update(&inner.finalize());
+        outer.finalize()
+    }
+}
+
 /// Computes `HMAC-SHA256(key, message)`.
 ///
 /// Keys longer than the SHA-256 block size are first hashed, per RFC 2104.
@@ -19,30 +64,7 @@ const BLOCK_SIZE: usize = 64;
 /// assert_eq!(tag.len(), 32);
 /// ```
 pub fn hmac_sha256(key: &[u8], message: &[u8]) -> [u8; 32] {
-    let mut key_block = [0u8; BLOCK_SIZE];
-    if key.len() > BLOCK_SIZE {
-        let digest = crate::sha256::sha256(key);
-        key_block[..32].copy_from_slice(&digest);
-    } else {
-        key_block[..key.len()].copy_from_slice(key);
-    }
-
-    let mut ipad = [0x36u8; BLOCK_SIZE];
-    let mut opad = [0x5cu8; BLOCK_SIZE];
-    for i in 0..BLOCK_SIZE {
-        ipad[i] ^= key_block[i];
-        opad[i] ^= key_block[i];
-    }
-
-    let mut inner = Sha256::new();
-    inner.update(&ipad);
-    inner.update(message);
-    let inner_digest = inner.finalize();
-
-    let mut outer = Sha256::new();
-    outer.update(&opad);
-    outer.update(&inner_digest);
-    outer.finalize()
+    HmacKey::new(key).mac(message)
 }
 
 /// Constant-shape comparison of two MAC tags.
@@ -120,6 +142,41 @@ mod tests {
             hex(&tag),
             "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
         );
+    }
+
+    #[test]
+    fn key_state_reproduces_the_rfc4231_vectors() {
+        // One absorbed key MACs any number of messages; each tag is the
+        // RFC's, whatever was MACed under the key before it.
+        let long_key = [0xaau8; 131];
+        let cases: [(&[u8], &[u8], &str); 4] = [
+            (
+                &[0x0b; 20],
+                b"Hi There",
+                "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7",
+            ),
+            (
+                b"Jefe",
+                b"what do ya want for nothing?",
+                "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843",
+            ),
+            (
+                &[0xaa; 20],
+                &[0xdd; 50],
+                "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe",
+            ),
+            (
+                &long_key,
+                b"Test Using Larger Than Block-Size Key - Hash Key First",
+                "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54",
+            ),
+        ];
+        for (key, message, expected) in cases {
+            let state = HmacKey::new(key);
+            let _ = state.mac(b"an unrelated message first");
+            assert_eq!(hex(&state.mac(message)), expected);
+            assert_eq!(hmac_sha256(key, message), state.mac(message));
+        }
     }
 
     #[test]

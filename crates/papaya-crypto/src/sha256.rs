@@ -55,6 +55,24 @@ impl Sha256 {
         }
     }
 
+    /// A hasher that has absorbed exactly one 64-byte block and holds the
+    /// chaining value `state` it left.  [`crate::hmac`] resumes from the
+    /// state after a key's pad block this way.
+    pub(crate) fn after_one_block(state: [u32; 8]) -> Self {
+        Sha256 {
+            state,
+            buffer: [0u8; 64],
+            buffer_len: 0,
+            total_len: 64,
+        }
+    }
+
+    /// The chaining value after the blocks absorbed so far (buffered bytes
+    /// short of a block are not in it).
+    pub(crate) fn chaining_value(&self) -> [u32; 8] {
+        self.state
+    }
+
     /// Absorbs `data` into the hash state.
     pub fn update(&mut self, data: &[u8]) {
         self.total_len = self.total_len.wrapping_add(data.len() as u64);
@@ -70,11 +88,9 @@ impl Sha256 {
                 self.buffer_len = 0;
             }
         }
-        while input.len() >= 64 {
-            let mut block = [0u8; 64];
-            block.copy_from_slice(&input[..64]);
-            self.compress(&block);
-            input = &input[64..];
+        while let Some((block, rest)) = input.split_first_chunk::<64>() {
+            self.compress(block);
+            input = rest;
         }
         if !input.is_empty() {
             self.buffer[..input.len()].copy_from_slice(input);
@@ -85,31 +101,23 @@ impl Sha256 {
     /// Finishes the hash and returns the 32-byte digest.
     pub fn finalize(mut self) -> [u8; 32] {
         let bit_len = self.total_len.wrapping_mul(8);
-        // Padding: 0x80, zeros, 8-byte big-endian bit length.
-        self.update_padding(0x80);
-        while self.buffer_len != 56 {
-            self.update_padding(0x00);
+        // Padding: 0x80, zeros up to 56 mod 64, 8-byte big-endian bit
+        // length — written straight into the buffered block, with one extra
+        // block when fewer than 9 bytes of it are free.
+        let mut block = self.buffer;
+        block[self.buffer_len] = 0x80;
+        block[self.buffer_len + 1..].fill(0);
+        if self.buffer_len >= 56 {
+            self.compress(&block);
+            block = [0u8; 64];
         }
-        let len_bytes = bit_len.to_be_bytes();
-        for b in len_bytes {
-            self.update_padding(b);
-        }
-        debug_assert_eq!(self.buffer_len, 0);
+        block[56..].copy_from_slice(&bit_len.to_be_bytes());
+        self.compress(&block);
         let mut out = [0u8; 32];
         for (i, word) in self.state.iter().enumerate() {
             out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
         }
         out
-    }
-
-    fn update_padding(&mut self, byte: u8) {
-        self.buffer[self.buffer_len] = byte;
-        self.buffer_len += 1;
-        if self.buffer_len == 64 {
-            let block = self.buffer;
-            self.compress(&block);
-            self.buffer_len = 0;
-        }
     }
 
     fn compress(&mut self, block: &[u8; 64]) {
@@ -228,6 +236,44 @@ mod tests {
                 h.update(piece);
             }
             assert_eq!(h.finalize(), sha256(&data), "chunk size {chunk}");
+        }
+    }
+
+    #[test]
+    fn padding_boundary_vectors() {
+        // Known answers (hashlib) at the lengths where the padding changes
+        // shape: 55 is the longest message whose pad fits its own block, 56
+        // to 64 spill the length into a second block, and 119/120 repeat
+        // both one block later.  Message byte `i` is `(7 i + 3) mod 251`.
+        let vectors = [
+            (
+                55usize,
+                "1deace58c745f3ecadde68a5923f494c3703fa73f0306483ccb898a5826e8d70",
+            ),
+            (
+                56,
+                "06dbe23685750e4d3881ded95047abaf93fa8f9c5d3501dc57c717a72ff1398e",
+            ),
+            (
+                63,
+                "47fb38b12335c9298d09280515c0666489a189d1554bb0ac1a0740806ce9d8b6",
+            ),
+            (
+                64,
+                "dfa798724b1a8014994f363e5da7474ed26ce3757fb29e07aa47ad5a9352d37b",
+            ),
+            (
+                119,
+                "c6e0f435df5d7d265baacca31e0602c00aa22fa6d3819aed664649294c743756",
+            ),
+            (
+                120,
+                "17eb8960823a644bde3065620bb9d45931fe8993fd8eb692a17aff0fd725db6a",
+            ),
+        ];
+        for (len, expected) in vectors {
+            let message: Vec<u8> = (0..len).map(|i| ((i * 7 + 3) % 251) as u8).collect();
+            assert_eq!(hex(&sha256(&message)), expected, "len {len}");
         }
     }
 

@@ -80,12 +80,12 @@ impl AttestationQuote {
         binary_measurement: &[u8; 32],
         params_hash: &[u8; 32],
         payload_hash: &[u8; 32],
-    ) -> Vec<u8> {
-        let mut t = Vec::with_capacity(96 + 24);
-        t.extend_from_slice(b"papaya/attestation-quote");
-        t.extend_from_slice(binary_measurement);
-        t.extend_from_slice(params_hash);
-        t.extend_from_slice(payload_hash);
+    ) -> [u8; 24 + 96] {
+        let mut t = [0u8; 24 + 96];
+        t[..24].copy_from_slice(b"papaya/attestation-quote");
+        t[24..56].copy_from_slice(binary_measurement);
+        t[56..88].copy_from_slice(params_hash);
+        t[88..].copy_from_slice(payload_hash);
         t
     }
 

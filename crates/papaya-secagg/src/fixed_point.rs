@@ -49,18 +49,23 @@ impl FixedPointCodec {
         (self.params.modulus() / 2) as f64 / self.scale
     }
 
-    /// Encodes a single real value as a group element.
+    /// Encodes a single real value as a (reduced) group element.
     pub fn encode_value(&self, v: f32) -> u64 {
         let n = self.params.modulus();
         let scaled = (v as f64 * self.scale).round();
         let half = (n / 2) as f64;
         let clamped = scaled.clamp(-half, half - 1.0);
         let int = clamped as i64;
-        if int >= 0 {
-            self.params.reduce(int as u64)
+        // The clamp keeps `|int|` at or below `n / 2` (as an `f64`, so within
+        // rounding of it), which is below `n`: both branches land in
+        // `[0, n)` with no reduction.
+        let encoded = if int >= 0 {
+            int as u64
         } else {
-            self.params.reduce(n - (int.unsigned_abs() % n))
-        }
+            n - int.unsigned_abs()
+        };
+        debug_assert!(encoded < n, "encode_value left the group");
+        encoded
     }
 
     /// Decodes a group element back to a real value, interpreting the upper
@@ -78,7 +83,7 @@ impl FixedPointCodec {
 
     /// Encodes a slice of reals as a group vector.
     pub fn encode_vec(&self, values: &[f32]) -> GroupVec {
-        GroupVec::from_values(
+        GroupVec::from_reduced(
             self.params,
             values.iter().map(|&v| self.encode_value(v)).collect(),
         )

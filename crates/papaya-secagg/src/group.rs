@@ -1,8 +1,10 @@
 //! Finite Abelian group vectors used for additive one-time-pad masking.
 //!
 //! The protocol operates on vectors over `Z_n` (Appendix A.2 / D).  Elements
-//! are stored as `u64` with `n <= 2^32` by default so element-wise addition
-//! never overflows before the modular reduction.
+//! are stored as `u64` for any modulus `2 <= n < 2^64`: `Z_{2^32}` by
+//! default, `Z_{2^40}` in the simulator.  A [`GroupVec`] keeps its elements
+//! reduced (`< n`), so element-wise addition and subtraction are one
+//! overflow-aware compare-and-subtract each, with no division.
 
 /// Parameters of the finite group `Z_n`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -33,10 +35,20 @@ impl GroupParams {
         self.modulus
     }
 
+    /// `n - 1` when `n` is a power of two: reduction is then this mask.
+    /// Loop-invariant wherever it is used, so it costs nothing per element.
+    #[inline]
+    fn low_bits(&self) -> Option<u64> {
+        self.modulus.is_power_of_two().then_some(self.modulus - 1)
+    }
+
     /// Reduces a value into the group.
     #[inline]
     pub fn reduce(&self, v: u64) -> u64 {
-        v % self.modulus
+        match self.low_bits() {
+            Some(mask) => v & mask,
+            None => v % self.modulus,
+        }
     }
 
     /// Additive inverse of `v` in the group.
@@ -53,17 +65,55 @@ impl GroupParams {
     /// Group addition.
     #[inline]
     pub fn add(&self, a: u64, b: u64) -> u64 {
-        (self.reduce(a) + self.reduce(b)) % self.modulus
+        self.add_reduced(self.reduce(a), self.reduce(b))
     }
 
     /// Group subtraction.
     #[inline]
     pub fn sub(&self, a: u64, b: u64) -> u64 {
-        self.add(a, self.negate(b))
+        self.sub_reduced(self.reduce(a), self.reduce(b))
+    }
+
+    /// `a + b mod n` for `a, b < n`.  The sum of two reduced elements is
+    /// below `2n`, so one subtraction reduces it; above `n = 2^63` that sum
+    /// can pass `2^64`, and the carry stands for the lost bit.  A power of
+    /// two (at most `2^63`, so no carry) is a mask, with no data-dependent
+    /// branch for pseudorandom masks to mispredict.
+    #[inline]
+    fn add_reduced(&self, a: u64, b: u64) -> u64 {
+        debug_assert!(a < self.modulus && b < self.modulus);
+        if let Some(mask) = self.low_bits() {
+            return a.wrapping_add(b) & mask;
+        }
+        let (sum, carry) = a.overflowing_add(b);
+        if carry || sum >= self.modulus {
+            sum.wrapping_sub(self.modulus)
+        } else {
+            sum
+        }
+    }
+
+    /// `a - b mod n` for `a, b < n`.
+    #[inline]
+    fn sub_reduced(&self, a: u64, b: u64) -> u64 {
+        debug_assert!(a < self.modulus && b < self.modulus);
+        if let Some(mask) = self.low_bits() {
+            return a.wrapping_sub(b) & mask;
+        }
+        let (diff, borrow) = a.overflowing_sub(b);
+        if borrow {
+            diff.wrapping_add(self.modulus)
+        } else {
+            diff
+        }
+    }
+
+    fn all_reduced(&self, values: &[u64]) -> bool {
+        values.iter().all(|&v| v < self.modulus)
     }
 }
 
-/// A vector of group elements.
+/// A vector of group elements, each kept reduced (`< n`).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct GroupVec {
     params: GroupParams,
@@ -87,11 +137,12 @@ impl GroupVec {
 
     /// Builds a vector from values already reduced into the group, skipping
     /// the reduction pass of [`GroupVec::from_values`].  Callers that fill a
-    /// scratch buffer element-by-element with reduced values (mask
-    /// expansion) use this to avoid a second walk over the vector.
+    /// buffer element-by-element with reduced values (mask expansion,
+    /// fixed-point encoding) use this to avoid a second walk over the
+    /// vector.
     pub fn from_reduced(params: GroupParams, values: Vec<u64>) -> Self {
         debug_assert!(
-            values.iter().all(|&v| v < params.modulus),
+            params.all_reduced(&values),
             "from_reduced given an unreduced value"
         );
         GroupVec { params, values }
@@ -124,10 +175,7 @@ impl GroupVec {
     /// Panics on length or group mismatch.
     pub fn add_assign(&mut self, other: &GroupVec) {
         assert_eq!(self.params, other.params, "group mismatch");
-        assert_eq!(self.len(), other.len(), "length mismatch");
-        for (a, b) in self.values.iter_mut().zip(other.values.iter()) {
-            *a = self.params.add(*a, *b);
-        }
+        self.add_assign_slice(&other.values);
     }
 
     /// Element-wise in-place addition of a raw slice of reduced group
@@ -140,16 +188,22 @@ impl GroupVec {
     /// Panics on length mismatch.
     pub fn add_assign_slice(&mut self, other: &[u64]) {
         assert_eq!(self.len(), other.len(), "length mismatch");
+        debug_assert!(
+            self.params.all_reduced(other),
+            "add_assign_slice given an unreduced value"
+        );
         for (a, &b) in self.values.iter_mut().zip(other.iter()) {
-            *a = self.params.add(*a, b);
+            *a = self.params.add_reduced(*a, b);
         }
     }
 
     /// Element-wise sum, returning a new vector.
+    ///
+    /// # Panics
+    ///
+    /// Panics on length or group mismatch.
     pub fn add(&self, other: &GroupVec) -> GroupVec {
-        let mut out = self.clone();
-        out.add_assign(other);
-        out
+        self.zip_with(other, GroupParams::add_reduced)
     }
 
     /// Element-wise in-place subtraction.
@@ -160,16 +214,34 @@ impl GroupVec {
     pub fn sub_assign(&mut self, other: &GroupVec) {
         assert_eq!(self.params, other.params, "group mismatch");
         assert_eq!(self.len(), other.len(), "length mismatch");
-        for (a, b) in self.values.iter_mut().zip(other.values.iter()) {
-            *a = self.params.sub(*a, *b);
+        for (a, &b) in self.values.iter_mut().zip(other.values.iter()) {
+            *a = self.params.sub_reduced(*a, b);
         }
     }
 
     /// Element-wise difference, returning a new vector.
+    ///
+    /// # Panics
+    ///
+    /// Panics on length or group mismatch.
     pub fn sub(&self, other: &GroupVec) -> GroupVec {
-        let mut out = self.clone();
-        out.sub_assign(other);
-        out
+        self.zip_with(other, GroupParams::sub_reduced)
+    }
+
+    /// A new vector of `op(self[i], other[i])`, built in one walk.
+    fn zip_with(&self, other: &GroupVec, op: impl Fn(&GroupParams, u64, u64) -> u64) -> GroupVec {
+        assert_eq!(self.params, other.params, "group mismatch");
+        assert_eq!(self.len(), other.len(), "length mismatch");
+        let values = self
+            .values
+            .iter()
+            .zip(other.values.iter())
+            .map(|(&a, &b)| op(&self.params, a, b))
+            .collect();
+        GroupVec {
+            params: self.params,
+            values,
+        }
     }
 
     /// Serialized size in bytes (used by the boundary-cost accounting):
@@ -219,6 +291,50 @@ mod tests {
         }
         // 1000 * (2^32 - 1) mod 2^32 = -1000 mod 2^32
         assert_eq!(acc.values()[0], (1u64 << 32) - 1000);
+    }
+
+    #[test]
+    fn moduli_above_two_to_the_63_do_not_overflow() {
+        // Two reduced elements of such a group can sum past 2^64; the
+        // reduction has to see the carry.
+        for n in [(1u64 << 63) + 1, u64::MAX] {
+            let params = GroupParams::new(n);
+            let wide = |v: u128| (v % n as u128) as u64;
+            for (a, b) in [(n - 1, n - 1), (n - 1, 1), (n - 1, 0), (1 << 63, 1 << 63)] {
+                let (a, b) = (params.reduce(a), params.reduce(b));
+                assert_eq!(params.add(a, b), wide(a as u128 + b as u128), "{a} + {b}");
+                assert_eq!(
+                    params.sub(a, b),
+                    wide(n as u128 + a as u128 - b as u128),
+                    "{a} - {b}"
+                );
+                assert_eq!(params.add(params.sub(a, b), b), a);
+            }
+            let mut acc = GroupVec::from_values(params, vec![n - 1, 5]);
+            acc.add_assign(&GroupVec::from_values(params, vec![n - 1, n - 5]));
+            assert_eq!(acc.values(), &[n - 2, 0]);
+            acc.sub_assign(&GroupVec::from_values(params, vec![n - 1, 1]));
+            assert_eq!(acc.values(), &[n - 1, n - 1]);
+        }
+    }
+
+    #[test]
+    fn power_of_two_reduction_is_a_mask() {
+        for shift in [1u32, 32, 40, 63] {
+            let params = GroupParams::new(1u64 << shift);
+            for v in [0u64, 1, (1 << shift) - 1, 1 << shift, u64::MAX] {
+                assert_eq!(params.reduce(v), v % (1u64 << shift));
+            }
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "unreduced value")]
+    fn add_assign_slice_rejects_unreduced_input_in_debug() {
+        let params = GroupParams::new(7);
+        let mut a = GroupVec::zeros(params, 2);
+        a.add_assign_slice(&[1, 7]);
     }
 
     #[test]

@@ -72,7 +72,7 @@ pub use group::{GroupParams, GroupVec};
 pub use protocol::{ClientUploadMessage, KeyExchangeInitialMessage, SecAggConfig};
 pub use server::{AggregatorError, UntrustedAggregator};
 pub use session::{
-    client_handshake, ratchet_seed, HandshakePlan, MaskPlan, MaskPlanKind, MaskRef, MaskScratch,
-    PrecomputedMask, SessionHandshake, SessionInitMessage,
+    client_handshake, HandshakeContext, HandshakePlan, MaskPlan, MaskPlanKind, MaskRef,
+    MaskScratch, PrecomputedMask, RatchetKey, SessionHandshake, SessionInitMessage,
 };
 pub use tsa::{Tsa, TsaError};

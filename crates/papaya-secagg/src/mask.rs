@@ -17,21 +17,20 @@ pub type MaskSeed = [u8; SEED_LEN];
 
 /// Deterministically expands `seed` into a mask of `len` group elements.
 pub fn expand_mask(seed: &MaskSeed, params: GroupParams, len: usize) -> GroupVec {
-    let mut rng = ChaCha20Rng::from_seed16(*seed);
-    let modulus = params.modulus();
-    let values = (0..len).map(|_| rng.next_below(modulus)).collect();
-    GroupVec::from_values(params, values)
+    let mut values = Vec::new();
+    expand_mask_into(seed, params, len, &mut values);
+    GroupVec::from_reduced(params, values)
 }
 
-/// Expands `seed` into `out`, reusing the buffer's capacity.  Produces the
-/// exact element stream of [`expand_mask`]; hot paths that expand many masks
-/// (the batched TSA release, the per-worker speculative precompute) call
-/// this with a long-lived scratch buffer to avoid per-mask allocation.
+/// Expands `seed` into `out`, reusing the buffer's capacity.  This is the one
+/// expansion loop ([`expand_mask`] wraps it); hot paths that expand many
+/// masks (the batched TSA release, the per-worker speculative precompute)
+/// call it with a long-lived scratch buffer to avoid per-mask allocation.
 pub fn expand_mask_into(seed: &MaskSeed, params: GroupParams, len: usize, out: &mut Vec<u64>) {
     let mut rng = ChaCha20Rng::from_seed16(*seed);
-    let modulus = params.modulus();
     out.clear();
-    out.extend((0..len).map(|_| rng.next_below(modulus)));
+    out.resize(len, 0);
+    rng.fill_below(params.modulus(), out);
 }
 
 /// Samples a fresh random seed from the provided RNG.

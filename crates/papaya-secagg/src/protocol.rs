@@ -90,7 +90,7 @@ pub struct CompletingMessage {
 impl CompletingMessage {
     /// Serialized size in bytes, used for host→TEE boundary accounting.
     pub fn byte_len(&self) -> usize {
-        8 + self.client_public.to_bytes().len() + self.encrypted_seed.len()
+        8 + DhPublicKey::BYTE_LEN + self.encrypted_seed.len()
     }
 }
 

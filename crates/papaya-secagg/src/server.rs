@@ -98,11 +98,7 @@ impl UntrustedAggregator {
     /// contributed.
     pub fn finalize(&mut self, tsa: &mut Tsa) -> Result<Vec<f32>, AggregatorError> {
         let unmask = tsa.generate_unmask()?;
-        let sum = self.masked_sum.sub(&unmask);
-        let decoded = self.codec.decode_vec(&sum);
-        // Reset for the next aggregation buffer.
-        self.masked_sum = GroupVec::zeros(self.masked_sum.params(), self.vector_len);
-        self.accepted = 0;
+        let decoded = self.unmask_and_reset(&unmask);
         tsa.start_new_round();
         Ok(decoded)
     }
@@ -140,10 +136,16 @@ impl UntrustedAggregator {
         refs: &[MaskRef],
     ) -> Result<Vec<f32>, AggregatorError> {
         let unmask = tsa.release_batch(refs)?;
-        let sum = self.masked_sum.sub(&unmask);
-        let decoded = self.codec.decode_vec(&sum);
+        Ok(self.unmask_and_reset(&unmask))
+    }
+
+    /// Subtracts the TSA's unmask from the masked sum in place, decodes the
+    /// result, and leaves a zeroed buffer for the next round.
+    fn unmask_and_reset(&mut self, unmask: &GroupVec) -> Vec<f32> {
+        self.masked_sum.sub_assign(unmask);
+        let decoded = self.codec.decode_vec(&self.masked_sum);
         self.discard_masked_sum();
-        Ok(decoded)
+        decoded
     }
 
     /// Drops the session-mode masked partial sum without any TSA contact:
@@ -328,7 +330,7 @@ mod tests {
     fn session_mode_round_matches_plain_sum() {
         // The full session-mode data path: handshake once per client, mask
         // with ratcheted seeds, release the whole buffer in one batch.
-        use crate::session::{client_handshake, ratchet_seed, MaskRef};
+        use crate::session::{client_handshake, MaskRef};
         let config = SecAggConfig::insecure_fast(4, 2);
         let mut tsa = Tsa::new(&config, [0x31u8; 32]);
         let publication = tsa.publication();
@@ -346,7 +348,7 @@ mod tests {
                 &publication,
             );
             tsa.establish_session(client_id, &handshake.client_public);
-            let seed = ratchet_seed(&handshake.secret, 0);
+            let seed = handshake.key.seed(0);
             let mask = crate::mask::expand_mask(&seed, config.group_params(), 4);
             let masked = config.codec.encode_vec(update).add(&mask);
             agg.submit_masked(&masked).unwrap();

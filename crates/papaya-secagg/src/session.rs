@@ -13,8 +13,8 @@
 //!
 //! Security invariants preserved from the per-update protocol:
 //!
-//! * **One seed per mask.**  `ratchet_seed(secret, counter)` is used at most
-//!   once per `(secret, counter)` pair; the TSA enforces a monotone counter
+//! * **One seed per mask.**  [`RatchetKey::seed`] is called at most once per
+//!   `(secret, counter)` pair; the TSA enforces a monotone counter
 //!   floor per session and the host burns a counter per planned
 //!   participation, even when the upload is later rejected.
 //! * **Attestation before secrets.**  A session is only established after
@@ -37,22 +37,41 @@ use crate::group::{GroupParams, GroupVec};
 use crate::mask::{expand_mask_into, MaskSeed, SEED_LEN};
 use papaya_crypto::chacha20::ChaCha20Rng;
 use papaya_crypto::dh::{DhGroup, DhPrecomputedPublic, DhPrivateKey, DhPublicKey, SharedSecret};
-use papaya_crypto::hmac::hmac_sha256;
+use papaya_crypto::hmac::HmacKey;
+use std::sync::Arc;
 
-/// Derives the one-time mask seed for one participation of an established
-/// session: the first [`SEED_LEN`] bytes of
-/// `HMAC-SHA256(secret, "papaya/session-mask/" || counter)`.
-///
-/// Both the client (masking) and the TSA (unmasking) run this exact
-/// function, so the masks cancel; distinct counters yield independent
-/// seeds, so no pad is ever reused while the counter discipline holds.
-pub fn ratchet_seed(secret: &SharedSecret, counter: u64) -> MaskSeed {
-    let mut message = b"papaya/session-mask/".to_vec();
-    message.extend_from_slice(&counter.to_be_bytes());
-    let digest = hmac_sha256(secret, &message);
-    let mut seed = [0u8; SEED_LEN];
-    seed.copy_from_slice(&digest[..SEED_LEN]);
-    seed
+/// An established session's shared secret in the form the ratchet uses it:
+/// as an HMAC key with its pad blocks already absorbed, so each
+/// participation's [`seed`](RatchetKey::seed) costs two SHA-256
+/// compressions instead of four.  Equivalent to the secret for every
+/// purpose (it derives every seed of the session), and handled like it.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct RatchetKey(HmacKey);
+
+impl RatchetKey {
+    /// Keys the ratchet with a freshly established shared secret.
+    pub fn new(secret: &SharedSecret) -> Self {
+        RatchetKey(HmacKey::new(secret))
+    }
+
+    /// Derives the one-time mask seed of participation `counter`: the first
+    /// [`SEED_LEN`] bytes of
+    /// `HMAC-SHA256(secret, "papaya/session-mask/" || counter)`.
+    ///
+    /// Both the client (masking) and the TSA (unmasking) hold the session's
+    /// key and derive this exact value, so the masks cancel; distinct
+    /// counters yield independent seeds, so no pad is ever reused while the
+    /// counter discipline holds.
+    pub fn seed(&self, counter: u64) -> MaskSeed {
+        const LABEL: &[u8; 20] = b"papaya/session-mask/";
+        let mut message = [0u8; LABEL.len() + 8];
+        message[..LABEL.len()].copy_from_slice(LABEL);
+        message[LABEL.len()..].copy_from_slice(&counter.to_be_bytes());
+        let digest = self.0.mac(&message);
+        let mut seed = [0u8; SEED_LEN];
+        seed.copy_from_slice(&digest[..SEED_LEN]);
+        seed
+    }
 }
 
 /// The TSA's per-epoch session offer: its Diffie–Hellman public key for the
@@ -74,7 +93,7 @@ pub struct SessionInitMessage {
 impl SessionInitMessage {
     /// Serialized size in bytes (key + quote), for boundary accounting.
     pub fn byte_len(&self) -> usize {
-        self.tsa_public.to_bytes().len() + 128
+        DhPublicKey::BYTE_LEN + 128
     }
 }
 
@@ -96,13 +115,13 @@ impl MaskRef {
 }
 
 /// The client half of a freshly established session: the public key to
-/// forward to the TSA and the shared secret to cache.
+/// forward to the TSA and the ratchet key to cache.
 #[derive(Clone, Debug)]
 pub struct SessionHandshake {
     /// The client's session public key (crosses into the TSA once).
     pub client_public: DhPublicKey,
-    /// The established shared secret.
-    pub secret: SharedSecret,
+    /// The established shared secret, keyed for the ratchet.
+    pub key: RatchetKey,
 }
 
 /// What kind of work a [`MaskPlan`] requires.
@@ -110,33 +129,54 @@ pub struct SessionHandshake {
 pub enum MaskPlanKind {
     /// A cached session exists: only the ratchet + mask expansion run.
     Resumed {
-        /// The cached session secret.
-        secret: SharedSecret,
+        /// The cached session's ratchet key.
+        key: RatchetKey,
     },
     /// First contact (or post-invalidation): the full handshake runs first.
-    /// Boxed: the handshake material (group, epoch offer, publication) is
-    /// two orders of magnitude larger than a cached secret.
-    Handshake(Box<HandshakePlan>),
+    Handshake(HandshakePlan),
 }
 
-/// Everything a first-contact plan needs to establish the session.
+/// Everything a first-contact plan needs to establish the session: the one
+/// per-client input, and a shared handle on everything else.
 #[derive(Clone, Debug)]
 pub struct HandshakePlan {
-    /// The Diffie–Hellman group of the deployment.
-    pub group: DhGroup,
     /// Seed of the client's deterministic session key RNG.
     pub client_key_seed: [u8; 32],
-    /// The TSA's epoch offer to complete against.
-    pub init: SessionInitMessage,
-    /// The publication used to verify the TSA's quote before any secret is
-    /// derived.
-    pub publication: TsaPublication,
-    /// Fixed-base window table for the TSA's epoch key.  Every first-contact
-    /// handshake of an epoch exponentiates the same `tsa_public`, so the
-    /// planner builds this table once per epoch and shares it (via `Arc`)
-    /// across all handshake plans; `None` falls back to plain
-    /// exponentiation.  Either path derives the bit-identical secret.
-    pub tsa_precomputed: Option<DhPrecomputedPublic>,
+    /// What every first contact of the epoch has in common.
+    pub context: Arc<HandshakeContext>,
+}
+
+/// The epoch-invariant half of a first contact: the deployment's
+/// Diffie–Hellman group, the TSA's epoch offer, the publication its quote is
+/// verified against, and a fixed-base window table for the epoch key (every
+/// handshake of an epoch exponentiates the same `tsa_public`).  The planner
+/// builds one per TSA epoch and every [`HandshakePlan`] of the epoch shares
+/// it, so issuing a plan copies 40 bytes, not the offer and the publication.
+#[derive(Debug)]
+pub struct HandshakeContext {
+    group: DhGroup,
+    init: SessionInitMessage,
+    publication: TsaPublication,
+    tsa_precomputed: DhPrecomputedPublic,
+}
+
+impl HandshakeContext {
+    /// Gathers an epoch's handshake material and builds the fixed-base
+    /// table for the offered key (~1 150 group multiplications, repaid after
+    /// a handful of handshakes).
+    pub fn new(group: &DhGroup, init: SessionInitMessage, publication: TsaPublication) -> Self {
+        HandshakeContext {
+            group: group.clone(),
+            tsa_precomputed: group.precompute_public(&init.tsa_public),
+            init,
+            publication,
+        }
+    }
+
+    /// The TSA epoch this material belongs to.
+    pub fn epoch(&self) -> u64 {
+        self.init.epoch
+    }
 }
 
 /// A self-contained description of one participation's mask work, pure in
@@ -178,7 +218,9 @@ pub struct MaskScratch {
 
 /// Runs the client side of a session establishment: verifies the TSA's
 /// quote, derives the client's session key from `key_seed`, and completes
-/// the exchange against the TSA's epoch public key.
+/// the exchange against the TSA's epoch public key by plain exponentiation.
+/// A [`HandshakePlan`] runs the same steps against its context's fixed-base
+/// table and derives the bit-identical key.
 ///
 /// # Panics
 ///
@@ -204,7 +246,7 @@ fn handshake_inner(
     publication: &TsaPublication,
     tsa_precomputed: Option<&DhPrecomputedPublic>,
 ) -> SessionHandshake {
-    verify_quote(publication, &init.quote, &init.tsa_public.to_bytes())
+    verify_quote(publication, &init.quote, &init.tsa_public.to_byte_array())
         // papaya-lint: allow(panic-hygiene) -- a failed attestation means simulated-protocol wiring is broken; continuing would mask a security-model bug
         .expect("TSA attestation failed; refusing to establish a session");
     let mut rng = ChaCha20Rng::from_seed(*key_seed);
@@ -218,7 +260,7 @@ fn handshake_inner(
     };
     SessionHandshake {
         client_public: client_key.public_key(),
-        secret,
+        key: RatchetKey::new(&secret),
     }
 }
 
@@ -226,20 +268,20 @@ impl MaskPlan {
     /// Executes the plan: handshake if needed, ratchet, mask expansion.
     /// Deterministic in the plan's fields; safe to run on any worker thread.
     pub fn compute(&self, scratch: &mut MaskScratch) -> PrecomputedMask {
-        let (secret, handshake) = match &self.kind {
-            MaskPlanKind::Resumed { secret } => (*secret, None),
+        let (seed, handshake) = match &self.kind {
+            MaskPlanKind::Resumed { key } => (key.seed(self.counter), None),
             MaskPlanKind::Handshake(plan) => {
+                let context = &*plan.context;
                 let handshake = handshake_inner(
-                    &plan.group,
+                    &context.group,
                     &plan.client_key_seed,
-                    &plan.init,
-                    &plan.publication,
-                    plan.tsa_precomputed.as_ref(),
+                    &context.init,
+                    &context.publication,
+                    Some(&context.tsa_precomputed),
                 );
-                (handshake.secret, Some(handshake))
+                (handshake.key.seed(self.counter), Some(handshake))
             }
         };
-        let seed = ratchet_seed(&secret, self.counter);
         expand_mask_into(&seed, self.params, self.vector_len, &mut scratch.values);
         PrecomputedMask {
             plan_id: self.plan_id,
@@ -267,8 +309,8 @@ mod tests {
             rng.fill_bytes(&mut secret);
             let mut seen = std::collections::HashSet::new();
             for counter in 0..64u64 {
-                let seed = ratchet_seed(&secret, counter);
-                assert_eq!(seed, ratchet_seed(&secret, counter));
+                let seed = RatchetKey::new(&secret).seed(counter);
+                assert_eq!(seed, RatchetKey::new(&secret).seed(counter));
                 assert!(seen.insert(seed), "counter {counter} reused a seed");
             }
         }
@@ -276,9 +318,27 @@ mod tests {
 
     #[test]
     fn distinct_secrets_give_distinct_seeds() {
-        let a = ratchet_seed(&[1u8; 32], 7);
-        let b = ratchet_seed(&[2u8; 32], 7);
+        let a = RatchetKey::new(&[1u8; 32]).seed(7);
+        let b = RatchetKey::new(&[2u8; 32]).seed(7);
         assert_ne!(a, b);
+    }
+
+    #[test]
+    fn ratchet_key_matches_the_one_shot_hmac() {
+        // The key state is an optimisation of, not a change to, the ratchet:
+        // every seed equals the definition spelled out with `hmac_sha256`.
+        let mut rng = ChaCha20Rng::from_seed([0x52u8; 32]);
+        for _ in 0..16 {
+            let mut secret = [0u8; 32];
+            rng.fill_bytes(&mut secret);
+            let key = RatchetKey::new(&secret);
+            for counter in [0u64, 1, 255, 256, u64::MAX] {
+                let mut message = b"papaya/session-mask/".to_vec();
+                message.extend_from_slice(&counter.to_be_bytes());
+                let digest = papaya_crypto::hmac::hmac_sha256(&secret, &message);
+                assert_eq!(key.seed(counter), digest[..SEED_LEN]);
+            }
+        }
     }
 
     #[test]
@@ -295,42 +355,38 @@ mod tests {
             counter: 5,
             vector_len: 64,
             params: config.group_params(),
-            kind: MaskPlanKind::Handshake(Box::new(HandshakePlan {
-                group: config.dh_group.clone(),
+            kind: MaskPlanKind::Handshake(HandshakePlan {
                 client_key_seed: key_seed,
-                init: init.clone(),
-                publication: publication.clone(),
-                tsa_precomputed: None,
-            })),
+                context: Arc::new(HandshakeContext::new(
+                    &config.dh_group,
+                    init.clone(),
+                    publication.clone(),
+                )),
+            }),
         };
         let mut scratch = MaskScratch::default();
         let fresh = handshake_plan.compute(&mut scratch);
 
-        // The fixed-base fast path must be indistinguishable from the plain
-        // exponentiation: same mask, same installed secret.
-        let mut fast_plan = handshake_plan.clone();
-        if let MaskPlanKind::Handshake(plan) = &mut fast_plan.kind {
-            plan.tsa_precomputed = Some(config.dh_group.precompute_public(&init.tsa_public));
-        }
-        let fast = fast_plan.compute(&mut scratch);
-        assert_eq!(fresh.mask, fast.mask);
-        assert_eq!(
-            fresh.handshake.as_ref().unwrap().secret,
-            fast.handshake.as_ref().unwrap().secret
-        );
-        let secret = fresh.handshake.as_ref().expect("handshake ran").secret;
+        // The plan's fixed-base exponentiation must be indistinguishable
+        // from the plain one: same installed key, same client public key.
+        let plain = client_handshake(&config.dh_group, &key_seed, &init, &publication);
+        let installed = fresh.handshake.as_ref().expect("handshake ran");
+        assert_eq!(installed.key, plain.key);
+        assert_eq!(installed.client_public, plain.client_public);
+
+        let key = installed.key.clone();
         let resumed_plan = MaskPlan {
             plan_id: 1,
             counter: 5,
             vector_len: 64,
             params: config.group_params(),
-            kind: MaskPlanKind::Resumed { secret },
+            kind: MaskPlanKind::Resumed { key: key.clone() },
         };
         let resumed = resumed_plan.compute(&mut scratch);
         assert_eq!(fresh.mask, resumed.mask);
         assert!(resumed.handshake.is_none());
         // And both equal the direct expansion of the ratcheted seed.
-        let direct = expand_mask(&ratchet_seed(&secret, 5), config.group_params(), 64);
+        let direct = expand_mask(&key.seed(5), config.group_params(), 64);
         assert_eq!(resumed.mask, direct);
     }
 
@@ -342,7 +398,9 @@ mod tests {
             counter: 3,
             vector_len: 32,
             params: config.group_params(),
-            kind: MaskPlanKind::Resumed { secret: [7u8; 32] },
+            kind: MaskPlanKind::Resumed {
+                key: RatchetKey::new(&[7u8; 32]),
+            },
         };
         let mut a = MaskScratch::default();
         let mut b = MaskScratch {

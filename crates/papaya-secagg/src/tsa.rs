@@ -13,12 +13,13 @@ use crate::attestation::{publish_binary, AttestationQuote, TsaPublication};
 use crate::group::GroupVec;
 use crate::mask::{expand_mask, expand_mask_into, MaskSeed, SEED_LEN};
 use crate::protocol::{CompletingMessage, KeyExchangeInitialMessage, SecAggConfig};
-use crate::session::{ratchet_seed, MaskRef, SessionInitMessage};
+use crate::session::{MaskRef, RatchetKey, SessionInitMessage};
 use papaya_crypto::aead::{open, AeadKey};
 use papaya_crypto::chacha20::ChaCha20Rng;
-use papaya_crypto::dh::{DhPrivateKey, DhPublicKey, SharedSecret};
+use papaya_crypto::dh::{DhPrivateKey, DhPublicKey};
 use papaya_crypto::hmac::hmac_sha256;
 use papaya_crypto::merkle::MerkleLog;
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Counters of data crossing the host↔TEE boundary.
@@ -128,11 +129,12 @@ pub struct Tsa {
     scratch: Vec<u64>,
 }
 
-/// Per-client session state inside the TSA: the shared secret and the
-/// monotone ratchet-counter floor that makes every seed single-use.
+/// Per-client session state inside the TSA: the shared secret (keyed for
+/// the ratchet) and the monotone ratchet-counter floor that makes every
+/// seed single-use.
 #[derive(Debug)]
 struct TsaSession {
-    secret: SharedSecret,
+    key: RatchetKey,
     /// Smallest counter the TSA will still accept for this session.
     next_counter: u64,
     /// Individually revoked counters at or above the floor.  A revocation
@@ -397,7 +399,7 @@ impl Tsa {
     /// counter.
     pub fn establish_session(&mut self, client_id: u64, client_public: &DhPublicKey) {
         // client id + public key cross the boundary once per session.
-        self.boundary.bytes_in += 8 + client_public.to_bytes().len() as u64;
+        self.boundary.bytes_in += 8 + DhPublicKey::BYTE_LEN as u64;
         self.boundary.messages_in += 1;
         if self.epoch_init.is_none() {
             self.session_init();
@@ -408,14 +410,17 @@ impl Tsa {
             // papaya-lint: allow(panic-hygiene) -- session_init was just run if the epoch key was absent; absence here is an internal invariant breach
             .expect("epoch key exists after session_init")
             .shared_secret(client_public);
-        self.sessions
-            .entry(client_id)
-            .and_modify(|s| s.secret = secret)
-            .or_insert(TsaSession {
-                secret,
-                next_counter: 0,
-                revoked: BTreeSet::new(),
-            });
+        let key = RatchetKey::new(&secret);
+        match self.sessions.entry(client_id) {
+            Entry::Occupied(mut session) => session.get_mut().key = key,
+            Entry::Vacant(slot) => {
+                slot.insert(TsaSession {
+                    key,
+                    next_counter: 0,
+                    revoked: BTreeSet::new(),
+                });
+            }
+        }
     }
 
     /// Number of sessions established in the current epoch.
@@ -474,8 +479,8 @@ impl Tsa {
         let mut scratch = std::mem::take(&mut self.scratch);
         for r in refs {
             // papaya-lint: allow(panic-hygiene) -- every ref passed the validation pass above, which requires an established session
-            let secret = self.sessions.get(&r.client_id).expect("validated").secret;
-            let seed = ratchet_seed(&secret, r.counter);
+            let session = self.sessions.get(&r.client_id).expect("validated");
+            let seed = session.key.seed(r.counter);
             expand_mask_into(&seed, params, self.config.vector_len, &mut scratch);
             sum.add_assign_slice(&scratch);
         }
@@ -777,10 +782,10 @@ mod tests {
         use super::*;
         use crate::group::GroupVec;
         use crate::mask::expand_mask;
-        use crate::session::{client_handshake, ratchet_seed, MaskRef};
+        use crate::session::{client_handshake, MaskRef, RatchetKey};
 
-        /// Establishes a session for `client_id` and returns its secret.
-        fn establish(tsa: &mut Tsa, config: &SecAggConfig, client_id: u64) -> [u8; 32] {
+        /// Establishes a session for `client_id` and returns its ratchet key.
+        fn establish(tsa: &mut Tsa, config: &SecAggConfig, client_id: u64) -> RatchetKey {
             let publication = tsa.publication();
             let init = tsa.session_init();
             let handshake = client_handshake(
@@ -790,14 +795,14 @@ mod tests {
                 &publication,
             );
             tsa.establish_session(client_id, &handshake.client_public);
-            handshake.secret
+            handshake.key
         }
 
         #[test]
         fn batched_release_sums_the_ratcheted_masks() {
             let (mut tsa, config, _) = setup(16, 2);
-            let s1 = establish(&mut tsa, &config, 1);
-            let s2 = establish(&mut tsa, &config, 2);
+            let k1 = establish(&mut tsa, &config, 1);
+            let k2 = establish(&mut tsa, &config, 2);
             assert_eq!(tsa.active_sessions(), 2);
             let refs = [
                 MaskRef {
@@ -816,8 +821,8 @@ mod tests {
             let released = tsa.release_batch(&refs).unwrap();
             let params = config.group_params();
             let mut expected = GroupVec::zeros(params, 16);
-            for (secret, counter) in [(s1, 0), (s2, 0), (s1, 1)] {
-                expected.add_assign(&expand_mask(&ratchet_seed(&secret, counter), params, 16));
+            for (key, counter) in [(&k1, 0), (&k2, 0), (&k1, 1)] {
+                expected.add_assign(&expand_mask(&key.seed(counter), params, 16));
             }
             assert_eq!(released, expected);
         }
