@@ -89,7 +89,7 @@ fn main() {
             task.comm_trips(),
             task.summary.server_updates_per_hour,
             task.summary.mean_staleness,
-            task.lost_buffered_updates,
+            task.metrics.lost_buffered_updates,
         );
     }
 

@@ -55,8 +55,9 @@ fn sync_over_selection(parallelism: Parallelism) -> Scenario {
 }
 
 /// Direct FedBuff under the full decorator stack with 10 % scaled
-/// attackers: TSA, DP and robust releases are all scheduled and the
-/// conditional robustness section of the fingerprint is hashed.
+/// attackers: every release is a TSA key release, a DP release and an
+/// estimator release, and the conditional robustness section of the
+/// fingerprint is hashed.
 fn robust_dp_secure_stack(parallelism: Parallelism) -> Scenario {
     Scenario::builder()
         .population(population(600, 0.05))

@@ -138,6 +138,25 @@ impl AggregatorStats {
     }
 }
 
+/// The telemetry of an aggregation stack's decorators, as returned by
+/// [`Aggregator::stack_telemetry`]: `None` where the stack has no such
+/// layer, so the fields also say how a task is protected.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct StackTelemetry<'a> {
+    /// Counters and the quantization-error trace of the
+    /// [`SecureAggregator`](crate::secure::SecureAggregator).
+    pub secure: Option<&'a crate::secure::SecureTelemetry>,
+    /// On-loop wall-clock of the secure pipeline's phases, for profiling
+    /// (machine-dependent, so never part of a report fingerprint).
+    pub secure_timings: Option<crate::secure::SecureTimings>,
+    /// Clip counts, release trace and cumulative ε of the
+    /// [`DpAggregator`](crate::dp::DpAggregator).
+    pub dp: Option<&'a crate::dp::DpTelemetry>,
+    /// Rejection counts and the estimator trace of the
+    /// [`RobustAggregator`](crate::robust::RobustAggregator).
+    pub robust: Option<&'a crate::robust::RobustTelemetry>,
+}
+
 /// An aggregation strategy: buffers client updates and releases a
 /// weighted-average model delta when its readiness condition is met.
 ///
@@ -216,29 +235,14 @@ pub trait Aggregator: Send {
     /// only thing the server tracks in the clear.
     fn update_weight(&self, num_examples: usize, staleness: u64) -> f64;
 
-    /// Secure-aggregation telemetry, for strategies that run the AsyncSecAgg
-    /// protocol underneath ([`crate::secure::SecureAggregator`]).  Clear
-    /// strategies return `None`; drivers use this both to detect that a
-    /// task is running privately and to export TEE-boundary metrics.
-    fn secure_telemetry(&self) -> Option<&crate::secure::SecureTelemetry> {
-        None
-    }
-
-    /// Differential-privacy telemetry, for strategies wrapped in the DP
-    /// pipeline ([`crate::dp::DpAggregator`]).  Non-DP strategies return
-    /// `None`; drivers use this both to detect that a task's releases are
-    /// noised and to export the clip/noise/ε traces.
-    fn dp_telemetry(&self) -> Option<&crate::dp::DpTelemetry> {
-        None
-    }
-
-    /// Robust-aggregation telemetry, for strategies wrapped in the
-    /// Byzantine-defense pipeline ([`crate::robust::RobustAggregator`]).
-    /// Undefended strategies return `None`; drivers use this both to
-    /// detect that a task is defended and to export rejection counts and
-    /// estimator-correction traces.
-    fn robust_telemetry(&self) -> Option<&crate::robust::RobustTelemetry> {
-        None
+    /// What the decorators of this stack have recorded so far, one field
+    /// per layer.  A decorator sets its own field over
+    /// `self.inner.stack_telemetry()`; clear strategies record nothing.
+    /// This is the only way decorator telemetry leaves the stack — drivers
+    /// read it when they need a decision (the ε budget) and copy it into
+    /// the run's metrics once, when the report is assembled.
+    fn stack_telemetry(&self) -> StackTelemetry<'_> {
+        StackTelemetry::default()
     }
 
     /// Plans the mask work for `client_id`'s next participation, burning its
@@ -261,13 +265,6 @@ pub trait Aggregator: Send {
         _client_id: usize,
         _mask: crate::secure::PrecomputedMask,
     ) {
-    }
-
-    /// Cumulative wall-clock spent in the secure pipeline's phases, for
-    /// profiling (never part of a report fingerprint).  Clear strategies
-    /// return `None`.
-    fn secure_timings(&self) -> Option<crate::secure::SecureTimings> {
-        None
     }
 }
 

@@ -43,7 +43,7 @@
 //! zero"), so a zero-noise DP run is **bit-exact** against the clear run —
 //! the equivalence the `dp_equivalence` suite pins.
 
-use crate::aggregator::{AccumulateOutcome, Aggregator, AggregatorStats};
+use crate::aggregator::{AccumulateOutcome, Aggregator, AggregatorStats, StackTelemetry};
 use crate::client::ClientUpdate;
 use papaya_crypto::chacha20::ChaCha20Rng;
 use papaya_nn::params::ParamVec;
@@ -359,7 +359,7 @@ pub struct DpRelease {
 }
 
 /// Cumulative counters and traces of the DP pipeline, exported through
-/// [`Aggregator::dp_telemetry`].
+/// [`Aggregator::stack_telemetry`].
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct DpTelemetry {
     /// Updates accepted into a buffer (post-clipping).
@@ -386,24 +386,6 @@ impl DpTelemetry {
         } else {
             self.clipped_updates as f64 / self.accepted_updates as f64
         }
-    }
-
-    /// Refreshes `self` from a newer snapshot of the same telemetry stream:
-    /// cumulative counters are overwritten and the append-only release
-    /// trace is extended with the entries `self` has not seen yet (periodic
-    /// syncing stays O(new entries), not O(trace)).
-    pub fn sync_from(&mut self, src: &DpTelemetry) {
-        let synced = self.release_trace.len();
-        debug_assert!(
-            synced <= src.release_trace.len(),
-            "telemetry snapshots must come from one growing stream"
-        );
-        self.release_trace
-            .extend_from_slice(&src.release_trace[synced..]);
-        self.accepted_updates = src.accepted_updates;
-        self.clipped_updates = src.clipped_updates;
-        self.releases = src.releases;
-        self.cumulative_epsilon = src.cumulative_epsilon;
     }
 }
 
@@ -472,13 +454,6 @@ impl DpAggregator {
     /// The cumulative DP telemetry.
     pub fn telemetry(&self) -> &DpTelemetry {
         &self.telemetry
-    }
-
-    /// Whether the cumulative ε has reached the configured budget.
-    pub fn budget_exhausted(&self) -> bool {
-        self.config
-            .epsilon_budget
-            .is_some_and(|budget| self.telemetry.cumulative_epsilon >= budget)
     }
 
     /// One standard normal via the shared Box–Muller transform, consuming
@@ -615,16 +590,11 @@ impl Aggregator for DpAggregator {
         self.inner.update_weight(num_examples, staleness)
     }
 
-    fn secure_telemetry(&self) -> Option<&crate::secure::SecureTelemetry> {
-        self.inner.secure_telemetry()
-    }
-
-    fn dp_telemetry(&self) -> Option<&DpTelemetry> {
-        Some(&self.telemetry)
-    }
-
-    fn robust_telemetry(&self) -> Option<&crate::robust::RobustTelemetry> {
-        self.inner.robust_telemetry()
+    fn stack_telemetry(&self) -> StackTelemetry<'_> {
+        StackTelemetry {
+            dp: Some(&self.telemetry),
+            ..self.inner.stack_telemetry()
+        }
     }
 
     // DP is the outer layer of the dp+secure stack, so the speculative
@@ -635,10 +605,6 @@ impl Aggregator for DpAggregator {
 
     fn provide_precomputed_mask(&mut self, client_id: usize, mask: crate::secure::PrecomputedMask) {
         self.inner.provide_precomputed_mask(client_id, mask)
-    }
-
-    fn secure_timings(&self) -> Option<crate::secure::SecureTimings> {
-        self.inner.secure_timings()
     }
 }
 
@@ -796,8 +762,11 @@ mod tests {
             config,
             3,
         );
+        // The decorator only reports ε; comparing it against the budget is
+        // the driver's job (`TaskRuntime::privacy_budget_exhausted`).
+        let budget = config.epsilon_budget.expect("set above");
         let mut releases = 0;
-        while !agg.budget_exhausted() {
+        while agg.telemetry().cumulative_epsilon < budget {
             agg.accumulate(update(releases, vec![0.1], 10, 0), 0, 0.0);
             agg.take(0.0).unwrap();
             releases += 1;
@@ -844,8 +813,9 @@ mod tests {
             assert!((c - s).abs() < 1e-4, "clear {c} vs secure {s}");
         }
         // Both telemetries are visible through the stacked decorator.
-        assert!(dp_secure.dp_telemetry().is_some());
-        let secure_telemetry = dp_secure.secure_telemetry().expect("pass-through");
+        let stack = dp_secure.stack_telemetry();
+        assert!(stack.dp.is_some());
+        let secure_telemetry = stack.secure.expect("pass-through");
         assert_eq!(secure_telemetry.masked_updates, 2);
         assert_eq!(secure_telemetry.tsa_key_releases, 1);
         assert_eq!(
@@ -853,38 +823,6 @@ mod tests {
             "masking the clipped delta must keep decode and reference aligned"
         );
         assert_eq!(dp_secure.telemetry().clipped_updates, 1);
-    }
-
-    #[test]
-    fn telemetry_sync_from_is_incremental_on_the_trace() {
-        let mut dst = DpTelemetry::default();
-        let mut src = DpTelemetry {
-            accepted_updates: 3,
-            clipped_updates: 1,
-            releases: 1,
-            cumulative_epsilon: 0.5,
-            release_trace: vec![DpRelease {
-                time_s: 1.0,
-                clip_fraction: 1.0 / 3.0,
-                noise_std: 0.1,
-                cumulative_epsilon: 0.5,
-            }],
-        };
-        dst.sync_from(&src);
-        assert_eq!(dst, src);
-        src.releases = 2;
-        src.cumulative_epsilon = 0.8;
-        src.release_trace.push(DpRelease {
-            time_s: 2.0,
-            clip_fraction: 0.0,
-            noise_std: 0.1,
-            cumulative_epsilon: 0.8,
-        });
-        dst.sync_from(&src);
-        assert_eq!(dst, src);
-        // Re-syncing an unchanged stream is a no-op, not a duplication.
-        dst.sync_from(&src);
-        assert_eq!(dst.release_trace.len(), 2);
     }
 
     #[test]

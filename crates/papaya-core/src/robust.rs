@@ -43,7 +43,7 @@
 //! privacy guarantee for robustness.  `docs/THREAT_MODEL.md` spells out
 //! this trade; the norm filter composes with both without caveats.
 
-use crate::aggregator::{AccumulateOutcome, Aggregator, AggregatorStats};
+use crate::aggregator::{AccumulateOutcome, Aggregator, AggregatorStats, StackTelemetry};
 use crate::client::ClientUpdate;
 use papaya_nn::params::ParamVec;
 
@@ -137,7 +137,7 @@ pub struct RobustRelease {
 }
 
 /// Cumulative counters and traces of the robust-aggregation pipeline,
-/// exported through [`Aggregator::robust_telemetry`].
+/// exported through [`Aggregator::stack_telemetry`].
 ///
 /// Every field stays at its default in a no-attack run with a neutral
 /// defense: the counters only move on rejections and engaged-estimator
@@ -158,23 +158,6 @@ impl RobustTelemetry {
     /// Total updates rejected by any defense.
     pub fn rejected_total(&self) -> u64 {
         self.rejected_non_finite + self.rejected_by_norm
-    }
-
-    /// Refreshes `self` from a newer snapshot of the same telemetry
-    /// stream: cumulative counters are overwritten and the append-only
-    /// estimator trace is extended with the entries `self` has not seen
-    /// yet (periodic syncing stays O(new entries), not O(trace)).
-    pub fn sync_from(&mut self, src: &RobustTelemetry) {
-        let synced = self.estimator_trace.len();
-        debug_assert!(
-            synced <= src.estimator_trace.len(),
-            "telemetry snapshots must come from one growing stream"
-        );
-        self.estimator_trace
-            .extend_from_slice(&src.estimator_trace[synced..]);
-        self.rejected_non_finite = src.rejected_non_finite;
-        self.rejected_by_norm = src.rejected_by_norm;
-        self.estimator_releases = src.estimator_releases;
     }
 }
 
@@ -344,16 +327,11 @@ impl Aggregator for RobustAggregator {
         self.inner.update_weight(num_examples, staleness)
     }
 
-    fn secure_telemetry(&self) -> Option<&crate::secure::SecureTelemetry> {
-        self.inner.secure_telemetry()
-    }
-
-    fn dp_telemetry(&self) -> Option<&crate::dp::DpTelemetry> {
-        self.inner.dp_telemetry()
-    }
-
-    fn robust_telemetry(&self) -> Option<&RobustTelemetry> {
-        Some(&self.telemetry)
+    fn stack_telemetry(&self) -> StackTelemetry<'_> {
+        StackTelemetry {
+            robust: Some(&self.telemetry),
+            ..self.inner.stack_telemetry()
+        }
     }
 
     // Robust is the outermost layer of the stack, so the speculative
@@ -364,10 +342,6 @@ impl Aggregator for RobustAggregator {
 
     fn provide_precomputed_mask(&mut self, client_id: usize, mask: crate::secure::PrecomputedMask) {
         self.inner.provide_precomputed_mask(client_id, mask)
-    }
-
-    fn secure_timings(&self) -> Option<crate::secure::SecureTimings> {
-        self.inner.secure_timings()
     }
 }
 
@@ -618,50 +592,6 @@ mod tests {
         robust.accumulate(update(4, vec![6.0], 10), 0, 1.0);
         let out = robust.take(1.0).unwrap();
         assert_eq!(out.as_slice(), &[4.0], "median over the fresh buffer only");
-    }
-
-    #[test]
-    fn hooks_forward_through_the_robust_layer() {
-        let robust = robust_fedbuff(4, RobustConfig::neutral().defense);
-        assert_eq!(robust.goal(), 4);
-        assert_eq!(robust.max_staleness(), Some(5));
-        assert!(!robust.closes_round_on_release());
-        assert!(robust.secure_telemetry().is_none());
-        assert!(robust.dp_telemetry().is_none());
-        assert!(robust.robust_telemetry().is_some());
-        // Example weighting passes through to the wrapped strategy.
-        assert_eq!(
-            robust.update_weight(10, 0) * 2.0,
-            robust.update_weight(20, 0)
-        );
-    }
-
-    #[test]
-    fn telemetry_sync_from_is_incremental_on_the_trace() {
-        let mut dst = RobustTelemetry::default();
-        let mut src = RobustTelemetry {
-            rejected_non_finite: 1,
-            rejected_by_norm: 2,
-            estimator_releases: 1,
-            estimator_trace: vec![RobustRelease {
-                time_s: 1.0,
-                estimated_over: 4,
-                estimator_shift: 0.5,
-            }],
-        };
-        dst.sync_from(&src);
-        assert_eq!(dst, src);
-        src.estimator_releases = 2;
-        src.estimator_trace.push(RobustRelease {
-            time_s: 2.0,
-            estimated_over: 6,
-            estimator_shift: 0.1,
-        });
-        dst.sync_from(&src);
-        assert_eq!(dst, src);
-        dst.sync_from(&src);
-        assert_eq!(dst.estimator_trace.len(), 2, "re-sync must not duplicate");
-        assert_eq!(dst.rejected_total(), 3);
     }
 
     #[test]

@@ -39,7 +39,7 @@
 //! happens inside `accumulate`/`take`/`reset` on the event-loop thread, so
 //! simulations stay bit-identical at any training parallelism.
 
-use crate::aggregator::{AccumulateOutcome, Aggregator, AggregatorStats};
+use crate::aggregator::{AccumulateOutcome, Aggregator, AggregatorStats, StackTelemetry};
 use crate::client::ClientUpdate;
 use crate::config::{TaskConfig, TrainingMode};
 use papaya_crypto::chacha20::ChaCha20Rng;
@@ -60,7 +60,7 @@ use std::time::Instant;
 pub use papaya_secagg::session::{MaskPlan, MaskScratch, PrecomputedMask};
 
 /// Cumulative counters of the secure pipeline, exported through
-/// [`Aggregator::secure_telemetry`].
+/// [`Aggregator::stack_telemetry`].
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct SecureTelemetry {
     /// Masked updates accepted into a ciphertext buffer.
@@ -117,30 +117,6 @@ impl SecureTelemetry {
             .iter()
             .map(|&(_, e)| e)
             .fold(0.0, f64::max)
-    }
-
-    /// Refreshes `self` from a newer snapshot of the same telemetry stream:
-    /// cumulative counters are overwritten, and the append-only error trace
-    /// is extended with the entries `self` has not seen yet (so periodic
-    /// syncing stays O(new entries), not O(trace)).
-    pub fn sync_from(&mut self, src: &SecureTelemetry) {
-        let synced = self.quantization_error_trace.len();
-        debug_assert!(
-            synced <= src.quantization_error_trace.len(),
-            "telemetry snapshots must come from one growing stream"
-        );
-        self.quantization_error_trace
-            .extend_from_slice(&src.quantization_error_trace[synced..]);
-        self.masked_updates = src.masked_updates;
-        self.masked_discarded = src.masked_discarded;
-        self.tsa_key_releases = src.tsa_key_releases;
-        self.buffers_dropped_unreleased = src.buffers_dropped_unreleased;
-        self.out_of_range_releases = src.out_of_range_releases;
-        self.tee_bytes_in = src.tee_bytes_in;
-        self.tee_bytes_out = src.tee_bytes_out;
-        self.session_cache_hits = src.session_cache_hits;
-        self.session_cache_misses = src.session_cache_misses;
-        self.dh_exchanges_saved = src.dh_exchanges_saved;
     }
 }
 
@@ -787,16 +763,12 @@ impl Aggregator for SecureAggregator {
         self.inner.update_weight(num_examples, staleness)
     }
 
-    fn secure_telemetry(&self) -> Option<&SecureTelemetry> {
-        Some(&self.telemetry)
-    }
-
-    fn dp_telemetry(&self) -> Option<&crate::dp::DpTelemetry> {
-        self.inner.dp_telemetry()
-    }
-
-    fn robust_telemetry(&self) -> Option<&crate::robust::RobustTelemetry> {
-        self.inner.robust_telemetry()
+    fn stack_telemetry(&self) -> StackTelemetry<'_> {
+        StackTelemetry {
+            secure: Some(&self.telemetry),
+            secure_timings: Some(self.timings),
+            ..self.inner.stack_telemetry()
+        }
     }
 
     /// Issues the mask plan for `client_id`'s upcoming participation so the
@@ -821,10 +793,6 @@ impl Aggregator for SecureAggregator {
                 session.provided.insert(client_id, mask);
             }
         }
-    }
-
-    fn secure_timings(&self) -> Option<SecureTimings> {
-        Some(self.timings)
     }
 }
 
@@ -1090,26 +1058,6 @@ mod tests {
         let ok = agg.take(1.0).unwrap();
         assert!((ok.as_slice()[0] - 1.5).abs() < 1e-2);
         assert_eq!(agg.telemetry().out_of_range_releases, 1);
-    }
-
-    #[test]
-    fn telemetry_sync_from_is_incremental_on_the_trace() {
-        let mut dst = SecureTelemetry::default();
-        let mut src = SecureTelemetry {
-            masked_updates: 3,
-            tsa_key_releases: 1,
-            quantization_error_trace: vec![(1.0, 1e-6)],
-            ..SecureTelemetry::default()
-        };
-        dst.sync_from(&src);
-        assert_eq!(dst, src);
-        src.tsa_key_releases = 2;
-        src.quantization_error_trace.push((2.0, 2e-6));
-        dst.sync_from(&src);
-        assert_eq!(dst, src);
-        // Re-syncing an unchanged stream is a no-op, not a duplication.
-        dst.sync_from(&src);
-        assert_eq!(dst.quantization_error_trace.len(), 2);
     }
 
     #[test]

@@ -13,15 +13,22 @@
 //! bound — DP alters the numerics only when clipping or noise actually
 //! bind), and the full `dp+secure+fedbuff` stack; all must pass the whole
 //! suite unchanged, because neither decorator touches protocol behavior.
+//!
+//! The last test checks the other half of the decorator contract: every
+//! hook the trait defaults reaches the wrapped strategy through each
+//! decorator and through the full `robust(dp(secure(..)))` stack.
 
-use papaya_core::aggregator::{AccumulateOutcome, Aggregator};
+use papaya_core::aggregator::{AccumulateOutcome, Aggregator, AggregatorStats, StackTelemetry};
 use papaya_core::client::ClientUpdate;
+use papaya_core::secure::{MaskPlan, MaskScratch, PrecomputedMask};
 use papaya_core::staleness::StalenessWeighting;
 use papaya_core::{
-    DpAggregator, DpConfig, FedBuffAggregator, SecureAggregator, SyncRoundAggregator,
-    TimedHybridAggregator,
+    DpAggregator, DpConfig, DpTelemetry, FedBuffAggregator, RobustAggregator, RobustConfig,
+    RobustTelemetry, SecureAggregator, SecureTelemetry, SyncRoundAggregator, TimedHybridAggregator,
 };
 use papaya_nn::params::ParamVec;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 const GOAL: usize = 3;
 
@@ -265,5 +272,152 @@ fn round_closing_and_over_goal_behavior_match_the_strategy() {
             assert!(over_goal.accepted(), "{name}");
             assert_eq!(agg.buffered(), GOAL + 1, "{name}");
         }
+    }
+}
+
+/// A strategy that answers every defaulted hook with a value no real
+/// strategy or decorator produces, so a hook that stops at a decorator's
+/// trait default is told apart from one that reached the wrapped strategy.
+struct Probe {
+    stats: AggregatorStats,
+    secure: SecureTelemetry,
+    dp: DpTelemetry,
+    robust: RobustTelemetry,
+    masks_planned: Arc<AtomicUsize>,
+    masks_provided: Arc<AtomicUsize>,
+}
+
+impl Aggregator for Probe {
+    fn accumulate(&mut self, _: ClientUpdate, _: u64, _: f64) -> AccumulateOutcome {
+        AccumulateOutcome::Discarded
+    }
+    fn is_ready(&self, _: f64) -> bool {
+        false
+    }
+    fn take(&mut self, _: f64) -> Option<ParamVec> {
+        None
+    }
+    fn reset(&mut self) -> usize {
+        0
+    }
+    fn goal(&self) -> usize {
+        41
+    }
+    fn buffered(&self) -> usize {
+        0
+    }
+    fn stats(&self) -> &AggregatorStats {
+        &self.stats
+    }
+    fn max_staleness(&self) -> Option<u64> {
+        Some(7)
+    }
+    fn next_deadline_s(&self) -> Option<f64> {
+        Some(123.5)
+    }
+    fn closes_round_on_release(&self) -> bool {
+        true
+    }
+    fn update_weight(&self, num_examples: usize, staleness: u64) -> f64 {
+        (3 * num_examples) as f64 + staleness as f64
+    }
+    fn stack_telemetry(&self) -> StackTelemetry<'_> {
+        StackTelemetry {
+            secure: Some(&self.secure),
+            secure_timings: None,
+            dp: Some(&self.dp),
+            robust: Some(&self.robust),
+        }
+    }
+    fn plan_mask_precompute(&mut self, _: usize) -> Option<MaskPlan> {
+        self.masks_planned.fetch_add(1, Ordering::Relaxed);
+        None
+    }
+    fn provide_precomputed_mask(&mut self, _: usize, _: PrecomputedMask) {
+        self.masks_provided.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// A real mask result to hand to `provide_precomputed_mask`.
+fn donor_mask() -> PrecomputedMask {
+    let (_, clear) = clear_implementations().swap_remove(0);
+    SecureAggregator::new(clear, 2, GOAL, 0xC0DE)
+        .plan_mask_precompute(0)
+        .expect("session mode plans masks")
+        .compute(&mut MaskScratch::default())
+}
+
+#[test]
+fn every_defaulted_hook_reaches_the_wrapped_strategy() {
+    type Wrap = fn(Box<dyn Aggregator>) -> Box<dyn Aggregator>;
+    let secure: Wrap = |inner| Box::new(SecureAggregator::new(inner, 2, GOAL, 0xC0DE));
+    let dp: Wrap = |inner| Box::new(DpAggregator::new(inner, conformance_dp(), 0xD1FF));
+    let robust: Wrap = |inner| Box::new(RobustAggregator::new(inner, RobustConfig::neutral()));
+    let stack: Wrap = |inner| {
+        let secure = SecureAggregator::new(inner, 2, GOAL, 0xC0DE);
+        let dp = DpAggregator::new(Box::new(secure), conformance_dp(), 0xD1FF);
+        Box::new(RobustAggregator::new(Box::new(dp), RobustConfig::neutral()))
+    };
+    // (name, wrapper, which telemetry fields the wrapper records itself
+    // as [secure, dp, robust]).  The secure layer is the one that answers
+    // the mask hooks, so they stop there instead of reaching the probe.
+    let table: [(&str, Wrap, [bool; 3]); 4] = [
+        ("secure", secure, [true, false, false]),
+        ("dp", dp, [false, true, false]),
+        ("robust", robust, [false, false, true]),
+        ("robust+dp+secure", stack, [true, true, true]),
+    ];
+    for (name, wrap, [owns_secure, owns_dp, owns_robust]) in table {
+        let masks_planned = Arc::new(AtomicUsize::new(0));
+        let masks_provided = Arc::new(AtomicUsize::new(0));
+        let mut agg = wrap(Box::new(Probe {
+            stats: AggregatorStats::default(),
+            secure: SecureTelemetry {
+                masked_updates: 99,
+                ..SecureTelemetry::default()
+            },
+            dp: DpTelemetry {
+                releases: 98,
+                ..DpTelemetry::default()
+            },
+            robust: RobustTelemetry {
+                estimator_releases: 97,
+                ..RobustTelemetry::default()
+            },
+            masks_planned: Arc::clone(&masks_planned),
+            masks_provided: Arc::clone(&masks_provided),
+        }));
+
+        assert_eq!(agg.goal(), 41, "{name}");
+        assert_eq!(agg.update_weight(10, 2), 32.0, "{name}");
+        assert_eq!(agg.max_staleness(), Some(7), "{name}");
+        assert_eq!(agg.next_deadline_s(), Some(123.5), "{name}");
+        assert!(agg.closes_round_on_release(), "{name}");
+
+        // Each layer reports its own (still empty) telemetry and passes the
+        // rest of the view through untouched.
+        let telemetry = agg.stack_telemetry();
+        let secure = telemetry.secure.expect("secure view").masked_updates;
+        let dp = telemetry.dp.expect("dp view").releases;
+        let robust = telemetry.robust.expect("robust view").estimator_releases;
+        assert_eq!(secure, if owns_secure { 0 } else { 99 }, "{name}");
+        assert_eq!(dp, if owns_dp { 0 } else { 98 }, "{name}");
+        assert_eq!(robust, if owns_robust { 0 } else { 97 }, "{name}");
+        assert_eq!(telemetry.secure_timings.is_some(), owns_secure, "{name}");
+
+        let plan = agg.plan_mask_precompute(0);
+        agg.provide_precomputed_mask(0, donor_mask());
+        let reached_probe = usize::from(!owns_secure);
+        assert_eq!(plan.is_some(), owns_secure, "{name}");
+        assert_eq!(
+            masks_planned.load(Ordering::Relaxed),
+            reached_probe,
+            "{name}"
+        );
+        assert_eq!(
+            masks_provided.load(Ordering::Relaxed),
+            reached_probe,
+            "{name}"
+        );
     }
 }

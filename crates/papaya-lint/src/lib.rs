@@ -46,10 +46,9 @@ pub struct Workspace {
     pub files: Vec<SourceFile>,
 }
 
-/// Directory names under `crates/` that are exempt from analysis: vendored
-/// stand-ins (`compat`) and the benchmark harness (`bench`), which measures
-/// wall-clock time by design.
-const EXEMPT_CRATE_DIRS: &[&str] = &["compat", "bench"];
+/// Directory names under `crates/` that are exempt from analysis: the
+/// vendored stand-ins for external crates (`compat`).
+const EXEMPT_CRATE_DIRS: &[&str] = &["compat"];
 
 impl Workspace {
     /// Builds a workspace from in-memory sources (fixtures and tests).
@@ -65,9 +64,9 @@ impl Workspace {
     }
 
     /// Walks `<root>/crates/*/src/**/*.rs` (excluding the vendored `compat`
-    /// stand-ins and the `bench` harness) and parses every library source
-    /// file.  Integration tests, examples, and benches are out of scope by
-    /// construction: only `src/` trees are analyzed.
+    /// stand-ins) and parses every library source file.  Integration tests,
+    /// examples, and benches are out of scope by construction: only `src/`
+    /// trees are analyzed.
     pub fn from_disk(root: &Path) -> io::Result<Workspace> {
         let crates_dir = root.join("crates");
         if !crates_dir.is_dir() {

@@ -1,23 +1,20 @@
 //! Decorator conformance: the aggregation stack composes as
 //! `robust(dp(secure(strategy)))`, so any `Aggregator` impl that wraps
-//! another must forward the pass-through hooks — a decorator that forgets
-//! one silently severs telemetry (or weighting) for every layer beneath it.
+//! another must forward every hook the trait defaults — a decorator that
+//! inherits a default instead silently answers for every layer beneath it
+//! (no staleness bound, no deadline, no telemetry, no mask precompute).
 
-use super::Rule;
+use super::{find_file, Rule};
 use crate::report::Finding;
-use crate::scan::{find_seq, matching};
+use crate::scan::{find_seq, matching, trait_default_methods};
 use crate::Workspace;
 
-/// Hooks with trait-provided defaults that decorators must forward.  Base
-/// strategies (no inner aggregator) opt out with a justified allow.
-const FORWARDED_HOOKS: &[&str] = &[
-    "update_weight",
-    "secure_telemetry",
-    "dp_telemetry",
-    "robust_telemetry",
-];
+/// Where `trait Aggregator` is declared.  The hooks a decorator must
+/// forward are read from it — every method with a default body — so a hook
+/// added to the trait is checked from the commit that adds it.
+const TRAIT_FILE: &str = "papaya-core/src/aggregator.rs";
 
-/// Every `impl Aggregator for …` block defines all pass-through hooks or
+/// Every `impl Aggregator for …` block defines all defaulted hooks or
 /// carries an explicit opt-out allow.
 pub struct DecoratorConformance;
 
@@ -27,10 +24,15 @@ impl Rule for DecoratorConformance {
     }
 
     fn description(&self) -> &'static str {
-        "every Aggregator impl forwards update_weight/secure_telemetry/dp_telemetry/robust_telemetry or opts out with a justified allow"
+        "every Aggregator impl defines every method `trait Aggregator` gives a default body, or opts out with a justified allow"
     }
 
     fn check(&self, ws: &Workspace, out: &mut Vec<Finding>) {
+        let Some(hooks) =
+            find_file(ws, TRAIT_FILE).and_then(|file| trait_default_methods(file, "Aggregator"))
+        else {
+            return; // trait not in this (fixture) workspace
+        };
         for file in &ws.files {
             let toks = &file.tokens;
             let mut i = 0usize;
@@ -76,9 +78,9 @@ impl Rule for DecoratorConformance {
                     None => continue,
                 };
                 let body = &toks[k + 1..close];
-                let missing: Vec<&str> = FORWARDED_HOOKS
+                let missing: Vec<&str> = hooks
                     .iter()
-                    .copied()
+                    .map(String::as_str)
                     .filter(|hook| find_seq(body, 0, &["fn", hook]).is_none())
                     .collect();
                 if !missing.is_empty() {

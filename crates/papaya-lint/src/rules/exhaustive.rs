@@ -3,16 +3,12 @@
 //! generalize PR 4's "exhaustive destructure choke point" from a convention
 //! into a machine-checked invariant.
 
-use super::{path_ends_with, Rule};
+use super::{find_file, Rule};
 use crate::report::Finding;
 use crate::scan::{
     enum_variants, find_destructure, find_seq, fn_body, matching, struct_fields, SourceFile,
 };
 use crate::Workspace;
-
-fn find_file<'a>(ws: &'a Workspace, suffix: &str) -> Option<&'a SourceFile> {
-    ws.files.iter().find(|f| path_ends_with(&f.path, suffix))
-}
 
 /// `(struct, struct file, validator fn, validator file)` — every field of
 /// the struct must be named in the validator's destructuring pattern, so

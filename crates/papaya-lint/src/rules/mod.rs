@@ -3,6 +3,7 @@
 //! [`crate::analyze`], not in the rules themselves.
 
 use crate::report::Finding;
+use crate::scan::SourceFile;
 use crate::Workspace;
 
 mod decorator;
@@ -56,4 +57,10 @@ pub(crate) fn in_crate_src(path: &str, krate: &str) -> bool {
 /// mimic real paths, so rules locate files by suffix, not equality).
 pub(crate) fn path_ends_with(path: &str, suffix: &str) -> bool {
     path == suffix || path.ends_with(&format!("/{suffix}"))
+}
+
+/// The workspace file whose path ends with `suffix`, if the (possibly
+/// fixture) workspace has one.
+pub(crate) fn find_file<'a>(ws: &'a Workspace, suffix: &str) -> Option<&'a SourceFile> {
+    ws.files.iter().find(|f| path_ends_with(&f.path, suffix))
 }

@@ -234,6 +234,29 @@ fn fields_of(tokens: &[Token], keyword: &str, name: &str) -> Option<Vec<NamedIte
     Some(items)
 }
 
+/// The methods of `trait name { … }` that carry a default body — the ones
+/// an implementor inherits silently by not defining them — or `None` when
+/// the trait is not found.  Required methods (signature ending in `;`) are
+/// left out: the compiler already enforces those.
+pub fn trait_default_methods(file: &SourceFile, name: &str) -> Option<Vec<String>> {
+    let tokens = &file.tokens;
+    let at = find_seq(tokens, 0, &["trait", name])?;
+    let open = (at + 2..tokens.len()).find(|&i| tokens[i].text == "{")?;
+    let close = matching(tokens, open, "{", "}")?;
+    let mut methods = Vec::new();
+    let mut i = open + 1;
+    while let Some(f) = find_seq(&tokens[..close], i, &["fn"]) {
+        // The signature runs to its `;` (required) or body `{` (defaulted).
+        let end = (f + 2..close).find(|&j| matches!(tokens[j].text.as_str(), ";" | "{"))?;
+        i = end + 1;
+        if tokens[end].text == "{" {
+            methods.push(tokens[f + 1].text.clone());
+            i = matching(tokens, end, "{", "}")? + 1;
+        }
+    }
+    Some(methods)
+}
+
 /// Skips a balanced `< … >` starting at `open`; returns the index after the
 /// closing `>`.  Good enough for declaration generics (no shift operators).
 fn skip_angles(tokens: &[Token], open: usize) -> Option<usize> {
@@ -385,6 +408,19 @@ mod tests {
             .map(|v| v.name)
             .collect();
         assert_eq!(names, vec!["Plain", "Tuple", "Struct"]);
+    }
+
+    #[test]
+    fn trait_default_methods_skip_required_signatures() {
+        let f = file(
+            "pub trait T: Send {\n    fn required(&self) -> u64;\n    \
+             fn defaulted(&self) -> Option<u64> {\n        None\n    }\n    \
+             fn with_nested(&mut self, _x: Vec<(u64, f64)>) {\n        if true { fn inner() {} }\n    }\n}\n\
+             fn outside() {}\n",
+        );
+        let names = trait_default_methods(&f, "T").expect("trait found");
+        assert_eq!(names, vec!["defaulted", "with_nested"]);
+        assert!(trait_default_methods(&f, "Missing").is_none());
     }
 
     #[test]

@@ -24,7 +24,6 @@ use crate::cluster::{
 };
 use crate::control_plane::event_log::{ControlEvent, EventLog};
 use crate::control_plane::reconcile::Correction;
-use std::fmt::Write as _;
 
 /// Default checkpoint cadence, in log events.
 pub const DEFAULT_CHECKPOINT_INTERVAL: u64 = 1024;
@@ -413,116 +412,6 @@ impl ControlPlaneService {
             checkpoint_age_events: self.checkpoint_age_events(),
         }
     }
-
-    /// Prometheus text-format rendering of the service counters.
-    pub fn prometheus_text(&self) -> String {
-        let c = &self.counters;
-        let alive = self
-            .coordinator
-            .aggregator_ids()
-            .into_iter()
-            .filter(|&id| self.coordinator.is_alive(id))
-            .count() as u64;
-        let mut out = String::new();
-        let metrics: [(&str, &str, &str, u64); 15] = [
-            (
-                "papaya_cp_heartbeats_total",
-                "counter",
-                "Heartbeats processed by the Coordinator.",
-                c.heartbeats,
-            ),
-            (
-                "papaya_cp_unknown_heartbeat_registrations_total",
-                "counter",
-                "Heartbeats from unknown Aggregators registered on the spot.",
-                c.unknown_heartbeat_registrations,
-            ),
-            (
-                "papaya_cp_tasks_placed_total",
-                "counter",
-                "Tasks placed on an Aggregator (submit or reconcile).",
-                c.tasks_placed,
-            ),
-            (
-                "papaya_cp_pending_task_submissions_total",
-                "counter",
-                "Task submissions queued with no Aggregator alive.",
-                c.pending_task_submissions,
-            ),
-            (
-                "papaya_cp_tasks_orphaned_total",
-                "counter",
-                "Tasks orphaned by total Aggregator loss.",
-                c.tasks_orphaned,
-            ),
-            (
-                "papaya_cp_tasks_reconciled_total",
-                "counter",
-                "Corrective placements emitted by reconciliation.",
-                c.tasks_reconciled,
-            ),
-            (
-                "papaya_cp_failure_sweeps_total",
-                "counter",
-                "Failure-detection sweeps run.",
-                c.failure_sweeps,
-            ),
-            (
-                "papaya_cp_demand_reports_total",
-                "counter",
-                "Demand reports processed.",
-                c.demand_reports,
-            ),
-            (
-                "papaya_cp_client_checkins_total",
-                "counter",
-                "Device check-ins processed.",
-                c.client_checkins,
-            ),
-            (
-                "papaya_cp_log_events_total",
-                "counter",
-                "Control-plane events appended to the log.",
-                self.log.len(),
-            ),
-            (
-                "papaya_cp_checkpoints_total",
-                "counter",
-                "Checkpoints taken.",
-                self.checkpoints_taken,
-            ),
-            (
-                "papaya_cp_restores_total",
-                "counter",
-                "Restores from (checkpoint + log suffix).",
-                self.restores,
-            ),
-            (
-                "papaya_cp_checkpoint_age_events",
-                "gauge",
-                "Log events appended since the latest checkpoint.",
-                self.checkpoint_age_events(),
-            ),
-            (
-                "papaya_cp_map_sequence",
-                "gauge",
-                "Current assignment-map sequence number.",
-                self.coordinator.sequence(),
-            ),
-            (
-                "papaya_cp_aggregators_alive",
-                "gauge",
-                "Registered Aggregators currently alive.",
-                alive,
-            ),
-        ];
-        for (name, kind, help, value) in metrics {
-            let _ = writeln!(out, "# HELP {name} {help}");
-            let _ = writeln!(out, "# TYPE {name} {kind}");
-            let _ = writeln!(out, "{name} {value}");
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -653,27 +542,5 @@ mod tests {
         let status = service.fleet_status();
         assert!(status.aggregators.iter().all(|a| !a.alive));
         assert_eq!(status.pending_tasks, vec![2]);
-    }
-
-    #[test]
-    fn prometheus_text_renders_all_counters() {
-        let service = scripted_service();
-        let text = service.prometheus_text();
-        for needle in [
-            "papaya_cp_heartbeats_total",
-            "papaya_cp_tasks_placed_total",
-            "papaya_cp_tasks_orphaned_total",
-            "papaya_cp_tasks_reconciled_total",
-            "papaya_cp_log_events_total",
-            "papaya_cp_checkpoint_age_events",
-            "papaya_cp_aggregators_alive",
-            "# HELP",
-            "# TYPE",
-        ] {
-            assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
-        }
-        // The scripted session exercised the orphan/reconcile machinery.
-        assert!(service.counters().tasks_orphaned > 0);
-        assert!(service.counters().tasks_reconciled > 0);
     }
 }

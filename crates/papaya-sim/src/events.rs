@@ -91,35 +91,6 @@ pub enum EventKind {
         /// The task whose aggregator reached its deadline.
         task: usize,
     },
-    /// A secure task's buffer closed and the TSA released the aggregated
-    /// unmask for it (the per-buffer key release of AsyncSecAgg).  Scheduled
-    /// by scenario drivers at release time so every key release is visible
-    /// in the event stream; the handler refreshes the task's
-    /// secure-aggregation metrics from the aggregator's telemetry.
-    TsaKeyRelease {
-        /// The task whose buffer was unmasked.
-        task: usize,
-    },
-    /// A DP task released a noised aggregate and the privacy accountant
-    /// composed it into the cumulative ε.  Scheduled by scenario drivers at
-    /// release time so every privacy-relevant release is visible in the
-    /// event stream; the handler refreshes the task's DP metrics from the
-    /// aggregator's telemetry and stops the run when the ε budget is
-    /// exhausted.
-    DpRelease {
-        /// The task whose release was noised and accounted.
-        task: usize,
-    },
-    /// A task defended by a robust-aggregation estimator released a server
-    /// update (the estimator replaced or passed through the inner strategy's
-    /// release).  Scheduled by scenario drivers at release time so every
-    /// defense-mediated release is visible in the event stream; the handler
-    /// refreshes the task's robustness metrics from the aggregator's
-    /// telemetry.
-    RobustRelease {
-        /// The task whose release went through the robust estimator.
-        task: usize,
-    },
 }
 
 impl fmt::Display for EventKind {
@@ -174,15 +145,6 @@ impl fmt::Display for EventKind {
             }
             EventKind::AggregatorDeadline { task } => {
                 write!(f, "task {task}: aggregation deadline check")
-            }
-            EventKind::TsaKeyRelease { task } => {
-                write!(f, "task {task}: TSA key release (buffer unmasked)")
-            }
-            EventKind::DpRelease { task } => {
-                write!(f, "task {task}: DP release (noised and accounted)")
-            }
-            EventKind::RobustRelease { task } => {
-                write!(f, "task {task}: robust release (estimator applied)")
             }
         }
     }
@@ -345,18 +307,6 @@ mod tests {
             }
             .to_string(),
             "task 1: client 7 finished (participation 9)"
-        );
-        assert_eq!(
-            EventKind::TsaKeyRelease { task: 3 }.to_string(),
-            "task 3: TSA key release (buffer unmasked)"
-        );
-        assert_eq!(
-            EventKind::DpRelease { task: 4 }.to_string(),
-            "task 4: DP release (noised and accounted)"
-        );
-        assert_eq!(
-            EventKind::RobustRelease { task: 5 }.to_string(),
-            "task 5: robust release (estimator applied)"
         );
         assert_eq!(
             EventKind::AggregatorRecover { aggregator: 2 }.to_string(),

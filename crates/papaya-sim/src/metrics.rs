@@ -62,8 +62,9 @@ pub struct MetricsCollector {
     /// Buffered updates lost when the Aggregator holding this task died
     /// before reaching an aggregation goal.
     pub lost_buffered_updates: u64,
-    /// Secure-aggregation telemetry, synced from the task's
-    /// [`SecureAggregator`](papaya_core::secure::SecureAggregator): masked
+    /// Secure-aggregation telemetry, copied from the task's
+    /// [`SecureAggregator`](papaya_core::secure::SecureAggregator) when the
+    /// report is assembled (empty while the run is in progress): masked
     /// update counts, per-buffer TSA key releases (always equal to
     /// [`server_updates`](MetricsCollector::server_updates) for a secure
     /// task — the TSA never unmasks a partial buffer), crash-time buffer
@@ -71,20 +72,23 @@ pub struct MetricsCollector {
     /// trace.  All-zero/empty for tasks running in the clear.
     pub secure: SecureTelemetry,
     /// On-loop wall-clock breakdown of the secure pipeline (handshake,
-    /// mask expansion, encode, unmask).  Machine-dependent, so it is kept
-    /// out of [`SecureTelemetry`] and never hashed into run fingerprints;
-    /// the repo benchmark's traced run of `secure-stack` reports it as
-    /// `secure.{handshake,mask,encode,unmask}_s`.
+    /// mask expansion, encode, unmask), filled together with
+    /// [`secure`](MetricsCollector::secure).  Machine-dependent, so it is
+    /// kept out of [`SecureTelemetry`] and never hashed into run
+    /// fingerprints; the repo benchmark's traced run of `secure-stack`
+    /// reports it as `secure.{handshake,mask,encode,unmask}_s`.
     // papaya-lint: allow(metrics-fingerprint) -- wall-clock profiling is machine-dependent by nature; hashing it would break the determinism pin it exists to protect
     pub secure_timings: SecureTimings,
-    /// Differential-privacy telemetry, synced from the task's
-    /// [`DpAggregator`](papaya_core::dp::DpAggregator): clip counts, the
+    /// Differential-privacy telemetry, copied from the task's
+    /// [`DpAggregator`](papaya_core::dp::DpAggregator) when the report is
+    /// assembled (empty while the run is in progress): clip counts, the
     /// per-release clip-fraction/noise-std trace, and the cumulative
     /// `epsilon(target_delta)` trajectory the accountant composed across
     /// releases.  All-zero/empty for tasks running without DP.
     pub dp: DpTelemetry,
-    /// Robust-aggregation telemetry, synced from the task's
-    /// [`RobustAggregator`](papaya_core::robust::RobustAggregator): typed
+    /// Robust-aggregation telemetry, copied from the task's
+    /// [`RobustAggregator`](papaya_core::robust::RobustAggregator) when the
+    /// report is assembled (empty while the run is in progress): typed
     /// rejection counts (non-finite values, norm-filter bound) and the
     /// per-release estimator trace.  All-zero/empty for tasks running
     /// without a robust defense — and for defended tasks that stay at the
@@ -189,43 +193,21 @@ impl MetricsCollector {
     }
 }
 
-/// Summary statistics derived from a [`MetricsCollector`] at the end of a
-/// run.
+/// Statistics derived from a [`MetricsCollector`] at the end of a run.
+/// Holds only what has to be computed; counters are read from the
+/// collector itself.
 #[derive(Clone, Debug, PartialEq)]
 pub struct MetricsSummary {
     /// Total virtual time simulated, in hours.
     pub virtual_hours: f64,
     /// Server model updates per virtual hour.
     pub server_updates_per_hour: f64,
-    /// Communication trips (client updates received).
-    pub comm_trips: u64,
     /// Mean staleness of aggregated updates.
     pub mean_staleness: f64,
     /// Mean active clients (utilization numerator).
     pub mean_active_clients: f64,
     /// Mean synchronous round duration (seconds), if applicable.
     pub mean_round_duration_s: f64,
-    /// Per-buffer TSA key releases (0 for tasks running in the clear).
-    pub tsa_key_releases: u64,
-    /// Mean inbound TEE-boundary bytes per masked update (0 for clear
-    /// tasks).
-    pub tee_boundary_bytes_per_masked_update: f64,
-    /// Noised releases fed into the privacy accountant (0 for non-DP
-    /// tasks).
-    pub dp_releases: u64,
-    /// Cumulative `epsilon(target_delta)` after the last DP release (0 for
-    /// non-DP tasks; `∞` for a noiseless DP mechanism).
-    pub cumulative_epsilon: f64,
-    /// Updates a robust defense rejected (non-finite values or norm-filter
-    /// bound; 0 for undefended tasks).
-    pub robust_rejected_updates: u64,
-    /// Releases where an engaged robust estimator (trimmed mean, coordinate
-    /// median) replaced the inner strategy's aggregate (0 for undefended or
-    /// filter-only tasks).
-    pub robust_estimator_releases: u64,
-    /// Ground-truth count of uploads a simulated Byzantine client corrupted
-    /// (0 for honest populations).
-    pub attacked_updates: u64,
 }
 
 impl MetricsCollector {
@@ -239,17 +221,9 @@ impl MetricsCollector {
             } else {
                 0.0
             },
-            comm_trips: self.comm_trips,
             mean_staleness: self.mean_staleness(),
             mean_active_clients: self.mean_active_clients(),
             mean_round_duration_s: self.mean_round_duration_s(),
-            tsa_key_releases: self.secure.tsa_key_releases,
-            tee_boundary_bytes_per_masked_update: self.secure.tee_bytes_in_per_client(),
-            dp_releases: self.dp.releases,
-            cumulative_epsilon: self.dp.cumulative_epsilon,
-            robust_rejected_updates: self.robust.rejected_total(),
-            robust_estimator_releases: self.robust.estimator_releases,
-            attacked_updates: self.attacked_updates,
         }
     }
 }
@@ -471,58 +445,44 @@ mod tests {
         let s = m.summarize(7200.0);
         assert_eq!(s.virtual_hours, 2.0);
         assert_eq!(s.server_updates_per_hour, 50.0);
-        assert_eq!(s.comm_trips, 500);
         assert_eq!(s.mean_staleness, 0.5);
         assert_eq!(s.mean_active_clients, 15.0);
     }
 
     #[test]
-    fn secure_telemetry_feeds_the_summary() {
+    fn secure_rates_derive_from_the_collected_counters() {
         let mut m = MetricsCollector::new();
         assert_eq!(m.secure, SecureTelemetry::default());
         m.secure.masked_updates = 4;
         m.secure.tee_bytes_in = 1200;
-        m.secure.tsa_key_releases = 2;
         m.secure.quantization_error_trace = vec![(10.0, 1e-6), (20.0, 3e-5), (30.0, 2e-6)];
         assert_eq!(m.secure.tee_bytes_in_per_client(), 300.0);
         assert_eq!(m.secure.max_quantization_error(), 3e-5);
-        let s = m.summarize(3600.0);
-        assert_eq!(s.tsa_key_releases, 2);
-        assert_eq!(s.tee_boundary_bytes_per_masked_update, 300.0);
     }
 
     #[test]
-    fn dp_telemetry_feeds_the_summary() {
+    fn dp_clip_fraction_derives_from_the_collected_counters() {
         let mut m = MetricsCollector::new();
         assert_eq!(m.dp, DpTelemetry::default());
         m.dp.accepted_updates = 10;
         m.dp.clipped_updates = 4;
-        m.dp.releases = 3;
-        m.dp.cumulative_epsilon = 1.75;
         assert_eq!(m.dp.clip_fraction(), 0.4);
-        let s = m.summarize(3600.0);
-        assert_eq!(s.dp_releases, 3);
-        assert_eq!(s.cumulative_epsilon, 1.75);
     }
 
     #[test]
-    fn robust_telemetry_and_attack_counts_feed_the_summary() {
+    fn attacks_are_counted_by_label_and_traced() {
         let mut m = MetricsCollector::new();
         assert_eq!(m.robust, RobustTelemetry::default());
         m.robust.rejected_non_finite = 1;
         m.robust.rejected_by_norm = 2;
-        m.robust.estimator_releases = 4;
-        m.rejected_by_defense_updates = 3;
         m.record_attack(10.0, 7, "sign-flip");
         m.record_attack(20.0, 9, "sign-flip");
         m.record_attack(25.0, 11, "secagg-wrong-counter");
         assert_eq!(m.attacks_by_label.get("sign-flip"), Some(&2));
         assert_eq!(m.attacks_by_label.get("secagg-wrong-counter"), Some(&1));
         assert_eq!(m.attack_trace.len(), 3);
-        let s = m.summarize(3600.0);
-        assert_eq!(s.robust_rejected_updates, 3);
-        assert_eq!(s.robust_estimator_releases, 4);
-        assert_eq!(s.attacked_updates, 3);
+        assert_eq!(m.robust.rejected_total(), 3);
+        assert_eq!(m.attacked_updates, 3);
     }
 
     #[test]

@@ -54,7 +54,7 @@ use crate::events::{EventKind, EventQueue, SimTime};
 use crate::executor::{Executor, Parallelism};
 use crate::metrics::{ControlPlaneStats, FleetSummary, MetricsCollector, MetricsSummary};
 use crate::sampling::{ShardedSamplingPool, DEFAULT_SHARD_CAPACITY};
-use crate::task_runtime::{FreedClient, ServerOptimizerKind, TaskRuntime, UpdateOutcome};
+use crate::task_runtime::{FreedClient, ServerOptimizerKind, TaskRuntime};
 use papaya_core::adversary::AdversarySpec;
 use papaya_core::client::ClientTrainer;
 use papaya_core::config::{SecAggMode, TaskConfig, TrainingMode};
@@ -353,9 +353,7 @@ pub struct TaskReport {
     pub final_params: ParamVec,
     /// Times this task was moved to a new Aggregator after a failure.
     pub reassignments: u64,
-    /// Buffered updates this task lost to Aggregator failures.
-    pub lost_buffered_updates: u64,
-    /// Summary statistics (rates, staleness, utilization).
+    /// Derived statistics (rates, staleness, utilization).
     pub summary: MetricsSummary,
     /// Raw metric traces.
     pub metrics: MetricsCollector,
@@ -1127,7 +1125,6 @@ fn task_report(
         final_version,
         final_params,
         reassignments,
-        lost_buffered_updates: metrics.lost_buffered_updates,
         summary: metrics.summarize(virtual_seconds),
         metrics,
     }
@@ -1416,30 +1413,7 @@ impl<'a> Run<'a> {
                 EventKind::Evaluate => stop = self.evaluate(0),
                 EventKind::EvaluateTask { task } => stop = self.evaluate(task),
                 EventKind::SampleUtilization => self.sample_utilization(),
-                EventKind::AggregatorDeadline { task } => self.aggregator_deadline(task),
-                EventKind::TsaKeyRelease { task } => {
-                    // The TSA unmasked the buffer that just closed; refresh
-                    // the task's secure-aggregation metrics from the
-                    // aggregator's telemetry.
-                    self.runtimes[task].sync_secure_telemetry();
-                }
-                EventKind::DpRelease { task } => {
-                    // A noised aggregate was published and composed into
-                    // the cumulative ε; refresh the task's DP metrics and
-                    // enforce the budget — one task overspending its ε
-                    // stops the whole scenario (the operator must re-budget
-                    // before any further release is defensible).
-                    self.runtimes[task].sync_dp_telemetry();
-                    if self.runtimes[task].privacy_budget_exhausted() {
-                        stop = Some(StopReason::PrivacyBudgetExhausted);
-                    }
-                }
-                EventKind::RobustRelease { task } => {
-                    // A defense-mediated release went out; refresh the
-                    // task's robustness metrics from the aggregator's
-                    // telemetry.
-                    self.runtimes[task].sync_robust_telemetry();
-                }
+                EventKind::AggregatorDeadline { task } => stop = self.aggregator_deadline(task),
                 // Control-plane events; no-ops on a run without a plane.
                 EventKind::ControlPlaneTick => self.control_plane_tick(),
                 EventKind::RefreshSelectors => self.refresh_selectors(),
@@ -1548,22 +1522,6 @@ impl<'a> Run<'a> {
         self.runtimes[task].record_utilization(self.now);
     }
 
-    /// Makes the release events of a server update visible in the event
-    /// stream (TSA key release, DP release, robust release).
-    fn schedule_releases(&mut self, task: usize, outcome: &UpdateOutcome) {
-        if outcome.tsa_key_released {
-            self.queue
-                .schedule(self.now, EventKind::TsaKeyRelease { task });
-        }
-        if outcome.dp_released {
-            self.queue.schedule(self.now, EventKind::DpRelease { task });
-        }
-        if outcome.robust_released {
-            self.queue
-                .schedule(self.now, EventKind::RobustRelease { task });
-        }
-    }
-
     /// Returns the devices of participations a server update aborted
     /// (staleness bound or round end) to the pool.
     fn release_freed(&mut self, freed: &[FreedClient]) {
@@ -1593,7 +1551,7 @@ impl<'a> Run<'a> {
     }
 
     /// A client's upload arrives; stops the run once the client-update
-    /// budget is spent.
+    /// budget is spent, or on the release that spends the task's ε budget.
     fn client_finished(
         &mut self,
         task: usize,
@@ -1601,9 +1559,21 @@ impl<'a> Run<'a> {
         participation_id: u64,
     ) -> Option<StopReason> {
         self.receive_upload(task, client_id, participation_id);
-        let max = self.scenario.limits.max_client_updates?;
-        let received: u64 = self.runtimes.iter().map(|r| r.metrics().comm_trips).sum();
-        (received >= max).then_some(StopReason::MaxClientUpdates)
+        if let Some(max) = self.scenario.limits.max_client_updates {
+            let received: u64 = self.runtimes.iter().map(|r| r.metrics().comm_trips).sum();
+            if received >= max {
+                return Some(StopReason::MaxClientUpdates);
+            }
+        }
+        self.privacy_stop(task)
+    }
+
+    /// One task overspending its ε stops the whole scenario: the operator
+    /// must re-budget before any further release is defensible.
+    fn privacy_stop(&self, task: usize) -> Option<StopReason> {
+        self.runtimes[task]
+            .privacy_budget_exhausted()
+            .then_some(StopReason::PrivacyBudgetExhausted)
     }
 
     fn receive_upload(&mut self, task: usize, client_id: usize, participation_id: u64) {
@@ -1621,7 +1591,6 @@ impl<'a> Run<'a> {
             Some(outcome) => outcome,
             None => return, // aborted earlier (round end, staleness, failover)
         };
-        self.schedule_releases(task, &outcome);
         self.pool.release(client_id);
         self.release_freed(&outcome.freed);
         if self.plane.is_none() {
@@ -1661,15 +1630,15 @@ impl<'a> Run<'a> {
     }
 
     /// Exact timed release; a stale check (the buffer closed or moved since
-    /// scheduling) polls as a no-op.
-    fn aggregator_deadline(&mut self, task: usize) {
-        if let Some(outcome) = self.runtimes[task].poll(self.now) {
-            self.schedule_releases(task, &outcome);
-            self.release_freed(&outcome.freed);
-            if self.plane.is_none() {
-                self.fill_demand(task);
-            }
+    /// scheduling) polls as a no-op.  Stops the run when the release spends
+    /// the task's ε budget.
+    fn aggregator_deadline(&mut self, task: usize) -> Option<StopReason> {
+        let outcome = self.runtimes[task].poll(self.now)?;
+        self.release_freed(&outcome.freed);
+        if self.plane.is_none() {
+            self.fill_demand(task);
         }
+        self.privacy_stop(task)
     }
 
     /// Direct runs' periodic utilization sample.
@@ -2108,11 +2077,6 @@ mod tests {
         assert_eq!(m.dp.accepted_updates, m.aggregated_updates);
         assert_eq!(m.dp.release_trace.len(), m.server_updates as usize);
         assert!(m.dp.cumulative_epsilon.is_finite() && m.dp.cumulative_epsilon > 0.0);
-        assert_eq!(private.single().summary.dp_releases, m.dp.releases);
-        assert_eq!(
-            private.single().summary.cumulative_epsilon,
-            m.dp.cumulative_epsilon
-        );
         assert_eq!(clear.single().metrics.dp.releases, 0);
         assert_ne!(clear.fingerprint(), private.fingerprint());
     }
@@ -2120,7 +2084,7 @@ mod tests {
     #[test]
     fn robust_flag_is_honored_not_silently_ignored() {
         // A defended run under attack must actually engage the defense
-        // (estimator releases, synced telemetry, ground-truth attack
+        // (estimator releases, reported telemetry, ground-truth attack
         // counts) and must therefore fingerprint differently from the
         // clear run.
         let run = |defended: bool| {
@@ -2152,14 +2116,6 @@ mod tests {
         assert_eq!(m.robust.estimator_trace.len(), m.server_updates as usize);
         assert!(m.attacked_updates > 0, "the cohort never attacked");
         assert_eq!(m.attacks_by_label.values().sum::<u64>(), m.attacked_updates);
-        assert_eq!(
-            defended.single().summary.robust_estimator_releases,
-            m.robust.estimator_releases
-        );
-        assert_eq!(
-            defended.single().summary.attacked_updates,
-            m.attacked_updates
-        );
         assert_eq!(clear.single().metrics.robust.estimator_releases, 0);
         assert_ne!(clear.fingerprint(), defended.fingerprint());
     }
@@ -2233,34 +2189,76 @@ mod tests {
             .build();
     }
 
-    #[test]
-    fn privacy_budget_stops_the_run() {
-        // A tight ε budget stops the run long before the virtual-time
-        // limit; the cumulative ε never overshoots by more than one
-        // release.
-        let report = Scenario::builder()
-            .population(population(300))
-            .task(
-                TaskConfig::async_task("t", 16, 4).with_dp(
-                    DpConfig::new(10.0, 1.0)
-                        .with_target_delta(1e-5)
-                        .with_epsilon_budget(20.0),
-                ),
-            )
+    /// The run stopped on the release that spent the budget: every release
+    /// but the last is under it, the last is at or over it.
+    fn assert_stopped_on_the_exhausting_release(report: &Report, task: usize, budget: f64) {
+        assert_eq!(report.stop_reason, StopReason::PrivacyBudgetExhausted);
+        let dp = &report.tasks[task].metrics.dp;
+        let (last, earlier) = dp.release_trace.split_last().expect("no release");
+        assert!(earlier.iter().all(|r| r.cumulative_epsilon < budget));
+        assert!(last.cumulative_epsilon >= budget);
+        assert_eq!(dp.cumulative_epsilon, last.cumulative_epsilon);
+        // ... and on that event, not on a later one that noticed.
+        assert_eq!(report.virtual_hours, last.time_s / 3600.0);
+        assert_eq!(dp.releases, report.tasks[task].server_updates());
+    }
+
+    fn budgeted_dp(budget: f64) -> DpConfig {
+        DpConfig::new(10.0, 1.0)
+            .with_target_delta(1e-5)
+            .with_epsilon_budget(budget)
+    }
+
+    /// Runs under a virtual-time limit the ε budget must beat by far.
+    fn run_until_the_budget_stops_it(scenario: ScenarioBuilder) -> Report {
+        let report = scenario
             .limits(RunLimits::default().with_max_virtual_time_hours(50.0))
             .eval(EvalPolicy::default().with_interval_s(600.0))
             .seed(22)
             .build()
             .run();
-        assert_eq!(report.stop_reason, StopReason::PrivacyBudgetExhausted);
         assert!(report.virtual_hours < 50.0);
-        let m = &report.single().metrics;
-        assert!(m.dp.cumulative_epsilon >= 20.0);
-        // The release *before* the stop was still inside the budget.
-        if m.dp.release_trace.len() >= 2 {
-            let previous = m.dp.release_trace[m.dp.release_trace.len() - 2];
-            assert!(previous.cumulative_epsilon < 20.0);
-        }
+        report
+    }
+
+    #[test]
+    fn privacy_budget_stops_the_run() {
+        // A tight ε budget stops the run long before the virtual-time
+        // limit, on the very upload whose release spends it.
+        let report = run_until_the_budget_stops_it(
+            Scenario::builder()
+                .population(population(300))
+                .task(TaskConfig::async_task("t", 16, 4).with_dp(budgeted_dp(20.0))),
+        );
+        assert_stopped_on_the_exhausting_release(&report, 0, 20.0);
+    }
+
+    #[test]
+    fn privacy_budget_stops_the_run_on_a_deadline_release() {
+        // The goal is out of reach, so every release — the exhausting one
+        // included — comes from an `AggregatorDeadline` event, not from an
+        // upload.
+        let report =
+            run_until_the_budget_stops_it(Scenario::builder().population(population(300)).task(
+                TaskConfig::timed_hybrid_task("t", 16, 10_000, 300.0).with_dp(budgeted_dp(20.0)),
+            ));
+        assert!(report.single().metrics.dp.releases > 1);
+        assert_stopped_on_the_exhausting_release(&report, 0, 20.0);
+    }
+
+    #[test]
+    fn one_tasks_privacy_budget_stops_the_whole_fleet() {
+        let report = run_until_the_budget_stops_it(
+            Scenario::builder()
+                .population(population(600))
+                .task(TaskConfig::async_task("clear", 16, 4))
+                .task(TaskConfig::async_task("private", 16, 4).with_dp(budgeted_dp(20.0)))
+                .fleet(FleetSpec::new(2, 1)),
+        );
+        assert_stopped_on_the_exhausting_release(&report, 1, 20.0);
+        // The clear task was training fine; it stops with its neighbour.
+        assert!(report.tasks[0].server_updates() > 0);
+        assert_eq!(report.tasks[0].metrics.dp, Default::default());
     }
 
     #[test]

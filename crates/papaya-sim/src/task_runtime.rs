@@ -103,25 +103,6 @@ pub struct UpdateOutcome {
     pub server_updated: bool,
     /// A synchronous round closed.
     pub round_ended: bool,
-    /// The server update came from a secure buffer: the TSA released the
-    /// per-buffer unmask key.  Drivers schedule a
-    /// [`crate::events::EventKind::TsaKeyRelease`] event when this is set.
-    pub tsa_key_released: bool,
-    /// The server update was a DP release: the delta was noised and the
-    /// privacy accountant composed it into the cumulative ε.  Drivers
-    /// schedule a [`crate::events::EventKind::DpRelease`] event when this
-    /// is set (whose handler also enforces the ε budget).
-    pub dp_released: bool,
-    /// The server update passed through a robust-aggregation defense that
-    /// recorded new telemetry (an engaged-estimator release or a pending
-    /// rejection count).  Drivers schedule a
-    /// [`crate::events::EventKind::RobustRelease`] event when this is set
-    /// (whose handler refreshes the robustness telemetry).  Deliberately
-    /// *not* set for a neutral defense's pure pass-through releases: they
-    /// add no information, and skipping their events keeps a
-    /// neutral-defense run's event stream — and fingerprint — identical to
-    /// the clear run's.
-    pub robust_released: bool,
     /// Participations aborted as a consequence (staleness bound or round
     /// end); their devices are free again.
     pub freed: Vec<FreedClient>,
@@ -536,9 +517,6 @@ impl TaskRuntime {
                 .expect("ready aggregator must release");
             self.apply_server_update(&delta);
             outcome.server_updated = true;
-            outcome.tsa_key_released = self.is_secure();
-            outcome.dp_released = self.is_dp();
-            outcome.robust_released = self.robust_telemetry_dirty();
             if self.aggregator.closes_round_on_release() {
                 outcome.round_ended = true;
                 outcome.freed = self.end_sync_round(now);
@@ -562,9 +540,6 @@ impl TaskRuntime {
         self.apply_server_update(&delta);
         let mut outcome = UpdateOutcome {
             server_updated: true,
-            tsa_key_released: self.is_secure(),
-            dp_released: self.is_dp(),
-            robust_released: self.robust_telemetry_dirty(),
             ..UpdateOutcome::default()
         };
         if self.aggregator.closes_round_on_release() {
@@ -645,93 +620,30 @@ impl TaskRuntime {
         freed
     }
 
-    /// Whether this task runs through the secure-aggregation pipeline.
-    pub fn is_secure(&self) -> bool {
-        self.aggregator.secure_telemetry().is_some()
-    }
-
-    /// Whether this task's releases are differentially private.
-    pub fn is_dp(&self) -> bool {
-        self.aggregator.dp_telemetry().is_some()
-    }
-
-    /// Whether this task's updates pass through a robust-aggregation
-    /// defense.
-    pub fn is_robust(&self) -> bool {
-        self.aggregator.robust_telemetry().is_some()
-    }
-
-    /// Whether the robust pipeline holds telemetry the task metrics have
-    /// not absorbed yet (false for undefended tasks, and for neutral
-    /// defenses that never rejected anything).
-    fn robust_telemetry_dirty(&self) -> bool {
-        self.aggregator
-            .robust_telemetry()
-            .is_some_and(|telemetry| *telemetry != self.metrics.robust)
-    }
-
     /// Whether the task's cumulative ε has reached its configured budget
-    /// (always false for tasks without DP or without a budget).  Drivers
-    /// check this after handling a
-    /// [`crate::events::EventKind::DpRelease`] event and stop the scenario
-    /// with a privacy-budget stop reason.
+    /// (always false for tasks without DP or without a budget).  ε only
+    /// grows on a release, so drivers check this after every event that can
+    /// release and stop the scenario with a privacy-budget stop reason.
     pub fn privacy_budget_exhausted(&self) -> bool {
-        match (&self.config.dp, self.aggregator.dp_telemetry()) {
-            (Some(dp), Some(telemetry)) => dp
-                .epsilon_budget
-                .is_some_and(|budget| telemetry.cumulative_epsilon >= budget),
-            _ => false,
-        }
-    }
-
-    /// Copies the DP pipeline's cumulative telemetry into the task metrics
-    /// (a no-op for non-DP tasks).  Drivers call this when handling a
-    /// [`crate::events::EventKind::DpRelease`] event, and
-    /// [`into_parts`](TaskRuntime::into_parts) calls it once more so the
-    /// final report is complete.
-    pub fn sync_dp_telemetry(&mut self) {
-        if let Some(telemetry) = self.aggregator.dp_telemetry() {
-            // Incremental: counters are overwritten, the append-only
-            // release trace only copies entries the metrics have not seen.
-            self.metrics.dp.sync_from(telemetry);
-        }
-    }
-
-    /// Copies the secure pipeline's cumulative telemetry into the task
-    /// metrics (a no-op for clear tasks).  Drivers call this when handling
-    /// a [`crate::events::EventKind::TsaKeyRelease`] event, and
-    /// [`into_parts`](TaskRuntime::into_parts) calls it once more so the
-    /// final report covers post-release activity (crash-time drops,
-    /// trailing discarded uploads).
-    pub fn sync_secure_telemetry(&mut self) {
-        if let Some(telemetry) = self.aggregator.secure_telemetry() {
-            // Incremental: counters are overwritten, the append-only error
-            // trace only copies entries the metrics have not seen yet.
-            self.metrics.secure.sync_from(telemetry);
-        }
-        if let Some(timings) = self.aggregator.secure_timings() {
-            self.metrics.secure_timings = timings;
-        }
-    }
-
-    /// Copies the robust pipeline's cumulative telemetry into the task
-    /// metrics (a no-op for undefended tasks).  Drivers call this when
-    /// handling a [`crate::events::EventKind::RobustRelease`] event, and
-    /// [`into_parts`](TaskRuntime::into_parts) calls it once more so the
-    /// final report covers rejections after the last release.
-    pub fn sync_robust_telemetry(&mut self) {
-        if let Some(telemetry) = self.aggregator.robust_telemetry() {
-            // Incremental: counters are overwritten, the append-only
-            // estimator trace only copies entries the metrics have not seen.
-            self.metrics.robust.sync_from(telemetry);
-        }
+        let Some(budget) = self.config.dp.and_then(|dp| dp.epsilon_budget) else {
+            return false;
+        };
+        self.aggregator
+            .stack_telemetry()
+            .dp
+            .is_some_and(|telemetry| telemetry.cumulative_epsilon >= budget)
     }
 
     /// Consumes the runtime and returns its pieces for result assembly.
+    /// This is where the decorators' telemetry enters the task metrics:
+    /// each layer keeps its own counters and traces during the run, and
+    /// they are copied out once, here.
     pub fn into_parts(mut self) -> (MetricsCollector, ParamVec, u64, f64, Option<f64>) {
-        self.sync_secure_telemetry();
-        self.sync_dp_telemetry();
-        self.sync_robust_telemetry();
+        let stack = self.aggregator.stack_telemetry();
+        self.metrics.secure = stack.secure.cloned().unwrap_or_default();
+        self.metrics.secure_timings = stack.secure_timings.unwrap_or_default();
+        self.metrics.dp = stack.dp.cloned().unwrap_or_default();
+        self.metrics.robust = stack.robust.cloned().unwrap_or_default();
         (
             self.metrics,
             self.model.snapshot(),
@@ -961,25 +873,21 @@ mod tests {
     #[test]
     fn secagg_config_flag_wraps_the_aggregator() {
         let mut clear = runtime(TaskConfig::async_task("t", 8, 2));
-        assert!(!clear.is_secure());
-
         let mut rt = runtime(
             TaskConfig::async_task("t", 8, 2).with_secagg(papaya_core::SecAggMode::AsyncSecAgg),
         );
-        assert!(rt.is_secure());
         rt.begin_participation(0, 0, 10.0);
         rt.begin_participation(1, 1, 10.0);
         rt.offer_update(0, 10.0).unwrap();
         let outcome = rt.offer_update(1, 11.0).unwrap();
-        assert!(outcome.server_updated && outcome.tsa_key_released);
+        assert!(outcome.server_updated);
         assert_eq!(rt.version(), 1);
 
-        // The clear runtime's releases carry no key-release marker.
         clear.begin_participation(0, 0, 10.0);
         clear.begin_participation(1, 1, 10.0);
         clear.offer_update(0, 10.0).unwrap();
         let clear_outcome = clear.offer_update(1, 11.0).unwrap();
-        assert!(clear_outcome.server_updated && !clear_outcome.tsa_key_released);
+        assert!(clear_outcome.server_updated);
 
         // The secure and clear models agree to fixed-point tolerance.
         let secure_params = rt.model_snapshot();
@@ -997,6 +905,9 @@ mod tests {
         assert_eq!(metrics.secure.tsa_key_releases, 1);
         assert!(metrics.secure.tee_bytes_in > 0);
         assert_eq!(metrics.secure.quantization_error_trace.len(), 1);
+        // The clear runtime has no secure layer to report.
+        let (clear_metrics, ..) = clear.into_parts();
+        assert_eq!(clear_metrics.secure, Default::default());
     }
 
     #[test]
@@ -1018,23 +929,22 @@ mod tests {
     #[test]
     fn dp_config_flag_wraps_the_aggregator() {
         let clear = runtime(TaskConfig::async_task("t", 8, 2));
-        assert!(!clear.is_dp());
         assert!(!clear.privacy_budget_exhausted());
+        let (clear_metrics, ..) = clear.into_parts();
+        assert_eq!(clear_metrics.dp, Default::default());
 
         let mut rt = runtime(
             TaskConfig::async_task("t", 8, 2)
                 .with_dp(papaya_core::DpConfig::new(50.0, 1.0).with_epsilon_budget(1e6)),
         );
-        assert!(rt.is_dp());
-        assert!(!rt.is_secure());
         rt.begin_participation(0, 0, 10.0);
         rt.begin_participation(1, 1, 10.0);
         rt.offer_update(0, 10.0).unwrap();
         let outcome = rt.offer_update(1, 11.0).unwrap();
-        assert!(outcome.server_updated && outcome.dp_released);
-        assert!(!outcome.tsa_key_released);
+        assert!(outcome.server_updated);
         assert!(!rt.privacy_budget_exhausted(), "budget of 1e6 is generous");
         let (metrics, ..) = rt.into_parts();
+        assert_eq!(metrics.secure, Default::default(), "DP alone masks nothing");
         assert_eq!(metrics.dp.releases, 1);
         assert_eq!(metrics.dp.accepted_updates, 2);
         assert_eq!(metrics.dp.release_trace.len(), 1);
@@ -1048,12 +958,11 @@ mod tests {
                 .with_secagg(papaya_core::SecAggMode::AsyncSecAgg)
                 .with_dp(papaya_core::DpConfig::new(50.0, 0.0)),
         );
-        assert!(rt.is_dp() && rt.is_secure());
         rt.begin_participation(0, 0, 10.0);
         rt.begin_participation(1, 1, 10.0);
         rt.offer_update(0, 10.0).unwrap();
         let outcome = rt.offer_update(1, 11.0).unwrap();
-        assert!(outcome.server_updated && outcome.dp_released && outcome.tsa_key_released);
+        assert!(outcome.server_updated);
         let (metrics, ..) = rt.into_parts();
         assert_eq!(metrics.dp.releases, 1);
         assert_eq!(metrics.secure.tsa_key_releases, 1);
@@ -1063,12 +972,9 @@ mod tests {
     #[test]
     fn robust_config_flag_wraps_the_aggregator() {
         let mut clear = runtime(TaskConfig::async_task("t", 8, 2));
-        assert!(!clear.is_robust());
-
         let mut rt = runtime(
             TaskConfig::async_task("t", 8, 2).with_robust(papaya_core::RobustConfig::neutral()),
         );
-        assert!(rt.is_robust() && !rt.is_dp() && !rt.is_secure());
         for (pid, cid) in [(0u64, 0usize), (1, 1)] {
             rt.begin_participation(pid, cid, 10.0);
             clear.begin_participation(pid, cid, 10.0);
@@ -1077,11 +983,7 @@ mod tests {
         clear.offer_update(0, 10.0).unwrap();
         let outcome = rt.offer_update(1, 11.0).unwrap();
         let clear_outcome = clear.offer_update(1, 11.0).unwrap();
-        // A neutral pass-through release records no telemetry, so no
-        // RobustRelease event is warranted — the wrapped run's event
-        // stream stays identical to the clear run's.
-        assert!(outcome.server_updated && !outcome.robust_released);
-        assert!(clear_outcome.server_updated && !clear_outcome.robust_released);
+        assert!(outcome.server_updated && clear_outcome.server_updated);
 
         // The neutral defense is a pure pass-through: bit-identical model.
         assert_eq!(

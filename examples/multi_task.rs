@@ -52,7 +52,7 @@ fn main() {
             task.comm_trips(),
             task.server_updates(),
             task.summary.mean_staleness,
-            task.lost_buffered_updates,
+            task.metrics.lost_buffered_updates,
         );
     }
 

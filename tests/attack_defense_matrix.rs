@@ -202,6 +202,27 @@ fn neutral_defenses_over_an_honest_population_run_bit_identical_to_clear() {
 }
 
 #[test]
+fn engaged_defenses_add_no_events_to_the_run() {
+    // An engaged estimator rewrites every release and records one trace
+    // entry per release, yet accepts the same uploads at the same times: the
+    // defended run must process exactly the clear run's events.
+    let clear = run(SecAggMode::Disabled, None, None);
+    for defense in [
+        RobustDefense::CoordinateMedian,
+        RobustDefense::TrimmedMean { trim_fraction: 0.2 },
+    ] {
+        let defended = run(SecAggMode::Disabled, None, Some(RobustConfig::new(defense)));
+        let m = &defended.single().metrics;
+        assert!(m.robust.estimator_releases > 0, "{defense:?} never engaged");
+        assert_eq!(m.robust.estimator_releases, m.server_updates);
+        assert_eq!(
+            clear.events_processed, defended.events_processed,
+            "{defense:?} changed the event stream"
+        );
+    }
+}
+
+#[test]
 fn every_attack_leaves_a_labeled_ground_truth_trail() {
     // The ground-truth attack telemetry is what the matrix above trusts;
     // pin that each behavior label lands in the metrics exactly once per

@@ -66,6 +66,10 @@ fn assert_secure_matches_clear(task: TaskConfig, hours: f64) -> (Report, Report)
     assert_eq!(c.failed_participations, s.failed_participations);
     assert_eq!(c.participations, s.participations);
     assert!(s.server_updates > 0, "nothing was aggregated");
+    assert_eq!(
+        clear.events_processed, secure.events_processed,
+        "key releases are telemetry, not events"
+    );
 
     // Secure bookkeeping: every accepted upload was masked, every server
     // update was a full-buffer key release, and the TEE saw only
