@@ -131,7 +131,10 @@ impl<T> DecimatedTrace<T> {
     pub fn push(&mut self, sample: T) {
         let index = self.offered;
         self.offered += 1;
-        if !index.is_multiple_of(self.stride) {
+        // The stride starts at 1 and only ever doubles, so "multiple of the
+        // stride" is a mask, not a division.
+        debug_assert!(self.stride.is_power_of_two());
+        if index & (self.stride - 1) != 0 {
             return;
         }
         if self.samples.len() >= self.budget.max_samples {
@@ -146,7 +149,7 @@ impl<T> DecimatedTrace<T> {
                 retained
             });
             self.stride *= 2;
-            if !index.is_multiple_of(self.stride) {
+            if index & (self.stride - 1) != 0 {
                 return;
             }
         }

@@ -58,6 +58,7 @@ pub mod cluster;
 pub mod control_plane;
 pub mod events;
 pub mod executor;
+mod id_table;
 pub mod metrics;
 pub mod sampling;
 pub mod scenario;

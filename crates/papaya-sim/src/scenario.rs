@@ -52,6 +52,7 @@ use crate::cluster::{AggregatorId, RouteOutcome, Selector, TaskSpec};
 use crate::control_plane::{ControlPlaneService, FleetStatus};
 use crate::events::{EventKind, EventQueue, SimTime};
 use crate::executor::{Executor, Parallelism};
+use crate::id_table::IdTable;
 use crate::metrics::{ControlPlaneStats, FleetSummary, MetricsCollector, MetricsSummary};
 use crate::sampling::{ShardedSamplingPool, DEFAULT_SHARD_CAPACITY};
 use crate::task_runtime::{FreedClient, ServerOptimizerKind, TaskRuntime};
@@ -66,7 +67,7 @@ use papaya_data::population::{DeviceProfile, Population};
 use papaya_nn::params::ParamVec;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
 
@@ -1167,7 +1168,7 @@ struct FleetPlane<'a> {
     tiers: Vec<u8>,
     /// Aggregator each in-flight participation will upload to (the route
     /// the client received at selection time).
-    upload_route: BTreeMap<u64, AggregatorId>,
+    upload_route: IdTable<AggregatorId>,
     reassignments: Vec<u64>,
     stats: ControlPlaneStats,
     /// Whether a [`EventKind::ReconcileTick`] is already queued (the pass
@@ -1196,7 +1197,7 @@ impl<'a> FleetPlane<'a> {
             selector_cursor: 0,
             crashed: BTreeSet::new(),
             tiers,
-            upload_route: BTreeMap::new(),
+            upload_route: IdTable::new(),
             reassignments: vec![0; scenario.tasks.len()],
             stats: ControlPlaneStats::default(),
             reconcile_scheduled: false,
@@ -1527,7 +1528,7 @@ impl<'a> Run<'a> {
     fn release_freed(&mut self, freed: &[FreedClient]) {
         for freed in freed {
             if let Some(plane) = &mut self.plane {
-                plane.upload_route.remove(&freed.participation_id);
+                plane.upload_route.remove(freed.participation_id);
             }
             self.pool.release(freed.client_id);
         }
@@ -1580,7 +1581,7 @@ impl<'a> Run<'a> {
         if let Some(plane) = &mut self.plane {
             // An upload addressed to a dead Aggregator is lost in transit;
             // the participation failed from the task's point of view.
-            let destination = plane.upload_route.remove(&participation_id);
+            let destination = plane.upload_route.remove(participation_id);
             if destination.is_some_and(|aggregator| plane.crashed.contains(&aggregator)) {
                 plane.stats.lost_in_transit_updates += 1;
                 self.client_failed(task, participation_id);
@@ -1605,7 +1606,7 @@ impl<'a> Run<'a> {
     /// upload lost in transit); its device is free again.
     fn client_failed(&mut self, task: usize, participation_id: u64) {
         if let Some(plane) = &mut self.plane {
-            plane.upload_route.remove(&participation_id);
+            plane.upload_route.remove(participation_id);
         }
         if let Some(freed_client) = self.runtimes[task].client_failed(participation_id) {
             self.pool.release(freed_client);

@@ -18,16 +18,14 @@
 //! driving simulation.  On an Aggregator failure the driver calls
 //! [`drop_buffered_updates`](TaskRuntime::drop_buffered_updates) —
 //! reproducing the paper's fault-tolerance semantics (buffered state is
-//! lost with the Aggregator; training resumes after reassignment).  For
-//! in-flight participations a driver can either let their uploads fail
-//! lazily when they arrive (what a fleet run does: the upload
-//! is addressed to the dead Aggregator and is reported through
-//! [`client_failed`](TaskRuntime::client_failed)) or abort them all
-//! eagerly with
-//! [`abort_all_in_flight`](TaskRuntime::abort_all_in_flight).
+//! lost with the Aggregator; training resumes after reassignment).
+//! In-flight participations fail lazily, when their uploads arrive: the
+//! upload is addressed to the dead Aggregator and the driver reports it
+//! through [`client_failed`](TaskRuntime::client_failed).
 
 use crate::events::SimTime;
 use crate::executor::{Executor, TrainJob};
+use crate::id_table::IdTable;
 use crate::metrics::{MetricsCollector, ParticipationRecord};
 use papaya_core::aggregator::{self, AccumulateOutcome, Aggregator};
 use papaya_core::client::{participation_seed, ClientTrainer, ClientUpdate};
@@ -38,7 +36,6 @@ use papaya_core::robust::RobustAggregator;
 use papaya_core::secure::{self, SecureAggregator};
 use papaya_core::server_opt::{FedAdam, FedAvg, FedSgd, ServerOptimizer};
 use papaya_nn::params::ParamVec;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Which server optimizer a runtime applies to aggregated deltas.
@@ -83,9 +80,8 @@ struct InFlight {
     execution_time_s: f64,
 }
 
-/// A participation released by the runtime (stale abort, round end, or a
-/// forced abort after an Aggregator failure); the driver must return the
-/// device to its selection pool.
+/// A participation released by the runtime (stale abort or round end); the
+/// driver must return the device to its selection pool.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FreedClient {
     /// The participation that ended.
@@ -104,7 +100,8 @@ pub struct UpdateOutcome {
     /// A synchronous round closed.
     pub round_ended: bool,
     /// Participations aborted as a consequence (staleness bound or round
-    /// end); their devices are free again.
+    /// end), in increasing `participation_id` order; their devices are
+    /// free again.
     pub freed: Vec<FreedClient>,
 }
 
@@ -122,7 +119,7 @@ pub struct TaskRuntime {
     initial_params: Arc<ParamVec>,
     optimizer: Box<dyn ServerOptimizer>,
     aggregator: Box<dyn Aggregator>,
-    in_flight: BTreeMap<u64, InFlight>,
+    in_flight: IdTable<InFlight>,
     /// Parallel training pool, shared across the scenario's runtimes.
     /// `None` is the sequential path: training runs inline in
     /// [`offer_update`](TaskRuntime::offer_update).
@@ -256,7 +253,7 @@ impl TaskRuntime {
             initial_params,
             optimizer,
             aggregator,
-            in_flight: BTreeMap::new(),
+            in_flight: IdTable::new(),
             executor: None,
             completed_this_round: 0,
             round_number: 0,
@@ -317,7 +314,10 @@ impl TaskRuntime {
     }
 
     /// Registers a selected client: it downloads the current snapshot and
-    /// starts training.  The driver owns participation-id allocation.
+    /// starts training.  The driver owns participation-id allocation and
+    /// hands ids out in increasing order: a later participation never has
+    /// a smaller id, which is what lets the staleness sweep stop at the
+    /// first participation that is fresh enough.
     pub fn begin_participation(
         &mut self,
         participation_id: u64,
@@ -334,11 +334,6 @@ impl TaskRuntime {
                 execution_time_s,
             },
         );
-    }
-
-    /// Whether the given participation is still in flight.
-    pub fn is_in_flight(&self, participation_id: u64) -> bool {
-        self.in_flight.contains_key(&participation_id)
     }
 
     /// Attaches (or detaches) the parallel training pool.  Scenario drivers
@@ -366,21 +361,18 @@ impl TaskRuntime {
     /// regardless of parallelism is what keeps secure runs bit-identical at
     /// any thread count.
     pub fn prefetch_training(&mut self, participation_id: u64) {
-        let in_flight = match self.in_flight.get(&participation_id) {
-            Some(in_flight) => in_flight,
-            None => return,
+        let Some(in_flight) = self.in_flight.get(participation_id) else {
+            return;
         };
         let client_id = in_flight.client_id;
-        let start_params = Arc::clone(&in_flight.start_params);
         let mask_plan = self.aggregator.plan_mask_precompute(client_id);
-        let executor = match &self.executor {
-            Some(executor) => executor,
-            None => return,
+        let Some(executor) = &self.executor else {
+            return;
         };
         executor.submit(TrainJob {
             participation_id,
             client_id,
-            start_params,
+            start_params: Arc::clone(&in_flight.start_params),
             seed: participation_seed(self.seed, participation_id),
             trainer: Arc::clone(&self.trainer),
         });
@@ -410,7 +402,7 @@ impl TaskRuntime {
     /// aggregator becomes ready.  Returns `None` when the participation
     /// was already aborted (round end, staleness abort, or failover).
     pub fn offer_update(&mut self, participation_id: u64, now: SimTime) -> Option<UpdateOutcome> {
-        let in_flight = self.in_flight.remove(&participation_id)?;
+        let in_flight = self.in_flight.remove(participation_id)?;
         let client_id = in_flight.client_id;
         self.metrics.comm_trips += 1;
 
@@ -562,7 +554,7 @@ impl TaskRuntime {
     /// Returns the freed device id, or `None` if the participation had
     /// already been aborted.
     pub fn client_failed(&mut self, participation_id: u64) -> Option<usize> {
-        let in_flight = self.in_flight.remove(&participation_id)?;
+        let in_flight = self.in_flight.remove(participation_id)?;
         self.discard_prefetch(participation_id);
         self.metrics.failed_participations += 1;
         Some(in_flight.client_id)
@@ -599,25 +591,6 @@ impl TaskRuntime {
         self.completed_this_round = 0;
         self.metrics.lost_buffered_updates += dropped as u64;
         dropped
-    }
-
-    /// Aborts every in-flight participation (failover path: their uploads
-    /// would land on a dead Aggregator).  The driver must release the
-    /// returned devices.
-    pub fn abort_all_in_flight(&mut self) -> Vec<FreedClient> {
-        let mut freed: Vec<FreedClient> = std::mem::take(&mut self.in_flight)
-            .into_iter()
-            .map(|(participation_id, f)| FreedClient {
-                participation_id,
-                client_id: f.client_id,
-            })
-            .collect();
-        freed.sort_unstable_by_key(|f| f.participation_id);
-        for f in &freed {
-            self.discard_prefetch(f.participation_id);
-        }
-        self.metrics.failed_participations += freed.len() as u64;
-        freed
     }
 
     /// Whether the task's cumulative ε has reached its configured budget
@@ -664,29 +637,34 @@ impl TaskRuntime {
     /// staleness is higher than a configurable value").  No-op for
     /// strategies without a staleness bound.
     fn abort_overly_stale_clients(&mut self) -> Vec<FreedClient> {
-        let max_staleness = match self.aggregator.max_staleness() {
-            Some(max) => max,
-            None => return Vec::new(),
+        let Some(max_staleness) = self.aggregator.max_staleness() else {
+            return Vec::new();
         };
         let version = self.model.version();
-        let mut to_abort: Vec<u64> = self
+        // Ids and the model version both only grow, so the overly stale
+        // participations are exactly the oldest ones: the sweep stops at
+        // the first that is fresh enough.
+        debug_assert!(
+            self.in_flight
+                .iter()
+                .map(|(_, f)| f.start_version)
+                .is_sorted(),
+            "start_version must be non-decreasing in participation id"
+        );
+        let freed: Vec<FreedClient> = self
             .in_flight
             .iter()
-            .filter(|(_, f)| version.saturating_sub(f.start_version) > max_staleness)
-            .map(|(&id, _)| id)
+            .take_while(|(_, f)| version.saturating_sub(f.start_version) > max_staleness)
+            .map(|(participation_id, f)| FreedClient {
+                participation_id,
+                client_id: f.client_id,
+            })
             .collect();
-        to_abort.sort_unstable();
-        let mut freed = Vec::with_capacity(to_abort.len());
-        for id in to_abort {
-            if let Some(f) = self.in_flight.remove(&id) {
-                self.discard_prefetch(id);
-                self.metrics.failed_participations += 1;
-                freed.push(FreedClient {
-                    participation_id: id,
-                    client_id: f.client_id,
-                });
-            }
+        for f in &freed {
+            self.in_flight.remove(f.participation_id);
+            self.discard_prefetch(f.participation_id);
         }
+        self.metrics.failed_participations += freed.len() as u64;
         freed
     }
 
@@ -694,24 +672,20 @@ impl TaskRuntime {
     /// round and starts the next one.
     fn end_sync_round(&mut self, now: SimTime) -> Vec<FreedClient> {
         let round = self.round_number;
-        let mut to_abort: Vec<u64> = self
+        let freed: Vec<FreedClient> = self
             .in_flight
             .iter()
             .filter(|(_, f)| f.round == round)
-            .map(|(&id, _)| id)
+            .map(|(participation_id, f)| FreedClient {
+                participation_id,
+                client_id: f.client_id,
+            })
             .collect();
-        to_abort.sort_unstable();
-        let mut freed = Vec::with_capacity(to_abort.len());
-        for id in to_abort {
-            if let Some(f) = self.in_flight.remove(&id) {
-                self.discard_prefetch(id);
-                self.metrics.aborted_by_round_end += 1;
-                freed.push(FreedClient {
-                    participation_id: id,
-                    client_id: f.client_id,
-                });
-            }
+        for f in &freed {
+            self.in_flight.remove(f.participation_id);
+            self.discard_prefetch(f.participation_id);
         }
+        self.metrics.aborted_by_round_end += freed.len() as u64;
         self.metrics
             .round_durations_s
             .push(now - self.round_start_time);
@@ -741,6 +715,14 @@ mod tests {
         )
     }
 
+    /// `Run::release_freed` returns devices to the pool in `freed` order and
+    /// the pinned fingerprints depend on it.
+    fn ascending(freed: &[FreedClient]) -> bool {
+        freed
+            .windows(2)
+            .all(|pair| pair[0].participation_id < pair[1].participation_id)
+    }
+
     #[test]
     fn async_goal_triggers_server_update() {
         let mut rt = runtime(TaskConfig::async_task("t", 8, 2));
@@ -766,23 +748,22 @@ mod tests {
 
     #[test]
     fn sync_round_end_frees_stragglers() {
-        let mut rt = runtime(TaskConfig::sync_task("t", 3, 0.5));
-        // Goal is 3 / 1.5 = 2; the third client is a straggler.
-        rt.begin_participation(0, 0, 10.0);
-        rt.begin_participation(1, 1, 10.0);
-        rt.begin_participation(2, 2, 100.0);
+        let mut rt = runtime(TaskConfig::sync_task("t", 6, 0.5));
+        // Goal is 6 / 1.5 = 4; the other two clients are stragglers.
+        for pid in 0..6u64 {
+            let execution_time_s = if pid % 3 == 2 { 100.0 } else { 10.0 };
+            rt.begin_participation(pid, pid as usize, execution_time_s);
+        }
         rt.offer_update(0, 10.0).unwrap();
-        let outcome = rt.offer_update(1, 11.0).unwrap();
+        rt.offer_update(1, 10.0).unwrap();
+        rt.offer_update(3, 10.0).unwrap();
+        let outcome = rt.offer_update(4, 11.0).unwrap();
         assert!(outcome.round_ended && outcome.server_updated);
-        assert_eq!(
-            outcome.freed,
-            vec![FreedClient {
-                participation_id: 2,
-                client_id: 2
-            }]
-        );
+        let freed_ids: Vec<u64> = outcome.freed.iter().map(|f| f.participation_id).collect();
+        assert_eq!(freed_ids, vec![2, 5]);
+        assert!(ascending(&outcome.freed));
         assert_eq!(rt.round_number(), 1);
-        assert_eq!(rt.metrics().aborted_by_round_end, 1);
+        assert_eq!(rt.metrics().aborted_by_round_end, 2);
         // The straggler's late report is silently ignored.
         assert!(rt.offer_update(2, 100.0).is_none());
     }
@@ -814,16 +795,61 @@ mod tests {
         assert_eq!(rt.version(), 0);
     }
 
+    /// The staleness sweep stops at the first in-flight participation that
+    /// is fresh enough.  That is only the full filter if `start_version`
+    /// never decreases along the table, so drive a bounded-staleness FedBuff
+    /// runtime through a few hundred begin / offer / fail steps and hold
+    /// every server step against the filter over the same table.
     #[test]
-    fn abort_all_in_flight_frees_everyone() {
-        let mut rt = runtime(TaskConfig::async_task("t", 8, 3));
-        rt.begin_participation(0, 4, 1.0);
-        rt.begin_participation(1, 9, 1.0);
-        let freed = rt.abort_all_in_flight();
-        assert_eq!(freed.len(), 2);
-        assert_eq!(freed[0].participation_id, 0);
-        assert_eq!(rt.active(), 0);
-        assert_eq!(rt.metrics().failed_participations, 2);
+    fn staleness_prefix_scan_matches_the_full_filter() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        const MAX_STALENESS: u64 = 2;
+        let mut rt = runtime(TaskConfig::async_task("t", 24, 3).with_max_staleness(MAX_STALENESS));
+        let mut rng = StdRng::seed_from_u64(23);
+        let mut next_id = 0u64;
+        let mut live: Vec<u64> = Vec::new();
+        let (mut server_steps, mut aborted) = (0, 0);
+        for step in 0..600 {
+            if live.is_empty() || (rt.demand() > 0 && rng.gen_bool(0.5)) {
+                rt.begin_participation(next_id, rng.gen_range(0..200), 1.0);
+                live.push(next_id);
+                next_id += 1;
+                continue;
+            }
+            // Finish a random participation, so old downloads linger while
+            // the version moves on.
+            let pid = live.swap_remove(rng.gen_range(0..live.len()));
+            if rng.gen_bool(0.2) {
+                assert!(rt.client_failed(pid).is_some());
+                continue;
+            }
+            let before: Vec<(u64, u64)> = rt
+                .in_flight
+                .iter()
+                .filter(|&(id, _)| id != pid)
+                .map(|(id, f)| (id, f.start_version))
+                .collect();
+            let outcome = rt.offer_update(pid, step as f64).unwrap();
+            let version = rt.version();
+            let too_stale: Vec<u64> = before
+                .iter()
+                .filter(|&&(_, start_version)| version - start_version > MAX_STALENESS)
+                .map(|&(id, _)| id)
+                .collect();
+            let freed: Vec<u64> = outcome.freed.iter().map(|f| f.participation_id).collect();
+            if outcome.server_updated {
+                server_steps += 1;
+                assert_eq!(freed, too_stale, "step {step}, version {version}");
+            } else {
+                assert!(freed.is_empty());
+            }
+            assert!(ascending(&outcome.freed));
+            aborted += freed.len();
+            live.retain(|id| !freed.contains(id));
+            assert_eq!(rt.active(), live.len());
+        }
+        assert!(server_steps > 50, "only {server_steps} server steps");
+        assert!(aborted > 20, "only {aborted} staleness aborts");
     }
 
     #[test]
@@ -1108,8 +1134,14 @@ mod tests {
         rt.begin_participation(0, 0, 1.0);
         rt.begin_participation(1, 1, 1.0);
         rt.begin_participation(2, 2, 1.0);
-        rt.offer_update(1, 1.0).unwrap(); // goal 1 → release, version 1
+        let release = rt.offer_update(1, 1.0).unwrap(); // goal 1 → release, version 1
         assert_eq!(rt.version(), 1);
+        assert_eq!(
+            release.freed.len(),
+            2,
+            "both other downloads are now too stale"
+        );
+        assert!(ascending(&release.freed));
         let outcome = rt.offer_update(0, 2.0);
         // Client 0 was aborted by the post-release staleness sweep (its
         // staleness exceeded the bound), or rejected on arrival.
