@@ -9,7 +9,7 @@
 //! sequentially and on a worker pool), the `fingerprints` bin that prints
 //! them, and the `control_plane_soak` bin.
 //!
-//! Seven scenarios, each in a full and a `quick` size:
+//! Eight scenarios, each in a full and a `quick` size:
 //!
 //! * `fedbuff-20k` — single-task FedBuff over a 20 000-device population,
 //!   the paper's reference asynchronous workload;
@@ -26,7 +26,10 @@
 //!   shrunk by `quick`): sharded sampling pool, packed population,
 //!   procedural trainer, bounded traces (`docs/SCALING.md`);
 //! * `fleet-scale` — a 4-task fleet over 200 000 devices (50 000 quick),
-//!   the control plane at fleet population scale, also trace-bounded.
+//!   the control plane at fleet population scale, also trace-bounded;
+//! * `lm-tiny` — FedBuff over 60 devices training the real character LSTM
+//!   (`papaya-lm`), the one scenario whose fingerprint passes through the
+//!   LSTM kernels; one size, `quick` or not.
 //!
 //! plus [`soak_scenario`], the turbulent fleet run behind
 //! `control_plane_soak`.
@@ -35,6 +38,9 @@ use crate::experiments::common::population;
 use papaya_core::config::SecAggMode;
 use papaya_core::surrogate::{ProceduralSurrogate, SurrogateConfig, SurrogateObjective};
 use papaya_core::{DpConfig, TaskConfig};
+use papaya_data::dataset::FederatedTextDataset;
+use papaya_data::population::{Population, PopulationConfig};
+use papaya_lm::{LmClientTrainer, LmConfig};
 use papaya_sim::scenario::{EvalPolicy, FleetSpec, RunLimits, Scenario};
 use papaya_sim::Parallelism;
 use std::sync::Arc;
@@ -290,12 +296,42 @@ pub fn build_scenario(name: &str, quick: bool, parallelism: Parallelism, seed: u
             }
             builder.build()
         }
+        "lm-tiny" => {
+            // The real LSTM trainer under FedBuff, shaped like the repo
+            // benchmark's `lm-pool` workload (12–200 four-word sentences a
+            // device, 8 sequences a participation) and small enough for the
+            // test profile: 96 client updates are 24 server steps, and every
+            // delta and every evaluation goes through `papaya-lm`.
+            let mut config = PopulationConfig::default().with_size(60);
+            config.min_examples = 12;
+            config.max_examples = 200;
+            let pop = Population::generate(&config, seed);
+            let dataset = Arc::new(FederatedTextDataset::generate(&pop, 4, seed));
+            let trainer =
+                Arc::new(LmClientTrainer::new(dataset, LmConfig::tiny()).with_max_sequences(8));
+            Scenario::builder()
+                .population(pop)
+                .task_with_trainer(TaskConfig::async_task("lm-tiny", 8, 4), trainer)
+                .limits(
+                    RunLimits::default()
+                        .with_max_virtual_time_hours(100.0)
+                        .with_max_client_updates(96)
+                        .with_parallelism(parallelism),
+                )
+                .eval(
+                    EvalPolicy::default()
+                        .with_interval_s(30.0)
+                        .with_sample_size(16),
+                )
+                .seed(seed)
+                .build()
+        }
         other => panic!("unknown scenario {other:?}; known: {SCENARIO_NAMES:?}"),
     }
 }
 
 /// The canonical scenario set, in run order.
-pub const SCENARIO_NAMES: [&str; 7] = [
+pub const SCENARIO_NAMES: [&str; 8] = [
     "fedbuff-20k",
     "fedbuff-20k-secagg",
     "fedbuff-20k-dp",
@@ -303,6 +339,7 @@ pub const SCENARIO_NAMES: [&str; 7] = [
     "fleet-crash",
     "fedbuff-1m",
     "fleet-scale",
+    "lm-tiny",
 ];
 
 /// The `control_plane_soak` scenario: three tasks on a 2-Aggregator fleet

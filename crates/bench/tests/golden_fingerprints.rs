@@ -2,7 +2,7 @@
 //! run loop is checked against the tree rather than against memory.
 //!
 //! `golden_fingerprints.txt` holds one `name<TAB>fingerprint` line per
-//! scenario: the seven canonical scenarios of `bench::scenarios` (quick
+//! scenario: the eight canonical scenarios of `bench::scenarios` (quick
 //! sizes, seed 42 — the values `cargo run -p bench --bin fingerprints`
 //! prints) plus three shapes that set lacks: a direct synchronous task with
 //! over-selection and dropouts, a direct `robust(dp(secure(fedbuff)))`
