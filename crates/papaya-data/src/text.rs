@@ -34,15 +34,23 @@ const TOPIC_WORDS: [&[&str]; 4] = [
     ],
 ];
 
+/// Token id of the space between words.
+const SPACE_ID: usize = 26;
+/// Token id of the end-of-text character.
+const STOP_ID: usize = 27;
+
 /// Maps a character to its vocabulary index.
 ///
 /// # Panics
 ///
 /// Panics if the character is not in [`VOCAB`].
 pub fn char_to_id(c: char) -> usize {
-    VOCAB
-        .find(c)
-        .unwrap_or_else(|| panic!("character {c:?} not in vocabulary"))
+    match c {
+        'a'..='z' => c as usize - 'a' as usize,
+        ' ' => SPACE_ID,
+        '.' => STOP_ID,
+        _ => panic!("character {c:?} not in vocabulary"),
+    }
 }
 
 /// Maps a vocabulary index back to its character.
@@ -57,7 +65,8 @@ pub fn id_to_char(id: usize) -> char {
 
 /// Number of tokens in the character vocabulary.
 pub fn vocab_size() -> usize {
-    VOCAB.chars().count()
+    // `VOCAB` is ASCII: one byte a character.
+    VOCAB.len()
 }
 
 /// A generator of client-specific synthetic sentences.
@@ -66,6 +75,9 @@ pub struct TextGenerator {
     /// Mixture weights over topics (sums to 1).
     topic_mixture: Vec<f64>,
     rng: StdRng,
+    /// The sentence being built; kept so that a sentence costs one
+    /// allocation, of exactly its own length.
+    scratch: Vec<usize>,
 }
 
 impl TextGenerator {
@@ -86,24 +98,33 @@ impl TextGenerator {
         for w in topic_mixture.iter_mut() {
             *w /= sum;
         }
-        TextGenerator { topic_mixture, rng }
+        TextGenerator {
+            topic_mixture,
+            rng,
+            scratch: Vec::new(),
+        }
     }
 
     /// Samples one sentence of roughly `words` words and returns it as a
     /// vector of character token ids terminated by the end-of-text token.
     pub fn sentence(&mut self, words: usize) -> Vec<usize> {
-        let mut text = String::new();
+        self.scratch.clear();
         for i in 0..words.max(1) {
             let topic = self.sample_topic();
             let word_list = TOPIC_WORDS[topic];
             let word = word_list[self.rng.gen_range(0..word_list.len())];
             if i > 0 {
-                text.push(' ');
+                self.scratch.push(SPACE_ID);
             }
-            text.push_str(word);
+            // Topic words are lowercase ASCII letters, whose ids are their
+            // offsets from 'a'.
+            self.scratch
+                .extend(word.bytes().map(|b| usize::from(b - b'a')));
         }
-        text.push('.');
-        text.chars().map(char_to_id).collect()
+        self.scratch.push(STOP_ID);
+        // `to_vec` allocates exactly `len` elements; a dataset holds
+        // hundreds of thousands of these, so slack capacity is resident memory.
+        self.scratch.to_vec()
     }
 
     fn sample_topic(&mut self) -> usize {
@@ -151,6 +172,38 @@ mod tests {
             assert!(!s.is_empty());
             assert!(s.iter().all(|&t| t < vocab_size()));
             assert_eq!(*s.last().unwrap(), char_to_id('.'));
+        }
+    }
+
+    /// The construction `sentence` replaced: build the text, then look every
+    /// character up.
+    fn sentence_through_a_string(g: &mut TextGenerator, words: usize) -> Vec<usize> {
+        let mut text = String::new();
+        for i in 0..words.max(1) {
+            let topic = g.sample_topic();
+            let word_list = TOPIC_WORDS[topic];
+            let word = word_list[g.rng.gen_range(0..word_list.len())];
+            if i > 0 {
+                text.push(' ');
+            }
+            text.push_str(word);
+        }
+        text.push('.');
+        text.chars().map(char_to_id).collect()
+    }
+
+    #[test]
+    fn sentences_equal_the_string_construction_at_exact_capacity() {
+        let mut direct = TextGenerator::for_client(5, 0.7, 3);
+        let mut reference = direct.clone();
+        for words in [0, 1, 2, 4, 9, 1, 30] {
+            let sentence = direct.sentence(words);
+            assert_eq!(sentence, sentence_through_a_string(&mut reference, words));
+            assert_eq!(sentence.capacity(), sentence.len());
+        }
+        // Every topic word is made of the letters whose ids are offsets.
+        for word in TOPIC_WORDS.iter().flat_map(|list| list.iter()) {
+            assert!(word.bytes().all(|b| b.is_ascii_lowercase()), "{word}");
         }
     }
 

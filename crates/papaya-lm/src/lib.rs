@@ -3,7 +3,9 @@
 //! The paper's production workload is an LSTM next-word-prediction model
 //! (Kim et al., 2015) trained with local SGD on client devices.  This crate
 //! provides the reproduction's stand-in: a small character-level LSTM
-//! ([`model::CharLstm`]) built on `papaya-nn`, plus
+//! ([`model::CharLstm`]: one fused, allocation-free forward and backward
+//! pass over a flat parameter vector, bit-identical to the same network
+//! composed from `papaya-nn`'s layers), plus
 //! [`trainer::LmClientTrainer`], a [`papaya_core::client::ClientTrainer`]
 //! implementation that trains the model on each client's local synthetic
 //! text and evaluates held-out perplexity — the metric reported in Table 1.

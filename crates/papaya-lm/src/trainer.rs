@@ -17,12 +17,12 @@ use std::sync::Arc;
 pub struct LmClientTrainer {
     dataset: Arc<FederatedTextDataset>,
     config: LmConfig,
-    /// Client-side SGD learning rate.
+    /// Client-side SGD learning rate; finite and positive.
     pub client_learning_rate: f32,
     /// Number of local epochs (paper: 1).
     pub local_epochs: usize,
     /// Cap on training sequences consumed per participation (stands in for
-    /// the 4-minute client timeout).
+    /// the 4-minute client timeout); at least 1.
     pub max_sequences_per_round: usize,
     init_seed: u64,
 }
@@ -41,15 +41,41 @@ impl LmClientTrainer {
     }
 
     /// Sets the client learning rate.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `lr` is finite and positive: a zero, negative, NaN or
+    /// infinite rate trains nothing or poisons every parameter.
     pub fn with_learning_rate(mut self, lr: f32) -> Self {
         self.client_learning_rate = lr;
+        self.validate();
         self
     }
 
     /// Sets the per-participation sequence cap.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `max` is zero: every `train` would return an all-zero delta
+    /// that the server still weights by the client's example count.
     pub fn with_max_sequences(mut self, max: usize) -> Self {
         self.max_sequences_per_round = max;
+        self.validate();
         self
+    }
+
+    /// The conditions the two setters enforce; `train` repeats them because
+    /// the fields are public.
+    fn validate(&self) {
+        assert!(
+            self.client_learning_rate.is_finite() && self.client_learning_rate > 0.0,
+            "client learning rate must be finite and positive, got {}",
+            self.client_learning_rate
+        );
+        assert!(
+            self.max_sequences_per_round >= 1,
+            "max sequences per round must be at least 1"
+        );
     }
 
     /// Mean test-set perplexity of `params` over the given clients
@@ -57,17 +83,11 @@ impl LmClientTrainer {
     pub fn perplexity(&self, params: &ParamVec, client_ids: &[usize]) -> f64 {
         self.evaluate(params, client_ids).exp()
     }
-
-    fn build_model(&self, params: &ParamVec) -> CharLstm {
-        let mut model = CharLstm::new(self.config, self.init_seed);
-        model.set_param_vector(params);
-        model
-    }
 }
 
 impl ClientTrainer for LmClientTrainer {
     fn parameter_count(&self) -> usize {
-        CharLstm::new(self.config, self.init_seed).parameter_count()
+        self.config.parameter_count()
     }
 
     fn initial_parameters(&self) -> ParamVec {
@@ -75,8 +95,9 @@ impl ClientTrainer for LmClientTrainer {
     }
 
     fn train(&self, client_id: usize, global: &ParamVec, seed: u64) -> LocalTrainResult {
+        self.validate();
         let client = self.dataset.client(client_id);
-        let mut model = self.build_model(global);
+        let mut model = CharLstm::from_params(self.config, global);
         let mut rng = StdRng::seed_from_u64(seed);
 
         // Visit training sequences in a random order, up to the cap.
@@ -113,7 +134,7 @@ impl ClientTrainer for LmClientTrainer {
 
     fn evaluate(&self, params: &ParamVec, client_ids: &[usize]) -> f64 {
         assert!(!client_ids.is_empty(), "evaluate needs at least one client");
-        let model = self.build_model(params);
+        let model = CharLstm::from_params(self.config, params);
         let mut total = 0.0f64;
         let mut count = 0usize;
         for &id in client_ids {
@@ -235,6 +256,31 @@ mod tests {
         // delta should be small but non-zero.
         let result = t.train(0, &global, 3);
         assert!(result.delta.norm() > 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "max sequences per round must be at least 1")]
+    fn zero_sequence_cap_is_rejected() {
+        let _ = trainer(2).with_max_sequences(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "client learning rate must be finite and positive")]
+    fn non_positive_or_non_finite_learning_rates_are_rejected() {
+        for lr in [0.0, -0.5, f32::INFINITY, f32::NEG_INFINITY] {
+            let rejected = std::panic::catch_unwind(|| trainer(2).with_learning_rate(lr)).is_err();
+            assert!(rejected, "learning rate {lr} was accepted");
+        }
+        let _ = trainer(2).with_learning_rate(f32::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "max sequences per round must be at least 1")]
+    fn train_rechecks_the_public_fields() {
+        let mut t = trainer(2);
+        t.max_sequences_per_round = 0;
+        let global = t.initial_parameters();
+        let _ = t.train(0, &global, 1);
     }
 
     #[test]

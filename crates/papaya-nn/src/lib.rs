@@ -18,6 +18,12 @@
 //!
 //! All gradients are validated against finite differences in the test suite.
 //!
+//! Every workload runs [`params::ParamVec`].  The `Matrix` layers are the
+//! reference: `papaya-lm`'s `CharLstm` computes the same network over flat
+//! vectors without a matrix per intermediate value, and its
+//! `tests/fused_vs_layers.rs` composes these layers into the model it is
+//! compared with bit for bit.
+//!
 //! # Example
 //!
 //! ```
