@@ -11,7 +11,6 @@
 //!   activations ([`linear::Linear`], [`embedding::Embedding`],
 //!   [`lstm::LstmCell`]);
 //! * [`loss::softmax_cross_entropy`] and its gradient;
-//! * client-side optimizers ([`optim::Sgd`], [`optim::Adam`]);
 //! * [`params::ParamVec`] — a flat view of model parameters used for model
 //!   upload, masking (secure aggregation operates on flat vectors), and
 //!   server-side optimizer steps.
@@ -29,16 +28,14 @@
 //! ```
 //! use papaya_nn::linear::Linear;
 //! use papaya_nn::tensor::Matrix;
-//! use papaya_nn::optim::{Optimizer, Sgd};
 //!
 //! let mut layer = Linear::new(4, 2, 42);
 //! let x = Matrix::from_rows(&[vec![1.0, 0.5, -0.3, 2.0]]);
 //! let y = layer.forward(&x);
 //! assert_eq!(y.shape(), (1, 2));
 //! let grad_out = Matrix::ones(1, 2);
-//! let _grad_in = layer.backward(&grad_out);
-//! let mut opt = Sgd::new(0.1);
-//! opt.step(&mut layer.parameters_mut());
+//! let grad_in = layer.backward(&grad_out);
+//! assert_eq!(grad_in.shape(), (1, 4));
 //! ```
 
 pub mod embedding;
@@ -46,7 +43,6 @@ pub mod init;
 pub mod linear;
 pub mod loss;
 pub mod lstm;
-pub mod optim;
 pub mod params;
 pub mod tensor;
 

@@ -543,59 +543,6 @@ pub fn seed_associated_data(index: usize) -> Vec<u8> {
     ad
 }
 
-/// A naive TEE aggregator that ships every full client update across the
-/// enclave boundary (the `O(K·m)` strawman of Figure 6).  Used only for cost
-/// comparison.
-#[derive(Debug)]
-pub struct NaiveTeeAggregator {
-    sum: Vec<f64>,
-    clients: usize,
-    boundary: BoundaryStats,
-}
-
-impl NaiveTeeAggregator {
-    /// Creates a naive aggregator for updates of the given length.
-    pub fn new(vector_len: usize) -> Self {
-        NaiveTeeAggregator {
-            sum: vec![0.0; vector_len],
-            clients: 0,
-            boundary: BoundaryStats::default(),
-        }
-    }
-
-    /// Sends a full update into the enclave and accumulates it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the update length does not match.
-    pub fn process_update(&mut self, update: &[f32]) {
-        assert_eq!(update.len(), self.sum.len(), "length mismatch");
-        self.boundary.bytes_in += (update.len() * 4) as u64;
-        self.boundary.messages_in += 1;
-        for (s, u) in self.sum.iter_mut().zip(update.iter()) {
-            *s += *u as f64;
-        }
-        self.clients += 1;
-    }
-
-    /// Returns the aggregated sum, crossing the boundary outward once.
-    pub fn finalize(&mut self) -> Vec<f32> {
-        self.boundary.bytes_out += (self.sum.len() * 4) as u64;
-        self.boundary.messages_out += 1;
-        self.sum.iter().map(|&v| v as f32).collect()
-    }
-
-    /// Number of updates aggregated.
-    pub fn clients(&self) -> usize {
-        self.clients
-    }
-
-    /// Cumulative boundary traffic.
-    pub fn boundary_stats(&self) -> BoundaryStats {
-        self.boundary
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -763,19 +710,6 @@ mod tests {
         assert!(per_client.iter().all(|&b| b == per_client[0]));
         assert!(per_client[0] < 1000);
         assert_eq!(before.bytes_in, 0);
-    }
-
-    #[test]
-    fn naive_aggregator_sums_and_charges_full_model() {
-        let mut naive = NaiveTeeAggregator::new(3);
-        naive.process_update(&[1.0, 2.0, 3.0]);
-        naive.process_update(&[0.5, 0.5, 0.5]);
-        let sum = naive.finalize();
-        assert_eq!(sum, vec![1.5, 2.5, 3.5]);
-        let stats = naive.boundary_stats();
-        assert_eq!(stats.bytes_in, 2 * 12);
-        assert_eq!(stats.bytes_out, 12);
-        assert_eq!(naive.clients(), 2);
     }
 
     mod sessions {

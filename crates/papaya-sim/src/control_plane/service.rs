@@ -10,9 +10,10 @@
 //!                          └─▶ apply(coordinator, counters, event)
 //! ```
 //!
-//! Checkpoints are taken automatically every `checkpoint_interval` log
-//! events: a checkpoint is a clone of the Coordinator (RNG state included)
-//! plus the counters and the log offset it was taken at.  Restoring is
+//! Checkpoints are taken automatically every
+//! [`DEFAULT_CHECKPOINT_INTERVAL`] log events: a checkpoint is a clone of
+//! the Coordinator (RNG state included) plus the counters and the log
+//! offset it was taken at.  Restoring is
 //! `checkpoint + replay(log suffix)`, which reconstructs the live state
 //! bit-for-bit — a run interrupted at an arbitrary control tick and resumed
 //! this way produces a fingerprint identical to the uninterrupted run.
@@ -25,7 +26,7 @@ use crate::cluster::{
 use crate::control_plane::event_log::{ControlEvent, EventLog};
 use crate::control_plane::reconcile::Correction;
 
-/// Default checkpoint cadence, in log events.
+/// Checkpoint cadence, in log events.
 pub const DEFAULT_CHECKPOINT_INTERVAL: u64 = 1024;
 
 /// Service-level counters, replayed together with the Coordinator (they
@@ -111,7 +112,6 @@ pub struct ControlPlaneService {
     counters: ServiceCounters,
     log: EventLog,
     checkpoint: Checkpoint,
-    checkpoint_interval: u64,
     compact_on_checkpoint: bool,
     checkpoints_taken: u64,
     restores: u64,
@@ -131,7 +131,6 @@ impl ControlPlaneService {
             coordinator,
             counters: ServiceCounters::default(),
             log: EventLog::new(),
-            checkpoint_interval: DEFAULT_CHECKPOINT_INTERVAL,
             compact_on_checkpoint: true,
             checkpoints_taken: 0,
             restores: 0,
@@ -147,17 +146,6 @@ impl ControlPlaneService {
     /// genesis (used by the replay property tests).
     pub fn retain_full_log(mut self) -> Self {
         self.compact_on_checkpoint = false;
-        self
-    }
-
-    /// Overrides the automatic checkpoint cadence.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `every_events` is zero.
-    pub fn with_checkpoint_interval(mut self, every_events: u64) -> Self {
-        assert!(every_events > 0, "checkpoint interval must be positive");
-        self.checkpoint_interval = every_events;
         self
     }
 
@@ -305,7 +293,6 @@ impl ControlPlaneService {
             coordinator,
             counters,
             log: log.clone(),
-            checkpoint_interval: DEFAULT_CHECKPOINT_INTERVAL,
             compact_on_checkpoint: false,
             checkpoints_taken: 0,
             restores: 0,
@@ -317,7 +304,7 @@ impl ControlPlaneService {
     fn record(&mut self, event: ControlEvent) -> ApplyOutcome {
         self.log.append(event.clone());
         let outcome = Self::apply(&mut self.coordinator, &mut self.counters, &event);
-        if self.checkpoint_age_events() >= self.checkpoint_interval {
+        if self.checkpoint_age_events() >= DEFAULT_CHECKPOINT_INTERVAL {
             self.checkpoint_now();
         }
         outcome
@@ -499,18 +486,22 @@ mod tests {
 
     #[test]
     fn compaction_keeps_restore_working_with_bounded_memory() {
-        let mut service = ControlPlaneService::new(25.0, 7).with_checkpoint_interval(16);
+        let mut service = ControlPlaneService::new(25.0, 7);
         service.register_aggregator(0, 0.0);
         service.submit_task(spec(0));
-        for step in 0..200 {
+        // 3 003 events: past the cadence twice, with a suffix behind the
+        // last checkpoint.
+        for step in 0..1_000 {
             let now = step as f64;
             service.heartbeat(0, now);
             service.report_demand(0, 2);
             service.assign_client(0);
         }
+        assert_eq!(service.log().len(), 3_003);
         // The compacted log never holds more than one cadence worth.
-        assert!(service.log().retained() <= 16);
+        assert!(service.log().retained() <= DEFAULT_CHECKPOINT_INTERVAL as usize);
         assert!(service.checkpoints_taken() > 1);
+        assert!(service.checkpoint_age_events() > 0);
         let live = service.coordinator().clone();
         service.restore_from_checkpoint();
         assert_eq!(service.coordinator(), &live);

@@ -32,7 +32,7 @@
 use papaya_core::client::{ClientTrainer, LocalTrainResult};
 use papaya_core::secure::{MaskPlan, MaskScratch, PrecomputedMask};
 use papaya_nn::params::ParamVec;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
@@ -49,15 +49,6 @@ impl Parallelism {
     /// Training runs inline on the event-loop thread (the default).
     pub fn sequential() -> Self {
         Parallelism(0)
-    }
-
-    /// One worker per hardware thread reported by the OS.
-    pub fn auto() -> Self {
-        Parallelism(
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-        )
     }
 
     /// Number of worker threads (0 means sequential).
@@ -93,58 +84,125 @@ impl TrainJob {
     }
 }
 
-/// Lifetime counters of one executor, for perf harness output.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ExecutorStats {
-    /// Jobs completed by worker threads.
-    pub completed_by_workers: u64,
-    /// Jobs the event loop stole and ran inline because the result was
-    /// needed before a worker picked them up.
-    pub stolen_by_driver: u64,
-    /// Speculative results discarded because the participation was aborted.
-    pub discarded: u64,
-    /// Mask-precompute jobs completed by worker threads.
-    pub masks_completed_by_workers: u64,
-    /// Mask jobs still queued when the driver needed them: the job is
-    /// cancelled and the aggregator expands the mask inline instead.
-    pub masks_cancelled_unstarted: u64,
-    /// Speculative masks discarded because the participation was aborted.
-    pub masks_discarded: u64,
+/// Where one participation's work of one kind stands.
+#[derive(Debug, PartialEq)]
+enum Slot<J, T> {
+    /// Submitted; no worker has picked it up.
+    Queued(J),
+    /// A worker is computing it.
+    Running,
+    /// Discarded while a worker was computing it: the output is dropped on
+    /// publish.
+    Cancelled,
+    /// Published and not yet taken.  `Err` carries the panic message of a
+    /// job that panicked on the worker; the driver re-raises it on take, so
+    /// the failure surfaces exactly like the sequential path's instead of
+    /// deadlocking the loop.
+    Done(Result<T, String>),
 }
 
-/// Every submitted-but-unconsumed participation id lives in exactly one of
-/// `jobs` (queued), `running`, or `results` — transitions happen atomically
-/// under the one mutex, which is what makes [`Executor::take_or_run`] safe.
+/// One kind of speculative work — jobs `J` producing `T` — keyed by
+/// participation id.  An id without a slot was never submitted or is
+/// finished with.  Ids are unique for the executor's lifetime, so `push`
+/// only ever meets an id without a slot.
+struct Lane<J, T> {
+    slots: BTreeMap<u64, Slot<J, T>>,
+    /// Submission order of queued ids; ids since taken or discarded are
+    /// skipped.
+    fifo: VecDeque<u64>,
+}
+
+impl<J, T> Default for Lane<J, T> {
+    fn default() -> Self {
+        Lane {
+            slots: BTreeMap::new(),
+            fifo: VecDeque::new(),
+        }
+    }
+}
+
+impl<J, T> Lane<J, T> {
+    fn push(&mut self, id: u64, job: J) {
+        self.fifo.push_back(id);
+        self.slots.insert(id, Slot::Queued(job));
+    }
+
+    /// Hands the oldest queued job to a worker and marks it running.
+    fn pop_queued(&mut self) -> Option<(u64, J)> {
+        while let Some(id) = self.fifo.pop_front() {
+            let Some(slot) = self.slots.get_mut(&id) else {
+                continue;
+            };
+            match std::mem::replace(slot, Slot::Running) {
+                Slot::Queued(job) => return Some((id, job)),
+                other => *slot = other,
+            }
+        }
+        None
+    }
+
+    /// Removes and returns a queued job or a published output.  A running
+    /// slot stays and reads `Some(Running)`: the caller waits for the
+    /// publish.  A cancelled or missing one reads `None`.
+    fn take(&mut self, id: u64) -> Option<Slot<J, T>> {
+        match self.slots.get(&id)? {
+            Slot::Running => Some(Slot::Running),
+            Slot::Cancelled => None,
+            Slot::Queued(_) | Slot::Done(_) => self.slots.remove(&id),
+        }
+    }
+
+    /// Drops a queued job or published output; a running job is marked so
+    /// its output is dropped on publish.
+    fn discard(&mut self, id: u64) {
+        let Some(slot) = self.slots.get_mut(&id) else {
+            return;
+        };
+        match slot {
+            Slot::Running => *slot = Slot::Cancelled,
+            Slot::Queued(_) | Slot::Done(_) => {
+                self.slots.remove(&id);
+            }
+            Slot::Cancelled => {}
+        }
+    }
+
+    /// Stores the output of the worker holding `id`, or drops it and the
+    /// slot if the participation was discarded meanwhile.  Returns whether
+    /// there is an output for a taker to collect.
+    fn publish(&mut self, id: u64, output: Result<T, String>) -> bool {
+        let Some(slot) = self.slots.get_mut(&id) else {
+            return false;
+        };
+        match slot {
+            Slot::Running => {
+                *slot = Slot::Done(output);
+                true
+            }
+            Slot::Cancelled => {
+                self.slots.remove(&id);
+                false
+            }
+            // Only the worker holding a running or cancelled slot publishes.
+            Slot::Queued(_) | Slot::Done(_) => false,
+        }
+    }
+}
+
+/// Selects one lane of [`Inner`].
+type LaneOf<J, T> = fn(&mut Inner) -> &mut Lane<J, T>;
+
+/// All executor state, behind the one mutex that makes every slot
+/// transition atomic.
 #[derive(Default)]
 struct Inner {
-    /// Queued jobs by participation id.
-    jobs: BTreeMap<u64, TrainJob>,
-    /// FIFO order of queued participation ids (ids may be stale if the job
-    /// was stolen or discarded; workers skip missing entries).
-    order: VecDeque<u64>,
-    /// Participations currently being trained by a worker.
-    running: BTreeSet<u64>,
-    /// Finished results awaiting consumption.  `Err` carries the panic
-    /// message of a trainer that panicked on the worker; the driver
-    /// re-raises it in [`Executor::take_or_run`] so the failure surfaces
-    /// exactly like the sequential path's instead of deadlocking the loop.
-    results: BTreeMap<u64, Result<LocalTrainResult, String>>,
-    /// Running participations whose result must be dropped on completion.
-    cancelled: BTreeSet<u64>,
-    /// Queued mask-precompute plans by participation id (secure tasks).
-    mask_jobs: BTreeMap<u64, MaskPlan>,
-    /// FIFO order of queued mask jobs; stale ids are skipped like `order`.
-    mask_order: VecDeque<u64>,
-    /// Mask computations currently running on a worker.
-    mask_running: BTreeSet<u64>,
-    /// Finished masks awaiting consumption (`Err` = worker panic message).
-    mask_results: BTreeMap<u64, Result<PrecomputedMask, String>>,
-    /// Running mask jobs whose result must be dropped on completion.
-    mask_cancelled: BTreeSet<u64>,
-    stats: ExecutorStats,
+    train: Lane<TrainJob, LocalTrainResult>,
+    /// Mask-precompute plans of secure tasks.
+    mask: Lane<MaskPlan, PrecomputedMask>,
     shutdown: bool,
 }
 
+#[derive(Default)]
 struct Shared {
     inner: Mutex<Inner>,
     /// Signalled when a job is queued (or shutdown begins).
@@ -186,11 +244,7 @@ impl Executor {
     /// path.
     pub fn new(threads: usize) -> Self {
         assert!(threads > 0, "an executor needs at least one worker");
-        let shared = Arc::new(Shared {
-            inner: Mutex::new(Inner::default()),
-            job_ready: Condvar::new(),
-            result_ready: Condvar::new(),
-        });
+        let shared = Arc::new(Shared::default());
         let workers = (0..threads)
             .map(|i| {
                 let shared = Arc::clone(&shared);
@@ -217,60 +271,7 @@ impl Executor {
     /// lifetime of the executor (the scenario drivers' participation ids
     /// are).
     pub fn submit(&self, job: TrainJob) {
-        let mut inner = self.shared.lock();
-        inner.order.push_back(job.participation_id);
-        inner.jobs.insert(job.participation_id, job);
-        drop(inner);
-        self.shared.job_ready.notify_one();
-    }
-
-    /// Returns the result for `participation_id`, in one of three ways:
-    /// still queued → the driver steals the job and runs it inline; running
-    /// → blocks until the worker publishes it; never submitted → runs
-    /// `fallback` inline (the sequential code path).
-    pub fn take_or_run(
-        &self,
-        participation_id: u64,
-        fallback: impl FnOnce() -> LocalTrainResult,
-    ) -> LocalTrainResult {
-        let mut inner = self.shared.lock();
-        if let Some(job) = inner.jobs.remove(&participation_id) {
-            inner.stats.stolen_by_driver += 1;
-            drop(inner);
-            return job.run();
-        }
-        loop {
-            if let Some(result) = inner.results.remove(&participation_id) {
-                match result {
-                    Ok(result) => return result,
-                    Err(message) => panic!(
-                        "client trainer panicked on a worker thread \
-                         (participation {participation_id}): {message}"
-                    ),
-                }
-            }
-            if !inner.running.contains(&participation_id) {
-                // Never submitted (or already consumed, which drivers never
-                // do): train inline exactly as the sequential path would.
-                drop(inner);
-                return fallback();
-            }
-            inner = wait_on(&self.shared.result_ready, inner);
-        }
-    }
-
-    /// Drops any speculative work for an aborted participation: removes a
-    /// queued job or finished result, or marks a running job so its result
-    /// is discarded on completion.  A no-op for ids never submitted.
-    pub fn discard(&self, participation_id: u64) {
-        let mut inner = self.shared.lock();
-        let dropped = inner.jobs.remove(&participation_id).is_some()
-            || inner.results.remove(&participation_id).is_some()
-            || (inner.running.contains(&participation_id)
-                && inner.cancelled.insert(participation_id));
-        if dropped {
-            inner.stats.discarded += 1;
-        }
+        self.push(|inner| &mut inner.train, job.participation_id, job);
     }
 
     /// Queues a speculative mask-precompute job for a secure task's
@@ -278,83 +279,81 @@ impl Executor {
     /// [`Executor::submit`] — each participation has at most one training
     /// and one mask job.
     pub fn submit_mask(&self, participation_id: u64, plan: MaskPlan) {
-        let mut inner = self.shared.lock();
-        inner.mask_order.push_back(participation_id);
-        inner.mask_jobs.insert(participation_id, plan);
-        drop(inner);
-        self.shared.job_ready.notify_one();
+        self.push(|inner| &mut inner.mask, participation_id, plan);
+    }
+
+    /// Returns the result for `participation_id`, in one of three ways:
+    /// still queued → the driver steals the job and runs it inline; running
+    /// → blocks until the worker publishes it; never submitted or discarded
+    /// → runs `fallback` inline (the sequential code path).
+    pub fn take_or_run(
+        &self,
+        participation_id: u64,
+        fallback: impl FnOnce() -> LocalTrainResult,
+    ) -> LocalTrainResult {
+        match self.take(|inner| &mut inner.train, participation_id) {
+            Some(Slot::Queued(job)) => job.run(),
+            Some(Slot::Done(output)) => published(output, participation_id),
+            _ => fallback(),
+        }
     }
 
     /// Returns the speculative mask for `participation_id` if a worker
     /// produced (or is producing) it: finished → the result; running →
-    /// blocks until published; still queued → the job is *cancelled* and
-    /// `None` returned, so the aggregator expands the mask inline — mask
-    /// plans are pure, so both routes are bit-identical.  `None` for ids
-    /// never submitted.  Re-raises a worker panic on the driver thread.
+    /// blocks until published; still queued → the job is dropped and `None`
+    /// returned, so the aggregator expands the mask inline — mask plans are
+    /// pure, so both routes are bit-identical.  `None` for ids never
+    /// submitted or discarded.
     pub fn take_mask(&self, participation_id: u64) -> Option<PrecomputedMask> {
-        let mut inner = self.shared.lock();
-        if inner.mask_jobs.remove(&participation_id).is_some() {
-            inner.stats.masks_cancelled_unstarted += 1;
-            return None;
+        match self.take(|inner| &mut inner.mask, participation_id) {
+            Some(Slot::Done(output)) => Some(published(output, participation_id)),
+            _ => None,
         }
+    }
+
+    /// Drops all speculative work of an aborted participation, training and
+    /// mask alike: queued jobs and finished results go, running jobs are
+    /// marked so their results are dropped on completion.  A no-op for ids
+    /// never submitted.
+    pub fn discard(&self, participation_id: u64) {
+        let mut inner = self.shared.lock();
+        inner.train.discard(participation_id);
+        inner.mask.discard(participation_id);
+    }
+
+    fn push<J, T>(&self, lane: LaneOf<J, T>, id: u64, job: J) {
+        lane(&mut self.shared.lock()).push(id, job);
+        self.shared.job_ready.notify_one();
+    }
+
+    /// Takes `id` from `lane`, waiting while a worker holds it: the queued
+    /// job, the published output, or `None`.
+    fn take<J, T>(&self, lane: LaneOf<J, T>, id: u64) -> Option<Slot<J, T>> {
+        let mut inner = self.shared.lock();
         loop {
-            if let Some(result) = inner.mask_results.remove(&participation_id) {
-                match result {
-                    Ok(result) => return Some(result),
-                    Err(message) => panic!(
-                        "mask precompute panicked on a worker thread \
-                         (participation {participation_id}): {message}"
-                    ),
-                }
+            match lane(&mut inner).take(id) {
+                Some(Slot::Running) => inner = wait_on(&self.shared.result_ready, inner),
+                taken => return taken,
             }
-            if !inner.mask_running.contains(&participation_id) {
-                return None;
-            }
-            inner = wait_on(&self.shared.result_ready, inner);
         }
     }
+}
 
-    /// Drops speculative mask work for an aborted participation, in the
-    /// same three states as [`Executor::discard`].
-    pub fn discard_mask(&self, participation_id: u64) {
-        let mut inner = self.shared.lock();
-        let dropped = inner.mask_jobs.remove(&participation_id).is_some()
-            || inner.mask_results.remove(&participation_id).is_some()
-            || (inner.mask_running.contains(&participation_id)
-                && inner.mask_cancelled.insert(participation_id));
-        if dropped {
-            inner.stats.masks_discarded += 1;
-        }
-    }
-
-    /// Number of worker threads.
-    pub fn threads(&self) -> usize {
-        self.workers.len()
-    }
-
-    /// Snapshot of the lifetime counters.
-    pub fn stats(&self) -> ExecutorStats {
-        self.shared.lock().stats
-    }
+/// Unwraps a worker's output on the driver thread, re-raising its panic.
+fn published<T>(output: Result<T, String>, participation_id: u64) -> T {
+    output.unwrap_or_else(|message| {
+        panic!("worker thread panicked (participation {participation_id}): {message}")
+    })
 }
 
 impl Drop for Executor {
     fn drop(&mut self) {
-        {
-            let mut inner = self.shared.lock();
-            inner.shutdown = true;
-        }
+        self.shared.lock().shutdown = true;
         self.shared.job_ready.notify_all();
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
     }
-}
-
-/// The two kinds of speculative work a worker can pick up.
-enum WorkerJob {
-    Train(TrainJob),
-    Mask(u64, MaskPlan),
 }
 
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -373,76 +372,43 @@ fn worker_loop(shared: &Shared) {
     // never contend on shared scratch.
     let mut scratch = MaskScratch::default();
     let mut inner = shared.lock();
-    loop {
-        // Find the next queued job, skipping ids that were stolen or
-        // discarded while waiting in the order queue.  Mask jobs drain
-        // first: they are orders of magnitude cheaper than training and
-        // unblock the event loop's upload processing.
-        let job = loop {
-            if inner.shutdown {
-                return;
-            }
-            if let Some(id) = inner.mask_order.pop_front() {
-                if let Some(plan) = inner.mask_jobs.remove(&id) {
-                    inner.mask_running.insert(id);
-                    break WorkerJob::Mask(id, plan);
-                }
-                continue;
-            }
-            match inner.order.pop_front() {
-                Some(id) => {
-                    if let Some(job) = inner.jobs.remove(&id) {
-                        inner.running.insert(id);
-                        break WorkerJob::Train(job);
-                    }
-                }
-                None => {
-                    inner = wait_on(&shared.job_ready, inner);
-                }
-            }
-        };
-        drop(inner);
-
-        // Catch panics so a buggy trainer or mask plan fails the run loudly
-        // (the driver re-raises in `take_or_run`/`take_mask`) instead of
-        // leaving the id stuck in a running set and deadlocking the loop.
-        match job {
-            WorkerJob::Train(job) => {
-                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| job.run()))
-                    .map_err(panic_message);
-                inner = shared.lock();
-                inner.running.remove(&job.participation_id);
-                if inner.cancelled.remove(&job.participation_id) {
-                    // Aborted mid-flight; the result (or panic) must not
-                    // surface — the sequential path would never have run
-                    // this training at all.
-                } else {
-                    if result.is_ok() {
-                        inner.stats.completed_by_workers += 1;
-                    }
-                    inner.results.insert(job.participation_id, result);
-                    shared.result_ready.notify_all();
-                }
-            }
-            WorkerJob::Mask(id, plan) => {
-                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    plan.compute(&mut scratch)
-                }))
-                .map_err(panic_message);
-                inner = shared.lock();
-                inner.mask_running.remove(&id);
-                if inner.mask_cancelled.remove(&id) {
-                    // Aborted mid-flight; drop the mask.
-                } else {
-                    if result.is_ok() {
-                        inner.stats.masks_completed_by_workers += 1;
-                    }
-                    inner.mask_results.insert(id, result);
-                    shared.result_ready.notify_all();
-                }
-            }
+    while !inner.shutdown {
+        // Mask jobs drain first: they are orders of magnitude cheaper than
+        // training and unblock the event loop's upload processing.
+        if let Some((id, plan)) = inner.mask.pop_queued() {
+            drop(inner);
+            inner = run_and_publish(
+                shared,
+                |inner| &mut inner.mask,
+                id,
+                || plan.compute(&mut scratch),
+            );
+        } else if let Some((id, job)) = inner.train.pop_queued() {
+            drop(inner);
+            inner = run_and_publish(shared, |inner| &mut inner.train, id, || job.run());
+        } else {
+            inner = wait_on(&shared.job_ready, inner);
         }
     }
+}
+
+/// Runs a popped job off the lock and publishes its output into `lane`,
+/// returning the re-taken lock.  Panics are caught so a buggy trainer or
+/// mask plan fails the run loudly (the driver re-raises on take) instead of
+/// leaving the slot running forever.
+fn run_and_publish<'a, J, T>(
+    shared: &'a Shared,
+    lane: LaneOf<J, T>,
+    id: u64,
+    work: impl FnOnce() -> T,
+) -> MutexGuard<'a, Inner> {
+    let output =
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(work)).map_err(panic_message);
+    let mut inner = shared.lock();
+    if lane(&mut inner).publish(id, output) {
+        shared.result_ready.notify_all();
+    }
+    inner
 }
 
 #[cfg(test)]
@@ -482,8 +448,8 @@ mod tests {
             let got = executor.take_or_run(pid, || unreachable!("job was submitted"));
             assert_eq!(got, expected, "participation {pid}");
         }
-        let stats = executor.stats();
-        assert_eq!(stats.completed_by_workers + stats.stolen_by_driver, 20);
+        // Every job was consumed, whether a worker or the driver ran it.
+        assert!(executor.shared.lock().train.slots.is_empty());
     }
 
     #[test]
@@ -507,7 +473,14 @@ mod tests {
                               // Participation 2 is unaffected.
         let expected = trainer.train(2, &trainer.initial_parameters(), 0xABC ^ 2);
         assert_eq!(executor.take_or_run(2, || unreachable!()), expected);
-        assert!(executor.stats().discarded >= 1);
+        // Queued, running or finished when discarded, participation 1's
+        // work never surfaces: taking it falls back without waiting.
+        let mut fell_back = false;
+        let _ = executor.take_or_run(1, || {
+            fell_back = true;
+            trainer.train(1, &trainer.initial_parameters(), 0xABC ^ 1)
+        });
+        assert!(fell_back, "discarded work resurfaced");
     }
 
     #[test]
@@ -530,10 +503,8 @@ mod tests {
         assert!(Parallelism::sequential().is_sequential());
         assert_eq!(Parallelism(4).workers(), 4);
         assert!(!Parallelism(1).is_sequential());
-        assert!(Parallelism::auto().workers() >= 1);
         assert!(Executor::from_parallelism(Parallelism::sequential()).is_none());
-        let pool = Executor::from_parallelism(Parallelism(2)).expect("pool");
-        assert_eq!(pool.threads(), 2);
+        assert!(Executor::from_parallelism(Parallelism(2)).is_some());
     }
 
     #[test]
@@ -590,11 +561,9 @@ mod tests {
             assert_eq!(got.plan_id, expected.plan_id);
             assert_eq!(got.mask, expected.mask, "participation {pid}");
         }
-        let stats = executor.stats();
-        assert_eq!(
-            stats.masks_completed_by_workers + stats.masks_cancelled_unstarted,
-            8
-        );
+        // A mask still running when taken was waited for, so nothing is
+        // left behind.
+        assert!(executor.shared.lock().mask.slots.is_empty());
     }
 
     #[test]
@@ -603,8 +572,8 @@ mod tests {
         let executor = Executor::new(1);
         executor.submit_mask(0, plans[0].clone());
         executor.submit_mask(1, plans[1].clone());
-        executor.discard_mask(0);
-        executor.discard_mask(0); // idempotent
+        executor.discard(0);
+        executor.discard(0); // idempotent
         assert!(executor.take_mask(0).is_none(), "discarded job resurfaced");
         assert!(executor.take_mask(99).is_none(), "unknown id produced work");
         // Participation 1 is unaffected by its neighbor's discard.
@@ -614,7 +583,6 @@ mod tests {
             None => plans[1].compute(&mut MaskScratch::default()),
         };
         assert_eq!(got.mask, expected.mask);
-        assert!(executor.stats().masks_discarded >= 1);
     }
 
     #[test]
@@ -644,6 +612,170 @@ mod tests {
                     0xABC ^ pid,
                 )
             });
+        }
+    }
+
+    /// An executor without workers: every slot stays where the test puts
+    /// it.
+    fn idle_executor() -> Executor {
+        Executor {
+            shared: Arc::new(Shared::default()),
+            workers: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn one_discard_drops_both_lanes() {
+        let trainer = trainer();
+        let plans = mask_plans(2);
+        let executor = idle_executor();
+        for (pid, plan) in [3u64, 4].into_iter().zip(&plans) {
+            executor.submit(job(&trainer, pid, pid as usize));
+            executor.submit_mask(pid, plan.clone());
+        }
+        // A stand-in worker finishes participation 3's mask; its training
+        // stays queued.
+        {
+            let mut inner = executor.shared.lock();
+            let (id, plan) = inner.mask.pop_queued().expect("queued mask");
+            assert_eq!(id, 3);
+            assert!(inner
+                .mask
+                .publish(id, Ok(plan.compute(&mut MaskScratch::default()))));
+        }
+        executor.discard(3);
+        {
+            let inner = executor.shared.lock();
+            assert!(!inner.train.slots.contains_key(&3));
+            assert!(!inner.mask.slots.contains_key(&3));
+            assert_eq!(inner.train.slots.len(), 1);
+            assert_eq!(inner.mask.slots.len(), 1);
+        }
+        assert!(executor.take_mask(3).is_none());
+        let mut fell_back = false;
+        let _ = executor.take_or_run(3, || {
+            fell_back = true;
+            trainer.train(3, &trainer.initial_parameters(), 0xABC ^ 3)
+        });
+        assert!(fell_back, "discarded training resurfaced");
+    }
+
+    // The lane as a plain data structure: every operation from every state
+    // a participation id can be in.
+
+    const ID: u64 = 7;
+
+    /// The five states, each reached through the lane's own operations.
+    const STATES: [&str; 5] = ["absent", "queued", "running", "cancelled", "done"];
+
+    fn lane_in(state: &str) -> Lane<&'static str, u32> {
+        let mut lane = Lane::default();
+        if state != "absent" {
+            lane.push(ID, "job");
+        }
+        if matches!(state, "running" | "cancelled" | "done") {
+            assert_eq!(lane.pop_queued(), Some((ID, "job")));
+        }
+        if state == "cancelled" {
+            lane.discard(ID);
+        }
+        if state == "done" {
+            assert!(lane.publish(ID, Ok(70)));
+        }
+        lane
+    }
+
+    #[test]
+    fn lane_push_queues_in_submission_order() {
+        let mut lane = lane_in("absent");
+        lane.push(ID, "job");
+        lane.push(ID + 1, "next");
+        assert_eq!(lane.slots.get(&ID), Some(&Slot::Queued("job")));
+        assert_eq!(lane.pop_queued(), Some((ID, "job")));
+        assert_eq!(lane.pop_queued(), Some((ID + 1, "next")));
+        assert_eq!(lane.pop_queued(), None);
+    }
+
+    #[test]
+    fn lane_pop_queued_in_every_state() {
+        // What pop_queued returns, and what is left in the slot.
+        let expected = [
+            (None, None),
+            (Some((ID, "job")), Some(Slot::Running)),
+            (None, Some(Slot::Running)),
+            (None, Some(Slot::Cancelled)),
+            (None, Some(Slot::Done(Ok(70)))),
+        ];
+        for (state, (popped, left)) in STATES.into_iter().zip(expected) {
+            let mut lane = lane_in(state);
+            assert_eq!(lane.pop_queued(), popped, "{state}");
+            assert_eq!(lane.slots.get(&ID), left.as_ref(), "{state}");
+        }
+    }
+
+    #[test]
+    fn lane_pop_queued_skips_taken_and_discarded_ids() {
+        let mut lane = lane_in("queued");
+        lane.push(ID + 1, "discarded");
+        lane.push(ID + 2, "kept");
+        assert_eq!(lane.take(ID), Some(Slot::Queued("job")));
+        lane.discard(ID + 1);
+        assert_eq!(lane.pop_queued(), Some((ID + 2, "kept")));
+        assert_eq!(lane.pop_queued(), None);
+        assert!(lane.fifo.is_empty());
+    }
+
+    #[test]
+    fn lane_take_in_every_state() {
+        // What take returns, and what is left in the slot.  Only a running
+        // slot reads `Running`, the one answer a taker waits on: a
+        // discarded or never-submitted id returns at once.
+        let expected = [
+            (None, None),
+            (Some(Slot::Queued("job")), None),
+            (Some(Slot::Running), Some(Slot::Running)),
+            (None, Some(Slot::Cancelled)),
+            (Some(Slot::Done(Ok(70))), None),
+        ];
+        for (state, (taken, left)) in STATES.into_iter().zip(expected) {
+            let mut lane = lane_in(state);
+            assert_eq!(lane.take(ID), taken, "{state}");
+            assert_eq!(lane.slots.get(&ID), left.as_ref(), "{state}");
+        }
+    }
+
+    #[test]
+    fn lane_discard_in_every_state() {
+        let expected = [
+            None,
+            None,
+            Some(Slot::Cancelled),
+            Some(Slot::Cancelled),
+            None,
+        ];
+        for (state, left) in STATES.into_iter().zip(expected) {
+            let mut lane = lane_in(state);
+            lane.discard(ID);
+            assert_eq!(lane.slots.get(&ID), left.as_ref(), "{state}");
+            assert_eq!(lane.pop_queued(), None, "{state}");
+        }
+    }
+
+    #[test]
+    fn lane_publish_in_every_state() {
+        // Whether publish leaves an output to collect, and what is left.
+        // Publishing into a cancelled slot leaves nothing behind.
+        let expected = [
+            (false, None),
+            (false, Some(Slot::Queued("job"))),
+            (true, Some(Slot::Done(Ok(9)))),
+            (false, None),
+            (false, Some(Slot::Done(Ok(70)))),
+        ];
+        for (state, (collectable, left)) in STATES.into_iter().zip(expected) {
+            let mut lane = lane_in(state);
+            assert_eq!(lane.publish(ID, Ok(9)), collectable, "{state}");
+            assert_eq!(lane.slots.get(&ID), left.as_ref(), "{state}");
         }
     }
 }

@@ -29,10 +29,7 @@
 //!   reconciliation pass that re-places orphaned and pending tasks, and a
 //!   Prometheus-style counter surface;
 //! * [`sampling`] — O(1) uniform sampling of free devices from a shared,
-//!   possibly saturated population;
-//! * [`client_runtime`] — the on-device runtime: eligibility criteria (idle,
-//!   charging, unmetered network), the example store with its retention
-//!   policy, and participation-history throttling (Section 4, Appendix E.5).
+//!   possibly saturated population.
 //!
 //! # Example
 //!
@@ -53,7 +50,6 @@
 //! assert!(report.tasks[0].server_updates() > 0);
 //! ```
 
-pub mod client_runtime;
 pub mod cluster;
 pub mod control_plane;
 pub mod events;
@@ -65,11 +61,11 @@ pub mod scenario;
 pub mod task_runtime;
 
 pub use control_plane::{ControlEvent, ControlPlaneService, Correction, EventLog, FleetStatus};
-pub use executor::{Executor, ExecutorStats, Parallelism};
+pub use executor::{Executor, Parallelism};
 pub use metrics::{ControlPlaneStats, FleetSummary, MetricsSummary, ParticipationRecord};
 pub use scenario::{
     EvalPolicy, FleetSpec, InjectedCrash, Report, RunLimits, Scenario, ScenarioBuilder, StopReason,
-    TaskReport, TierPolicy,
+    TaskReport,
 };
 pub use task_runtime::{ServerOptimizerKind, TaskRuntime};
 

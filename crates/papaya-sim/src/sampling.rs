@@ -25,10 +25,9 @@
 //! The shard layout is pure bookkeeping: a draw indexes the conceptual
 //! flat vector exactly as `Vec::swap_remove` would, so for a fixed seed
 //! the sequence of acquired ids is **bit-identical for every shard
-//! capacity** — and identical to the historical unsharded pool.  Scenario
-//! fingerprints therefore cannot move when the shard capacity is tuned
-//! (see `docs/DETERMINISM.md`; pinned by this module's tests and by the
-//! `shard_capacity_never_moves_fingerprints` scenario test).
+//! capacity** — and identical to the historical unsharded pool, so the
+//! layout never reaches a scenario fingerprint (see `docs/DETERMINISM.md`;
+//! pinned by this module's tests and by the root `scale_out` suite).
 
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -42,11 +41,9 @@ const NOT_FREE: u32 = u32::MAX;
 pub const DEFAULT_SHARD_CAPACITY: usize = 1 << 16;
 
 /// Constant-time uniform sampler over the free subset of `0..n` device ids,
-/// sharded so no single allocation scales with the population.
-///
-/// The capacity knob is surfaced as
-/// [`RunLimits::sampling_shard_capacity`](crate::scenario::RunLimits); it
-/// affects memory/allocator behaviour only, never the drawn sequence.
+/// sharded so no single allocation scales with the population.  The shard
+/// capacity affects memory/allocator behaviour only, never the drawn
+/// sequence.
 #[derive(Clone, Debug)]
 pub struct ShardedSamplingPool {
     /// Ids per shard; every shard except the last holds exactly this many.

@@ -54,13 +54,11 @@ use crate::events::{EventKind, EventQueue, SimTime};
 use crate::executor::{Executor, Parallelism};
 use crate::id_table::IdTable;
 use crate::metrics::{ControlPlaneStats, FleetSummary, MetricsCollector, MetricsSummary};
-use crate::sampling::{ShardedSamplingPool, DEFAULT_SHARD_CAPACITY};
+use crate::sampling::ShardedSamplingPool;
 use crate::task_runtime::{FreedClient, ServerOptimizerKind, TaskRuntime};
-use papaya_core::adversary::AdversarySpec;
 use papaya_core::client::ClientTrainer;
 use papaya_core::config::{SecAggMode, TaskConfig, TrainingMode};
-use papaya_core::dp::DpConfig;
-use papaya_core::robust::{RobustConfig, RobustTelemetry};
+use papaya_core::robust::RobustTelemetry;
 use papaya_core::surrogate::{SurrogateConfig, SurrogateObjective};
 use papaya_core::trace::{DecimatedTrace, TraceBudget};
 use papaya_data::population::{DeviceProfile, Population};
@@ -120,11 +118,6 @@ pub struct RunLimits {
     /// million-client scale, where per-event traces would otherwise
     /// dominate resident memory.
     pub trace_budget: TraceBudget,
-    /// Ids per shard of the free-device sampling pool (see
-    /// [`crate::sampling::ShardedSamplingPool`]).  Affects memory and
-    /// allocator behaviour only: the drawn client sequence — and therefore
-    /// the fingerprint — is bit-identical at every setting.
-    pub sampling_shard_capacity: usize,
 }
 
 impl Default for RunLimits {
@@ -135,7 +128,6 @@ impl Default for RunLimits {
             target_loss: None,
             parallelism: Parallelism::sequential(),
             trace_budget: TraceBudget::UNBOUNDED,
-            sampling_shard_capacity: DEFAULT_SHARD_CAPACITY,
         }
     }
 }
@@ -144,12 +136,6 @@ impl RunLimits {
     /// Sets the virtual-time budget in hours.
     pub fn with_max_virtual_time_hours(mut self, hours: f64) -> Self {
         self.max_virtual_time_s = hours * 3600.0;
-        self
-    }
-
-    /// Sets the virtual-time budget in seconds.
-    pub fn with_max_virtual_time_s(mut self, seconds: f64) -> Self {
-        self.max_virtual_time_s = seconds;
         self
     }
 
@@ -175,12 +161,6 @@ impl RunLimits {
     /// (deterministic stride decimation).
     pub fn with_trace_budget(mut self, max_samples: usize) -> Self {
         self.trace_budget = TraceBudget::bounded(max_samples);
-        self
-    }
-
-    /// Sets the sampling pool's shard capacity (ids per shard).
-    pub fn with_sampling_shard_capacity(mut self, capacity: usize) -> Self {
-        self.sampling_shard_capacity = capacity;
         self
     }
 }
@@ -217,53 +197,23 @@ impl EvalPolicy {
     }
 }
 
-/// Maps a device's compute speed to the capability tier it reports at
-/// check-in (Section 6.2, "constructing lists of eligible tasks"): tier 2
-/// (fast) devices can train any task, tier 1 (standard) mid-size tasks,
-/// tier 0 only unrestricted tasks.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct TierPolicy {
-    /// Speed factor at or above which a device reports tier 2.
-    pub fast_speed: f64,
-    /// Speed factor at or above which a device reports tier 1.
-    pub standard_speed: f64,
-}
+/// Speed factor at or above which a device reports capability tier 2.
+const FAST_SPEED: f64 = 1.25;
 
-impl Default for TierPolicy {
-    fn default() -> Self {
-        TierPolicy {
-            fast_speed: 1.25,
-            standard_speed: 0.75,
-        }
-    }
-}
+/// Speed factor at or above which a device reports capability tier 1.
+const STANDARD_SPEED: f64 = 0.75;
 
-impl TierPolicy {
-    /// Creates a policy with the given thresholds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `fast_speed < standard_speed`.
-    pub fn new(fast_speed: f64, standard_speed: f64) -> Self {
-        assert!(
-            fast_speed >= standard_speed,
-            "fast threshold must be at least the standard threshold"
-        );
-        TierPolicy {
-            fast_speed,
-            standard_speed,
-        }
-    }
-
-    /// The capability tier a device reports under this policy.
-    pub fn tier(&self, device: &DeviceProfile) -> u8 {
-        if device.speed_factor >= self.fast_speed {
-            2
-        } else if device.speed_factor >= self.standard_speed {
-            1
-        } else {
-            0
-        }
+/// The capability tier a device reports at check-in (Section 6.2,
+/// "constructing lists of eligible tasks"): tier 2 (fast) devices can train
+/// any task, tier 1 (standard) mid-size tasks, tier 0 only unrestricted
+/// tasks.
+pub(crate) fn capability_tier(device: &DeviceProfile) -> u8 {
+    if device.speed_factor >= FAST_SPEED {
+        2
+    } else if device.speed_factor >= STANDARD_SPEED {
+        1
+    } else {
+        0
     }
 }
 
@@ -294,24 +244,6 @@ impl FleetSpec {
             selector_refresh_interval_s: 45.0,
             heartbeat_timeout_s: 25.0,
         }
-    }
-
-    /// Sets the control-plane sweep interval.
-    pub fn with_control_plane_interval_s(mut self, interval_s: f64) -> Self {
-        self.control_plane_interval_s = interval_s;
-        self
-    }
-
-    /// Sets the Selector refresh interval.
-    pub fn with_selector_refresh_interval_s(mut self, interval_s: f64) -> Self {
-        self.selector_refresh_interval_s = interval_s;
-        self
-    }
-
-    /// Sets the heartbeat timeout.
-    pub fn with_heartbeat_timeout_s(mut self, timeout_s: f64) -> Self {
-        self.heartbeat_timeout_s = timeout_s;
-        self
     }
 }
 
@@ -615,7 +547,6 @@ pub struct Scenario {
     control_plane_restore_s: Option<f64>,
     limits: RunLimits,
     eval: EvalPolicy,
-    tier_policy: TierPolicy,
     server_optimizer: ServerOptimizerKind,
     seed: u64,
 }
@@ -631,12 +562,7 @@ pub struct ScenarioBuilder {
     control_plane_restore_s: Option<f64>,
     limits: RunLimits,
     eval: EvalPolicy,
-    tier_policy: TierPolicy,
     server_optimizer: ServerOptimizerKind,
-    secagg_override: Option<SecAggMode>,
-    dp_override: Option<DpConfig>,
-    robust_override: Option<RobustConfig>,
-    adversary_override: Option<AdversarySpec>,
     seed: u64,
 }
 
@@ -652,12 +578,7 @@ impl Default for ScenarioBuilder {
             control_plane_restore_s: None,
             limits: RunLimits::default(),
             eval: EvalPolicy::default(),
-            tier_policy: TierPolicy::default(),
             server_optimizer: ServerOptimizerKind::FedAvg,
-            secagg_override: None,
-            dp_override: None,
-            robust_override: None,
-            adversary_override: None,
             seed: 0,
         }
     }
@@ -730,67 +651,9 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Sets the capability-tier policy used at device check-in.
-    pub fn tier_policy(mut self, policy: TierPolicy) -> Self {
-        self.tier_policy = policy;
-        self
-    }
-
     /// Sets the server optimizer applied to every task's aggregated deltas.
     pub fn server_optimizer(mut self, kind: ServerOptimizerKind) -> Self {
         self.server_optimizer = kind;
-        self
-    }
-
-    /// Sets the secure-aggregation mode of **every** task of the scenario
-    /// (overriding whatever the individual [`TaskConfig`]s carry).  With
-    /// [`SecAggMode::AsyncSecAgg`] each task's aggregation strategy is
-    /// wrapped in a [`papaya_core::secure::SecureAggregator`]: clients mask
-    /// their updates, the Aggregator sums ciphertext, and the TSA releases
-    /// one unmask key per closing buffer.  For per-task control use
-    /// [`TaskConfig::with_secagg`] instead.
-    pub fn secagg(mut self, mode: SecAggMode) -> Self {
-        self.secagg_override = Some(mode);
-        self
-    }
-
-    /// Enables user-level differential privacy on **every** task of the
-    /// scenario (overriding whatever the individual [`TaskConfig`]s carry).
-    /// Each task's aggregation strategy is wrapped in a
-    /// [`papaya_core::dp::DpAggregator`]: updates are L2-clipped to the
-    /// configured bound, every release carries seeded Gaussian noise, and a
-    /// per-task [`papaya_core::dp::PrivacyAccountant`] composes the
-    /// cumulative `(ε, δ)`.  Composes with [`ScenarioBuilder::secagg`] (DP
-    /// wraps outermost).  For per-task control use [`TaskConfig::with_dp`]
-    /// instead.
-    pub fn dp(mut self, config: DpConfig) -> Self {
-        self.dp_override = Some(config);
-        self
-    }
-
-    /// Applies a robust-aggregation defense to every task of the scenario
-    /// (overriding whatever the individual [`TaskConfig`]s carry).  Each
-    /// task's aggregation stack is wrapped outermost in a
-    /// [`papaya_core::robust::RobustAggregator`]: updates are screened
-    /// (non-finite values always, L2 norm under a filter) before any inner
-    /// layer buffers them, and an engaged estimator (trimmed mean,
-    /// coordinate median) replaces the stack's release.  Composes with
-    /// [`ScenarioBuilder::secagg`] and [`ScenarioBuilder::dp`].  For
-    /// per-task control use [`TaskConfig::with_robust`] instead.
-    pub fn robust(mut self, config: RobustConfig) -> Self {
-        self.robust_override = Some(config);
-        self
-    }
-
-    /// Plants a Byzantine cohort in every task of the scenario (overriding
-    /// whatever the individual [`TaskConfig`]s carry): the spec's malicious
-    /// fraction of clients corrupts its uploads (payload, staleness
-    /// metadata, or SecAgg protocol deviation) after local training.  A
-    /// simulation knob for attack-vs-defense studies — it never influences
-    /// the defenses, which see only the update contents.  For per-task
-    /// control use [`TaskConfig::with_adversary`] instead.
-    pub fn adversary(mut self, spec: AdversarySpec) -> Self {
-        self.adversary_override = Some(spec);
         self
     }
 
@@ -811,41 +674,25 @@ impl ScenarioBuilder {
     /// Aggregators or Selectors, a heartbeat timeout not exceeding the
     /// control-plane interval, a periodic interval (evaluation,
     /// control-plane sweep, Selector refresh) that is not positive and
-    /// finite, a crash or recovery at a non-finite or negative time or on
-    /// an Aggregator the fleet does not have, a non-finite restore time, or
-    /// a task config the pipeline would not honor (a
-    /// non-positive/non-finite client timeout, or a capability-tier
-    /// restriction without a fleet to enforce it).
-    pub fn build(mut self) -> Scenario {
+    /// finite, an evaluation sample of zero clients, a crash or recovery at
+    /// a non-finite or negative time or on an Aggregator the fleet does not
+    /// have, a non-finite restore time, or a task config the pipeline would
+    /// not honor (a non-positive/non-finite client timeout, or a
+    /// capability-tier restriction without a fleet to enforce it).
+    pub fn build(self) -> Scenario {
         // papaya-lint: allow(panic-hygiene) -- documented builder contract: build() panics without a population (see doc comment)
         let population = self.population.expect("a population is required");
         assert!(!population.is_empty(), "population must not be empty");
         assert!(!self.tasks.is_empty(), "at least one task is required");
-        if let Some(mode) = self.secagg_override {
-            for task in &mut self.tasks {
-                task.secagg = mode;
-            }
-        }
-        if let Some(dp) = self.dp_override {
-            for task in &mut self.tasks {
-                task.dp = Some(dp);
-            }
-        }
-        if let Some(robust) = self.robust_override {
-            for task in &mut self.tasks {
-                task.robust = Some(robust);
-            }
-        }
-        if let Some(adversary) = self.adversary_override {
-            for task in &mut self.tasks {
-                task.adversary = Some(adversary);
-            }
-        }
         for task in &self.tasks {
             validate_task_config(task, self.fleet.is_some());
         }
         validate_run_limits(&self.limits);
         assert_positive_interval("eval.interval_s", self.eval.interval_s);
+        assert!(
+            self.eval.sample_size > 0,
+            "eval.sample_size must be positive"
+        );
         if let Some(fleet) = &self.fleet {
             assert!(fleet.aggregators > 0, "at least one aggregator is required");
             assert!(fleet.selectors > 0, "at least one selector is required");
@@ -916,7 +763,6 @@ impl ScenarioBuilder {
             control_plane_restore_s: self.control_plane_restore_s,
             limits: self.limits,
             eval: self.eval,
-            tier_policy: self.tier_policy,
             server_optimizer: self.server_optimizer,
             seed,
         }
@@ -1002,20 +848,15 @@ fn validate_task_config(task: &TaskConfig, has_fleet: bool) {
 /// non-finite target loss.
 fn validate_run_limits(limits: &RunLimits) {
     let RunLimits {
-        max_virtual_time_s,      // hard stop of the run loop
-        max_client_updates,      // checked on every client upload
-        target_loss,             // checked on every evaluation
-        parallelism: _,          // executor pool size; any value is honored
-        trace_budget: _,         // validated at construction by TraceBudget::bounded
-        sampling_shard_capacity, // must be able to hold at least one id
+        max_virtual_time_s, // hard stop of the run loop
+        max_client_updates, // checked on every client upload
+        target_loss,        // checked on every evaluation
+        parallelism: _,     // executor pool size; any value is honored
+        trace_budget: _,    // validated at construction by TraceBudget::bounded
     } = limits;
     assert!(
         max_virtual_time_s.is_finite() && *max_virtual_time_s > 0.0,
         "max_virtual_time_s must be positive and finite"
-    );
-    assert!(
-        *sampling_shard_capacity > 0,
-        "sampling_shard_capacity of 0 cannot hold any device ids"
     );
     if let Some(max) = max_client_updates {
         assert!(
@@ -1092,7 +933,7 @@ pub(crate) fn sample_eval_ids(
     population_len: usize,
     sample: usize,
 ) -> Vec<usize> {
-    let sample = sample.min(population_len).max(1);
+    let sample = sample.min(population_len);
     let mut chosen = BTreeSet::new();
     let mut eval_ids = Vec::with_capacity(sample);
     while eval_ids.len() < sample {
@@ -1188,7 +1029,7 @@ impl<'a> FleetPlane<'a> {
         let tiers = scenario
             .population
             .iter()
-            .map(|device| scenario.tier_policy.tier(&device))
+            .map(|device| capability_tier(&device))
             .collect();
         FleetPlane {
             fleet,
@@ -1326,10 +1167,7 @@ impl<'a> Run<'a> {
             rng,
             queue: EventQueue::new(),
             runtimes,
-            pool: ShardedSamplingPool::with_shard_capacity(
-                scenario.population.len(),
-                scenario.limits.sampling_shard_capacity,
-            ),
+            pool: ShardedSamplingPool::new(scenario.population.len()),
             next_participation_id: 0,
             scheduled_deadlines: vec![None; scenario.tasks.len()],
             plane,
@@ -1808,6 +1646,9 @@ impl<'a> Run<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use papaya_core::adversary::AdversarySpec;
+    use papaya_core::dp::DpConfig;
+    use papaya_core::robust::RobustConfig;
     use papaya_data::population::PopulationConfig;
 
     fn population(n: usize) -> Population {
@@ -1962,8 +1803,7 @@ mod tests {
     }
 
     #[test]
-    fn tier_policy_boundaries_are_inclusive() {
-        let policy = TierPolicy::default();
+    fn capability_tier_boundaries_are_inclusive() {
         let device = |speed: f64| DeviceProfile {
             id: 0,
             num_examples: 10,
@@ -1971,41 +1811,11 @@ mod tests {
             execution_time_s: 10.0,
             dropout_prob: 0.0,
         };
-        assert_eq!(policy.tier(&device(1.25)), 2);
-        assert_eq!(policy.tier(&device(1.2499)), 1);
-        assert_eq!(policy.tier(&device(0.75)), 1);
-        assert_eq!(policy.tier(&device(0.7499)), 0);
-        assert_eq!(policy.tier(&device(0.0)), 0);
-
-        let strict = TierPolicy::new(2.0, 1.0);
-        assert_eq!(strict.tier(&device(1.9)), 1);
-        assert_eq!(strict.tier(&device(2.0)), 2);
-        assert_eq!(strict.tier(&device(0.99)), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "fast threshold must be at least")]
-    fn inverted_tier_policy_rejected() {
-        let _ = TierPolicy::new(0.5, 1.0);
-    }
-
-    #[test]
-    fn custom_tier_policy_changes_eligibility() {
-        // With an impossibly high tier-1 threshold, a tier-1-restricted task
-        // sees no eligible devices and receives no updates.
-        let base = || {
-            Scenario::builder()
-                .population(population(400))
-                .task(TaskConfig::async_task("restricted", 16, 4).with_min_capability_tier(1))
-                .fleet(FleetSpec::new(1, 1))
-                .limits(RunLimits::default().with_max_virtual_time_hours(0.25))
-                .eval(EvalPolicy::default().with_interval_s(600.0))
-                .seed(13)
-        };
-        let default_policy = base().build().run();
-        assert!(default_policy.tasks[0].comm_trips() > 0);
-        let impossible = base().tier_policy(TierPolicy::new(1e9, 1e9)).build().run();
-        assert_eq!(impossible.tasks[0].comm_trips(), 0);
+        assert_eq!(capability_tier(&device(1.25)), 2);
+        assert_eq!(capability_tier(&device(1.2499)), 1);
+        assert_eq!(capability_tier(&device(0.75)), 1);
+        assert_eq!(capability_tier(&device(0.7499)), 0);
+        assert_eq!(capability_tier(&device(0.0)), 0);
     }
 
     #[test]
@@ -2034,21 +1844,6 @@ mod tests {
         assert_eq!(clear.single().metrics.secure.masked_updates, 0);
         assert_eq!(clear.single().metrics.secure.tsa_key_releases, 0);
         assert_ne!(clear.fingerprint(), secure.fingerprint());
-    }
-
-    #[test]
-    fn secagg_builder_knob_applies_to_every_task() {
-        let scenario = Scenario::builder()
-            .population(population(300))
-            .task(TaskConfig::async_task("a", 16, 4))
-            .task(TaskConfig::sync_task("s", 12, 0.3))
-            .fleet(FleetSpec::new(1, 1))
-            .secagg(SecAggMode::AsyncSecAgg)
-            .seed(1)
-            .build();
-        for task in scenario.tasks() {
-            assert_eq!(task.secagg, SecAggMode::AsyncSecAgg, "{}", task.name);
-        }
     }
 
     #[test]
@@ -2152,11 +1947,17 @@ mod tests {
         let adversary = AdversarySpec::new(0.1, papaya_core::Malice::StalenessLiar);
         let scenario = Scenario::builder()
             .population(population(300))
-            .task(TaskConfig::async_task("a", 16, 4))
-            .task(TaskConfig::sync_task("s", 12, 0.3))
+            .task(
+                TaskConfig::async_task("a", 16, 4)
+                    .with_robust(robust)
+                    .with_adversary(adversary),
+            )
+            .task(
+                TaskConfig::sync_task("s", 12, 0.3)
+                    .with_robust(robust)
+                    .with_adversary(adversary),
+            )
             .fleet(FleetSpec::new(1, 1))
-            .robust(robust)
-            .adversary(adversary)
             .seed(1)
             .build();
         for task in scenario.tasks() {
@@ -2267,10 +2068,9 @@ mod tests {
         let dp = DpConfig::new(5.0, 1.0);
         let scenario = Scenario::builder()
             .population(population(300))
-            .task(TaskConfig::async_task("a", 16, 4))
-            .task(TaskConfig::sync_task("s", 12, 0.3))
+            .task(TaskConfig::async_task("a", 16, 4).with_dp(dp))
+            .task(TaskConfig::sync_task("s", 12, 0.3).with_dp(dp))
             .fleet(FleetSpec::new(1, 1))
-            .dp(dp)
             .seed(1)
             .build();
         for task in scenario.tasks() {
@@ -2347,19 +2147,28 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "eval.sample_size must be positive")]
+    fn zero_eval_sample_size_rejected() {
+        // Used to evaluate one client: sampling clamped 0 up to 1.
+        let _ = one_task()
+            .eval(EvalPolicy::default().with_sample_size(0))
+            .build();
+    }
+
+    #[test]
     #[should_panic(expected = "control_plane_interval_s must be positive and finite")]
     fn zero_control_plane_interval_rejected() {
-        let _ = one_task()
-            .fleet(FleetSpec::new(2, 1).with_control_plane_interval_s(0.0))
-            .build();
+        let mut fleet = FleetSpec::new(2, 1);
+        fleet.control_plane_interval_s = 0.0;
+        let _ = one_task().fleet(fleet).build();
     }
 
     #[test]
     #[should_panic(expected = "selector_refresh_interval_s must be positive and finite")]
     fn negative_selector_refresh_interval_rejected() {
-        let _ = one_task()
-            .fleet(FleetSpec::new(2, 1).with_selector_refresh_interval_s(-45.0))
-            .build();
+        let mut fleet = FleetSpec::new(2, 1);
+        fleet.selector_refresh_interval_s = -45.0;
+        let _ = one_task().fleet(fleet).build();
     }
 
     #[test]

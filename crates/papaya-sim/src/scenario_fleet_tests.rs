@@ -4,7 +4,7 @@
 #[cfg(test)]
 mod tests {
     use crate::scenario::{
-        EvalPolicy, FleetSpec, Report, RunLimits, Scenario, ScenarioBuilder, TierPolicy,
+        capability_tier, EvalPolicy, FleetSpec, Report, RunLimits, Scenario, ScenarioBuilder,
     };
     use papaya_core::config::TaskConfig;
     use papaya_data::population::{Population, PopulationConfig};
@@ -75,7 +75,7 @@ mod tests {
     #[test]
     fn capability_tiers_restrict_participation() {
         let pop = population(1500);
-        let tiers: Vec<u8> = pop.iter().map(|d| TierPolicy::default().tier(&d)).collect();
+        let tiers: Vec<u8> = pop.iter().map(|d| capability_tier(&d)).collect();
         let report = fleet(pop, 2, 1.0, 600.0, 13).build().run();
         // Task 3 requires tier 2; every participant must be a tier-2 device.
         for record in &report.tasks[3].metrics.participations {

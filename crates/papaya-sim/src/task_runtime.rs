@@ -386,7 +386,6 @@ impl TaskRuntime {
     fn discard_prefetch(&self, participation_id: u64) {
         if let Some(executor) = &self.executor {
             executor.discard(participation_id);
-            executor.discard_mask(participation_id);
         }
     }
 
@@ -448,9 +447,7 @@ impl TaskRuntime {
         if self.aggregator.closes_round_on_release() && in_flight.round != self.round_number {
             // Update from a previous round arriving late; discarded (along
             // with any speculative mask still on the pool).
-            if let Some(executor) = &self.executor {
-                executor.discard_mask(participation_id);
-            }
+            self.discard_prefetch(participation_id);
             self.metrics.discarded_updates += 1;
             self.metrics.participations.push(ParticipationRecord {
                 client_id,

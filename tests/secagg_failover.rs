@@ -22,9 +22,8 @@ fn run_fleet(crash: Option<(f64, usize)>) -> Report {
     // masked buffer is lost.
     let mut builder = Scenario::builder()
         .population(population)
-        .task(TaskConfig::async_task("secure-a", 48, 12))
-        .task(TaskConfig::async_task("secure-b", 32, 8))
-        .secagg(SecAggMode::AsyncSecAgg)
+        .task(TaskConfig::async_task("secure-a", 48, 12).with_secagg(SecAggMode::AsyncSecAgg))
+        .task(TaskConfig::async_task("secure-b", 32, 8).with_secagg(SecAggMode::AsyncSecAgg))
         .fleet(FleetSpec::new(2, 2))
         .limits(RunLimits::default().with_max_virtual_time_hours(2.0))
         .eval(EvalPolicy::default().with_interval_s(600.0))
