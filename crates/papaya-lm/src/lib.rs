@@ -4,8 +4,8 @@
 //! (Kim et al., 2015) trained with local SGD on client devices.  This crate
 //! provides the reproduction's stand-in: a small character-level LSTM
 //! ([`model::CharLstm`]: one fused, allocation-free forward and backward
-//! pass over a flat parameter vector, bit-identical to the same network
-//! composed from `papaya-nn`'s layers), plus
+//! pass over a flat parameter vector, bit-identical to the textbook
+//! equations written out in `tests/fused_vs_reference.rs`), plus
 //! [`trainer::LmClientTrainer`], a [`papaya_core::client::ClientTrainer`]
 //! implementation that trains the model on each client's local synthetic
 //! text and evaluates held-out perplexity — the metric reported in Table 1.

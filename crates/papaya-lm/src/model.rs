@@ -7,16 +7,15 @@
 //! backpropagation through time needs lives in one workspace that is
 //! resized once per sequence.  Nothing is allocated per time step.
 //!
-//! The arithmetic is that of the layer-composed reference built from
-//! `papaya-nn`'s `Embedding`, `LstmCell`, `Linear` and
-//! `softmax_cross_entropy` (`tests/fused_vs_layers.rs` holds it and compares
-//! bit for bit): every sum below runs in the reference's order and every
-//! product keeps its association, because the deltas this model produces
-//! feed `Report::fingerprint`.  Gate order is `[input, forget, cell, output]`.
+//! Every sum below runs in one fixed order and every product keeps its
+//! association, because the deltas this model produces feed
+//! `Report::fingerprint`.  `tests/fused_vs_reference.rs` writes the same
+//! network out as the textbook equations over `Vec<Vec<f32>>` rows, with
+//! the sums in the same order, and compares the two bit for bit.  Gate
+//! order is `[input, forget, cell, output]`.
 
 use papaya_nn::init::{uniform, xavier_uniform};
 use papaya_nn::params::ParamVec;
-use papaya_nn::tensor::sigmoid;
 
 /// Architecture hyperparameters of the language model.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -72,12 +71,24 @@ impl LmConfig {
     }
 }
 
+/// Numerically stable logistic function: `exp` only ever sees a
+/// non-positive argument.
+fn sigmoid(x: f32) -> f32 {
+    if x >= 0.0 {
+        1.0 / (1.0 + (-x).exp())
+    } else {
+        let e = x.exp();
+        e / (1.0 + e)
+    }
+}
+
 /// Independent accumulation chains [`times_transposed`] advances together.
 const CHAINS: usize = 4;
 
 /// `out = x · W` for a row vector `x` and a row-major `(x.len(), out.len())`
-/// matrix: each output accumulates over `k` ascending from `0.0`, and rows
-/// with `x[k] == 0.0` are skipped, as `Matrix::matmul` does.
+/// matrix: each output accumulates `x[k]·W[k][j]` over `k` ascending from
+/// `0.0`.  Rows with `x[k] == 0.0` are skipped; they would add `±0.0` to a
+/// sum that, starting at `+0.0`, never holds `-0.0`, so no bit changes.
 fn row_times(x: &[f32], w: &[f32], out: &mut [f32]) {
     out.fill(0.0);
     for (&a, w_row) in x.iter().zip(w.chunks_exact(out.len())) {
@@ -91,10 +102,10 @@ fn row_times(x: &[f32], w: &[f32], out: &mut [f32]) {
 }
 
 /// `out = g · Wᵀ` for a row-major `(out.len(), g.len())` matrix: each output
-/// is one dot product summed over `k` ascending from `0.0` with no skipping,
-/// as `Matrix::matmul_transpose_b` does.  A single dot product is a chain of
-/// dependent additions, so [`CHAINS`] outputs advance together; the order
-/// inside each chain is unchanged.
+/// is one dot product `Σ g[k]·W[j][k]`, summed over `k` ascending from
+/// `0.0` with no skipping.  A single dot product is a chain of dependent
+/// additions, so [`CHAINS`] outputs advance together; the order inside each
+/// chain is unchanged.
 fn times_transposed(g: &[f32], w: &[f32], out: &mut [f32]) {
     let n = g.len();
     let mut outputs = out.chunks_exact_mut(CHAINS);
@@ -120,10 +131,9 @@ fn times_transposed(g: &[f32], w: &[f32], out: &mut [f32]) {
 }
 
 /// `grad[i][j] += a[i] · g[j]` on a row-major `(a.len(), g.len())` gradient,
-/// skipping rows with `a[i] == 0.0`.  The reference forms the outer product
-/// in a zeroed temporary (`Matrix::matmul_transpose_a`) and adds that; the
-/// two differ only where the gradient holds `-0.0`, and a sum that starts at
-/// `+0.0` never produces one.
+/// one step's term of the sum over time.  Rows with `a[i] == 0.0` are
+/// skipped, as in [`row_times`]: the gradient starts at `+0.0` and never
+/// holds `-0.0`.
 fn add_outer(a: &[f32], g: &[f32], grad: &mut [f32]) {
     for (&a, grad_row) in a.iter().zip(grad.chunks_exact_mut(g.len())) {
         if a == 0.0 {
@@ -135,8 +145,9 @@ fn add_outer(a: &[f32], g: &[f32], grad: &mut [f32]) {
     }
 }
 
-/// `grad[j] += 0.0 + g[j]`: the reference's `sum_rows` over a single row,
-/// which turns a `-0.0` term into `+0.0` before it is added.
+/// `grad[j] += g[j]`, written `grad[j] += 0.0 + g[j]`: the `0.0 +` turns a
+/// `-0.0` term into `+0.0`, which changes no bit of a gradient that never
+/// holds `-0.0`.
 fn add_row_sum(g: &[f32], grad: &mut [f32]) {
     for (o, b) in grad.iter_mut().zip(g) {
         *o += 0.0 + b;
@@ -276,14 +287,18 @@ impl CharLstm {
     /// `[-0.1, 0.1)` table, Xavier-uniform weights, zero biases except the
     /// forget gate's, which starts at 1.0 (the standard trick for stable
     /// early training).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a dimension of `config` is zero.
     pub fn new(config: LmConfig, seed: u64) -> Self {
         let (v, e, h) = (config.vocab_size, config.embedding_dim, config.hidden_size);
         let mut params = Vec::with_capacity(config.parameter_count());
-        params.extend_from_slice(uniform(v, e, 0.1, seed).data());
-        params.extend_from_slice(xavier_uniform(e, 4 * h, seed.wrapping_add(1)).data());
-        params.extend_from_slice(xavier_uniform(h, 4 * h, seed.wrapping_add(2)).data());
+        params.extend(uniform(v, e, 0.1, seed));
+        params.extend(xavier_uniform(e, 4 * h, seed.wrapping_add(1)));
+        params.extend(xavier_uniform(h, 4 * h, seed.wrapping_add(2)));
         params.extend((0..4 * h).map(|j| if (h..2 * h).contains(&j) { 1.0 } else { 0.0 }));
-        params.extend_from_slice(xavier_uniform(h, v, seed.wrapping_add(2)).data());
+        params.extend(xavier_uniform(h, v, seed.wrapping_add(2)));
         params.resize(params.len() + v, 0.0);
         Self::with_params(config, params)
     }
@@ -292,12 +307,25 @@ impl CharLstm {
     ///
     /// # Panics
     ///
-    /// Panics if the length does not match [`LmConfig::parameter_count`].
+    /// Panics if a dimension of `config` is zero, or if the length does not
+    /// match [`LmConfig::parameter_count`].
     pub fn from_params(config: LmConfig, params: &ParamVec) -> Self {
         Self::with_params(config, params.as_slice().to_vec())
     }
 
     fn with_params(config: LmConfig, params: Vec<f32>) -> Self {
+        let LmConfig {
+            vocab_size,
+            embedding_dim,
+            hidden_size,
+        } = config;
+        for (field, value) in [
+            ("vocab_size", vocab_size),
+            ("embedding_dim", embedding_dim),
+            ("hidden_size", hidden_size),
+        ] {
+            assert!(value > 0, "LmConfig::{field} must be positive");
+        }
         assert_eq!(
             params.len(),
             config.parameter_count(),
@@ -524,6 +552,16 @@ mod tests {
         assert!(model.sequence_loss(&[0]).is_none());
         assert!(model.train_sequence(&[0], 0.1).is_none());
         assert!(model.sequence_loss(&[]).is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "LmConfig::hidden_size must be positive")]
+    fn zero_dimension_is_rejected_by_name() {
+        let config = LmConfig {
+            hidden_size: 0,
+            ..LmConfig::tiny()
+        };
+        let _ = CharLstm::new(config, 1);
     }
 
     #[test]

@@ -8,6 +8,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
+/// Client-side SGD learning rate.
+const CLIENT_LEARNING_RATE: f32 = 0.5;
+
 /// Trains the character LSTM on each client's local data and evaluates
 /// held-out perplexity.
 ///
@@ -17,39 +20,32 @@ use std::sync::Arc;
 pub struct LmClientTrainer {
     dataset: Arc<FederatedTextDataset>,
     config: LmConfig,
-    /// Client-side SGD learning rate; finite and positive.
-    pub client_learning_rate: f32,
-    /// Number of local epochs (paper: 1).
-    pub local_epochs: usize,
     /// Cap on training sequences consumed per participation (stands in for
     /// the 4-minute client timeout); at least 1.
-    pub max_sequences_per_round: usize,
+    max_sequences_per_round: usize,
     init_seed: u64,
 }
 
 impl LmClientTrainer {
     /// Creates a trainer over the given federated dataset.
-    pub fn new(dataset: Arc<FederatedTextDataset>, config: LmConfig) -> Self {
-        LmClientTrainer {
-            dataset,
-            config,
-            client_learning_rate: 0.5,
-            local_epochs: 1,
-            max_sequences_per_round: 64,
-            init_seed: 7,
-        }
-    }
-
-    /// Sets the client learning rate.
     ///
     /// # Panics
     ///
-    /// Panics unless `lr` is finite and positive: a zero, negative, NaN or
-    /// infinite rate trains nothing or poisons every parameter.
-    pub fn with_learning_rate(mut self, lr: f32) -> Self {
-        self.client_learning_rate = lr;
-        self.validate();
-        self
+    /// Panics if `config.vocab_size` is below the dataset's vocabulary: a
+    /// client holding a token the model has no row for could not train.
+    pub fn new(dataset: Arc<FederatedTextDataset>, config: LmConfig) -> Self {
+        assert!(
+            config.vocab_size >= dataset.vocab_size(),
+            "LmConfig::vocab_size {} is below the dataset's vocabulary of {}",
+            config.vocab_size,
+            dataset.vocab_size()
+        );
+        LmClientTrainer {
+            dataset,
+            config,
+            max_sequences_per_round: 64,
+            init_seed: 7,
+        }
     }
 
     /// Sets the per-participation sequence cap.
@@ -59,23 +55,9 @@ impl LmClientTrainer {
     /// Panics if `max` is zero: every `train` would return an all-zero delta
     /// that the server still weights by the client's example count.
     pub fn with_max_sequences(mut self, max: usize) -> Self {
+        assert!(max >= 1, "max sequences per round must be at least 1");
         self.max_sequences_per_round = max;
-        self.validate();
         self
-    }
-
-    /// The conditions the two setters enforce; `train` repeats them because
-    /// the fields are public.
-    fn validate(&self) {
-        assert!(
-            self.client_learning_rate.is_finite() && self.client_learning_rate > 0.0,
-            "client learning rate must be finite and positive, got {}",
-            self.client_learning_rate
-        );
-        assert!(
-            self.max_sequences_per_round >= 1,
-            "max sequences per round must be at least 1"
-        );
     }
 
     /// Mean test-set perplexity of `params` over the given clients
@@ -95,7 +77,6 @@ impl ClientTrainer for LmClientTrainer {
     }
 
     fn train(&self, client_id: usize, global: &ParamVec, seed: u64) -> LocalTrainResult {
-        self.validate();
         let client = self.dataset.client(client_id);
         let mut model = CharLstm::from_params(self.config, global);
         let mut rng = StdRng::seed_from_u64(seed);
@@ -110,14 +91,10 @@ impl ClientTrainer for LmClientTrainer {
 
         let mut loss_sum = 0.0f32;
         let mut loss_count = 0usize;
-        for _ in 0..self.local_epochs.max(1) {
-            for &idx in &order {
-                if let Some(loss) =
-                    model.train_sequence(&client.train[idx], self.client_learning_rate)
-                {
-                    loss_sum += loss;
-                    loss_count += 1;
-                }
+        for &idx in &order {
+            if let Some(loss) = model.train_sequence(&client.train[idx], CLIENT_LEARNING_RATE) {
+                loss_sum += loss;
+                loss_count += 1;
             }
         }
         let trained = model.param_vector();
@@ -265,22 +242,15 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "client learning rate must be finite and positive")]
-    fn non_positive_or_non_finite_learning_rates_are_rejected() {
-        for lr in [0.0, -0.5, f32::INFINITY, f32::NEG_INFINITY] {
-            let rejected = std::panic::catch_unwind(|| trainer(2).with_learning_rate(lr)).is_err();
-            assert!(rejected, "learning rate {lr} was accepted");
-        }
-        let _ = trainer(2).with_learning_rate(f32::NAN);
-    }
-
-    #[test]
-    #[should_panic(expected = "max sequences per round must be at least 1")]
-    fn train_rechecks_the_public_fields() {
-        let mut t = trainer(2);
-        t.max_sequences_per_round = 0;
-        let global = t.initial_parameters();
-        let _ = t.train(0, &global, 1);
+    #[should_panic(expected = "LmConfig::vocab_size 27 is below the dataset's vocabulary of 28")]
+    fn vocabulary_smaller_than_the_dataset_is_rejected() {
+        let pop = Population::generate(&PopulationConfig::default().with_size(2), 13);
+        let data = Arc::new(FederatedTextDataset::generate(&pop, 3, 13));
+        let config = LmConfig {
+            vocab_size: data.vocab_size() - 1,
+            ..LmConfig::tiny()
+        };
+        let _ = LmClientTrainer::new(data, config);
     }
 
     #[test]

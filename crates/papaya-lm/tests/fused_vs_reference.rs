@@ -18,18 +18,11 @@
 //! starts at `+0.0` never holds `-0.0`, so adding a `±0.0` changes no bit.
 //!
 //! Losses and every parameter must therefore agree in every bit, in the
-//! test profile and with `--release`.  [`LayerLstm`], the model composed
-//! from `papaya-nn`'s `Matrix` layers that the fused model replaced, is
-//! held to the same comparison.
+//! test profile and with `--release`.
 
 use papaya_data::text::TextGenerator;
 use papaya_lm::{CharLstm, LmConfig};
-use papaya_nn::embedding::Embedding;
-use papaya_nn::linear::Linear;
-use papaya_nn::loss::softmax_cross_entropy;
-use papaya_nn::lstm::{LstmCell, LstmState};
 use papaya_nn::params::ParamVec;
-use papaya_nn::tensor::Matrix;
 use proptest::prelude::*;
 
 /// A matrix as its rows.
@@ -316,174 +309,35 @@ impl NaiveLstm {
     }
 }
 
-/// The layer-composed reference model.
-struct LayerLstm {
-    hidden: usize,
-    embedding: Embedding,
-    lstm: LstmCell,
-    output: Linear,
-}
-
-impl LayerLstm {
-    /// A reference model holding `params` (in `CharLstm::param_vector` order).
-    fn from_params(config: LmConfig, params: &ParamVec) -> Self {
-        let mut model = LayerLstm {
-            hidden: config.hidden_size,
-            embedding: Embedding::new(config.vocab_size, config.embedding_dim, 0),
-            lstm: LstmCell::new(config.embedding_dim, config.hidden_size, 0),
-            output: Linear::new(config.hidden_size, config.vocab_size, 0),
-        };
-        let shapes: Vec<(usize, usize)> = model
-            .parameter_matrices()
-            .iter()
-            .map(|m| m.shape())
-            .collect();
-        let matrices = params.to_matrices(&shapes);
-        model.embedding.set_parameter_matrices(&matrices[0..1]);
-        model.lstm.set_parameter_matrices(&matrices[1..4]);
-        model.output.set_parameter_matrices(&matrices[4..6]);
-        model
-    }
-
-    fn parameter_matrices(&self) -> Vec<&Matrix> {
-        let mut out = self.embedding.parameter_matrices();
-        out.extend(self.lstm.parameter_matrices());
-        out.extend(self.output.parameter_matrices());
-        out
-    }
-
-    fn param_vector(&self) -> ParamVec {
-        ParamVec::from_matrices(self.parameter_matrices())
-    }
-
-    fn sequence_loss(&self, tokens: &[usize]) -> Option<f32> {
-        if tokens.len() < 2 {
-            return None;
-        }
-        let mut state = LstmState::zeros(1, self.hidden);
-        let mut total = 0.0f32;
-        let steps = tokens.len() - 1;
-        for t in 0..steps {
-            let embedded = self.embedding.forward_inference(&tokens[t..t + 1]);
-            state = self.lstm.step_inference(&embedded, &state);
-            let logits = self.output.forward_inference(&state.h);
-            let (loss, _) = softmax_cross_entropy(&logits, &tokens[t + 1..t + 2]);
-            total += loss;
-        }
-        Some(total / steps as f32)
-    }
-
-    fn train_sequence(&mut self, tokens: &[usize], learning_rate: f32) -> Option<f32> {
-        if tokens.len() < 2 {
-            return None;
-        }
-        let steps = tokens.len() - 1;
-
-        self.embedding.zero_grad();
-        self.lstm.zero_grad();
-        self.output.zero_grad();
-        self.lstm.clear_cache();
-
-        // Forward pass, retaining per-step caches for BPTT.
-        let mut state = LstmState::zeros(1, self.hidden);
-        let mut total_loss = 0.0f32;
-        let mut logit_grads: Vec<Matrix> = Vec::with_capacity(steps);
-        let mut embedded_inputs: Vec<Vec<usize>> = Vec::with_capacity(steps);
-        let mut hidden_states: Vec<Matrix> = Vec::with_capacity(steps);
-        for t in 0..steps {
-            let ids = vec![tokens[t]];
-            let embedded = self.embedding.forward_inference(&ids);
-            state = self.lstm.step(&embedded, &state);
-            let logits = self.output.forward_inference(&state.h);
-            let (loss, grad_logits) = softmax_cross_entropy(&logits, &tokens[t + 1..t + 2]);
-            total_loss += loss;
-            logit_grads.push(grad_logits);
-            embedded_inputs.push(ids);
-            hidden_states.push(state.h.clone());
-        }
-
-        // Backward pass (reverse time); the two `forward` calls only refill
-        // the layers' input caches.
-        let mut grad_h_next = Matrix::zeros(1, self.hidden);
-        let mut grad_c_next = Matrix::zeros(1, self.hidden);
-        for t in (0..steps).rev() {
-            let _ = self.output.forward(&hidden_states[t]);
-            let grad_h_from_output = self.output.backward(&logit_grads[t]);
-            let grad_h = grad_h_from_output.add(&grad_h_next);
-            let (grad_embedded, grad_h_prev, grad_c_prev) =
-                self.lstm.backward_step(&grad_h, &grad_c_next);
-            let _ = self.embedding.forward(&embedded_inputs[t]);
-            self.embedding.backward(&grad_embedded);
-            grad_h_next = grad_h_prev;
-            grad_c_next = grad_c_prev;
-        }
-
-        // SGD step over all parameters.
-        let mut params = self.embedding.parameters_mut();
-        params.extend(self.lstm.parameters_mut());
-        params.extend(self.output.parameters_mut());
-        for p in params.iter_mut() {
-            let grads = p.grad.data().to_vec();
-            for (value, grad) in p.value.data_mut().iter_mut().zip(grads.iter()) {
-                *value -= learning_rate * grad / steps as f32;
-            }
-        }
-        Some(total_loss / steps as f32)
-    }
-}
-
 fn bits(params: &ParamVec) -> Vec<u32> {
     params.as_slice().iter().map(|v| v.to_bits()).collect()
 }
 
-/// Feeds `sequences` to the fused model and both references in order and
-/// compares the evaluation loss before, the training loss, and every
-/// parameter after each one.
+/// Feeds `sequences` to both models in order and compares the evaluation
+/// loss before, the training loss, and every parameter after each one.
 fn assert_bit_identical(config: LmConfig, seed: u64, learning_rate: f32, sequences: &[Vec<usize>]) {
     let mut fused = CharLstm::new(config, seed);
     let mut naive = NaiveLstm::from_params(&fused.parameter_shapes(), &fused.param_vector());
-    let mut layers = LayerLstm::from_params(config, &fused.param_vector());
     assert_eq!(bits(&fused.param_vector()), bits(&naive.param_vector()));
-    assert_eq!(bits(&fused.param_vector()), bits(&layers.param_vector()));
     for (n, tokens) in sequences.iter().enumerate() {
-        let loss = fused.sequence_loss(tokens).map(f32::to_bits);
         assert_eq!(
-            loss,
+            fused.sequence_loss(tokens).map(f32::to_bits),
             naive.sequence_loss(tokens).map(f32::to_bits),
             "sequence_loss, sequence {n} {tokens:?}"
         );
         assert_eq!(
-            loss,
-            layers.sequence_loss(tokens).map(f32::to_bits),
-            "layers sequence_loss, sequence {n} {tokens:?}"
-        );
-        let loss = fused
-            .train_sequence(tokens, learning_rate)
-            .map(f32::to_bits);
-        assert_eq!(
-            loss,
+            fused
+                .train_sequence(tokens, learning_rate)
+                .map(f32::to_bits),
             naive
                 .train_sequence(tokens, learning_rate)
                 .map(f32::to_bits),
             "train_sequence loss, sequence {n} {tokens:?}"
         );
         assert_eq!(
-            loss,
-            layers
-                .train_sequence(tokens, learning_rate)
-                .map(f32::to_bits),
-            "layers train_sequence loss, sequence {n} {tokens:?}"
-        );
-        let params = bits(&fused.param_vector());
-        assert_eq!(
-            params,
+            bits(&fused.param_vector()),
             bits(&naive.param_vector()),
             "parameters after sequence {n} {tokens:?}"
-        );
-        assert_eq!(
-            params,
-            bits(&layers.param_vector()),
-            "layers parameters after sequence {n} {tokens:?}"
         );
     }
 }

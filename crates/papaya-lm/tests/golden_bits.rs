@@ -2,10 +2,11 @@
 //!
 //! The LSTM trainer feeds `Report::fingerprint` through every delta it
 //! returns, so a rewrite of its kernels has to keep every bit.  The
-//! constants below were taken from the layer-composed model (`papaya-nn`
-//! `Embedding` → `LstmCell` → `Linear`) and must hold in the test profile
-//! and with `--release`.  A change that means to move them replaces them
-//! with the values this test prints on mismatch and says why.
+//! constants below were taken from the model composed of embedding, LSTM
+//! cell and linear layers that preceded the fused `CharLstm`, and must hold
+//! in the test profile and with `--release`.  A change that means to move
+//! them replaces them with the values this test prints on mismatch and says
+//! why.
 
 use papaya_core::client::ClientTrainer;
 use papaya_data::dataset::FederatedTextDataset;

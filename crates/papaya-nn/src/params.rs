@@ -1,43 +1,10 @@
-//! Flat parameter vectors and the parameter-visiting API shared by layers and
-//! optimizers.
+//! Flat parameter vectors.
 //!
 //! Federated learning moves *model deltas* around: a client computes
 //! `delta = trained_params - initial_params`, the delta is (optionally masked
 //! and) uploaded, the server aggregates deltas and feeds them to a server
 //! optimizer.  [`ParamVec`] is that flat vector representation, with the
 //! arithmetic and byte (de)serialization the rest of the stack needs.
-
-use crate::tensor::Matrix;
-
-/// A named, mutable view of one parameter tensor and its gradient buffer.
-///
-/// Layers hand out `Parameter`s so optimizers can update values in place and
-/// training loops can zero or inspect gradients without knowing layer
-/// internals.
-#[derive(Debug)]
-pub struct Parameter<'a> {
-    /// Stable name used for debugging and state tracking.
-    pub name: &'static str,
-    /// The parameter values.
-    pub value: &'a mut Matrix,
-    /// The accumulated gradient, same shape as `value`.
-    pub grad: &'a mut Matrix,
-}
-
-impl<'a> Parameter<'a> {
-    /// Creates a parameter view.
-    pub fn new(name: &'static str, value: &'a mut Matrix, grad: &'a mut Matrix) -> Self {
-        debug_assert_eq!(value.shape(), grad.shape());
-        Parameter { name, value, grad }
-    }
-
-    /// Zeroes the gradient buffer.
-    pub fn zero_grad(&mut self) {
-        for g in self.grad.data_mut() {
-            *g = 0.0;
-        }
-    }
-}
 
 /// A flat `f32` parameter (or delta) vector.
 ///
@@ -66,42 +33,6 @@ impl ParamVec {
     /// Wraps an existing vector.
     pub fn from_vec(data: Vec<f32>) -> Self {
         ParamVec { data }
-    }
-
-    /// Concatenates the values of a sequence of matrices into one flat vector.
-    pub fn from_matrices<'m>(matrices: impl IntoIterator<Item = &'m Matrix>) -> Self {
-        let mut data = Vec::new();
-        for m in matrices {
-            data.extend_from_slice(m.data());
-        }
-        ParamVec { data }
-    }
-
-    /// Splits the flat vector back into matrices with the given shapes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the total number of elements does not match.
-    pub fn to_matrices(&self, shapes: &[(usize, usize)]) -> Vec<Matrix> {
-        let total: usize = shapes.iter().map(|(r, c)| r * c).sum();
-        assert_eq!(
-            total,
-            self.data.len(),
-            "shape list covers {total} elements but vector has {}",
-            self.data.len()
-        );
-        let mut out = Vec::with_capacity(shapes.len());
-        let mut offset = 0;
-        for &(r, c) in shapes {
-            let n = r * c;
-            out.push(Matrix::from_vec(
-                r,
-                c,
-                self.data[offset..offset + n].to_vec(),
-            ));
-            offset += n;
-        }
-        out
     }
 
     /// Number of scalar parameters.
@@ -212,17 +143,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn from_to_matrices_roundtrip() {
-        let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
-        let b = Matrix::from_rows(&[vec![5.0, 6.0, 7.0]]);
-        let v = ParamVec::from_matrices([&a, &b]);
-        assert_eq!(v.len(), 7);
-        let restored = v.to_matrices(&[(2, 2), (1, 3)]);
-        assert_eq!(restored[0], a);
-        assert_eq!(restored[1], b);
-    }
-
-    #[test]
     fn arithmetic_ops() {
         let a = ParamVec::from_vec(vec![1.0, 2.0, 3.0]);
         let b = ParamVec::from_vec(vec![1.0, 1.0, 1.0]);
@@ -255,14 +175,5 @@ mod tests {
         let a = ParamVec::zeros(3);
         let b = ParamVec::zeros(4);
         let _ = a.sub(&b);
-    }
-
-    #[test]
-    fn zero_grad_clears_buffer() {
-        let mut value = Matrix::ones(2, 2);
-        let mut grad = Matrix::ones(2, 2);
-        let mut p = Parameter::new("w", &mut value, &mut grad);
-        p.zero_grad();
-        assert!(p.grad.data().iter().all(|&g| g == 0.0));
     }
 }

@@ -7,7 +7,8 @@
 //! Builds a small non-IID federated text corpus, trains the LSTM with
 //! asynchronous FedBuff through the system simulator, and reports test
 //! perplexity for all clients and for the heavy-data clients (the Table 1
-//! metric).
+//! metric).  Panics unless test perplexity falls below half its initial
+//! value for both client sets.
 
 use papaya_core::client::ClientTrainer;
 use papaya_core::TaskConfig;
@@ -30,7 +31,9 @@ fn main() {
     let trainer = Arc::new(LmClientTrainer::new(dataset, LmConfig::tiny()).with_max_sequences(12));
     let all: Vec<usize> = (0..population.len()).collect();
     let heavy = population.ids_above_example_percentile(75.0);
-    let initial_ppl = trainer.perplexity(&trainer.initial_parameters(), &all);
+    let initial = trainer.initial_parameters();
+    let initial_ppl = trainer.perplexity(&initial, &all);
+    let initial_heavy_ppl = trainer.perplexity(&initial, &heavy);
     println!(
         "initial test perplexity: {initial_ppl:.2} (uniform would be {:.0})\n",
         28.0
@@ -61,12 +64,17 @@ fn main() {
         result.server_updates(),
         virtual_hours
     );
-    println!(
-        "  test perplexity, all clients        : {:.2}",
-        trainer.perplexity(&result.final_params, &all)
-    );
-    println!(
-        "  test perplexity, heavy-data clients : {:.2}",
-        trainer.perplexity(&result.final_params, &heavy)
-    );
+    let final_ppl = trainer.perplexity(&result.final_params, &all);
+    let final_heavy_ppl = trainer.perplexity(&result.final_params, &heavy);
+    println!("  test perplexity, all clients        : {final_ppl:.2}");
+    println!("  test perplexity, heavy-data clients : {final_heavy_ppl:.2}");
+    for (clients, before, after) in [
+        ("all", initial_ppl, final_ppl),
+        ("heavy-data", initial_heavy_ppl, final_heavy_ppl),
+    ] {
+        assert!(
+            after < 0.5 * before,
+            "{clients} clients: test perplexity {before:.2} -> {after:.2} did not halve"
+        );
+    }
 }
