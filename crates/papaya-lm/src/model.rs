@@ -104,8 +104,8 @@ fn row_times(x: &[f32], w: &[f32], out: &mut [f32]) {
 /// `out = g · Wᵀ` for a row-major `(out.len(), g.len())` matrix: each output
 /// is one dot product `Σ g[k]·W[j][k]`, summed over `k` ascending from
 /// `0.0` with no skipping.  A single dot product is a chain of dependent
-/// additions, so [`CHAINS`] outputs advance together; the order inside each
-/// chain is unchanged.
+/// additions, so [`CHAINS`] outputs advance together, each still summing
+/// over `k` ascending.
 fn times_transposed(g: &[f32], w: &[f32], out: &mut [f32]) {
     let n = g.len();
     let mut outputs = out.chunks_exact_mut(CHAINS);

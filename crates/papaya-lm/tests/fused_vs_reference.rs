@@ -158,14 +158,8 @@ impl NaiveLstm {
     }
 
     fn param_vector(&self) -> ParamVec {
-        ParamVec::from_vec(
-            self.tensors()
-                .into_iter()
-                .flatten()
-                .flatten()
-                .copied()
-                .collect(),
-        )
+        let values = self.tensors().into_iter().flatten().flatten();
+        ParamVec::from_vec(values.copied().collect())
     }
 
     fn zeros_like(&self) -> Self {
@@ -193,18 +187,11 @@ impl NaiveLstm {
             let z: Vec<f32> = (0..4 * hidden)
                 .map(|j| (from_x[j] + from_h[j]) + self.bias[0][j])
                 .collect();
-            let gate = |n: usize, act: fn(f32) -> f32| -> Vec<f32> {
-                z[n * hidden..(n + 1) * hidden]
-                    .iter()
-                    .map(|&v| act(v))
-                    .collect()
-            };
-            let (i, f, g, o) = (
-                gate(0, sigmoid),
-                gate(1, sigmoid),
-                gate(2, f32::tanh),
-                gate(3, sigmoid),
-            );
+            let gate = |n: usize| &z[n * hidden..(n + 1) * hidden];
+            let i: Vec<f32> = gate(0).iter().map(|&v| sigmoid(v)).collect();
+            let f: Vec<f32> = gate(1).iter().map(|&v| sigmoid(v)).collect();
+            let g: Vec<f32> = gate(2).iter().map(|v| v.tanh()).collect();
+            let o: Vec<f32> = gate(3).iter().map(|&v| sigmoid(v)).collect();
             // c_t = f ⊙ c_{t-1} + i ⊙ g,  h_t = o ⊙ tanh(c_t).
             let c_t: Vec<f32> = (0..hidden).map(|j| f[j] * c[j] + i[j] * g[j]).collect();
             let tanh_c: Vec<f32> = c_t.iter().map(|v| v.tanh()).collect();
@@ -274,10 +261,8 @@ impl NaiveLstm {
             grad_h_next = times_transposed(&grad_z, &self.w_h);
 
             // Embedding: the row of this step's token.
-            add(
-                &mut grad.table[s.token],
-                &times_transposed(&grad_z, &self.w_x),
-            );
+            let grad_x = times_transposed(&grad_z, &self.w_x);
+            add(&mut grad.table[s.token], &grad_x);
         }
         grad
     }

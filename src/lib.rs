@@ -10,7 +10,7 @@
 //! * [`papaya_secagg`] — asynchronous secure aggregation;
 //! * [`papaya_crypto`] — the cryptographic primitives;
 //! * [`papaya_data`] — synthetic populations and datasets;
-//! * [`papaya_nn`] / [`papaya_lm`] — the neural-network substrate and the
+//! * [`papaya_nn`] / [`papaya_lm`] — flat parameter vectors and the
 //!   character-level LSTM language model.
 
 pub use papaya_core;
