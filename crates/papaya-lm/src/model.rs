@@ -155,7 +155,8 @@ fn add_row_sum(g: &[f32], grad: &mut [f32]) {
 }
 
 /// Per-step activations of one sequence plus the scratch rows both passes
-/// use.  Lives as long as the model; the buffers keep their capacity from
+/// use.  Training keeps one for the model's lifetime, evaluation one per
+/// [`CharLstm::sequence_losses`] call; the buffers keep their capacity from
 /// one sequence to the next.
 #[derive(Clone, Debug, Default)]
 struct Workspace {
@@ -383,14 +384,24 @@ impl CharLstm {
     ///
     /// Returns `None` for sequences shorter than two tokens.
     pub fn sequence_loss(&self, tokens: &[usize]) -> Option<f32> {
-        if tokens.len() < 2 {
-            return None;
-        }
-        // `&self`: the activations go to a workspace of this call's own,
-        // allocated once for the whole sequence.
+        self.sequence_losses([tokens]).next()
+    }
+
+    /// [`CharLstm::sequence_loss`] of every sequence of at least two tokens,
+    /// in order.  `&self`: the activations go to one workspace of this
+    /// call's own, shared by all the sequences.
+    pub(crate) fn sequence_losses<'a, I>(&'a self, sequences: I) -> impl Iterator<Item = f32> + 'a
+    where
+        I: IntoIterator<Item = &'a [usize]>,
+        I::IntoIter: 'a,
+    {
         let mut ws = Workspace::default();
-        let total = forward(&self.config, &self.params, tokens, &mut ws);
-        Some(total / (tokens.len() - 1) as f32)
+        sequences
+            .into_iter()
+            .filter(|tokens| tokens.len() >= 2)
+            .map(move |tokens| {
+                forward(&self.config, &self.params, tokens, &mut ws) / (tokens.len() - 1) as f32
+            })
     }
 
     /// Runs one SGD pass over a token sequence (forward, backprop through

@@ -112,23 +112,22 @@ impl ClientTrainer for LmClientTrainer {
     fn evaluate(&self, params: &ParamVec, client_ids: &[usize]) -> f64 {
         assert!(!client_ids.is_empty(), "evaluate needs at least one client");
         let model = CharLstm::from_params(self.config, params);
-        let mut total = 0.0f64;
-        let mut count = 0usize;
-        for &id in client_ids {
+        let sequences = client_ids.iter().flat_map(|&id| {
             let client = self.dataset.client(id);
             // Use the test split; fall back to train data for clients whose
             // split is empty so every client contributes.
-            let eval_set: &[Vec<usize>] = if client.test.is_empty() {
+            let eval_set = if client.test.is_empty() {
                 &client.train
             } else {
                 &client.test
             };
-            for seq in eval_set.iter().take(8) {
-                if let Some(loss) = model.sequence_loss(seq) {
-                    total += loss as f64;
-                    count += 1;
-                }
-            }
+            eval_set.iter().take(8).map(Vec::as_slice)
+        });
+        let mut total = 0.0f64;
+        let mut count = 0usize;
+        for loss in model.sequence_losses(sequences) {
+            total += loss as f64;
+            count += 1;
         }
         if count == 0 {
             return f64::INFINITY;
