@@ -14,6 +14,9 @@
 //! * [`dataset`] — federated dataset containers with train/val/test splits.
 //! * [`stats`] — percentiles, histograms, and the two-sample
 //!   Kolmogorov–Smirnov test used in Section 7.4.
+//! * [`math`] — `f32` `exp`, `tanh` and `ln` from IEEE basic operations
+//!   only, so that the language model's bits do not depend on the host's
+//!   libm.
 //!
 //! # Example
 //!
@@ -25,6 +28,7 @@
 //! ```
 
 pub mod dataset;
+pub mod math;
 pub mod population;
 pub mod stats;
 pub mod text;
