@@ -36,8 +36,8 @@ fn pow2(k: i32) -> f32 {
 }
 
 /// `e^x`, within 1 ulp of the correctly rounded result for every finite
-/// `x`.  Saturates to `+∞` above 88.72283 and to `0.0` below −103.97208;
-/// `exp(NaN)` is NaN.
+/// `x`.  Saturates to `+∞` from 88.72284 up and to `0.0` from −103.972084
+/// down; `exp(NaN)` is NaN.
 ///
 /// Cody–Waite reduction: `x = n·ln 2 + r` with `n` the nearest integer to
 /// `x·log2 e` and `|r| ≲ ½ ln 2`; `e^r` by its Taylor polynomial to degree
@@ -72,7 +72,7 @@ pub fn exp(x: f32) -> f32 {
 }
 
 /// `tanh x`, within 2 ulp of the correctly rounded result for every finite
-/// `x`.  Exactly odd, `±1.0` from |x| ≥ 9.010913, `tanh(NaN)` is NaN.
+/// `x`.  Exactly odd, `±1.0` from `|x| = 9.010914` up, `tanh(NaN)` is NaN.
 ///
 /// `1 − 2/(e^{2|x|} + 1)` with the sign of `x` copied back; below |x| = ½,
 /// where that difference would cancel, the odd Taylor polynomial through

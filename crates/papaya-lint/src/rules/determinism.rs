@@ -55,6 +55,60 @@ impl Rule for UnorderedCollections {
     }
 }
 
+/// Crates whose bits must not depend on the host's libm.
+const LIBM_FREE_CRATES: &[&str] = &["papaya-lm"];
+
+/// `f32`/`f64` methods that call the host's libm.
+const AMBIENT_MATH: &[&str] = &[
+    "exp", "exp_m1", "ln", "ln_1p", "tanh", "sin", "cos", "powf", "powi",
+];
+
+/// Forbids libm calls in the libm-free crates (today `papaya-lm`), as
+/// methods (`x.exp()`) or paths (`f32::exp(x)`).  IEEE 754 fixes the basic
+/// operations bit for bit but not these: glibc, musl and Apple's libm
+/// differ in the last bits, so a golden line that rests on them holds on
+/// one host only.  `papaya_data::math` has the replacements.
+pub struct AmbientMath;
+
+impl Rule for AmbientMath {
+    fn name(&self) -> &'static str {
+        "ambient-math"
+    }
+
+    fn description(&self) -> &'static str {
+        "libm calls (exp, exp_m1, ln, ln_1p, tanh, sin, cos, powf, powi) are banned in papaya-lm; use papaya_data::math"
+    }
+
+    fn check(&self, ws: &Workspace, out: &mut Vec<Finding>) {
+        for file in &ws.files {
+            if !LIBM_FREE_CRATES.iter().any(|c| in_crate_src(&file.path, c)) {
+                continue;
+            }
+            let toks = &file.tokens;
+            for i in 1..toks.len() {
+                let name = toks[i].text.as_str();
+                let called = match toks[i - 1].text.as_str() {
+                    "." => toks.get(i + 1).is_some_and(|t| t.text == "("),
+                    "::" => i >= 2 && matches!(toks[i - 2].text.as_str(), "f32" | "f64"),
+                    _ => false,
+                };
+                if called && AMBIENT_MATH.contains(&name) && !file.is_test_line(toks[i].line) {
+                    out.push(Finding::new(
+                        &file.path,
+                        toks[i].line,
+                        self.name(),
+                        format!(
+                            "`{name}` is the host libm's, whose last bits differ between \
+                             hosts; use `papaya_data::math` (or justify a use no result \
+                             depends on with an allow)"
+                        ),
+                    ));
+                }
+            }
+        }
+    }
+}
+
 /// Forbids wall-clock reads (`Instant::now`, `SystemTime`) outside
 /// explicitly allowed profiling sites: virtual time is the only clock the
 /// simulation may observe.

@@ -12,7 +12,7 @@ mod exhaustive;
 mod panic_hygiene;
 
 pub use decorator::DecoratorConformance;
-pub use determinism::{Entropy, UnorderedCollections, WallClock};
+pub use determinism::{AmbientMath, Entropy, UnorderedCollections, WallClock};
 pub use exhaustive::{ConfigValidate, EventDispatch, MetricsFingerprint};
 pub use panic_hygiene::PanicHygiene;
 
@@ -32,6 +32,7 @@ pub fn all_rules() -> Vec<Box<dyn Rule>> {
         Box::new(UnorderedCollections),
         Box::new(WallClock),
         Box::new(Entropy),
+        Box::new(AmbientMath),
         Box::new(ConfigValidate),
         Box::new(EventDispatch),
         Box::new(MetricsFingerprint),

@@ -149,6 +149,50 @@ fn entropy_does_not_fire_on_seed_derived_streams() {
 }
 
 // ---------------------------------------------------------------------------
+// ambient-math
+// ---------------------------------------------------------------------------
+
+#[test]
+fn ambient_math_fires_on_libm_methods_and_paths_in_papaya_lm() {
+    let w = ws(&[(
+        "crates/papaya-lm/src/x.rs",
+        "pub fn f(x: f32) -> f32 { x.exp() + (x.tanh()).ln() + x.powi(2) }\n\
+         pub fn g(x: f64) -> f64 { f64::sin(x) + f32::exp_m1(x as f32) as f64 }\n",
+    )]);
+    let findings = analyze(&w);
+    assert_eq!(
+        findings.iter().filter(|f| f.rule == "ambient-math").count(),
+        6,
+        "{:?}",
+        rules_of(&findings)
+    );
+    assert!(findings.iter().any(|f| f.message.contains("`tanh`")));
+}
+
+#[test]
+fn ambient_math_ignores_other_crates_own_math_tests_and_allows() {
+    let w = ws(&[
+        // Out of scope: papaya-data's f64 statistics still call libm.
+        (
+            "crates/papaya-data/src/x.rs",
+            "pub fn f(x: f64) -> f64 { x.exp() }\n",
+        ),
+        // The replacements, sqrt, and names that are no libm call.
+        (
+            "crates/papaya-lm/src/y.rs",
+            "pub fn f(x: f32, s: &S) -> f32 { math::exp(x) + math::tanh(x).sqrt() + s.ln + exp(x) }\n",
+        ),
+        (
+            "crates/papaya-lm/src/z.rs",
+            "// papaya-lint: allow(ambient-math) -- reporting only\n\
+             pub fn ppl(loss: f64) -> f64 { loss.exp() }\n\
+             #[cfg(test)]\nmod tests {\n    fn t(x: f32) -> f32 { x.ln() }\n}\n",
+        ),
+    ]);
+    assert_clean(&analyze(&w));
+}
+
+// ---------------------------------------------------------------------------
 // config-validate
 // ---------------------------------------------------------------------------
 
@@ -725,6 +769,29 @@ fn seeded_missing_next_deadline_forward_fails_lint() {
             && !f.message.contains("`stack_telemetry`")),
         "lint did not catch the dropped forward: {:?}",
         findings
+    );
+}
+
+/// Putting libm's `tanh` back into the language model must fail the lint:
+/// its bits would again be a fact about the host.
+#[test]
+fn seeded_libm_tanh_in_the_lstm_fails_lint() {
+    let (mpath, model) = real("crates/papaya-lm/src/model.rs");
+    let seeded = model.replace("math::tanh(c_out[j])", "c_out[j].tanh()");
+    assert_ne!(seeded, model, "the cell's tanh moved; update the test");
+    let w = Workspace::from_sources(vec![
+        (mpath.clone(), model),
+        real("crates/papaya-lm/src/trainer.rs"),
+    ]);
+    assert_clean(&analyze(&w));
+    let w = Workspace::from_sources(vec![(mpath, seeded)]);
+    let findings = analyze(&w);
+    assert!(
+        findings
+            .iter()
+            .any(|f| f.rule == "ambient-math" && f.message.contains("`tanh`")),
+        "lint did not catch the seeded tanh: {:?}",
+        rules_of(&findings)
     );
 }
 

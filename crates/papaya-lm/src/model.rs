@@ -12,8 +12,11 @@
 //! `Report::fingerprint`.  `tests/fused_vs_reference.rs` writes the same
 //! network out as the textbook equations over `Vec<Vec<f32>>` rows, with
 //! the sums in the same order, and compares the two bit for bit.  Gate
-//! order is `[input, forget, cell, output]`.
+//! order is `[input, forget, cell, output]`.  `exp`, `tanh` and `ln` come
+//! from `papaya_data::math`, never from libm, so the bits are the same on
+//! every host.
 
+use papaya_data::math;
 use papaya_nn::init::{uniform, xavier_uniform};
 use papaya_nn::params::ParamVec;
 
@@ -71,15 +74,14 @@ impl LmConfig {
     }
 }
 
-/// Numerically stable logistic function: `exp` only ever sees a
-/// non-positive argument.
+/// Numerically stable logistic function: `1/(1 + e^−x)` for `x ≥ 0` and
+/// `e^x/(1 + e^x)` below, so `exp` only ever sees a non-positive argument.
+/// Both forms share `e^−|x|` and differ only in the numerator, which a
+/// select picks: the gate loop stays branch-free.
 fn sigmoid(x: f32) -> f32 {
-    if x >= 0.0 {
-        1.0 / (1.0 + (-x).exp())
-    } else {
-        let e = x.exp();
-        e / (1.0 + e)
-    }
+    let e = math::exp(-x.abs());
+    let numerator = if x >= 0.0 { 1.0 } else { e };
+    numerator / (1.0 + e)
 }
 
 /// Independent accumulation chains [`times_transposed`] advances together.
@@ -249,10 +251,10 @@ fn forward(config: &LmConfig, params: &[f32], tokens: &[usize], ws: &mut Workspa
         for j in 0..h {
             i[j] = sigmoid(i[j]);
             f[j] = sigmoid(f[j]);
-            g[j] = g[j].tanh();
+            g[j] = math::tanh(g[j]);
             o[j] = sigmoid(o[j]);
             c_out[j] = f[j] * c_prev[j] + i[j] * g[j];
-            tanh_c[j] = c_out[j].tanh();
+            tanh_c[j] = math::tanh(c_out[j]);
             h_out[j] = o[j] * tanh_c[j];
         }
 
@@ -265,11 +267,11 @@ fn forward(config: &LmConfig, params: &[f32], tokens: &[usize], ws: &mut Workspa
         let max = exp.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
         let target_logit = exp[target];
         for logit in exp.iter_mut() {
-            *logit = (*logit - max).exp();
+            *logit = math::exp(*logit - max);
         }
         let sum: f32 = exp.iter().sum();
         ws.exp_sum[t] = sum;
-        total_loss += (sum.ln() + max) - target_logit;
+        total_loss += (math::ln(sum) + max) - target_logit;
     }
     total_loss
 }
@@ -573,6 +575,32 @@ mod tests {
             ..LmConfig::tiny()
         };
         let _ = CharLstm::new(config, 1);
+    }
+
+    #[test]
+    fn select_form_sigmoid_is_the_two_branch_one() {
+        fn two_branch(x: f32) -> f32 {
+            if x >= 0.0 {
+                1.0 / (1.0 + math::exp(-x))
+            } else {
+                let e = math::exp(x);
+                e / (1.0 + e)
+            }
+        }
+        let grid = (-8_000..=8_000).map(|i| i as f32 / 64.0);
+        let edges = [
+            0.0, -0.0, 1e-30, -1e-30, 88.8, -88.8, 104.0, -104.0, 1e30, -1e30,
+        ];
+        for x in grid.chain(edges) {
+            assert_eq!(
+                sigmoid(x).to_bits(),
+                two_branch(x).to_bits(),
+                "sigmoid({x})"
+            );
+        }
+        assert!(sigmoid(f32::NAN).is_nan());
+        assert_eq!(sigmoid(f32::INFINITY), 1.0);
+        assert_eq!(sigmoid(f32::NEG_INFINITY), 0.0);
     }
 
     #[test]

@@ -63,6 +63,7 @@ impl LmClientTrainer {
     /// Mean test-set perplexity of `params` over the given clients
     /// (`exp` of the mean per-token cross-entropy) — the Table 1 metric.
     pub fn perplexity(&self, params: &ParamVec, client_ids: &[usize]) -> f64 {
+        // papaya-lint: allow(ambient-math) -- reporting only: a perplexity is printed, never fed into a delta or a fingerprint
         self.evaluate(params, client_ids).exp()
     }
 }

@@ -11,7 +11,8 @@
 //! * gate pre-activations are `(x·W_x + h·W_h) + b`;
 //! * gate gradients associate left to right, `((grad_c·g)·i)·(1 − i)`;
 //! * the softmax denominator sums over the classes in order;
-//! * the SGD step is `θ − (lr·grad)/steps`.
+//! * the SGD step is `θ − (lr·grad)/steps`;
+//! * `exp`, `tanh` and `ln` are `papaya_data::math`'s.
 //!
 //! The fused model also skips the terms of `x·W` and of the rank-1 gradient
 //! updates whose `x[k]` is `0.0`.  The reference adds them: a sum that
@@ -20,6 +21,7 @@
 //! Losses and every parameter must therefore agree in every bit, in the
 //! test profile and with `--release`.
 
+use papaya_data::math;
 use papaya_data::text::TextGenerator;
 use papaya_lm::{CharLstm, LmConfig};
 use papaya_nn::params::ParamVec;
@@ -63,11 +65,13 @@ struct Step {
     p: Vec<f32>,
 }
 
+/// The two-branch logistic function; `CharLstm` selects the numerator
+/// instead, from the same `exp(−|x|)`.
 fn sigmoid(x: f32) -> f32 {
     if x >= 0.0 {
-        1.0 / (1.0 + (-x).exp())
+        1.0 / (1.0 + math::exp(-x))
     } else {
-        let e = x.exp();
+        let e = math::exp(x);
         e / (1.0 + e)
     }
 }
@@ -190,11 +194,11 @@ impl NaiveLstm {
             let gate = |n: usize| &z[n * hidden..(n + 1) * hidden];
             let i: Vec<f32> = gate(0).iter().map(|&v| sigmoid(v)).collect();
             let f: Vec<f32> = gate(1).iter().map(|&v| sigmoid(v)).collect();
-            let g: Vec<f32> = gate(2).iter().map(|v| v.tanh()).collect();
+            let g: Vec<f32> = gate(2).iter().map(|&v| math::tanh(v)).collect();
             let o: Vec<f32> = gate(3).iter().map(|&v| sigmoid(v)).collect();
             // c_t = f ⊙ c_{t-1} + i ⊙ g,  h_t = o ⊙ tanh(c_t).
             let c_t: Vec<f32> = (0..hidden).map(|j| f[j] * c[j] + i[j] * g[j]).collect();
-            let tanh_c: Vec<f32> = c_t.iter().map(|v| v.tanh()).collect();
+            let tanh_c: Vec<f32> = c_t.iter().map(|&v| math::tanh(v)).collect();
             let h_t: Vec<f32> = (0..hidden).map(|j| o[j] * tanh_c[j]).collect();
             // Cross-entropy of softmax(h_t·W_out + b_out) at the target:
             // log Σ exp(logit − max) + max − logit[target].
@@ -204,12 +208,12 @@ impl NaiveLstm {
                 .map(|(v, b)| v + b)
                 .collect();
             let max = logits.iter().fold(f32::NEG_INFINITY, |m, &v| m.max(v));
-            let exp: Vec<f32> = logits.iter().map(|v| (v - max).exp()).collect();
+            let exp: Vec<f32> = logits.iter().map(|v| math::exp(v - max)).collect();
             let mut sum = 0.0f32;
             for e in &exp {
                 sum += e;
             }
-            total += (sum.ln() + max) - logits[target];
+            total += (math::ln(sum) + max) - logits[target];
             steps.push(Step {
                 token,
                 target,
