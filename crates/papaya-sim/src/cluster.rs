@@ -62,6 +62,31 @@ impl TaskSpec {
     }
 }
 
+/// Everything client assignment reads of one task (Section 6.2), kept in
+/// one map so a check-in decides eligibility in one walk.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+struct TaskDemand {
+    /// The spec's `min_capability_tier`; `None` until the task is
+    /// submitted, when only its demand has been reported.
+    min_capability_tier: Option<u8>,
+    /// Demand as last reported by the task's Aggregator.
+    reported: usize,
+    /// Clients assigned since that report, not yet confirmed by the next.
+    unconfirmed: usize,
+}
+
+impl TaskDemand {
+    fn effective(self) -> usize {
+        self.reported.saturating_sub(self.unconfirmed)
+    }
+
+    fn admits(self, capability_tier: u8) -> bool {
+        self.min_capability_tier
+            .is_some_and(|min| capability_tier >= min)
+            && self.effective() > 0
+    }
+}
+
 /// State the Coordinator tracks per Aggregator.
 #[derive(Clone, Debug, PartialEq)]
 struct AggregatorState {
@@ -138,10 +163,10 @@ pub struct Coordinator {
     aggregators: BTreeMap<AggregatorId, AggregatorState>,
     tasks: BTreeMap<TaskId, TaskSpec>,
     assignments: BTreeMap<TaskId, AggregatorId>,
-    /// Client demand per task as reported by Aggregators, plus the number of
-    /// clients assigned but not yet confirmed (Section 6.2).
-    reported_demand: BTreeMap<TaskId, usize>,
-    unconfirmed_assignments: BTreeMap<TaskId, usize>,
+    /// Per task: the capability floor, client demand as reported by
+    /// Aggregators, and the clients assigned but not yet confirmed
+    /// (Section 6.2).
+    demand: BTreeMap<TaskId, TaskDemand>,
     sequence: u64,
     heartbeat_timeout_s: f64,
     rng: StdRng,
@@ -155,8 +180,7 @@ impl Coordinator {
             aggregators: BTreeMap::new(),
             tasks: BTreeMap::new(),
             assignments: BTreeMap::new(),
-            reported_demand: BTreeMap::new(),
-            unconfirmed_assignments: BTreeMap::new(),
+            demand: BTreeMap::new(),
             sequence: 0,
             heartbeat_timeout_s,
             rng: StdRng::seed_from_u64(seed),
@@ -201,6 +225,8 @@ impl Coordinator {
     /// reconciliation pass finds a healthy Aggregator to drain it onto.
     pub fn submit_task(&mut self, spec: TaskSpec) -> TaskPlacement {
         let task_id = spec.id;
+        self.demand.entry(task_id).or_default().min_capability_tier =
+            Some(spec.min_capability_tier);
         self.tasks.insert(task_id, spec);
         match self.least_loaded_alive_aggregator() {
             Some(target) => {
@@ -303,48 +329,44 @@ impl Coordinator {
     /// An Aggregator reports the current client demand of one of its tasks
     /// (Section 6.2, "tracking client demand for each task").
     pub fn report_demand(&mut self, task: TaskId, demand: usize) {
-        self.reported_demand.insert(task, demand);
+        let entry = self.demand.entry(task).or_default();
+        entry.reported = demand;
         // A fresh report supersedes the unconfirmed-assignment estimate.
-        self.unconfirmed_assignments.insert(task, 0);
+        entry.unconfirmed = 0;
     }
 
     /// Effective demand: reported demand minus clients assigned but not yet
     /// confirmed by an Aggregator report.
     pub fn effective_demand(&self, task: TaskId) -> usize {
-        let reported = self.reported_demand.get(&task).copied().unwrap_or(0);
-        let unconfirmed = self
-            .unconfirmed_assignments
+        self.demand
             .get(&task)
-            .copied()
-            .unwrap_or(0);
-        reported.saturating_sub(unconfirmed)
+            .map_or(0, |demand| demand.effective())
     }
 
-    /// Tasks a client with the given capability tier is eligible for:
-    /// compatible and with positive effective demand (Section 6.2).
-    pub fn eligible_tasks(&self, capability_tier: u8) -> Vec<TaskId> {
-        let mut tasks: Vec<TaskId> = self
-            .tasks
-            .values()
-            .filter(|spec| capability_tier >= spec.min_capability_tier)
-            .filter(|spec| self.effective_demand(spec.id) > 0)
-            .map(|spec| spec.id)
-            .collect();
-        tasks.sort_unstable();
-        tasks
+    /// Tasks a client with the given capability tier is eligible for, in
+    /// increasing id order: submitted, compatible and with positive
+    /// effective demand (Section 6.2).
+    pub fn eligible_tasks(&self, capability_tier: u8) -> impl Iterator<Item = TaskId> + '_ {
+        self.demand
+            .iter()
+            .filter(move |(_, demand)| demand.admits(capability_tier))
+            .map(|(&task, _)| task)
     }
 
     /// Randomly assigns a client to one of its eligible tasks and returns the
     /// task and the Aggregator responsible for it.  Returns `None` when no
-    /// task is eligible (the client is rejected and will try later).
+    /// task is eligible (the client is rejected and will try later).  The
+    /// draw picks by position among the eligible tasks, so the walk runs
+    /// twice: once to count them, once to find the one drawn.
     pub fn assign_client(&mut self, capability_tier: u8) -> Option<(TaskId, AggregatorId)> {
-        let eligible = self.eligible_tasks(capability_tier);
-        if eligible.is_empty() {
+        let eligible = self.eligible_tasks(capability_tier).count();
+        if eligible == 0 {
             return None;
         }
-        let task = eligible[self.rng.gen_range(0..eligible.len())];
+        let pick = self.rng.gen_range(0..eligible);
+        let task = self.eligible_tasks(capability_tier).nth(pick)?;
         let aggregator = *self.assignments.get(&task)?;
-        *self.unconfirmed_assignments.entry(task).or_insert(0) += 1;
+        self.demand.entry(task).or_default().unconfirmed += 1;
         Some((task, aggregator))
     }
 
@@ -543,11 +565,38 @@ mod tests {
         c.report_demand(0, 5);
         c.report_demand(1, 5);
         // A weak device is only eligible for task 0.
-        assert_eq!(c.eligible_tasks(0), vec![0]);
+        assert_eq!(c.eligible_tasks(0).collect::<Vec<_>>(), vec![0]);
         // A strong device can get either.
-        assert_eq!(c.eligible_tasks(3), vec![0, 1]);
+        assert_eq!(c.eligible_tasks(3).collect::<Vec<_>>(), vec![0, 1]);
         let (task, _) = c.assign_client(0).unwrap();
         assert_eq!(task, 0);
+    }
+
+    #[test]
+    fn eligibility_needs_a_submitted_compatible_task_with_demand() {
+        let mut c = coordinator_with_aggregators(1);
+        for (id, tier) in [(0, 0), (2, 1), (5, 0), (7, 2), (8, 0)] {
+            c.submit_task(spec(id, 100, tier));
+        }
+        // Demand for ids that were never submitted, for some that were, and
+        // none for task 0; task 5's is used up by an unconfirmed assignment.
+        for (task, demand) in [(1, 4), (2, 3), (5, 1), (7, 2), (8, 0), (9, 6)] {
+            c.report_demand(task, demand);
+        }
+        assert_eq!(c.assign_client(0), Some((5, 0)));
+        for tier in 0..4 {
+            let by_lookup: Vec<TaskId> = c
+                .task_ids()
+                .into_iter()
+                .filter(|&task| c.effective_demand(task) > 0)
+                .filter(|&task| tier >= [0, 0, 1, 0, 0, 0, 0, 2, 0][task])
+                .collect();
+            assert_eq!(c.eligible_tasks(tier).collect::<Vec<_>>(), by_lookup);
+        }
+        assert_eq!(c.eligible_tasks(3).collect::<Vec<_>>(), vec![2, 7]);
+        // Demand reported before the task was submitted counts once it is.
+        c.submit_task(spec(9, 100, 0));
+        assert_eq!(c.eligible_tasks(0).collect::<Vec<_>>(), vec![9]);
     }
 
     #[test]

@@ -4,7 +4,10 @@
 //! by `(time, sequence_number)` so simulations are deterministic even when
 //! several events share a timestamp.
 
-use std::cmp::Ordering;
+use crate::cluster::AggregatorId;
+use crate::slab::Slab;
+use crate::task_runtime::InFlightSlot;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;
 
@@ -42,6 +45,11 @@ pub enum EventKind {
         client_id: usize,
         /// Identifier of this participation.
         participation_id: u64,
+        /// Where the task's runtime holds the participation.
+        slot: InFlightSlot,
+        /// Fleet runs: the Aggregator the client was routed to at selection
+        /// time, which the upload is addressed to.
+        route: Option<AggregatorId>,
     },
     /// A client participating in `task` failed (dropout, crash, or timeout
     /// abort).
@@ -52,6 +60,8 @@ pub enum EventKind {
         client_id: usize,
         /// Identifier of this participation.
         participation_id: u64,
+        /// Where the task's runtime holds the participation.
+        slot: InFlightSlot,
     },
     /// Periodic evaluation of one task's global model.
     EvaluateTask {
@@ -117,6 +127,7 @@ impl fmt::Display for EventKind {
                 task,
                 client_id,
                 participation_id,
+                ..
             } => write!(
                 f,
                 "task {task}: client {client_id} finished (participation {participation_id})"
@@ -125,6 +136,7 @@ impl fmt::Display for EventKind {
                 task,
                 client_id,
                 participation_id,
+                ..
             } => write!(
                 f,
                 "task {task}: client {client_id} failed (participation {participation_id})"
@@ -161,34 +173,40 @@ pub struct Event {
     pub kind: EventKind,
 }
 
-impl PartialEq for Event {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
+/// A pending event as the heap sees it: the 128-bit integer
+/// `time_key << 64 | seq`, which orders events as `(time, seq)` does, and
+/// the slot of the event's time and payload.  The key is held as two words
+/// and compared high word first: a `u128` field would align the entry to 16
+/// bytes and pad it from 24 to 32.
+#[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
+struct Pending {
+    time_key: u64,
+    seq: u64,
+    slot: u32,
 }
-impl Eq for Event {}
 
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest event pops first.
-        other
-            .time
-            .partial_cmp(&self.time)
-            .unwrap_or(Ordering::Equal)
-            .then_with(|| other.seq.cmp(&self.seq))
+/// An integer whose order is `time`'s numeric order.  `-0.0` is folded into
+/// `+0.0`, which it equals numerically, so `seq` breaks their tie; the
+/// sign-magnitude bits are then mapped to an unsigned order, as
+/// `f64::total_cmp` does.  Agrees with `partial_cmp` on every finite time.
+fn time_key(time: SimTime) -> u64 {
+    let bits = if time == 0.0 { 0 } else { time.to_bits() };
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
     }
 }
 
 /// A deterministic future-event list.
+///
+/// The heap holds integer keys and a slot index, not events: the time and
+/// payload of each pending event sit in a slab until it pops, so a sift
+/// moves 24-byte entries and compares integers only.
 #[derive(Debug, Default)]
 pub struct EventQueue {
-    heap: BinaryHeap<Event>,
+    heap: BinaryHeap<Reverse<Pending>>,
+    payloads: Slab<(SimTime, EventKind)>,
     next_seq: u64,
 }
 
@@ -207,12 +225,19 @@ impl EventQueue {
         assert!(time.is_finite(), "event time must be finite");
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Event { time, seq, kind });
+        let slot = self.payloads.insert((time, kind));
+        self.heap.push(Reverse(Pending {
+            time_key: time_key(time),
+            seq,
+            slot,
+        }));
     }
 
     /// Pops the earliest event, if any.
     pub fn pop(&mut self) -> Option<Event> {
-        self.heap.pop()
+        let Reverse(Pending { seq, slot, .. }) = self.heap.pop()?;
+        let (time, kind) = self.payloads.remove(slot)?;
+        Some(Event { time, seq, kind })
     }
 
     /// Number of pending events.
@@ -229,6 +254,7 @@ impl EventQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn events_pop_in_time_order() {
@@ -303,7 +329,9 @@ mod tests {
             EventKind::TaskClientFinished {
                 task: 1,
                 client_id: 7,
-                participation_id: 9
+                participation_id: 9,
+                slot: InFlightSlot(3),
+                route: Some(2),
             }
             .to_string(),
             "task 1: client 7 finished (participation 9)"
@@ -323,5 +351,107 @@ mod tests {
     fn non_finite_time_rejected() {
         let mut q = EventQueue::new();
         q.schedule(f64::NAN, EventKind::Evaluate);
+    }
+
+    /// An event ordered the way the queue ordered events when its heap held
+    /// them whole: by `partial_cmp` on the time, then by `seq`, inverted for
+    /// the max-heap.  The oracle for the integer key.
+    struct ByTimeThenSeq(Event);
+
+    impl PartialEq for ByTimeThenSeq {
+        fn eq(&self, other: &Self) -> bool {
+            self.cmp(other) == std::cmp::Ordering::Equal
+        }
+    }
+    impl Eq for ByTimeThenSeq {}
+    impl PartialOrd for ByTimeThenSeq {
+        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+    impl Ord for ByTimeThenSeq {
+        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+            other
+                .0
+                .time
+                .partial_cmp(&self.0.time)
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then_with(|| other.0.seq.cmp(&self.0.seq))
+        }
+    }
+
+    /// Times that tie often, both zeros, negative values, subnormals and the
+    /// extremes of the finite range.
+    struct TimeStrategy;
+
+    impl Strategy for TimeStrategy {
+        type Value = f64;
+        fn sample(&self, rng: &mut proptest::TestRng) -> f64 {
+            const EDGES: [f64; 10] = [
+                0.0,
+                -0.0,
+                f64::MIN_POSITIVE,
+                -f64::MIN_POSITIVE,
+                5e-324,
+                -5e-324,
+                f64::MAX,
+                f64::MIN,
+                1e-300,
+                -1e300,
+            ];
+            match (0u32..4).sample(rng) {
+                0 => EDGES[(0usize..EDGES.len()).sample(rng)],
+                1 => (-1.0e12f64..1.0e12).sample(rng),
+                // A coarse grid, so most draws tie with an earlier one.
+                _ => (-8i32..8).sample(rng) as f64 * 0.5,
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Schedules interleaved with pops give the same events, in the
+        /// same order, with the same time bits, as a heap of whole events
+        /// under the old comparator.
+        #[test]
+        fn pops_match_a_heap_of_whole_events(
+            ops in collection::vec((TimeStrategy, 0u32..100), 1..400),
+        ) {
+            let mut queue = EventQueue::new();
+            let mut reference = BinaryHeap::new();
+            let event = |i: usize| EventKind::ClientFinished {
+                client_id: i,
+                participation_id: i as u64,
+            };
+            let same = |popped: Option<Event>, expected: Option<ByTimeThenSeq>| {
+                match (popped, expected) {
+                    (None, None) => true,
+                    (Some(a), Some(ByTimeThenSeq(b))) => {
+                        a.time.to_bits() == b.time.to_bits() && a.seq == b.seq && a.kind == b.kind
+                    }
+                    _ => false,
+                }
+            };
+            let mut seq = 0;
+            for (i, &(time, roll)) in ops.iter().enumerate() {
+                if roll < 35 {
+                    prop_assert!(same(queue.pop(), reference.pop()), "pop {i} diverged");
+                } else {
+                    queue.schedule(time, event(i));
+                    reference.push(ByTimeThenSeq(Event {
+                        time,
+                        seq,
+                        kind: event(i),
+                    }));
+                    seq += 1;
+                }
+                prop_assert_eq!(queue.len(), reference.len());
+            }
+            while !reference.is_empty() {
+                prop_assert!(same(queue.pop(), reference.pop()), "drain diverged");
+            }
+            prop_assert!(queue.pop().is_none() && queue.is_empty());
+        }
     }
 }

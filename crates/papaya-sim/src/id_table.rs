@@ -1,40 +1,65 @@
-//! An ordered map keyed by participation id.
+//! An ordered map keyed by participation id whose entries never move.
 //!
+//! [`IdTable`] has two parts.  The entries live in a [`Slab`]: an insert
+//! writes the entry into a free slot (the last one freed, if any) and the
+//! entry keeps that slot for as long as it is present.  The slot goes back
+//! to the caller as an [`InFlightSlot`], and a lookup or removal that passes
+//! it reaches the entry in one step.  Because an aborted participation frees
+//! its slot for the next insert, a hinted lookup checks the id stored in the
+//! slot and, on a mismatch or without a hint, falls back to a binary search
+//! of the index.
+//!
+//! The index is the id-ordered list of `(id, slot)` pairs that serves
+//! everything walking the table in order: [`IdTable::iter`], and through it
+//! the staleness prefix scan and the end of a synchronous round.
 //! Participation ids come from one monotone counter
-//! (`Run::next_participation_id` in [`crate::scenario`]), so the newest key
-//! is always the largest and an insert is a push at the back.  [`IdTable`]
-//! keeps keys and values in two parallel vectors sorted by id: a lookup
-//! binary-searches the keys alone (eight bytes each, so the keys of a few
-//! thousand in-flight participations stay inside L1), a removal leaves a
-//! tombstone, and both vectors are compacted in place once tombstones
-//! outnumber live entries — each removal pays for at most two slots of a
-//! later compaction, so every operation is amortised O(1) beside its
-//! binary search.  Iteration is in id order by construction and depends on
-//! nothing ambient, which is what `docs/DETERMINISM.md` asks of every
-//! collection on a fingerprinted path.
+//! (`Run::next_participation_id` in [`crate::scenario`]), so an insert is a
+//! push at the back.  A removal leaves its pair behind; dead pairs are popped
+//! from the front as the oldest entries leave, and the index is compacted in
+//! place once dead pairs outnumber live ones [`MAX_DEAD_PER_LIVE`] to one —
+//! each removal pays for at most one and a half pairs of a later compaction,
+//! so every operation is amortised O(1) beside the fallback search.
+//! Compaction moves pairs, never entries, so every slot handed out stays
+//! valid.  Iteration order depends on nothing ambient, which is what
+//! `docs/DETERMINISM.md` asks of every collection on a fingerprinted path.
 //!
 //! An id that arrives out of order takes a sorted-insert slow path, so the
-//! type is a correct map for any sequence of calls, not only the run
-//! loop's.
+//! type is a correct map for any sequence of calls, not only the run loop's.
 
-/// Compaction runs when tombstones exceed this many per live entry.
-const MAX_TOMBSTONES_PER_LIVE: usize = 1;
+use crate::slab::Slab;
+use std::collections::VecDeque;
+
+/// Compaction of the index runs when its dead pairs exceed this many per
+/// live entry.  On `loop-bound` 2 beat 1 (a compaction twice as often) and
+/// matched 4 and 8 within the noise, which also held more pairs.
+const MAX_DEAD_PER_LIVE: usize = 2;
+
+/// Where an in-flight participation is stored in its task's runtime: a
+/// handle [`TaskRuntime::begin_participation`] returns and the calls that
+/// end the participation take back, so they reach it without a search.  A
+/// slot is reused once its participation ends, and a call whose slot no
+/// longer holds its participation falls back to a search by id.
+///
+/// [`TaskRuntime::begin_participation`]: crate::task_runtime::TaskRuntime::begin_participation
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct InFlightSlot(pub(crate) u32);
 
 /// A map from participation id to `V`, iterated in id order.
 #[derive(Debug)]
 pub(crate) struct IdTable<V> {
-    /// Strictly increasing; `ids[i]` is the key of `values[i]`.
-    ids: Vec<u64>,
-    /// `None` marks a removed entry whose slot has not been compacted yet.
-    values: Vec<Option<V>>,
+    entries: Slab<(u64, V)>,
+    /// `(id, slot)` in strictly increasing id order: one pair for every
+    /// entry present, plus the dead pairs of removed entries that have not
+    /// been popped or compacted away yet.
+    order: VecDeque<(u64, u32)>,
     live: usize,
 }
 
 impl<V> IdTable<V> {
     pub(crate) fn new() -> Self {
         IdTable {
-            ids: Vec::new(),
-            values: Vec::new(),
+            entries: Slab::default(),
+            order: VecDeque::new(),
             live: 0,
         }
     }
@@ -44,69 +69,93 @@ impl<V> IdTable<V> {
         self.live
     }
 
-    /// Inserts `value` under `id`, returning the value it replaces.
-    pub(crate) fn insert(&mut self, id: u64, value: V) -> Option<V> {
-        if self.ids.last().is_none_or(|&last| last < id) {
-            self.ids.push(id);
-            self.values.push(Some(value));
-            self.live += 1;
-            return None;
+    /// Inserts `value` under `id` and returns its slot, with the value it
+    /// replaces.  A replaced entry keeps its slot.
+    pub(crate) fn insert(&mut self, id: u64, value: V) -> (InFlightSlot, Option<V>) {
+        if self.order.back().is_none_or(|&(last, _)| last < id) {
+            let slot = self.occupy(id, value);
+            self.order.push_back((id, slot));
+            return (InFlightSlot(slot), None);
         }
-        match self.ids.binary_search(&id) {
-            Ok(slot) => {
-                let replaced = self.values[slot].replace(value);
-                if replaced.is_none() {
-                    self.live += 1;
+        match self.order.binary_search_by_key(&id, |&(id, _)| id) {
+            Ok(at) => {
+                let slot = self.order[at].1;
+                if let Some((present, old)) = self.entries.get_mut(slot) {
+                    if *present == id {
+                        return (InFlightSlot(slot), Some(std::mem::replace(old, value)));
+                    }
                 }
-                replaced
+                // The dead pair of an earlier entry under this id: the new
+                // entry takes over its place in the order.
+                let slot = self.occupy(id, value);
+                self.order[at] = (id, slot);
+                (InFlightSlot(slot), None)
             }
-            Err(slot) => {
-                self.ids.insert(slot, id);
-                self.values.insert(slot, Some(value));
-                self.live += 1;
-                None
+            Err(at) => {
+                let slot = self.occupy(id, value);
+                self.order.insert(at, (id, slot));
+                (InFlightSlot(slot), None)
             }
         }
     }
 
-    /// The value stored under `id`.
-    pub(crate) fn get(&self, id: u64) -> Option<&V> {
-        let slot = self.ids.binary_search(&id).ok()?;
-        self.values[slot].as_ref()
+    /// The value stored under `id`; `hint` is where it was inserted.
+    pub(crate) fn get(&self, id: u64, hint: Option<InFlightSlot>) -> Option<&V> {
+        let slot = self.find(id, hint)?;
+        self.entries.get(slot).map(|(_, value)| value)
     }
 
-    /// Removes and returns the value stored under `id`.
-    pub(crate) fn remove(&mut self, id: u64) -> Option<V> {
-        let slot = self.ids.binary_search(&id).ok()?;
-        let removed = self.values[slot].take()?;
+    /// Removes and returns the value stored under `id`; `hint` is where it
+    /// was inserted.
+    pub(crate) fn remove(&mut self, id: u64, hint: Option<InFlightSlot>) -> Option<V> {
+        let slot = self.find(id, hint)?;
+        let (_, removed) = self.entries.remove(slot)?;
         self.live -= 1;
-        if self.ids.len() - self.live > self.live * MAX_TOMBSTONES_PER_LIVE {
-            self.compact();
+        while let Some(&(id, slot)) = self.order.front() {
+            if holds(&self.entries, slot, id) {
+                break;
+            }
+            self.order.pop_front();
+        }
+        if self.order.len() - self.live > self.live * MAX_DEAD_PER_LIVE {
+            let entries = &self.entries;
+            self.order.retain(|&(id, slot)| holds(entries, slot, id));
         }
         Some(removed)
     }
 
-    /// The entries present, in increasing id order.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (u64, &V)> {
-        self.ids
+    /// The entries present, with their slots, in increasing id order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (u64, InFlightSlot, &V)> {
+        self.order
             .iter()
-            .zip(&self.values)
-            .filter_map(|(&id, value)| Some((id, value.as_ref()?)))
+            .filter_map(|&(id, slot)| match self.entries.get(slot) {
+                Some((held, value)) if *held == id => Some((id, InFlightSlot(slot), value)),
+                _ => None,
+            })
     }
 
-    /// Squeezes the tombstones out of both vectors, keeping their order.
-    fn compact(&mut self) {
-        let mut kept = 0;
-        for slot in 0..self.ids.len() {
-            if self.values[slot].is_some() {
-                self.ids[kept] = self.ids[slot];
-                self.values.swap(kept, slot);
-                kept += 1;
+    fn occupy(&mut self, id: u64, value: V) -> u32 {
+        self.live += 1;
+        self.entries.insert((id, value))
+    }
+
+    /// The slot of the entry under `id`: `hint` if it holds that entry,
+    /// else the one the index records.
+    fn find(&self, id: u64, hint: Option<InFlightSlot>) -> Option<u32> {
+        if let Some(InFlightSlot(slot)) = hint {
+            if holds(&self.entries, slot, id) {
+                return Some(slot);
             }
         }
-        self.ids.truncate(kept);
-        self.values.truncate(kept);
+        let at = self.order.binary_search_by_key(&id, |&(id, _)| id).ok()?;
+        let slot = self.order[at].1;
+        holds(&self.entries, slot, id).then_some(slot)
     }
+}
+
+/// Whether `slot` holds the entry under `id`.
+fn holds<V>(entries: &Slab<(u64, V)>, slot: u32, id: u64) -> bool {
+    entries.get(slot).is_some_and(|&(held, _)| held == id)
 }
 
 #[cfg(test)]
@@ -114,6 +163,18 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use std::collections::BTreeMap;
+
+    /// Which slot a lookup or removal passes.
+    #[derive(Clone, Copy, Debug)]
+    enum Hint {
+        /// None: the search by id.
+        Unhinted,
+        /// The slot the id was last inserted into.  Stale when the id has
+        /// been removed since, and possibly reused by another id.
+        Own,
+        /// The slot another id was last inserted into.
+        Foreign { pick: usize },
+    }
 
     /// One step of a differential run against `BTreeMap`.  `pick` selects
     /// an id below the counter, so it lands on keys that are, or once were,
@@ -127,9 +188,9 @@ mod tests {
         InsertOld { pick: usize },
         /// Remove an id below the largest handed out: present, already
         /// removed, or never inserted.
-        Remove { pick: usize },
-        /// Remove the oldest entry present (what a finishing client does).
-        RemoveFirst,
+        Remove { pick: usize, hint: Hint },
+        /// Remove the oldest entry present (what a stale abort does).
+        RemoveFirst { hint: Hint },
         /// Remove an id above every key.
         RemoveAbsent,
     }
@@ -143,11 +204,18 @@ mod tests {
         type Value = Op;
         fn sample(&self, rng: &mut proptest::TestRng) -> Op {
             let pick = (0usize..usize::MAX).sample(rng);
+            let hint = match (0u32..4).sample(rng) {
+                0 => Hint::Unhinted,
+                1 => Hint::Foreign {
+                    pick: (0usize..usize::MAX).sample(rng),
+                },
+                _ => Hint::Own,
+            };
             if (0u32..100).sample(rng) < self.remove_percent {
                 match (0u32..10).sample(rng) {
                     0 => Op::RemoveAbsent,
-                    1..=4 => Op::RemoveFirst,
-                    _ => Op::Remove { pick },
+                    1..=4 => Op::RemoveFirst { hint },
+                    _ => Op::Remove { pick, hint },
                 }
             } else {
                 match (0u32..10).sample(rng) {
@@ -158,59 +226,104 @@ mod tests {
         }
     }
 
+    /// The reference map, and the slot each id was last inserted into
+    /// (kept after the id is removed, so it serves as a stale hint).
+    #[derive(Default)]
+    struct Reference {
+        map: BTreeMap<u64, u64>,
+        slots: BTreeMap<u64, InFlightSlot>,
+        next_id: u64,
+        /// The most entries present at once so far.
+        peak_len: usize,
+    }
+
+    impl Reference {
+        fn hint(&self, id: u64, hint: Hint) -> Option<InFlightSlot> {
+            match hint {
+                Hint::Unhinted => None,
+                Hint::Own => self.slots.get(&id).copied(),
+                Hint::Foreign { pick } => {
+                    let n = self.slots.len().max(1);
+                    self.slots.values().nth(pick % n).copied()
+                }
+            }
+        }
+    }
+
     /// Applies `ops` to an `IdTable` and a `BTreeMap` side by side and
-    /// compares every return value, `len`, a lookup and the full in-order
-    /// iteration after each step.
+    /// compares every return value, `len`, a hinted and an unhinted lookup
+    /// and the full in-order iteration after each step.  Every entry present
+    /// must still sit in the slot its insert returned.
     fn check_against_btreemap(
         table: &mut IdTable<u64>,
-        reference: &mut BTreeMap<u64, u64>,
-        next_id: &mut u64,
+        reference: &mut Reference,
         ops: &[Op],
     ) -> Result<(), TestCaseError> {
         for (step, &op) in ops.iter().enumerate() {
             let value = step as u64;
             // The counter hands out even ids only, so an id below it is
             // either one of them (present, or removed) or falls between two.
-            let counter = *next_id;
+            let counter = reference.next_id;
             let below_counter = |pick: usize| pick as u64 % counter.max(1);
-            let probe = match op {
-                Op::InsertNext => {
-                    let id = *next_id;
-                    *next_id += 2;
-                    prop_assert_eq!(table.insert(id, value), reference.insert(id, value));
-                    id
+            let (probe, hint) = match op {
+                Op::InsertNext | Op::InsertOld { .. } => {
+                    let id = match op {
+                        Op::InsertOld { pick } => below_counter(pick),
+                        _ => {
+                            reference.next_id += 2;
+                            counter
+                        }
+                    };
+                    let present = reference.map.contains_key(&id);
+                    let (slot, replaced) = table.insert(id, value);
+                    prop_assert_eq!(replaced, reference.map.insert(id, value));
+                    if present {
+                        prop_assert_eq!(Some(slot), reference.slots.get(&id).copied());
+                    }
+                    reference.slots.insert(id, slot);
+                    (id, Hint::Own)
                 }
-                Op::InsertOld { pick } => {
+                Op::Remove { pick, hint } => {
                     let id = below_counter(pick);
-                    prop_assert_eq!(table.insert(id, value), reference.insert(id, value));
-                    id
+                    let slot = reference.hint(id, hint);
+                    prop_assert_eq!(table.remove(id, slot), reference.map.remove(&id));
+                    (id, hint)
                 }
-                Op::Remove { pick } => {
-                    let id = below_counter(pick);
-                    prop_assert_eq!(table.remove(id), reference.remove(&id));
-                    id
-                }
-                Op::RemoveFirst => {
-                    let id = reference.keys().next().copied().unwrap_or(0);
-                    prop_assert_eq!(table.remove(id), reference.remove(&id));
-                    id
+                Op::RemoveFirst { hint } => {
+                    let id = reference.map.keys().next().copied().unwrap_or(0);
+                    let slot = reference.hint(id, hint);
+                    prop_assert_eq!(table.remove(id, slot), reference.map.remove(&id));
+                    (id, hint)
                 }
                 Op::RemoveAbsent => {
-                    let id = *next_id + 1;
-                    prop_assert_eq!(table.remove(id), reference.remove(&id));
-                    id
+                    let id = reference.next_id + 1;
+                    prop_assert_eq!(table.remove(id, None), reference.map.remove(&id));
+                    (id, Hint::Unhinted)
                 }
             };
-            prop_assert_eq!(table.get(probe), reference.get(&probe));
-            prop_assert_eq!(table.len(), reference.len());
+            let expected = reference.map.get(&probe);
+            prop_assert_eq!(table.get(probe, reference.hint(probe, hint)), expected);
+            prop_assert_eq!(table.get(probe, None), expected);
+            prop_assert_eq!(table.len(), reference.map.len());
             prop_assert!(
                 table
                     .iter()
-                    .eq(reference.iter().map(|(&id, value)| (id, value))),
+                    .map(|(id, _, value)| (id, value))
+                    .eq(reference.map.iter().map(|(&id, value)| (id, value))),
                 "iteration diverged at step {step} ({op:?})"
             );
-            prop_assert!(table.ids.windows(2).all(|pair| pair[0] < pair[1]));
-            prop_assert!(table.ids.len() - table.live <= table.live * MAX_TOMBSTONES_PER_LIVE);
+            for (id, slot, _) in table.iter() {
+                prop_assert_eq!(Some(slot), reference.slots.get(&id).copied());
+            }
+            // The slab grows only when every slot is taken.
+            reference.peak_len = reference.peak_len.max(reference.map.len());
+            prop_assert_eq!(table.entries.slots(), reference.peak_len);
+            prop_assert!(table
+                .order
+                .iter()
+                .zip(table.order.iter().skip(1))
+                .all(|(a, b)| a.0 < b.0));
+            prop_assert!(table.order.len() - table.live <= table.live * MAX_DEAD_PER_LIVE);
         }
         Ok(())
     }
@@ -219,8 +332,8 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
         /// Grow, churn, drain to empty and refill: the table crosses its
-        /// compaction threshold many times and never disagrees with the
-        /// reference map.
+        /// compaction threshold many times, reuses freed slots under stale
+        /// hints, and never disagrees with the reference map.
         #[test]
         fn matches_btreemap_through_growth_drain_and_refill(
             grow in collection::vec(OpStrategy { remove_percent: 30 }, 200..400),
@@ -228,36 +341,45 @@ mod tests {
             refill in collection::vec(OpStrategy { remove_percent: 35 }, 100..300),
         ) {
             let mut table = IdTable::new();
-            let mut reference = BTreeMap::new();
-            let mut next_id = 0;
-            check_against_btreemap(&mut table, &mut reference, &mut next_id, &grow)?;
-            check_against_btreemap(&mut table, &mut reference, &mut next_id, &churn)?;
-            // Drain: removing every entry one by one compacts repeatedly on
-            // the way down and leaves no slot behind.
-            let drain: Vec<Op> = vec![Op::RemoveFirst; reference.len()];
-            check_against_btreemap(&mut table, &mut reference, &mut next_id, &drain)?;
+            let mut reference = Reference::default();
+            check_against_btreemap(&mut table, &mut reference, &grow)?;
+            check_against_btreemap(&mut table, &mut reference, &churn)?;
+            // Drain: removing every entry one by one leaves no pair behind.
+            let drain = vec![Op::RemoveFirst { hint: Hint::Own }; reference.map.len()];
+            check_against_btreemap(&mut table, &mut reference, &drain)?;
             prop_assert_eq!(table.len(), 0);
-            prop_assert!(table.ids.is_empty() && table.values.is_empty());
-            check_against_btreemap(&mut table, &mut reference, &mut next_id, &refill)?;
+            prop_assert!(table.order.is_empty());
+            check_against_btreemap(&mut table, &mut reference, &refill)?;
         }
     }
 
     #[test]
     fn compaction_keeps_slots_within_twice_the_live_entries() {
         let mut table = IdTable::new();
-        for id in 0..1000u64 {
-            table.insert(id, id);
-        }
+        let slots: Vec<InFlightSlot> = (0..1000u64).map(|id| table.insert(id, id).0).collect();
         // Remove every entry but the stragglers at the front and the back.
         for id in 1..999u64 {
-            assert_eq!(table.remove(id), Some(id));
-            assert!(table.ids.len() <= 2 * table.len() + 1);
+            assert_eq!(table.remove(id, Some(slots[id as usize])), Some(id));
+            assert!(table.order.len() <= (1 + MAX_DEAD_PER_LIVE) * table.len());
         }
-        assert_eq!(table.iter().collect::<Vec<_>>(), vec![(0, &0), (999, &999)]);
-        assert_eq!(table.ids, vec![0, 999]);
-        // A removed id can come back after its slot was compacted away.
-        assert_eq!(table.insert(500, 7), None);
-        assert_eq!(table.get(500), Some(&7));
-        assert_eq!(table.ids, vec![0, 500, 999]);
+        assert_eq!(
+            table.iter().collect::<Vec<_>>(),
+            vec![(0, slots[0], &0), (999, slots[999], &999)]
+        );
+        // Compaction moved pairs, not entries: both hints still hold.
+        assert_eq!(table.get(0, Some(slots[0])), Some(&0));
+        assert_eq!(table.get(999, Some(slots[999])), Some(&999));
+        // A removed id can come back after its pair was compacted away; it
+        // takes the slot freed last, so the stale hint of the id that slot
+        // held last misses and falls back.
+        let (slot, replaced) = table.insert(500, 7);
+        assert_eq!((slot, replaced), (slots[998], None));
+        assert_eq!(table.get(998, Some(slot)), None);
+        assert_eq!(table.get(500, None), Some(&7));
+        let order: Vec<u64> = table.iter().map(|(id, ..)| id).collect();
+        assert_eq!(order, vec![0, 500, 999]);
+        // Popping the front drops the dead pairs behind it at once.
+        assert_eq!(table.remove(0, None), Some(0));
+        assert_eq!(table.order.front().map(|&(id, _)| id), Some(500));
     }
 }

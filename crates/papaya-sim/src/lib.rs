@@ -58,6 +58,7 @@ mod id_table;
 pub mod metrics;
 pub mod sampling;
 pub mod scenario;
+mod slab;
 pub mod task_runtime;
 
 pub use control_plane::{ControlEvent, ControlPlaneService, Correction, EventLog, FleetStatus};

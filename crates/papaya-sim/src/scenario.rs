@@ -52,10 +52,9 @@ use crate::cluster::{AggregatorId, RouteOutcome, Selector, TaskSpec};
 use crate::control_plane::{ControlPlaneService, FleetStatus};
 use crate::events::{EventKind, EventQueue, SimTime};
 use crate::executor::{Executor, Parallelism};
-use crate::id_table::IdTable;
 use crate::metrics::{ControlPlaneStats, FleetSummary, MetricsCollector, MetricsSummary};
 use crate::sampling::ShardedSamplingPool;
-use crate::task_runtime::{FreedClient, ServerOptimizerKind, TaskRuntime};
+use crate::task_runtime::{FreedClient, InFlightSlot, ServerOptimizerKind, TaskRuntime};
 use papaya_core::client::ClientTrainer;
 use papaya_core::config::{SecAggMode, TaskConfig, TrainingMode};
 use papaya_core::robust::RobustTelemetry;
@@ -999,7 +998,8 @@ fn initial_control_plane(scenario: &Scenario, fleet: &FleetSpec) -> ControlPlane
 }
 
 /// Everything only a fleet run has: the control-plane service, Selectors,
-/// Aggregator liveness, and the routing and failover bookkeeping.
+/// Aggregator liveness, and the failover bookkeeping.  The route each
+/// client received at selection time rides its finish event.
 struct FleetPlane<'a> {
     fleet: &'a FleetSpec,
     service: ControlPlaneService,
@@ -1007,9 +1007,6 @@ struct FleetPlane<'a> {
     selector_cursor: usize,
     crashed: BTreeSet<AggregatorId>,
     tiers: Vec<u8>,
-    /// Aggregator each in-flight participation will upload to (the route
-    /// the client received at selection time).
-    upload_route: IdTable<AggregatorId>,
     reassignments: Vec<u64>,
     stats: ControlPlaneStats,
     /// Whether a [`EventKind::ReconcileTick`] is already queued (the pass
@@ -1038,7 +1035,6 @@ impl<'a> FleetPlane<'a> {
             selector_cursor: 0,
             crashed: BTreeSet::new(),
             tiers,
-            upload_route: IdTable::new(),
             reassignments: vec![0; scenario.tasks.len()],
             stats: ControlPlaneStats::default(),
             reconcile_scheduled: false,
@@ -1234,21 +1230,27 @@ impl<'a> Run<'a> {
                 EventKind::ClientFinished {
                     client_id,
                     participation_id,
-                } => stop = self.client_finished(0, client_id, participation_id),
+                } => stop = self.client_finished(0, client_id, participation_id, None, None),
                 EventKind::TaskClientFinished {
                     task,
                     client_id,
                     participation_id,
-                } => stop = self.client_finished(task, client_id, participation_id),
+                    slot,
+                    route,
+                } => {
+                    stop =
+                        self.client_finished(task, client_id, participation_id, Some(slot), route)
+                }
                 EventKind::ClientFailed {
                     client_id: _,
                     participation_id,
-                } => self.client_failed(0, participation_id),
+                } => self.client_failed(0, participation_id, None),
                 EventKind::TaskClientFailed {
                     task,
                     client_id: _,
                     participation_id,
-                } => self.client_failed(task, participation_id),
+                    slot,
+                } => self.client_failed(task, participation_id, Some(slot)),
                 EventKind::Evaluate => stop = self.evaluate(0),
                 EventKind::EvaluateTask { task } => stop = self.evaluate(task),
                 EventKind::SampleUtilization => self.sample_utilization(),
@@ -1300,9 +1302,10 @@ impl<'a> Run<'a> {
 
     // -- Participation lifecycle (every run) --------------------------------
 
-    /// Starts `client_id` on `task`: draws its dropout, schedules how the
-    /// participation ends, and returns its id.
-    fn start_participation(&mut self, task: usize, client_id: usize) -> u64 {
+    /// Starts `client_id` on `task`: draws its dropout and schedules how the
+    /// participation ends.  `route` is the Aggregator a fleet run routed the
+    /// client to; its upload is addressed there.
+    fn start_participation(&mut self, task: usize, client_id: usize, route: Option<AggregatorId>) {
         let device = self.scenario.population.device(client_id);
         let participation_id = self.next_participation_id;
         self.next_participation_id += 1;
@@ -1313,7 +1316,8 @@ impl<'a> Run<'a> {
         let exceeds_timeout = device.exceeds_timeout(timeout);
         let execution_time = device.clamped_execution_time(timeout);
 
-        self.runtimes[task].begin_participation(participation_id, client_id, execution_time);
+        let slot =
+            self.runtimes[task].begin_participation(participation_id, client_id, execution_time);
 
         // A dropout fails partway through its (clamped) execution; a
         // straggler is aborted at the timeout.
@@ -1331,6 +1335,7 @@ impl<'a> Run<'a> {
                     task,
                     client_id,
                     participation_id,
+                    slot,
                 },
             );
         } else {
@@ -1340,13 +1345,14 @@ impl<'a> Run<'a> {
                     task,
                     client_id,
                     participation_id,
+                    slot,
+                    route,
                 },
             );
             // This participation will reach its finish event: start its
             // local training on the worker pool now (no-op sequentially).
-            self.runtimes[task].prefetch_training(participation_id);
+            self.runtimes[task].prefetch_training(participation_id, slot);
         }
-        participation_id
     }
 
     /// Direct runs only: selects idle devices uniformly at random until the
@@ -1356,7 +1362,7 @@ impl<'a> Run<'a> {
             let Some(client_id) = self.pool.acquire_random(&mut self.rng) else {
                 break; // population exhausted
             };
-            self.start_participation(task, client_id);
+            self.start_participation(task, client_id, None);
         }
         self.runtimes[task].record_utilization(self.now);
     }
@@ -1365,9 +1371,6 @@ impl<'a> Run<'a> {
     /// (staleness bound or round end) to the pool.
     fn release_freed(&mut self, freed: &[FreedClient]) {
         for freed in freed {
-            if let Some(plane) = &mut self.plane {
-                plane.upload_route.remove(freed.participation_id);
-            }
             self.pool.release(freed.client_id);
         }
     }
@@ -1396,8 +1399,10 @@ impl<'a> Run<'a> {
         task: usize,
         client_id: usize,
         participation_id: u64,
+        slot: Option<InFlightSlot>,
+        route: Option<AggregatorId>,
     ) -> Option<StopReason> {
-        self.receive_upload(task, client_id, participation_id);
+        self.receive_upload(task, client_id, participation_id, slot, route);
         if let Some(max) = self.scenario.limits.max_client_updates {
             let received: u64 = self.runtimes.iter().map(|r| r.metrics().comm_trips).sum();
             if received >= max {
@@ -1415,18 +1420,29 @@ impl<'a> Run<'a> {
             .then_some(StopReason::PrivacyBudgetExhausted)
     }
 
-    fn receive_upload(&mut self, task: usize, client_id: usize, participation_id: u64) {
+    fn receive_upload(
+        &mut self,
+        task: usize,
+        client_id: usize,
+        participation_id: u64,
+        slot: Option<InFlightSlot>,
+        route: Option<AggregatorId>,
+    ) {
         if let Some(plane) = &mut self.plane {
             // An upload addressed to a dead Aggregator is lost in transit;
-            // the participation failed from the task's point of view.
-            let destination = plane.upload_route.remove(participation_id);
-            if destination.is_some_and(|aggregator| plane.crashed.contains(&aggregator)) {
-                plane.stats.lost_in_transit_updates += 1;
-                self.client_failed(task, participation_id);
+            // the participation failed from the task's point of view.  One
+            // a server update already aborted was no longer expected.
+            if route.is_some_and(|aggregator| plane.crashed.contains(&aggregator)) {
+                if let Some(freed_client) =
+                    self.runtimes[task].client_failed(participation_id, slot)
+                {
+                    plane.stats.lost_in_transit_updates += 1;
+                    self.pool.release(freed_client);
+                }
                 return;
             }
         }
-        let outcome = match self.runtimes[task].offer_update(participation_id, self.now) {
+        let outcome = match self.runtimes[task].offer_update(participation_id, slot, self.now) {
             Some(outcome) => outcome,
             None => return, // aborted earlier (round end, staleness, failover)
         };
@@ -1440,13 +1456,10 @@ impl<'a> Run<'a> {
         }
     }
 
-    /// A participation ended without an upload (dropout, timeout, or an
-    /// upload lost in transit); its device is free again.
-    fn client_failed(&mut self, task: usize, participation_id: u64) {
-        if let Some(plane) = &mut self.plane {
-            plane.upload_route.remove(participation_id);
-        }
-        if let Some(freed_client) = self.runtimes[task].client_failed(participation_id) {
+    /// A participation ended without an upload (dropout or timeout); its
+    /// device is free again.
+    fn client_failed(&mut self, task: usize, participation_id: u64, slot: Option<InFlightSlot>) {
+        if let Some(freed_client) = self.runtimes[task].client_failed(participation_id, slot) {
             self.pool.release(freed_client);
             if self.plane.is_none() {
                 self.fill_demand(task);
@@ -1574,10 +1587,7 @@ impl<'a> Run<'a> {
         if !plane.route(task, aggregator) {
             return false;
         }
-        let participation_id = self.start_participation(task, client_id);
-        if let Some(plane) = &mut self.plane {
-            plane.upload_route.insert(participation_id, aggregator);
-        }
+        self.start_participation(task, client_id, Some(aggregator));
         true
     }
 

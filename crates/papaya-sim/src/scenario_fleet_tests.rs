@@ -147,6 +147,70 @@ mod tests {
         assert_eq!(a.fingerprint(), b.fingerprint());
     }
 
+    /// An upload addressed to a crashed Aggregator is lost in transit only
+    /// while its participation is in flight.  A straggler a round end or a
+    /// staleness sweep aborted before the crash was already counted once;
+    /// its upload arriving after the crash must count nowhere.
+    ///
+    /// One Aggregator crashes at a control tick and never recovers, so from
+    /// the crash on no client is routed and nothing is released.  Without
+    /// dropouts or timeouts every participation in flight at the crash then
+    /// ends by an upload lost in transit, and the tick at the crash instant
+    /// counts them.
+    #[test]
+    fn uploads_of_aborted_participations_are_not_lost_in_transit() {
+        const CRASH_S: f64 = 1_750.0;
+        // Whether the task's only other way to fail a participation is the
+        // staleness sweep; a synchronous task fails none but lost uploads.
+        let tasks = [
+            (TaskConfig::sync_task("round-end", 40, 0.3), false),
+            (
+                TaskConfig::async_task("staleness", 40, 8).with_max_staleness(1),
+                true,
+            ),
+        ];
+        for (task, sweeps) in tasks {
+            let name = task.name.clone();
+            let pop = Population::generate(
+                &PopulationConfig::default().with_size(600).with_dropout(0.0),
+                23,
+            );
+            let report = Scenario::builder()
+                .population(pop)
+                .task(task.with_timeout(1e6))
+                .fleet(FleetSpec::new(1, 1))
+                .limits(RunLimits::default().with_max_virtual_time_hours(6.0))
+                .eval(EvalPolicy::default().with_interval_s(600.0))
+                .seed(4)
+                .crash_at(CRASH_S, 0)
+                .build()
+                .run();
+            let metrics = &report.tasks[0].metrics;
+            let in_flight_at_crash = metrics
+                .utilization_trace
+                .iter()
+                .find(|&&(time, _)| time == CRASH_S)
+                .map(|&(_, active)| active as u64)
+                .expect("a control tick at the crash");
+            assert!(in_flight_at_crash > 0, "{name}: nothing in flight");
+            assert_eq!(
+                metrics.utilization_trace.last().map(|&(_, active)| active),
+                Some(0),
+                "{name}: every participation ended"
+            );
+            let lost = report.fleet.control_plane.lost_in_transit_updates;
+            assert_eq!(lost, in_flight_at_crash, "{name}");
+            // Each lost upload failed its participation once, and nothing
+            // else failed one but the sweep.
+            let swept = metrics.failed_participations - lost;
+            assert_eq!(swept > 0, sweeps, "{name}: {swept} swept");
+            assert!(
+                sweeps || metrics.aborted_by_round_end > 0,
+                "{name}: no round end aborted a straggler"
+            );
+        }
+    }
+
     #[test]
     fn demand_pooling_keeps_unconfirmed_assignments_bounded() {
         // With a single small task, the Coordinator must not assign more

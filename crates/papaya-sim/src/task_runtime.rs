@@ -26,6 +26,7 @@
 use crate::events::SimTime;
 use crate::executor::{Executor, TrainJob};
 use crate::id_table::IdTable;
+pub use crate::id_table::InFlightSlot;
 use crate::metrics::{MetricsCollector, ParticipationRecord};
 use papaya_core::aggregator::{self, AccumulateOutcome, Aggregator};
 use papaya_core::client::{participation_seed, ClientTrainer, ClientUpdate};
@@ -318,13 +319,18 @@ impl TaskRuntime {
     /// hands ids out in increasing order: a later participation never has
     /// a smaller id, which is what lets the staleness sweep stop at the
     /// first participation that is fresh enough.
+    ///
+    /// Returns where the participation is held.  Passing the slot back to
+    /// [`prefetch_training`](TaskRuntime::prefetch_training),
+    /// [`offer_update`](TaskRuntime::offer_update) or
+    /// [`client_failed`](TaskRuntime::client_failed) spares them a search.
     pub fn begin_participation(
         &mut self,
         participation_id: u64,
         client_id: usize,
         execution_time_s: f64,
-    ) {
-        self.in_flight.insert(
+    ) -> InFlightSlot {
+        let (slot, _) = self.in_flight.insert(
             participation_id,
             InFlight {
                 client_id,
@@ -334,6 +340,7 @@ impl TaskRuntime {
                 execution_time_s,
             },
         );
+        slot
     }
 
     /// Attaches (or detaches) the parallel training pool.  Scenario drivers
@@ -360,8 +367,8 @@ impl TaskRuntime {
     /// ratchet counter, and doing that at the same point of the event order
     /// regardless of parallelism is what keeps secure runs bit-identical at
     /// any thread count.
-    pub fn prefetch_training(&mut self, participation_id: u64) {
-        let Some(in_flight) = self.in_flight.get(participation_id) else {
+    pub fn prefetch_training(&mut self, participation_id: u64, slot: InFlightSlot) {
+        let Some(in_flight) = self.in_flight.get(participation_id, Some(slot)) else {
             return;
         };
         let client_id = in_flight.client_id;
@@ -400,8 +407,15 @@ impl TaskRuntime {
     /// trainer, feeds the aggregator, and applies a server update when the
     /// aggregator becomes ready.  Returns `None` when the participation
     /// was already aborted (round end, staleness abort, or failover).
-    pub fn offer_update(&mut self, participation_id: u64, now: SimTime) -> Option<UpdateOutcome> {
-        let in_flight = self.in_flight.remove(participation_id)?;
+    /// `slot` is what [`begin_participation`](TaskRuntime::begin_participation)
+    /// returned, if the caller kept it.
+    pub fn offer_update(
+        &mut self,
+        participation_id: u64,
+        slot: Option<InFlightSlot>,
+        now: SimTime,
+    ) -> Option<UpdateOutcome> {
+        let in_flight = self.in_flight.remove(participation_id, slot)?;
         let client_id = in_flight.client_id;
         self.metrics.comm_trips += 1;
 
@@ -549,9 +563,14 @@ impl TaskRuntime {
 
     /// A participating client failed (dropout, crash, or timeout abort).
     /// Returns the freed device id, or `None` if the participation had
-    /// already been aborted.
-    pub fn client_failed(&mut self, participation_id: u64) -> Option<usize> {
-        let in_flight = self.in_flight.remove(participation_id)?;
+    /// already been aborted.  `slot` is as for
+    /// [`offer_update`](TaskRuntime::offer_update).
+    pub fn client_failed(
+        &mut self,
+        participation_id: u64,
+        slot: Option<InFlightSlot>,
+    ) -> Option<usize> {
+        let in_flight = self.in_flight.remove(participation_id, slot)?;
         self.discard_prefetch(participation_id);
         self.metrics.failed_participations += 1;
         Some(in_flight.client_id)
@@ -644,23 +663,17 @@ impl TaskRuntime {
         debug_assert!(
             self.in_flight
                 .iter()
-                .map(|(_, f)| f.start_version)
+                .map(|(_, _, f)| f.start_version)
                 .is_sorted(),
             "start_version must be non-decreasing in participation id"
         );
-        let freed: Vec<FreedClient> = self
+        let aborted: Vec<(u64, InFlightSlot)> = self
             .in_flight
             .iter()
-            .take_while(|(_, f)| version.saturating_sub(f.start_version) > max_staleness)
-            .map(|(participation_id, f)| FreedClient {
-                participation_id,
-                client_id: f.client_id,
-            })
+            .take_while(|(_, _, f)| version.saturating_sub(f.start_version) > max_staleness)
+            .map(|(participation_id, slot, _)| (participation_id, slot))
             .collect();
-        for f in &freed {
-            self.in_flight.remove(f.participation_id);
-            self.discard_prefetch(f.participation_id);
-        }
+        let freed = self.abort(&aborted);
         self.metrics.failed_participations += freed.len() as u64;
         freed
     }
@@ -669,19 +682,13 @@ impl TaskRuntime {
     /// round and starts the next one.
     fn end_sync_round(&mut self, now: SimTime) -> Vec<FreedClient> {
         let round = self.round_number;
-        let freed: Vec<FreedClient> = self
+        let aborted: Vec<(u64, InFlightSlot)> = self
             .in_flight
             .iter()
-            .filter(|(_, f)| f.round == round)
-            .map(|(participation_id, f)| FreedClient {
-                participation_id,
-                client_id: f.client_id,
-            })
+            .filter(|(_, _, f)| f.round == round)
+            .map(|(participation_id, slot, _)| (participation_id, slot))
             .collect();
-        for f in &freed {
-            self.in_flight.remove(f.participation_id);
-            self.discard_prefetch(f.participation_id);
-        }
+        let freed = self.abort(&aborted);
         self.metrics.aborted_by_round_end += freed.len() as u64;
         self.metrics
             .round_durations_s
@@ -690,6 +697,22 @@ impl TaskRuntime {
         self.round_start_time = now;
         self.completed_this_round = 0;
         freed
+    }
+
+    /// Removes the given in-flight participations, dropping their
+    /// speculative work, and returns their devices in the order given.
+    fn abort(&mut self, aborted: &[(u64, InFlightSlot)]) -> Vec<FreedClient> {
+        aborted
+            .iter()
+            .filter_map(|&(participation_id, slot)| {
+                let in_flight = self.in_flight.remove(participation_id, Some(slot))?;
+                self.discard_prefetch(participation_id);
+                Some(FreedClient {
+                    participation_id,
+                    client_id: in_flight.client_id,
+                })
+            })
+            .collect()
     }
 }
 
@@ -727,9 +750,9 @@ mod tests {
         rt.begin_participation(1, 1, 10.0);
         assert_eq!(rt.active(), 2);
         assert_eq!(rt.demand(), 6);
-        let first = rt.offer_update(0, 10.0).unwrap();
+        let first = rt.offer_update(0, None, 10.0).unwrap();
         assert!(first.accepted && !first.server_updated);
-        let second = rt.offer_update(1, 11.0).unwrap();
+        let second = rt.offer_update(1, None, 11.0).unwrap();
         assert!(second.accepted && second.server_updated);
         assert_eq!(rt.version(), 1);
         assert_eq!(rt.metrics().comm_trips, 2);
@@ -738,8 +761,8 @@ mod tests {
     #[test]
     fn unknown_participation_is_ignored() {
         let mut rt = runtime(TaskConfig::async_task("t", 8, 2));
-        assert!(rt.offer_update(99, 1.0).is_none());
-        assert!(rt.client_failed(99).is_none());
+        assert!(rt.offer_update(99, None, 1.0).is_none());
+        assert!(rt.client_failed(99, None).is_none());
         assert_eq!(rt.metrics().comm_trips, 0);
     }
 
@@ -751,10 +774,10 @@ mod tests {
             let execution_time_s = if pid % 3 == 2 { 100.0 } else { 10.0 };
             rt.begin_participation(pid, pid as usize, execution_time_s);
         }
-        rt.offer_update(0, 10.0).unwrap();
-        rt.offer_update(1, 10.0).unwrap();
-        rt.offer_update(3, 10.0).unwrap();
-        let outcome = rt.offer_update(4, 11.0).unwrap();
+        rt.offer_update(0, None, 10.0).unwrap();
+        rt.offer_update(1, None, 10.0).unwrap();
+        rt.offer_update(3, None, 10.0).unwrap();
+        let outcome = rt.offer_update(4, None, 11.0).unwrap();
         assert!(outcome.round_ended && outcome.server_updated);
         let freed_ids: Vec<u64> = outcome.freed.iter().map(|f| f.participation_id).collect();
         assert_eq!(freed_ids, vec![2, 5]);
@@ -762,14 +785,39 @@ mod tests {
         assert_eq!(rt.round_number(), 1);
         assert_eq!(rt.metrics().aborted_by_round_end, 2);
         // The straggler's late report is silently ignored.
-        assert!(rt.offer_update(2, 100.0).is_none());
+        assert!(rt.offer_update(2, None, 100.0).is_none());
+    }
+
+    /// An abort frees the participation's slot for the next one, so the
+    /// aborted participation's finish or failure still carries that slot.
+    /// It must miss, not end the participation now living there.
+    #[test]
+    fn a_reused_slot_never_ends_the_participation_living_there() {
+        let mut rt = runtime(TaskConfig::sync_task("t", 6, 0.5));
+        let slots: Vec<InFlightSlot> = (0..6u64)
+            .map(|pid| rt.begin_participation(pid, pid as usize, 10.0))
+            .collect();
+        for pid in [0, 1, 3, 4] {
+            rt.offer_update(pid, Some(slots[pid as usize]), 10.0)
+                .unwrap();
+        }
+        // The round end aborted 2 and 5; 5's slot was freed last.
+        let reused = rt.begin_participation(6, 6, 10.0);
+        assert_eq!(reused, slots[5]);
+        assert!(rt.client_failed(5, Some(slots[5])).is_none());
+        assert!(rt.offer_update(5, Some(slots[5]), 11.0).is_none());
+        assert!(rt.offer_update(2, Some(slots[2]), 12.0).is_none());
+        assert_eq!(rt.active(), 1);
+        assert_eq!(rt.metrics().failed_participations, 0);
+        assert_eq!(rt.metrics().comm_trips, 4);
+        assert!(rt.offer_update(6, Some(reused), 13.0).unwrap().accepted);
     }
 
     #[test]
     fn failed_client_is_freed_and_counted() {
         let mut rt = runtime(TaskConfig::async_task("t", 8, 4));
         rt.begin_participation(7, 3, 5.0);
-        assert_eq!(rt.client_failed(7), Some(3));
+        assert_eq!(rt.client_failed(7, None), Some(3));
         assert_eq!(rt.metrics().failed_participations, 1);
         assert_eq!(rt.active(), 0);
     }
@@ -779,15 +827,15 @@ mod tests {
         let mut rt = runtime(TaskConfig::async_task("t", 8, 3));
         rt.begin_participation(0, 0, 1.0);
         rt.begin_participation(1, 1, 1.0);
-        rt.offer_update(0, 1.0).unwrap();
-        rt.offer_update(1, 1.0).unwrap();
+        rt.offer_update(0, None, 1.0).unwrap();
+        rt.offer_update(1, None, 1.0).unwrap();
         assert_eq!(rt.drop_buffered_updates(), 2);
         assert_eq!(rt.metrics().lost_buffered_updates, 2);
         // The next goal needs a full buffer again.
         rt.begin_participation(2, 2, 1.0);
         rt.begin_participation(3, 3, 1.0);
-        rt.offer_update(2, 2.0).unwrap();
-        let outcome = rt.offer_update(3, 2.0).unwrap();
+        rt.offer_update(2, None, 2.0).unwrap();
+        let outcome = rt.offer_update(3, None, 2.0).unwrap();
         assert!(!outcome.server_updated, "buffer was reset, goal is 3");
         assert_eq!(rt.version(), 0);
     }
@@ -817,16 +865,16 @@ mod tests {
             // the version moves on.
             let pid = live.swap_remove(rng.gen_range(0..live.len()));
             if rng.gen_bool(0.2) {
-                assert!(rt.client_failed(pid).is_some());
+                assert!(rt.client_failed(pid, None).is_some());
                 continue;
             }
             let before: Vec<(u64, u64)> = rt
                 .in_flight
                 .iter()
-                .filter(|&(id, _)| id != pid)
-                .map(|(id, f)| (id, f.start_version))
+                .filter(|&(id, ..)| id != pid)
+                .map(|(id, _, f)| (id, f.start_version))
                 .collect();
-            let outcome = rt.offer_update(pid, step as f64).unwrap();
+            let outcome = rt.offer_update(pid, None, step as f64).unwrap();
             let version = rt.version();
             let too_stale: Vec<u64> = before
                 .iter()
@@ -876,16 +924,16 @@ mod tests {
             rt.set_executor(executor);
             // A mix of prefetched finishes, an un-prefetched finish, a
             // failure, and a staleness-era release.
-            for pid in 0..4u64 {
-                rt.begin_participation(pid, pid as usize, 5.0);
-            }
-            rt.prefetch_training(0);
-            rt.prefetch_training(1);
-            rt.prefetch_training(3); // later fails; result discarded
-            rt.client_failed(3);
-            rt.offer_update(0, 10.0).unwrap();
-            rt.offer_update(1, 11.0).unwrap();
-            rt.offer_update(2, 12.0).unwrap(); // never prefetched
+            let slots: Vec<InFlightSlot> = (0..4u64)
+                .map(|pid| rt.begin_participation(pid, pid as usize, 5.0))
+                .collect();
+            rt.prefetch_training(0, slots[0]);
+            rt.prefetch_training(1, slots[1]);
+            rt.prefetch_training(3, slots[3]); // later fails; result discarded
+            rt.client_failed(3, Some(slots[3]));
+            rt.offer_update(0, Some(slots[0]), 10.0).unwrap();
+            rt.offer_update(1, None, 11.0).unwrap();
+            rt.offer_update(2, Some(slots[2]), 12.0).unwrap(); // never prefetched
             (rt.version(), rt.metrics().comm_trips, rt.model_snapshot())
         };
         let sequential = drive(None);
@@ -901,15 +949,15 @@ mod tests {
         );
         rt.begin_participation(0, 0, 10.0);
         rt.begin_participation(1, 1, 10.0);
-        rt.offer_update(0, 10.0).unwrap();
-        let outcome = rt.offer_update(1, 11.0).unwrap();
+        rt.offer_update(0, None, 10.0).unwrap();
+        let outcome = rt.offer_update(1, None, 11.0).unwrap();
         assert!(outcome.server_updated);
         assert_eq!(rt.version(), 1);
 
         clear.begin_participation(0, 0, 10.0);
         clear.begin_participation(1, 1, 10.0);
-        clear.offer_update(0, 10.0).unwrap();
-        let clear_outcome = clear.offer_update(1, 11.0).unwrap();
+        clear.offer_update(0, None, 10.0).unwrap();
+        let clear_outcome = clear.offer_update(1, None, 11.0).unwrap();
         assert!(clear_outcome.server_updated);
 
         // The secure and clear models agree to fixed-point tolerance.
@@ -940,8 +988,8 @@ mod tests {
         );
         rt.begin_participation(0, 0, 1.0);
         rt.begin_participation(1, 1, 1.0);
-        rt.offer_update(0, 1.0).unwrap();
-        rt.offer_update(1, 1.0).unwrap();
+        rt.offer_update(0, None, 1.0).unwrap();
+        rt.offer_update(1, None, 1.0).unwrap();
         assert_eq!(rt.drop_buffered_updates(), 2);
         let (metrics, ..) = rt.into_parts();
         assert_eq!(metrics.secure.buffers_dropped_unreleased, 1);
@@ -962,8 +1010,8 @@ mod tests {
         );
         rt.begin_participation(0, 0, 10.0);
         rt.begin_participation(1, 1, 10.0);
-        rt.offer_update(0, 10.0).unwrap();
-        let outcome = rt.offer_update(1, 11.0).unwrap();
+        rt.offer_update(0, None, 10.0).unwrap();
+        let outcome = rt.offer_update(1, None, 11.0).unwrap();
         assert!(outcome.server_updated);
         assert!(!rt.privacy_budget_exhausted(), "budget of 1e6 is generous");
         let (metrics, ..) = rt.into_parts();
@@ -983,8 +1031,8 @@ mod tests {
         );
         rt.begin_participation(0, 0, 10.0);
         rt.begin_participation(1, 1, 10.0);
-        rt.offer_update(0, 10.0).unwrap();
-        let outcome = rt.offer_update(1, 11.0).unwrap();
+        rt.offer_update(0, None, 10.0).unwrap();
+        let outcome = rt.offer_update(1, None, 11.0).unwrap();
         assert!(outcome.server_updated);
         let (metrics, ..) = rt.into_parts();
         assert_eq!(metrics.dp.releases, 1);
@@ -1002,10 +1050,10 @@ mod tests {
             rt.begin_participation(pid, cid, 10.0);
             clear.begin_participation(pid, cid, 10.0);
         }
-        rt.offer_update(0, 10.0).unwrap();
-        clear.offer_update(0, 10.0).unwrap();
-        let outcome = rt.offer_update(1, 11.0).unwrap();
-        let clear_outcome = clear.offer_update(1, 11.0).unwrap();
+        rt.offer_update(0, None, 10.0).unwrap();
+        clear.offer_update(0, None, 10.0).unwrap();
+        let outcome = rt.offer_update(1, None, 11.0).unwrap();
+        let clear_outcome = clear.offer_update(1, None, 11.0).unwrap();
         assert!(outcome.server_updated && clear_outcome.server_updated);
 
         // The neutral defense is a pure pass-through: bit-identical model.
@@ -1033,8 +1081,8 @@ mod tests {
         );
         rt.begin_participation(0, 0, 10.0);
         rt.begin_participation(1, 1, 10.0);
-        let first = rt.offer_update(0, 10.0).unwrap();
-        let second = rt.offer_update(1, 11.0).unwrap();
+        let first = rt.offer_update(0, None, 10.0).unwrap();
+        let second = rt.offer_update(1, None, 11.0).unwrap();
         assert!(!first.accepted && !second.accepted);
         assert_eq!(rt.version(), 0, "every poisoned update was filtered");
         assert_eq!(rt.metrics().rejected_by_defense_updates, 2);
@@ -1052,12 +1100,12 @@ mod tests {
         rt.begin_participation(0, 0, 10.0);
         rt.begin_participation(1, 1, 10.0);
         rt.begin_participation(2, 2, 10.0);
-        rt.offer_update(0, 10.0).unwrap();
-        rt.offer_update(1, 11.0).unwrap();
+        rt.offer_update(0, None, 10.0).unwrap();
+        rt.offer_update(1, None, 11.0).unwrap();
         assert_eq!(rt.version(), 1);
         // Participation 2 started at version 0 and uploads at version 1 —
         // honest staleness 1, but the liar claims to be fresh.
-        let outcome = rt.offer_update(2, 12.0).unwrap();
+        let outcome = rt.offer_update(2, None, 12.0).unwrap();
         assert!(outcome.accepted);
         assert_eq!(rt.metrics().staleness_sum, 0, "the lie zeroed staleness");
         assert_eq!(
@@ -1080,8 +1128,8 @@ mod tests {
         );
         rt.begin_participation(0, 0, 10.0);
         rt.begin_participation(1, 1, 10.0);
-        rt.offer_update(0, 10.0).unwrap();
-        let outcome = rt.offer_update(1, 11.0).unwrap();
+        rt.offer_update(0, None, 10.0).unwrap();
+        let outcome = rt.offer_update(1, None, 11.0).unwrap();
         assert!(outcome.server_updated, "deviation never panics the release");
         let (metrics, ..) = rt.into_parts();
         assert_eq!(
@@ -1098,7 +1146,7 @@ mod tests {
     fn poll_is_a_noop_for_count_based_strategies() {
         let mut rt = runtime(TaskConfig::async_task("t", 8, 3));
         rt.begin_participation(0, 0, 1.0);
-        rt.offer_update(0, 1.0).unwrap();
+        rt.offer_update(0, None, 1.0).unwrap();
         assert!(rt.poll(1e9).is_none());
         assert_eq!(rt.version(), 0);
     }
@@ -1108,8 +1156,8 @@ mod tests {
         let mut rt = runtime(TaskConfig::timed_hybrid_task("t", 8, 100, 60.0));
         rt.begin_participation(0, 0, 1.0);
         rt.begin_participation(1, 1, 1.0);
-        rt.offer_update(0, 10.0).unwrap();
-        rt.offer_update(1, 20.0).unwrap();
+        rt.offer_update(0, None, 10.0).unwrap();
+        rt.offer_update(1, None, 20.0).unwrap();
         // Goal of 100 is nowhere near met; before the deadline nothing moves.
         assert!(rt.poll(50.0).is_none());
         assert_eq!(rt.version(), 0);
@@ -1131,7 +1179,7 @@ mod tests {
         rt.begin_participation(0, 0, 1.0);
         rt.begin_participation(1, 1, 1.0);
         rt.begin_participation(2, 2, 1.0);
-        let release = rt.offer_update(1, 1.0).unwrap(); // goal 1 → release, version 1
+        let release = rt.offer_update(1, None, 1.0).unwrap(); // goal 1 → release, version 1
         assert_eq!(rt.version(), 1);
         assert_eq!(
             release.freed.len(),
@@ -1139,7 +1187,7 @@ mod tests {
             "both other downloads are now too stale"
         );
         assert!(ascending(&release.freed));
-        let outcome = rt.offer_update(0, 2.0);
+        let outcome = rt.offer_update(0, None, 2.0);
         // Client 0 was aborted by the post-release staleness sweep (its
         // staleness exceeded the bound), or rejected on arrival.
         match outcome {
