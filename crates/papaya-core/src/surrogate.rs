@@ -22,6 +22,9 @@ use papaya_data::population::Population;
 use papaya_nn::params::ParamVec;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::BTreeMap;
+use std::fmt;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Configuration of the surrogate objective.
 #[derive(Clone, Debug, PartialEq)]
@@ -73,6 +76,24 @@ fn standard_normal(rng: &mut StdRng) -> f32 {
     let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
     let u2: f64 = rng.gen_range(0.0..1.0);
     papaya_data::stats::standard_normal_pair(u1, u2).0 as f32
+}
+
+/// Loss of `params` for the client whose optimum is `optimum`: half the
+/// squared distance, summed in f64 in coordinate order, over the dimension.
+fn loss_at(params: &[f32], optimum: &[f32]) -> f64 {
+    params
+        .iter()
+        .zip(optimum)
+        .map(|(w, o)| 0.5 * ((w - o) as f64).powi(2))
+        .sum::<f64>()
+        / params.len() as f64
+}
+
+/// The checks every entry point that takes a client and a parameter vector
+/// makes, with one set of messages.
+fn check_arguments(num_clients: usize, dim: usize, client_id: usize, params: &ParamVec) {
+    assert!(client_id < num_clients, "unknown client {client_id}");
+    assert_eq!(params.len(), dim, "parameter length mismatch");
 }
 
 impl SurrogateObjective {
@@ -158,14 +179,8 @@ impl SurrogateObjective {
 
     /// Loss of `params` for a single client.
     pub fn client_loss(&self, params: &ParamVec, client_id: usize) -> f64 {
-        let optimum = &self.client_optima[client_id];
-        params
-            .as_slice()
-            .iter()
-            .zip(optimum.iter())
-            .map(|(w, o)| 0.5 * ((w - o) as f64).powi(2))
-            .sum::<f64>()
-            / self.config.dim as f64
+        check_arguments(self.num_clients(), self.config.dim, client_id, params);
+        loss_at(params.as_slice(), &self.client_optima[client_id])
     }
 }
 
@@ -178,7 +193,7 @@ impl SurrogateObjective {
 /// in memory.  This variant stores only the population-level state (global
 /// optimum, bias direction, initial model — all O(dim)) plus a packed
 /// 4-byte example count per client, and re-derives a client's optimum from
-/// a per-client seeded RNG each time that client trains or is evaluated.
+/// a per-client seeded RNG each time that client trains.
 /// Same statistical family as [`SurrogateObjective`] (per-client optimum =
 /// global + heterogeneity noise + volume-biased shift), but the two are
 /// *not* draw-for-draw identical: this one seeds per client rather than
@@ -188,6 +203,12 @@ impl SurrogateObjective {
 /// This is the trainer behind the `fedbuff-1m` scenario and the
 /// benchmark's `million-idle` workload (`docs/SCALING.md`): a million idle clients cost 4 MB here instead of
 /// half a gigabyte.
+///
+/// `evaluate` keeps the optima of every evaluation set it has been given,
+/// keyed by the exact list of ids, so a task that evaluates the same
+/// clients all run derives them once.  That costs `dim` floats per
+/// evaluated client (100 KB for `million-idle`'s 200 at `dim = 128`),
+/// independent of the population.
 #[derive(Clone, Debug)]
 pub struct ProceduralSurrogate {
     config: SurrogateConfig,
@@ -198,6 +219,36 @@ pub struct ProceduralSurrogate {
     num_examples: Vec<u32>,
     max_examples: f32,
     seed: u64,
+    eval_optima: EvalOptima,
+}
+
+/// The client optima of each evaluation set `evaluate` has seen, one per id
+/// in list order.  One entry per distinct list: tasks sharing a trainer each
+/// keep their own set, and an entry never changes once made.
+#[derive(Default)]
+struct EvalOptima(Mutex<BTreeMap<Vec<usize>, Vec<Vec<f32>>>>);
+
+impl EvalOptima {
+    /// Locks the sets.  An entry is inserted whole after its optima are
+    /// derived, so a panic elsewhere cannot leave one half-made and a
+    /// poisoned lock is safe to use.
+    fn lock(&self) -> MutexGuard<'_, BTreeMap<Vec<usize>, Vec<Vec<f32>>>> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+impl Clone for EvalOptima {
+    fn clone(&self) -> Self {
+        EvalOptima(Mutex::new(self.lock().clone()))
+    }
+}
+
+impl fmt::Debug for EvalOptima {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("EvalOptima")
+            .field("sets", &self.lock().len())
+            .finish()
+    }
 }
 
 impl ProceduralSurrogate {
@@ -231,6 +282,7 @@ impl ProceduralSurrogate {
             num_examples,
             max_examples,
             seed,
+            eval_optima: EvalOptima::default(),
         }
     }
 
@@ -258,14 +310,14 @@ impl ProceduralSurrogate {
 
     /// Loss of `params` for a single client.
     pub fn client_loss(&self, params: &ParamVec, client_id: usize) -> f64 {
-        let optimum = self.client_optimum(client_id);
-        params
-            .as_slice()
-            .iter()
-            .zip(optimum.iter())
-            .map(|(w, o)| 0.5 * ((w - o) as f64).powi(2))
-            .sum::<f64>()
-            / self.config.dim as f64
+        check_arguments(self.num_clients(), self.config.dim, client_id, params);
+        loss_at(params.as_slice(), &self.client_optimum(client_id))
+    }
+
+    /// Number of evaluation sets whose optima are kept.
+    #[cfg(test)]
+    fn cached_sets(&self) -> usize {
+        self.eval_optima.lock().len()
     }
 }
 
@@ -279,8 +331,7 @@ impl ClientTrainer for ProceduralSurrogate {
     }
 
     fn train(&self, client_id: usize, global: &ParamVec, seed: u64) -> LocalTrainResult {
-        assert!(client_id < self.num_clients(), "unknown client {client_id}");
-        assert_eq!(global.len(), self.config.dim, "parameter length mismatch");
+        check_arguments(self.num_clients(), self.config.dim, client_id, global);
         let mut rng = StdRng::seed_from_u64(seed ^ (client_id as u64).wrapping_mul(0x9e37_79b9));
         let optimum = self.client_optimum(client_id);
         let examples = self.num_examples[client_id] as usize;
@@ -296,10 +347,9 @@ impl ClientTrainer for ProceduralSurrogate {
                 w[j] -= self.config.local_learning_rate * grad;
             }
         }
-        let trained = ParamVec::from_vec(w);
-        let train_loss = self.client_loss(&trained, client_id) as f32;
+        let train_loss = loss_at(&w, &optimum) as f32;
         LocalTrainResult {
-            delta: trained.sub(global),
+            delta: ParamVec::from_vec(w).sub(global),
             num_examples: examples,
             train_loss,
         }
@@ -307,9 +357,20 @@ impl ClientTrainer for ProceduralSurrogate {
 
     fn evaluate(&self, params: &ParamVec, client_ids: &[usize]) -> f64 {
         assert!(!client_ids.is_empty(), "evaluate needs at least one client");
-        client_ids
+        for &id in client_ids {
+            check_arguments(self.num_clients(), self.config.dim, id, params);
+        }
+        let mut sets = self.eval_optima.lock();
+        if !sets.contains_key(client_ids) {
+            let optima = client_ids
+                .iter()
+                .map(|&id| self.client_optimum(id))
+                .collect();
+            sets.insert(client_ids.to_vec(), optima);
+        }
+        sets[client_ids]
             .iter()
-            .map(|&id| self.client_loss(params, id))
+            .map(|optimum| loss_at(params.as_slice(), optimum))
             .sum::<f64>()
             / client_ids.len() as f64
     }
@@ -325,8 +386,7 @@ impl ClientTrainer for SurrogateObjective {
     }
 
     fn train(&self, client_id: usize, global: &ParamVec, seed: u64) -> LocalTrainResult {
-        assert!(client_id < self.num_clients(), "unknown client {client_id}");
-        assert_eq!(global.len(), self.config.dim, "parameter length mismatch");
+        check_arguments(self.num_clients(), self.config.dim, client_id, global);
         let mut rng = StdRng::seed_from_u64(seed ^ (client_id as u64).wrapping_mul(0x9e37_79b9));
         let optimum = &self.client_optima[client_id];
         let examples = self.num_examples[client_id];
@@ -343,10 +403,9 @@ impl ClientTrainer for SurrogateObjective {
                 w[j] -= self.config.local_learning_rate * grad;
             }
         }
-        let trained = ParamVec::from_vec(w);
-        let train_loss = self.client_loss(&trained, client_id) as f32;
+        let train_loss = loss_at(&w, optimum) as f32;
         LocalTrainResult {
-            delta: trained.sub(global),
+            delta: ParamVec::from_vec(w).sub(global),
             num_examples: examples,
             train_loss,
         }
@@ -394,6 +453,175 @@ mod tests {
         let result = obj.train(7, &global, 1);
         let after = obj.client_loss(&global.add(&result.delta), 7);
         assert!(after < before, "{after} vs {before}");
+    }
+
+    fn procedural(n: usize) -> ProceduralSurrogate {
+        let pop = Population::generate(&PopulationConfig::default().with_size(n), 5);
+        ProceduralSurrogate::new(&pop, SurrogateConfig::default(), 5)
+    }
+
+    /// `Σ client_loss / n` over `ids`: what `evaluate` computed before it
+    /// kept any optima.
+    fn mean_client_loss(obj: &ProceduralSurrogate, params: &ParamVec, ids: &[usize]) -> f64 {
+        ids.iter()
+            .map(|&id| obj.client_loss(params, id))
+            .sum::<f64>()
+            / ids.len() as f64
+    }
+
+    #[test]
+    fn cached_evaluate_is_the_mean_client_loss_bit_for_bit() {
+        let obj = procedural(300);
+        let initial = obj.initial_parameters();
+        let trained = initial.add(&obj.train(11, &initial, 3).delta);
+        let params = [initial, trained, ParamVec::zeros(obj.config.dim)];
+        let evens: Vec<usize> = (0..300).step_by(2).collect();
+        let tail: Vec<usize> = (250..300).rev().collect();
+        let repeated = vec![17, 4, 17, 17, 299, 4];
+        for p in &params {
+            for ids in [&evens, &tail, &evens, &repeated, &tail] {
+                let want = mean_client_loss(&obj, p, ids);
+                assert_eq!(obj.evaluate(p, ids).to_bits(), want.to_bits());
+            }
+        }
+        // A clone carries the kept optima and evaluates the same bits, on
+        // the lists it inherited and on a new one.
+        let clone = obj.clone();
+        let fresh: Vec<usize> = (0..40).collect();
+        for p in &params {
+            for ids in [&evens, &repeated, &fresh] {
+                let want = mean_client_loss(&obj, p, ids);
+                assert_eq!(clone.evaluate(p, ids).to_bits(), want.to_bits());
+            }
+        }
+        assert_eq!((obj.cached_sets(), clone.cached_sets()), (3, 4));
+    }
+
+    /// `ProceduralSurrogate::train` as it was before it reused its optimum:
+    /// the loss of the trained parameters goes through `client_loss`, which
+    /// derives the optimum again.
+    fn train_deriving_twice(
+        obj: &ProceduralSurrogate,
+        client_id: usize,
+        global: &ParamVec,
+        seed: u64,
+    ) -> LocalTrainResult {
+        let mut rng = StdRng::seed_from_u64(seed ^ (client_id as u64).wrapping_mul(0x9e37_79b9));
+        let optimum = obj.client_optimum(client_id);
+        let examples = obj.num_examples[client_id] as usize;
+        let steps = (examples.div_ceil(obj.config.batch_size)).clamp(1, obj.config.max_local_steps);
+        let noise_scale =
+            obj.config.gradient_noise / (obj.config.batch_size.min(examples).max(1) as f32).sqrt();
+        let mut w: Vec<f32> = global.as_slice().to_vec();
+        for _ in 0..steps {
+            for j in 0..obj.config.dim {
+                let grad = (w[j] - optimum[j]) + noise_scale * standard_normal(&mut rng);
+                w[j] -= obj.config.local_learning_rate * grad;
+            }
+        }
+        let trained = ParamVec::from_vec(w);
+        LocalTrainResult {
+            train_loss: obj.client_loss(&trained, client_id) as f32,
+            delta: trained.sub(global),
+            num_examples: examples,
+        }
+    }
+
+    #[test]
+    fn train_loss_is_the_client_loss_of_the_trained_parameters() {
+        let obj = procedural(300);
+        let initial = obj.initial_parameters();
+        let moved = initial.add(&obj.train(5, &initial, 9).delta);
+        for global in [&initial, &moved] {
+            for (client, seed) in [(0, 1), (7, 42), (123, 7), (299, 1234)] {
+                let got = obj.train(client, global, seed);
+                let want = train_deriving_twice(&obj, client, global, seed);
+                assert_eq!(got.train_loss.to_bits(), want.train_loss.to_bits());
+                assert_eq!(got, want);
+            }
+        }
+        assert_eq!(obj.cached_sets(), 0, "train keeps nothing");
+    }
+
+    #[test]
+    fn evaluation_sets_do_not_evict_each_other() {
+        // Like `fleet-scale`: tasks sharing one trainer, each with its own
+        // evaluation set, evaluated in turn.
+        let obj = procedural(100);
+        let params = obj.initial_parameters();
+        let sets: Vec<Vec<usize>> = (0..4)
+            .map(|task| (task * 10..task * 10 + 20).collect())
+            .collect();
+        for round in 1..=3 {
+            for ids in &sets {
+                obj.evaluate(&params, ids);
+            }
+            assert_eq!(obj.cached_sets(), 4, "round {round}");
+        }
+        // A permutation is a different list.
+        let reversed: Vec<usize> = sets[0].iter().rev().copied().collect();
+        obj.evaluate(&params, &reversed);
+        assert_eq!(obj.cached_sets(), 5);
+        // Debug names the count, not the floats.
+        assert!(format!("{obj:?}").contains("EvalOptima { sets: 5 }"));
+    }
+
+    #[test]
+    fn rejected_evaluations_keep_nothing() {
+        let obj = procedural(10);
+        let params = obj.initial_parameters();
+        let short = ParamVec::zeros(obj.config.dim - 1);
+        for (params, ids) in [(&params, vec![0, 10]), (&short, vec![0, 1])] {
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                obj.evaluate(params, &ids)
+            }));
+            assert!(outcome.is_err());
+        }
+        assert_eq!(obj.cached_sets(), 0);
+        // The trainer still works after the panics.
+        assert!(obj.evaluate(&params, &[0, 1]) > 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "parameter length mismatch")]
+    fn procedural_evaluate_rejects_a_short_parameter_vector() {
+        let obj = procedural(10);
+        obj.evaluate(&ParamVec::zeros(obj.config.dim - 1), &[0, 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown client")]
+    fn procedural_evaluate_rejects_an_unknown_client() {
+        let obj = procedural(10);
+        obj.evaluate(&obj.initial_parameters(), &[0, 10]);
+    }
+
+    #[test]
+    #[should_panic(expected = "parameter length mismatch")]
+    fn procedural_client_loss_rejects_a_long_parameter_vector() {
+        let obj = procedural(10);
+        obj.client_loss(&ParamVec::zeros(obj.config.dim + 1), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown client")]
+    fn procedural_client_loss_rejects_an_unknown_client() {
+        let obj = procedural(10);
+        obj.client_loss(&obj.initial_parameters(), 10);
+    }
+
+    #[test]
+    #[should_panic(expected = "parameter length mismatch")]
+    fn objective_evaluate_rejects_a_short_parameter_vector() {
+        let obj = objective(10);
+        obj.evaluate(&ParamVec::zeros(obj.config.dim - 1), &[0, 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown client")]
+    fn objective_client_loss_rejects_an_unknown_client() {
+        let obj = objective(10);
+        obj.client_loss(&obj.initial_parameters(), 10);
     }
 
     #[test]
