@@ -45,6 +45,7 @@
 
 use crate::aggregator::{AccumulateOutcome, Aggregator, AggregatorStats, StackTelemetry};
 use crate::client::ClientUpdate;
+use crate::trace::{DecimatedTrace, Digest, TraceSample};
 use papaya_crypto::chacha20::ChaCha20Rng;
 use papaya_nn::params::ParamVec;
 
@@ -358,6 +359,15 @@ pub struct DpRelease {
     pub cumulative_epsilon: f64,
 }
 
+impl TraceSample for DpRelease {
+    fn fold_into(&self, digest: &mut Digest) {
+        digest.word(self.time_s.to_bits());
+        digest.word(self.clip_fraction.to_bits());
+        digest.word(self.noise_std.to_bits());
+        digest.word(self.cumulative_epsilon.to_bits());
+    }
+}
+
 /// Cumulative counters and traces of the DP pipeline, exported through
 /// [`Aggregator::stack_telemetry`].
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -375,7 +385,7 @@ pub struct DpTelemetry {
     pub cumulative_epsilon: f64,
     /// Append-only per-release trace: clip fraction, noise std, and the
     /// cumulative ε trajectory.
-    pub release_trace: Vec<DpRelease>,
+    pub release_trace: DecimatedTrace<DpRelease>,
 }
 
 impl DpTelemetry {

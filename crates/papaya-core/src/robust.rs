@@ -29,9 +29,9 @@
 //! `trim_fraction == 0` forward every finite update and release untouched,
 //! so a no-attack run with a neutral defense is **bit-identical** to the
 //! clear run — the robustness analogue of the zero-noise DP equivalence.
-//! The telemetry counters stay at their defaults in such runs, which is
-//! what lets reports hash robustness telemetry conditionally without
-//! perturbing pre-existing fingerprints.
+//! The telemetry stays at its defaults in such runs, the values a clear
+//! run reports, so the two runs' fingerprints are equal although every
+//! robustness field is hashed.
 //!
 //! # Composition caveat (documented, deliberate)
 //!
@@ -45,6 +45,7 @@
 
 use crate::aggregator::{AccumulateOutcome, Aggregator, AggregatorStats, StackTelemetry};
 use crate::client::ClientUpdate;
+use crate::trace::{DecimatedTrace, Digest, TraceSample};
 use papaya_nn::params::ParamVec;
 
 /// A Byzantine-robust aggregation rule.
@@ -136,6 +137,14 @@ pub struct RobustRelease {
     pub estimator_shift: f64,
 }
 
+impl TraceSample for RobustRelease {
+    fn fold_into(&self, digest: &mut Digest) {
+        digest.word(self.time_s.to_bits());
+        digest.word(self.estimated_over);
+        digest.word(self.estimator_shift.to_bits());
+    }
+}
+
 /// Cumulative counters and traces of the robust-aggregation pipeline,
 /// exported through [`Aggregator::stack_telemetry`].
 ///
@@ -151,7 +160,7 @@ pub struct RobustTelemetry {
     /// Releases replaced by an engaged estimator (trimmed mean or median).
     pub estimator_releases: u64,
     /// Append-only per-release trace of engaged-estimator corrections.
-    pub estimator_trace: Vec<RobustRelease>,
+    pub estimator_trace: DecimatedTrace<RobustRelease>,
 }
 
 impl RobustTelemetry {

@@ -42,6 +42,7 @@
 use crate::aggregator::{AccumulateOutcome, Aggregator, AggregatorStats, StackTelemetry};
 use crate::client::ClientUpdate;
 use crate::config::{TaskConfig, TrainingMode};
+use crate::trace::DecimatedTrace;
 use papaya_crypto::chacha20::ChaCha20Rng;
 use papaya_crypto::hmac::HmacKey;
 use papaya_crypto::sha256::sha256;
@@ -97,7 +98,7 @@ pub struct SecureTelemetry {
     /// `(virtual_seconds, max_abs_error)` per key release: the element-wise
     /// gap between the decoded secure release and the clear reference
     /// release (pure fixed-point quantization).
-    pub quantization_error_trace: Vec<(f64, f64)>,
+    pub quantization_error_trace: DecimatedTrace<(f64, f64)>,
 }
 
 impl SecureTelemetry {

@@ -18,19 +18,76 @@
 //!   stride (the first offer is always retained).
 //! * **Bounded** — at most `budget` samples are resident, ever; memory is
 //!   O(budget) regardless of run length.
-//! * **Fingerprint-honest** — the decimation parameters (budget, final
-//!   stride, offers seen) are part of the trace's observable state, so
-//!   `Report::fingerprint()` hashes them whenever a budget is active: two
-//!   runs with different budgets hash differently instead of colliding on
-//!   a truncated prefix.
+//! * **Budget-invisible to the fingerprint** — every offered sample is
+//!   folded into the trace's running [`Digest`] before the stride decides
+//!   whether to keep it, so the digest and the offer count pin everything
+//!   the run produced.  `Report::fingerprint()` hashes those two and reads
+//!   no sample: retention is a reporting choice, and runs that differ only
+//!   in their budget have one fingerprint.
 //!
 //! The default budget is [`TraceBudget::UNBOUNDED`], which records every
-//! sample — bit-compatible with the historical unbounded `Vec` traces, so
-//! existing scenario fingerprints are unchanged unless a budget is
-//! explicitly configured (the `RunLimits::trace_budget` knob in
-//! `papaya-sim`).
+//! sample (the `RunLimits::trace_budget` knob in `papaya-sim` bounds it).
 
 use std::ops::Deref;
+
+/// A running word-wise digest: the one mixing step behind every trace's
+/// digest and `Report::fingerprint()`.
+///
+/// For a fixed word each step is a bijection of the state (xor, multiply
+/// by an odd constant, rotate), so two different states never merge into
+/// one.  The rotation carries the product's well-mixed high bits down,
+/// where the next multiply spreads them; without it an input's top bit
+/// could only ever reach the state's top bit.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Digest(u64);
+
+impl Digest {
+    /// Folds one word into the state.
+    #[inline]
+    pub fn word(&mut self, word: u64) {
+        self.0 = (self.0 ^ word)
+            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+            .rotate_left(29);
+    }
+
+    /// The current state.
+    pub fn value(&self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for Digest {
+    fn default() -> Self {
+        Digest(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+/// A value a [`DecimatedTrace`] can record: it folds itself into a
+/// [`Digest`] as a fixed sequence of words.
+pub trait TraceSample {
+    /// Folds this sample's words into `digest`.
+    fn fold_into(&self, digest: &mut Digest);
+}
+
+impl TraceSample for f64 {
+    fn fold_into(&self, digest: &mut Digest) {
+        digest.word(self.to_bits());
+    }
+}
+
+impl TraceSample for (f64, usize) {
+    fn fold_into(&self, digest: &mut Digest) {
+        digest.word(self.0.to_bits());
+        digest.word(self.1 as u64);
+    }
+}
+
+impl TraceSample for (f64, f64) {
+    fn fold_into(&self, digest: &mut Digest) {
+        digest.word(self.0.to_bits());
+        digest.word(self.1.to_bits());
+    }
+}
 
 /// Retention budget for a [`DecimatedTrace`].
 ///
@@ -97,6 +154,8 @@ pub struct DecimatedTrace<T> {
     stride: u64,
     /// Total samples ever offered via `push`.
     offered: u64,
+    /// Every offered sample, folded in offer order.
+    digest: Digest,
 }
 
 impl<T> DecimatedTrace<T> {
@@ -107,13 +166,14 @@ impl<T> DecimatedTrace<T> {
             budget,
             stride: 1,
             offered: 0,
+            digest: Digest::default(),
         }
     }
 
     /// Replaces the budget of a trace that has not recorded anything yet.
     ///
-    /// The budget is a construction-time property (it participates in the
-    /// decimation state that fingerprints hash), so re-budgeting a
+    /// The budget is a construction-time property (the stride and the
+    /// retained set assume it from the first offer), so re-budgeting a
     /// populated trace is a logic error.
     ///
     /// # Panics
@@ -127,8 +187,38 @@ impl<T> DecimatedTrace<T> {
         self.budget = budget;
     }
 
-    /// Offers a sample; retains it when the current stride selects it.
+    /// Total samples ever offered (retained or not).
+    pub fn offered(&self) -> u64 {
+        self.offered
+    }
+
+    /// The digest of every sample ever offered, in offer order; a function
+    /// of the offers alone, whatever the budget retained.
+    pub fn digest(&self) -> u64 {
+        self.digest.value()
+    }
+
+    /// Current decimation stride (1 while the budget has never filled).
+    pub fn stride(&self) -> u64 {
+        self.stride
+    }
+
+    /// The configured budget.
+    pub fn budget(&self) -> TraceBudget {
+        self.budget
+    }
+
+    /// The retained samples, in offer order.
+    pub fn as_slice(&self) -> &[T] {
+        &self.samples
+    }
+}
+
+impl<T: TraceSample> DecimatedTrace<T> {
+    /// Offers a sample: folds it into the digest, then retains it when the
+    /// current stride selects it.
     pub fn push(&mut self, sample: T) {
+        sample.fold_into(&mut self.digest);
         let index = self.offered;
         self.offered += 1;
         // The stride starts at 1 and only ever doubles, so "multiple of the
@@ -155,26 +245,6 @@ impl<T> DecimatedTrace<T> {
         }
         self.samples.push(sample);
     }
-
-    /// Total samples ever offered (retained or not).
-    pub fn offered(&self) -> u64 {
-        self.offered
-    }
-
-    /// Current decimation stride (1 while the budget has never filled).
-    pub fn stride(&self) -> u64 {
-        self.stride
-    }
-
-    /// The configured budget.
-    pub fn budget(&self) -> TraceBudget {
-        self.budget
-    }
-
-    /// The retained samples, in offer order.
-    pub fn as_slice(&self) -> &[T] {
-        &self.samples
-    }
 }
 
 impl<T> Default for DecimatedTrace<T> {
@@ -184,14 +254,19 @@ impl<T> Default for DecimatedTrace<T> {
 }
 
 /// An unbounded trace pre-populated with `samples` (test convenience; the
-/// offer counter matches the sample count).
-impl<T> From<Vec<T>> for DecimatedTrace<T> {
+/// offer counter and the digest match pushing them in order).
+impl<T: TraceSample> From<Vec<T>> for DecimatedTrace<T> {
     fn from(samples: Vec<T>) -> Self {
+        let mut digest = Digest::default();
+        for sample in &samples {
+            sample.fold_into(&mut digest);
+        }
         DecimatedTrace {
             offered: samples.len() as u64,
             samples,
             budget: TraceBudget::UNBOUNDED,
             stride: 1,
+            digest,
         }
     }
 }
@@ -216,6 +291,35 @@ impl<'a, T> IntoIterator for &'a DecimatedTrace<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl TraceSample for u64 {
+        fn fold_into(&self, digest: &mut Digest) {
+            digest.word(*self);
+        }
+    }
+
+    #[test]
+    fn the_digest_covers_every_offer_whatever_the_budget_keeps() {
+        let offers = |changed: u64| {
+            let mut unbounded = DecimatedTrace::default();
+            let mut bounded = DecimatedTrace::with_budget(TraceBudget::bounded(32));
+            for i in 0..5_000u64 {
+                let sample = if i == 4_999 { changed } else { i * 7 };
+                unbounded.push(sample);
+                bounded.push(sample);
+            }
+            assert!(bounded.len() <= 32);
+            assert_eq!(bounded.offered(), unbounded.offered());
+            assert_eq!(bounded.digest(), unbounded.digest());
+            (bounded.as_slice().to_vec(), bounded.digest())
+        };
+        // The last offer is odd, so no stride above 1 retains it; changing
+        // it still moves the digest.
+        let (kept, digest) = offers(1);
+        let (kept_changed, digest_changed) = offers(3);
+        assert_eq!(kept, kept_changed);
+        assert_ne!(digest, digest_changed);
+    }
 
     #[test]
     fn unbounded_trace_retains_everything() {
@@ -271,10 +375,10 @@ mod tests {
     #[test]
     fn from_vec_matches_pushing() {
         let mut pushed = DecimatedTrace::default();
-        for i in 0..5 {
+        for i in 0..5u64 {
             pushed.push(i);
         }
-        let converted = DecimatedTrace::from((0..5).collect::<Vec<_>>());
+        let converted = DecimatedTrace::from((0..5u64).collect::<Vec<_>>());
         assert_eq!(pushed, converted);
     }
 
@@ -288,7 +392,7 @@ mod tests {
     #[should_panic(expected = "before the first sample")]
     fn rebudgeting_a_populated_trace_panics() {
         let mut t = DecimatedTrace::default();
-        t.push(1);
+        t.push(1u64);
         t.set_budget(TraceBudget::bounded(8));
     }
 }

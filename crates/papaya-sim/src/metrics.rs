@@ -5,7 +5,7 @@ use std::collections::BTreeMap;
 use papaya_core::dp::DpTelemetry;
 use papaya_core::robust::RobustTelemetry;
 use papaya_core::secure::{SecureTelemetry, SecureTimings};
-use papaya_core::trace::{DecimatedTrace, TraceBudget};
+use papaya_core::trace::{DecimatedTrace, Digest, TraceBudget, TraceSample};
 use papaya_data::stats::{ks_two_sample, KsTestResult};
 
 /// One client participation whose update was *aggregated* (or discarded),
@@ -23,15 +23,26 @@ pub struct ParticipationRecord {
     pub aggregated: bool,
 }
 
+impl TraceSample for ParticipationRecord {
+    fn fold_into(&self, digest: &mut Digest) {
+        digest.word(self.client_id as u64);
+        digest.word(self.execution_time_s.to_bits());
+        digest.word(self.num_examples as u64);
+        digest.word(self.aggregated as u64);
+    }
+}
+
 /// Raw traces and counters produced by one simulation run.
 ///
-/// The per-event traces (`utilization_trace`, `loss_curve`,
-/// `participations`) are [`DecimatedTrace`]s: unbounded by default, capped
-/// by deterministic stride decimation when the run sets a [`TraceBudget`]
-/// (the `RunLimits::trace_budget` knob), so metrics memory stays O(budget)
-/// at million-client scale.  Exact counters are never decimated.
-/// `round_durations_s` stays a plain `Vec`: it grows with completed rounds,
-/// not events.
+/// Every trace is a [`DecimatedTrace`], which digests each sample it is
+/// offered; the run's fingerprint hashes those digests and offer counts,
+/// never the retained samples.  The per-event traces
+/// (`utilization_trace`, `loss_curve`, `participations`, `attack_trace`)
+/// are unbounded by default and capped by deterministic stride decimation
+/// when the run sets a [`TraceBudget`] (the `RunLimits::trace_budget`
+/// knob), so metrics memory stays O(budget) at million-client scale.
+/// `round_durations_s` grows with completed rounds, not events, and stays
+/// unbounded.  Exact counters are never decimated.
 #[derive(Clone, Debug, Default)]
 pub struct MetricsCollector {
     /// `(virtual_seconds, active_clients)` samples.
@@ -52,7 +63,7 @@ pub struct MetricsCollector {
     /// Server model updates performed.
     pub server_updates: u64,
     /// Completed synchronous round durations in seconds.
-    pub round_durations_s: Vec<f64>,
+    pub round_durations_s: DecimatedTrace<f64>,
     /// Participation records for bias analysis.
     pub participations: DecimatedTrace<ParticipationRecord>,
     /// Sum of staleness over aggregated updates.
@@ -92,8 +103,8 @@ pub struct MetricsCollector {
     /// rejection counts (non-finite values, norm-filter bound) and the
     /// per-release estimator trace.  All-zero/empty for tasks running
     /// without a robust defense — and for defended tasks that stay at the
-    /// neutral defense and never reject, which keeps clear-run fingerprints
-    /// unchanged.
+    /// neutral defense and never reject, so such a run fingerprints like
+    /// the clear run.
     pub robust: RobustTelemetry,
     /// Updates whose payload or metadata a simulated Byzantine client
     /// corrupted before upload (the simulation's ground-truth attack count;
@@ -116,10 +127,10 @@ impl MetricsCollector {
         Self::default()
     }
 
-    /// Applies a retention budget to every per-event trace.
+    /// Applies a retention budget to every per-event trace.  The budget
+    /// changes which samples are kept, never the run's fingerprint.
     ///
-    /// Must be called before the first sample is recorded (the budget is
-    /// part of the decimation state that run fingerprints hash).
+    /// Must be called before the first sample is recorded.
     pub fn set_trace_budget(&mut self, budget: TraceBudget) {
         self.utilization_trace.set_budget(budget);
         self.loss_curve.set_budget(budget);
@@ -455,7 +466,7 @@ mod tests {
         assert_eq!(m.secure, SecureTelemetry::default());
         m.secure.masked_updates = 4;
         m.secure.tee_bytes_in = 1200;
-        m.secure.quantization_error_trace = vec![(10.0, 1e-6), (20.0, 3e-5), (30.0, 2e-6)];
+        m.secure.quantization_error_trace = vec![(10.0, 1e-6), (20.0, 3e-5), (30.0, 2e-6)].into();
         assert_eq!(m.secure.tee_bytes_in_per_client(), 300.0);
         assert_eq!(m.secure.max_quantization_error(), 3e-5);
     }

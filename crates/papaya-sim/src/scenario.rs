@@ -57,9 +57,8 @@ use crate::sampling::ShardedSamplingPool;
 use crate::task_runtime::{FreedClient, InFlightSlot, ServerOptimizerKind, TaskRuntime};
 use papaya_core::client::ClientTrainer;
 use papaya_core::config::{SecAggMode, TaskConfig, TrainingMode};
-use papaya_core::robust::RobustTelemetry;
 use papaya_core::surrogate::{SurrogateConfig, SurrogateObjective};
-use papaya_core::trace::{DecimatedTrace, TraceBudget};
+use papaya_core::trace::{DecimatedTrace, Digest, TraceBudget};
 use papaya_data::population::{DeviceProfile, Population};
 use papaya_nn::params::ParamVec;
 use rand::rngs::StdRng;
@@ -110,10 +109,11 @@ pub struct RunLimits {
     /// [`crate::executor`]); the default is the sequential path.
     pub parallelism: Parallelism,
     /// Retention budget for the per-event metric traces (utilization, loss
-    /// curve, participations).  The default keeps every sample; bounded
-    /// budgets decimate deterministically (see [`papaya_core::trace`]) and
-    /// are hashed into [`Report::fingerprint`], so a budgeted run never
-    /// fingerprint-collides with an unbudgeted one.  Essential at
+    /// curve, participations, attacks).  The default keeps every sample;
+    /// bounded budgets decimate deterministically (see
+    /// [`papaya_core::trace`]).  Retention is a reporting choice:
+    /// [`Report::fingerprint`] pins every sample a trace was offered, so a
+    /// run has one fingerprint at every budget.  Essential at
     /// million-client scale, where per-event traces would otherwise
     /// dominate resident memory.
     pub trace_budget: TraceBudget,
@@ -321,41 +321,19 @@ pub struct Report {
     pub fleet: FleetSummary,
 }
 
-/// FNV-1a accumulator used by [`Report::fingerprint`].
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.bytes(&v.to_le_bytes());
-    }
-
-    fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
+/// Folds a string as its length, then its bytes, one word each.
+fn fold_str(h: &mut Digest, s: &str) {
+    h.word(s.len() as u64);
+    for &b in s.as_bytes() {
+        h.word(u64::from(b));
     }
 }
 
-/// Folds a trace's decimation parameters into the fingerprint, but only
-/// when a budget is active: an unbounded trace hashes nothing extra, so
-/// historical (pre-budget) fingerprints are preserved bit-for-bit, while a
-/// budgeted run can never collide with an unbudgeted one that happens to
-/// retain the same sample prefix.
-fn hash_decimation<T>(h: &mut Fnv, trace: &DecimatedTrace<T>) {
-    if trace.budget().is_bounded() {
-        h.u64(trace.budget().max_samples() as u64);
-        h.u64(trace.stride());
-        h.u64(trace.offered());
-    }
+/// Folds a trace as its offer count and its digest: everything the run
+/// offered it, whatever the budget retained.
+fn fold_trace<T>(h: &mut Digest, trace: &DecimatedTrace<T>) {
+    h.word(trace.offered());
+    h.word(trace.digest());
 }
 
 impl Report {
@@ -375,145 +353,96 @@ impl Report {
     }
 
     /// A bit-exact digest of everything the run produced: stop reason,
-    /// timing, every counter, the full loss curves, utilization and
-    /// participation traces, and the bit patterns of the final model
-    /// parameters of every task.  Two runs are bit-identical iff their
-    /// fingerprints are equal — this is what the determinism suite, the
-    /// committed golden fingerprints and the repo benchmark (every run
-    /// against the process's first, the worker pool against the sequential
-    /// path) compare across [`Parallelism`] settings.
+    /// timing, every counter, every trace's offer count and digest, and the
+    /// bit patterns of the final model parameters of every task.  Each
+    /// trace digests every sample it is offered, so the fingerprint reads
+    /// no retained sample and a [`TraceBudget`] never changes it.  Two runs
+    /// are bit-identical iff their fingerprints are equal — this is what
+    /// the determinism suite, the committed golden fingerprints and the
+    /// repo benchmark (every run against the process's first, the worker
+    /// pool against the sequential path) compare across [`Parallelism`]
+    /// settings.
     pub fn fingerprint(&self) -> String {
-        let mut h = Fnv::new();
-        h.u64(match self.stop_reason {
+        let mut h = Digest::default();
+        h.word(match self.stop_reason {
             StopReason::TargetLossReached => 0,
             StopReason::MaxVirtualTime => 1,
             StopReason::MaxClientUpdates => 2,
             StopReason::PrivacyBudgetExhausted => 3,
         });
-        h.f64(self.virtual_hours);
-        h.u64(self.events_processed);
+        h.word(self.virtual_hours.to_bits());
+        h.word(self.events_processed);
         for task in &self.tasks {
             let m = &task.metrics;
-            h.bytes(task.name.as_bytes());
-            h.u64(m.comm_trips);
-            h.u64(m.server_updates);
-            h.u64(m.aggregated_updates);
-            h.u64(m.rejected_stale_updates);
-            h.u64(m.discarded_updates);
-            h.u64(m.failed_participations);
-            h.u64(m.aborted_by_round_end);
-            h.u64(m.staleness_sum);
-            h.u64(m.lost_buffered_updates);
-            h.u64(m.secure.masked_updates);
-            h.u64(m.secure.masked_discarded);
-            h.u64(m.secure.tsa_key_releases);
-            h.u64(m.secure.buffers_dropped_unreleased);
-            h.u64(m.secure.out_of_range_releases);
-            h.u64(m.secure.tee_bytes_in);
-            h.u64(m.secure.tee_bytes_out);
-            h.u64(m.secure.session_cache_hits);
-            h.u64(m.secure.session_cache_misses);
-            h.u64(m.secure.dh_exchanges_saved);
-            for &(t, e) in &m.secure.quantization_error_trace {
-                h.f64(t);
-                h.f64(e);
+            fold_str(&mut h, &task.name);
+            h.word(m.comm_trips);
+            h.word(m.server_updates);
+            h.word(m.aggregated_updates);
+            h.word(m.rejected_stale_updates);
+            h.word(m.discarded_updates);
+            h.word(m.failed_participations);
+            h.word(m.aborted_by_round_end);
+            h.word(m.staleness_sum);
+            h.word(m.lost_buffered_updates);
+            h.word(m.secure.masked_updates);
+            h.word(m.secure.masked_discarded);
+            h.word(m.secure.tsa_key_releases);
+            h.word(m.secure.buffers_dropped_unreleased);
+            h.word(m.secure.out_of_range_releases);
+            h.word(m.secure.tee_bytes_in);
+            h.word(m.secure.tee_bytes_out);
+            h.word(m.secure.session_cache_hits);
+            h.word(m.secure.session_cache_misses);
+            h.word(m.secure.dh_exchanges_saved);
+            fold_trace(&mut h, &m.secure.quantization_error_trace);
+            h.word(m.dp.accepted_updates);
+            h.word(m.dp.clipped_updates);
+            h.word(m.dp.releases);
+            h.word(m.dp.cumulative_epsilon.to_bits());
+            fold_trace(&mut h, &m.dp.release_trace);
+            h.word(m.robust.rejected_non_finite);
+            h.word(m.robust.rejected_by_norm);
+            h.word(m.robust.estimator_releases);
+            fold_trace(&mut h, &m.robust.estimator_trace);
+            h.word(m.rejected_by_defense_updates);
+            h.word(m.attacked_updates);
+            h.word(m.attacks_by_label.len() as u64);
+            for (&label, &count) in &m.attacks_by_label {
+                fold_str(&mut h, label);
+                h.word(count);
             }
-            h.u64(m.dp.accepted_updates);
-            h.u64(m.dp.clipped_updates);
-            h.u64(m.dp.releases);
-            h.f64(m.dp.cumulative_epsilon);
-            for release in &m.dp.release_trace {
-                h.f64(release.time_s);
-                h.f64(release.clip_fraction);
-                h.f64(release.noise_std);
-                h.f64(release.cumulative_epsilon);
-            }
-            // Robustness and adversary telemetry hash only when something
-            // moved: a clear run, and a neutral-defense run with an honest
-            // population, keep every pre-robustness fingerprint
-            // bit-for-bit (same conditional-hash contract as
-            // `hash_decimation` above).
-            if m.robust != RobustTelemetry::default()
-                || m.rejected_by_defense_updates > 0
-                || m.attacked_updates > 0
-            {
-                h.u64(m.robust.rejected_non_finite);
-                h.u64(m.robust.rejected_by_norm);
-                h.u64(m.robust.estimator_releases);
-                for release in &m.robust.estimator_trace {
-                    h.f64(release.time_s);
-                    h.u64(release.estimated_over);
-                    h.f64(release.estimator_shift);
-                }
-                h.u64(m.rejected_by_defense_updates);
-                h.u64(m.attacked_updates);
-                for (&label, &count) in &m.attacks_by_label {
-                    h.bytes(label.as_bytes());
-                    h.u64(count);
-                }
-                for &(t, client) in &m.attack_trace {
-                    h.f64(t);
-                    h.u64(client as u64);
-                }
-                hash_decimation(&mut h, &m.attack_trace);
-            }
-            h.u64(task.reassignments);
-            h.u64(task.final_version);
-            h.f64(task.initial_loss);
-            h.f64(task.final_loss);
-            h.f64(task.hours_to_target.unwrap_or(f64::NEG_INFINITY));
-            for &(t, loss) in &m.loss_curve {
-                h.f64(t);
-                h.f64(loss);
-            }
-            hash_decimation(&mut h, &m.loss_curve);
-            for &(t, active) in &m.utilization_trace {
-                h.f64(t);
-                h.u64(active as u64);
-            }
-            hash_decimation(&mut h, &m.utilization_trace);
-            for p in &m.participations {
-                h.u64(p.client_id as u64);
-                h.f64(p.execution_time_s);
-                h.u64(p.num_examples as u64);
-                h.u64(p.aggregated as u64);
-            }
-            hash_decimation(&mut h, &m.participations);
-            for &d in &m.round_durations_s {
-                h.f64(d);
-            }
+            fold_trace(&mut h, &m.attack_trace);
+            h.word(task.reassignments);
+            h.word(task.final_version);
+            h.word(task.initial_loss.to_bits());
+            h.word(task.final_loss.to_bits());
+            h.word(task.hours_to_target.unwrap_or(f64::NEG_INFINITY).to_bits());
+            fold_trace(&mut h, &m.loss_curve);
+            fold_trace(&mut h, &m.utilization_trace);
+            fold_trace(&mut h, &m.participations);
+            fold_trace(&mut h, &m.round_durations_s);
+            h.word(task.final_params.len() as u64);
             for &w in task.final_params.as_slice() {
-                h.bytes(&w.to_bits().to_le_bytes());
+                h.word(u64::from(w.to_bits()));
             }
         }
         let cp = &self.fleet.control_plane;
-        h.u64(cp.aggregator_failures);
-        h.u64(cp.task_reassignments);
-        h.u64(cp.stale_route_refusals);
-        h.u64(cp.lost_in_transit_updates);
-        h.u64(cp.final_map_sequence);
-        // Reconciliation-era counters are hashed only when the run exercised
-        // them: historical scenarios (partial failure or no failure at all)
-        // keep every field at zero, so their pinned fingerprints survive the
-        // event-sourced control plane unchanged.
-        if cp.tasks_orphaned > 0
-            || cp.tasks_reconciled > 0
-            || cp.pending_task_submissions > 0
-            || cp.unknown_heartbeat_registrations > 0
-            || cp.aggregator_recoveries > 0
-        {
-            h.u64(cp.tasks_orphaned);
-            h.u64(cp.tasks_reconciled);
-            h.u64(cp.pending_task_submissions);
-            h.u64(cp.unknown_heartbeat_registrations);
-            h.u64(cp.aggregator_recoveries);
-        }
+        h.word(cp.aggregator_failures);
+        h.word(cp.task_reassignments);
+        h.word(cp.stale_route_refusals);
+        h.word(cp.lost_in_transit_updates);
+        h.word(cp.final_map_sequence);
+        h.word(cp.tasks_orphaned);
+        h.word(cp.tasks_reconciled);
+        h.word(cp.pending_task_submissions);
+        h.word(cp.unknown_heartbeat_registrations);
+        h.word(cp.aggregator_recoveries);
         format!(
             "{:?}/{}ev/{}tasks/{:016x}",
             self.stop_reason,
             self.events_processed,
             self.tasks.len(),
-            h.0
+            h.value()
         )
     }
 
