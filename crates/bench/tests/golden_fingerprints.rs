@@ -20,11 +20,9 @@
 
 use bench::scenarios::{build_scenario, soak_scenario, SCENARIO_NAMES};
 use papaya_core::config::SecAggMode;
-use papaya_core::robust::RobustTelemetry;
-use papaya_core::trace::DecimatedTrace;
 use papaya_core::{AdversarySpec, DpConfig, Malice, RobustConfig, RobustDefense, TaskConfig};
 use papaya_data::population::{Population, PopulationConfig};
-use papaya_sim::scenario::{EvalPolicy, Report, RunLimits, Scenario, StopReason};
+use papaya_sim::scenario::{EvalPolicy, RunLimits, Scenario};
 use papaya_sim::Parallelism;
 
 const SEED: u64 = 42;
@@ -58,8 +56,8 @@ fn sync_over_selection(parallelism: Parallelism) -> Scenario {
 
 /// Direct FedBuff under the full decorator stack with 10 % scaled
 /// attackers: every release is a TSA key release, a DP release and an
-/// estimator release, and the conditional robustness section of the
-/// fingerprint is hashed.
+/// estimator release, and the attack and robustness counters and traces
+/// all move away from their clear-run zeros.
 fn robust_dp_secure_stack(parallelism: Parallelism) -> Scenario {
     Scenario::builder()
         .population(population(600, 0.05))
@@ -83,186 +81,8 @@ fn robust_dp_secure_stack(parallelism: Parallelism) -> Scenario {
         .build()
 }
 
-/// The eleven lines the fingerprint definition below produced.
-const LEGACY: &str = "\
-fedbuff-20k\tMaxClientUpdates/4370ev/1tasks/69168726592656c0
-fedbuff-20k-secagg\tMaxClientUpdates/1315ev/1tasks/c0b5dd131d2fd47d
-fedbuff-20k-dp\tMaxClientUpdates/4370ev/1tasks/65494d933a404e33
-timed-hybrid\tMaxClientUpdates/2784ev/1tasks/57c26683fe1443a6
-fleet-crash\tMaxVirtualTime/12302ev/6tasks/0b69764c9d19a6c7
-fedbuff-1m\tMaxClientUpdates/3311ev/1tasks/bf2a17f3fa2756c7
-fleet-scale\tMaxVirtualTime/43682ev/4tasks/0347ede910860aab
-lm-tiny\tMaxClientUpdates/111ev/1tasks/abd0b931c08713f6
-direct-sync-over-selection\tMaxVirtualTime/33122ev/1tasks/e63ab057c18c4fe7
-direct-robust-dp-secure\tMaxClientUpdates/426ev/1tasks/2525a9907b342926
-control-plane-soak\tMaxVirtualTime/21850ev/3tasks/d2d213d7a9a719e9
-";
-
-/// FNV-1a accumulator of [`legacy_fingerprint`].
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.bytes(&v.to_le_bytes());
-    }
-
-    fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-}
-
-fn hash_decimation<T>(h: &mut Fnv, trace: &DecimatedTrace<T>) {
-    if trace.budget().is_bounded() {
-        h.u64(trace.budget().max_samples() as u64);
-        h.u64(trace.stride());
-        h.u64(trace.offered());
-    }
-}
-
-/// The byte-wise walk over every retained trace sample that
-/// `Report::fingerprint` was before it became a projection of the run.
-/// Its values over the same reports are pinned in [`LEGACY`], which
-/// shows that redefining the fingerprint moved no behaviour.
-fn legacy_fingerprint(report: &Report) -> String {
-    let mut h = Fnv::new();
-    h.u64(match report.stop_reason {
-        StopReason::TargetLossReached => 0,
-        StopReason::MaxVirtualTime => 1,
-        StopReason::MaxClientUpdates => 2,
-        StopReason::PrivacyBudgetExhausted => 3,
-    });
-    h.f64(report.virtual_hours);
-    h.u64(report.events_processed);
-    for task in &report.tasks {
-        let m = &task.metrics;
-        h.bytes(task.name.as_bytes());
-        h.u64(m.comm_trips);
-        h.u64(m.server_updates);
-        h.u64(m.aggregated_updates);
-        h.u64(m.rejected_stale_updates);
-        h.u64(m.discarded_updates);
-        h.u64(m.failed_participations);
-        h.u64(m.aborted_by_round_end);
-        h.u64(m.staleness_sum);
-        h.u64(m.lost_buffered_updates);
-        h.u64(m.secure.masked_updates);
-        h.u64(m.secure.masked_discarded);
-        h.u64(m.secure.tsa_key_releases);
-        h.u64(m.secure.buffers_dropped_unreleased);
-        h.u64(m.secure.out_of_range_releases);
-        h.u64(m.secure.tee_bytes_in);
-        h.u64(m.secure.tee_bytes_out);
-        h.u64(m.secure.session_cache_hits);
-        h.u64(m.secure.session_cache_misses);
-        h.u64(m.secure.dh_exchanges_saved);
-        for &(t, e) in &m.secure.quantization_error_trace {
-            h.f64(t);
-            h.f64(e);
-        }
-        h.u64(m.dp.accepted_updates);
-        h.u64(m.dp.clipped_updates);
-        h.u64(m.dp.releases);
-        h.f64(m.dp.cumulative_epsilon);
-        for release in &m.dp.release_trace {
-            h.f64(release.time_s);
-            h.f64(release.clip_fraction);
-            h.f64(release.noise_std);
-            h.f64(release.cumulative_epsilon);
-        }
-        if m.robust != RobustTelemetry::default()
-            || m.rejected_by_defense_updates > 0
-            || m.attacked_updates > 0
-        {
-            h.u64(m.robust.rejected_non_finite);
-            h.u64(m.robust.rejected_by_norm);
-            h.u64(m.robust.estimator_releases);
-            for release in &m.robust.estimator_trace {
-                h.f64(release.time_s);
-                h.u64(release.estimated_over);
-                h.f64(release.estimator_shift);
-            }
-            h.u64(m.rejected_by_defense_updates);
-            h.u64(m.attacked_updates);
-            for (&label, &count) in &m.attacks_by_label {
-                h.bytes(label.as_bytes());
-                h.u64(count);
-            }
-            for &(t, client) in &m.attack_trace {
-                h.f64(t);
-                h.u64(client as u64);
-            }
-            hash_decimation(&mut h, &m.attack_trace);
-        }
-        h.u64(task.reassignments);
-        h.u64(task.final_version);
-        h.f64(task.initial_loss);
-        h.f64(task.final_loss);
-        h.f64(task.hours_to_target.unwrap_or(f64::NEG_INFINITY));
-        for &(t, loss) in &m.loss_curve {
-            h.f64(t);
-            h.f64(loss);
-        }
-        hash_decimation(&mut h, &m.loss_curve);
-        for &(t, active) in &m.utilization_trace {
-            h.f64(t);
-            h.u64(active as u64);
-        }
-        hash_decimation(&mut h, &m.utilization_trace);
-        for p in &m.participations {
-            h.u64(p.client_id as u64);
-            h.f64(p.execution_time_s);
-            h.u64(p.num_examples as u64);
-            h.u64(p.aggregated as u64);
-        }
-        hash_decimation(&mut h, &m.participations);
-        for &d in &m.round_durations_s {
-            h.f64(d);
-        }
-        for &w in task.final_params.as_slice() {
-            h.bytes(&w.to_bits().to_le_bytes());
-        }
-    }
-    let cp = &report.fleet.control_plane;
-    h.u64(cp.aggregator_failures);
-    h.u64(cp.task_reassignments);
-    h.u64(cp.stale_route_refusals);
-    h.u64(cp.lost_in_transit_updates);
-    h.u64(cp.final_map_sequence);
-    if cp.tasks_orphaned > 0
-        || cp.tasks_reconciled > 0
-        || cp.pending_task_submissions > 0
-        || cp.unknown_heartbeat_registrations > 0
-        || cp.aggregator_recoveries > 0
-    {
-        h.u64(cp.tasks_orphaned);
-        h.u64(cp.tasks_reconciled);
-        h.u64(cp.pending_task_submissions);
-        h.u64(cp.unknown_heartbeat_registrations);
-        h.u64(cp.aggregator_recoveries);
-    }
-    format!(
-        "{:?}/{}ev/{}tasks/{:016x}",
-        report.stop_reason,
-        report.events_processed,
-        report.tasks.len(),
-        h.0
-    )
-}
-
-/// The golden file's text as the tree produces it at `parallelism`, under
-/// `Report::fingerprint` and under [`legacy_fingerprint`].
-fn fingerprints(parallelism: Parallelism) -> (String, String) {
+/// The golden file's text as the tree produces it at `parallelism`.
+fn fingerprints(parallelism: Parallelism) -> String {
     let mut scenarios: Vec<(&str, Scenario)> = SCENARIO_NAMES
         .iter()
         .map(|&name| (name, build_scenario(name, true, parallelism, SEED)))
@@ -279,29 +99,21 @@ fn fingerprints(parallelism: Parallelism) -> (String, String) {
         "control-plane-soak",
         soak_scenario(true, SEED, Some(2_000.0), parallelism),
     ));
-    let mut current = String::new();
-    let mut legacy = String::new();
-    for (name, scenario) in &scenarios {
-        let report = scenario.run();
-        current += &format!("{name}\t{}\n", report.fingerprint());
-        legacy += &format!("{name}\t{}\n", legacy_fingerprint(&report));
-    }
-    (current, legacy)
+    scenarios
+        .iter()
+        .map(|(name, scenario)| format!("{name}\t{}\n", scenario.run().fingerprint()))
+        .collect()
 }
 
 #[test]
 fn fingerprints_match_the_golden_file() {
     for parallelism in [Parallelism::sequential(), Parallelism(4)] {
-        let (actual, legacy) = fingerprints(parallelism);
+        let actual = fingerprints(parallelism);
         assert!(
             actual == GOLDEN,
             "fingerprints at {parallelism:?} differ from the golden file; if they \
              moved at every thread count and that is intended, replace \
              crates/bench/tests/golden_fingerprints.txt with:\n{actual}"
-        );
-        assert!(
-            legacy == LEGACY,
-            "legacy fingerprints at {parallelism:?} moved:\n{legacy}"
         );
     }
 }

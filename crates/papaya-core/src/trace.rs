@@ -119,16 +119,6 @@ impl TraceBudget {
         );
         TraceBudget { max_samples }
     }
-
-    /// Whether this budget actually bounds the trace.
-    pub fn is_bounded(&self) -> bool {
-        self.max_samples != usize::MAX
-    }
-
-    /// Maximum retained samples (`usize::MAX` when unbounded).
-    pub fn max_samples(&self) -> usize {
-        self.max_samples
-    }
 }
 
 impl Default for TraceBudget {
@@ -201,11 +191,6 @@ impl<T> DecimatedTrace<T> {
     /// Current decimation stride (1 while the budget has never filled).
     pub fn stride(&self) -> u64 {
         self.stride
-    }
-
-    /// The configured budget.
-    pub fn budget(&self) -> TraceBudget {
-        self.budget
     }
 
     /// The retained samples, in offer order.
