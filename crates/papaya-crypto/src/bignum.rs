@@ -281,10 +281,11 @@ impl<const N: usize> Ord for Uint<N> {
 /// modulus's *active* width, so a 256-bit group embedded in a `Uint<32>`
 /// costs 4-limb multiplications, not 32-limb ones.
 ///
-/// The two widths the shipped Diffie–Hellman groups use (4 limbs, 32 limbs)
-/// run the multiplication body with the width as a compile-time constant on
-/// `[u64; w]` arrays; every other width runs the same body with the width
-/// read at run time.  The choice is made from the modulus alone.
+/// The width the simulator's Diffie–Hellman group uses (4 limbs, 256 bits)
+/// runs the multiplication body with the width as a compile-time constant on
+/// `[u64; 4]` arrays; every other width, the 2048-bit RFC 3526 group's
+/// included, runs the same body on storage-width arrays with the width read
+/// at run time.  The choice is made from the modulus alone.
 #[derive(Clone, Debug)]
 pub struct Montgomery<const N: usize> {
     modulus: Uint<N>,
@@ -435,11 +436,11 @@ impl<const N: usize> Montgomery<N> {
     }
 
     /// Width of the arrays this context's arithmetic runs on: the active
-    /// width where it has a fixed-width instantiation, the storage width
+    /// width where it has the fixed-width instantiation, the storage width
     /// otherwise.  Fixed-base tables are laid out at this stride.
     fn array_width(&self) -> usize {
         match self.active {
-            4 | 32 => self.active,
+            4 => self.active,
             _ => N,
         }
     }
@@ -468,7 +469,6 @@ impl<const N: usize> Montgomery<N> {
     pub fn mont_mul(&self, a: &Uint<N>, b: &Uint<N>) -> Uint<N> {
         match self.active {
             4 => self.mul_at::<4>(4, a, b),
-            32 => self.mul_at::<32>(32, a, b),
             w => self.mul_at::<N>(w, a, b),
         }
     }
@@ -493,7 +493,6 @@ impl<const N: usize> Montgomery<N> {
     pub fn pow_mod<const E: usize>(&self, base: &Uint<N>, exponent: &Uint<E>) -> Uint<N> {
         match self.active {
             4 => self.pow_at::<4, E>(4, base, exponent),
-            32 => self.pow_at::<32, E>(32, base, exponent),
             w => self.pow_at::<N, E>(w, base, exponent),
         }
     }
@@ -600,7 +599,6 @@ impl<const N: usize> Montgomery<N> {
         );
         match self.active {
             4 => self.pow_fixed_at::<4, E>(4, base, exponent),
-            32 => self.pow_fixed_at::<32, E>(32, base, exponent),
             w => self.pow_fixed_at::<N, E>(w, base, exponent),
         }
     }
@@ -892,7 +890,7 @@ mod tests {
         e: [u64; 4],
     ) -> Result<(), TestCaseError> {
         let ctx = Montgomery::new(modulus);
-        prop_assert!(ctx.active == 4 || ctx.active == 32, "a shipped width");
+        prop_assert_eq!(ctx.active, 4, "the fixed width");
         let a = U2048::from_limbs(a).reduce(&modulus);
         let b = U2048::from_limbs(b).reduce(&modulus);
         let e = U256::from_limbs(e);
@@ -913,13 +911,6 @@ mod tests {
         ) {
             let widen = |x: [u64; 4]| core::array::from_fn(|i| if i < 4 { x[i] } else { 0 });
             fixed_width_agrees_with_run_time_width(U2048::from_hex(P256), widen(a), widen(b), e)?;
-        }
-
-        #[test]
-        fn fixed_width_32_matches_run_time_width(
-            a in any::<[u64; 32]>(), b in any::<[u64; 32]>(), e in any::<[u64; 4]>(),
-        ) {
-            fixed_width_agrees_with_run_time_width(U2048::from_hex(RFC3526_2048), a, b, e)?;
         }
 
         /// A one-limb prime has no fixed-width instantiation: the run-time
