@@ -5,6 +5,7 @@
 //! simulated enclave signs quotes with HMAC).
 
 use crate::sha256::Sha256;
+use std::fmt;
 
 const BLOCK_SIZE: usize = 64;
 
@@ -15,10 +16,20 @@ const BLOCK_SIZE: usize = 64;
 /// MACs many short messages under a long-lived key (a session's ratchet)
 /// pays two compressions a message instead of four.
 /// [`hmac_sha256`] is `HmacKey::new(key).mac(message)`.
-#[derive(Clone, Debug, PartialEq, Eq)]
+///
+/// The two states are as secret as the key, so `Debug` prints neither.
+/// `Clone` stays for `RatchetKey`, whose plans for a resumed session are
+/// handed to the executor by value.
+#[derive(Clone, PartialEq, Eq)]
 pub struct HmacKey {
     inner: [u32; 8],
     outer: [u32; 8],
+}
+
+impl fmt::Debug for HmacKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("HmacKey").finish_non_exhaustive()
+    }
 }
 
 impl HmacKey {
@@ -177,6 +188,12 @@ mod tests {
             assert_eq!(hex(&state.mac(message)), expected);
             assert_eq!(hmac_sha256(key, message), state.mac(message));
         }
+    }
+
+    #[test]
+    fn debug_prints_no_key_material() {
+        let key = HmacKey::new(&[0x0b; 20]);
+        assert_eq!(format!("{key:?}"), "HmacKey { .. }");
     }
 
     #[test]

@@ -38,15 +38,25 @@ use crate::mask::{expand_mask_into, MaskSeed, SEED_LEN};
 use papaya_crypto::chacha20::ChaCha20Rng;
 use papaya_crypto::dh::{DhGroup, DhPrecomputedPublic, DhPrivateKey, DhPublicKey, SharedSecret};
 use papaya_crypto::hmac::HmacKey;
+use std::fmt;
 use std::sync::Arc;
 
 /// An established session's shared secret in the form the ratchet uses it:
 /// as an HMAC key with its pad blocks already absorbed, so each
 /// participation's [`seed`](RatchetKey::seed) costs two SHA-256
 /// compressions instead of four.  Equivalent to the secret for every
-/// purpose (it derives every seed of the session), and handled like it.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// purpose (it derives every seed of the session), and handled like it:
+/// `Debug` prints no key material.  `Clone` stays because the host's plan
+/// for a resumed session (`MaskPlanKind::Resumed`) carries its own copy to
+/// the executor.
+#[derive(Clone, PartialEq, Eq)]
 pub struct RatchetKey(HmacKey);
+
+impl fmt::Debug for RatchetKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("RatchetKey").finish_non_exhaustive()
+    }
+}
 
 impl RatchetKey {
     /// Keys the ratchet with a freshly established shared secret.
@@ -314,6 +324,14 @@ mod tests {
                 assert!(seen.insert(seed), "counter {counter} reused a seed");
             }
         }
+    }
+
+    #[test]
+    fn debug_prints_no_key_material() {
+        let key = RatchetKey::new(&[7u8; 32]);
+        assert_eq!(format!("{key:?}"), "RatchetKey { .. }");
+        let resumed = MaskPlanKind::Resumed { key };
+        assert_eq!(format!("{resumed:?}"), "Resumed { key: RatchetKey { .. } }");
     }
 
     #[test]
