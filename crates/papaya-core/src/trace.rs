@@ -30,14 +30,10 @@
 
 use std::ops::Deref;
 
-/// A running word-wise digest: the one mixing step behind every trace's
-/// digest and `Report::fingerprint()`.
-///
-/// For a fixed word each step is a bijection of the state (xor, multiply
-/// by an odd constant, rotate), so two different states never merge into
-/// one.  The rotation carries the product's well-mixed high bits down,
-/// where the next multiply spreads them; without it an input's top bit
-/// could only ever reach the state's top bit.
+/// A running word-wise digest, shared by every trace and
+/// `Report::fingerprint()`.  For a fixed word each step is a bijection of
+/// the state (xor, multiply by an odd constant, rotate); the rotation brings
+/// a word's high bits down to where the next multiply spreads them.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Digest(u64);
 
@@ -121,12 +117,6 @@ impl TraceBudget {
     }
 }
 
-impl Default for TraceBudget {
-    fn default() -> Self {
-        TraceBudget::UNBOUNDED
-    }
-}
-
 /// A bounded, deterministically decimated metric trace.
 ///
 /// Behaves like a read-only `Vec<T>` (it derefs to `[T]`), but `push` may
@@ -188,11 +178,6 @@ impl<T> DecimatedTrace<T> {
         self.digest.value()
     }
 
-    /// Current decimation stride (1 while the budget has never filled).
-    pub fn stride(&self) -> u64 {
-        self.stride
-    }
-
     /// The retained samples, in offer order.
     pub fn as_slice(&self) -> &[T] {
         &self.samples
@@ -238,21 +223,13 @@ impl<T> Default for DecimatedTrace<T> {
     }
 }
 
-/// An unbounded trace pre-populated with `samples` (test convenience; the
-/// offer counter and the digest match pushing them in order).
+/// An unbounded trace that was offered `samples` in order (test
+/// convenience).
 impl<T: TraceSample> From<Vec<T>> for DecimatedTrace<T> {
     fn from(samples: Vec<T>) -> Self {
-        let mut digest = Digest::default();
-        for sample in &samples {
-            sample.fold_into(&mut digest);
-        }
-        DecimatedTrace {
-            offered: samples.len() as u64,
-            samples,
-            budget: TraceBudget::UNBOUNDED,
-            stride: 1,
-            digest,
-        }
+        let mut trace = DecimatedTrace::default();
+        samples.into_iter().for_each(|sample| trace.push(sample));
+        trace
     }
 }
 
@@ -261,15 +238,6 @@ impl<T> Deref for DecimatedTrace<T> {
 
     fn deref(&self) -> &[T] {
         &self.samples
-    }
-}
-
-impl<'a, T> IntoIterator for &'a DecimatedTrace<T> {
-    type Item = &'a T;
-    type IntoIter = std::slice::Iter<'a, T>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.samples.iter()
     }
 }
 
@@ -314,7 +282,7 @@ mod tests {
         }
         assert_eq!(t.len(), 10_000);
         assert_eq!(t.offered(), 10_000);
-        assert_eq!(t.stride(), 1);
+        assert_eq!(t.stride, 1);
         assert_eq!(t[4321], 4321);
     }
 
@@ -326,7 +294,7 @@ mod tests {
             assert!(t.len() <= 64, "len {} at offer {i}", t.len());
         }
         assert_eq!(t.offered(), 100_000);
-        assert!(t.stride() >= 100_000 / 64);
+        assert!(t.stride >= 100_000 / 64);
     }
 
     #[test]
@@ -335,12 +303,12 @@ mod tests {
         for i in 0..10_000u64 {
             t.push(i);
         }
-        let stride = t.stride();
+        let stride = t.stride;
         assert_eq!(t.first(), Some(&0), "the first offer always survives");
         for window in t.windows(2) {
             assert!(window[0] < window[1], "order preserved");
         }
-        for &sample in &t {
+        for &sample in t.iter() {
             assert_eq!(sample % stride, 0, "sample {sample} vs stride {stride}");
         }
     }
@@ -352,7 +320,7 @@ mod tests {
             for i in 0..5_000u64 {
                 t.push(i * 3);
             }
-            (t.as_slice().to_vec(), t.stride(), t.offered())
+            (t.as_slice().to_vec(), t.stride, t.offered())
         };
         assert_eq!(run(), run());
     }

@@ -16,10 +16,7 @@ const BLOCK_SIZE: usize = 64;
 /// MACs many short messages under a long-lived key (a session's ratchet)
 /// pays two compressions a message instead of four.
 /// [`hmac_sha256`] is `HmacKey::new(key).mac(message)`.
-///
-/// The two states are as secret as the key, so `Debug` prints neither.
-/// `Clone` stays for `RatchetKey`, whose plans for a resumed session are
-/// handed to the executor by value.
+/// The states are as secret as the key, so `Debug` prints neither.
 #[derive(Clone, PartialEq, Eq)]
 pub struct HmacKey {
     inner: [u32; 8],

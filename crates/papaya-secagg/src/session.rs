@@ -46,9 +46,7 @@ use std::sync::Arc;
 /// participation's [`seed`](RatchetKey::seed) costs two SHA-256
 /// compressions instead of four.  Equivalent to the secret for every
 /// purpose (it derives every seed of the session), and handled like it:
-/// `Debug` prints no key material.  `Clone` stays because the host's plan
-/// for a resumed session (`MaskPlanKind::Resumed`) carries its own copy to
-/// the executor.
+/// `Debug` prints no key material.
 #[derive(Clone, PartialEq, Eq)]
 pub struct RatchetKey(HmacKey);
 

@@ -34,15 +34,12 @@ impl TraceSample for ParticipationRecord {
 
 /// Raw traces and counters produced by one simulation run.
 ///
-/// Every trace is a [`DecimatedTrace`], which digests each sample it is
-/// offered; the run's fingerprint hashes those digests and offer counts,
-/// never the retained samples.  The per-event traces
-/// (`utilization_trace`, `loss_curve`, `participations`, `attack_trace`)
-/// are unbounded by default and capped by deterministic stride decimation
-/// when the run sets a [`TraceBudget`] (the `RunLimits::trace_budget`
-/// knob), so metrics memory stays O(budget) at million-client scale.
-/// `round_durations_s` grows with completed rounds, not events, and stays
-/// unbounded.  Exact counters are never decimated.
+/// Every trace is a [`DecimatedTrace`]; the run's fingerprint hashes each
+/// one's digest and offer count, never its samples.  The per-event traces
+/// are capped by deterministic stride decimation when the run sets a
+/// [`TraceBudget`] (the `RunLimits::trace_budget` knob), so metrics memory
+/// stays O(budget) at million-client scale; the others stay unbounded.
+/// Exact counters are never decimated.
 #[derive(Clone, Debug, Default)]
 pub struct MetricsCollector {
     /// `(virtual_seconds, active_clients)` samples.

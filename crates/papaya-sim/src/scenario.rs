@@ -111,9 +111,8 @@ pub struct RunLimits {
     /// Retention budget for the per-event metric traces (utilization, loss
     /// curve, participations, attacks).  The default keeps every sample;
     /// bounded budgets decimate deterministically (see
-    /// [`papaya_core::trace`]).  Retention is a reporting choice:
-    /// [`Report::fingerprint`] pins every sample a trace was offered, so a
-    /// run has one fingerprint at every budget.  Essential at
+    /// [`papaya_core::trace`]).  Retention is a reporting choice: a run has
+    /// one [`Report::fingerprint`] at every budget.  Essential at
     /// million-client scale, where per-event traces would otherwise
     /// dominate resident memory.
     pub trace_budget: TraceBudget,
@@ -352,16 +351,14 @@ impl Report {
         &self.tasks[0]
     }
 
-    /// A bit-exact digest of everything the run produced: stop reason,
-    /// timing, every counter, every trace's offer count and digest, and the
-    /// bit patterns of the final model parameters of every task.  Each
-    /// trace digests every sample it is offered, so the fingerprint reads
-    /// no retained sample and a [`TraceBudget`] never changes it.  Two runs
-    /// are bit-identical iff their fingerprints are equal — this is what
-    /// the determinism suite, the committed golden fingerprints and the
-    /// repo benchmark (every run against the process's first, the worker
-    /// pool against the sequential path) compare across [`Parallelism`]
-    /// settings.
+    /// A bit-exact digest of everything the run offered: stop reason,
+    /// timing, every counter, every trace's offer count and digest (never
+    /// its retained samples, so a [`TraceBudget`] cannot change it), and the
+    /// bit patterns of every task's final parameters.  Two runs are
+    /// bit-identical iff their fingerprints are equal — this is what the
+    /// determinism suite, the committed golden fingerprints and the repo
+    /// benchmark (every run against the process's first, the worker pool
+    /// against the sequential path) compare across [`Parallelism`] settings.
     pub fn fingerprint(&self) -> String {
         let mut h = Digest::default();
         h.word(match self.stop_reason {

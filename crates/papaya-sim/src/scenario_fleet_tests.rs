@@ -78,7 +78,7 @@ mod tests {
         let tiers: Vec<u8> = pop.iter().map(|d| capability_tier(&d)).collect();
         let report = fleet(pop, 2, 1.0, 600.0, 13).build().run();
         // Task 3 requires tier 2; every participant must be a tier-2 device.
-        for record in &report.tasks[3].metrics.participations {
+        for record in report.tasks[3].metrics.participations.iter() {
             assert!(
                 tiers[record.client_id] >= 2,
                 "tier-{} device {} participated in the tier-2 task",
