@@ -14,7 +14,7 @@ fn main() {
             "{:5} | {:>15} | {:12.1}",
             k,
             bench::experiments::common::fmt_hours(result.hours_to_target),
-            result.summary.server_updates_per_hour
+            result.server_updates_per_hour()
         );
     }
 }

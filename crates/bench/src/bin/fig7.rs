@@ -29,6 +29,7 @@ fn main() {
     println!();
     println!(
         "mean active clients: sync = {:.0}, async = {:.0}",
-        sync.summary.mean_active_clients, async_fl.summary.mean_active_clients
+        sync.metrics.mean_active_clients(),
+        async_fl.metrics.mean_active_clients()
     );
 }

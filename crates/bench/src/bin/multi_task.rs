@@ -87,8 +87,8 @@ fn main() {
             task.initial_loss,
             task.final_loss,
             task.comm_trips(),
-            task.summary.server_updates_per_hour,
-            task.summary.mean_staleness,
+            task.server_updates_per_hour(),
+            task.metrics.mean_staleness(),
             task.metrics.lost_buffered_updates,
         );
     }

@@ -131,8 +131,8 @@ pub fn fig8(scale: Scale, seed: u64) -> Vec<(usize, f64, f64)> {
             );
             (
                 concurrency,
-                sync.summary.server_updates_per_hour,
-                async_fl.summary.server_updates_per_hour,
+                sync.server_updates_per_hour(),
+                async_fl.server_updates_per_hour(),
             )
         })
         .collect()

@@ -227,7 +227,7 @@ pub fn build_scenario(name: &str, quick: bool, parallelism: Parallelism, seed: u
             // million idle clients affordable are all on this path: the
             // packed population (12 B/device), the sharded sampling pool
             // (8 B/device), the procedural surrogate (4 B/device instead of
-            // dim floats), and a bounded trace budget so metrics stay
+            // dim floats), and the default trace budget, which keeps metrics
             // O(budget) rather than O(events).
             let pop = population(1_000_000, seed);
             let trainer = Arc::new(ProceduralSurrogate::new(
@@ -245,8 +245,7 @@ pub fn build_scenario(name: &str, quick: bool, parallelism: Parallelism, seed: u
                     RunLimits::default()
                         .with_max_virtual_time_hours(100.0)
                         .with_max_client_updates(scale(40_000, 3_000) as u64)
-                        .with_parallelism(parallelism)
-                        .with_trace_budget(4096),
+                        .with_parallelism(parallelism),
                 )
                 .eval(
                     EvalPolicy::default()
@@ -261,7 +260,7 @@ pub fn build_scenario(name: &str, quick: bool, parallelism: Parallelism, seed: u
             // tasks sharing 200k devices (50k quick) through three
             // aggregators and four selectors, no injected crash — this
             // exercises steady-state routing/selection where fleet-crash
-            // exercises failover.  Trace-bounded like fedbuff-1m.
+            // exercises failover.
             let pop = population(scale(200_000, 50_000), seed);
             let trainer = Arc::new(ProceduralSurrogate::new(
                 &pop,
@@ -282,8 +281,7 @@ pub fn build_scenario(name: &str, quick: bool, parallelism: Parallelism, seed: u
                 .limits(
                     RunLimits::default()
                         .with_max_virtual_time_hours(if quick { 0.5 } else { 2.0 })
-                        .with_parallelism(parallelism)
-                        .with_trace_budget(4096),
+                        .with_parallelism(parallelism),
                 )
                 .eval(
                     EvalPolicy::default()

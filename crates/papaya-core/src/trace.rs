@@ -25,8 +25,11 @@
 //!   no sample: retention is a reporting choice, and runs that differ only
 //!   in their budget have one fingerprint.
 //!
-//! The default budget is [`TraceBudget::UNBOUNDED`], which records every
-//! sample (the `RunLimits::trace_budget` knob in `papaya-sim` bounds it).
+//! A trace built with `default()` is [`TraceBudget::UNBOUNDED`] and records
+//! every sample.  A `papaya-sim` run bounds its per-event traces and round
+//! durations at `RunLimits::trace_budget`, 4 096 samples by default, and
+//! computes every mean it reports from exact running totals, so no reported
+//! number reads a retained sample.
 
 use std::ops::Deref;
 
@@ -87,10 +90,10 @@ impl TraceSample for (f64, f64) {
 
 /// Retention budget for a [`DecimatedTrace`].
 ///
-/// Either [`TraceBudget::UNBOUNDED`] (the default: keep every sample) or
+/// Either [`TraceBudget::UNBOUNDED`] (keep every sample) or
 /// [`TraceBudget::bounded`]`(n)` (keep at most `n` samples by stride
 /// decimation).  Surfaced per run as `RunLimits::trace_budget` in
-/// `papaya-sim`.
+/// `papaya-sim`, bounded at 4 096 by default.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TraceBudget {
     max_samples: usize,

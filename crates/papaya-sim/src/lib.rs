@@ -63,7 +63,7 @@ pub mod task_runtime;
 
 pub use control_plane::{ControlEvent, ControlPlaneService, Correction, EventLog, FleetStatus};
 pub use executor::{Executor, Parallelism};
-pub use metrics::{ControlPlaneStats, FleetSummary, MetricsSummary, ParticipationRecord};
+pub use metrics::{ControlPlaneStats, FleetSummary, ParticipationRecord};
 pub use scenario::{
     EvalPolicy, FleetSpec, InjectedCrash, Report, RunLimits, Scenario, ScenarioBuilder, StopReason,
     TaskReport,

@@ -36,14 +36,19 @@ impl TraceSample for ParticipationRecord {
 ///
 /// Every trace is a [`DecimatedTrace`]; the run's fingerprint hashes each
 /// one's digest and offer count, never its samples.  The per-event traces
-/// are capped by deterministic stride decimation when the run sets a
-/// [`TraceBudget`] (the `RunLimits::trace_budget` knob), so metrics memory
-/// stays O(budget) at million-client scale; the others stay unbounded.
-/// Exact counters are never decimated.
+/// and the round durations keep a stride sample of at most the run's
+/// [`TraceBudget`] (4 096 by default), so metrics memory is O(budget)
+/// however long the run; the per-release telemetry traces stay unbounded.
+/// No reported number reads a retained sample: counters are exact, and the
+/// means divide exact running totals by offer counts.
 #[derive(Clone, Debug, Default)]
 pub struct MetricsCollector {
-    /// `(virtual_seconds, active_clients)` samples.
+    /// `(virtual_seconds, active_clients)` samples; record through
+    /// [`record_utilization`](MetricsCollector::record_utilization).
     pub utilization_trace: DecimatedTrace<(f64, usize)>,
+    /// Active clients summed over every utilization sample offered.
+    // papaya-lint: allow(metrics-fingerprint) -- a running sum of the samples utilization_trace's hashed digest already folds
+    active_clients_sum: u64,
     /// `(virtual_hours, population loss)` samples.
     pub loss_curve: DecimatedTrace<(f64, f64)>,
     /// Client updates received at the server ("communication trips").
@@ -59,8 +64,12 @@ pub struct MetricsCollector {
     pub aborted_by_round_end: u64,
     /// Server model updates performed.
     pub server_updates: u64,
-    /// Completed synchronous round durations in seconds.
+    /// Completed synchronous round durations in seconds; record through
+    /// [`record_round_duration`](MetricsCollector::record_round_duration).
     pub round_durations_s: DecimatedTrace<f64>,
+    /// Every round duration offered, summed in offer order.
+    // papaya-lint: allow(metrics-fingerprint) -- a running sum of the samples round_durations_s's hashed digest already folds
+    round_duration_sum_s: f64,
     /// Participation records for bias analysis.
     pub participations: DecimatedTrace<ParticipationRecord>,
     /// Sum of staleness over aggregated updates.
@@ -124,8 +133,9 @@ impl MetricsCollector {
         Self::default()
     }
 
-    /// Applies a retention budget to every per-event trace.  The budget
-    /// changes which samples are kept, never the run's fingerprint.
+    /// Applies a retention budget to every per-event trace and to the round
+    /// durations.  The budget changes which samples are kept, never the
+    /// run's fingerprint or a reported mean.
     ///
     /// Must be called before the first sample is recorded.
     pub fn set_trace_budget(&mut self, budget: TraceBudget) {
@@ -133,6 +143,19 @@ impl MetricsCollector {
         self.loss_curve.set_budget(budget);
         self.participations.set_budget(budget);
         self.attack_trace.set_budget(budget);
+        self.round_durations_s.set_budget(budget);
+    }
+
+    /// Records `active_clients` in flight at `time_s`.
+    pub fn record_utilization(&mut self, time_s: f64, active_clients: usize) {
+        self.active_clients_sum += active_clients as u64;
+        self.utilization_trace.push((time_s, active_clients));
+    }
+
+    /// Records one completed synchronous round.
+    pub fn record_round_duration(&mut self, duration_s: f64) {
+        self.round_duration_sum_s += duration_s;
+        self.round_durations_s.push(duration_s);
     }
 
     /// Records one ground-truth corrupted upload.  Only the simulation's
@@ -154,28 +177,28 @@ impl MetricsCollector {
         }
     }
 
-    /// Mean synchronous round duration in seconds (0 if no rounds completed).
+    /// Mean synchronous round duration in seconds over every completed round
+    /// (0 if none completed).
     pub fn mean_round_duration_s(&self) -> f64 {
-        if self.round_durations_s.is_empty() {
-            0.0
-        } else {
-            self.round_durations_s.iter().sum::<f64>() / self.round_durations_s.len() as f64
+        match self.round_durations_s.offered() {
+            0 => 0.0,
+            rounds => self.round_duration_sum_s / rounds as f64,
         }
     }
 
-    /// Mean number of active clients over the utilization trace.
+    /// Mean number of active clients over every utilization sample (0 if
+    /// none was taken).
     pub fn mean_active_clients(&self) -> f64 {
-        if self.utilization_trace.is_empty() {
-            return 0.0;
+        match self.utilization_trace.offered() {
+            0 => 0.0,
+            samples => self.active_clients_sum as f64 / samples as f64,
         }
-        self.utilization_trace
-            .iter()
-            .map(|&(_, a)| a as f64)
-            .sum::<f64>()
-            / self.utilization_trace.len() as f64
     }
 
-    /// Execution times of participations whose update was aggregated.
+    /// Execution times of participations whose update was aggregated, read
+    /// from the retained stride sample of
+    /// [`participations`](MetricsCollector::participations) (at most the
+    /// trace budget, 4 096 by default).
     pub fn aggregated_execution_times(&self) -> Vec<f64> {
         self.participations
             .iter()
@@ -184,7 +207,9 @@ impl MetricsCollector {
             .collect()
     }
 
-    /// Example counts of participations whose update was aggregated.
+    /// Example counts of participations whose update was aggregated, read
+    /// from the retained stride sample as
+    /// [`aggregated_execution_times`](MetricsCollector::aggregated_execution_times) is.
     pub fn aggregated_example_counts(&self) -> Vec<f64> {
         self.participations
             .iter()
@@ -195,44 +220,11 @@ impl MetricsCollector {
 
     /// Two-sample KS test of this run's aggregated example-count distribution
     /// against a reference distribution (the paper compares against SyncFL
-    /// without over-selection as ground truth).
+    /// without over-selection as ground truth).  It tests the retained
+    /// stride sample, so at most the trace budget (4 096 by default) of
+    /// this run's participations.
     pub fn ks_against(&self, reference_examples: &[f64]) -> KsTestResult {
         ks_two_sample(&self.aggregated_example_counts(), reference_examples)
-    }
-}
-
-/// Statistics derived from a [`MetricsCollector`] at the end of a run.
-/// Holds only what has to be computed; counters are read from the
-/// collector itself.
-#[derive(Clone, Debug, PartialEq)]
-pub struct MetricsSummary {
-    /// Total virtual time simulated, in hours.
-    pub virtual_hours: f64,
-    /// Server model updates per virtual hour.
-    pub server_updates_per_hour: f64,
-    /// Mean staleness of aggregated updates.
-    pub mean_staleness: f64,
-    /// Mean active clients (utilization numerator).
-    pub mean_active_clients: f64,
-    /// Mean synchronous round duration (seconds), if applicable.
-    pub mean_round_duration_s: f64,
-}
-
-impl MetricsCollector {
-    /// Produces the run summary.
-    pub fn summarize(&self, virtual_seconds: f64) -> MetricsSummary {
-        let virtual_hours = virtual_seconds / 3600.0;
-        MetricsSummary {
-            virtual_hours,
-            server_updates_per_hour: if virtual_hours > 0.0 {
-                self.server_updates as f64 / virtual_hours
-            } else {
-                0.0
-            },
-            mean_staleness: self.mean_staleness(),
-            mean_active_clients: self.mean_active_clients(),
-            mean_round_duration_s: self.mean_round_duration_s(),
-        }
     }
 }
 
@@ -391,10 +383,6 @@ impl ControlPlaneStats {
 /// Cross-task roll-up of a multi-tenant run.
 #[derive(Clone, Debug)]
 pub struct FleetSummary {
-    /// Total virtual time simulated, in hours.
-    pub virtual_hours: f64,
-    /// Number of tasks in the fleet.
-    pub tasks: usize,
     /// Client updates received across all tasks.
     pub total_comm_trips: u64,
     /// Server model updates across all tasks.
@@ -414,14 +402,8 @@ impl FleetSummary {
     /// Rolls up one collector per task and the control-plane counters.
     /// Collectors are borrowed — only scalar counters are read, never
     /// copied traces.
-    pub fn roll_up(
-        virtual_hours: f64,
-        collectors: &[&MetricsCollector],
-        control_plane: ControlPlaneStats,
-    ) -> Self {
+    pub fn roll_up(collectors: &[&MetricsCollector], control_plane: ControlPlaneStats) -> Self {
         FleetSummary {
-            virtual_hours,
-            tasks: collectors.len(),
             total_comm_trips: collectors.iter().map(|m| m.comm_trips).sum(),
             total_server_updates: collectors.iter().map(|m| m.server_updates).sum(),
             total_failed_participations: collectors.iter().map(|m| m.failed_participations).sum(),
@@ -445,16 +427,36 @@ mod tests {
     #[test]
     fn summary_computes_rates() {
         let mut m = MetricsCollector::new();
-        m.server_updates = 100;
-        m.comm_trips = 500;
         m.staleness_sum = 50;
         m.aggregated_updates = 100;
-        m.utilization_trace = vec![(0.0, 10), (1.0, 20)].into();
-        let s = m.summarize(7200.0);
-        assert_eq!(s.virtual_hours, 2.0);
-        assert_eq!(s.server_updates_per_hour, 50.0);
-        assert_eq!(s.mean_staleness, 0.5);
-        assert_eq!(s.mean_active_clients, 15.0);
+        m.record_utilization(0.0, 10);
+        m.record_utilization(1.0, 20);
+        m.record_round_duration(30.0);
+        m.record_round_duration(60.0);
+        assert_eq!(m.mean_staleness(), 0.5);
+        assert_eq!(m.mean_active_clients(), 15.0);
+        assert_eq!(m.mean_round_duration_s(), 45.0);
+        assert_eq!(MetricsCollector::new().mean_round_duration_s(), 0.0);
+    }
+
+    #[test]
+    fn means_are_bit_equal_at_every_budget() {
+        let mut bounded = MetricsCollector::new();
+        bounded.set_trace_budget(TraceBudget::bounded(8));
+        let mut unbounded = MetricsCollector::new();
+        for m in [&mut bounded, &mut unbounded] {
+            (0..1_000).for_each(|i| m.record_utilization(i as f64, (i * 37) % 101));
+            (0..50).for_each(|i| m.record_round_duration(1.0 / (i + 3) as f64));
+        }
+        assert!(bounded.utilization_trace.len() <= 8 && bounded.round_durations_s.len() <= 8);
+        // Both report the mean over every sample, summed in offer order.
+        let active = unbounded.utilization_trace.iter().map(|&(_, a)| a as f64);
+        let active = active.sum::<f64>() / 1_000.0;
+        let duration = unbounded.round_durations_s.iter().sum::<f64>() / 50.0;
+        for m in [&bounded, &unbounded] {
+            assert_eq!(m.mean_active_clients().to_bits(), active.to_bits());
+            assert_eq!(m.mean_round_duration_s().to_bits(), duration.to_bits());
+        }
     }
 
     #[test]
@@ -534,11 +536,13 @@ mod tests {
         a.server_updates = 10;
         a.failed_participations = 3;
         a.lost_buffered_updates = 2;
-        a.utilization_trace = vec![(0.0, 4), (1.0, 6)].into();
+        a.record_utilization(0.0, 4);
+        a.record_utilization(1.0, 6);
         let mut b = MetricsCollector::new();
         b.comm_trips = 50;
         b.server_updates = 5;
-        b.utilization_trace = vec![(0.0, 10), (1.0, 10)].into();
+        b.record_utilization(0.0, 10);
+        b.record_utilization(1.0, 10);
         let stats = ControlPlaneStats {
             aggregator_failures: 1,
             task_reassignments: 1,
@@ -547,8 +551,7 @@ mod tests {
             final_map_sequence: 3,
             ..Default::default()
         };
-        let fleet = FleetSummary::roll_up(1.0, &[&a, &b], stats.clone());
-        assert_eq!(fleet.tasks, 2);
+        let fleet = FleetSummary::roll_up(&[&a, &b], stats.clone());
         assert_eq!(fleet.total_comm_trips, 150);
         assert_eq!(fleet.total_server_updates, 15);
         assert_eq!(fleet.total_failed_participations, 3);

@@ -52,7 +52,7 @@ use crate::cluster::{AggregatorId, RouteOutcome, Selector, TaskSpec};
 use crate::control_plane::{ControlPlaneService, FleetStatus};
 use crate::events::{EventKind, EventQueue, SimTime};
 use crate::executor::{Executor, Parallelism};
-use crate::metrics::{ControlPlaneStats, FleetSummary, MetricsCollector, MetricsSummary};
+use crate::metrics::{ControlPlaneStats, FleetSummary, MetricsCollector};
 use crate::sampling::ShardedSamplingPool;
 use crate::task_runtime::{FreedClient, InFlightSlot, ServerOptimizerKind, TaskRuntime};
 use papaya_core::client::ClientTrainer;
@@ -109,14 +109,17 @@ pub struct RunLimits {
     /// [`crate::executor`]); the default is the sequential path.
     pub parallelism: Parallelism,
     /// Retention budget for the per-event metric traces (utilization, loss
-    /// curve, participations, attacks).  The default keeps every sample;
-    /// bounded budgets decimate deterministically (see
-    /// [`papaya_core::trace`]).  Retention is a reporting choice: a run has
-    /// one [`Report::fingerprint`] at every budget.  Essential at
-    /// million-client scale, where per-event traces would otherwise
-    /// dominate resident memory.
+    /// curve, participations, attacks) and the round durations: each keeps
+    /// a deterministic stride sample of at most this many offers (see
+    /// [`papaya_core::trace`]), 4 096 by default.  Retention is a reporting
+    /// choice: a run has one [`Report::fingerprint`] and the same means at
+    /// every budget, and metrics memory stays O(budget) however many events
+    /// the run takes.
     pub trace_budget: TraceBudget,
 }
+
+/// Samples each bounded metric trace keeps by default.
+const DEFAULT_TRACE_BUDGET: usize = 4096;
 
 impl Default for RunLimits {
     fn default() -> Self {
@@ -125,7 +128,7 @@ impl Default for RunLimits {
             max_client_updates: None,
             target_loss: None,
             parallelism: Parallelism::sequential(),
-            trace_budget: TraceBudget::UNBOUNDED,
+            trace_budget: TraceBudget::bounded(DEFAULT_TRACE_BUDGET),
         }
     }
 }
@@ -284,13 +287,23 @@ pub struct TaskReport {
     pub final_params: ParamVec,
     /// Times this task was moved to a new Aggregator after a failure.
     pub reassignments: u64,
-    /// Derived statistics (rates, staleness, utilization).
-    pub summary: MetricsSummary,
-    /// Raw metric traces.
+    /// Total virtual hours simulated.
+    pub virtual_hours: f64,
+    /// Counters, traces and the means derived from them.
     pub metrics: MetricsCollector,
 }
 
 impl TaskReport {
+    /// Server model updates per virtual hour (0 for a run that simulated no
+    /// time).
+    pub fn server_updates_per_hour(&self) -> f64 {
+        if self.virtual_hours > 0.0 {
+            self.metrics.server_updates as f64 / self.virtual_hours
+        } else {
+            0.0
+        }
+    }
+
     /// Client updates received at the server ("communication trips").
     pub fn comm_trips(&self) -> u64 {
         self.metrics.comm_trips
@@ -875,7 +888,7 @@ fn task_report(
     name: String,
     reassignments: u64,
     runtime: TaskRuntime,
-    virtual_seconds: f64,
+    virtual_hours: f64,
 ) -> TaskReport {
     let (metrics, final_params, final_version, final_loss, hours_to_target) = runtime.into_parts();
     let initial_loss = metrics
@@ -892,7 +905,7 @@ fn task_report(
         final_version,
         final_params,
         reassignments,
-        summary: metrics.summarize(virtual_seconds),
+        virtual_hours,
         metrics,
     }
 }
@@ -1212,11 +1225,11 @@ impl<'a> Run<'a> {
                 name,
                 reassignments[task_id],
                 runtime,
-                self.now,
+                virtual_hours,
             ));
         }
         let collectors: Vec<&MetricsCollector> = reports.iter().map(|r| &r.metrics).collect();
-        let fleet = FleetSummary::roll_up(virtual_hours, &collectors, stats);
+        let fleet = FleetSummary::roll_up(&collectors, stats);
         Report {
             stop_reason,
             virtual_hours,
@@ -1607,7 +1620,6 @@ mod tests {
         assert!(task.final_loss < task.initial_loss);
         // The fleet roll-up covers the single task with zeroed control-plane
         // counters.
-        assert_eq!(report.fleet.tasks, 1);
         assert_eq!(report.fleet.total_comm_trips, task.comm_trips());
         assert_eq!(report.fleet.control_plane, ControlPlaneStats::default());
     }

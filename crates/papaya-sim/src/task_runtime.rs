@@ -350,8 +350,9 @@ impl TaskRuntime {
     }
 
     /// Applies the run's [`TraceBudget`](papaya_core::trace::TraceBudget)
-    /// to this task's per-event metric traces.  Scenario drivers call this
-    /// once at construction, before any event is processed.
+    /// to this task's per-event metric traces and round durations.  Scenario
+    /// drivers call this once at construction, before any event is
+    /// processed.
     pub fn set_trace_budget(&mut self, budget: papaya_core::trace::TraceBudget) {
         self.metrics.set_trace_budget(budget);
     }
@@ -398,9 +399,7 @@ impl TaskRuntime {
 
     /// Records a utilization sample at `now`.
     pub fn record_utilization(&mut self, now: SimTime) {
-        self.metrics
-            .utilization_trace
-            .push((now, self.in_flight.len()));
+        self.metrics.record_utilization(now, self.in_flight.len());
     }
 
     /// A client finished local training and reports its update.  Runs the
@@ -691,8 +690,7 @@ impl TaskRuntime {
         let freed = self.abort(&aborted);
         self.metrics.aborted_by_round_end += freed.len() as u64;
         self.metrics
-            .round_durations_s
-            .push(now - self.round_start_time);
+            .record_round_duration(now - self.round_start_time);
         self.round_number += 1;
         self.round_start_time = now;
         self.completed_this_round = 0;

@@ -73,8 +73,8 @@ fn main() {
                 .map(|h| format!("{h:.2}"))
                 .unwrap_or_else(|| ">cap".into()),
             r.comm_trips(),
-            r.summary.server_updates_per_hour,
-            r.summary.mean_active_clients,
+            r.server_updates_per_hour(),
+            r.metrics.mean_active_clients(),
         )
     };
     println!("SyncFL  (30% over-selection): {}", fmt(&sync));

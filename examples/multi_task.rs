@@ -51,7 +51,7 @@ fn main() {
             task.final_loss,
             task.comm_trips(),
             task.server_updates(),
-            task.summary.mean_staleness,
+            task.metrics.mean_staleness(),
             task.metrics.lost_buffered_updates,
         );
     }

@@ -60,11 +60,11 @@ fn main() {
     println!("  client updates (trips): {}", result.comm_trips());
     println!(
         "  mean staleness       : {:.2}",
-        result.summary.mean_staleness
+        result.metrics.mean_staleness()
     );
     println!(
         "  mean active clients  : {:.1} / 128",
-        result.summary.mean_active_clients
+        result.metrics.mean_active_clients()
     );
     println!("  final loss           : {:.4}", result.final_loss);
 }

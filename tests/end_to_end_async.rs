@@ -103,10 +103,10 @@ fn async_produces_many_more_server_updates_per_hour() {
     );
     // Figure 8: the async configuration takes far more server steps per hour.
     assert!(
-        async_fl.summary.server_updates_per_hour > 5.0 * sync.summary.server_updates_per_hour,
+        async_fl.server_updates_per_hour() > 5.0 * sync.server_updates_per_hour(),
         "async {} vs sync {}",
-        async_fl.summary.server_updates_per_hour,
-        sync.summary.server_updates_per_hour
+        async_fl.server_updates_per_hour(),
+        sync.server_updates_per_hour()
     );
 }
 
@@ -122,9 +122,9 @@ fn async_utilization_stays_near_the_concurrency_target() {
     );
     // Figure 7: utilization is close to 100 % of the concurrency target.
     assert!(
-        async_fl.summary.mean_active_clients > 85.0,
+        async_fl.metrics.mean_active_clients() > 85.0,
         "mean active {}",
-        async_fl.summary.mean_active_clients
+        async_fl.metrics.mean_active_clients()
     );
     let sync = run(
         TaskConfig::sync_task("sync", 100, 0.0),
@@ -133,7 +133,7 @@ fn async_utilization_stays_near_the_concurrency_target() {
         None,
         2.0,
     );
-    assert!(sync.summary.mean_active_clients < async_fl.summary.mean_active_clients);
+    assert!(sync.metrics.mean_active_clients() < async_fl.metrics.mean_active_clients());
 }
 
 #[test]
@@ -154,9 +154,9 @@ fn staleness_grows_with_concurrency_over_aggregation_goal_ratio() {
         2.0,
     );
     assert!(
-        high_ratio.summary.mean_staleness > low_ratio.summary.mean_staleness,
+        high_ratio.metrics.mean_staleness() > low_ratio.metrics.mean_staleness(),
         "staleness {} vs {}",
-        high_ratio.summary.mean_staleness,
-        low_ratio.summary.mean_staleness
+        high_ratio.metrics.mean_staleness(),
+        low_ratio.metrics.mean_staleness()
     );
 }

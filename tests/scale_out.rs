@@ -14,14 +14,16 @@
 //!    thread counts and the retained traces respect the budget.  Every
 //!    trace digests each sample it is offered before decimation decides
 //!    whether to keep it, so the fingerprint pins what the run *offered*:
-//!    runs at different budgets, and the unbounded run, have one
-//!    fingerprint.  Retention is a reporting choice.
+//!    runs at different budgets, including one that keeps every sample,
+//!    have one fingerprint and bit-equal means.  Retention is a reporting
+//!    choice.
 //! 3. **Idle clients are O(bytes).**  The combined per-idle-device state
 //!    across the packed population and the sampling pool is a documented
 //!    constant number of bytes, asserted at compile time.
 
 use papaya_core::TaskConfig;
 use papaya_data::population::{Population, PopulationConfig};
+use papaya_sim::metrics::MetricsCollector;
 use papaya_sim::sampling::ShardedSamplingPool;
 use papaya_sim::scenario::{EvalPolicy, Report, RunLimits, Scenario};
 use papaya_sim::Parallelism;
@@ -48,9 +50,17 @@ fn population(n: usize) -> Population {
 }
 
 fn scenario(limits: RunLimits, parallelism: Parallelism) -> Report {
+    scenario_of(
+        TaskConfig::async_task("scale-out", 64, 16),
+        limits,
+        parallelism,
+    )
+}
+
+fn scenario_of(task: TaskConfig, limits: RunLimits, parallelism: Parallelism) -> Report {
     Scenario::builder()
         .population(population(900))
-        .task(TaskConfig::async_task("scale-out", 64, 16))
+        .task(task)
         .limits(
             limits
                 .with_max_virtual_time_hours(2.0)
@@ -125,47 +135,94 @@ fn budgeted_fingerprints_are_invariant_across_threads_and_shards() {
 
 /// Claim 2: the budget actually bounds the retained traces while the
 /// counters (which are exact, never decimated) still see every event, each
-/// bounded trace was offered every sample the unbounded run kept, and no
-/// budget changes the fingerprint.
+/// bounded trace was offered every sample a run that keeps everything kept,
+/// and no budget changes the fingerprint or a reported mean.  The sync run
+/// with over-selection completes enough rounds to overflow the small
+/// budgets with round durations too.
 #[test]
 fn decimation_bounds_traces_and_is_fingerprint_invisible() {
-    let unbounded = scenario(RunLimits::default(), Parallelism::sequential());
-    let full = &unbounded.single().metrics;
-    assert!(
-        full.participations.len() > 64,
-        "scenario too small to exercise decimation ({} participations)",
-        full.participations.len()
-    );
-    for budget in [32, 64] {
-        let bounded = scenario(
-            RunLimits::default().with_trace_budget(budget),
-            Parallelism::sequential(),
-        );
-        let m = &bounded.single().metrics;
-        for (kept, all) in [
-            (m.participations.len(), full.participations.len()),
-            (m.loss_curve.len(), full.loss_curve.len()),
-            (m.utilization_trace.len(), full.utilization_trace.len()),
-            (m.attack_trace.len(), full.attack_trace.len()),
-        ] {
-            assert!(kept <= budget.min(all), "{kept} kept of {all} at {budget}");
+    // Above every offer count of either run, so the reference keeps all.
+    const EVERY_OFFER: usize = 1 << 20;
+    for (task, rounds) in [
+        (TaskConfig::async_task("scale-out", 64, 16), false),
+        (TaskConfig::sync_task("scale-out-sync", 16, 0.3), true),
+    ] {
+        let run = |limits: RunLimits| scenario_of(task.clone(), limits, Parallelism::sequential());
+        let reference = run(RunLimits::default().with_trace_budget(EVERY_OFFER));
+        let full = &reference.single().metrics;
+        let traces = |m: &MetricsCollector| {
+            [
+                (m.participations.len(), m.participations.offered()),
+                (m.loss_curve.len(), m.loss_curve.offered()),
+                (m.utilization_trace.len(), m.utilization_trace.offered()),
+                (m.attack_trace.len(), m.attack_trace.offered()),
+                (m.round_durations_s.len(), m.round_durations_s.offered()),
+            ]
+        };
+        for (kept, offered) in traces(full) {
+            assert_eq!(kept as u64, offered, "{}: the reference dropped", task.name);
         }
-        assert_eq!(m.participations.offered(), full.participations.len() as u64);
-        assert_eq!(m.loss_curve.offered(), full.loss_curve.len() as u64);
-        assert_eq!(
-            m.utilization_trace.offered(),
-            full.utilization_trace.len() as u64
+        assert!(
+            full.participations.offered() > 4096,
+            "{}: too small for the default budget to decimate ({} participations)",
+            task.name,
+            full.participations.offered()
         );
-        assert_eq!(m.attack_trace.offered(), full.attack_trace.len() as u64);
-        // Decimation drops trace samples, never counter increments.
-        assert_eq!(m.comm_trips, full.comm_trips);
-        assert_eq!(m.aggregated_updates, full.aggregated_updates);
-        assert_eq!(bounded.events_processed, unbounded.events_processed);
         assert_eq!(
-            bounded.fingerprint(),
-            unbounded.fingerprint(),
-            "budget {budget} changed the fingerprint"
+            full.round_durations_s.offered() > 64,
+            rounds,
+            "{}: {} rounds",
+            task.name,
+            full.round_durations_s.offered()
         );
+        for (budget, limits) in [
+            (32, RunLimits::default().with_trace_budget(32)),
+            (64, RunLimits::default().with_trace_budget(64)),
+            (4096, RunLimits::default()),
+        ] {
+            let bounded = run(limits);
+            let m = &bounded.single().metrics;
+            let at = format!("{} at budget {budget}", task.name);
+            for ((kept, offered), (_, all)) in traces(m).into_iter().zip(traces(full)) {
+                assert_eq!(offered, all, "{at}");
+                assert!(
+                    kept as u64 <= offered.min(budget as u64),
+                    "{kept} kept of {offered}: {at}"
+                );
+            }
+            // An overflowed trace keeps more than half its budget, which
+            // pins the default at 4 096.
+            assert!(m.participations.len() > budget / 2, "{at}");
+            // Decimation drops trace samples, never counter increments or
+            // what the means are computed from.
+            assert_eq!(m.comm_trips, full.comm_trips);
+            assert_eq!(m.aggregated_updates, full.aggregated_updates);
+            for (mean, bits, full_bits) in [
+                (
+                    "active clients",
+                    m.mean_active_clients().to_bits(),
+                    full.mean_active_clients().to_bits(),
+                ),
+                (
+                    "round duration",
+                    m.mean_round_duration_s().to_bits(),
+                    full.mean_round_duration_s().to_bits(),
+                ),
+                (
+                    "staleness",
+                    m.mean_staleness().to_bits(),
+                    full.mean_staleness().to_bits(),
+                ),
+            ] {
+                assert_eq!(bits, full_bits, "mean {mean} moved: {at}");
+            }
+            assert_eq!(bounded.events_processed, reference.events_processed);
+            assert_eq!(
+                bounded.fingerprint(),
+                reference.fingerprint(),
+                "{at} changed the fingerprint"
+            );
+        }
     }
 }
 
