@@ -25,11 +25,8 @@
 //!   no sample: retention is a reporting choice, and runs that differ only
 //!   in their budget have one fingerprint.
 //!
-//! A trace built with `default()` is [`TraceBudget::UNBOUNDED`] and records
-//! every sample.  A `papaya-sim` run bounds its per-event traces and round
-//! durations at `RunLimits::trace_budget`, 4 096 samples by default, and
-//! computes every mean it reports from exact running totals, so no reported
-//! number reads a retained sample.
+//! A `default()` trace records every sample; a `papaya-sim` run keeps at
+//! most `RunLimits::trace_budget` (4 096 by default) of each per-event one.
 
 use std::ops::Deref;
 

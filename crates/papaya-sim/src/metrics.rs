@@ -39,12 +39,15 @@ impl TraceSample for ParticipationRecord {
 /// and the round durations keep a stride sample of at most the run's
 /// [`TraceBudget`] (4 096 by default), so metrics memory is O(budget)
 /// however long the run; the per-release telemetry traces stay unbounded.
-/// No reported number reads a retained sample: counters are exact, and the
-/// means divide exact running totals by offer counts.
+/// Counters are exact and the two means divide running totals by offer
+/// counts; only the participation distributions read the stride sample.
+/// Write `utilization_trace` and `round_durations_s` only through
+/// [`record_utilization`](Self::record_utilization) and
+/// [`record_round_duration`](Self::record_round_duration): a direct write
+/// skips the totals and skews the means.
 #[derive(Clone, Debug, Default)]
 pub struct MetricsCollector {
-    /// `(virtual_seconds, active_clients)` samples; record through
-    /// [`record_utilization`](MetricsCollector::record_utilization).
+    /// `(virtual_seconds, active_clients)` samples.
     pub utilization_trace: DecimatedTrace<(f64, usize)>,
     /// Active clients summed over every utilization sample offered.
     // papaya-lint: allow(metrics-fingerprint) -- a running sum of the samples utilization_trace's hashed digest already folds
@@ -64,8 +67,7 @@ pub struct MetricsCollector {
     pub aborted_by_round_end: u64,
     /// Server model updates performed.
     pub server_updates: u64,
-    /// Completed synchronous round durations in seconds; record through
-    /// [`record_round_duration`](MetricsCollector::record_round_duration).
+    /// Completed synchronous round durations in seconds.
     pub round_durations_s: DecimatedTrace<f64>,
     /// Every round duration offered, summed in offer order.
     // papaya-lint: allow(metrics-fingerprint) -- a running sum of the samples round_durations_s's hashed digest already folds

@@ -2,15 +2,33 @@
 //! dropouts, staleness, synchronous rounds, utilization, stop conditions.
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use crate::scenario::{
         EvalPolicy, RunLimits, Scenario, ScenarioBuilder, StopReason, TaskReport,
     };
     use papaya_core::client::ClientTrainer;
     use papaya_core::config::TaskConfig;
     use papaya_core::surrogate::{SurrogateConfig, SurrogateObjective};
+    use papaya_core::trace::DecimatedTrace;
     use papaya_data::population::{Population, PopulationConfig};
     use std::sync::Arc;
+
+    /// Every sample `trace` was offered.  Panics when the run's trace
+    /// budget dropped any, so a property asserted over the result holds
+    /// for the whole run, not for a stride sample of it.
+    pub(crate) fn every_sample<T>(trace: &DecimatedTrace<T>) -> &[T] {
+        assert_eq!(
+            trace.offered(),
+            trace.len() as u64,
+            "the trace budget dropped samples; give the run a larger one"
+        );
+        trace
+    }
+
+    /// Limits whose trace budget keeps every sample of these short runs.
+    pub(crate) fn keep_every_sample() -> RunLimits {
+        RunLimits::default().with_trace_budget(1 << 20)
+    }
 
     fn population(n: usize) -> Population {
         Population::generate(&PopulationConfig::default().with_size(n), 17)
@@ -30,7 +48,7 @@ mod tests {
 
     fn run(task: TaskConfig, hours: f64, pop_size: usize) -> TaskReport {
         scenario(task, population(pop_size))
-            .limits(RunLimits::default().with_max_virtual_time_hours(hours))
+            .limits(keep_every_sample().with_max_virtual_time_hours(hours))
             .eval(EvalPolicy::default().with_interval_s(600.0))
             .seed(3)
             .build()
@@ -89,9 +107,7 @@ mod tests {
     #[test]
     fn concurrency_bound_is_respected() {
         let result = run(TaskConfig::async_task("t", 32, 8), 1.0, 500);
-        assert!(result
-            .metrics
-            .utilization_trace
+        assert!(every_sample(&result.metrics.utilization_trace)
             .iter()
             .all(|&(_, active)| active <= 32));
     }
@@ -183,9 +199,7 @@ mod tests {
         // rejection-sampling loop handled in O(population) per pick.
         let result = run(TaskConfig::async_task("t", 120, 8), 1.0, 120);
         assert!(result.server_updates() > 0);
-        assert!(result
-            .metrics
-            .utilization_trace
+        assert!(every_sample(&result.metrics.utilization_trace)
             .iter()
             .all(|&(_, active)| active <= 120));
     }

@@ -3,6 +3,7 @@
 
 #[cfg(test)]
 mod tests {
+    use crate::engine::tests::{every_sample, keep_every_sample};
     use crate::scenario::{
         capability_tier, EvalPolicy, FleetSpec, Report, RunLimits, Scenario, ScenarioBuilder,
     };
@@ -35,7 +36,7 @@ mod tests {
             .fold(Scenario::builder(), ScenarioBuilder::task)
             .population(pop)
             .fleet(FleetSpec::new(aggregators, 2))
-            .limits(RunLimits::default().with_max_virtual_time_hours(hours))
+            .limits(keep_every_sample().with_max_virtual_time_hours(hours))
             .eval(EvalPolicy::default().with_interval_s(eval_interval_s))
             .seed(seed)
     }
@@ -78,7 +79,7 @@ mod tests {
         let tiers: Vec<u8> = pop.iter().map(|d| capability_tier(&d)).collect();
         let report = fleet(pop, 2, 1.0, 600.0, 13).build().run();
         // Task 3 requires tier 2; every participant must be a tier-2 device.
-        for record in report.tasks[3].metrics.participations.iter() {
+        for record in every_sample(&report.tasks[3].metrics.participations) {
             assert!(
                 tiers[record.client_id] >= 2,
                 "tier-{} device {} participated in the tier-2 task",
@@ -107,9 +108,7 @@ mod tests {
             .run();
         let max_concurrency: usize = four_tasks().iter().map(|t| t.concurrency).sum();
         for task in &report.tasks {
-            assert!(task
-                .metrics
-                .utilization_trace
+            assert!(every_sample(&task.metrics.utilization_trace)
                 .iter()
                 .all(|&(_, active)| active <= max_concurrency));
         }
@@ -186,15 +185,15 @@ mod tests {
                 .build()
                 .run();
             let metrics = &report.tasks[0].metrics;
-            let in_flight_at_crash = metrics
-                .utilization_trace
+            let utilization = every_sample(&metrics.utilization_trace);
+            let in_flight_at_crash = utilization
                 .iter()
                 .find(|&&(time, _)| time == CRASH_S)
                 .map(|&(_, active)| active as u64)
                 .expect("a control tick at the crash");
             assert!(in_flight_at_crash > 0, "{name}: nothing in flight");
             assert_eq!(
-                metrics.utilization_trace.last().map(|&(_, active)| active),
+                utilization.last().map(|&(_, active)| active),
                 Some(0),
                 "{name}: every participation ended"
             );
@@ -224,9 +223,7 @@ mod tests {
             .seed(9)
             .build()
             .run();
-        assert!(report.tasks[0]
-            .metrics
-            .utilization_trace
+        assert!(every_sample(&report.tasks[0].metrics.utilization_trace)
             .iter()
             .all(|&(_, active)| active <= 16));
         assert!(report.tasks[0].comm_trips() > 0);
