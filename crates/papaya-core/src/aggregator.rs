@@ -8,19 +8,18 @@
 //! delta for the server optimizer — while the runtime driving it never
 //! branches on *which* strategy is plugged in.
 //!
-//! Three strategies implement the trait:
+//! Two strategies implement the trait:
 //!
 //! * [`FedBuffAggregator`] — buffered
 //!   asynchronous aggregation: release after `K` accepted updates, stale
-//!   updates down-weighted or rejected (Section 3.1 / Appendix E.2);
+//!   updates down-weighted or rejected (Section 3.1 / Appendix E.2).  An
+//!   optional round deadline also releases whatever has arrived once it
+//!   expires, bounding the straggler tail the paper's sync/async comparison
+//!   is about;
 //! * [`SyncRoundAggregator`] —
 //!   synchronous rounds with over-selection: release once the cohort goal is
 //!   met, later arrivals discarded, and a release closes the round
-//!   (Section 7 / Appendix E.3);
-//! * [`TimedHybridAggregator`] —
-//!   a FedBuff-style buffer with a sync-style round deadline that
-//!   force-releases whatever has arrived when the deadline expires, bounding
-//!   the straggler tail the paper's sync/async comparison is about.
+//!   (Section 7 / Appendix E.3).
 //!
 //! [`for_task`] builds the strategy a [`TaskConfig`] asks for, so drivers
 //! hold a `Box<dyn Aggregator>` and stay mode-agnostic.
@@ -51,8 +50,8 @@
 use crate::client::ClientUpdate;
 use crate::config::{TaskConfig, TrainingMode};
 use crate::fedbuff::FedBuffAggregator;
+use crate::staleness::StalenessWeighting;
 use crate::sync_agg::SyncRoundAggregator;
-use crate::timed_hybrid::TimedHybridAggregator;
 use papaya_nn::params::ParamVec;
 
 /// The outcome of offering one update to an aggregator.
@@ -276,31 +275,22 @@ pub fn for_task(config: &TaskConfig) -> Box<dyn Aggregator> {
     match config.mode {
         TrainingMode::Async {
             max_staleness,
-            staleness_weighting,
-        } => Box::new(
-            FedBuffAggregator::new(
+            round_deadline_s,
+        } => {
+            let fedbuff = FedBuffAggregator::new(
                 config.aggregation_goal,
-                staleness_weighting,
+                StalenessWeighting::PolynomialHalf,
                 Some(max_staleness),
             )
-            .with_example_weighting(config.weight_by_examples),
-        ),
-        TrainingMode::Sync { .. } => Box::new(
+            .with_example_weighting(config.weight_by_examples);
+            Box::new(match round_deadline_s {
+                Some(deadline_s) => fedbuff.with_round_deadline(deadline_s),
+                None => fedbuff,
+            })
+        }
+        TrainingMode::Sync => Box::new(
             SyncRoundAggregator::new(config.aggregation_goal)
                 .with_example_weighting(config.weight_by_examples),
-        ),
-        TrainingMode::TimedHybrid {
-            max_staleness,
-            staleness_weighting,
-            round_deadline_s,
-        } => Box::new(
-            TimedHybridAggregator::new(
-                config.aggregation_goal,
-                staleness_weighting,
-                Some(max_staleness),
-                round_deadline_s,
-            )
-            .with_example_weighting(config.weight_by_examples),
         ),
     }
 }
@@ -368,7 +358,6 @@ impl WeightedBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::staleness::StalenessWeighting;
 
     #[test]
     fn factory_builds_the_mode_the_config_asks_for() {
@@ -382,10 +371,19 @@ mod tests {
         assert_eq!(sync_agg.max_staleness(), None);
         assert!(sync_agg.closes_round_on_release());
 
-        let hybrid = for_task(&TaskConfig::timed_hybrid_task("h", 10, 4, 120.0));
+        let mut hybrid = for_task(&TaskConfig::timed_hybrid_task("h", 10, 4, 120.0));
         assert_eq!(hybrid.goal(), 4);
         assert_eq!(hybrid.max_staleness(), Some(500));
         assert!(!hybrid.closes_round_on_release());
+        let update = ClientUpdate {
+            client_id: 0,
+            delta: ParamVec::from_vec(vec![1.0]),
+            num_examples: 1,
+            start_version: 0,
+            train_loss: 0.0,
+        };
+        assert!(hybrid.accumulate(update, 0, 30.0).accepted());
+        assert_eq!(hybrid.next_deadline_s(), Some(150.0));
     }
 
     #[test]
@@ -471,12 +469,10 @@ mod tests {
                 None,
             )),
             Box::new(SyncRoundAggregator::new(2)),
-            Box::new(TimedHybridAggregator::new(
-                2,
-                StalenessWeighting::Constant,
-                None,
-                60.0,
-            )),
+            Box::new(
+                FedBuffAggregator::new(2, StalenessWeighting::Constant, None)
+                    .with_round_deadline(60.0),
+            ),
         ];
         for agg in &mut strategies {
             assert!(agg.accumulate(update(0, 2.0), 0, 0.0).accepted());

@@ -9,7 +9,6 @@
 use crate::adversary::AdversarySpec;
 use crate::dp::DpConfig;
 use crate::robust::RobustConfig;
-use crate::staleness::StalenessWeighting;
 
 /// Whether and how secure aggregation is enabled for a task.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -33,72 +32,26 @@ pub enum SecAggMode {
 /// The training regime of a task.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum TrainingMode {
-    /// Synchronous rounds (the GFL-style baseline).
-    Sync {
-        /// Over-selection factor `o`: the cohort has
-        /// `aggregation_goal * (1 + o)` clients and the slowest are
-        /// discarded.  `0.0` disables over-selection.
-        over_selection: f64,
-    },
-    /// Asynchronous buffered aggregation (FedBuff).
+    /// Synchronous rounds (the GFL-style baseline).  Over-selection shows
+    /// only in the aggregation goal: the cohort has `concurrency` clients
+    /// and the slowest beyond the goal are discarded.
+    Sync,
+    /// Asynchronous buffered aggregation (FedBuff) with `1/sqrt(1 + s)`
+    /// staleness down-weighting.
     Async {
         /// Updates with staleness above this value are aborted
         /// (Appendix E.1/E.2).
         max_staleness: u64,
-        /// Staleness down-weighting scheme.
-        staleness_weighting: StalenessWeighting,
-    },
-    /// Buffered asynchronous aggregation with a round deadline: the buffer
-    /// is force-released `round_deadline_s` after it opens even if the
-    /// aggregation goal has not been met, bounding the straggler tail.
-    TimedHybrid {
-        /// Updates with staleness above this value are aborted.
-        max_staleness: u64,
-        /// Staleness down-weighting scheme.
-        staleness_weighting: StalenessWeighting,
         /// Seconds after the first buffered update at which the buffer is
-        /// force-released.
-        round_deadline_s: f64,
+        /// released even if the aggregation goal has not been met, bounding
+        /// the straggler tail.  `None` releases by count only.
+        round_deadline_s: Option<f64>,
     },
 }
 
-impl TrainingMode {
-    /// The default asynchronous mode used throughout the evaluation:
-    /// `1/sqrt(1+s)` weighting and a generous staleness bound.
-    pub fn default_async() -> Self {
-        TrainingMode::Async {
-            max_staleness: 500,
-            staleness_weighting: StalenessWeighting::PolynomialHalf,
-        }
-    }
-
-    /// The default synchronous baseline: 30 % over-selection (Bonawitz et
-    /// al., 2019).
-    pub fn default_sync() -> Self {
-        TrainingMode::Sync {
-            over_selection: 0.3,
-        }
-    }
-
-    /// The default timed-hybrid mode: FedBuff's staleness defaults plus the
-    /// given round deadline.
-    pub fn default_timed_hybrid(round_deadline_s: f64) -> Self {
-        TrainingMode::TimedHybrid {
-            max_staleness: 500,
-            staleness_weighting: StalenessWeighting::PolynomialHalf,
-            round_deadline_s,
-        }
-    }
-
-    /// Returns true for buffered (non-round-gated) modes, including the
-    /// timed hybrid.
-    pub fn is_async(&self) -> bool {
-        matches!(
-            self,
-            TrainingMode::Async { .. } | TrainingMode::TimedHybrid { .. }
-        )
-    }
-}
+/// The staleness bound of the buffered task constructors: generous enough
+/// that only pathological stragglers are aborted.
+const DEFAULT_MAX_STALENESS: u64 = 500;
 
 /// Full configuration of a federated training task.
 #[derive(Clone, Debug, PartialEq)]
@@ -158,7 +111,10 @@ impl TaskConfig {
             name: name.into(),
             concurrency,
             aggregation_goal,
-            mode: TrainingMode::default_async(),
+            mode: TrainingMode::Async {
+                max_staleness: DEFAULT_MAX_STALENESS,
+                round_deadline_s: None,
+            },
             weight_by_examples: true,
             client_timeout_s: 240.0,
             secagg: SecAggMode::Disabled,
@@ -185,7 +141,7 @@ impl TaskConfig {
             name: name.into(),
             concurrency,
             aggregation_goal: aggregation_goal.max(1),
-            mode: TrainingMode::Sync { over_selection },
+            mode: TrainingMode::Sync,
             weight_by_examples: true,
             client_timeout_s: 240.0,
             secagg: SecAggMode::Disabled,
@@ -197,8 +153,8 @@ impl TaskConfig {
         }
     }
 
-    /// A timed-hybrid task: FedBuff-style buffering with aggregation goal
-    /// `K`, force-released `round_deadline_s` after the buffer opens.
+    /// A timed-hybrid task: an asynchronous task with aggregation goal `K`
+    /// whose buffer is also released `round_deadline_s` after it opens.
     ///
     /// # Panics
     ///
@@ -217,7 +173,10 @@ impl TaskConfig {
             name: name.into(),
             concurrency,
             aggregation_goal,
-            mode: TrainingMode::default_timed_hybrid(round_deadline_s),
+            mode: TrainingMode::Async {
+                max_staleness: DEFAULT_MAX_STALENESS,
+                round_deadline_s: Some(round_deadline_s),
+            },
             weight_by_examples: true,
             client_timeout_s: 240.0,
             secagg: SecAggMode::Disabled,
@@ -266,13 +225,11 @@ impl TaskConfig {
         self
     }
 
-    /// Sets the maximum staleness (buffered modes only; no-op for
+    /// Sets the maximum staleness (asynchronous tasks only; no-op for
     /// synchronous tasks).
     pub fn with_max_staleness(mut self, max: u64) -> Self {
-        match &mut self.mode {
-            TrainingMode::Async { max_staleness, .. }
-            | TrainingMode::TimedHybrid { max_staleness, .. } => *max_staleness = max,
-            TrainingMode::Sync { .. } => {}
+        if let TrainingMode::Async { max_staleness, .. } = &mut self.mode {
+            *max_staleness = max;
         }
         self
     }
@@ -289,14 +246,6 @@ impl TaskConfig {
         self
     }
 
-    /// The over-selection factor (0 for asynchronous tasks).
-    pub fn over_selection(&self) -> f64 {
-        match self.mode {
-            TrainingMode::Sync { over_selection } => over_selection,
-            TrainingMode::Async { .. } | TrainingMode::TimedHybrid { .. } => 0.0,
-        }
-    }
-
     /// Client demand given the current number of active (participating but
     /// unfinished) clients and the number of updates already completed in the
     /// current round (Appendix E.3).
@@ -307,10 +256,8 @@ impl TaskConfig {
     ///   round starts.
     pub fn client_demand(&self, active_clients: usize, completed_this_round: usize) -> usize {
         match self.mode {
-            TrainingMode::Async { .. } | TrainingMode::TimedHybrid { .. } => {
-                self.concurrency.saturating_sub(active_clients)
-            }
-            TrainingMode::Sync { .. } => self
+            TrainingMode::Async { .. } => self.concurrency.saturating_sub(active_clients),
+            TrainingMode::Sync => self
                 .concurrency
                 .saturating_sub(completed_this_round)
                 .saturating_sub(active_clients),
@@ -326,7 +273,7 @@ mod tests {
     fn sync_task_derives_aggregation_goal_from_over_selection() {
         let t = TaskConfig::sync_task("t", 1300, 0.3);
         assert_eq!(t.aggregation_goal, 1000);
-        assert!((t.over_selection() - 0.3).abs() < 1e-9);
+        assert_eq!(t.mode, TrainingMode::Sync);
     }
 
     #[test]
@@ -338,9 +285,14 @@ mod tests {
     #[test]
     fn async_task_defaults() {
         let t = TaskConfig::async_task("t", 1300, 100);
-        assert!(t.mode.is_async());
+        assert_eq!(
+            t.mode,
+            TrainingMode::Async {
+                max_staleness: 500,
+                round_deadline_s: None
+            }
+        );
         assert_eq!(t.aggregation_goal, 100);
-        assert_eq!(t.over_selection(), 0.0);
     }
 
     #[test]
@@ -398,22 +350,16 @@ mod tests {
     #[test]
     fn timed_hybrid_task_defaults() {
         let t = TaskConfig::timed_hybrid_task("t", 100, 25, 300.0);
-        assert!(t.mode.is_async());
-        assert_eq!(t.over_selection(), 0.0);
         // Demand follows the async rule: deadline releases never gate
         // selection the way a closing round does.
         assert_eq!(t.client_demand(40, 7), 60);
-        match t.with_max_staleness(9).mode {
-            TrainingMode::TimedHybrid {
-                max_staleness,
-                round_deadline_s,
-                ..
-            } => {
-                assert_eq!(max_staleness, 9);
-                assert_eq!(round_deadline_s, 300.0);
+        assert_eq!(
+            t.with_max_staleness(9).mode,
+            TrainingMode::Async {
+                max_staleness: 9,
+                round_deadline_s: Some(300.0)
             }
-            _ => panic!("expected timed-hybrid mode"),
-        }
+        );
     }
 
     #[test]

@@ -7,9 +7,17 @@
 //! a step.  Updates staler than the configured maximum are rejected
 //! (the system aborts such clients, Appendix E.1/E.2).
 //!
+//! A count alone can stall when arrivals dry up (small populations,
+//! aggressive eligibility criteria, night-time troughs).  An optional round
+//! deadline ([`FedBuffAggregator::with_round_deadline`]) bounds that tail:
+//! the moment the first update of a buffer arrives a deadline starts
+//! ticking, and when it expires the buffer is released with whatever has
+//! arrived.  Unlike a synchronous round, a deadline release does not close a
+//! round: still-running clients keep training and their uploads remain
+//! welcome, subject to the staleness bound.
+//!
 //! `FedBuffAggregator` implements the [`Aggregator`] protocol; drivers hold
-//! it as `Box<dyn Aggregator>` next to the synchronous and hybrid
-//! strategies.
+//! it as `Box<dyn Aggregator>` next to the synchronous strategy.
 
 pub use crate::aggregator::AccumulateOutcome;
 use crate::aggregator::{Aggregator, AggregatorStats, WeightedBuffer};
@@ -24,8 +32,14 @@ pub struct FedBuffAggregator {
     staleness_weighting: StalenessWeighting,
     max_staleness: Option<u64>,
     weight_by_examples: bool,
+    /// Seconds after a buffer opens at which it is released even below the
+    /// goal; `None` releases by count only.
+    round_deadline_s: Option<f64>,
     buffer: WeightedBuffer,
     stats: AggregatorStats,
+    /// When the first update of the current buffer arrived.  Set only while
+    /// a deadline is configured and the buffer is non-empty.
+    open_since_s: Option<f64>,
 }
 
 impl FedBuffAggregator {
@@ -47,8 +61,10 @@ impl FedBuffAggregator {
             staleness_weighting,
             max_staleness,
             weight_by_examples: true,
+            round_deadline_s: None,
             buffer: WeightedBuffer::default(),
             stats: AggregatorStats::default(),
+            open_since_s: None,
         }
     }
 
@@ -57,18 +73,41 @@ impl FedBuffAggregator {
         self.weight_by_examples = enabled;
         self
     }
+
+    /// Also releases a buffer `round_deadline_s` seconds after its first
+    /// update arrived, whichever of goal and deadline comes first.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `round_deadline_s` is not positive and finite.
+    pub fn with_round_deadline(mut self, round_deadline_s: f64) -> Self {
+        assert!(
+            round_deadline_s > 0.0 && round_deadline_s.is_finite(),
+            "round deadline must be positive and finite"
+        );
+        self.round_deadline_s = Some(round_deadline_s);
+        self
+    }
+
+    fn deadline_expired(&self, now_s: f64) -> bool {
+        match (self.open_since_s, self.round_deadline_s) {
+            (Some(opened), Some(deadline_s)) => now_s - opened >= deadline_s,
+            _ => false,
+        }
+    }
 }
 
 // papaya-lint: allow(decorator-conformance) -- base strategy, no inner aggregator to forward to; the trait defaults are the correct behavior
 impl Aggregator for FedBuffAggregator {
     /// Offers an update to the buffer; `current_version` is the server model
-    /// version at upload time (used to compute staleness).  Virtual time is
-    /// ignored — FedBuff releases purely by count.
+    /// version at upload time (used to compute staleness).  Virtual time
+    /// matters only with a round deadline: the first accepted update of a
+    /// buffer starts it.
     fn accumulate(
         &mut self,
         update: ClientUpdate,
         current_version: u64,
-        _now_s: f64,
+        now_s: f64,
     ) -> AccumulateOutcome {
         let staleness = update.staleness(current_version);
         if let Some(max) = self.max_staleness {
@@ -81,23 +120,30 @@ impl Aggregator for FedBuffAggregator {
             }
         }
         let weight = self.update_weight(update.num_examples, staleness);
+        if self.round_deadline_s.is_some() && self.buffer.len() == 0 {
+            self.open_since_s = Some(now_s);
+        }
         self.buffer.fold(&update.delta, weight);
         self.stats.record_accepted(staleness);
         AccumulateOutcome::Accepted { staleness }
     }
 
-    fn is_ready(&self, _now_s: f64) -> bool {
-        self.buffer.len() >= self.aggregation_goal
+    /// Ready once the goal is met, or once the round deadline of an open
+    /// buffer has expired.
+    fn is_ready(&self, now_s: f64) -> bool {
+        self.buffer.len() >= self.aggregation_goal || self.deadline_expired(now_s)
     }
 
     fn take(&mut self, now_s: f64) -> Option<ParamVec> {
         if !self.is_ready(now_s) {
             return None;
         }
+        self.open_since_s = None;
         self.buffer.release()
     }
 
     fn reset(&mut self) -> usize {
+        self.open_since_s = None;
         self.buffer.clear()
     }
 
@@ -115,6 +161,13 @@ impl Aggregator for FedBuffAggregator {
 
     fn max_staleness(&self) -> Option<u64> {
         self.max_staleness
+    }
+
+    /// The virtual time at which the open buffer will be released by the
+    /// round deadline; `None` without a deadline or while the buffer is
+    /// empty.
+    fn next_deadline_s(&self) -> Option<f64> {
+        Some(self.open_since_s? + self.round_deadline_s?)
     }
 
     /// Example weight (a client that trained on zero examples carries zero
@@ -275,6 +328,89 @@ mod tests {
         agg.accumulate(update(3, vec![9.0], 5, 0), 0, 0.0);
         agg.accumulate(update(4, vec![9.0], 5, 0), 0, 0.0);
         assert_eq!(agg.take(0.0).unwrap().as_slice(), &[9.0]);
+    }
+
+    fn with_deadline(goal: usize, deadline_s: f64) -> FedBuffAggregator {
+        FedBuffAggregator::new(goal, StalenessWeighting::Constant, None)
+            .with_round_deadline(deadline_s)
+    }
+
+    #[test]
+    fn releases_at_goal_before_the_deadline() {
+        let mut agg = with_deadline(2, 1000.0);
+        agg.accumulate(update(0, vec![2.0], 10, 0), 0, 0.0);
+        assert!(!agg.is_ready(1.0));
+        agg.accumulate(update(1, vec![4.0], 10, 0), 0, 2.0);
+        assert!(agg.is_ready(2.0));
+        assert_eq!(agg.take(2.0).unwrap().as_slice(), &[3.0]);
+        assert_eq!(agg.next_deadline_s(), None);
+    }
+
+    #[test]
+    fn deadline_forces_partial_release() {
+        let mut agg = with_deadline(100, 60.0);
+        agg.accumulate(update(0, vec![2.0], 10, 0), 0, 10.0);
+        assert_eq!(agg.next_deadline_s(), Some(70.0));
+        assert!(!agg.is_ready(69.9));
+        assert!(agg.take(69.9).is_none());
+        assert!(agg.is_ready(70.0));
+        assert_eq!(agg.take(70.0).unwrap().as_slice(), &[2.0]);
+        assert_eq!(agg.buffered(), 0);
+        assert_eq!(agg.next_deadline_s(), None);
+    }
+
+    #[test]
+    fn deadline_restarts_with_each_new_buffer() {
+        let mut agg = with_deadline(10, 60.0);
+        agg.accumulate(update(0, vec![1.0], 1, 0), 0, 0.0);
+        assert!(agg.take(60.0).is_some());
+        // The next buffer opens at its own first arrival, not the old one.
+        agg.accumulate(update(1, vec![5.0], 1, 0), 0, 100.0);
+        assert_eq!(agg.next_deadline_s(), Some(160.0));
+        assert!(!agg.is_ready(120.0));
+        assert!(agg.is_ready(160.0));
+    }
+
+    #[test]
+    fn empty_buffer_never_becomes_ready() {
+        let agg = with_deadline(10, 60.0);
+        assert!(!agg.is_ready(1e9));
+        assert_eq!(agg.next_deadline_s(), None);
+    }
+
+    #[test]
+    fn rejected_update_does_not_open_the_deadline_window() {
+        let mut agg = FedBuffAggregator::new(10, StalenessWeighting::Constant, Some(3))
+            .with_round_deadline(60.0);
+        assert!(!agg
+            .accumulate(update(0, vec![1.0], 10, 0), 5, 0.0)
+            .accepted());
+        assert_eq!(agg.next_deadline_s(), None);
+        assert!(!agg.is_ready(1e9));
+    }
+
+    #[test]
+    fn reset_closes_the_deadline_window() {
+        let mut agg = with_deadline(10, 60.0);
+        agg.accumulate(update(0, vec![1.0], 1, 0), 0, 0.0);
+        agg.accumulate(update(1, vec![1.0], 1, 0), 0, 1.0);
+        assert_eq!(agg.reset(), 2);
+        assert_eq!(agg.next_deadline_s(), None);
+        assert!(!agg.is_ready(1e9));
+        // Lifetime counters survive.
+        assert_eq!(agg.stats().accepted, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "round deadline must be positive and finite")]
+    fn non_positive_deadline_rejected() {
+        let _ = with_deadline(10, 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "round deadline must be positive and finite")]
+    fn infinite_deadline_rejected() {
+        let _ = with_deadline(10, f64::INFINITY);
     }
 
     #[test]

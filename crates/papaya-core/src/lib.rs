@@ -4,19 +4,18 @@
 //! form, independent of the system simulation:
 //!
 //! * [`config`] — task configuration: training mode (synchronous with
-//!   over-selection, asynchronous FedBuff, or the timed hybrid),
-//!   concurrency, aggregation goal, staleness limits, timeouts;
+//!   over-selection, or asynchronous FedBuff with an optional round
+//!   deadline), concurrency, aggregation goal, staleness limits, timeouts;
 //! * [`staleness`] — the staleness down-weighting schemes (the paper uses
 //!   `1/sqrt(1 + s)`);
 //! * [`aggregator`] — the [`Aggregator`] trait every aggregation strategy
 //!   implements, shared lifetime counters, and the
 //!   [`aggregator::for_task`] factory mapping a task's mode to a strategy;
 //! * [`fedbuff`] — buffered asynchronous aggregation (Nguyen et al., 2021 as
-//!   deployed by PAPAYA, Section 3.1 / Appendix E.2);
+//!   deployed by PAPAYA, Section 3.1 / Appendix E.2), optionally
+//!   force-released on a round deadline to bound the straggler tail;
 //! * [`sync_agg`] — synchronous round aggregation with over-selection and
 //!   mid-round replacement;
-//! * [`timed_hybrid`] — a FedBuff buffer with a sync-style round deadline
-//!   that force-releases on timeout (bounded straggler tail);
 //! * [`secure`] — the [`secure::SecureAggregator`] decorator running any
 //!   strategy through the TEE-based asynchronous secure-aggregation
 //!   protocol (masking on accumulate, per-buffer TSA key release on take);
@@ -77,7 +76,6 @@ pub mod server_opt;
 pub mod staleness;
 pub mod surrogate;
 pub mod sync_agg;
-pub mod timed_hybrid;
 pub mod trace;
 
 pub use adversary::{AdversarySpec, DeviationKind, Malice};
@@ -93,5 +91,4 @@ pub use server_opt::{FedAdam, FedAvg, FedSgd, ServerOptimizer};
 pub use staleness::StalenessWeighting;
 pub use surrogate::{ProceduralSurrogate, SurrogateObjective};
 pub use sync_agg::SyncRoundAggregator;
-pub use timed_hybrid::TimedHybridAggregator;
 pub use trace::{DecimatedTrace, TraceBudget};

@@ -169,13 +169,20 @@ impl SecureTimings {
 /// Strategies whose releases always carry exactly the aggregation goal
 /// (FedBuff drains the instant the goal is met; a synchronous round closes
 /// at the goal) get the goal itself — the strongest privacy the release
-/// pattern supports.  The timed hybrid force-releases *partial* buffers on a
-/// deadline, so any threshold above 1 would deadlock a deadline release; a
+/// pattern supports.  FedBuff with a round deadline force-releases *partial*
+/// buffers, so any threshold above 1 would deadlock a deadline release; a
 /// deployment wanting a larger `t` must accept stalled releases instead.
 pub fn recommended_threshold(config: &TaskConfig) -> usize {
     match config.mode {
-        TrainingMode::TimedHybrid { .. } => 1,
-        TrainingMode::Async { .. } | TrainingMode::Sync { .. } => config.aggregation_goal,
+        TrainingMode::Async {
+            round_deadline_s: Some(_),
+            ..
+        } => 1,
+        TrainingMode::Async {
+            round_deadline_s: None,
+            ..
+        }
+        | TrainingMode::Sync => config.aggregation_goal,
     }
 }
 
@@ -802,7 +809,6 @@ mod tests {
     use super::*;
     use crate::fedbuff::FedBuffAggregator;
     use crate::staleness::StalenessWeighting;
-    use crate::timed_hybrid::TimedHybridAggregator;
 
     fn update(id: usize, delta: Vec<f32>, examples: usize, start_version: u64) -> ClientUpdate {
         ClientUpdate {
@@ -984,15 +990,14 @@ mod tests {
 
     #[test]
     fn below_threshold_deadline_release_is_blocked() {
-        // A timed hybrid with threshold 2: the deadline passes with a single
-        // buffered update, but the TSA refuses the key release, so nothing
-        // moves and the buffered update survives for the next arrival.
-        let inner = Box::new(TimedHybridAggregator::new(
-            10,
-            StalenessWeighting::Constant,
-            None,
-            60.0,
-        ));
+        // A deadline FedBuff with threshold 2: the deadline passes with a
+        // single buffered update, but the TSA refuses the key release, so
+        // nothing moves and the buffered update survives for the next
+        // arrival.
+        let inner = Box::new(
+            FedBuffAggregator::new(10, StalenessWeighting::Constant, None)
+                .with_round_deadline(60.0),
+        );
         let mut agg = SecureAggregator::new(inner, 2, 2, 7);
         agg.accumulate(update(0, vec![1.0, 0.0], 10, 0), 0, 0.0);
         assert!(!agg.is_ready(1e6), "threshold must gate readiness");

@@ -23,7 +23,6 @@ pub struct SyncRoundAggregator {
     weight_by_examples: bool,
     buffer: WeightedBuffer,
     stats: AggregatorStats,
-    accepted_clients: Vec<usize>,
 }
 
 impl SyncRoundAggregator {
@@ -39,7 +38,6 @@ impl SyncRoundAggregator {
             weight_by_examples: true,
             buffer: WeightedBuffer::default(),
             stats: AggregatorStats::default(),
-            accepted_clients: Vec::new(),
         }
     }
 
@@ -47,11 +45,6 @@ impl SyncRoundAggregator {
     pub fn with_example_weighting(mut self, enabled: bool) -> Self {
         self.weight_by_examples = enabled;
         self
-    }
-
-    /// Clients whose updates were accepted this round.
-    pub fn accepted_clients(&self) -> &[usize] {
-        &self.accepted_clients
     }
 }
 
@@ -74,7 +67,6 @@ impl Aggregator for SyncRoundAggregator {
         let staleness = update.staleness(current_version);
         let weight = self.update_weight(update.num_examples, staleness);
         self.buffer.fold(&update.delta, weight);
-        self.accepted_clients.push(update.client_id);
         self.stats.record_accepted(staleness);
         AccumulateOutcome::Accepted { staleness }
     }
@@ -87,12 +79,10 @@ impl Aggregator for SyncRoundAggregator {
         if !self.is_ready(now_s) {
             return None;
         }
-        self.accepted_clients.clear();
         self.buffer.release()
     }
 
     fn reset(&mut self) -> usize {
-        self.accepted_clients.clear();
         self.buffer.clear()
     }
 
@@ -163,16 +153,6 @@ mod tests {
     }
 
     #[test]
-    fn accepted_clients_are_tracked_per_round() {
-        let mut agg = SyncRoundAggregator::new(2);
-        agg.accumulate(update(7, vec![0.0], 1), 0, 0.0);
-        agg.accumulate(update(9, vec![0.0], 1), 0, 0.0);
-        assert_eq!(agg.accepted_clients(), &[7, 9]);
-        let _ = agg.take(0.0);
-        assert!(agg.accepted_clients().is_empty());
-    }
-
-    #[test]
     fn take_before_ready_is_none() {
         let mut agg = SyncRoundAggregator::new(3);
         agg.accumulate(update(0, vec![1.0], 1), 0, 0.0);
@@ -209,7 +189,6 @@ mod tests {
         agg.accumulate(update(1, vec![1.0], 1), 0, 0.0);
         assert_eq!(agg.reset(), 2);
         assert_eq!(agg.buffered(), 0);
-        assert!(agg.accepted_clients().is_empty());
         assert!(agg.take(0.0).is_none());
         agg.accumulate(update(2, vec![5.0], 1), 0, 0.0);
         agg.accumulate(update(3, vec![5.0], 1), 0, 0.0);

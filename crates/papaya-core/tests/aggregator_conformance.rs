@@ -1,7 +1,7 @@
 //! Behavioral conformance suite for the [`Aggregator`] protocol.
 //!
-//! Every aggregation strategy — FedBuff, synchronous rounds, the timed
-//! hybrid, and any future addition — must satisfy the same contract the
+//! Every aggregation strategy — FedBuff with and without a round deadline,
+//! synchronous rounds, and any future addition — must satisfy the same contract the
 //! runtime relies on: goal/readiness invariants, weighted-average releases
 //! (including the all-zero-weight edge case), reset-after-crash semantics
 //! with preserved lifetime counters, and staleness rejection wherever a
@@ -24,7 +24,7 @@ use papaya_core::secure::{MaskPlan, MaskScratch, PrecomputedMask};
 use papaya_core::staleness::StalenessWeighting;
 use papaya_core::{
     DpAggregator, DpConfig, DpTelemetry, FedBuffAggregator, RobustAggregator, RobustConfig,
-    RobustTelemetry, SecureAggregator, SecureTelemetry, SyncRoundAggregator, TimedHybridAggregator,
+    RobustTelemetry, SecureAggregator, SecureTelemetry, SyncRoundAggregator,
 };
 use papaya_nn::params::ParamVec;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -52,13 +52,12 @@ fn clear_implementations() -> Vec<(&'static str, Box<dyn Aggregator>)> {
         ),
         ("sync_round", Box::new(SyncRoundAggregator::new(GOAL))),
         (
-            "timed_hybrid",
-            Box::new(TimedHybridAggregator::new(
-                GOAL,
-                StalenessWeighting::Constant,
-                Some(5),
-                1_000_000.0, // deadline far away: behave like FedBuff here
-            )),
+            "fedbuff_deadline",
+            Box::new(
+                FedBuffAggregator::new(GOAL, StalenessWeighting::Constant, Some(5))
+                    // Deadline far away: behave like count-only FedBuff here.
+                    .with_round_deadline(1_000_000.0),
+            ),
         ),
     ]
 }
@@ -74,7 +73,7 @@ fn implementations() -> Vec<(String, Box<dyn Aggregator>)> {
         all.push((name.to_string(), agg));
     }
     for (name, agg) in clear_implementations() {
-        let threshold = if name == "timed_hybrid" { 1 } else { GOAL };
+        let threshold = if name == "fedbuff_deadline" { 1 } else { GOAL };
         all.push((
             format!("secure+{name}"),
             Box::new(SecureAggregator::new(agg, 2, threshold, 0xC0DE)),

@@ -615,7 +615,8 @@ impl ScenarioBuilder {
     /// finite, an evaluation sample of zero clients, a crash or recovery at
     /// a non-finite or negative time or on an Aggregator the fleet does not
     /// have, a non-finite restore time, or a task config the pipeline would
-    /// not honor (a non-positive/non-finite client timeout, or a
+    /// not honor (a zero concurrency or aggregation goal, a
+    /// non-positive/non-finite round deadline or client timeout, or a
     /// capability-tier restriction without a fleet to enforce it).
     pub fn build(self) -> Scenario {
         // papaya-lint: allow(panic-hygiene) -- documented builder contract: build() panics without a population (see doc comment)
@@ -715,15 +716,17 @@ impl ScenarioBuilder {
 ///
 /// # Panics
 ///
-/// Panics on a config the pipeline would *not* honor: a non-positive or
-/// non-finite client timeout, or a capability-tier restriction on a direct
+/// Panics on a config the pipeline would *not* honor: a zero concurrency or
+/// aggregation goal, a round deadline or client timeout that is not
+/// positive and finite, or a capability-tier restriction on a direct
 /// (fleet-less) scenario, whose uniform selection has no Selector to
-/// enforce tiers.
+/// enforce tiers.  The fields are `pub`, so the constructors' own checks do
+/// not cover a config edited after construction.
 fn validate_task_config(task: &TaskConfig, has_fleet: bool) {
     let TaskConfig {
         name: _,               // report labels
-        concurrency: _,        // demand computation (positivity checked at construction)
-        aggregation_goal: _,   // strategy goal (positivity checked at construction)
+        concurrency,           // demand computation
+        aggregation_goal,      // strategy goal
         mode,                  // aggregator::for_task builds the strategy
         weight_by_examples: _, // strategy weighting
         client_timeout_s,      // timeout aborts scheduled at selection
@@ -734,12 +737,32 @@ fn validate_task_config(task: &TaskConfig, has_fleet: bool) {
         model_size_bytes: _,   // communication-cost accounting
         min_capability_tier,   // Selector routing (fleet scenarios only)
     } = task;
+    assert!(
+        *concurrency > 0,
+        "task {:?}: concurrency must be positive",
+        task.name
+    );
+    assert!(
+        *aggregation_goal > 0,
+        "task {:?}: aggregation goal must be positive",
+        task.name
+    );
     // Exhaustive matches: a new mode or secagg variant must be wired up (or
     // explicitly rejected) before it compiles.
     match mode {
-        TrainingMode::Sync { .. }
-        | TrainingMode::Async { .. }
-        | TrainingMode::TimedHybrid { .. } => {}
+        TrainingMode::Sync => {}
+        TrainingMode::Async {
+            max_staleness: _,
+            round_deadline_s,
+        } => {
+            if let Some(deadline_s) = round_deadline_s {
+                assert!(
+                    deadline_s.is_finite() && *deadline_s > 0.0,
+                    "task {:?}: round deadline must be positive and finite",
+                    task.name
+                );
+            }
+        }
     }
     match secagg {
         SecAggMode::Disabled | SecAggMode::AsyncSecAgg | SecAggMode::AsyncSecAggPerUpdate => {}
@@ -2056,6 +2079,37 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "aggregation goal must be positive")]
+    fn zero_aggregation_goal_rejected() {
+        let mut task = TaskConfig::async_task("t", 8, 2);
+        task.aggregation_goal = 0;
+        let _ = Scenario::builder()
+            .population(population(100))
+            .task(task)
+            .build();
+    }
+
+    #[test]
+    #[should_panic(expected = "round deadline must be positive and finite")]
+    fn infinite_round_deadline_rejected() {
+        let _ = Scenario::builder()
+            .population(population(100))
+            .task(TaskConfig::timed_hybrid_task("t", 8, 2, f64::INFINITY))
+            .build();
+    }
+
+    #[test]
+    #[should_panic(expected = "concurrency must be positive")]
+    fn zero_concurrency_rejected() {
+        let mut task = TaskConfig::async_task("t", 8, 2);
+        task.concurrency = 0;
+        let _ = Scenario::builder()
+            .population(population(100))
+            .task(task)
+            .build();
+    }
+
+    #[test]
     #[should_panic(expected = "drive exactly one task")]
     fn multi_task_without_fleet_rejected() {
         let _ = Scenario::builder()
@@ -2174,7 +2228,7 @@ mod tests {
     fn timed_hybrid_strategy_runs_end_to_end() {
         // Aggregation goal far above what the concurrency can deliver: only
         // the deadline can release buffers, so every server update proves
-        // the third strategy works through the whole stack.
+        // the round deadline works through the whole stack.
         let report = Scenario::builder()
             .population(population(400))
             .task(TaskConfig::timed_hybrid_task("hybrid", 24, 10_000, 240.0))

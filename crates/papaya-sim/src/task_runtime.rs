@@ -2,8 +2,8 @@
 //!
 //! A [`TaskRuntime`] owns everything one federated task needs server-side:
 //! the versioned model and its optimizer, the aggregation strategy (held as
-//! a `Box<dyn Aggregator>`, so the runtime is agnostic of sync vs async vs
-//! hybrid), the download snapshot, the in-flight participation map, round
+//! a `Box<dyn Aggregator>`, so the runtime is agnostic of sync vs async,
+//! with or without a round deadline), the download snapshot, the in-flight participation map, round
 //! bookkeeping, and a per-task [`MetricsCollector`].  It exposes a narrow
 //! API — [`begin_participation`](TaskRuntime::begin_participation),
 //! [`offer_update`](TaskRuntime::offer_update),
