@@ -88,13 +88,6 @@ impl FedBuffAggregator {
         self.round_deadline_s = Some(round_deadline_s);
         self
     }
-
-    fn deadline_expired(&self, now_s: f64) -> bool {
-        match (self.open_since_s, self.round_deadline_s) {
-            (Some(opened), Some(deadline_s)) => now_s - opened >= deadline_s,
-            _ => false,
-        }
-    }
 }
 
 // papaya-lint: allow(decorator-conformance) -- base strategy, no inner aggregator to forward to; the trait defaults are the correct behavior
@@ -129,9 +122,15 @@ impl Aggregator for FedBuffAggregator {
     }
 
     /// Ready once the goal is met, or once the round deadline of an open
-    /// buffer has expired.
+    /// buffer has expired.  The deadline is the very value
+    /// [`next_deadline_s`](Aggregator::next_deadline_s) reports, so a driver
+    /// that polls at that time always releases; recomputing it as
+    /// `now - opened >= deadline` can round below the deadline there.
     fn is_ready(&self, now_s: f64) -> bool {
-        self.buffer.len() >= self.aggregation_goal || self.deadline_expired(now_s)
+        self.buffer.len() >= self.aggregation_goal
+            || self
+                .next_deadline_s()
+                .is_some_and(|deadline_s| now_s >= deadline_s)
     }
 
     fn take(&mut self, now_s: f64) -> Option<ParamVec> {
@@ -357,6 +356,16 @@ mod tests {
         assert_eq!(agg.take(70.0).unwrap().as_slice(), &[2.0]);
         assert_eq!(agg.buffered(), 0);
         assert_eq!(agg.next_deadline_s(), None);
+    }
+
+    #[test]
+    fn ready_at_the_deadline_it_reports() {
+        // 1483.801 - 883.801 rounds to 599.9999999999999 in f64, below the
+        // deadline, though 883.801 + 600.0 is exactly 1483.801.
+        let mut agg = with_deadline(10, 600.0);
+        agg.accumulate(update(0, vec![1.0], 1, 0), 0, 883.801);
+        assert_eq!(agg.next_deadline_s(), Some(1483.801));
+        assert!(agg.is_ready(1483.801));
     }
 
     #[test]

@@ -1169,6 +1169,21 @@ mod tests {
     }
 
     #[test]
+    fn poll_at_the_reported_deadline_releases() {
+        // The driver schedules its poll at exactly `next_deadline_s()`; a
+        // poll there that released nothing would never be rescheduled.
+        let mut rt = runtime(TaskConfig::timed_hybrid_task("t", 8, 100, 600.0));
+        rt.begin_participation(0, 0, 1.0);
+        rt.offer_update(0, None, 883.801).unwrap();
+        let deadline = rt.next_deadline_s().expect("an open buffer has a deadline");
+        assert!(
+            rt.poll(deadline).is_some(),
+            "poll at {deadline} did nothing"
+        );
+        assert_eq!(rt.version(), 1);
+    }
+
+    #[test]
     fn hybrid_runtime_rejects_overly_stale_uploads() {
         let mut rt =
             runtime(TaskConfig::timed_hybrid_task("t", 8, 1, 1000.0).with_max_staleness(0));
