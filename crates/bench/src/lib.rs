@@ -22,6 +22,8 @@
 //! measures wall-clock, throughput or memory: that is the repo benchmark's
 //! job (`benchmark/` at the repository root).
 
+#![forbid(unsafe_code)]
+
 pub mod experiments;
 pub mod scenarios;
 

@@ -6,6 +6,8 @@
 //! Timing is a simple best-of-N wall-clock measurement printed to stdout —
 //! good enough to compare orders of magnitude without a registry dependency.
 
+#![forbid(unsafe_code)]
+
 use std::time::{Duration, Instant};
 
 /// Prevents the optimizer from eliding a computed value.

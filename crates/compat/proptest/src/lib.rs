@@ -10,6 +10,8 @@
 //! each test runs a fixed number of deterministically seeded random cases
 //! (seeded from the test's name, so failures are reproducible).
 
+#![forbid(unsafe_code)]
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::ops::{Range, RangeInclusive};

@@ -10,6 +10,8 @@
 //! statistical quality and the determinism guarantees the simulations rely on
 //! are preserved.
 
+#![forbid(unsafe_code)]
+
 use std::ops::{Range, RangeInclusive};
 
 /// Error type returned by [`RngCore::try_fill_bytes`].

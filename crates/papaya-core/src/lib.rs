@@ -63,6 +63,8 @@
 //! assert_eq!(aggregated.as_slice(), &[0.5, 0.5]);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod adversary;
 pub mod aggregator;
 pub mod client;

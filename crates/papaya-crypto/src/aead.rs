@@ -9,6 +9,7 @@
 //! associated-data transcript) by HMAC-SHA-256.
 
 use crate::chacha20::ChaCha20;
+use crate::dh::SharedSecret;
 use crate::hmac::{derive_key, hmac_sha256, verify_tag};
 
 /// A 32-byte symmetric key for the AEAD, typically a DH shared secret.
@@ -45,10 +46,10 @@ const TAG_LEN: usize = 32;
 impl AeadKey {
     /// Derives an AEAD key pair (encryption + MAC subkeys) from a master
     /// secret such as a Diffie–Hellman shared secret.
-    pub fn from_shared_secret(secret: &[u8; 32]) -> Self {
+    pub fn from_shared_secret(secret: &SharedSecret) -> Self {
         AeadKey {
-            enc_key: derive_key(secret, b"papaya/aead/enc"),
-            mac_key: derive_key(secret, b"papaya/aead/mac"),
+            enc_key: derive_key(secret.as_bytes(), b"papaya/aead/enc"),
+            mac_key: derive_key(secret.as_bytes(), b"papaya/aead/mac"),
         }
     }
 }
@@ -126,7 +127,7 @@ mod tests {
     use super::*;
 
     fn key() -> AeadKey {
-        AeadKey::from_shared_secret(&[7u8; 32])
+        AeadKey::from_shared_secret(&SharedSecret::from([7u8; 32]))
     }
 
     #[test]
@@ -170,7 +171,7 @@ mod tests {
     #[test]
     fn wrong_key_rejected() {
         let k = key();
-        let other = AeadKey::from_shared_secret(&[8u8; 32]);
+        let other = AeadKey::from_shared_secret(&SharedSecret::from([8u8; 32]));
         let sealed = seal(&k, &[1u8; 12], b"", b"secret");
         assert_eq!(open(&other, b"", &sealed), Err(AeadError::TagMismatch));
     }

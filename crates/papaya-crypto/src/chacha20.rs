@@ -58,14 +58,20 @@ impl ChaCha20 {
         }
     }
 
-    /// Produces the 64-byte keystream block for the given block index.
-    pub fn block(&self, block_counter: u32) -> [u8; 64] {
+    /// The sixteen input words of block `block_counter`: constants, key,
+    /// counter, nonce.
+    fn input(&self, block_counter: u32) -> [u32; 16] {
         let mut state = [0u32; 16];
         state[..4].copy_from_slice(&SIGMA);
         state[4..12].copy_from_slice(&self.key);
         state[12] = block_counter;
         state[13..16].copy_from_slice(&self.nonce);
+        state
+    }
 
+    /// Produces the 64-byte keystream block for the given block index.
+    pub fn block(&self, block_counter: u32) -> [u8; 64] {
+        let state = self.input(block_counter);
         let mut working = state;
         for _ in 0..10 {
             // Column rounds.
@@ -87,13 +93,139 @@ impl ChaCha20 {
         out
     }
 
+    /// Writes keystream blocks `first .. first + 4` to `out`, concatenated:
+    /// bit-identical to four [`block`](ChaCha20::block) calls, computed four
+    /// lanes at a time on x86-64.
+    ///
+    /// # Panics
+    ///
+    /// Panics if block `first + 3` would pass block `2^32 - 1`: the 32-bit
+    /// counter would wrap and repeat the stream's first blocks.
+    fn blocks4(&self, first: u32, out: &mut [u8; 4 * 64]) {
+        assert!(
+            first <= u32::MAX - 3,
+            "ChaCha20: blocks {first}..={first}+3 pass block 2^32 - 1; the 32-bit counter would wrap"
+        );
+        #[cfg(target_arch = "x86_64")]
+        sse2::blocks4(&self.input(first), out);
+        #[cfg(not(target_arch = "x86_64"))]
+        for (i, chunk) in (0u32..).zip(out.chunks_exact_mut(64)) {
+            chunk.copy_from_slice(&self.block(first + i));
+        }
+    }
+
     /// Encrypts or decrypts `data` in place (XOR with the keystream starting
     /// at the cipher's initial counter).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data` runs past keystream block `2^32 - 1`: RFC 8439 caps
+    /// a message at `2^32` blocks, and a wrapped counter would reuse the
+    /// pad of the first blocks.
     pub fn apply_keystream(&self, data: &mut [u8]) {
         for (block_idx, chunk) in data.chunks_mut(64).enumerate() {
-            let ks = self.block(self.counter.wrapping_add(block_idx as u32));
+            let counter = u32::try_from(block_idx)
+                .ok()
+                .and_then(|i| self.counter.checked_add(i));
+            let Some(counter) = counter else {
+                panic!(
+                    "ChaCha20: message runs past block 2^32 - 1 (started at block {}); \
+                     the 32-bit counter would wrap and reuse the pad",
+                    self.counter
+                );
+            };
+            let ks = self.block(counter);
             for (b, k) in chunk.iter_mut().zip(ks.iter()) {
                 *b ^= k;
+            }
+        }
+    }
+}
+
+/// ChaCha20 on four consecutive blocks at once in SSE2, part of the x86-64
+/// baseline: vector `i` holds state word `i` of all four blocks, one block
+/// per lane, and a 4×4 transpose per group of four words puts each block's
+/// bytes back in order.
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod sse2 {
+    use std::arch::x86_64::{
+        __m128i, _mm_add_epi32, _mm_or_si128, _mm_set1_epi32, _mm_set_epi32, _mm_shufflehi_epi16,
+        _mm_shufflelo_epi16, _mm_slli_epi32, _mm_srli_epi32, _mm_storeu_si128, _mm_unpackhi_epi32,
+        _mm_unpackhi_epi64, _mm_unpacklo_epi32, _mm_unpacklo_epi64, _mm_xor_si128,
+    };
+
+    /// Every lane rotated left by `L` bits (`R` = `32 - L`).
+    #[target_feature(enable = "sse2")]
+    fn rotl<const L: i32, const R: i32>(x: __m128i) -> __m128i {
+        _mm_or_si128(_mm_slli_epi32::<L>(x), _mm_srli_epi32::<R>(x))
+    }
+
+    /// Every lane rotated by 16 bits: its two halves swapped.
+    #[target_feature(enable = "sse2")]
+    fn rotl16(x: __m128i) -> __m128i {
+        _mm_shufflehi_epi16::<0xB1>(_mm_shufflelo_epi16::<0xB1>(x))
+    }
+
+    #[target_feature(enable = "sse2")]
+    fn quarter_round(x: &mut [__m128i; 16], a: usize, b: usize, c: usize, d: usize) {
+        x[a] = _mm_add_epi32(x[a], x[b]);
+        x[d] = rotl16(_mm_xor_si128(x[d], x[a]));
+        x[c] = _mm_add_epi32(x[c], x[d]);
+        x[b] = rotl::<12, 20>(_mm_xor_si128(x[b], x[c]));
+        x[a] = _mm_add_epi32(x[a], x[b]);
+        x[d] = rotl::<8, 24>(_mm_xor_si128(x[d], x[a]));
+        x[c] = _mm_add_epi32(x[c], x[d]);
+        x[b] = rotl::<7, 25>(_mm_xor_si128(x[b], x[c]));
+    }
+
+    /// Writes to `out` the keystream of the block with input words `input`
+    /// and of the three blocks after it (counter word + 1, + 2, + 3, which
+    /// must not wrap).
+    pub(super) fn blocks4(input: &[u32; 16], out: &mut [u8; 4 * 64]) {
+        // SAFETY: `blocks4_sse2` enables only SSE2, which is part of the
+        // x86-64 baseline: every CPU this module compiles for has it.
+        unsafe { blocks4_sse2(input, out) }
+    }
+
+    /// [`blocks4`] itself.
+    ///
+    /// # Safety
+    ///
+    /// Needs SSE2, which every x86-64 CPU has.
+    #[target_feature(enable = "sse2")]
+    fn blocks4_sse2(input: &[u32; 16], out: &mut [u8; 4 * 64]) {
+        let mut state: [__m128i; 16] = core::array::from_fn(|i| _mm_set1_epi32(input[i] as i32));
+        state[12] = _mm_add_epi32(state[12], _mm_set_epi32(3, 2, 1, 0));
+        let mut x = state;
+        for _ in 0..10 {
+            quarter_round(&mut x, 0, 4, 8, 12);
+            quarter_round(&mut x, 1, 5, 9, 13);
+            quarter_round(&mut x, 2, 6, 10, 14);
+            quarter_round(&mut x, 3, 7, 11, 15);
+            quarter_round(&mut x, 0, 5, 10, 15);
+            quarter_round(&mut x, 1, 6, 11, 12);
+            quarter_round(&mut x, 2, 7, 8, 13);
+            quarter_round(&mut x, 3, 4, 9, 14);
+        }
+        for group in 0..4 {
+            let [a, b, c, d] =
+                core::array::from_fn(|i| _mm_add_epi32(x[4 * group + i], state[4 * group + i]));
+            let ab_low = _mm_unpacklo_epi32(a, b);
+            let cd_low = _mm_unpacklo_epi32(c, d);
+            let ab_high = _mm_unpackhi_epi32(a, b);
+            let cd_high = _mm_unpackhi_epi32(c, d);
+            let rows = [
+                _mm_unpacklo_epi64(ab_low, cd_low),
+                _mm_unpackhi_epi64(ab_low, cd_low),
+                _mm_unpacklo_epi64(ab_high, cd_high),
+                _mm_unpackhi_epi64(ab_high, cd_high),
+            ];
+            for (block, row) in rows.into_iter().enumerate() {
+                let dest = &mut out[64 * block + 16 * group..][..16];
+                // SAFETY: `dest` is 16 writable bytes, and `storeu` has no
+                // alignment requirement.
+                unsafe { _mm_storeu_si128(dest.as_mut_ptr().cast(), row) };
             }
         }
     }
@@ -117,20 +249,26 @@ impl ChaCha20 {
 #[derive(Clone, Debug)]
 pub struct ChaCha20Rng {
     cipher: ChaCha20,
-    block: [u8; 64],
-    block_idx: u32,
+    /// Keystream blocks `first_block .. first_block + 4`.
+    buffer: [u8; BUFFER_LEN],
+    first_block: u32,
+    /// Bytes of `buffer` already handed out.
     offset: usize,
 }
+
+/// The generator refills four blocks at a time.
+const BUFFER_LEN: usize = 4 * 64;
 
 impl ChaCha20Rng {
     /// Creates a generator from a 256-bit seed.
     pub fn from_seed(seed: [u8; 32]) -> Self {
         let cipher = ChaCha20::new(&seed, &[0u8; 12], 0);
-        let block = cipher.block(0);
+        let mut buffer = [0u8; BUFFER_LEN];
+        cipher.blocks4(0, &mut buffer);
         ChaCha20Rng {
             cipher,
-            block,
-            block_idx: 0,
+            buffer,
+            first_block: 0,
             offset: 0,
         }
     }
@@ -142,39 +280,58 @@ impl ChaCha20Rng {
         Self::from_seed(digest)
     }
 
-    /// Advances to the next keystream block.
+    /// Advances to the next four keystream blocks.
+    ///
+    /// # Panics
+    ///
+    /// Panics once the stream has handed out all `2^32` blocks its 32-bit
+    /// counter can address, rather than wrap and repeat them.
     fn refill(&mut self) {
-        self.block_idx = self.block_idx.wrapping_add(1);
-        self.block = self.cipher.block(self.block_idx);
+        let Some(next) = self.first_block.checked_add(4) else {
+            panic!("ChaCha20Rng: keystream exhausted at block 2^32; the 32-bit counter would wrap");
+        };
+        self.cipher.blocks4(next, &mut self.buffer);
+        self.first_block = next;
         self.offset = 0;
     }
 
-    /// The next `K` keystream bytes: one copy out of the current block when
-    /// it still holds `K`, byte by byte across the block boundary otherwise.
+    /// The next `K` keystream bytes: one copy out of the buffer when it
+    /// still holds `K`, [`next_bytes_at_edge`](Self::next_bytes_at_edge)
+    /// otherwise.
     #[inline]
     fn next_bytes<const K: usize>(&mut self) -> [u8; K] {
-        if self.offset == 64 {
-            self.refill();
+        if self.offset + K > BUFFER_LEN {
+            return self.next_bytes_at_edge();
         }
         let mut bytes = [0u8; K];
-        if self.offset + K <= 64 {
-            bytes.copy_from_slice(&self.block[self.offset..self.offset + K]);
-            self.offset += K;
-        } else {
-            for b in bytes.iter_mut() {
-                *b = self.next_byte();
-            }
+        bytes.copy_from_slice(&self.buffer[self.offset..self.offset + K]);
+        self.offset += K;
+        bytes
+    }
+
+    /// [`next_bytes`](Self::next_bytes) at the end of the buffer, once per
+    /// refill: refill and copy when the buffer is used up, byte by byte
+    /// when the `K` bytes straddle the refill.
+    #[cold]
+    #[inline(never)]
+    fn next_bytes_at_edge<const K: usize>(&mut self) -> [u8; K] {
+        if self.offset < BUFFER_LEN {
+            return core::array::from_fn(|_| self.next_byte());
         }
+        self.refill();
+        let mut bytes = [0u8; K];
+        bytes.copy_from_slice(&self.buffer[..K]);
+        self.offset = K;
         bytes
     }
 
     /// Returns the next byte of keystream.
     #[inline]
     pub fn next_byte(&mut self) -> u8 {
-        if self.offset == 64 {
+        if self.offset == BUFFER_LEN {
             self.refill();
         }
-        let b = self.block[self.offset];
+        let b = self.buffer[self.offset];
         self.offset += 1;
         b
     }
@@ -296,6 +453,68 @@ mod tests {
         // Decryption round-trips.
         cipher.apply_keystream(&mut data);
         assert_eq!(&data, plaintext);
+    }
+
+    #[test]
+    #[should_panic(expected = "counter would wrap")]
+    fn keystream_past_the_last_block_panics() {
+        // Block 2^32 - 1, then the counter would wrap to 0 and XOR block 0's
+        // pad into the second 64 bytes.
+        ChaCha20::new(&[1u8; 32], &[2u8; 12], u32::MAX).apply_keystream(&mut [0u8; 128]);
+    }
+
+    #[test]
+    fn keystream_up_to_the_last_block_is_allowed() {
+        let cipher = ChaCha20::new(&[1u8; 32], &[2u8; 12], u32::MAX);
+        let mut data = [0u8; 64];
+        cipher.apply_keystream(&mut data);
+        assert_eq!(data, cipher.block(u32::MAX));
+    }
+
+    #[test]
+    #[should_panic(expected = "counter would wrap")]
+    fn rng_refill_past_the_last_block_panics() {
+        let mut rng = ChaCha20Rng::from_seed([3u8; 32]);
+        rng.first_block = u32::MAX - 3;
+        rng.offset = BUFFER_LEN;
+        rng.next_byte();
+    }
+
+    #[test]
+    #[should_panic(expected = "counter would wrap")]
+    fn four_blocks_across_the_wrap_panic() {
+        ChaCha20::new(&[1u8; 32], &[2u8; 12], 0).blocks4(u32::MAX - 2, &mut [0u8; 4 * 64]);
+    }
+
+    /// The four-block kernel against four calls to the scalar
+    /// [`ChaCha20::block`], the RFC 8439 reference: random keys, nonces and
+    /// counters, plus the first block and the last four-block run before
+    /// the counter would wrap.
+    #[test]
+    fn four_block_keystream_matches_scalar_blocks() {
+        if cfg!(target_arch = "x86_64") {
+            println!("four_block_keystream_matches_scalar_blocks: SSE2 arm against block()");
+        }
+        blocks4_matches_block();
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        fn blocks4_matches_block(
+            key in proptest::prelude::any::<[u8; 32]>(),
+            nonce in proptest::prelude::any::<[u8; 12]>(),
+            counter in 0u32..=u32::MAX - 3,
+        ) {
+            let cipher = ChaCha20::new(&key, &nonce, 0);
+            for first in [counter, 0, u32::MAX - 3] {
+                let mut four = [0u8; 4 * 64];
+                cipher.blocks4(first, &mut four);
+                for (i, chunk) in (0u32..).zip(four.chunks_exact(64)) {
+                    proptest::prop_assert_eq!(chunk, &cipher.block(first + i)[..], "block {}", first);
+                }
+            }
+        }
     }
 
     #[test]

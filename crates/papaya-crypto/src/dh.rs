@@ -14,6 +14,7 @@
 
 use crate::bignum::{FixedBase, Montgomery, Uint, U2048};
 use crate::chacha20::ChaCha20Rng;
+use crate::hmac::{verify_tag, HmacKey};
 use crate::sha256::Sha256;
 use std::sync::Arc;
 
@@ -54,7 +55,60 @@ pub struct DhPrivateKey {
 }
 
 /// The 32-byte shared secret derived from a completed exchange.
-pub type SharedSecret = [u8; 32];
+///
+/// Key material, handled as such: no `Debug` (a secret cannot reach a log
+/// line), no `Clone` or `Copy` (each copy is one made on purpose, through
+/// the byte array it was built from), and `==` compares in constant time.
+///
+/// ```
+/// use papaya_crypto::chacha20::ChaCha20Rng;
+/// use papaya_crypto::dh::{DhGroup, DhPrivateKey};
+///
+/// let group = DhGroup::test_group_256();
+/// let mut rng = ChaCha20Rng::from_seed([1u8; 32]);
+/// let (a, b) = (DhPrivateKey::generate(&group, &mut rng), DhPrivateKey::generate(&group, &mut rng));
+/// assert!(a.shared_secret(&b.public_key()) == b.shared_secret(&a.public_key()));
+/// ```
+///
+/// ```compile_fail
+/// use papaya_crypto::chacha20::ChaCha20Rng;
+/// use papaya_crypto::dh::{DhGroup, DhPrivateKey};
+///
+/// let group = DhGroup::test_group_256();
+/// let mut rng = ChaCha20Rng::from_seed([1u8; 32]);
+/// let (a, b) = (DhPrivateKey::generate(&group, &mut rng), DhPrivateKey::generate(&group, &mut rng));
+/// println!("{:?}", a.shared_secret(&b.public_key()));
+/// ```
+pub struct SharedSecret([u8; 32]);
+
+impl SharedSecret {
+    /// The secret's bytes, for key derivation inside this crate.
+    pub(crate) fn as_bytes(&self) -> &[u8; 32] {
+        &self.0
+    }
+}
+
+impl From<[u8; 32]> for SharedSecret {
+    fn from(bytes: [u8; 32]) -> Self {
+        SharedSecret(bytes)
+    }
+}
+
+impl PartialEq for SharedSecret {
+    /// Constant time: every byte is compared, whichever differs first.
+    fn eq(&self, other: &Self) -> bool {
+        verify_tag(&self.0, &other.0)
+    }
+}
+
+impl Eq for SharedSecret {}
+
+impl From<&SharedSecret> for HmacKey {
+    /// The HMAC key that is the secret itself, its pad blocks absorbed.
+    fn from(secret: &SharedSecret) -> Self {
+        HmacKey::new(&secret.0)
+    }
+}
 
 impl DhGroup {
     /// The 2048-bit MODP group (group 14) from RFC 3526 with generator 2.
@@ -225,7 +279,7 @@ impl DhPrivateKey {
         let mut hasher = Sha256::new();
         hasher.update(self.group.name.as_bytes());
         hasher.update(&element_bytes);
-        hasher.finalize()
+        SharedSecret(hasher.finalize())
     }
 }
 
@@ -239,10 +293,7 @@ mod tests {
         let mut rng = ChaCha20Rng::from_seed([1u8; 32]);
         let a = DhPrivateKey::generate(&group, &mut rng);
         let b = DhPrivateKey::generate(&group, &mut rng);
-        assert_eq!(
-            a.shared_secret(&b.public_key()),
-            b.shared_secret(&a.public_key())
-        );
+        assert!(a.shared_secret(&b.public_key()) == b.shared_secret(&a.public_key()));
     }
 
     #[test]
@@ -251,10 +302,7 @@ mod tests {
         let mut rng = ChaCha20Rng::from_seed([2u8; 32]);
         let a = DhPrivateKey::generate(&group, &mut rng);
         let b = DhPrivateKey::generate(&group, &mut rng);
-        assert_eq!(
-            a.shared_secret(&b.public_key()),
-            b.shared_secret(&a.public_key())
-        );
+        assert!(a.shared_secret(&b.public_key()) == b.shared_secret(&a.public_key()));
     }
 
     #[test]
@@ -264,10 +312,7 @@ mod tests {
         let a = DhPrivateKey::generate(&group, &mut rng);
         let b = DhPrivateKey::generate(&group, &mut rng);
         let eve = DhPrivateKey::generate(&group, &mut rng);
-        assert_ne!(
-            a.shared_secret(&b.public_key()),
-            eve.shared_secret(&b.public_key())
-        );
+        assert!(a.shared_secret(&b.public_key()) != eve.shared_secret(&b.public_key()));
     }
 
     #[test]
@@ -279,9 +324,9 @@ mod tests {
             assert_eq!(tsa_pre.public_key(), tsa.public_key());
             for _ in 0..3 {
                 let client = DhPrivateKey::generate(&group, &mut rng);
-                assert_eq!(
-                    client.shared_secret_precomputed(&tsa_pre),
-                    client.shared_secret(&tsa.public_key()),
+                assert!(
+                    client.shared_secret_precomputed(&tsa_pre)
+                        == client.shared_secret(&tsa.public_key()),
                     "{}",
                     group.name()
                 );
@@ -318,7 +363,6 @@ mod tests {
         let a = DhPrivateKey::generate(&g1, &mut rng);
         let b = DhPrivateKey::generate(&g1, &mut rng);
         let s = a.shared_secret(&b.public_key());
-        assert_eq!(s.len(), 32);
-        assert_ne!(s, [0u8; 32]);
+        assert_ne!(s.as_bytes(), &[0u8; 32]);
     }
 }

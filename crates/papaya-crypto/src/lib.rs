@@ -15,6 +15,15 @@
 //! RFC 8439 for ChaCha20, RFC 3526 for the MODP Diffie–Hellman group) and are
 //! validated against published test vectors in the unit tests.
 //!
+//! On x86-64, SHA-256 compresses on the CPU's SHA extensions when it has
+//! them, and [`ChaCha20Rng`] computes its keystream four blocks at a time in
+//! SSE2.  The CPU decides; there is no switch.  Every digest and keystream
+//! byte is the same as from the portable kernels, which stay as the
+//! reference the differential tests compare against and as the only path on
+//! other CPUs.  Those two private modules are the only `unsafe` code in the
+//! workspace: this crate denies it everywhere else, and every other crate
+//! forbids it.
+//!
 //! **Scope note:** these primitives are written for protocol correctness and
 //! reproducibility of the paper's experiments, not as hardened production
 //! cryptography (no constant-time guarantees, no side-channel hardening).
@@ -32,8 +41,11 @@
 //! let bob = DhPrivateKey::generate(&group, &mut rng);
 //! let s1 = alice.shared_secret(&bob.public_key());
 //! let s2 = bob.shared_secret(&alice.public_key());
-//! assert_eq!(s1, s2);
+//! assert!(s1 == s2);
 //! ```
+
+#![deny(unsafe_code)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 pub mod aead;
 pub mod bignum;

@@ -120,53 +120,189 @@ impl Sha256 {
         out
     }
 
+    /// Absorbs one 64-byte block: on the CPU's SHA extensions when it has
+    /// them, in portable Rust otherwise.  Both give the same state.
     fn compress(&mut self, block: &[u8; 64]) {
-        let mut w = [0u32; 64];
-        for i in 0..16 {
-            w[i] = u32::from_be_bytes([
-                block[i * 4],
-                block[i * 4 + 1],
-                block[i * 4 + 2],
-                block[i * 4 + 3],
-            ]);
+        #[cfg(target_arch = "x86_64")]
+        if ni::available() {
+            ni::compress(&mut self.state, block);
+            return;
         }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
+        compress_portable(&mut self.state, block);
+    }
+}
+
+/// The FIPS 180-4 compression function in portable Rust: the reference the
+/// SHA-NI kernel is tested against, and the only kernel on other CPUs.
+fn compress_portable(state: &mut [u32; 8], block: &[u8; 64]) {
+    let mut w = [0u32; 64];
+    for i in 0..16 {
+        w[i] = u32::from_be_bytes([
+            block[i * 4],
+            block[i * 4 + 1],
+            block[i * 4 + 2],
+            block[i * 4 + 3],
+        ]);
+    }
+    for i in 16..64 {
+        let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+        let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+        w[i] = w[i - 16]
+            .wrapping_add(s0)
+            .wrapping_add(w[i - 7])
+            .wrapping_add(s1);
+    }
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+    for i in 0..64 {
+        let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+        let ch = (e & f) ^ ((!e) & g);
+        let temp1 = h
+            .wrapping_add(s1)
+            .wrapping_add(ch)
+            .wrapping_add(K[i])
+            .wrapping_add(w[i]);
+        let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+        let maj = (a & b) ^ (a & c) ^ (b & c);
+        let temp2 = s0.wrapping_add(maj);
+        h = g;
+        g = f;
+        f = e;
+        e = d.wrapping_add(temp1);
+        d = c;
+        c = b;
+        b = a;
+        a = temp1.wrapping_add(temp2);
+    }
+    state[0] = state[0].wrapping_add(a);
+    state[1] = state[1].wrapping_add(b);
+    state[2] = state[2].wrapping_add(c);
+    state[3] = state[3].wrapping_add(d);
+    state[4] = state[4].wrapping_add(e);
+    state[5] = state[5].wrapping_add(f);
+    state[6] = state[6].wrapping_add(g);
+    state[7] = state[7].wrapping_add(h);
+}
+
+/// SHA-256 on the x86-64 SHA extensions (`sha256rnds2`, `sha256msg1`,
+/// `sha256msg2`): two rounds per `rnds2`, the message schedule four words at
+/// a time.  The state lives as the two halves `ABEF` and `CDGH` the round
+/// instruction wants.
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod ni {
+    use super::K;
+    use std::arch::x86_64::{
+        __m128i, _mm_add_epi32, _mm_alignr_epi8, _mm_blend_epi16, _mm_loadu_si128, _mm_set_epi32,
+        _mm_set_epi64x, _mm_sha256msg1_epu32, _mm_sha256msg2_epu32, _mm_sha256rnds2_epu32,
+        _mm_shuffle_epi32, _mm_shuffle_epi8, _mm_storeu_si128,
+    };
+
+    /// Whether this CPU can run [`compress`].  The answer is cached by
+    /// `std`, so asking per block costs a load.
+    #[inline]
+    pub(super) fn available() -> bool {
+        is_x86_feature_detected!("sha")
+            && is_x86_feature_detected!("ssse3")
+            && is_x86_feature_detected!("sse4.1")
+    }
+
+    /// Absorbs one block into `state`, bit-identical to
+    /// [`compress_portable`](super::compress_portable).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the CPU lacks the features [`available`] checks.
+    #[inline]
+    pub(super) fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
+        assert!(available(), "SHA-NI compress called on a CPU without it");
+        // SAFETY: `available()` has just confirmed `sha`, `ssse3` and
+        // `sse4.1`, every feature `compress_ni` enables (SSE2 is part of the
+        // x86-64 baseline).
+        unsafe { compress_ni(state, block) }
+    }
+
+    /// Rounds `4 j .. 4 j + 4` on the message words `w` (`W[4j..4j+4]`).
+    #[target_feature(enable = "sha,sse2")]
+    fn rounds4(abef: &mut __m128i, cdgh: &mut __m128i, w: __m128i, j: usize) {
+        let k = lanes(&K[4 * j..]);
+        let wk = _mm_add_epi32(w, k);
+        *cdgh = _mm_sha256rnds2_epu32(*cdgh, *abef, wk);
+        *abef = _mm_sha256rnds2_epu32(*abef, *cdgh, _mm_shuffle_epi32(wk, 0x0E));
+    }
+
+    /// `W[4j..4j+4]` from the four groups before it, oldest first.
+    #[target_feature(enable = "sha,sse2,ssse3")]
+    fn schedule(w0: __m128i, w1: __m128i, w2: __m128i, w3: __m128i) -> __m128i {
+        let sigma0 = _mm_sha256msg1_epu32(w0, w1);
+        let plus_w7 = _mm_add_epi32(sigma0, _mm_alignr_epi8(w3, w2, 4));
+        _mm_sha256msg2_epu32(plus_w7, w3)
+    }
+
+    /// `words[0..4]` as one vector, lane `i` = `words[i]`.
+    #[target_feature(enable = "sse2")]
+    fn lanes(words: &[u32]) -> __m128i {
+        _mm_set_epi32(
+            words[3] as i32,
+            words[2] as i32,
+            words[1] as i32,
+            words[0] as i32,
+        )
+    }
+
+    /// [`compress`] itself.
+    ///
+    /// # Safety
+    ///
+    /// A caller outside this module's feature set must have checked
+    /// [`available`]: on a CPU without the features this is undefined
+    /// behaviour.
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    fn compress_ni(state: &mut [u32; 8], block: &[u8; 64]) {
+        // Big-endian message words: reverse the bytes of every lane.
+        let byte_swap = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
+        let abcd = lanes(&state[..4]);
+        let efgh = lanes(&state[4..]);
+        let cdab = _mm_shuffle_epi32(abcd, 0xB1);
+        let hgfe = _mm_shuffle_epi32(efgh, 0x1B);
+        let mut abef = _mm_alignr_epi8(cdab, hgfe, 8);
+        let mut cdgh = _mm_blend_epi16(hgfe, cdab, 0xF0);
+        let (abef_in, cdgh_in) = (abef, cdgh);
+
+        let [mut w0, mut w1, mut w2, mut w3]: [__m128i; 4] = core::array::from_fn(|j| {
+            // SAFETY: `block[16 j..]` holds at least 16 readable bytes for
+            // `j < 4`, and `loadu` has no alignment requirement.
+            let bytes = unsafe { _mm_loadu_si128(block[16 * j..].as_ptr().cast()) };
+            _mm_shuffle_epi8(bytes, byte_swap)
+        });
+        rounds4(&mut abef, &mut cdgh, w0, 0);
+        rounds4(&mut abef, &mut cdgh, w1, 1);
+        rounds4(&mut abef, &mut cdgh, w2, 2);
+        rounds4(&mut abef, &mut cdgh, w3, 3);
+        // Each group replaces the oldest of the four in flight.
+        for j in (4..16).step_by(4) {
+            w0 = schedule(w0, w1, w2, w3);
+            rounds4(&mut abef, &mut cdgh, w0, j);
+            w1 = schedule(w1, w2, w3, w0);
+            rounds4(&mut abef, &mut cdgh, w1, j + 1);
+            w2 = schedule(w2, w3, w0, w1);
+            rounds4(&mut abef, &mut cdgh, w2, j + 2);
+            w3 = schedule(w3, w0, w1, w2);
+            rounds4(&mut abef, &mut cdgh, w3, j + 3);
         }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ ((!e) & g);
-            let temp1 = h
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(K[i])
-                .wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let temp2 = s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(temp1);
-            d = c;
-            c = b;
-            b = a;
-            a = temp1.wrapping_add(temp2);
+        abef = _mm_add_epi32(abef, abef_in);
+        cdgh = _mm_add_epi32(cdgh, cdgh_in);
+
+        let feba = _mm_shuffle_epi32(abef, 0x1B);
+        let dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+        let abcd = _mm_blend_epi16(feba, dchg, 0xF0);
+        let efgh = _mm_alignr_epi8(dchg, feba, 8);
+        let (low, high) = state.split_at_mut(4);
+        // SAFETY: each half of `state` is four `u32`s, 16 writable bytes,
+        // and `storeu` has no alignment requirement.
+        unsafe {
+            _mm_storeu_si128(low.as_mut_ptr().cast(), abcd);
+            _mm_storeu_si128(high.as_mut_ptr().cast(), efgh);
         }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
     }
 }
 
@@ -274,6 +410,36 @@ mod tests {
         for (len, expected) in vectors {
             let message: Vec<u8> = (0..len).map(|i| ((i * 7 + 3) % 251) as u8).collect();
             assert_eq!(hex(&sha256(&message)), expected, "len {len}");
+        }
+    }
+
+    /// The SHA-NI kernel against [`compress_portable`], the reference it
+    /// must reproduce bit for bit, from random chaining values.  Prints
+    /// which arm ran, so a CI log shows whether the runner has SHA-NI.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn sha_ni_compress_matches_portable() {
+        if !ni::available() {
+            println!("sha_ni_compress_matches_portable: skipped, this CPU lacks SHA-NI");
+            return;
+        }
+        println!("sha_ni_compress_matches_portable: SHA-NI arm against compress_portable");
+        ni_compress_matches_portable();
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(1024))]
+
+        fn ni_compress_matches_portable(
+            state in proptest::prelude::any::<[u32; 8]>(),
+            block in proptest::prelude::any::<[u8; 64]>(),
+        ) {
+            let mut portable = state;
+            compress_portable(&mut portable, &block);
+            let mut accelerated = state;
+            ni::compress(&mut accelerated, &block);
+            proptest::prop_assert_eq!(accelerated, portable);
         }
     }
 

@@ -2,11 +2,14 @@
 
 use papaya_crypto::aead::{open, seal, AeadKey};
 use papaya_crypto::bignum::{Montgomery, U256};
-use papaya_crypto::chacha20::ChaCha20Rng;
-use papaya_crypto::dh::{DhGroup, DhPrivateKey};
+use papaya_crypto::chacha20::{ChaCha20, ChaCha20Rng};
+use papaya_crypto::dh::{DhGroup, DhPrivateKey, SharedSecret};
 use papaya_crypto::hmac::{hmac_sha256, HmacKey};
 use papaya_crypto::sha256::sha256;
 use proptest::prelude::*;
+
+/// The generator's refill size: four 64-byte ChaCha20 blocks.
+const REFILL: usize = 256;
 
 /// `next_u64` spelled out a byte at a time: the definition the word-wide
 /// reads have to reproduce.
@@ -102,7 +105,7 @@ proptest! {
         payload in proptest::collection::vec(any::<u8>(), 0..128),
         flip in any::<(usize, u8)>(),
     ) {
-        let key = AeadKey::from_shared_secret(&secret);
+        let key = AeadKey::from_shared_secret(&SharedSecret::from(secret));
         let sealed = seal(&key, &nonce, &ad, &payload);
         prop_assert_eq!(open(&key, &ad, &sealed).unwrap(), payload);
         let mut tampered = sealed.clone();
@@ -135,17 +138,19 @@ proptest! {
     }
 
     /// Word-wide keystream reads equal byte-wise reads from every offset in
-    /// a block, so every way a word can sit on or straddle a block boundary
-    /// is covered; 4- and 8-byte reads interleave.
+    /// the generator's 256-byte buffer, across two refills, so every way a
+    /// word can sit on or straddle a refill is covered; 4- and 8-byte reads
+    /// interleave.
     #[test]
     fn word_reads_match_bytewise_reads_from_every_offset(seed in any::<[u8; 32]>()) {
-        for offset in 0..64 {
+        for offset in 0..REFILL {
             let mut words = ChaCha20Rng::from_seed(seed);
             let mut bytes = ChaCha20Rng::from_seed(seed);
             for _ in 0..offset {
                 prop_assert_eq!(words.next_byte(), bytes.next_byte());
             }
-            for draw in 0..40 {
+            // 64 eight-byte and 16 four-byte draws: 576 bytes, past two refills.
+            for draw in 0..80 {
                 if draw % 5 == 4 {
                     let expected = u32::from_le_bytes(core::array::from_fn(|_| bytes.next_byte()));
                     prop_assert_eq!(words.next_u32(), expected, "offset {}", offset);
@@ -157,21 +162,22 @@ proptest! {
     }
 
     /// The bulk fill draws the stream of byte-wise `next_below` calls from
-    /// every offset in a block: for two bounds that reject half of all draws
+    /// every offset in the 256-byte buffer, across two refills: for two bounds that reject half of all draws
     /// (`2^63 + 1`, and the power of two `2^63`, which is reduced by mask
     /// but must reject all the same), for the simulator's `2^40` and for a
     /// small odd bound.
     #[test]
     fn fill_below_matches_bytewise_rejection_sampling(seed in any::<[u8; 32]>(), odd in 3u64..1_000_000) {
         for bound in [(1u64 << 63) + 1, 1 << 63, 1 << 40, odd | 1] {
-            for offset in 0..64 {
+            for offset in 0..REFILL {
                 let mut bulk = ChaCha20Rng::from_seed(seed);
                 let mut bytes = ChaCha20Rng::from_seed(seed);
                 for _ in 0..offset {
                     bulk.next_byte();
                     bytes.next_byte();
                 }
-                let mut filled = [0u64; 20];
+                // At least 72 draws of 8 bytes: 576 bytes, past two refills.
+                let mut filled = [0u64; 72];
                 bulk.fill_below(bound, &mut filled);
                 for (i, &got) in filled.iter().enumerate() {
                     prop_assert_eq!(got, bytewise_below(&mut bytes, bound), "bound {} offset {} draw {}", bound, offset, i);
@@ -181,6 +187,18 @@ proptest! {
                 prop_assert_eq!(bulk.next_byte(), bytes.next_byte());
             }
         }
+    }
+
+    /// The generator's stream is the RFC 8439 keystream under its seed,
+    /// all-zero nonce and counter 0 (here from the scalar block function
+    /// behind `apply_keystream`), across four refills.
+    #[test]
+    fn rng_stream_is_the_chacha20_keystream(seed in any::<[u8; 32]>()) {
+        let mut keystream = vec![0u8; 4 * REFILL + 8];
+        ChaCha20::new(&seed, &[0u8; 12], 0).apply_keystream(&mut keystream);
+        let mut rng = ChaCha20Rng::from_seed(seed);
+        let drawn: Vec<u8> = (0..keystream.len()).map(|_| rng.next_byte()).collect();
+        prop_assert_eq!(drawn, keystream);
     }
 
     /// ChaCha20 keystreams from different seeds differ, and `next_below`
@@ -205,6 +223,6 @@ proptest! {
         let mut rng = ChaCha20Rng::from_seed(seed);
         let a = DhPrivateKey::generate(&group, &mut rng);
         let b = DhPrivateKey::generate(&group, &mut rng);
-        prop_assert_eq!(a.shared_secret(&b.public_key()), b.shared_secret(&a.public_key()));
+        prop_assert!(a.shared_secret(&b.public_key()) == b.shared_secret(&a.public_key()));
     }
 }

@@ -27,6 +27,8 @@
 //! assert!(pop.device(0).execution_time_s > 0.0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod dataset;
 pub mod math;
 pub mod population;

@@ -26,6 +26,8 @@
 //! Unjustified, unknown, or unused allow directives are findings
 //! themselves.  See `RULES.md` for the catalog.
 
+#![forbid(unsafe_code)]
+
 pub mod docs_links;
 pub mod lexer;
 pub mod report;

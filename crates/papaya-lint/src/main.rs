@@ -10,6 +10,8 @@
 //! `--deny-all` (dead links always fail in `--docs-links` mode),
 //! `2` usage or I/O error.
 
+#![forbid(unsafe_code)]
+
 use papaya_lint::docs_links::check_docs_links;
 use papaya_lint::report::{parse_baseline, to_baseline, to_json, Finding};
 use papaya_lint::rules::all_rules;

@@ -27,6 +27,8 @@
 //! assert_eq!(result.delta.len(), global.len());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod model;
 pub mod trainer;
 

@@ -24,6 +24,8 @@
 //! assert_eq!(ParamVec::from_bytes(&delta.to_bytes()), delta);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod init;
 pub mod params;
 

@@ -53,6 +53,8 @@
 //! assert!((sum[0] - 3.0).abs() < 1e-3); // 0.5 + 1.0 + 1.5
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod attestation;
 pub mod client;
 pub mod cost;

@@ -59,7 +59,7 @@ impl fmt::Debug for RatchetKey {
 impl RatchetKey {
     /// Keys the ratchet with a freshly established shared secret.
     pub fn new(secret: &SharedSecret) -> Self {
-        RatchetKey(HmacKey::new(secret))
+        RatchetKey(HmacKey::from(secret))
     }
 
     /// Derives the one-time mask seed of participation `counter`: the first
@@ -317,8 +317,11 @@ mod tests {
             rng.fill_bytes(&mut secret);
             let mut seen = std::collections::HashSet::new();
             for counter in 0..64u64 {
-                let seed = RatchetKey::new(&secret).seed(counter);
-                assert_eq!(seed, RatchetKey::new(&secret).seed(counter));
+                let seed = RatchetKey::new(&SharedSecret::from(secret)).seed(counter);
+                assert_eq!(
+                    seed,
+                    RatchetKey::new(&SharedSecret::from(secret)).seed(counter)
+                );
                 assert!(seen.insert(seed), "counter {counter} reused a seed");
             }
         }
@@ -326,7 +329,7 @@ mod tests {
 
     #[test]
     fn debug_prints_no_key_material() {
-        let key = RatchetKey::new(&[7u8; 32]);
+        let key = RatchetKey::new(&SharedSecret::from([7u8; 32]));
         assert_eq!(format!("{key:?}"), "RatchetKey { .. }");
         let resumed = MaskPlanKind::Resumed { key };
         assert_eq!(format!("{resumed:?}"), "Resumed { key: RatchetKey { .. } }");
@@ -334,8 +337,8 @@ mod tests {
 
     #[test]
     fn distinct_secrets_give_distinct_seeds() {
-        let a = RatchetKey::new(&[1u8; 32]).seed(7);
-        let b = RatchetKey::new(&[2u8; 32]).seed(7);
+        let a = RatchetKey::new(&SharedSecret::from([1u8; 32])).seed(7);
+        let b = RatchetKey::new(&SharedSecret::from([2u8; 32])).seed(7);
         assert_ne!(a, b);
     }
 
@@ -347,7 +350,7 @@ mod tests {
         for _ in 0..16 {
             let mut secret = [0u8; 32];
             rng.fill_bytes(&mut secret);
-            let key = RatchetKey::new(&secret);
+            let key = RatchetKey::new(&SharedSecret::from(secret));
             for counter in [0u64, 1, 255, 256, u64::MAX] {
                 let mut message = b"papaya/session-mask/".to_vec();
                 message.extend_from_slice(&counter.to_be_bytes());
@@ -415,7 +418,7 @@ mod tests {
             vector_len: 32,
             params: config.group_params(),
             kind: MaskPlanKind::Resumed {
-                key: RatchetKey::new(&[7u8; 32]),
+                key: RatchetKey::new(&SharedSecret::from([7u8; 32])),
             },
         };
         let mut a = MaskScratch::default();

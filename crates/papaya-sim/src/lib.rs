@@ -50,6 +50,8 @@
 //! assert!(report.tasks[0].server_updates() > 0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod cluster;
 pub mod control_plane;
 pub mod events;

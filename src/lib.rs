@@ -13,6 +13,8 @@
 //! * [`papaya_nn`] / [`papaya_lm`] — flat parameter vectors and the
 //!   character-level LSTM language model.
 
+#![forbid(unsafe_code)]
+
 pub use papaya_core;
 pub use papaya_crypto;
 pub use papaya_data;
