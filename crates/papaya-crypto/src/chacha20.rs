@@ -123,18 +123,17 @@ impl ChaCha20 {
     /// a message at `2^32` blocks, and a wrapped counter would reuse the
     /// pad of the first blocks.
     pub fn apply_keystream(&self, data: &mut [u8]) {
+        let blocks = data.len().div_ceil(64) as u64;
+        assert!(
+            u64::from(self.counter) + blocks <= 1 << 32,
+            "ChaCha20: {} bytes from block {} run past block 2^32 - 1; \
+             the 32-bit counter would wrap and reuse the pad",
+            data.len(),
+            self.counter
+        );
         for (block_idx, chunk) in data.chunks_mut(64).enumerate() {
-            let counter = u32::try_from(block_idx)
-                .ok()
-                .and_then(|i| self.counter.checked_add(i));
-            let Some(counter) = counter else {
-                panic!(
-                    "ChaCha20: message runs past block 2^32 - 1 (started at block {}); \
-                     the 32-bit counter would wrap and reuse the pad",
-                    self.counter
-                );
-            };
-            let ks = self.block(counter);
+            // In range: asserted above.
+            let ks = self.block(self.counter + block_idx as u32);
             for (b, k) in chunk.iter_mut().zip(ks.iter()) {
                 *b ^= k;
             }

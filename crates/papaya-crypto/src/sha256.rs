@@ -260,12 +260,14 @@ mod ni {
     fn compress_ni(state: &mut [u32; 8], block: &[u8; 64]) {
         // Big-endian message words: reverse the bytes of every lane.
         let byte_swap = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
-        let abcd = lanes(&state[..4]);
-        let efgh = lanes(&state[4..]);
-        let cdab = _mm_shuffle_epi32(abcd, 0xB1);
-        let hgfe = _mm_shuffle_epi32(efgh, 0x1B);
-        let mut abef = _mm_alignr_epi8(cdab, hgfe, 8);
-        let mut cdgh = _mm_blend_epi16(hgfe, cdab, 0xF0);
+        // Vectors are named from the high lane down, as Intel writes them:
+        // `dcba` holds `a` in lane 0.
+        let dcba = lanes(&state[..4]);
+        let hgfe = lanes(&state[4..]);
+        let cdab = _mm_shuffle_epi32(dcba, 0xB1);
+        let efgh = _mm_shuffle_epi32(hgfe, 0x1B);
+        let mut abef = _mm_alignr_epi8(cdab, efgh, 8);
+        let mut cdgh = _mm_blend_epi16(efgh, cdab, 0xF0);
         let (abef_in, cdgh_in) = (abef, cdgh);
 
         let [mut w0, mut w1, mut w2, mut w3]: [__m128i; 4] = core::array::from_fn(|j| {
@@ -294,14 +296,14 @@ mod ni {
 
         let feba = _mm_shuffle_epi32(abef, 0x1B);
         let dchg = _mm_shuffle_epi32(cdgh, 0xB1);
-        let abcd = _mm_blend_epi16(feba, dchg, 0xF0);
-        let efgh = _mm_alignr_epi8(dchg, feba, 8);
+        let dcba = _mm_blend_epi16(feba, dchg, 0xF0);
+        let hgfe = _mm_alignr_epi8(dchg, feba, 8);
         let (low, high) = state.split_at_mut(4);
         // SAFETY: each half of `state` is four `u32`s, 16 writable bytes,
         // and `storeu` has no alignment requirement.
         unsafe {
-            _mm_storeu_si128(low.as_mut_ptr().cast(), abcd);
-            _mm_storeu_si128(high.as_mut_ptr().cast(), efgh);
+            _mm_storeu_si128(low.as_mut_ptr().cast(), dcba);
+            _mm_storeu_si128(high.as_mut_ptr().cast(), hgfe);
         }
     }
 }
