@@ -124,8 +124,7 @@ impl Sha256 {
     /// them, in portable Rust otherwise.  Both give the same state.
     fn compress(&mut self, block: &[u8; 64]) {
         #[cfg(target_arch = "x86_64")]
-        if ni::available() {
-            ni::compress(&mut self.state, block);
+        if ni::compress(&mut self.state, block) {
             return;
         }
         compress_portable(&mut self.state, block);
@@ -197,8 +196,8 @@ mod ni {
         _mm_shuffle_epi32, _mm_shuffle_epi8, _mm_storeu_si128,
     };
 
-    /// Whether this CPU can run [`compress`].  The answer is cached by
-    /// `std`, so asking per block costs a load.
+    /// Whether this CPU has the SHA extensions [`compress`] needs.  The
+    /// answer is cached by `std`, so asking per block costs a load.
     #[inline]
     pub(super) fn available() -> bool {
         is_x86_feature_detected!("sha")
@@ -207,18 +206,19 @@ mod ni {
     }
 
     /// Absorbs one block into `state`, bit-identical to
-    /// [`compress_portable`](super::compress_portable).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the CPU lacks the features [`available`] checks.
+    /// [`compress_portable`](super::compress_portable), and returns `true`;
+    /// on a CPU without the SHA extensions returns `false` and leaves
+    /// `state` as it was.
     #[inline]
-    pub(super) fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
-        assert!(available(), "SHA-NI compress called on a CPU without it");
+    pub(super) fn compress(state: &mut [u32; 8], block: &[u8; 64]) -> bool {
+        if !available() {
+            return false;
+        }
         // SAFETY: `available()` has just confirmed `sha`, `ssse3` and
         // `sse4.1`, every feature `compress_ni` enables (SSE2 is part of the
         // x86-64 baseline).
-        unsafe { compress_ni(state, block) }
+        unsafe { compress_ni(state, block) };
+        true
     }
 
     /// Rounds `4 j .. 4 j + 4` on the message words `w` (`W[4j..4j+4]`).
@@ -440,7 +440,7 @@ mod tests {
             let mut portable = state;
             compress_portable(&mut portable, &block);
             let mut accelerated = state;
-            ni::compress(&mut accelerated, &block);
+            proptest::prop_assert!(ni::compress(&mut accelerated, &block));
             proptest::prop_assert_eq!(accelerated, portable);
         }
     }
