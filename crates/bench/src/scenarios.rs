@@ -14,7 +14,8 @@
 //! * `fedbuff-20k` — single-task FedBuff over a 20 000-device population,
 //!   the paper's reference asynchronous workload;
 //! * `fedbuff-20k-secagg` — the same workload through AsyncSecAgg
-//!   (per-update key exchange and masking, per-buffer TSA key release);
+//!   (session-cached key exchange, ratcheted masks, per-buffer TSA key
+//!   release);
 //! * `fedbuff-20k-dp` — the same workload with user-level differential
 //!   privacy (per-update L2 clipping, seeded Gaussian release noise, RDP
 //!   accounting);

@@ -86,57 +86,6 @@ impl AccumulateOutcome {
     }
 }
 
-/// Lifetime counters every aggregation strategy maintains.
-///
-/// The counters survive [`Aggregator::take`] and [`Aggregator::reset`]: they
-/// describe the aggregator's whole history, not the buffer in progress.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct AggregatorStats {
-    /// Updates folded into a buffer.
-    pub accepted: u64,
-    /// Updates rejected for exceeding the staleness bound.
-    pub rejected_stale: u64,
-    /// Updates discarded because the goal was already met.
-    pub discarded: u64,
-    /// Sum of staleness over accepted updates.
-    pub staleness_sum: u64,
-    /// Largest staleness observed among accepted updates.
-    pub max_observed_staleness: u64,
-}
-
-impl AggregatorStats {
-    /// Mean staleness of accepted updates.
-    pub fn mean_staleness(&self) -> f64 {
-        if self.accepted == 0 {
-            0.0
-        } else {
-            self.staleness_sum as f64 / self.accepted as f64
-        }
-    }
-
-    /// Records an accepted update of the given staleness.
-    ///
-    /// All counters saturate instead of wrapping, so week-long soak runs
-    /// cannot panic a debug build on overflow.
-    pub fn record_accepted(&mut self, staleness: u64) {
-        self.accepted = self.accepted.saturating_add(1);
-        self.staleness_sum = self.staleness_sum.saturating_add(staleness);
-        self.max_observed_staleness = self.max_observed_staleness.max(staleness);
-    }
-
-    /// Records an update rejected for exceeding the staleness bound
-    /// (saturating).
-    pub fn record_rejected_stale(&mut self) {
-        self.rejected_stale = self.rejected_stale.saturating_add(1);
-    }
-
-    /// Records an update discarded because the goal was already met
-    /// (saturating).
-    pub fn record_discarded(&mut self) {
-        self.discarded = self.discarded.saturating_add(1);
-    }
-}
-
 /// The telemetry of an aggregation stack's decorators, as returned by
 /// [`Aggregator::stack_telemetry`]: `None` where the stack has no such
 /// layer, so the fields also say how a task is protected.
@@ -186,7 +135,7 @@ pub trait Aggregator: Send {
 
     /// Discards all buffered updates without releasing them (the process
     /// holding the buffer died).  Returns how many buffered updates were
-    /// dropped.  Lifetime [`stats`](Aggregator::stats) are preserved.
+    /// dropped.
     fn reset(&mut self) -> usize;
 
     /// The configured aggregation goal (`K` for buffered strategies, the
@@ -195,9 +144,6 @@ pub trait Aggregator: Send {
 
     /// Number of updates currently buffered.
     fn buffered(&self) -> usize;
-
-    /// Lifetime counters (accepted/rejected/staleness).
-    fn stats(&self) -> &AggregatorStats;
 
     /// The staleness bound this strategy enforces, if any.  Drivers use it
     /// to abort in-flight clients whose update could never be accepted
@@ -245,26 +191,11 @@ pub trait Aggregator: Send {
     }
 
     /// Plans the mask work for `client_id`'s next participation, burning its
-    /// ratchet counter (session-cached secure aggregation only).  The plan
-    /// is pure — drivers may compute it speculatively on a worker thread —
-    /// and must be called exactly once per participation that will reach
-    /// [`accumulate`](Aggregator::accumulate), in driver event order.
-    /// Clear strategies return `None`.
-    fn plan_mask_precompute(&mut self, _client_id: usize) -> Option<crate::secure::MaskPlan> {
-        None
-    }
-
-    /// Hands back the result of a speculatively computed
-    /// [`plan_mask_precompute`](Aggregator::plan_mask_precompute) plan so
-    /// the next [`accumulate`](Aggregator::accumulate) for that client can
-    /// skip the inline computation.  Stale results (from before an
-    /// invalidation) are ignored.  No-op for clear strategies.
-    fn provide_precomputed_mask(
-        &mut self,
-        _client_id: usize,
-        _mask: crate::secure::PrecomputedMask,
-    ) {
-    }
+    /// ratchet counter (session-cached secure aggregation only); the mask
+    /// is expanded from the plan at [`accumulate`](Aggregator::accumulate).
+    /// Must be called exactly once per participation that will reach
+    /// `accumulate`, in driver event order.  No-op for clear strategies.
+    fn plan_mask_precompute(&mut self, _client_id: usize) {}
 }
 
 /// Builds the aggregation strategy a task's [`TrainingMode`] asks for.
@@ -422,38 +353,6 @@ mod tests {
     }
 
     #[test]
-    fn stats_track_mean_and_max_staleness() {
-        let mut stats = AggregatorStats::default();
-        assert_eq!(stats.mean_staleness(), 0.0);
-        stats.record_accepted(0);
-        stats.record_accepted(4);
-        assert_eq!(stats.accepted, 2);
-        assert!((stats.mean_staleness() - 2.0).abs() < 1e-12);
-        assert_eq!(stats.max_observed_staleness, 4);
-    }
-
-    #[test]
-    fn stats_counters_saturate_instead_of_overflowing() {
-        // A soak run that somehow reaches u64::MAX must not panic in debug
-        // builds; the counters pin at the maximum.
-        let mut stats = AggregatorStats {
-            accepted: u64::MAX,
-            rejected_stale: u64::MAX,
-            discarded: u64::MAX,
-            staleness_sum: u64::MAX - 1,
-            max_observed_staleness: 0,
-        };
-        stats.record_accepted(7);
-        stats.record_rejected_stale();
-        stats.record_discarded();
-        assert_eq!(stats.accepted, u64::MAX);
-        assert_eq!(stats.rejected_stale, u64::MAX);
-        assert_eq!(stats.discarded, u64::MAX);
-        assert_eq!(stats.staleness_sum, u64::MAX);
-        assert_eq!(stats.max_observed_staleness, 7);
-    }
-
-    #[test]
     fn trait_objects_are_interchangeable() {
         let update = |id: usize, value: f32| ClientUpdate {
             client_id: id,
@@ -480,7 +379,6 @@ mod tests {
             assert!(agg.accumulate(update(1, 4.0), 0, 1.0).accepted());
             assert!(agg.is_ready(1.0));
             assert_eq!(agg.take(1.0).unwrap().as_slice(), &[3.0]);
-            assert_eq!(agg.stats().accepted, 2);
         }
     }
 }

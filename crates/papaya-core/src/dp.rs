@@ -43,7 +43,7 @@
 //! zero"), so a zero-noise DP run is **bit-exact** against the clear run —
 //! the equivalence the `dp_equivalence` suite pins.
 
-use crate::aggregator::{AccumulateOutcome, Aggregator, AggregatorStats, StackTelemetry};
+use crate::aggregator::{AccumulateOutcome, Aggregator, StackTelemetry};
 use crate::client::ClientUpdate;
 use crate::trace::{DecimatedTrace, Digest, TraceSample};
 use papaya_crypto::chacha20::ChaCha20Rng;
@@ -580,10 +580,6 @@ impl Aggregator for DpAggregator {
         self.inner.buffered()
     }
 
-    fn stats(&self) -> &AggregatorStats {
-        self.inner.stats()
-    }
-
     fn max_staleness(&self) -> Option<u64> {
         self.inner.max_staleness()
     }
@@ -607,14 +603,10 @@ impl Aggregator for DpAggregator {
         }
     }
 
-    // DP is the outer layer of the dp+secure stack, so the speculative
-    // mask-precompute hooks pass straight through to the secure layer.
-    fn plan_mask_precompute(&mut self, client_id: usize) -> Option<crate::secure::MaskPlan> {
+    // DP is the outer layer of the dp+secure stack, so mask planning
+    // passes straight through to the secure layer.
+    fn plan_mask_precompute(&mut self, client_id: usize) {
         self.inner.plan_mask_precompute(client_id)
-    }
-
-    fn provide_precomputed_mask(&mut self, client_id: usize, mask: crate::secure::PrecomputedMask) {
-        self.inner.provide_precomputed_mask(client_id, mask)
     }
 }
 

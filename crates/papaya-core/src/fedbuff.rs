@@ -20,7 +20,7 @@
 //! it as `Box<dyn Aggregator>` next to the synchronous strategy.
 
 pub use crate::aggregator::AccumulateOutcome;
-use crate::aggregator::{Aggregator, AggregatorStats, WeightedBuffer};
+use crate::aggregator::{Aggregator, WeightedBuffer};
 use crate::client::ClientUpdate;
 use crate::staleness::StalenessWeighting;
 use papaya_nn::params::ParamVec;
@@ -36,7 +36,6 @@ pub struct FedBuffAggregator {
     /// goal; `None` releases by count only.
     round_deadline_s: Option<f64>,
     buffer: WeightedBuffer,
-    stats: AggregatorStats,
     /// When the first update of the current buffer arrived.  Set only while
     /// a deadline is configured and the buffer is non-empty.
     open_since_s: Option<f64>,
@@ -63,7 +62,6 @@ impl FedBuffAggregator {
             weight_by_examples: true,
             round_deadline_s: None,
             buffer: WeightedBuffer::default(),
-            stats: AggregatorStats::default(),
             open_since_s: None,
         }
     }
@@ -105,7 +103,6 @@ impl Aggregator for FedBuffAggregator {
         let staleness = update.staleness(current_version);
         if let Some(max) = self.max_staleness {
             if staleness > max {
-                self.stats.record_rejected_stale();
                 return AccumulateOutcome::RejectedStale {
                     staleness,
                     max_staleness: max,
@@ -117,7 +114,6 @@ impl Aggregator for FedBuffAggregator {
             self.open_since_s = Some(now_s);
         }
         self.buffer.fold(&update.delta, weight);
-        self.stats.record_accepted(staleness);
         AccumulateOutcome::Accepted { staleness }
     }
 
@@ -152,10 +148,6 @@ impl Aggregator for FedBuffAggregator {
 
     fn buffered(&self) -> usize {
         self.buffer.len()
-    }
-
-    fn stats(&self) -> &AggregatorStats {
-        &self.stats
     }
 
     fn max_staleness(&self) -> Option<u64> {
@@ -229,13 +221,17 @@ mod tests {
     fn stale_updates_are_down_weighted() {
         let mut agg = FedBuffAggregator::new(2, StalenessWeighting::PolynomialHalf, None);
         // Fresh update of 0.0 and an update of 1.0 with staleness 3 (weight 1/2).
-        agg.accumulate(update(0, vec![0.0], 10, 5), 5, 0.0);
-        agg.accumulate(update(1, vec![1.0], 10, 2), 5, 0.0);
+        assert_eq!(
+            agg.accumulate(update(0, vec![0.0], 10, 5), 5, 0.0),
+            AccumulateOutcome::Accepted { staleness: 0 }
+        );
+        assert_eq!(
+            agg.accumulate(update(1, vec![1.0], 10, 2), 5, 0.0),
+            AccumulateOutcome::Accepted { staleness: 3 }
+        );
         let out = agg.take(0.0).unwrap();
         // Weighted average: (0*1 + 1*0.5) / 1.5 = 1/3.
         assert!((out.as_slice()[0] - 1.0 / 3.0).abs() < 1e-6);
-        assert!((agg.stats().mean_staleness() - 1.5).abs() < 1e-9);
-        assert_eq!(agg.stats().max_observed_staleness, 3);
     }
 
     #[test]
@@ -250,7 +246,6 @@ mod tests {
             }
         );
         assert!(!agg.is_ready(0.0));
-        assert_eq!(agg.stats().rejected_stale, 1);
         // A fresh update still works.
         assert!(agg
             .accumulate(update(1, vec![1.0], 10, 10), 10, 0.0)
@@ -269,12 +264,15 @@ mod tests {
     #[test]
     fn buffer_resets_after_take() {
         let mut agg = FedBuffAggregator::new(1, StalenessWeighting::Constant, None);
-        agg.accumulate(update(0, vec![2.0], 1, 0), 0, 0.0);
+        assert!(agg
+            .accumulate(update(0, vec![2.0], 1, 0), 0, 0.0)
+            .accepted());
         assert_eq!(agg.take(0.0).unwrap().as_slice(), &[2.0]);
         assert_eq!(agg.buffered(), 0);
-        agg.accumulate(update(1, vec![6.0], 1, 0), 0, 0.0);
+        assert!(agg
+            .accumulate(update(1, vec![6.0], 1, 0), 0, 0.0)
+            .accepted());
         assert_eq!(agg.take(0.0).unwrap().as_slice(), &[6.0]);
-        assert_eq!(agg.stats().accepted, 2);
     }
 
     #[test]
@@ -315,13 +313,15 @@ mod tests {
     #[test]
     fn reset_drops_buffered_updates() {
         let mut agg = FedBuffAggregator::new(3, StalenessWeighting::Constant, None);
-        agg.accumulate(update(0, vec![1.0], 5, 0), 0, 0.0);
-        agg.accumulate(update(1, vec![2.0], 5, 0), 0, 0.0);
+        assert!(agg
+            .accumulate(update(0, vec![1.0], 5, 0), 0, 0.0)
+            .accepted());
+        assert!(agg
+            .accumulate(update(1, vec![2.0], 5, 0), 0, 0.0)
+            .accepted());
         assert_eq!(agg.reset(), 2);
         assert_eq!(agg.buffered(), 0);
         assert!(agg.take(0.0).is_none());
-        // Lifetime counters survive the reset.
-        assert_eq!(agg.stats().accepted, 2);
         // The next goal starts from an empty buffer.
         agg.accumulate(update(2, vec![9.0], 5, 0), 0, 0.0);
         agg.accumulate(update(3, vec![9.0], 5, 0), 0, 0.0);
@@ -406,8 +406,6 @@ mod tests {
         assert_eq!(agg.reset(), 2);
         assert_eq!(agg.next_deadline_s(), None);
         assert!(!agg.is_ready(1e9));
-        // Lifetime counters survive.
-        assert_eq!(agg.stats().accepted, 2);
     }
 
     #[test]

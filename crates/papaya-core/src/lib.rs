@@ -81,7 +81,7 @@ pub mod sync_agg;
 pub mod trace;
 
 pub use adversary::{AdversarySpec, DeviationKind, Malice};
-pub use aggregator::{AccumulateOutcome, Aggregator, AggregatorStats};
+pub use aggregator::{AccumulateOutcome, Aggregator};
 pub use client::{ClientTrainer, ClientUpdate, LocalTrainResult};
 pub use config::{SecAggMode, TaskConfig, TrainingMode};
 pub use dp::{DpAggregator, DpConfig, DpTelemetry, PrivacyAccountant};

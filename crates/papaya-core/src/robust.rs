@@ -43,7 +43,7 @@
 //! privacy guarantee for robustness.  `docs/THREAT_MODEL.md` spells out
 //! this trade; the norm filter composes with both without caveats.
 
-use crate::aggregator::{AccumulateOutcome, Aggregator, AggregatorStats, StackTelemetry};
+use crate::aggregator::{AccumulateOutcome, Aggregator, StackTelemetry};
 use crate::client::ClientUpdate;
 use crate::trace::{DecimatedTrace, Digest, TraceSample};
 use papaya_nn::params::ParamVec;
@@ -316,10 +316,6 @@ impl Aggregator for RobustAggregator {
         self.inner.buffered()
     }
 
-    fn stats(&self) -> &AggregatorStats {
-        self.inner.stats()
-    }
-
     fn max_staleness(&self) -> Option<u64> {
         self.inner.max_staleness()
     }
@@ -343,14 +339,10 @@ impl Aggregator for RobustAggregator {
         }
     }
 
-    // Robust is the outermost layer of the stack, so the speculative
-    // mask-precompute hooks pass straight through to the secure layer.
-    fn plan_mask_precompute(&mut self, client_id: usize) -> Option<crate::secure::MaskPlan> {
+    // Robust is the outermost layer of the stack, so mask planning
+    // passes straight through to the secure layer.
+    fn plan_mask_precompute(&mut self, client_id: usize) {
         self.inner.plan_mask_precompute(client_id)
-    }
-
-    fn provide_precomputed_mask(&mut self, client_id: usize, mask: crate::secure::PrecomputedMask) {
-        self.inner.provide_precomputed_mask(client_id, mask)
     }
 }
 

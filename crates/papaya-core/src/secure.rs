@@ -3,8 +3,8 @@
 //!
 //! `SecureAggregator` wraps a `Box<dyn Aggregator>` and preserves its entire
 //! observable contract — accept/reject decisions, readiness (count, deadline,
-//! or round goal), lifetime stats, reset-on-crash semantics — while moving
-//! the *numerical* aggregation into ciphertext space:
+//! or round goal), reset-on-crash semantics — while moving the *numerical*
+//! aggregation into ciphertext space:
 //!
 //! * on [`accumulate`](Aggregator::accumulate) the simulated client
 //!   fixed-point-encodes its (weight-scaled) delta, masks it with a
@@ -39,7 +39,7 @@
 //! happens inside `accumulate`/`take`/`reset` on the event-loop thread, so
 //! simulations stay bit-identical at any training parallelism.
 
-use crate::aggregator::{AccumulateOutcome, Aggregator, AggregatorStats, StackTelemetry};
+use crate::aggregator::{AccumulateOutcome, Aggregator, StackTelemetry};
 use crate::client::ClientUpdate;
 use crate::config::{TaskConfig, TrainingMode};
 use crate::trace::DecimatedTrace;
@@ -49,16 +49,14 @@ use papaya_crypto::sha256::sha256;
 use papaya_nn::params::ParamVec;
 use papaya_secagg::fixed_point::FixedPointCodec;
 use papaya_secagg::group::GroupParams;
-use papaya_secagg::session::{HandshakeContext, HandshakePlan, MaskPlanKind, MaskRef, RatchetKey};
+use papaya_secagg::session::{
+    HandshakeContext, HandshakePlan, MaskPlan, MaskPlanKind, MaskRef, MaskScratch, PrecomputedMask,
+    RatchetKey,
+};
 use papaya_secagg::{SecAggClient, SecAggConfig, Tsa, TsaPublication, UntrustedAggregator};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
-
-// Re-exported so the `Aggregator` trait hooks and the simulator's executor
-// speak the same types without a papaya-secagg dependency at every call
-// site.
-pub use papaya_secagg::session::{MaskPlan, MaskScratch, PrecomputedMask};
 
 /// Cumulative counters of the secure pipeline, exported through
 /// [`Aggregator::stack_telemetry`].
@@ -128,20 +126,18 @@ impl SecureTelemetry {
 /// are not the whole decorator: planning, the host's masked sum, the inner
 /// strategy's reference fold and the release bookkeeping are untimed
 /// (a few percent of `secure.busy_s` on the benchmark's `secure-stack`).
-/// Speculatively precomputed masks are charged to the worker pool, not
-/// here, so under speculation `mask_s` collapses toward zero and
-/// `handshake_s` falls to the TSA's half, while `encode_s`/`unmask_s`
-/// (inherently on-loop) remain.
+/// Every mask is expanded inline at accumulate, so all four stages run on
+/// the event loop at any training parallelism.
 ///
 /// Excluded from [`SecureTelemetry`] (and from result fingerprints): wall
 /// time is machine-dependent, and fingerprints must not be.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct SecureTimings {
     /// Session handshakes: the client's half (attestation check, key
-    /// generation, Diffie–Hellman completion) when it runs inline, and the
-    /// TSA's half ([`Tsa::establish_session`], always on the loop).
+    /// generation, Diffie–Hellman completion) and the TSA's half
+    /// ([`Tsa::establish_session`]).
     pub handshake_s: f64,
-    /// Mask ratchet + expansion run inline.
+    /// Mask ratchet + expansion.
     pub mask_s: f64,
     /// Fixed-point encoding and mask application of uploads.
     pub encode_s: f64,
@@ -210,8 +206,7 @@ pub(crate) fn derive_seed(domain: &[u8], seed: u64) -> [u8; 32] {
 struct SessionState {
     /// Master key from which each client's deterministic session-handshake
     /// key is derived (keyed by client id and TSA epoch), so post-crash
-    /// re-handshakes get fresh keys without any shared protocol RNG draws —
-    /// the property that makes speculative precompute order-safe.
+    /// re-handshakes get fresh keys without any shared protocol RNG draws.
     client_master: HmacKey,
     /// Established sessions: client id → cached ratchet key.
     session_keys: BTreeMap<usize, RatchetKey>,
@@ -219,25 +214,17 @@ struct SessionState {
     /// participation later rejected by policy consumes its counter, so no
     /// two uploads ever share a mask seed.
     counters: BTreeMap<usize, u64>,
-    /// Plans issued (to the speculative executor) but not yet consumed.
+    /// Plans issued at selection but not yet consumed at accumulate.
     planned: BTreeMap<usize, MaskPlan>,
-    /// Speculative results handed back via
-    /// [`Aggregator::provide_precomputed_mask`].
-    provided: BTreeMap<usize, PrecomputedMask>,
     /// Mask references of the buffer in progress, released as one batch.
     pending_refs: Vec<MaskRef>,
-    /// Monotone plan-id source.
-    next_plan_id: u64,
-    /// Plans below this id predate an invalidation; their speculative
-    /// results are rejected on arrival.
-    valid_from_plan_id: u64,
     /// The epoch-invariant handshake material (group, TSA offer,
     /// publication, fixed-base table for the epoch key), built on the first
     /// handshake of each epoch and shared by every handshake plan of that
     /// epoch.  An epoch bump (crash, reset, republication) misses the cache
     /// and rebuilds.
     handshake_context: Option<Arc<HandshakeContext>>,
-    /// Reusable mask-expansion buffer for inline (non-speculative) computes.
+    /// Reusable mask-expansion buffer.
     scratch: MaskScratch,
 }
 
@@ -258,10 +245,7 @@ impl SessionState {
             session_keys: BTreeMap::new(),
             counters: BTreeMap::new(),
             planned: BTreeMap::new(),
-            provided: BTreeMap::new(),
             pending_refs: Vec::new(),
-            next_plan_id: 0,
-            valid_from_plan_id: 0,
             handshake_context: None,
             scratch: MaskScratch::default(),
         }
@@ -274,9 +258,8 @@ impl SessionState {
 ///
 /// * **Session-cached** (the default, [`SecureAggregator::new`]): per-client
 ///   Diffie–Hellman sessions are cached across participations, later masks
-///   are derived by ratcheting, mask expansion can run speculatively off the
-///   event loop, and the TSA releases each buffer in one batched
-///   round-trip.
+///   are derived by ratcheting, and the TSA releases each buffer in one
+///   batched round-trip.
 /// * **Per-update** ([`SecureAggregator::new_per_update`]): the original
 ///   protocol — a full key exchange and an individual seed forward per
 ///   masked update.  Kept as the reference implementation; masks cancel
@@ -435,10 +418,7 @@ impl SecureAggregator {
         let counter_slot = session.counters.entry(client_id).or_insert(0);
         let counter = *counter_slot;
         *counter_slot += 1;
-        let plan_id = session.next_plan_id;
-        session.next_plan_id += 1;
         MaskPlan {
-            plan_id,
             counter,
             vector_len: self.config.vector_len,
             params: self.config.group_params(),
@@ -447,29 +427,22 @@ impl SecureAggregator {
     }
 
     /// Takes the plan issued for `client_id` (or makes one on the spot) and
-    /// its mask: the speculative result when one with a matching plan id was
-    /// provided, an inline compute otherwise.
+    /// computes its mask.
     fn consume_mask(&mut self, client_id: usize) -> (MaskPlan, PrecomputedMask) {
         let planned = session_state(&mut self.session).planned.remove(&client_id);
         let plan = planned.unwrap_or_else(|| self.session_plan(client_id));
         let session = session_state(&mut self.session);
-        let pre = match session.provided.remove(&client_id) {
-            Some(pre) if pre.plan_id == plan.plan_id => pre,
-            _ => {
-                // papaya-lint: allow(wall-clock) -- stage timing for SecureTimings; profiling only, never fingerprinted
-                let start = Instant::now();
-                let pre = plan.compute(&mut session.scratch);
-                let elapsed = start.elapsed().as_secs_f64();
-                // The handshake's modexps dwarf the mask expansion, so an
-                // inline first contact is charged entirely to handshakes
-                // (the TSA's half is added where the session is established).
-                match plan.kind {
-                    MaskPlanKind::Handshake(_) => self.timings.handshake_s += elapsed,
-                    MaskPlanKind::Resumed { .. } => self.timings.mask_s += elapsed,
-                }
-                pre
-            }
-        };
+        // papaya-lint: allow(wall-clock) -- stage timing for SecureTimings; profiling only, never fingerprinted
+        let start = Instant::now();
+        let pre = plan.compute(&mut session.scratch);
+        let elapsed = start.elapsed().as_secs_f64();
+        // The handshake's modexps dwarf the mask expansion, so a first
+        // contact is charged entirely to handshakes (the TSA's half is
+        // added where the session is established).
+        match plan.kind {
+            MaskPlanKind::Handshake(_) => self.timings.handshake_s += elapsed,
+            MaskPlanKind::Resumed { .. } => self.timings.mask_s += elapsed,
+        }
         (plan, pre)
     }
 
@@ -720,9 +693,8 @@ impl Aggregator for SecureAggregator {
     /// release (the Aggregator holding the masked sum died); the TSA never
     /// unmasks a partial buffer.  In session mode the crash also
     /// invalidates every cached session — the enclave's epoch key died with
-    /// the process — so every client re-handshakes, and speculative results
-    /// planned before the crash are rejected by plan id.  The inner
-    /// strategy's lifetime stats survive, as the trait requires.
+    /// the process — so every client re-handshakes, and plans issued before
+    /// the crash are dropped.
     fn reset(&mut self) -> usize {
         if self.host.accepted() > 0 {
             self.telemetry.buffers_dropped_unreleased += 1;
@@ -733,9 +705,7 @@ impl Aggregator for SecureAggregator {
             session.session_keys.clear();
             session.counters.clear();
             session.planned.clear();
-            session.provided.clear();
             session.pending_refs.clear();
-            session.valid_from_plan_id = session.next_plan_id;
         } else {
             self.host.discard_buffer(&mut self.tsa);
         }
@@ -749,10 +719,6 @@ impl Aggregator for SecureAggregator {
 
     fn buffered(&self) -> usize {
         self.inner.buffered()
-    }
-
-    fn stats(&self) -> &AggregatorStats {
-        self.inner.stats()
     }
 
     fn max_staleness(&self) -> Option<u64> {
@@ -779,28 +745,18 @@ impl Aggregator for SecureAggregator {
         }
     }
 
-    /// Issues the mask plan for `client_id`'s upcoming participation so the
-    /// expensive half (handshake and/or mask expansion) can run
-    /// speculatively off the event loop.  Per-update mode returns `None` —
-    /// its protocol draws from a shared RNG and cannot move off-loop.
-    fn plan_mask_precompute(&mut self, client_id: usize) -> Option<MaskPlan> {
-        self.session.as_ref()?;
+    /// Issues the mask plan for `client_id`'s upcoming participation,
+    /// burning its ratchet counter in event order; `accumulate` expands the
+    /// mask from it.  A no-op in per-update mode, whose protocol draws from
+    /// a shared RNG at upload time.
+    fn plan_mask_precompute(&mut self, client_id: usize) {
+        if self.session.is_none() {
+            return;
+        }
         let plan = self.session_plan(client_id);
         session_state(&mut self.session)
             .planned
-            .insert(client_id, plan.clone());
-        Some(plan)
-    }
-
-    /// Accepts a speculatively computed mask.  Results whose plan predates
-    /// an invalidation are dropped — the plan's session died with the
-    /// crash, so its mask must never be applied.
-    fn provide_precomputed_mask(&mut self, client_id: usize, mask: PrecomputedMask) {
-        if let Some(session) = self.session.as_mut() {
-            if mask.plan_id >= session.valid_from_plan_id {
-                session.provided.insert(client_id, mask);
-            }
-        }
+            .insert(client_id, plan);
     }
 }
 
@@ -957,26 +913,34 @@ mod tests {
             // max_staleness is 5; staleness 7 must be rejected by the inner
             // policy, and the masked upload dropped without a seed forward.
             let outcome = agg.accumulate(update(0, vec![1.0, 1.0], 10, 0), 7, 0.0);
-            assert!(!outcome.accepted());
+            assert_eq!(
+                outcome,
+                AccumulateOutcome::RejectedStale {
+                    staleness: 7,
+                    max_staleness: 5
+                }
+            );
             assert_eq!(agg.telemetry().masked_discarded, 1);
             assert_eq!(agg.telemetry().masked_updates, 0);
             assert_eq!(agg.tsa.processed_clients(), 0);
             assert_eq!(agg.host.accepted(), 0);
-            assert_eq!(agg.stats().rejected_stale, 1);
         }
     }
 
     #[test]
     fn reset_drops_masked_buffer_without_key_release() {
         let mut agg = secure_fedbuff(3, StalenessWeighting::Constant);
-        agg.accumulate(update(0, vec![1.0, 1.0], 10, 0), 0, 0.0);
-        agg.accumulate(update(1, vec![2.0, 2.0], 10, 0), 0, 0.0);
+        assert!(agg
+            .accumulate(update(0, vec![1.0, 1.0], 10, 0), 0, 0.0)
+            .accepted());
+        assert!(agg
+            .accumulate(update(1, vec![2.0, 2.0], 10, 0), 0, 0.0)
+            .accepted());
         assert_eq!(agg.reset(), 2);
         let telemetry = agg.telemetry();
         assert_eq!(telemetry.buffers_dropped_unreleased, 1);
         assert_eq!(telemetry.tsa_key_releases, 0);
-        // Lifetime stats survive, and the next buffer is uncontaminated.
-        assert_eq!(agg.stats().accepted, 2);
+        // The next buffer is uncontaminated.
         for i in 0..3 {
             agg.accumulate(update(10 + i, vec![4.0, -4.0], 10, 0), 0, 1.0);
         }
@@ -1154,66 +1118,6 @@ mod tests {
         let a = session.take(0.0).unwrap();
         let b = per_update.take(0.0).unwrap();
         assert_eq!(a.as_slice(), b.as_slice());
-    }
-
-    #[test]
-    fn speculative_precompute_is_bit_identical_to_inline() {
-        use papaya_secagg::MaskScratch;
-        let run = |speculate: bool| {
-            let mut agg = secure_fedbuff(2, StalenessWeighting::Constant);
-            let mut scratch = MaskScratch::default();
-            let mut releases = Vec::new();
-            for round in 0..3u64 {
-                for id in 0..2usize {
-                    if speculate {
-                        // The executor's contract: compute the plan on some
-                        // worker, hand the result back before the upload.
-                        let plan = agg.plan_mask_precompute(id).unwrap();
-                        let pre = plan.compute(&mut scratch);
-                        agg.provide_precomputed_mask(id, pre);
-                    }
-                    agg.accumulate(
-                        update(id, vec![0.1 * id as f32, -0.2], 10, round),
-                        round,
-                        round as f64,
-                    );
-                }
-                releases.push(agg.take(round as f64).unwrap().as_slice().to_vec());
-            }
-            let hits = agg.telemetry().session_cache_hits;
-            let timings = agg.timings();
-            (releases, hits, timings)
-        };
-        let (inline_out, inline_hits, _) = run(false);
-        let (spec_out, spec_hits, spec_timings) = run(true);
-        assert_eq!(inline_out, spec_out);
-        assert_eq!(inline_hits, spec_hits);
-        // With every mask provided speculatively, no client handshake or
-        // mask expansion ever ran on the "event loop": what is left of
-        // `handshake_s` is the TSA's half, paid once per first contact.
-        assert_eq!(spec_timings.mask_s, 0.0);
-        assert!(spec_timings.handshake_s > 0.0);
-        assert!(spec_timings.encode_s > 0.0);
-    }
-
-    #[test]
-    fn stale_speculative_results_are_rejected_after_reset() {
-        let mut agg = secure_fedbuff(2, StalenessWeighting::Constant);
-        let plan = agg.plan_mask_precompute(0).unwrap();
-        let pre = plan.compute(&mut papaya_secagg::MaskScratch::default());
-        // The aggregator crashes between the plan and the result arriving.
-        agg.reset();
-        agg.provide_precomputed_mask(0, pre);
-        assert!(
-            agg.session.as_ref().unwrap().provided.is_empty(),
-            "a pre-crash speculative mask must not survive the invalidation"
-        );
-        // The post-crash epoch re-handshakes and still aggregates exactly.
-        agg.accumulate(update(0, vec![1.0, -1.0], 10, 0), 0, 1.0);
-        agg.accumulate(update(1, vec![3.0, 1.0], 10, 0), 0, 1.0);
-        let out = agg.take(1.0).unwrap();
-        assert!((out.as_slice()[0] - 2.0).abs() < 1e-4, "{out:?}");
-        assert_eq!(agg.telemetry().session_cache_misses, 2);
     }
 
     #[test]

@@ -96,23 +96,76 @@ fn check_arguments(num_clients: usize, dim: usize, client_id: usize, params: &Pa
     assert_eq!(params.len(), dim, "parameter length mismatch");
 }
 
+/// Draws the population-level optimum, then the unit bias direction for
+/// heavy clients, from the head of a trainer's construction stream.
+fn draw_global_optimum_and_bias(rng: &mut StdRng, dim: usize) -> (Vec<f32>, Vec<f32>) {
+    let global_optimum: Vec<f32> = (0..dim).map(|_| standard_normal(rng)).collect();
+    let mut bias_direction: Vec<f32> = (0..dim).map(|_| standard_normal(rng)).collect();
+    let norm = bias_direction
+        .iter()
+        .map(|x| x * x)
+        .sum::<f32>()
+        .sqrt()
+        .max(1e-6);
+    for b in bias_direction.iter_mut() {
+        *b /= norm;
+    }
+    (global_optimum, bias_direction)
+}
+
+/// Draws the initial model: the global optimum displaced by
+/// `init_distance` along a random direction, so there is something to
+/// learn.
+fn draw_initial_model(
+    rng: &mut StdRng,
+    config: &SurrogateConfig,
+    global_optimum: &[f32],
+) -> ParamVec {
+    let init_dir: Vec<f32> = (0..config.dim).map(|_| standard_normal(rng)).collect();
+    let norm = init_dir.iter().map(|x| x * x).sum::<f32>().sqrt().max(1e-6);
+    let initial: Vec<f32> = (0..config.dim)
+        .map(|j| global_optimum[j] + config.init_distance * init_dir[j] / norm)
+        .collect();
+    ParamVec::from_vec(initial)
+}
+
+/// Local SGD on the quadratic toward `optimum`: the training body both
+/// surrogates share.  Callers have checked the arguments.
+fn train_toward(
+    config: &SurrogateConfig,
+    client_id: usize,
+    global: &ParamVec,
+    seed: u64,
+    optimum: &[f32],
+    examples: usize,
+) -> LocalTrainResult {
+    let mut rng = StdRng::seed_from_u64(seed ^ (client_id as u64).wrapping_mul(0x9e37_79b9));
+    let steps = (examples.div_ceil(config.batch_size)).clamp(1, config.max_local_steps);
+    // Gradient noise shrinks with the batch size actually used.
+    let noise_scale =
+        config.gradient_noise / (config.batch_size.min(examples).max(1) as f32).sqrt();
+
+    let mut w: Vec<f32> = global.as_slice().to_vec();
+    for _ in 0..steps {
+        for j in 0..config.dim {
+            let grad = (w[j] - optimum[j]) + noise_scale * standard_normal(&mut rng);
+            w[j] -= config.local_learning_rate * grad;
+        }
+    }
+    let train_loss = loss_at(&w, optimum) as f32;
+    LocalTrainResult {
+        delta: ParamVec::from_vec(w).sub(global),
+        num_examples: examples,
+        train_loss,
+    }
+}
+
 impl SurrogateObjective {
     /// Builds the objective for a device population.
     pub fn new(population: &Population, config: SurrogateConfig, seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
         let dim = config.dim;
-        // Population-level optimum and the bias direction for heavy clients.
-        let global_optimum: Vec<f32> = (0..dim).map(|_| standard_normal(&mut rng)).collect();
-        let mut bias_direction: Vec<f32> = (0..dim).map(|_| standard_normal(&mut rng)).collect();
-        let norm = bias_direction
-            .iter()
-            .map(|x| x * x)
-            .sum::<f32>()
-            .sqrt()
-            .max(1e-6);
-        for b in bias_direction.iter_mut() {
-            *b /= norm;
-        }
+        let (global_optimum, bias_direction) = draw_global_optimum_and_bias(&mut rng, dim);
         let max_examples = population
             .iter()
             .map(|d| d.num_examples)
@@ -134,20 +187,12 @@ impl SurrogateObjective {
             client_optima.push(optimum);
             num_examples.push(device.num_examples);
         }
-
-        // Initial model: global optimum displaced by init_distance along a
-        // random direction, so there is something to learn.
-        let init_dir: Vec<f32> = (0..dim).map(|_| standard_normal(&mut rng)).collect();
-        let norm = init_dir.iter().map(|x| x * x).sum::<f32>().sqrt().max(1e-6);
-        let initial: Vec<f32> = (0..dim)
-            .map(|j| global_optimum[j] + config.init_distance * init_dir[j] / norm)
-            .collect();
-
+        let initial = draw_initial_model(&mut rng, &config, &global_optimum);
         SurrogateObjective {
             config,
             client_optima,
             num_examples,
-            initial: ParamVec::from_vec(initial),
+            initial,
         }
     }
 
@@ -255,30 +300,15 @@ impl ProceduralSurrogate {
     /// Builds the objective for a device population.
     pub fn new(population: &Population, config: SurrogateConfig, seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
-        let dim = config.dim;
-        let global_optimum: Vec<f32> = (0..dim).map(|_| standard_normal(&mut rng)).collect();
-        let mut bias_direction: Vec<f32> = (0..dim).map(|_| standard_normal(&mut rng)).collect();
-        let norm = bias_direction
-            .iter()
-            .map(|x| x * x)
-            .sum::<f32>()
-            .sqrt()
-            .max(1e-6);
-        for b in bias_direction.iter_mut() {
-            *b /= norm;
-        }
+        let (global_optimum, bias_direction) = draw_global_optimum_and_bias(&mut rng, config.dim);
         let num_examples: Vec<u32> = population.iter().map(|d| d.num_examples as u32).collect();
         let max_examples = num_examples.iter().copied().max().unwrap_or(1).max(1) as f32;
-        let init_dir: Vec<f32> = (0..dim).map(|_| standard_normal(&mut rng)).collect();
-        let norm = init_dir.iter().map(|x| x * x).sum::<f32>().sqrt().max(1e-6);
-        let initial: Vec<f32> = (0..dim)
-            .map(|j| global_optimum[j] + config.init_distance * init_dir[j] / norm)
-            .collect();
+        let initial = draw_initial_model(&mut rng, &config, &global_optimum);
         ProceduralSurrogate {
             config,
             global_optimum,
             bias_direction,
-            initial: ParamVec::from_vec(initial),
+            initial,
             num_examples,
             max_examples,
             seed,
@@ -332,27 +362,14 @@ impl ClientTrainer for ProceduralSurrogate {
 
     fn train(&self, client_id: usize, global: &ParamVec, seed: u64) -> LocalTrainResult {
         check_arguments(self.num_clients(), self.config.dim, client_id, global);
-        let mut rng = StdRng::seed_from_u64(seed ^ (client_id as u64).wrapping_mul(0x9e37_79b9));
-        let optimum = self.client_optimum(client_id);
-        let examples = self.num_examples[client_id] as usize;
-        let steps =
-            (examples.div_ceil(self.config.batch_size)).clamp(1, self.config.max_local_steps);
-        let noise_scale = self.config.gradient_noise
-            / (self.config.batch_size.min(examples).max(1) as f32).sqrt();
-
-        let mut w: Vec<f32> = global.as_slice().to_vec();
-        for _ in 0..steps {
-            for j in 0..self.config.dim {
-                let grad = (w[j] - optimum[j]) + noise_scale * standard_normal(&mut rng);
-                w[j] -= self.config.local_learning_rate * grad;
-            }
-        }
-        let train_loss = loss_at(&w, &optimum) as f32;
-        LocalTrainResult {
-            delta: ParamVec::from_vec(w).sub(global),
-            num_examples: examples,
-            train_loss,
-        }
+        train_toward(
+            &self.config,
+            client_id,
+            global,
+            seed,
+            &self.client_optimum(client_id),
+            self.num_examples[client_id] as usize,
+        )
     }
 
     fn evaluate(&self, params: &ParamVec, client_ids: &[usize]) -> f64 {
@@ -387,28 +404,14 @@ impl ClientTrainer for SurrogateObjective {
 
     fn train(&self, client_id: usize, global: &ParamVec, seed: u64) -> LocalTrainResult {
         check_arguments(self.num_clients(), self.config.dim, client_id, global);
-        let mut rng = StdRng::seed_from_u64(seed ^ (client_id as u64).wrapping_mul(0x9e37_79b9));
-        let optimum = &self.client_optima[client_id];
-        let examples = self.num_examples[client_id];
-        let steps =
-            (examples.div_ceil(self.config.batch_size)).clamp(1, self.config.max_local_steps);
-        // Gradient noise shrinks with the batch size actually used.
-        let noise_scale = self.config.gradient_noise
-            / (self.config.batch_size.min(examples).max(1) as f32).sqrt();
-
-        let mut w: Vec<f32> = global.as_slice().to_vec();
-        for _ in 0..steps {
-            for j in 0..self.config.dim {
-                let grad = (w[j] - optimum[j]) + noise_scale * standard_normal(&mut rng);
-                w[j] -= self.config.local_learning_rate * grad;
-            }
-        }
-        let train_loss = loss_at(&w, optimum) as f32;
-        LocalTrainResult {
-            delta: ParamVec::from_vec(w).sub(global),
-            num_examples: examples,
-            train_loss,
-        }
+        train_toward(
+            &self.config,
+            client_id,
+            global,
+            seed,
+            &self.client_optima[client_id],
+            self.num_examples[client_id],
+        )
     }
 
     fn evaluate(&self, params: &ParamVec, client_ids: &[usize]) -> f64 {

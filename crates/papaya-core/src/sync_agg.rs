@@ -12,7 +12,7 @@
 //! ([`closes_round_on_release`](Aggregator::closes_round_on_release)):
 //! drivers abort still-running cohort members when it releases.
 
-use crate::aggregator::{AccumulateOutcome, Aggregator, AggregatorStats, WeightedBuffer};
+use crate::aggregator::{AccumulateOutcome, Aggregator, WeightedBuffer};
 use crate::client::ClientUpdate;
 use papaya_nn::params::ParamVec;
 
@@ -22,7 +22,6 @@ pub struct SyncRoundAggregator {
     aggregation_goal: usize,
     weight_by_examples: bool,
     buffer: WeightedBuffer,
-    stats: AggregatorStats,
 }
 
 impl SyncRoundAggregator {
@@ -37,7 +36,6 @@ impl SyncRoundAggregator {
             aggregation_goal,
             weight_by_examples: true,
             buffer: WeightedBuffer::default(),
-            stats: AggregatorStats::default(),
         }
     }
 
@@ -61,13 +59,11 @@ impl Aggregator for SyncRoundAggregator {
         _now_s: f64,
     ) -> AccumulateOutcome {
         if self.buffer.len() >= self.aggregation_goal {
-            self.stats.record_discarded();
             return AccumulateOutcome::Discarded;
         }
         let staleness = update.staleness(current_version);
         let weight = self.update_weight(update.num_examples, staleness);
         self.buffer.fold(&update.delta, weight);
-        self.stats.record_accepted(staleness);
         AccumulateOutcome::Accepted { staleness }
     }
 
@@ -92,10 +88,6 @@ impl Aggregator for SyncRoundAggregator {
 
     fn buffered(&self) -> usize {
         self.buffer.len()
-    }
-
-    fn stats(&self) -> &AggregatorStats {
-        &self.stats
     }
 
     fn closes_round_on_release(&self) -> bool {
@@ -147,7 +139,6 @@ mod tests {
             agg.accumulate(update(1, vec![100.0], 1), 0, 0.0),
             AccumulateOutcome::Discarded
         );
-        assert_eq!(agg.stats().discarded, 1);
         let out = agg.take(0.0).unwrap();
         assert_eq!(out.as_slice(), &[1.0]);
     }

@@ -24,8 +24,8 @@ pub fn expand_mask(seed: &MaskSeed, params: GroupParams, len: usize) -> GroupVec
 
 /// Expands `seed` into `out`, reusing the buffer's capacity.  This is the one
 /// expansion loop ([`expand_mask`] wraps it); hot paths that expand many
-/// masks (the batched TSA release, the per-worker speculative precompute)
-/// call it with a long-lived scratch buffer to avoid per-mask allocation.
+/// masks (the batched TSA release, the session-mode client masks) call it
+/// with a long-lived scratch buffer to avoid per-mask allocation.
 pub fn expand_mask_into(seed: &MaskSeed, params: GroupParams, len: usize, out: &mut Vec<u64>) {
     let mut rng = ChaCha20Rng::from_seed16(*seed);
     out.clear();

@@ -1,4 +1,4 @@
-//! Session-cached key exchange and speculative mask precompute.
+//! Session-cached key exchange and mask plans.
 //!
 //! The per-update protocol in [`crate::client`] pays four group
 //! exponentiations per masked update (two key generations, two shared
@@ -27,10 +27,10 @@
 //! The [`MaskPlan`]/[`PrecomputedMask`] pair makes the expensive half of a
 //! participation *pure*: a plan captures `(session secret or handshake
 //! material, counter, vector length, group)`, and [`MaskPlan::compute`] is a
-//! deterministic function of the plan alone.  The simulator exploits this to
-//! run mask expansion speculatively on the training worker pool at selection
-//! time, with the same submit/strict-consume/discard discipline as
-//! speculative training — bit-identical results at any thread count.
+//! deterministic function of the plan alone.  The simulator issues a plan at
+//! selection time, burning its counter in event order, and expands the mask
+//! from it when the upload is accumulated — bit-identical results at any
+//! thread count.
 
 use crate::attestation::{verify_quote, AttestationQuote, TsaPublication};
 use crate::group::{GroupParams, GroupVec};
@@ -191,9 +191,6 @@ impl HandshakeContext {
 /// its fields: computing it twice yields bit-identical results.
 #[derive(Clone, Debug)]
 pub struct MaskPlan {
-    /// Monotonic id used by the planner to reject stale speculative results
-    /// after an invalidation.
-    pub plan_id: u64,
     /// The ratchet counter burned for this participation.
     pub counter: u64,
     /// Mask length (the model's flattened parameter count).
@@ -208,16 +205,14 @@ pub struct MaskPlan {
 /// first-contact plan, the handshake to install in the caches.
 #[derive(Clone, Debug)]
 pub struct PrecomputedMask {
-    /// Echo of [`MaskPlan::plan_id`].
-    pub plan_id: u64,
     /// The expanded one-time pad.
     pub mask: GroupVec,
     /// Present when the plan performed a handshake.
     pub handshake: Option<SessionHandshake>,
 }
 
-/// A reusable expansion buffer so repeated [`MaskPlan::compute`] calls on
-/// one worker allocate once per mask instead of twice.
+/// A reusable expansion buffer so repeated [`MaskPlan::compute`] calls
+/// allocate once per mask instead of twice.
 #[derive(Debug, Default)]
 pub struct MaskScratch {
     /// The staging buffer; keeps its capacity across computations.
@@ -274,7 +269,7 @@ fn handshake_inner(
 
 impl MaskPlan {
     /// Executes the plan: handshake if needed, ratchet, mask expansion.
-    /// Deterministic in the plan's fields; safe to run on any worker thread.
+    /// Deterministic in the plan's fields.
     pub fn compute(&self, scratch: &mut MaskScratch) -> PrecomputedMask {
         let (seed, handshake) = match &self.kind {
             MaskPlanKind::Resumed { key } => (key.seed(self.counter), None),
@@ -292,7 +287,6 @@ impl MaskPlan {
         };
         expand_mask_into(&seed, self.params, self.vector_len, &mut scratch.values);
         PrecomputedMask {
-            plan_id: self.plan_id,
             mask: GroupVec::from_reduced(self.params, scratch.values.clone()),
             handshake,
         }
@@ -370,7 +364,6 @@ mod tests {
         let init = tsa.session_init();
         let key_seed = [0x33u8; 32];
         let handshake_plan = MaskPlan {
-            plan_id: 0,
             counter: 5,
             vector_len: 64,
             params: config.group_params(),
@@ -395,7 +388,6 @@ mod tests {
 
         let key = installed.key.clone();
         let resumed_plan = MaskPlan {
-            plan_id: 1,
             counter: 5,
             vector_len: 64,
             params: config.group_params(),
@@ -413,7 +405,6 @@ mod tests {
     fn compute_is_pure_across_scratch_reuse_and_instances() {
         let config = SecAggConfig::insecure_fast(32, 1);
         let plan = MaskPlan {
-            plan_id: 9,
             counter: 3,
             vector_len: 32,
             params: config.group_params(),

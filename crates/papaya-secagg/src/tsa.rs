@@ -363,9 +363,8 @@ impl Tsa {
     pub fn session_init(&mut self) -> SessionInitMessage {
         if self.epoch_init.is_none() {
             // The epoch key is derived from the hardware key and the epoch
-            // number, so it never touches the shared protocol RNG: session
-            // establishment consumes no randomness whose order could differ
-            // between sequential and speculative execution.
+            // number, so it never touches the shared protocol RNG: when a
+            // session is established cannot shift any other draw.
             let mut info = b"papaya/epoch-key/".to_vec();
             info.extend_from_slice(&self.epoch.to_be_bytes());
             let seed = hmac_sha256(&self.hardware_key, &info);

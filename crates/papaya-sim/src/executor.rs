@@ -30,7 +30,6 @@
 //! the simulation but never serializes it.
 
 use papaya_core::client::{ClientTrainer, LocalTrainResult};
-use papaya_core::secure::{MaskPlan, MaskScratch, PrecomputedMask};
 use papaya_nn::params::ParamVec;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -84,7 +83,7 @@ impl TrainJob {
     }
 }
 
-/// Where one participation's work of one kind stands.
+/// Where one participation's training stands.
 #[derive(Debug, PartialEq)]
 enum Slot<J, T> {
     /// Submitted; no worker has picked it up.
@@ -101,10 +100,10 @@ enum Slot<J, T> {
     Done(Result<T, String>),
 }
 
-/// One kind of speculative work — jobs `J` producing `T` — keyed by
-/// participation id.  An id without a slot was never submitted or is
-/// finished with.  Ids are unique for the executor's lifetime, so `push`
-/// only ever meets an id without a slot.
+/// Speculative work — jobs `J` producing `T` — keyed by participation id.
+/// An id without a slot was never submitted or is finished with.  Ids are
+/// unique for the executor's lifetime, so `push` only ever meets an id
+/// without a slot.
 struct Lane<J, T> {
     slots: BTreeMap<u64, Slot<J, T>>,
     /// Submission order of queued ids; ids since taken or discarded are
@@ -189,16 +188,11 @@ impl<J, T> Lane<J, T> {
     }
 }
 
-/// Selects one lane of [`Inner`].
-type LaneOf<J, T> = fn(&mut Inner) -> &mut Lane<J, T>;
-
 /// All executor state, behind the one mutex that makes every slot
 /// transition atomic.
 #[derive(Default)]
 struct Inner {
     train: Lane<TrainJob, LocalTrainResult>,
-    /// Mask-precompute plans of secure tasks.
-    mask: Lane<MaskPlan, PrecomputedMask>,
     shutdown: bool,
 }
 
@@ -271,15 +265,8 @@ impl Executor {
     /// lifetime of the executor (the scenario drivers' participation ids
     /// are).
     pub fn submit(&self, job: TrainJob) {
-        self.push(|inner| &mut inner.train, job.participation_id, job);
-    }
-
-    /// Queues a speculative mask-precompute job for a secure task's
-    /// participation.  Ids share the participation-id space of
-    /// [`Executor::submit`] — each participation has at most one training
-    /// and one mask job.
-    pub fn submit_mask(&self, participation_id: u64, plan: MaskPlan) {
-        self.push(|inner| &mut inner.mask, participation_id, plan);
+        self.shared.lock().train.push(job.participation_id, job);
+        self.shared.job_ready.notify_one();
     }
 
     /// Returns the result for `participation_id`, in one of three ways:
@@ -291,59 +278,29 @@ impl Executor {
         participation_id: u64,
         fallback: impl FnOnce() -> LocalTrainResult,
     ) -> LocalTrainResult {
-        match self.take(|inner| &mut inner.train, participation_id) {
+        let mut inner = self.shared.lock();
+        let taken = loop {
+            match inner.train.take(participation_id) {
+                Some(Slot::Running) => inner = wait_on(&self.shared.result_ready, inner),
+                taken => break taken,
+            }
+        };
+        drop(inner);
+        match taken {
             Some(Slot::Queued(job)) => job.run(),
-            Some(Slot::Done(output)) => published(output, participation_id),
+            Some(Slot::Done(output)) => output.unwrap_or_else(|message| {
+                panic!("worker thread panicked (participation {participation_id}): {message}")
+            }),
             _ => fallback(),
         }
     }
 
-    /// Returns the speculative mask for `participation_id` if a worker
-    /// produced (or is producing) it: finished → the result; running →
-    /// blocks until published; still queued → the job is dropped and `None`
-    /// returned, so the aggregator expands the mask inline — mask plans are
-    /// pure, so both routes are bit-identical.  `None` for ids never
-    /// submitted or discarded.
-    pub fn take_mask(&self, participation_id: u64) -> Option<PrecomputedMask> {
-        match self.take(|inner| &mut inner.mask, participation_id) {
-            Some(Slot::Done(output)) => Some(published(output, participation_id)),
-            _ => None,
-        }
-    }
-
-    /// Drops all speculative work of an aborted participation, training and
-    /// mask alike: queued jobs and finished results go, running jobs are
-    /// marked so their results are dropped on completion.  A no-op for ids
-    /// never submitted.
+    /// Drops the speculative training of an aborted participation: a
+    /// queued job or finished result goes, a running job is marked so its
+    /// result is dropped on completion.  A no-op for ids never submitted.
     pub fn discard(&self, participation_id: u64) {
-        let mut inner = self.shared.lock();
-        inner.train.discard(participation_id);
-        inner.mask.discard(participation_id);
+        self.shared.lock().train.discard(participation_id);
     }
-
-    fn push<J, T>(&self, lane: LaneOf<J, T>, id: u64, job: J) {
-        lane(&mut self.shared.lock()).push(id, job);
-        self.shared.job_ready.notify_one();
-    }
-
-    /// Takes `id` from `lane`, waiting while a worker holds it: the queued
-    /// job, the published output, or `None`.
-    fn take<J, T>(&self, lane: LaneOf<J, T>, id: u64) -> Option<Slot<J, T>> {
-        let mut inner = self.shared.lock();
-        loop {
-            match lane(&mut inner).take(id) {
-                Some(Slot::Running) => inner = wait_on(&self.shared.result_ready, inner),
-                taken => return taken,
-            }
-        }
-    }
-}
-
-/// Unwraps a worker's output on the driver thread, re-raising its panic.
-fn published<T>(output: Result<T, String>, participation_id: u64) -> T {
-    output.unwrap_or_else(|message| {
-        panic!("worker thread panicked (participation {participation_id}): {message}")
-    })
 }
 
 impl Drop for Executor {
@@ -367,48 +324,23 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 fn worker_loop(shared: &Shared) {
-    // Each worker owns one reusable mask-expansion buffer, so steady-state
-    // mask precompute allocates once per mask instead of twice and workers
-    // never contend on shared scratch.
-    let mut scratch = MaskScratch::default();
     let mut inner = shared.lock();
     while !inner.shutdown {
-        // Mask jobs drain first: they are orders of magnitude cheaper than
-        // training and unblock the event loop's upload processing.
-        if let Some((id, plan)) = inner.mask.pop_queued() {
-            drop(inner);
-            inner = run_and_publish(
-                shared,
-                |inner| &mut inner.mask,
-                id,
-                || plan.compute(&mut scratch),
-            );
-        } else if let Some((id, job)) = inner.train.pop_queued() {
-            drop(inner);
-            inner = run_and_publish(shared, |inner| &mut inner.train, id, || job.run());
-        } else {
+        let Some((id, job)) = inner.train.pop_queued() else {
             inner = wait_on(&shared.job_ready, inner);
+            continue;
+        };
+        drop(inner);
+        // Panics are caught so a buggy trainer fails the run loudly (the
+        // driver re-raises on take) instead of leaving the slot running
+        // forever.
+        let output = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| job.run()))
+            .map_err(panic_message);
+        inner = shared.lock();
+        if inner.train.publish(id, output) {
+            shared.result_ready.notify_all();
         }
     }
-}
-
-/// Runs a popped job off the lock and publishes its output into `lane`,
-/// returning the re-taken lock.  Panics are caught so a buggy trainer or
-/// mask plan fails the run loudly (the driver re-raises on take) instead of
-/// leaving the slot running forever.
-fn run_and_publish<'a, J, T>(
-    shared: &'a Shared,
-    lane: LaneOf<J, T>,
-    id: u64,
-    work: impl FnOnce() -> T,
-) -> MutexGuard<'a, Inner> {
-    let output =
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(work)).map_err(panic_message);
-    let mut inner = shared.lock();
-    if lane(&mut inner).publish(id, output) {
-        shared.result_ready.notify_all();
-    }
-    inner
 }
 
 #[cfg(test)]
@@ -515,149 +447,6 @@ mod tests {
             executor.submit(job(&trainer, pid, pid as usize % 50));
         }
         drop(executor); // must not hang or panic
-    }
-
-    /// Real plans straight off a session-mode [`SecureAggregator`] — the
-    /// only way the sim ever obtains them.
-    fn mask_plans(n: usize) -> Vec<MaskPlan> {
-        use papaya_core::fedbuff::FedBuffAggregator;
-        use papaya_core::secure::SecureAggregator;
-        use papaya_core::staleness::StalenessWeighting;
-        use papaya_core::Aggregator;
-        let mut agg = SecureAggregator::new(
-            Box::new(FedBuffAggregator::new(
-                4,
-                StalenessWeighting::Constant,
-                None,
-            )),
-            6,
-            1,
-            0xFEED,
-        );
-        (0..n)
-            .map(|client| {
-                agg.plan_mask_precompute(client)
-                    .expect("session mode always plans")
-            })
-            .collect()
-    }
-
-    #[test]
-    fn mask_jobs_round_trip_bit_identically() {
-        let plans = mask_plans(8);
-        let executor = Executor::new(2);
-        for (pid, plan) in plans.iter().enumerate() {
-            executor.submit_mask(pid as u64, plan.clone());
-        }
-        let mut scratch = MaskScratch::default();
-        for (pid, plan) in plans.iter().enumerate() {
-            let expected = plan.compute(&mut scratch);
-            // A still-queued job is cancelled (None) and the caller computes
-            // inline; either path must be bit-identical to the reference.
-            let got = match executor.take_mask(pid as u64) {
-                Some(pre) => pre,
-                None => plan.compute(&mut scratch),
-            };
-            assert_eq!(got.plan_id, expected.plan_id);
-            assert_eq!(got.mask, expected.mask, "participation {pid}");
-        }
-        // A mask still running when taken was waited for, so nothing is
-        // left behind.
-        assert!(executor.shared.lock().mask.slots.is_empty());
-    }
-
-    #[test]
-    fn discarded_and_unknown_mask_jobs_return_none() {
-        let plans = mask_plans(2);
-        let executor = Executor::new(1);
-        executor.submit_mask(0, plans[0].clone());
-        executor.submit_mask(1, plans[1].clone());
-        executor.discard(0);
-        executor.discard(0); // idempotent
-        assert!(executor.take_mask(0).is_none(), "discarded job resurfaced");
-        assert!(executor.take_mask(99).is_none(), "unknown id produced work");
-        // Participation 1 is unaffected by its neighbor's discard.
-        let expected = plans[1].compute(&mut MaskScratch::default());
-        let got = match executor.take_mask(1) {
-            Some(pre) => pre,
-            None => plans[1].compute(&mut MaskScratch::default()),
-        };
-        assert_eq!(got.mask, expected.mask);
-    }
-
-    #[test]
-    fn mask_jobs_jump_the_training_queue() {
-        // Uploads block on masks, not on other clients' training, so
-        // workers must drain the mask queue first.  With one worker and the
-        // training queue stuffed, a late-submitted mask still finishes
-        // without the driver having to steal every training job.
-        let trainer = trainer();
-        let plans = mask_plans(1);
-        let executor = Executor::new(1);
-        for pid in 0..6u64 {
-            executor.submit(job(&trainer, pid, pid as usize % 50));
-        }
-        executor.submit_mask(100, plans[0].clone());
-        let expected = plans[0].compute(&mut MaskScratch::default());
-        let got = match executor.take_mask(100) {
-            Some(pre) => pre,
-            None => plans[0].compute(&mut MaskScratch::default()),
-        };
-        assert_eq!(got.mask, expected.mask);
-        for pid in 0..6u64 {
-            let _ = executor.take_or_run(pid, || {
-                trainer.train(
-                    pid as usize % 50,
-                    &trainer.initial_parameters(),
-                    0xABC ^ pid,
-                )
-            });
-        }
-    }
-
-    /// An executor without workers: every slot stays where the test puts
-    /// it.
-    fn idle_executor() -> Executor {
-        Executor {
-            shared: Arc::new(Shared::default()),
-            workers: Vec::new(),
-        }
-    }
-
-    #[test]
-    fn one_discard_drops_both_lanes() {
-        let trainer = trainer();
-        let plans = mask_plans(2);
-        let executor = idle_executor();
-        for (pid, plan) in [3u64, 4].into_iter().zip(&plans) {
-            executor.submit(job(&trainer, pid, pid as usize));
-            executor.submit_mask(pid, plan.clone());
-        }
-        // A stand-in worker finishes participation 3's mask; its training
-        // stays queued.
-        {
-            let mut inner = executor.shared.lock();
-            let (id, plan) = inner.mask.pop_queued().expect("queued mask");
-            assert_eq!(id, 3);
-            assert!(inner
-                .mask
-                .publish(id, Ok(plan.compute(&mut MaskScratch::default()))));
-        }
-        executor.discard(3);
-        {
-            let inner = executor.shared.lock();
-            assert!(!inner.train.slots.contains_key(&3));
-            assert!(!inner.mask.slots.contains_key(&3));
-            assert_eq!(inner.train.slots.len(), 1);
-            assert_eq!(inner.mask.slots.len(), 1);
-        }
-        assert!(executor.take_mask(3).is_none());
-        let mut fell_back = false;
-        let _ = executor.take_or_run(3, || {
-            fell_back = true;
-            trainer.train(3, &trainer.initial_parameters(), 0xABC ^ 3)
-        });
-        assert!(fell_back, "discarded training resurfaced");
     }
 
     // The lane as a plain data structure: every operation from every state

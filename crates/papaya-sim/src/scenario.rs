@@ -1718,11 +1718,10 @@ mod tests {
 
     #[test]
     fn parallel_secure_run_is_bit_identical_to_sequential() {
-        // The secure pipeline speculates mask work onto the pool (plans are
-        // issued at selection time, results consumed in event order), so a
-        // session-cached secure run must stay bit-identical at any thread
-        // count — including the cache-hit/miss counters that feed the
-        // fingerprint.
+        // Mask plans are issued at selection time and consumed in event
+        // order while training runs on the pool, so a session-cached secure
+        // run must stay bit-identical at any thread count — including the
+        // cache-hit/miss counters that feed the fingerprint.
         let run = |parallelism: Parallelism| {
             Scenario::builder()
                 .population(population(300))

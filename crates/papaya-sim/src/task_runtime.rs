@@ -357,23 +357,22 @@ impl TaskRuntime {
         self.metrics.set_trace_budget(budget);
     }
 
-    /// Queues the participation's local training (and, for secure tasks, its
-    /// mask precompute) on the executor, so both are (usually) already
-    /// computed when the finish event fires.  Drivers call this only for
-    /// participations that will reach their finish event — speculating on
-    /// doomed ones would waste workers.
+    /// Queues the participation's local training on the executor, so it is
+    /// (usually) already computed when the finish event fires.  Drivers call
+    /// this only for participations that will reach their finish event —
+    /// speculating on doomed ones would waste workers.
     ///
-    /// The mask *plan* is issued here even on the sequential path (where it
-    /// is consumed inline at upload time): planning burns the session's
-    /// ratchet counter, and doing that at the same point of the event order
-    /// regardless of parallelism is what keeps secure runs bit-identical at
-    /// any thread count.
+    /// For secure tasks this is also where the mask is planned, on every
+    /// path: planning burns the session's ratchet counter, and doing that at
+    /// the same point of the event order regardless of parallelism is what
+    /// keeps secure runs bit-identical at any thread count.  The mask itself
+    /// is expanded inline when the upload is accumulated.
     pub fn prefetch_training(&mut self, participation_id: u64, slot: InFlightSlot) {
         let Some(in_flight) = self.in_flight.get(participation_id, Some(slot)) else {
             return;
         };
         let client_id = in_flight.client_id;
-        let mask_plan = self.aggregator.plan_mask_precompute(client_id);
+        self.aggregator.plan_mask_precompute(client_id);
         let Some(executor) = &self.executor else {
             return;
         };
@@ -384,13 +383,9 @@ impl TaskRuntime {
             seed: participation_seed(self.seed, participation_id),
             trainer: Arc::clone(&self.trainer),
         });
-        if let Some(plan) = mask_plan {
-            executor.submit_mask(participation_id, plan);
-        }
     }
 
-    /// Drops any speculative training or mask work queued for an aborted
-    /// participation.
+    /// Drops any speculative training queued for an aborted participation.
     fn discard_prefetch(&self, participation_id: u64) {
         if let Some(executor) = &self.executor {
             executor.discard(participation_id);
@@ -458,9 +453,7 @@ impl TaskRuntime {
 
         let mut outcome = UpdateOutcome::default();
         if self.aggregator.closes_round_on_release() && in_flight.round != self.round_number {
-            // Update from a previous round arriving late; discarded (along
-            // with any speculative mask still on the pool).
-            self.discard_prefetch(participation_id);
+            // Update from a previous round arriving late; discarded.
             self.metrics.discarded_updates += 1;
             self.metrics.participations.push(ParticipationRecord {
                 client_id,
@@ -469,16 +462,6 @@ impl TaskRuntime {
                 aggregated: false,
             });
             return Some(outcome);
-        }
-
-        // Hand a speculatively precomputed mask to the secure pipeline.  A
-        // still-queued job is cancelled (`take_mask` returns `None`) and the
-        // aggregator expands the mask inline — the plan is pure, so the two
-        // routes are bit-identical.
-        if let Some(executor) = &self.executor {
-            if let Some(mask) = executor.take_mask(participation_id) {
-                self.aggregator.provide_precomputed_mask(client_id, mask);
-            }
         }
 
         let update = ClientUpdate::from_result(client_id, claimed_start_version, result);

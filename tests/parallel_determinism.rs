@@ -5,9 +5,9 @@
 //! `ClientTrainer::train` computations off the event-loop thread, and the
 //! loop consumes results in strict event order.  These tests pin that
 //! contract for all three aggregation strategies on direct scenarios and
-//! for a fleet scenario with an injected Aggregator crash (which exercises
-//! discarded speculative work: dropouts, round aborts, in-transit losses,
-//! failover).
+//! for fleet scenarios, clear and secure, with an injected Aggregator crash
+//! (which exercises discarded speculative work: dropouts, round aborts,
+//! in-transit losses, failover).
 //!
 //! Comparison is by [`Report::fingerprint`], a digest over every counter,
 //! the full loss/utilization/participation traces, and the bit patterns of
@@ -109,9 +109,9 @@ fn timed_hybrid_direct_scenario_is_bit_identical() {
 
 #[test]
 fn secagg_direct_scenario_is_bit_identical() {
-    // The whole AsyncSecAgg pipeline (per-update DH exchanges, masking, TSA
-    // key releases) runs on the event-loop thread in event order, so a
-    // secure report — including the masked counters, TEE byte counts, and
+    // The whole AsyncSecAgg pipeline (cached session handshakes, ratcheted
+    // masks, TSA key releases) runs on the event-loop thread in event
+    // order, so a secure report — including the masked counters, TEE byte counts, and
     // the quantization-error trace the fingerprint hashes — must stay
     // bit-identical at any thread count.
     let report = assert_identical_across_thread_counts(|parallelism| {
@@ -278,6 +278,36 @@ fn fleet_with_crash_is_bit_identical() {
     // The crash fired, so failover paths (buffered-update loss, lazy upload
     // failures) ran under the executor and stayed deterministic.
     assert_eq!(report.fleet.control_plane.aggregator_failures, 1);
+}
+
+#[test]
+fn secure_fleet_with_crash_is_bit_identical() {
+    // An Aggregator crash drops a masked buffer unreleased and invalidates
+    // every SecAgg session while the pool holds training for participations
+    // whose masks were planned before the crash; the re-handshakes and the
+    // counters they burn must land in event order at any thread count.
+    let report = assert_identical_across_thread_counts(|parallelism| {
+        Scenario::builder()
+            .population(population(1500))
+            .task(TaskConfig::async_task("a", 48, 12).with_secagg(SecAggMode::AsyncSecAgg))
+            .task(TaskConfig::sync_task("s", 30, 0.3).with_secagg(SecAggMode::AsyncSecAgg))
+            .fleet(FleetSpec::new(2, 2))
+            .crash_at(1200.0, 0)
+            .limits(
+                RunLimits::default()
+                    .with_max_virtual_time_hours(1.5)
+                    .with_parallelism(parallelism),
+            )
+            .eval(EvalPolicy::default().with_interval_s(600.0))
+            .seed(34)
+    });
+    assert_eq!(report.fleet.control_plane.aggregator_failures, 1);
+    let dropped: u64 = report
+        .tasks
+        .iter()
+        .map(|task| task.metrics.secure.buffers_dropped_unreleased)
+        .sum();
+    assert!(dropped >= 1, "the crash dropped no masked buffer");
 }
 
 #[test]
