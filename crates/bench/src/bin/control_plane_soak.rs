@@ -8,7 +8,8 @@
 //! cargo run -p bench --release --bin control_plane_soak -- --full --seed 3
 //! ```
 //!
-//! Exits non-zero on any fingerprint mismatch, so CI can gate on it.  The
+//! Exits non-zero on any fingerprint mismatch or any report that fails
+//! `Report::audit`, so CI can gate on it.  The
 //! scenario is deliberately nasty: a partial Aggregator failure, then total
 //! loss (orphaning every task), then a recovery whose heartbeat triggers the
 //! reconcile pass — and the restore lands inside the dead window.
@@ -23,6 +24,17 @@ fn soak_run(scale: Scale, seed: u64, restore_at: Option<f64>, parallelism: Paral
     soak_scenario(scale == Scale::Quick, seed, restore_at, parallelism).run()
 }
 
+/// Prints every ledger law `report` breaks; 1 if it breaks any, else 0.
+fn audit(label: &str, report: &Report) -> u32 {
+    let Err(violations) = report.audit() else {
+        return 0;
+    };
+    for violation in violations {
+        eprintln!("{label}: ledger law broken: {violation:?}");
+    }
+    1
+}
+
 fn main() -> ExitCode {
     let args = parse_args();
     // Mid dead-window: after total loss, before the recovery heartbeat.
@@ -34,11 +46,12 @@ fn main() -> ExitCode {
         args.seed
     );
 
+    let mut failures = 0u32;
     let reference = soak_run(args.scale, args.seed, None, Parallelism::sequential());
+    failures += audit("uninterrupted (sequential)", &reference);
     let expected = reference.fingerprint();
     println!("uninterrupted (sequential): {expected}");
 
-    let mut failures = 0u32;
     let runs = [
         (
             "restored (sequential)",
@@ -50,6 +63,7 @@ fn main() -> ExitCode {
     ];
     for (label, restore, parallelism) in runs {
         let report = soak_run(args.scale, args.seed, restore, parallelism);
+        failures += audit(label, &report);
         let fingerprint = report.fingerprint();
         let verdict = if fingerprint == expected {
             "identical"
@@ -73,7 +87,7 @@ fn main() -> ExitCode {
     print!("{}", cp.prometheus_text());
 
     if failures > 0 {
-        eprintln!("control_plane_soak: {failures} fingerprint mismatch(es)");
+        eprintln!("control_plane_soak: {failures} fingerprint mismatch(es) or ledger failure(s)");
         return ExitCode::FAILURE;
     }
     println!("\ncontrol_plane_soak: checkpoint/restore is fingerprint-invisible");

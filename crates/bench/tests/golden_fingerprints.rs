@@ -12,7 +12,8 @@
 //! Every scenario runs twice, on the event-loop thread alone and on a
 //! four-thread worker pool, and both runs must produce the committed line:
 //! this is the one place that holds every canonical scenario to the
-//! executor's bit-identity contract.
+//! executor's bit-identity contract.  Every report must also pass
+//! `Report::audit`, the ledger's accounting laws.
 //!
 //! A change that must not alter behaviour leaves the file byte-identical.
 //! One that means to alter it replaces the file with the text this test
@@ -101,7 +102,11 @@ fn fingerprints(parallelism: Parallelism) -> String {
     ));
     scenarios
         .iter()
-        .map(|(name, scenario)| format!("{name}\t{}\n", scenario.run().fingerprint()))
+        .map(|(name, scenario)| {
+            let report = scenario.run();
+            assert_eq!(report.audit(), Ok(()), "{name} at {parallelism:?}");
+            format!("{name}\t{}\n", report.fingerprint())
+        })
         .collect()
 }
 

@@ -20,9 +20,8 @@
 //! SSE2.  The CPU decides; there is no switch.  Every digest and keystream
 //! byte is the same as from the portable kernels, which stay as the
 //! reference the differential tests compare against and as the only path on
-//! other CPUs.  Those two private modules are the only `unsafe` code in the
-//! workspace: this crate denies it everywhere else, and every other crate
-//! forbids it.
+//! other CPUs.  Those two private modules are this crate's only `unsafe`
+//! code: it denies it everywhere else.
 //!
 //! **Scope note:** these primitives are written for protocol correctness and
 //! reproducibility of the paper's experiments, not as hardened production

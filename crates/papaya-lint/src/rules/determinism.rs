@@ -63,11 +63,17 @@ const AMBIENT_MATH: &[&str] = &[
     "exp", "exp_m1", "ln", "ln_1p", "tanh", "sin", "cos", "powf", "powi",
 ];
 
+/// The fused multiply-add: `a.mul_add(b, c)` rounds once where `a * b + c`
+/// rounds twice.
+const FUSED_MULTIPLY_ADD: &str = "mul_add";
+
 /// Forbids libm calls in the libm-free crates (today `papaya-lm`), as
 /// methods (`x.exp()`) or paths (`f32::exp(x)`).  IEEE 754 fixes the basic
 /// operations bit for bit but not these: glibc, musl and Apple's libm
 /// differ in the last bits, so a golden line that rests on them holds on
-/// one host only.  `papaya_data::math` has the replacements.
+/// one host only.  `papaya_data::math` has the replacements.  `mul_add` is
+/// banned there too: `papaya-lm`'s AVX2 build agrees with its portable one
+/// only because nothing fuses a multiply and an add.
 pub struct AmbientMath;
 
 impl Rule for AmbientMath {
@@ -76,7 +82,7 @@ impl Rule for AmbientMath {
     }
 
     fn description(&self) -> &'static str {
-        "libm calls (exp, exp_m1, ln, ln_1p, tanh, sin, cos, powf, powi) are banned in papaya-lm; use papaya_data::math"
+        "libm calls (exp, exp_m1, ln, ln_1p, tanh, sin, cos, powf, powi) and mul_add are banned in papaya-lm; use papaya_data::math, and a multiply then an add"
     }
 
     fn check(&self, ws: &Workspace, out: &mut Vec<Finding>) {
@@ -92,18 +98,23 @@ impl Rule for AmbientMath {
                     "::" => i >= 2 && matches!(toks[i - 2].text.as_str(), "f32" | "f64"),
                     _ => false,
                 };
-                if called && AMBIENT_MATH.contains(&name) && !file.is_test_line(toks[i].line) {
-                    out.push(Finding::new(
-                        &file.path,
-                        toks[i].line,
-                        self.name(),
-                        format!(
-                            "`{name}` is the host libm's, whose last bits differ between \
-                             hosts; use `papaya_data::math` (or justify a use no result \
-                             depends on with an allow)"
-                        ),
-                    ));
+                if !called || file.is_test_line(toks[i].line) {
+                    continue;
                 }
+                let message = if name == FUSED_MULTIPLY_ADD {
+                    "`mul_add` rounds once where `a * b + c` rounds twice, so its bits \
+                     depend on the build; write the multiply and the add"
+                        .to_string()
+                } else if AMBIENT_MATH.contains(&name) {
+                    format!(
+                        "`{name}` is the host libm's, whose last bits differ between \
+                         hosts; use `papaya_data::math` (or justify a use no result \
+                         depends on with an allow)"
+                    )
+                } else {
+                    continue;
+                };
+                out.push(Finding::new(&file.path, toks[i].line, self.name(), message));
             }
         }
     }

@@ -170,6 +170,32 @@ fn ambient_math_fires_on_libm_methods_and_paths_in_papaya_lm() {
 }
 
 #[test]
+fn ambient_math_fires_on_mul_add_in_papaya_lm() {
+    let w = ws(&[
+        (
+            "crates/papaya-lm/src/x.rs",
+            "pub fn f(a: f32, b: f32, c: f32) -> f32 { a.mul_add(b, c) + f32::mul_add(a, b, c) }\n\
+             #[cfg(test)]\nmod tests {\n    fn t(x: f32) -> f32 { x.mul_add(x, x) }\n}\n",
+        ),
+        // Out of scope: other crates may fuse.
+        (
+            "crates/papaya-core/src/x.rs",
+            "pub fn f(x: f64) -> f64 { x.mul_add(x, x) }\n",
+        ),
+    ]);
+    let findings = analyze(&w);
+    let fused: Vec<_> = findings
+        .iter()
+        .filter(|f| f.rule == "ambient-math")
+        .collect();
+    assert_eq!(fused.len(), 2, "{:?}", rules_of(&findings));
+    assert!(fused
+        .iter()
+        .all(|f| f.message.contains("`mul_add` rounds once")
+            && f.path.ends_with("papaya-lm/src/x.rs")));
+}
+
+#[test]
 fn ambient_math_ignores_other_crates_own_math_tests_and_allows() {
     let w = ws(&[
         // Out of scope: papaya-data's f64 statistics still call libm.

@@ -5,7 +5,8 @@
 //! provides the reproduction's stand-in: a small character-level LSTM
 //! ([`model::CharLstm`]: one fused, allocation-free forward and backward
 //! pass over a flat parameter vector, bit-identical to the textbook
-//! equations written out in `tests/fused_vs_reference.rs`), plus
+//! equations written out in `tests/fused_vs_reference.rs`, and run on AVX2
+//! when the CPU has it, bit-identical to the portable build), plus
 //! [`trainer::LmClientTrainer`], a [`papaya_core::client::ClientTrainer`]
 //! implementation that trains the model on each client's local synthetic
 //! text and evaluates held-out perplexity — the metric reported in Table 1.
@@ -27,7 +28,7 @@
 //! assert_eq!(result.delta.len(), global.len());
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 
 pub mod model;
 pub mod trainer;

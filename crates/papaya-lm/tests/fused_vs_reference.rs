@@ -3,20 +3,30 @@
 //!
 //! [`NaiveLstm`] is the reference: the same network written out equation by
 //! equation over `Vec<Vec<f32>>` rows, one function per pass (`forward`,
-//! `backward`, `sgd_step`), allocating freely.  Every sum in it runs in the
-//! order the fused model in `src/model.rs` keeps:
+//! `backward`, `sgd_step`), one step at a time, allocating freely.  Every
+//! sum in it runs in the order the fused model in `src/model.rs` keeps:
 //!
 //! * `x·W`: each output sums `x[k]·W[k][j]` over `k` ascending from `0.0`;
 //! * `g·Wᵀ`: each output sums `g[j]·W[k][j]` over `j` ascending from `0.0`;
 //! * gate pre-activations are `(x·W_x + h·W_h) + b`;
 //! * gate gradients associate left to right, `((grad_c·g)·i)·(1 − i)`;
+//! * every weight and bias gradient sums its per-step terms over the steps
+//!   in descending order, from `0.0`;
+//! * the embedding gradient adds each step's input gradient to its token's
+//!   row, last step first;
 //! * the softmax denominator sums over the classes in order;
 //! * the SGD step is `θ − (lr·grad)/steps`;
 //! * `exp`, `tanh` and `ln` are `papaya_data::math`'s.
 //!
-//! The fused model also skips the terms of `x·W` and of the rank-1 gradient
-//! updates whose `x[k]` is `0.0`.  The reference adds them: a sum that
-//! starts at `+0.0` never holds `-0.0`, so adding a `±0.0` changes no bit.
+//! The fused model computes the same sums in another layout: the input
+//! projections and logits of all steps as one matrix product each, the
+//! softmax gradients of all steps before the recurrence, the output layer's
+//! share of every `dL/dh_t` as one product, each weight gradient as one sum
+//! over the steps after it, and `g·Wᵀ` as `g` times a transposed copy of
+//! `W`.  None of that moves a term within a sum.  Its kernels also add the
+//! terms whose `x[k]` is `0.0`, as the reference does, but leave out step
+//! 0's term of `dW_h`, whose `h_prev` is the zero initial state: a sum that
+//! starts at `+0.0` never holds `-0.0`, so a `±0.0` term changes no bit.
 //!
 //! Losses and every parameter must therefore agree in every bit, in the
 //! test profile and with `--release`.
@@ -332,7 +342,7 @@ fn assert_bit_identical(config: LmConfig, seed: u64, learning_rate: f32, sequenc
 }
 
 /// Hidden size, embedding width and vocabulary all leave a remainder when
-/// divided by four: every `g·Wᵀ` product ends in the one-chain tail.
+/// divided by four: every product ends in a narrow column tile.
 fn odd_config() -> LmConfig {
     LmConfig {
         vocab_size: 11,
@@ -356,16 +366,26 @@ proptest! {
         assert_bit_identical(LmConfig::tiny(), seed, learning_rate, &sequences);
     }
 
+    /// Drawn shapes: every 8-column and 4-row tile of the fused kernels
+    /// gets a tail, and single-step sequences come up.
     #[test]
     fn odd_sized_config_matches_the_reference_bit_for_bit(
+        vocab_size in 2usize..=40,
+        embedding_dim in 1usize..=17,
+        hidden_size in 1usize..=33,
         seed in any::<u64>(),
         learning_rate in 0.01f32..2.0,
-        sequences in proptest::collection::vec(
-            proptest::collection::vec(0usize..11, 2..=60),
+        drawn in proptest::collection::vec(
+            proptest::collection::vec(0usize..40, 2..=60),
             1..5,
         ),
     ) {
-        assert_bit_identical(odd_config(), seed, learning_rate, &sequences);
+        let config = LmConfig { vocab_size, embedding_dim, hidden_size };
+        let sequences: Vec<Vec<usize>> = drawn
+            .iter()
+            .map(|tokens| tokens.iter().map(|t| t % vocab_size).collect())
+            .collect();
+        assert_bit_identical(config, seed, learning_rate, &sequences);
     }
 }
 

@@ -42,14 +42,16 @@ fn run(
     if let Some(config) = robust {
         task = task.with_robust(config);
     }
-    Scenario::builder()
+    let report = Scenario::builder()
         .population(population(400))
         .task(task)
         .limits(RunLimits::default().with_max_virtual_time_hours(0.5))
         .eval(EvalPolicy::default().with_interval_s(600.0))
         .seed(41)
         .build()
-        .run()
+        .run();
+    assert_eq!(report.audit(), Ok(()));
+    report
 }
 
 /// Asserts one attack row: the attack degrades the undefended run and the

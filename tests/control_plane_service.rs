@@ -137,7 +137,9 @@ fn turbulent_run(restore_at: Option<f64>, parallelism: Parallelism) -> Report {
     if let Some(time_s) = restore_at {
         builder = builder.restore_control_plane_at(time_s);
     }
-    builder.build().run()
+    let report = builder.build().run();
+    assert_eq!(report.audit(), Ok(()));
+    report
 }
 
 /// The tentpole acceptance check: a run whose control plane is checkpointed

@@ -11,7 +11,7 @@ use papaya_sim::scenario::{EvalPolicy, FleetSpec, Report, RunLimits, Scenario};
 
 fn failover_run(seed: u64) -> Report {
     let population = Population::generate(&PopulationConfig::default().with_size(2000), seed);
-    Scenario::builder()
+    let report = Scenario::builder()
         .population(population)
         .task(TaskConfig::async_task("keyboard-lm", 64, 16))
         .task(TaskConfig::async_task("speech-kws", 32, 8).with_min_capability_tier(1))
@@ -24,7 +24,9 @@ fn failover_run(seed: u64) -> Report {
         .crash_at(1800.0, 0)
         .seed(seed)
         .build()
-        .run()
+        .run();
+    assert_eq!(report.audit(), Ok(()));
+    report
 }
 
 #[test]
@@ -103,7 +105,7 @@ fn failover_runs_are_deterministic() {
 
 fn total_loss_run(seed: u64) -> Report {
     let population = Population::generate(&PopulationConfig::default().with_size(2000), seed);
-    Scenario::builder()
+    let report = Scenario::builder()
         .population(population)
         .task(TaskConfig::async_task("keyboard-lm", 64, 16))
         .task(TaskConfig::async_task("speech-kws", 32, 8).with_min_capability_tier(1))
@@ -119,7 +121,9 @@ fn total_loss_run(seed: u64) -> Report {
         .recover_at(3600.0, 0)
         .seed(seed)
         .build()
-        .run()
+        .run();
+    assert_eq!(report.audit(), Ok(()));
+    report
 }
 
 /// Regression test for the orphan-routing bug: after *total* Aggregator

@@ -31,7 +31,9 @@ fn run_fleet(crash: Option<(f64, usize)>) -> Report {
     if let Some((time_s, aggregator)) = crash {
         builder = builder.crash_at(time_s, aggregator);
     }
-    builder.build().run()
+    let report = builder.build().run();
+    assert_eq!(report.audit(), Ok(()));
+    report
 }
 
 #[test]
