@@ -6,9 +6,9 @@
 //! cargo run -p bench --release --bin multi_task -- --full --seed 3
 //! ```
 //!
-//! Composed through the unified [`Scenario`] API: the fleet mixes all three
-//! aggregation strategies (FedBuff, synchronous rounds, and the timed
-//! hybrid) behind the same control plane.  Prints a per-task table
+//! Composed through the unified [`Scenario`] API: the fleet mixes both
+//! aggregation strategies (FedBuff, with and without a round deadline, and
+//! synchronous rounds) behind the same control plane.  Prints a per-task table
 //! (placement moves, convergence, communication, staleness) and the
 //! fleet/control-plane roll-up — the multi-tenant behavior of Sections 4
 //! and 6.2–6.3 that no single-task figure exercises.

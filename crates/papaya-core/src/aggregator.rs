@@ -22,7 +22,13 @@
 //!   (Section 7 / Appendix E.3).
 //!
 //! [`for_task`] builds the strategy a [`TaskConfig`] asks for, so drivers
-//! hold a `Box<dyn Aggregator>` and stay mode-agnostic.
+//! hold a `Box<dyn Aggregator>` and never branch on the strategy.
+//!
+//! Whether a release closes a round and which staleness bound aborts
+//! in-flight clients are participation policy, fixed by the task's
+//! [`TrainingMode`]; the runtime reads them from the config, not the trait.
+//! No method has a default body, so a decorator that forgets to forward a
+//! hook to its inner strategy does not compile.
 //!
 //! # Example
 //!
@@ -145,28 +151,11 @@ pub trait Aggregator: Send {
     /// Number of updates currently buffered.
     fn buffered(&self) -> usize;
 
-    /// The staleness bound this strategy enforces, if any.  Drivers use it
-    /// to abort in-flight clients whose update could never be accepted
-    /// (Appendix E.1).
-    fn max_staleness(&self) -> Option<u64> {
-        None
-    }
-
     /// The virtual time at which this strategy becomes ready without any
     /// further arrival, if such a time exists (deadline strategies with an
     /// open buffer).  Drivers schedule an exact readiness check at this
     /// time instead of polling.  Count-based strategies return `None`.
-    fn next_deadline_s(&self) -> Option<f64> {
-        None
-    }
-
-    /// Whether a release closes a cohort round: participants that started
-    /// before the release are aborted and late arrivals from earlier rounds
-    /// discarded.  Buffered strategies return false — stragglers keep
-    /// training and their updates stay welcome, subject to staleness.
-    fn closes_round_on_release(&self) -> bool {
-        false
-    }
+    fn next_deadline_s(&self) -> Option<f64>;
 
     /// The weight this strategy would assign to an accepted update, given
     /// only metadata the server legitimately sees in the clear: the client's
@@ -186,22 +175,22 @@ pub trait Aggregator: Send {
     /// This is the only way decorator telemetry leaves the stack — drivers
     /// read it when they need a decision (the ε budget) and copy it into
     /// the run's metrics once, when the report is assembled.
-    fn stack_telemetry(&self) -> StackTelemetry<'_> {
-        StackTelemetry::default()
-    }
+    fn stack_telemetry(&self) -> StackTelemetry<'_>;
 
     /// Plans the mask work for `client_id`'s next participation, burning its
     /// ratchet counter (session-cached secure aggregation only); the mask
     /// is expanded from the plan at [`accumulate`](Aggregator::accumulate).
     /// Must be called exactly once per participation that will reach
     /// `accumulate`, in driver event order.  No-op for clear strategies.
-    fn plan_mask_precompute(&mut self, _client_id: usize) {}
+    fn plan_mask_precompute(&mut self, client_id: usize);
 }
 
 /// Builds the aggregation strategy a task's [`TrainingMode`] asks for.
 ///
-/// This is the only place mode is ever inspected; everything downstream
-/// works through `Box<dyn Aggregator>`.
+/// This is the only place the mode picks a strategy; everything downstream
+/// works through `Box<dyn Aggregator>`.  The participation policy the mode
+/// fixes (demand, round closing, the staleness abort) the runtime reads
+/// from the config.
 pub fn for_task(config: &TaskConfig) -> Box<dyn Aggregator> {
     match config.mode {
         TrainingMode::Async {
@@ -292,28 +281,28 @@ mod tests {
 
     #[test]
     fn factory_builds_the_mode_the_config_asks_for() {
-        let async_agg = for_task(&TaskConfig::async_task("a", 10, 4));
-        assert_eq!(async_agg.goal(), 4);
-        assert_eq!(async_agg.max_staleness(), Some(500));
-        assert!(!async_agg.closes_round_on_release());
-
-        let sync_agg = for_task(&TaskConfig::sync_task("s", 13, 0.3));
-        assert_eq!(sync_agg.goal(), 10);
-        assert_eq!(sync_agg.max_staleness(), None);
-        assert!(sync_agg.closes_round_on_release());
-
-        let mut hybrid = for_task(&TaskConfig::timed_hybrid_task("h", 10, 4, 120.0));
-        assert_eq!(hybrid.goal(), 4);
-        assert_eq!(hybrid.max_staleness(), Some(500));
-        assert!(!hybrid.closes_round_on_release());
-        let update = ClientUpdate {
+        let update = |start_version| ClientUpdate {
             client_id: 0,
             delta: ParamVec::from_vec(vec![1.0]),
             num_examples: 1,
-            start_version: 0,
+            start_version,
             train_loss: 0.0,
         };
-        assert!(hybrid.accumulate(update, 0, 30.0).accepted());
+        let mut async_agg = for_task(&TaskConfig::async_task("a", 10, 4));
+        assert_eq!(async_agg.goal(), 4);
+        assert_eq!(async_agg.next_deadline_s(), None);
+        // The mode's staleness bound of 500 screens uploads.
+        assert!(async_agg.accumulate(update(0), 500, 0.0).accepted());
+        assert!(!async_agg.accumulate(update(0), 501, 0.0).accepted());
+
+        let mut sync_agg = for_task(&TaskConfig::sync_task("s", 13, 0.3));
+        assert_eq!(sync_agg.goal(), 10);
+        assert!(sync_agg.accumulate(update(0), 10_000, 0.0).accepted());
+
+        let mut hybrid = for_task(&TaskConfig::timed_hybrid_task("h", 10, 4, 120.0));
+        assert_eq!(hybrid.goal(), 4);
+        assert!(!hybrid.accumulate(update(0), 501, 0.0).accepted());
+        assert!(hybrid.accumulate(update(0), 0, 30.0).accepted());
         assert_eq!(hybrid.next_deadline_s(), Some(150.0));
     }
 

@@ -580,16 +580,8 @@ impl Aggregator for DpAggregator {
         self.inner.buffered()
     }
 
-    fn max_staleness(&self) -> Option<u64> {
-        self.inner.max_staleness()
-    }
-
     fn next_deadline_s(&self) -> Option<f64> {
         self.inner.next_deadline_s()
-    }
-
-    fn closes_round_on_release(&self) -> bool {
-        self.inner.closes_round_on_release()
     }
 
     fn update_weight(&self, num_examples: usize, staleness: u64) -> f64 {

@@ -20,7 +20,7 @@
 //! it as `Box<dyn Aggregator>` next to the synchronous strategy.
 
 pub use crate::aggregator::AccumulateOutcome;
-use crate::aggregator::{Aggregator, WeightedBuffer};
+use crate::aggregator::{Aggregator, StackTelemetry, WeightedBuffer};
 use crate::client::ClientUpdate;
 use crate::staleness::StalenessWeighting;
 use papaya_nn::params::ParamVec;
@@ -30,6 +30,8 @@ use papaya_nn::params::ParamVec;
 pub struct FedBuffAggregator {
     aggregation_goal: usize,
     staleness_weighting: StalenessWeighting,
+    /// Rejects uploads by the staleness they claim; the runtime aborts
+    /// overly stale in-flight clients by the task's mode.
     max_staleness: Option<u64>,
     weight_by_examples: bool,
     /// Seconds after a buffer opens at which it is released even below the
@@ -88,7 +90,6 @@ impl FedBuffAggregator {
     }
 }
 
-// papaya-lint: allow(decorator-conformance) -- base strategy, no inner aggregator to forward to; the trait defaults are the correct behavior
 impl Aggregator for FedBuffAggregator {
     /// Offers an update to the buffer; `current_version` is the server model
     /// version at upload time (used to compute staleness).  Virtual time
@@ -150,10 +151,6 @@ impl Aggregator for FedBuffAggregator {
         self.buffer.len()
     }
 
-    fn max_staleness(&self) -> Option<u64> {
-        self.max_staleness
-    }
-
     /// The virtual time at which the open buffer will be released by the
     /// round deadline; `None` without a deadline or while the buffer is
     /// empty.
@@ -172,6 +169,12 @@ impl Aggregator for FedBuffAggregator {
         };
         example_weight * self.staleness_weighting.weight(staleness)
     }
+
+    fn stack_telemetry(&self) -> StackTelemetry<'_> {
+        StackTelemetry::default()
+    }
+
+    fn plan_mask_precompute(&mut self, _client_id: usize) {}
 }
 
 #[cfg(test)]

@@ -7,12 +7,13 @@
 //! PAPAYA's SyncFL implementation additionally allows replacing clients that
 //! drop out mid-round.
 //!
-//! `SyncRoundAggregator` implements the [`Aggregator`] protocol and is the
-//! one strategy whose release closes a round
-//! ([`closes_round_on_release`](Aggregator::closes_round_on_release)):
-//! drivers abort still-running cohort members when it releases.
+//! `SyncRoundAggregator` implements the [`Aggregator`] protocol for
+//! [`TrainingMode::Sync`](crate::config::TrainingMode::Sync) tasks.  That a
+//! release closes the round is the mode's policy, not the strategy's: the
+//! runtime reads it from the task config and aborts still-running cohort
+//! members when the strategy releases.
 
-use crate::aggregator::{AccumulateOutcome, Aggregator, WeightedBuffer};
+use crate::aggregator::{AccumulateOutcome, Aggregator, StackTelemetry, WeightedBuffer};
 use crate::client::ClientUpdate;
 use papaya_nn::params::ParamVec;
 
@@ -46,7 +47,6 @@ impl SyncRoundAggregator {
     }
 }
 
-// papaya-lint: allow(decorator-conformance) -- base strategy, no inner aggregator to forward to; the trait defaults are the correct behavior
 impl Aggregator for SyncRoundAggregator {
     /// Offers an update.  Updates arriving after the round reached its goal
     /// are discarded (the over-selection waste path).  Within a round the
@@ -90,8 +90,9 @@ impl Aggregator for SyncRoundAggregator {
         self.buffer.len()
     }
 
-    fn closes_round_on_release(&self) -> bool {
-        true
+    /// Rounds release by count only.
+    fn next_deadline_s(&self) -> Option<f64> {
+        None
     }
 
     /// Zero-example clients carry zero weight: counted toward the round
@@ -104,6 +105,12 @@ impl Aggregator for SyncRoundAggregator {
             1.0
         }
     }
+
+    fn stack_telemetry(&self) -> StackTelemetry<'_> {
+        StackTelemetry::default()
+    }
+
+    fn plan_mask_precompute(&mut self, _client_id: usize) {}
 }
 
 #[cfg(test)]

@@ -15,8 +15,11 @@
 //! suite unchanged, because neither decorator touches protocol behavior.
 //!
 //! The last test checks the other half of the decorator contract: every
-//! hook the trait defaults reaches the wrapped strategy through each
-//! decorator and through the full `robust(dp(secure(..)))` stack.
+//! pass-through hook (`goal`, `update_weight`, `next_deadline_s`,
+//! `stack_telemetry`, `plan_mask_precompute`) reaches the wrapped strategy
+//! through each decorator and through the full `robust(dp(secure(..)))`
+//! stack.  The compiler already makes each decorator spell every hook out;
+//! this checks the forwards go to the inner strategy.
 
 use papaya_core::aggregator::{AccumulateOutcome, Aggregator, StackTelemetry};
 use papaya_core::client::ClientUpdate;
@@ -37,6 +40,15 @@ fn conformance_dp() -> DpConfig {
     DpConfig::new(1e6, 0.0)
 }
 
+/// The staleness bound every FedBuff factory is configured with.
+const MAX_STALENESS: u64 = 5;
+
+/// Whether a factory name is a synchronous-round stack: the strategy whose
+/// tasks close a round on release and which has no staleness bound.
+fn is_sync_round(name: &str) -> bool {
+    name.ends_with("sync_round")
+}
+
 /// One factory per clear implementation, all configured with the same goal
 /// and (where supported) the same staleness bound.
 fn clear_implementations() -> Vec<(&'static str, Box<dyn Aggregator>)> {
@@ -46,14 +58,14 @@ fn clear_implementations() -> Vec<(&'static str, Box<dyn Aggregator>)> {
             Box::new(FedBuffAggregator::new(
                 GOAL,
                 StalenessWeighting::Constant,
-                Some(5),
+                Some(MAX_STALENESS),
             )),
         ),
         ("sync_round", Box::new(SyncRoundAggregator::new(GOAL))),
         (
             "fedbuff_deadline",
             Box::new(
-                FedBuffAggregator::new(GOAL, StalenessWeighting::Constant, Some(5))
+                FedBuffAggregator::new(GOAL, StalenessWeighting::Constant, Some(MAX_STALENESS))
                     // Deadline far away: behave like count-only FedBuff here.
                     .with_round_deadline(1_000_000.0),
             ),
@@ -211,42 +223,43 @@ fn reset_after_crash_drops_buffer_and_preserves_stats() {
 #[test]
 fn staleness_rejection_where_applicable() {
     for (name, mut agg) in implementations() {
-        let Some(bound) = agg.max_staleness() else {
+        if is_sync_round(&name) {
             // Strategies without a staleness bound (synchronous rounds) must
             // accept arbitrarily old start versions.
             let outcome = agg.accumulate(update(0, 1.0, 10, 0), 1_000, 0.0);
             assert!(outcome.accepted(), "{name}");
             continue;
-        };
-        let stale_version = bound + 1;
+        }
+        let stale_version = MAX_STALENESS + 1;
         let outcome = agg.accumulate(update(0, 1.0, 10, 0), stale_version, 0.0);
         assert_eq!(
             outcome,
             AccumulateOutcome::RejectedStale {
                 staleness: stale_version,
-                max_staleness: bound,
+                max_staleness: MAX_STALENESS,
             },
             "{name}"
         );
         assert_eq!(agg.buffered(), 0, "{name}: rejected update must not buffer");
 
         // An update exactly at the bound is still accepted.
-        let outcome = agg.accumulate(update(1, 1.0, 10, 0), bound, 0.0);
+        let outcome = agg.accumulate(update(1, 1.0, 10, 0), MAX_STALENESS, 0.0);
         assert_eq!(
             outcome,
-            AccumulateOutcome::Accepted { staleness: bound },
+            AccumulateOutcome::Accepted {
+                staleness: MAX_STALENESS
+            },
             "{name}"
         );
     }
 }
 
-/// Strategy-specific release semantics: only synchronous rounds close a
-/// round on release, and only they discard over-goal arrivals.
+/// Strategy-specific release semantics: only synchronous rounds, whose
+/// tasks close a round on release, discard over-goal arrivals.
 #[test]
 fn round_closing_and_over_goal_behavior_match_the_strategy() {
     for (name, mut agg) in implementations() {
-        let closes = agg.closes_round_on_release();
-        assert_eq!(closes, name.ends_with("sync_round"), "{name}");
+        let closes = is_sync_round(&name);
         fill(agg.as_mut(), GOAL, 1.0);
         let over_goal = agg.accumulate(update(99, 50.0, 10, 0), 0, 0.0);
         if closes {
@@ -260,9 +273,9 @@ fn round_closing_and_over_goal_behavior_match_the_strategy() {
     }
 }
 
-/// A strategy that answers every defaulted hook with a value no real
-/// strategy or decorator produces, so a hook that stops at a decorator's
-/// trait default is told apart from one that reached the wrapped strategy.
+/// A strategy that answers every pass-through hook with a value no real
+/// strategy or decorator produces, so a hook a decorator answers itself is
+/// told apart from one that reached the wrapped strategy.
 struct Probe {
     secure: SecureTelemetry,
     dp: DpTelemetry,
@@ -289,14 +302,8 @@ impl Aggregator for Probe {
     fn buffered(&self) -> usize {
         0
     }
-    fn max_staleness(&self) -> Option<u64> {
-        Some(7)
-    }
     fn next_deadline_s(&self) -> Option<f64> {
         Some(123.5)
-    }
-    fn closes_round_on_release(&self) -> bool {
-        true
     }
     fn update_weight(&self, num_examples: usize, staleness: u64) -> f64 {
         (3 * num_examples) as f64 + staleness as f64
@@ -355,9 +362,7 @@ fn every_defaulted_hook_reaches_the_wrapped_strategy() {
 
         assert_eq!(agg.goal(), 41, "{name}");
         assert_eq!(agg.update_weight(10, 2), 32.0, "{name}");
-        assert_eq!(agg.max_staleness(), Some(7), "{name}");
         assert_eq!(agg.next_deadline_s(), Some(123.5), "{name}");
-        assert!(agg.closes_round_on_release(), "{name}");
 
         // Each layer reports its own (still empty) telemetry and passes the
         // rest of the view through untouched.

@@ -6,10 +6,10 @@
 //! in fingerprint-feeding paths, no host libm in the language model, every
 //! config field acknowledged by a validator, every event variant
 //! dispatched, every metrics field hashed or exempted, no stray panics in
-//! library code, decorators forwarding their hooks.  This crate
-//! machine-checks those conventions with a hand-rolled lexer and a
-//! token-stream scanner (no `syn`; the build box has no registry access),
-//! so they survive growth instead of relying on reviewer vigilance.
+//! library code.  This crate machine-checks those conventions with a
+//! hand-rolled lexer and a token-stream scanner (no `syn`; the build box
+//! has no registry access), so they survive growth instead of relying on
+//! reviewer vigilance.
 //!
 //! Run it over the workspace:
 //!

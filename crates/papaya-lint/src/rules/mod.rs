@@ -6,12 +6,10 @@ use crate::report::Finding;
 use crate::scan::SourceFile;
 use crate::Workspace;
 
-mod decorator;
 mod determinism;
 mod exhaustive;
 mod panic_hygiene;
 
-pub use decorator::DecoratorConformance;
 pub use determinism::{AmbientMath, Entropy, UnorderedCollections, WallClock};
 pub use exhaustive::{ConfigValidate, EventDispatch, MetricsFingerprint};
 pub use panic_hygiene::PanicHygiene;
@@ -37,7 +35,6 @@ pub fn all_rules() -> Vec<Box<dyn Rule>> {
         Box::new(EventDispatch),
         Box::new(MetricsFingerprint),
         Box::new(PanicHygiene),
-        Box::new(DecoratorConformance),
     ]
 }
 

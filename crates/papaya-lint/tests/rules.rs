@@ -476,108 +476,6 @@ fn panic_hygiene_ignores_adapters_tests_and_justified_allows() {
 }
 
 // ---------------------------------------------------------------------------
-// decorator-conformance
-// ---------------------------------------------------------------------------
-
-/// A cut-down `trait Aggregator`: two required methods and three hooks with
-/// default bodies.  The rule reads the hook list from here, not from a
-/// constant of its own.
-const TRAIT_PATH: &str = "crates/papaya-core/src/aggregator.rs";
-const TRAIT: &str = "pub trait Aggregator: Send {\n\
-     fn ingest(&mut self);\n\
-     fn update_weight(&self) -> f64;\n\
-     fn next_deadline_s(&self) -> Option<f64> { None }\n\
-     fn stack_telemetry(&self) -> StackTelemetry<'_> { StackTelemetry::default() }\n\
-     fn closes_round_on_release(&self) -> bool { false }\n}\n";
-
-const REQUIRED: &str = "fn ingest(&mut self) {}\n\
-     fn update_weight(&self) -> f64 { self.inner.update_weight() }\n";
-const HOOKS: &str = "fn next_deadline_s(&self) -> Option<f64> { self.inner.next_deadline_s() }\n\
-     fn stack_telemetry(&self) -> StackTelemetry<'_> { self.inner.stack_telemetry() }\n\
-     fn closes_round_on_release(&self) -> bool { self.inner.closes_round_on_release() }\n";
-
-#[test]
-fn decorator_conformance_passes_when_hooks_forwarded() {
-    let src = format!("impl Aggregator for Wrapper {{\n{REQUIRED}{HOOKS}}}\n");
-    let w = ws(&[
-        (TRAIT_PATH, TRAIT),
-        ("crates/papaya-core/src/x.rs", src.as_str()),
-    ]);
-    assert_clean(&analyze(&w));
-}
-
-#[test]
-fn decorator_conformance_fires_on_missing_hook() {
-    // Only the compiler-enforced methods are defined: every defaulted hook
-    // is named, and no required method is.
-    let src = format!("impl Aggregator for Wrapper {{\n{REQUIRED}}}\n");
-    let w = ws(&[
-        (TRAIT_PATH, TRAIT),
-        ("crates/papaya-core/src/x.rs", src.as_str()),
-    ]);
-    let findings = analyze(&w);
-    assert!(
-        findings.iter().any(|f| f.rule == "decorator-conformance"
-            && f.message.contains("`next_deadline_s`")
-            && f.message.contains("`stack_telemetry`")
-            && f.message.contains("`closes_round_on_release`")
-            && !f.message.contains("`update_weight`")),
-        "{:?}",
-        findings
-    );
-}
-
-#[test]
-fn decorator_conformance_names_exactly_the_missing_hook() {
-    // A decorator written before a hook existed forwards the older ones
-    // but not the new one — the rule must name exactly the new hook, which
-    // it can only know from the trait's source.
-    let src = "impl Aggregator for Wrapper {\n    fn ingest(&mut self) {}\n\
-         fn update_weight(&self) -> f64 { self.inner.update_weight() }\n\
-         fn next_deadline_s(&self) -> Option<f64> { self.inner.next_deadline_s() }\n\
-         fn stack_telemetry(&self) -> StackTelemetry<'_> { self.inner.stack_telemetry() }\n}\n";
-    let w = ws(&[(TRAIT_PATH, TRAIT), ("crates/papaya-core/src/x.rs", src)]);
-    let findings = analyze(&w);
-    assert!(
-        findings.iter().any(|f| f.rule == "decorator-conformance"
-            && f.message.contains("`closes_round_on_release`")
-            && !f.message.contains("`stack_telemetry`")),
-        "{:?}",
-        findings
-    );
-}
-
-#[test]
-fn decorator_conformance_base_strategy_opts_out_with_allow() {
-    let w = ws(&[
-        (TRAIT_PATH, TRAIT),
-        (
-            "crates/papaya-core/src/x.rs",
-            "// papaya-lint: allow(decorator-conformance) -- base strategy, trait defaults are correct\n\
-             impl Aggregator for Base {\n    fn ingest(&mut self) {}\n}\n",
-        ),
-    ]);
-    assert_clean(&analyze(&w));
-}
-
-#[test]
-fn decorator_conformance_handles_generic_impls() {
-    let complete =
-        format!("impl<A: Aggregator> Aggregator for Wrapper<A> {{\n{REQUIRED}{HOOKS}}}\n");
-    let w = ws(&[
-        (TRAIT_PATH, TRAIT),
-        ("crates/papaya-core/src/x.rs", complete.as_str()),
-    ]);
-    assert_clean(&analyze(&w));
-    let incomplete = format!("impl<A: Aggregator> Aggregator for Wrapper<A> {{\n{REQUIRED}}}\n");
-    let w = ws(&[
-        (TRAIT_PATH, TRAIT),
-        ("crates/papaya-core/src/x.rs", incomplete.as_str()),
-    ]);
-    assert!(fired(&analyze(&w), "decorator-conformance"));
-}
-
-// ---------------------------------------------------------------------------
 // Seeded violations against the real workspace sources
 // ---------------------------------------------------------------------------
 
@@ -770,31 +668,6 @@ fn seeded_robust_telemetry_field_fails_lint() {
             .iter()
             .filter(|f| f.rule == "metrics-fingerprint")
             .collect::<Vec<_>>()
-    );
-}
-
-/// A decorator that stops forwarding `next_deadline_s` silently turns
-/// timed-hybrid deadline releases off beneath it.  No hand-kept list names
-/// that hook: the rule must find it in the real trait's source.
-#[test]
-fn seeded_missing_next_deadline_forward_fails_lint() {
-    let (dpath, dp) = real("crates/papaya-core/src/dp.rs");
-    let forward = "    fn next_deadline_s(&self) -> Option<f64> {\n        \
-                   self.inner.next_deadline_s()\n    }\n";
-    let seeded = dp.replace(forward, "");
-    assert_ne!(seeded, dp, "DpAggregator's forward moved; update the test");
-    let w = Workspace::from_sources(vec![
-        real("crates/papaya-core/src/aggregator.rs"),
-        (dpath, seeded),
-    ]);
-    let findings = analyze(&w);
-    assert!(
-        findings.iter().any(|f| f.rule == "decorator-conformance"
-            && f.path.ends_with("dp.rs")
-            && f.message.contains("`next_deadline_s`")
-            && !f.message.contains("`stack_telemetry`")),
-        "lint did not catch the dropped forward: {:?}",
-        findings
     );
 }
 

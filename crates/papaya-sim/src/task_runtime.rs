@@ -2,9 +2,9 @@
 //!
 //! A [`TaskRuntime`] owns everything one federated task needs server-side:
 //! the versioned model and its optimizer, the aggregation strategy (held as
-//! a `Box<dyn Aggregator>`, so the runtime is agnostic of sync vs async,
-//! with or without a round deadline), the download snapshot, the in-flight participation map, round
-//! bookkeeping, and a per-task [`MetricsCollector`].  It exposes a narrow
+//! a `Box<dyn Aggregator>`, so the runtime never branches on the strategy or
+//! its decorators), the download snapshot, the in-flight participation map,
+//! round bookkeeping, and a per-task [`MetricsCollector`].  It exposes a narrow
 //! API — [`begin_participation`](TaskRuntime::begin_participation),
 //! [`offer_update`](TaskRuntime::offer_update),
 //! [`client_failed`](TaskRuntime::client_failed),
@@ -12,6 +12,11 @@
 //! [`poll`](TaskRuntime::poll) —
 //! so the same runtime is driven by the [`crate::scenario::Scenario`] run
 //! loop with or without a control plane.
+//!
+//! Participation policy comes from the task's [`TrainingMode`], as client
+//! demand does: a synchronous release closes the round and aborts its
+//! stragglers (Appendix E.3); an asynchronous one aborts in-flight clients
+//! staler than the mode's bound (Appendix E.1).
 //!
 //! The runtime is deliberately ignorant of *who* participates and *when*:
 //! client selection, event scheduling, dropouts, and timeouts belong to the
@@ -30,7 +35,7 @@ pub use crate::id_table::InFlightSlot;
 use crate::metrics::{MetricsCollector, ParticipationRecord};
 use papaya_core::aggregator::{self, AccumulateOutcome, Aggregator};
 use papaya_core::client::{participation_seed, ClientTrainer, ClientUpdate};
-use papaya_core::config::{SecAggMode, TaskConfig};
+use papaya_core::config::{SecAggMode, TaskConfig, TrainingMode};
 use papaya_core::dp::DpAggregator;
 use papaya_core::model::ServerModel;
 use papaya_core::robust::RobustAggregator;
@@ -138,36 +143,13 @@ impl TaskRuntime {
     /// Creates the runtime for one task.  `eval_ids` is the fixed evaluation
     /// sample (chosen by the driver from its population) and `seed` salts the
     /// per-participation training randomness.  The aggregation strategy is
-    /// built from the task's mode by [`papaya_core::aggregator::for_task`];
-    /// nothing in the runtime branches on the mode afterwards.
-    pub fn new(
-        config: TaskConfig,
-        server_optimizer: ServerOptimizerKind,
-        trainer: Arc<dyn ClientTrainer>,
-        eval_ids: Vec<usize>,
-        seed: u64,
-        target_loss: Option<f64>,
-    ) -> Self {
-        let aggregator = aggregator::for_task(&config);
-        Self::with_aggregator(
-            config,
-            server_optimizer,
-            aggregator,
-            trainer,
-            eval_ids,
-            seed,
-            target_loss,
-        )
-    }
-
-    /// Creates the runtime with an explicit aggregation strategy, for
-    /// strategies a [`TaskConfig`] cannot express.
+    /// built from the task's mode by [`papaya_core::aggregator::for_task`].
     ///
-    /// When the task asks for [`SecAggMode::AsyncSecAgg`], the strategy is
-    /// wrapped in a [`SecureAggregator`] here — the single place the flag is
-    /// honored: masking on accumulate, a per-buffer TSA key release on
-    /// take, crash-time buffer drops without a key release, with the
-    /// threshold [`secure::recommended_threshold`] derives from the mode.
+    /// When the task asks for secure aggregation ([`SecAggMode`]), the
+    /// strategy is wrapped in a [`SecureAggregator`] here — the single place
+    /// the flag is honored: masking on accumulate, a per-buffer TSA key
+    /// release on take, crash-time buffer drops without a key release, with
+    /// the threshold [`secure::recommended_threshold`] derives from the mode.
     ///
     /// When the task carries a [`papaya_core::dp::DpConfig`], the (possibly
     /// secure) strategy is additionally wrapped in a [`DpAggregator`] — DP
@@ -184,19 +166,25 @@ impl TaskRuntime {
     /// deviation, the deviation is armed on the [`SecureAggregator`] here —
     /// the simulated malicious client stub lives inside the secure
     /// pipeline's client side.
-    pub fn with_aggregator(
+    pub fn new(
         config: TaskConfig,
         server_optimizer: ServerOptimizerKind,
-        aggregator: Box<dyn Aggregator>,
         trainer: Arc<dyn ClientTrainer>,
         eval_ids: Vec<usize>,
         seed: u64,
         target_loss: Option<f64>,
     ) -> Self {
-        let aggregator: Box<dyn Aggregator> = match config.secagg {
-            SecAggMode::Disabled => aggregator,
-            SecAggMode::AsyncSecAgg => {
-                let mut secure = SecureAggregator::new(
+        let aggregator = aggregator::for_task(&config);
+        // The two secure modes differ only in the key-exchange schedule.
+        let secure: Option<fn(_, _, _, _) -> SecureAggregator> = match config.secagg {
+            SecAggMode::Disabled => None,
+            SecAggMode::AsyncSecAgg => Some(SecureAggregator::new),
+            SecAggMode::AsyncSecAggPerUpdate => Some(SecureAggregator::new_per_update),
+        };
+        let aggregator: Box<dyn Aggregator> = match secure {
+            None => aggregator,
+            Some(build) => {
+                let mut secure = build(
                     aggregator,
                     trainer.parameter_count(),
                     secure::recommended_threshold(&config),
@@ -207,20 +195,6 @@ impl TaskRuntime {
                 if let Some(spec) = config.adversary {
                     // Arms wrong-counter / garbage-mask uploads for the
                     // spec's malicious cohort (no-op for payload attacks).
-                    secure = secure.with_deviation(spec);
-                }
-                Box::new(secure)
-            }
-            SecAggMode::AsyncSecAggPerUpdate => {
-                let mut secure = SecureAggregator::new_per_update(
-                    aggregator,
-                    trainer.parameter_count(),
-                    secure::recommended_threshold(&config),
-                    // Same protocol-stream seed as the session-cached mode,
-                    // so the modes differ only in the key-exchange schedule.
-                    seed ^ 0x5ECA_665E_CA66,
-                );
-                if let Some(spec) = config.adversary {
                     secure = secure.with_deviation(spec);
                 }
                 Box::new(secure)
@@ -429,8 +403,7 @@ impl TaskRuntime {
         // after local training, before anything server-side sees it.  The
         // ground truth recorded here never reaches the defenses — they must
         // work from the update contents alone.  (SecAgg protocol deviations
-        // are armed inside the secure pipeline instead; see
-        // `with_aggregator`.)
+        // are armed inside the secure pipeline instead; see `new`.)
         let mut claimed_start_version = in_flight.start_version;
         if let Some(spec) = self.config.adversary {
             if spec.is_malicious(client_id) {
@@ -451,8 +424,7 @@ impl TaskRuntime {
         }
         let num_examples = result.num_examples;
 
-        let mut outcome = UpdateOutcome::default();
-        if self.aggregator.closes_round_on_release() && in_flight.round != self.round_number {
+        if self.releases_close_rounds() && in_flight.round != self.round_number {
             // Update from a previous round arriving late; discarded.
             self.metrics.discarded_updates += 1;
             self.metrics.participations.push(ParticipationRecord {
@@ -461,16 +433,16 @@ impl TaskRuntime {
                 num_examples,
                 aggregated: false,
             });
-            return Some(outcome);
+            return Some(UpdateOutcome::default());
         }
 
         let update = ClientUpdate::from_result(client_id, claimed_start_version, result);
         let accumulate_outcome = self
             .aggregator
             .accumulate(update, self.model.version(), now);
+        let accepted = accumulate_outcome.accepted();
         match accumulate_outcome {
             AccumulateOutcome::Accepted { staleness } => {
-                outcome.accepted = true;
                 self.metrics.staleness_sum += staleness;
                 self.metrics.aggregated_updates += 1;
             }
@@ -484,50 +456,44 @@ impl TaskRuntime {
                 self.metrics.rejected_by_defense_updates += 1;
             }
         }
-        if self.aggregator.closes_round_on_release() {
+        if self.releases_close_rounds() {
             self.completed_this_round += 1;
         }
         self.metrics.participations.push(ParticipationRecord {
             client_id,
             execution_time_s: in_flight.execution_time_s,
             num_examples,
-            aggregated: outcome.accepted,
+            aggregated: accepted,
         });
 
-        if self.aggregator.is_ready(now) {
-            let delta = self
-                .aggregator
-                .take(now)
-                // papaya-lint: allow(panic-hygiene) -- take() is called under is_ready(); a None here is an aggregator contract breach
-                .expect("ready aggregator must release");
-            self.apply_server_update(&delta);
-            outcome.server_updated = true;
-            if self.aggregator.closes_round_on_release() {
-                outcome.round_ended = true;
-                outcome.freed = self.end_sync_round(now);
-            } else {
-                outcome.freed = self.abort_overly_stale_clients();
-            }
-        }
-        Some(outcome)
+        let release = self.poll(now).unwrap_or_default();
+        Some(UpdateOutcome {
+            accepted,
+            ..release
+        })
     }
 
-    /// Checks time-based release conditions at `now` (deadline strategies):
-    /// if the aggregator is ready without a new arrival, the buffer is
-    /// released and the server model steps.  Count-based strategies drain in
-    /// [`offer_update`](TaskRuntime::offer_update), so this is a no-op for
-    /// them.  Returns `None` when nothing was released.
+    /// Releases the aggregator's buffer if it is ready at `now`: the server
+    /// model steps, and a synchronous task closes its round while a
+    /// buffered one aborts clients past its staleness bound.  Every
+    /// [`offer_update`](TaskRuntime::offer_update) ends here; drivers also
+    /// call it at a strategy's deadline, when the buffer becomes ready
+    /// without a new arrival.  Returns `None` when nothing was released.
     pub fn poll(&mut self, now: SimTime) -> Option<UpdateOutcome> {
         if !self.aggregator.is_ready(now) {
             return None;
         }
-        let delta = self.aggregator.take(now)?;
+        let delta = self
+            .aggregator
+            .take(now)
+            // papaya-lint: allow(panic-hygiene) -- take() is called under is_ready(); a None here is an aggregator contract breach
+            .expect("ready aggregator must release");
         self.apply_server_update(&delta);
         let mut outcome = UpdateOutcome {
             server_updated: true,
             ..UpdateOutcome::default()
         };
-        if self.aggregator.closes_round_on_release() {
+        if self.releases_close_rounds() {
             outcome.round_ended = true;
             outcome.freed = self.end_sync_round(now);
         } else {
@@ -630,12 +596,18 @@ impl TaskRuntime {
         self.metrics.server_updates += 1;
     }
 
-    /// Aborts in-flight clients whose staleness would exceed the strategy's
+    /// Whether a release closes a cohort round (Appendix E.3): only in a
+    /// synchronous task.  Buffered tasks' stragglers keep training.
+    fn releases_close_rounds(&self) -> bool {
+        self.config.mode == TrainingMode::Sync
+    }
+
+    /// Aborts in-flight clients whose staleness would exceed the mode's
     /// bound (Appendix E.1: "clients may also be aborted by the server if
     /// staleness is higher than a configurable value").  No-op for
-    /// strategies without a staleness bound.
+    /// synchronous tasks, whose model does not move within a round.
     fn abort_overly_stale_clients(&mut self) -> Vec<FreedClient> {
-        let Some(max_staleness) = self.aggregator.max_staleness() else {
+        let TrainingMode::Async { max_staleness, .. } = self.config.mode else {
             return Vec::new();
         };
         let version = self.model.version();
@@ -716,6 +688,19 @@ mod tests {
         )
     }
 
+    /// The task as given, then the same task under the full decorator stack
+    /// (secure aggregation, a DP layer that neither clips nor adds noise, a
+    /// neutral defense).  Round closing and the staleness bound come from
+    /// the mode, so the runtime's policy must not depend on the stack.
+    fn clear_and_fully_stacked(config: TaskConfig) -> [TaskConfig; 2] {
+        let stacked = config
+            .clone()
+            .with_secagg(SecAggMode::AsyncSecAgg)
+            .with_dp(papaya_core::DpConfig::new(1e6, 0.0))
+            .with_robust(papaya_core::RobustConfig::neutral());
+        [config, stacked]
+    }
+
     /// `Run::release_freed` returns devices to the pool in `freed` order and
     /// the pinned fingerprints depend on it.
     fn ascending(freed: &[FreedClient]) -> bool {
@@ -749,24 +734,27 @@ mod tests {
 
     #[test]
     fn sync_round_end_frees_stragglers() {
-        let mut rt = runtime(TaskConfig::sync_task("t", 6, 0.5));
-        // Goal is 6 / 1.5 = 4; the other two clients are stragglers.
-        for pid in 0..6u64 {
-            let execution_time_s = if pid % 3 == 2 { 100.0 } else { 10.0 };
-            rt.begin_participation(pid, pid as usize, execution_time_s);
+        for config in clear_and_fully_stacked(TaskConfig::sync_task("t", 6, 0.5)) {
+            let secagg = config.secagg;
+            let mut rt = runtime(config);
+            // Goal is 6 / 1.5 = 4; the other two clients are stragglers.
+            for pid in 0..6u64 {
+                let execution_time_s = if pid % 3 == 2 { 100.0 } else { 10.0 };
+                rt.begin_participation(pid, pid as usize, execution_time_s);
+            }
+            rt.offer_update(0, None, 10.0).unwrap();
+            rt.offer_update(1, None, 10.0).unwrap();
+            rt.offer_update(3, None, 10.0).unwrap();
+            let outcome = rt.offer_update(4, None, 11.0).unwrap();
+            assert!(outcome.round_ended && outcome.server_updated, "{secagg:?}");
+            let freed_ids: Vec<u64> = outcome.freed.iter().map(|f| f.participation_id).collect();
+            assert_eq!(freed_ids, vec![2, 5], "{secagg:?}");
+            assert!(ascending(&outcome.freed));
+            assert_eq!(rt.round_number(), 1);
+            assert_eq!(rt.metrics().aborted_by_round_end, 2);
+            // The straggler's late report is silently ignored.
+            assert!(rt.offer_update(2, None, 100.0).is_none());
         }
-        rt.offer_update(0, None, 10.0).unwrap();
-        rt.offer_update(1, None, 10.0).unwrap();
-        rt.offer_update(3, None, 10.0).unwrap();
-        let outcome = rt.offer_update(4, None, 11.0).unwrap();
-        assert!(outcome.round_ended && outcome.server_updated);
-        let freed_ids: Vec<u64> = outcome.freed.iter().map(|f| f.participation_id).collect();
-        assert_eq!(freed_ids, vec![2, 5]);
-        assert!(ascending(&outcome.freed));
-        assert_eq!(rt.round_number(), 1);
-        assert_eq!(rt.metrics().aborted_by_round_end, 2);
-        // The straggler's late report is silently ignored.
-        assert!(rt.offer_update(2, None, 100.0).is_none());
     }
 
     /// An abort frees the participation's slot for the next one, so the
@@ -824,58 +812,62 @@ mod tests {
     /// The staleness sweep stops at the first in-flight participation that
     /// is fresh enough.  That is only the full filter if `start_version`
     /// never decreases along the table, so drive a bounded-staleness FedBuff
-    /// runtime through a few hundred begin / offer / fail steps and hold
-    /// every server step against the filter over the same table.
+    /// runtime, bare and fully stacked, through a few hundred begin / offer /
+    /// fail steps and hold every server step against the filter over the
+    /// same table.
     #[test]
     fn staleness_prefix_scan_matches_the_full_filter() {
         use rand::{rngs::StdRng, Rng, SeedableRng};
         const MAX_STALENESS: u64 = 2;
-        let mut rt = runtime(TaskConfig::async_task("t", 24, 3).with_max_staleness(MAX_STALENESS));
-        let mut rng = StdRng::seed_from_u64(23);
-        let mut next_id = 0u64;
-        let mut live: Vec<u64> = Vec::new();
-        let (mut server_steps, mut aborted) = (0, 0);
-        for step in 0..600 {
-            if live.is_empty() || (rt.demand() > 0 && rng.gen_bool(0.5)) {
-                rt.begin_participation(next_id, rng.gen_range(0..200), 1.0);
-                live.push(next_id);
-                next_id += 1;
-                continue;
+        let task = TaskConfig::async_task("t", 24, 3).with_max_staleness(MAX_STALENESS);
+        for config in clear_and_fully_stacked(task) {
+            let mut rt = runtime(config);
+            let mut rng = StdRng::seed_from_u64(23);
+            let mut next_id = 0u64;
+            let mut live: Vec<u64> = Vec::new();
+            let (mut server_steps, mut aborted) = (0, 0);
+            for step in 0..600 {
+                if live.is_empty() || (rt.demand() > 0 && rng.gen_bool(0.5)) {
+                    rt.begin_participation(next_id, rng.gen_range(0..200), 1.0);
+                    live.push(next_id);
+                    next_id += 1;
+                    continue;
+                }
+                // Finish a random participation, so old downloads linger while
+                // the version moves on.
+                let pid = live.swap_remove(rng.gen_range(0..live.len()));
+                if rng.gen_bool(0.2) {
+                    assert!(rt.client_failed(pid, None).is_some());
+                    continue;
+                }
+                let before: Vec<(u64, u64)> = rt
+                    .in_flight
+                    .iter()
+                    .filter(|&(id, ..)| id != pid)
+                    .map(|(id, _, f)| (id, f.start_version))
+                    .collect();
+                let outcome = rt.offer_update(pid, None, step as f64).unwrap();
+                let version = rt.version();
+                let too_stale: Vec<u64> = before
+                    .iter()
+                    .filter(|&&(_, start_version)| version - start_version > MAX_STALENESS)
+                    .map(|&(id, _)| id)
+                    .collect();
+                let freed: Vec<u64> = outcome.freed.iter().map(|f| f.participation_id).collect();
+                if outcome.server_updated {
+                    server_steps += 1;
+                    assert_eq!(freed, too_stale, "step {step}, version {version}");
+                } else {
+                    assert!(freed.is_empty());
+                }
+                assert!(ascending(&outcome.freed));
+                aborted += freed.len();
+                live.retain(|id| !freed.contains(id));
+                assert_eq!(rt.active(), live.len());
             }
-            // Finish a random participation, so old downloads linger while
-            // the version moves on.
-            let pid = live.swap_remove(rng.gen_range(0..live.len()));
-            if rng.gen_bool(0.2) {
-                assert!(rt.client_failed(pid, None).is_some());
-                continue;
-            }
-            let before: Vec<(u64, u64)> = rt
-                .in_flight
-                .iter()
-                .filter(|&(id, ..)| id != pid)
-                .map(|(id, _, f)| (id, f.start_version))
-                .collect();
-            let outcome = rt.offer_update(pid, None, step as f64).unwrap();
-            let version = rt.version();
-            let too_stale: Vec<u64> = before
-                .iter()
-                .filter(|&&(_, start_version)| version - start_version > MAX_STALENESS)
-                .map(|&(id, _)| id)
-                .collect();
-            let freed: Vec<u64> = outcome.freed.iter().map(|f| f.participation_id).collect();
-            if outcome.server_updated {
-                server_steps += 1;
-                assert_eq!(freed, too_stale, "step {step}, version {version}");
-            } else {
-                assert!(freed.is_empty());
-            }
-            assert!(ascending(&outcome.freed));
-            aborted += freed.len();
-            live.retain(|id| !freed.contains(id));
-            assert_eq!(rt.active(), live.len());
+            assert!(server_steps > 50, "only {server_steps} server steps");
+            assert!(aborted > 20, "only {aborted} staleness aborts");
         }
-        assert!(server_steps > 50, "only {server_steps} server steps");
-        assert!(aborted > 20, "only {aborted} staleness aborts");
     }
 
     #[test]

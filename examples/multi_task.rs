@@ -22,7 +22,8 @@ fn main() {
     let population = Population::generate(&PopulationConfig::default().with_size(2000), 7);
     let scenario = Scenario::builder()
         .population(population)
-        // All three aggregation strategies behind the same control plane.
+        // Both aggregation strategies, FedBuff with and without a round
+        // deadline, behind the same control plane.
         .task(TaskConfig::async_task("keyboard-lm", 64, 16))
         .task(TaskConfig::async_task("speech-kws", 32, 8).with_min_capability_tier(1))
         .task(TaskConfig::sync_task("photo-ranker", 40, 0.3))

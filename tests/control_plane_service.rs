@@ -7,7 +7,7 @@
 
 use papaya_core::TaskConfig;
 use papaya_data::population::{Population, PopulationConfig};
-use papaya_sim::cluster::TaskSpec;
+use papaya_sim::cluster::{AggregatorId, TaskId, TaskSpec};
 use papaya_sim::control_plane::ControlPlaneService;
 use papaya_sim::scenario::{EvalPolicy, FleetSpec, Report, RunLimits, Scenario};
 use papaya_sim::Parallelism;
@@ -26,8 +26,15 @@ fn spec(id: usize) -> TaskSpec {
 /// One scripted operation against the service.  `(op, id, tier)` tuples come
 /// from proptest; time advances by ten virtual seconds per step so heartbeat
 /// leases genuinely expire under some interleavings (sweeps then orphan or
-/// reassign tasks, and reconcile passes fire).
-fn apply_op(service: &mut ControlPlaneService, step: usize, op: u8, id: usize, tier: u8) {
+/// reassign tasks, and reconcile passes fire).  Returns what a client
+/// assignment handed out; every other operation returns `None`.
+fn apply_op(
+    service: &mut ControlPlaneService,
+    step: usize,
+    op: u8,
+    id: usize,
+    tier: u8,
+) -> Option<(TaskId, AggregatorId)> {
     let now = 10.0 * step as f64;
     match op % 6 {
         0 => {
@@ -44,7 +51,7 @@ fn apply_op(service: &mut ControlPlaneService, step: usize, op: u8, id: usize, t
             }
         }
         3 => {
-            service.assign_client(tier % 3);
+            return service.assign_client(tier % 3);
         }
         4 => {
             service.detect_failures(now);
@@ -55,12 +62,16 @@ fn apply_op(service: &mut ControlPlaneService, step: usize, op: u8, id: usize, t
             }
         }
     }
+    None
 }
 
 proptest! {
     /// Replaying the full log reconstructs the live state exactly, for any
     /// interleaving of heartbeats, submissions, demand reports, RNG-drawing
-    /// client assignments, failure sweeps, and reconcile passes.
+    /// client assignments, failure sweeps, and reconcile passes.  Along the
+    /// way the assignment map obeys its placement laws: the sequence never
+    /// decreases, the routes never change without a sequence bump, and an
+    /// assignment names the task's current route.
     #[test]
     fn replay_equals_live_under_any_interleaving(
         seed in any::<u64>(),
@@ -70,8 +81,19 @@ proptest! {
         service.register_aggregator(0, 0.0);
         service.register_aggregator(1, 0.0);
         service.submit_task(spec(0));
+        let mut map = service.coordinator().assignment_map();
         for (step, &(op, id, tier)) in ops.iter().enumerate() {
-            apply_op(&mut service, step, op, id, tier);
+            let assigned = apply_op(&mut service, step, op, id, tier);
+            let next = service.coordinator().assignment_map();
+            prop_assert!(next.sequence >= map.sequence, "step {}: sequence fell", step);
+            prop_assert!(
+                next.sequence > map.sequence || next.routes == map.routes,
+                "step {}: routes changed without a sequence bump", step
+            );
+            if let Some((task, aggregator)) = assigned {
+                prop_assert_eq!(service.coordinator().aggregator_of(task), Some(aggregator));
+            }
+            map = next;
         }
         let replayed = ControlPlaneService::replay(service.log());
         prop_assert_eq!(replayed.coordinator(), service.coordinator());
@@ -107,6 +129,30 @@ proptest! {
         prop_assert_eq!(service.counters(), &live_counters);
         prop_assert_eq!(replayed.coordinator(), &live_coordinator);
         prop_assert_eq!(replayed.counters(), &live_counters);
+    }
+}
+
+/// A client is never handed a route to an Aggregator the Coordinator has
+/// marked dead.  Today a total loss leaves the orphan routed to the failed
+/// Aggregator and `assign_client` still hands that route out (Selectors
+/// refuse it downstream); ROADMAP D7 step 2 moves the check into the
+/// Coordinator.
+#[test]
+#[ignore = "ROADMAP D7 step 2"]
+fn assign_never_hands_out_a_route_marked_dead() {
+    let mut service = ControlPlaneService::new(25.0, 0);
+    service.register_aggregator(0, 0.0);
+    service.register_aggregator(1, 0.0);
+    service.submit_task(spec(0));
+    service.report_demand(0, 5);
+    let sweep = service.detect_failures(30.0);
+    assert_eq!(sweep.failed, vec![0, 1]);
+    assert_eq!(sweep.orphaned, vec![0]);
+    if let Some((task, aggregator)) = service.assign_client(0) {
+        assert!(
+            service.coordinator().is_alive(aggregator),
+            "task {task} handed out on dead aggregator {aggregator}"
+        );
     }
 }
 

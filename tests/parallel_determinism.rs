@@ -4,7 +4,8 @@
 //! **bit-identical** at every thread count — the worker pool only moves pure
 //! `ClientTrainer::train` computations off the event-loop thread, and the
 //! loop consumes results in strict event order.  These tests pin that
-//! contract for all three aggregation strategies on direct scenarios and
+//! contract for both aggregation strategies (FedBuff with and without its
+//! optional round deadline, and synchronous rounds) on direct scenarios and
 //! for fleet scenarios, clear and secure, with an injected Aggregator crash
 //! (which exercises discarded speculative work: dropouts, round aborts,
 //! in-transit losses, failover).
