@@ -14,6 +14,8 @@
 //! loss (orphaning every task), then a recovery whose heartbeat triggers the
 //! reconcile pass — and the restore lands inside the dead window.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use bench::scenarios::soak_scenario;
 use bench::{parse_args, Scale};
 use papaya_sim::scenario::Report;

@@ -1,6 +1,8 @@
 //! Privacy-utility ablation: the DP convergence gap across a noise
 //! multiplier sweep, with the accountant's cumulative (ε, δ) per point.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use bench::experiments::dp_exp;
 use bench::parse_args;
 

@@ -1,5 +1,7 @@
 //! Figure 10: effect of the aggregation goal K at fixed concurrency.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use bench::experiments::convergence;
 use bench::parse_args;
 

@@ -1,5 +1,7 @@
 //! Figure 11 / Section 7.4: sampling bias from over-selection.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use bench::experiments::systems;
 use bench::parse_args;
 use papaya_data::stats::mean;

@@ -1,5 +1,7 @@
 //! Figure 12: training curves for the four FL configurations.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use bench::experiments::convergence;
 use bench::parse_args;
 

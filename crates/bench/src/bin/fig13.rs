@@ -1,5 +1,7 @@
 //! Figure 13: hours to reach the target loss for the four configurations.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use bench::experiments::convergence;
 use bench::parse_args;
 

@@ -1,6 +1,8 @@
 //! Figure 2: client execution-time histogram and the round-duration to
 //! client-time ratio.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use bench::experiments::systems;
 use bench::parse_args;
 

@@ -1,5 +1,7 @@
 //! Figure 3: SyncFL training time and communication trips vs concurrency.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use bench::experiments::convergence;
 use bench::parse_args;
 

@@ -1,6 +1,8 @@
 //! Figure 6: host->TEE data-transfer time vs aggregation goal for the naive
 //! design and AsyncSecAgg (20 MB model).
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use bench::experiments::secagg_exp;
 
 fn main() {

@@ -1,5 +1,7 @@
 //! Figure 7: number of active clients over time, SyncFL vs AsyncFL.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use bench::experiments::systems;
 use bench::parse_args;
 

@@ -1,5 +1,7 @@
 //! Figure 8: server model updates per hour vs concurrency.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use bench::experiments::systems;
 use bench::parse_args;
 

@@ -1,5 +1,7 @@
 //! Figure 9: time to target loss, AsyncFL speedup, and communication trips.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use bench::experiments::convergence;
 use bench::parse_args;
 

@@ -12,6 +12,8 @@
 //! cargo run --release -p bench --bin fingerprints -- --full
 //! ```
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use bench::scenarios::{build_scenario, SCENARIO_NAMES};
 use papaya_sim::Parallelism;
 

@@ -13,6 +13,8 @@
 //! fleet/control-plane roll-up — the multi-tenant behavior of Sections 4
 //! and 6.2–6.3 that no single-task figure exercises.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use bench::parse_args;
 use bench::Scale;
 use papaya_core::TaskConfig;

@@ -1,6 +1,8 @@
 //! Table 1: test perplexity by data-volume percentile after a fixed budget
 //! of client updates, for the three FL configurations.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use bench::experiments::lm_exp;
 use bench::parse_args;
 

@@ -43,13 +43,22 @@ pub fn measured_boundary_bytes_per_client(clients: usize, vector_len: usize) -> 
     let mut aggregator = UntrustedAggregator::new(&config);
     let update = vec![0.01f32; vector_len];
     for init in &initial {
+        #[expect(
+            clippy::expect_used,
+            reason = "the publication is this TSA's own, so its attestation verifies"
+        )]
         let msg = SecAggClient::participate(&update, init, &publication, &config, &mut rng)
-            // papaya-lint: allow(panic-hygiene) -- the publication is this TSA's own, so its attestation verifies
             .expect("attestation verifies");
-        // papaya-lint: allow(panic-hygiene) -- each upload answers a distinct fresh initial message of this TSA
+        #[expect(
+            clippy::expect_used,
+            reason = "each upload answers a distinct fresh initial message of this TSA"
+        )]
         aggregator.submit(msg, &mut tsa).expect("accepted");
     }
-    // papaya-lint: allow(panic-hygiene) -- all `clients` uploads were accepted and the config's threshold is `clients`
+    #[expect(
+        clippy::expect_used,
+        reason = "all `clients` uploads were accepted and the config's threshold is `clients`"
+    )]
     let _ = aggregator.finalize(&mut tsa).expect("threshold met");
     tsa.boundary_stats().bytes_in as f64 / clients as f64
 }

@@ -23,6 +23,7 @@
 //! job (`benchmark/` at the repository root).
 
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod experiments;
 pub mod scenarios;

@@ -7,6 +7,10 @@
 //! good enough to compare orders of magnitude without a registry dependency.
 
 #![forbid(unsafe_code)]
+#![expect(
+    clippy::disallowed_methods,
+    reason = "a timing harness: it measures wall-clock time and feeds no run"
+)]
 
 use std::time::{Duration, Instant};
 

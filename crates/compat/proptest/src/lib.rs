@@ -102,7 +102,10 @@ range_strategy!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize, f32, f64);
 
 macro_rules! tuple_strategy {
     ($(($($name:ident),+)),+ $(,)?) => {$(
-        #[allow(non_snake_case)]
+        #[expect(
+            non_snake_case,
+            reason = "the type parameters double as the names the tuple is destructured into"
+        )]
         impl<$($name: Strategy),+> Strategy for ($($name,)+) {
             type Value = ($($name::Value,)+);
             fn sample(&self, rng: &mut TestRng) -> Self::Value {

@@ -231,10 +231,13 @@ struct SessionState {
 /// The session-cached protocol state.  Callers are session-mode paths that
 /// already dispatched on `session.is_some()`; taking the field (not
 /// `&mut self`) keeps sibling-field borrows legal at the call sites.
+#[expect(
+    clippy::expect_used,
+    reason = "session-mode dispatch guarantees presence; absence is an internal invariant breach, not a reachable input"
+)]
 fn session_state(session: &mut Option<SessionState>) -> &mut SessionState {
     session
         .as_mut()
-        // papaya-lint: allow(panic-hygiene) -- session-mode dispatch guarantees presence; absence is an internal invariant breach, not a reachable input
         .expect("session-mode call on a per-update aggregator")
 }
 
@@ -432,7 +435,10 @@ impl SecureAggregator {
         let planned = session_state(&mut self.session).planned.remove(&client_id);
         let plan = planned.unwrap_or_else(|| self.session_plan(client_id));
         let session = session_state(&mut self.session);
-        // papaya-lint: allow(wall-clock) -- stage timing for SecureTimings; profiling only, never fingerprinted
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "stage timing for SecureTimings; profiling only, never fingerprinted"
+        )]
         let start = Instant::now();
         let pre = plan.compute(&mut session.scratch);
         let elapsed = start.elapsed().as_secs_f64();
@@ -466,7 +472,10 @@ impl SecureAggregator {
         // pad.
         let mut scaled = update.delta.clone();
         scaled.scale(weight as f32);
-        // papaya-lint: allow(wall-clock) -- stage timing for SecureTimings; profiling only, never fingerprinted
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "stage timing for SecureTimings; profiling only, never fingerprinted"
+        )]
         let start = Instant::now();
         let mut masked = self.config.codec.encode_vec(scaled.as_slice());
         masked.add_assign(&pre.mask);
@@ -491,7 +500,10 @@ impl SecureAggregator {
         }
         if outcome.accepted() {
             if let Some(handshake) = pre.handshake {
-                // papaya-lint: allow(wall-clock) -- stage timing for SecureTimings; profiling only, never fingerprinted
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "stage timing for SecureTimings; profiling only, never fingerprinted"
+                )]
                 let start = Instant::now();
                 self.tsa
                     .establish_session(client_id as u64, &handshake.client_public);
@@ -499,9 +511,12 @@ impl SecureAggregator {
                 let session = session_state(&mut self.session);
                 session.session_keys.insert(client_id, handshake.key);
             }
+            #[expect(
+                clippy::expect_used,
+                reason = "codec and host share one deployment config by construction; a mismatch is a wiring bug"
+            )]
             self.host
                 .submit_masked(&masked)
-                // papaya-lint: allow(panic-hygiene) -- codec and host share one deployment config by construction; a mismatch is a wiring bug
                 .expect("mask and update share the deployment group");
             let session = session_state(&mut self.session);
             // A wrong-counter client claims the *next* ratchet counter: the
@@ -549,14 +564,24 @@ impl SecureAggregator {
         let weight = self.inner.update_weight(update.num_examples, staleness);
         let mut scaled = update.delta.clone();
         scaled.scale(weight as f32);
-        // papaya-lint: allow(wall-clock) -- stage timing for SecureTimings; profiling only, never fingerprinted
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "stage timing for SecureTimings; profiling only, never fingerprinted"
+        )]
         let start = Instant::now();
+        #[expect(
+            clippy::expect_used,
+            reason = "one message was requested on the line above; an empty batch is an internal invariant breach"
+        )]
         let initial = self
             .tsa
             .prepare_initial_messages(1, &mut self.rng)
             .pop()
-            // papaya-lint: allow(panic-hygiene) -- one message was requested on the line above; an empty batch is an internal invariant breach
             .expect("one initial message");
+        #[expect(
+            clippy::expect_used,
+            reason = "the simulated client verifies the publication it was just handed; rejection is a protocol wiring bug"
+        )]
         let upload = SecAggClient::participate(
             scaled.as_slice(),
             &initial,
@@ -564,17 +589,22 @@ impl SecureAggregator {
             &self.config,
             &mut self.rng,
         )
-        // papaya-lint: allow(panic-hygiene) -- the simulated client verifies the publication it was just handed; rejection is a protocol wiring bug
         .expect("simulated client validates its own TSA");
         self.timings.handshake_s += start.elapsed().as_secs_f64();
 
         let outcome = self.inner.accumulate(update, current_version, now_s);
         if outcome.accepted() {
-            // papaya-lint: allow(wall-clock) -- stage timing for SecureTimings; profiling only, never fingerprinted
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "stage timing for SecureTimings; profiling only, never fingerprinted"
+            )]
             let start = Instant::now();
+            #[expect(
+                clippy::expect_used,
+                reason = "the exchange was created by this aggregator's own TSA moments ago; rejection is a protocol wiring bug"
+            )]
             self.host
                 .submit(upload, &mut self.tsa)
-                // papaya-lint: allow(panic-hygiene) -- the exchange was created by this aggregator's own TSA moments ago; rejection is a protocol wiring bug
                 .expect("fresh key-exchange completion is accepted");
             self.timings.encode_s += start.elapsed().as_secs_f64();
             self.weight_sum += weight;
@@ -628,20 +658,25 @@ impl Aggregator for SecureAggregator {
         }
         let reference = self.inner.take(now_s)?;
         let accepted = self.host.accepted();
-        // papaya-lint: allow(wall-clock) -- stage timing for SecureTimings; profiling only, never fingerprinted
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "stage timing for SecureTimings; profiling only, never fingerprinted"
+        )]
         let start = Instant::now();
+        #[expect(
+            clippy::expect_used,
+            reason = "take() is gated on is_ready, which requires the TSA threshold; refusal is an internal invariant breach"
+        )]
         let decoded = if let Some(session) = self.session.as_mut() {
             // One TSA round-trip for the whole buffer: the batch of 16-byte
             // mask references goes in, the aggregated unmask comes out.
             let refs = std::mem::take(&mut session.pending_refs);
             self.host
                 .finalize_batch(&mut self.tsa, &refs)
-                // papaya-lint: allow(panic-hygiene) -- take() is gated on is_ready, which requires the TSA threshold; refusal is an internal invariant breach
                 .expect("is_ready implies the TSA threshold is met")
         } else {
             self.host
                 .finalize(&mut self.tsa)
-                // papaya-lint: allow(panic-hygiene) -- take() is gated on is_ready, which requires the TSA threshold; refusal is an internal invariant breach
                 .expect("is_ready implies the TSA threshold is met")
         };
         self.timings.unmask_s += start.elapsed().as_secs_f64();

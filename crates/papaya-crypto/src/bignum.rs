@@ -137,7 +137,10 @@ impl<const N: usize> Uint<N> {
             cleaned
         };
         for i in (0..padded.len()).step_by(2) {
-            // papaya-lint: allow(panic-hygiene) -- documented panic: from_hex is a test/constant helper whose contract rejects non-hex input
+            #[expect(
+                clippy::expect_used,
+                reason = "documented panic: from_hex is a test/constant helper whose contract rejects non-hex input"
+            )]
             bytes.push(u8::from_str_radix(&padded[i..i + 2], 16).expect("invalid hex digit"));
         }
         Self::from_be_bytes(&bytes)
@@ -194,8 +197,10 @@ impl<const N: usize> Uint<N> {
     }
 
     /// Adds, returning the result and the carry-out.
-    // Index style keeps the carry chain legible across the three arrays.
-    #[allow(clippy::needless_range_loop)]
+    #[expect(
+        clippy::needless_range_loop,
+        reason = "index style keeps the carry chain legible across the three arrays"
+    )]
     pub fn overflowing_add(&self, other: &Self) -> (Self, bool) {
         let mut out = [0u64; N];
         let mut carry = 0u64;
@@ -209,8 +214,10 @@ impl<const N: usize> Uint<N> {
     }
 
     /// Subtracts, returning the result and the borrow-out.
-    // Index style keeps the borrow chain legible across the three arrays.
-    #[allow(clippy::needless_range_loop)]
+    #[expect(
+        clippy::needless_range_loop,
+        reason = "index style keeps the borrow chain legible across the three arrays"
+    )]
     pub fn overflowing_sub(&self, other: &Self) -> (Self, bool) {
         let mut out = [0u64; N];
         let mut borrow = 0u64;
@@ -311,8 +318,10 @@ pub struct Montgomery<const N: usize> {
 /// constant loop bounds and an accumulator the compiler can keep in
 /// registers; a caller passing the modulus's run-time width gets the general
 /// loop.  Both compute the same limbs.
-// Index style keeps the CIOS carry chains legible across `t`, `a`, `b`.
-#[allow(clippy::needless_range_loop)]
+#[expect(
+    clippy::needless_range_loop,
+    reason = "index style keeps the CIOS carry chains legible across `t`, `a`, `b`"
+)]
 #[inline(always)]
 fn cios<const W: usize>(
     w: usize,
@@ -404,7 +413,10 @@ impl<const N: usize> Montgomery<N> {
             modulus.is_odd(),
             "Montgomery arithmetic requires an odd modulus"
         );
-        // papaya-lint: allow(panic-hygiene) -- documented panic: Montgomery construction requires a non-zero odd modulus (asserted above)
+        #[expect(
+            clippy::expect_used,
+            reason = "documented panic: Montgomery construction requires a non-zero odd modulus (asserted above)"
+        )]
         let active = modulus.highest_bit().expect("modulus must be non-zero") / 64 + 1;
         let n0_inv = inv_mod_2_64(modulus.limbs[0]).wrapping_neg();
 

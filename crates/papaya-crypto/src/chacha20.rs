@@ -146,7 +146,7 @@ impl ChaCha20 {
 /// per lane, and a 4×4 transpose per group of four words puts each block's
 /// bytes back in order.
 #[cfg(target_arch = "x86_64")]
-#[allow(unsafe_code)]
+#[expect(unsafe_code, reason = "the SSE2 intrinsics are unsafe to call")]
 mod sse2 {
     use std::arch::x86_64::{
         __m128i, _mm_add_epi32, _mm_or_si128, _mm_set1_epi32, _mm_set_epi32, _mm_shufflehi_epi16,

@@ -44,6 +44,7 @@
 //! ```
 
 #![deny(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 #![warn(clippy::undocumented_unsafe_blocks)]
 
 pub mod aead;

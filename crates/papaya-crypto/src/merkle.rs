@@ -260,7 +260,10 @@ impl ConsistencyProof {
             sn >>= 1;
         }
         let mut iter = path.into_iter();
-        // papaya-lint: allow(panic-hygiene) -- the empty-path case returned early above; a missing head here is an internal invariant breach
+        #[expect(
+            clippy::expect_used,
+            reason = "the empty-path case returned early above; a missing head here is an internal invariant breach"
+        )]
         let first = iter.next().expect("path is non-empty");
         let mut fr = first;
         let mut sr = first;

@@ -187,7 +187,10 @@ fn compress_portable(state: &mut [u32; 8], block: &[u8; 64]) {
 /// a time.  The state lives as the two halves `ABEF` and `CDGH` the round
 /// instruction wants.
 #[cfg(target_arch = "x86_64")]
-#[allow(unsafe_code)]
+#[expect(
+    unsafe_code,
+    reason = "the SHA-NI intrinsics are unsafe to call, and run only after the CPU check"
+)]
 mod ni {
     use super::K;
     use std::arch::x86_64::{

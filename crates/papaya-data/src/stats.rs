@@ -26,7 +26,10 @@ pub fn percentile(values: &[f64], p: f64) -> f64 {
     assert!(!values.is_empty(), "percentile of empty slice");
     assert!((0.0..=100.0).contains(&p), "percentile must be in [0, 100]");
     let mut sorted = values.to_vec();
-    // papaya-lint: allow(panic-hygiene) -- NaN in a latency/metric sample is corrupt input; a silent NaN ordering would quietly skew every percentile
+    #[expect(
+        clippy::expect_used,
+        reason = "NaN in a latency/metric sample is corrupt input; a silent NaN ordering would quietly skew every percentile"
+    )]
     sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in percentile input"));
     if sorted.len() == 1 {
         return sorted[0];
@@ -142,9 +145,15 @@ pub fn ks_two_sample(sample_a: &[f64], sample_b: &[f64]) -> KsTestResult {
     assert!(!sample_a.is_empty() && !sample_b.is_empty(), "empty sample");
     let mut a = sample_a.to_vec();
     let mut b = sample_b.to_vec();
-    // papaya-lint: allow(panic-hygiene) -- NaN in a KS sample is corrupt input; failing loudly beats a meaningless test statistic
+    #[expect(
+        clippy::expect_used,
+        reason = "NaN in a KS sample is corrupt input; failing loudly beats a meaningless test statistic"
+    )]
     a.sort_by(|x, y| x.partial_cmp(y).expect("NaN"));
-    // papaya-lint: allow(panic-hygiene) -- NaN in a KS sample is corrupt input; failing loudly beats a meaningless test statistic
+    #[expect(
+        clippy::expect_used,
+        reason = "NaN in a KS sample is corrupt input; failing loudly beats a meaningless test statistic"
+    )]
     b.sort_by(|x, y| x.partial_cmp(y).expect("NaN"));
     let (n, m) = (a.len(), b.len());
     let mut i = 0usize;

@@ -58,8 +58,11 @@ pub fn char_to_id(c: char) -> usize {
 /// # Panics
 ///
 /// Panics if `id` is out of range.
+#[expect(
+    clippy::expect_used,
+    reason = "documented panic: callers index with ids the tokenizer itself produced"
+)]
 pub fn id_to_char(id: usize) -> char {
-    // papaya-lint: allow(panic-hygiene) -- documented panic: callers index with ids the tokenizer itself produced
     VOCAB.chars().nth(id).expect("id out of vocabulary range")
 }
 

@@ -29,6 +29,7 @@
 //! ```
 
 #![deny(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod model;
 pub mod trainer;

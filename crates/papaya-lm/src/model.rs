@@ -494,7 +494,10 @@ fn train(model: &mut CharLstm, tokens: &[usize], learning_rate: f32) -> f32 {
 /// the same body, so they run the same operations in the same order and
 /// agree bit for bit (`tests::avx2_matches_portable`).  This module holds
 /// the crate's only `unsafe`: one call per entry into the AVX2 build.
-#[allow(unsafe_code)]
+#[expect(
+    unsafe_code,
+    reason = "one call per entry into the AVX2 build, after the CPU check"
+)]
 mod dispatch {
     use super::{CharLstm, LmConfig, Workspace};
 
@@ -741,6 +744,7 @@ mod tests {
     fn initial_loss_is_near_uniform() {
         let model = CharLstm::new(LmConfig::tiny(), 2);
         let loss = model.sequence_loss(&tokens("hello world.")).unwrap();
+        #[expect(clippy::disallowed_methods, reason = "host libm as a test oracle only")]
         let uniform = (LmConfig::tiny().vocab_size as f32).ln();
         assert!(
             (loss - uniform).abs() < 0.7,
@@ -901,6 +905,7 @@ mod tests {
         let mut model = CharLstm::new(LmConfig::tiny(), 4);
         let seq = tokens("abcabcabc.");
         let reported = model.train_sequence(&seq, 0.1).unwrap();
+        #[expect(clippy::disallowed_methods, reason = "host libm as a test oracle only")]
         let uniform = (LmConfig::tiny().vocab_size as f32).ln();
         assert!((reported - uniform).abs() < 1.0);
     }

@@ -63,8 +63,13 @@ impl LmClientTrainer {
     /// Mean test-set perplexity of `params` over the given clients
     /// (`exp` of the mean per-token cross-entropy) — the Table 1 metric.
     pub fn perplexity(&self, params: &ParamVec, client_ids: &[usize]) -> f64 {
-        // papaya-lint: allow(ambient-math) -- reporting only: a perplexity is printed, never fed into a delta or a fingerprint
-        self.evaluate(params, client_ids).exp()
+        let loss = self.evaluate(params, client_ids);
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "reporting only: a perplexity is printed, never fed into a delta or a fingerprint"
+        )]
+        let perplexity = loss.exp();
+        perplexity
     }
 }
 
@@ -259,6 +264,8 @@ mod tests {
         let params = t.initial_parameters();
         let loss = t.evaluate(&params, &[0]);
         let ppl = t.perplexity(&params, &[0]);
-        assert!((ppl - loss.exp()).abs() < 1e-9);
+        #[expect(clippy::disallowed_methods, reason = "host libm as a test oracle only")]
+        let expected = loss.exp();
+        assert!((ppl - expected).abs() < 1e-9);
     }
 }

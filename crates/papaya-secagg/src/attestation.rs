@@ -212,9 +212,12 @@ pub fn publish_binary(log: &mut MerkleLog, binary: &TrustedBinary) -> (usize, In
     let index = (0..log.len())
         .find(|&i| log.get(i) == Some(record.as_slice()))
         .unwrap_or_else(|| log.append(record));
+    #[expect(
+        clippy::expect_used,
+        reason = "the record was found or appended on the line above; an unprovable index is an internal invariant breach"
+    )]
     let proof = log
         .inclusion_proof(index)
-        // papaya-lint: allow(panic-hygiene) -- the record was found or appended on the line above; an unprovable index is an internal invariant breach
         .expect("record just appended is provable");
     (index, proof)
 }

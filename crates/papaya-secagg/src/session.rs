@@ -249,8 +249,11 @@ fn handshake_inner(
     publication: &TsaPublication,
     tsa_precomputed: Option<&DhPrecomputedPublic>,
 ) -> SessionHandshake {
+    #[expect(
+        clippy::expect_used,
+        reason = "a failed attestation means simulated-protocol wiring is broken; continuing would mask a security-model bug"
+    )]
     verify_quote(publication, &init.quote, &init.tsa_public.to_byte_array())
-        // papaya-lint: allow(panic-hygiene) -- a failed attestation means simulated-protocol wiring is broken; continuing would mask a security-model bug
         .expect("TSA attestation failed; refusing to establish a session");
     let mut rng = ChaCha20Rng::from_seed(*key_seed);
     let client_key = DhPrivateKey::generate(group, &mut rng);
@@ -309,7 +312,7 @@ mod tests {
         for _ in 0..32 {
             let mut secret = [0u8; 32];
             rng.fill_bytes(&mut secret);
-            let mut seen = std::collections::HashSet::new();
+            let mut seen = std::collections::BTreeSet::new();
             for counter in 0..64u64 {
                 let seed = RatchetKey::new(&SharedSecret::from(secret)).seed(counter);
                 assert_eq!(

@@ -176,9 +176,12 @@ impl Tsa {
     pub fn publication(&self) -> TsaPublication {
         let binary = &self.config.trusted_binary;
         let record = binary.log_record();
+        #[expect(
+            clippy::expect_used,
+            reason = "the constructor records the binary before any publication can be requested"
+        )]
         let index = (0..self.log.len())
             .find(|&i| self.log.get(i) == Some(record.as_slice()))
-            // papaya-lint: allow(panic-hygiene) -- the constructor records the binary before any publication can be requested
             .expect("binary recorded at construction");
         TsaPublication {
             expected_measurement: binary.measurement(),
@@ -187,10 +190,13 @@ impl Tsa {
             log_size: self.log.len(),
             log_index: index,
             log_record: record,
+            #[expect(
+                clippy::expect_used,
+                reason = "`index` was found in the log two statements above; a missing proof is an internal invariant breach"
+            )]
             inclusion_proof: self
                 .log
                 .inclusion_proof(index)
-                // papaya-lint: allow(panic-hygiene) -- `index` was found in the log two statements above; a missing proof is an internal invariant breach
                 .expect("inclusion proof for recorded binary"),
             hardware_key: self.hardware_key,
         }
@@ -360,6 +366,10 @@ impl Tsa {
     /// public key under an attestation quote.  The key is generated (and the
     /// offer metered across the boundary) at most once per epoch — this is
     /// the amortization that replaces the per-update initial message.
+    #[expect(
+        clippy::expect_used,
+        reason = "the branch above populates `epoch_init` whenever it was empty"
+    )]
     pub fn session_init(&mut self) -> SessionInitMessage {
         if self.epoch_init.is_none() {
             // The epoch key is derived from the hardware key and the epoch
@@ -387,7 +397,6 @@ impl Tsa {
                 quote,
             });
         }
-        // papaya-lint: allow(panic-hygiene) -- the branch above populates `epoch_init` whenever it was empty
         self.epoch_init.clone().expect("built above")
     }
 
@@ -403,10 +412,13 @@ impl Tsa {
         if self.epoch_init.is_none() {
             self.session_init();
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "session_init was just run if the epoch key was absent; absence here is an internal invariant breach"
+        )]
         let secret = self
             .epoch_key
             .as_ref()
-            // papaya-lint: allow(panic-hygiene) -- session_init was just run if the epoch key was absent; absence here is an internal invariant breach
             .expect("epoch key exists after session_init")
             .shared_secret(client_public);
         let key = RatchetKey::new(&secret);
@@ -477,7 +489,10 @@ impl Tsa {
         let mut sum = GroupVec::zeros(params, self.config.vector_len);
         let mut scratch = std::mem::take(&mut self.scratch);
         for r in refs {
-            // papaya-lint: allow(panic-hygiene) -- every ref passed the validation pass above, which requires an established session
+            #[expect(
+                clippy::expect_used,
+                reason = "every ref passed the validation pass above, which requires an established session"
+            )]
             let session = self.sessions.get(&r.client_id).expect("validated");
             let seed = session.key.seed(r.counter);
             expand_mask_into(&seed, params, self.config.vector_len, &mut scratch);
@@ -485,7 +500,10 @@ impl Tsa {
         }
         self.scratch = scratch;
         for (client_id, floor) in floors {
-            // papaya-lint: allow(panic-hygiene) -- `floors` keys were validated against established sessions above
+            #[expect(
+                clippy::expect_used,
+                reason = "`floors` keys were validated against established sessions above"
+            )]
             let session = self.sessions.get_mut(&client_id).expect("validated");
             session.next_counter = floor;
             // Revocations the floor has now passed can never match again.
@@ -559,7 +577,7 @@ mod tests {
         let (mut tsa, config, mut rng) = setup(4, 2);
         let publication = tsa.publication();
         let msgs = tsa.prepare_initial_messages(5, &mut rng);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for m in &msgs {
             assert!(seen.insert(m.index));
             assert!(crate::attestation::verify_quote(

@@ -311,8 +311,13 @@ impl ControlPlaneService {
     }
 
     /// The single dispatcher every logged event goes through, live or
-    /// replayed.  Exhaustive on purpose: papaya-lint's `event-dispatch`
-    /// rule checks that every `ControlEvent` variant is named here.
+    /// replayed.  Exhaustive on purpose: rustc rejects a missing
+    /// `ControlEvent` variant, and the two denied lints reject a `_` arm
+    /// that would swallow a new one.
+    #[deny(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )]
     fn apply(
         coordinator: &mut Coordinator,
         counters: &mut ServiceCounters,

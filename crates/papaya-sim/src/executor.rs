@@ -210,15 +210,21 @@ impl Shared {
     /// panic is caught by `catch_unwind` *before* the worker re-locks, so no
     /// thread can die while holding the mutex — a poisoned lock is a harness
     /// bug worth a loud crash, not a recoverable condition.
+    #[expect(
+        clippy::unwrap_used,
+        reason = "lock poisoning is unreachable (worker panics are caught before re-locking); crashing loudly beats limping on poisoned state"
+    )]
     fn lock(&self) -> MutexGuard<'_, Inner> {
-        // papaya-lint: allow(panic-hygiene) -- lock poisoning is unreachable (worker panics are caught before re-locking); crashing loudly beats limping on poisoned state
         self.inner.lock().unwrap()
     }
 }
 
 /// Blocks on `condvar`, with the same poisoning argument as [`Shared::lock`].
+#[expect(
+    clippy::unwrap_used,
+    reason = "lock poisoning is unreachable (worker panics are caught before re-locking); crashing loudly beats limping on poisoned state"
+)]
 fn wait_on<'a>(condvar: &Condvar, guard: MutexGuard<'a, Inner>) -> MutexGuard<'a, Inner> {
-    // papaya-lint: allow(panic-hygiene) -- lock poisoning is unreachable (worker panics are caught before re-locking); crashing loudly beats limping on poisoned state
     condvar.wait(guard).unwrap()
 }
 
@@ -239,13 +245,16 @@ impl Executor {
     pub fn new(threads: usize) -> Self {
         assert!(threads > 0, "an executor needs at least one worker");
         let shared = Arc::new(Shared::default());
+        #[expect(
+            clippy::expect_used,
+            reason = "thread spawn fails only on OS resource exhaustion at pool construction; no run state exists yet to unwind"
+        )]
         let workers = (0..threads)
             .map(|i| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("papaya-train-{i}"))
                     .spawn(move || worker_loop(&shared))
-                    // papaya-lint: allow(panic-hygiene) -- thread spawn fails only on OS resource exhaustion at pool construction; no run state exists yet to unwind
                     .expect("spawn training worker")
             })
             .collect();

@@ -50,8 +50,7 @@ pub struct MetricsCollector {
     /// `(virtual_seconds, active_clients)` samples.
     pub utilization_trace: DecimatedTrace<(f64, usize)>,
     /// Active clients summed over every utilization sample offered.
-    // papaya-lint: allow(metrics-fingerprint) -- a running sum of the samples utilization_trace's hashed digest already folds
-    active_clients_sum: u64,
+    pub(crate) active_clients_sum: u64,
     /// `(virtual_hours, population loss)` samples.
     pub loss_curve: DecimatedTrace<(f64, f64)>,
     /// Client updates received at the server ("communication trips").
@@ -70,8 +69,7 @@ pub struct MetricsCollector {
     /// Completed synchronous round durations in seconds.
     pub round_durations_s: DecimatedTrace<f64>,
     /// Every round duration offered, summed in offer order.
-    // papaya-lint: allow(metrics-fingerprint) -- a running sum of the samples round_durations_s's hashed digest already folds
-    round_duration_sum_s: f64,
+    pub(crate) round_duration_sum_s: f64,
     /// Participation records for bias analysis.
     pub participations: DecimatedTrace<ParticipationRecord>,
     /// Sum of staleness over aggregated updates.
@@ -96,7 +94,6 @@ pub struct MetricsCollector {
     /// kept out of [`SecureTelemetry`] and never hashed into run
     /// fingerprints; the repo benchmark's traced run of `secure-stack`
     /// reports it as `secure.{handshake,mask,encode,unmask}_s`.
-    // papaya-lint: allow(metrics-fingerprint) -- wall-clock profiling is machine-dependent by nature; hashing it would break the determinism pin it exists to protect
     pub secure_timings: SecureTimings,
     /// Differential-privacy telemetry, copied from the task's
     /// [`DpAggregator`](papaya_core::dp::DpAggregator) when the report is
@@ -260,22 +257,16 @@ pub struct ControlPlaneStats {
     /// Crashed Aggregator processes that came back during the run.
     pub aggregator_recoveries: u64,
     /// Heartbeats processed by the control plane.
-    // papaya-lint: allow(metrics-fingerprint) -- derived from fleet size and tick count, both already pinned by the hashed event count; hashing it would add nothing but a second copy of run shape
     pub heartbeats: u64,
     /// Task placements performed (initial, reassignment, and reconcile).
-    // papaya-lint: allow(metrics-fingerprint) -- the placements themselves are fingerprinted through routes, reassignment counters, and final params; this is their observability roll-up
     pub tasks_placed: u64,
     /// Absolute length of the control-plane event log at the end of the run.
-    // papaya-lint: allow(metrics-fingerprint) -- an observability mirror fully determined by the hashed dispatch counts; hashing it would double-count them
     pub control_log_events: u64,
     /// Checkpoints the control plane took during the run.
-    // papaya-lint: allow(metrics-fingerprint) -- checkpoint cadence is an operator knob that must not alter run identity; bit-identity across cadences is the checkpoint correctness proof
     pub checkpoints_taken: u64,
     /// Events appended since the last checkpoint (restore replay cost).
-    // papaya-lint: allow(metrics-fingerprint) -- checkpoint cadence is an operator knob that must not alter run identity; bit-identity across cadences is the checkpoint correctness proof
     pub checkpoint_age_events: u64,
     /// Mid-run restores of the control plane from (checkpoint + log suffix).
-    // papaya-lint: allow(metrics-fingerprint) -- a restore must be fingerprint-invisible: identical fingerprints with and without one IS the replay-fidelity proof
     pub coordinator_restores: u64,
 }
 

@@ -197,7 +197,7 @@ impl ShardedSamplingPool {
 mod tests {
     use super::*;
     use rand::SeedableRng;
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
 
     #[test]
     fn acquire_removes_and_release_restores() {
@@ -216,7 +216,7 @@ mod tests {
     fn exhaustion_returns_none() {
         let mut pool = ShardedSamplingPool::new(3);
         let mut rng = StdRng::seed_from_u64(2);
-        let mut taken = HashSet::new();
+        let mut taken = BTreeSet::new();
         for _ in 0..3 {
             assert!(taken.insert(pool.acquire_random(&mut rng).unwrap()));
         }

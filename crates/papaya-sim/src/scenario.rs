@@ -57,6 +57,9 @@ use crate::sampling::ShardedSamplingPool;
 use crate::task_runtime::{FreedClient, InFlightSlot, ServerOptimizerKind, TaskRuntime};
 use papaya_core::client::ClientTrainer;
 use papaya_core::config::{SecAggMode, TaskConfig, TrainingMode};
+use papaya_core::dp::DpTelemetry;
+use papaya_core::robust::RobustTelemetry;
+use papaya_core::secure::SecureTelemetry;
 use papaya_core::surrogate::{SurrogateConfig, SurrogateObjective};
 use papaya_core::trace::{DecimatedTrace, Digest, TraceBudget};
 use papaya_data::population::{DeviceProfile, Population};
@@ -382,71 +385,174 @@ impl Report {
         });
         h.word(self.virtual_hours.to_bits());
         h.word(self.events_processed);
+        // Every struct below is destructured without `..`, so a new field
+        // does not compile until it is hashed here or bound to `_` with the
+        // reason it stays out.
         for task in &self.tasks {
-            let m = &task.metrics;
-            fold_str(&mut h, &task.name);
-            h.word(m.comm_trips);
-            h.word(m.server_updates);
-            h.word(m.aggregated_updates);
-            h.word(m.rejected_stale_updates);
-            h.word(m.discarded_updates);
-            h.word(m.failed_participations);
-            h.word(m.aborted_by_round_end);
-            h.word(m.staleness_sum);
-            h.word(m.lost_buffered_updates);
-            h.word(m.secure.masked_updates);
-            h.word(m.secure.masked_discarded);
-            h.word(m.secure.tsa_key_releases);
-            h.word(m.secure.buffers_dropped_unreleased);
-            h.word(m.secure.out_of_range_releases);
-            h.word(m.secure.tee_bytes_in);
-            h.word(m.secure.tee_bytes_out);
-            h.word(m.secure.session_cache_hits);
-            h.word(m.secure.session_cache_misses);
-            h.word(m.secure.dh_exchanges_saved);
-            fold_trace(&mut h, &m.secure.quantization_error_trace);
-            h.word(m.dp.accepted_updates);
-            h.word(m.dp.clipped_updates);
-            h.word(m.dp.releases);
-            h.word(m.dp.cumulative_epsilon.to_bits());
-            fold_trace(&mut h, &m.dp.release_trace);
-            h.word(m.robust.rejected_non_finite);
-            h.word(m.robust.rejected_by_norm);
-            h.word(m.robust.estimator_releases);
-            fold_trace(&mut h, &m.robust.estimator_trace);
-            h.word(m.rejected_by_defense_updates);
-            h.word(m.attacked_updates);
-            h.word(m.attacks_by_label.len() as u64);
-            for (&label, &count) in &m.attacks_by_label {
+            let TaskReport {
+                // The position in `tasks`, which the hash order already fixes.
+                task_id: _,
+                name,
+                initial_loss,
+                final_loss,
+                hours_to_target,
+                final_version,
+                final_params,
+                reassignments,
+                // Every task's copy of the run's `virtual_hours`, hashed above.
+                virtual_hours: _,
+                metrics,
+            } = task;
+            let MetricsCollector {
+                utilization_trace,
+                // A running sum of the samples utilization_trace's hashed
+                // digest already folds.
+                active_clients_sum: _,
+                loss_curve,
+                comm_trips,
+                discarded_updates,
+                rejected_stale_updates,
+                failed_participations,
+                aborted_by_round_end,
+                server_updates,
+                round_durations_s,
+                // A running sum of the samples round_durations_s's hashed
+                // digest already folds.
+                round_duration_sum_s: _,
+                participations,
+                staleness_sum,
+                aggregated_updates,
+                lost_buffered_updates,
+                secure,
+                // Wall-clock profiling is machine-dependent by nature; hashing
+                // it would break the determinism pin it exists to protect.
+                secure_timings: _,
+                dp,
+                robust,
+                attacked_updates,
+                attacks_by_label,
+                attack_trace,
+                rejected_by_defense_updates,
+            } = metrics;
+            let SecureTelemetry {
+                masked_updates,
+                masked_discarded,
+                tsa_key_releases,
+                buffers_dropped_unreleased,
+                out_of_range_releases,
+                tee_bytes_in,
+                tee_bytes_out,
+                session_cache_hits,
+                session_cache_misses,
+                dh_exchanges_saved,
+                quantization_error_trace,
+            } = secure;
+            let DpTelemetry {
+                accepted_updates,
+                clipped_updates,
+                releases,
+                cumulative_epsilon,
+                release_trace,
+            } = dp;
+            let RobustTelemetry {
+                rejected_non_finite,
+                rejected_by_norm,
+                estimator_releases,
+                estimator_trace,
+            } = robust;
+            fold_str(&mut h, name);
+            h.word(*comm_trips);
+            h.word(*server_updates);
+            h.word(*aggregated_updates);
+            h.word(*rejected_stale_updates);
+            h.word(*discarded_updates);
+            h.word(*failed_participations);
+            h.word(*aborted_by_round_end);
+            h.word(*staleness_sum);
+            h.word(*lost_buffered_updates);
+            h.word(*masked_updates);
+            h.word(*masked_discarded);
+            h.word(*tsa_key_releases);
+            h.word(*buffers_dropped_unreleased);
+            h.word(*out_of_range_releases);
+            h.word(*tee_bytes_in);
+            h.word(*tee_bytes_out);
+            h.word(*session_cache_hits);
+            h.word(*session_cache_misses);
+            h.word(*dh_exchanges_saved);
+            fold_trace(&mut h, quantization_error_trace);
+            h.word(*accepted_updates);
+            h.word(*clipped_updates);
+            h.word(*releases);
+            h.word(cumulative_epsilon.to_bits());
+            fold_trace(&mut h, release_trace);
+            h.word(*rejected_non_finite);
+            h.word(*rejected_by_norm);
+            h.word(*estimator_releases);
+            fold_trace(&mut h, estimator_trace);
+            h.word(*rejected_by_defense_updates);
+            h.word(*attacked_updates);
+            h.word(attacks_by_label.len() as u64);
+            for (&label, &count) in attacks_by_label {
                 fold_str(&mut h, label);
                 h.word(count);
             }
-            fold_trace(&mut h, &m.attack_trace);
-            h.word(task.reassignments);
-            h.word(task.final_version);
-            h.word(task.initial_loss.to_bits());
-            h.word(task.final_loss.to_bits());
-            h.word(task.hours_to_target.unwrap_or(f64::NEG_INFINITY).to_bits());
-            fold_trace(&mut h, &m.loss_curve);
-            fold_trace(&mut h, &m.utilization_trace);
-            fold_trace(&mut h, &m.participations);
-            fold_trace(&mut h, &m.round_durations_s);
-            h.word(task.final_params.len() as u64);
-            for &w in task.final_params.as_slice() {
+            fold_trace(&mut h, attack_trace);
+            h.word(*reassignments);
+            h.word(*final_version);
+            h.word(initial_loss.to_bits());
+            h.word(final_loss.to_bits());
+            h.word(hours_to_target.unwrap_or(f64::NEG_INFINITY).to_bits());
+            fold_trace(&mut h, loss_curve);
+            fold_trace(&mut h, utilization_trace);
+            fold_trace(&mut h, participations);
+            fold_trace(&mut h, round_durations_s);
+            h.word(final_params.len() as u64);
+            for &w in final_params.as_slice() {
                 h.word(u64::from(w.to_bits()));
             }
         }
-        let cp = &self.fleet.control_plane;
-        h.word(cp.aggregator_failures);
-        h.word(cp.task_reassignments);
-        h.word(cp.stale_route_refusals);
-        h.word(cp.lost_in_transit_updates);
-        h.word(cp.final_map_sequence);
-        h.word(cp.tasks_orphaned);
-        h.word(cp.tasks_reconciled);
-        h.word(cp.pending_task_submissions);
-        h.word(cp.unknown_heartbeat_registrations);
-        h.word(cp.aggregator_recoveries);
+        let ControlPlaneStats {
+            aggregator_failures,
+            task_reassignments,
+            stale_route_refusals,
+            lost_in_transit_updates,
+            final_map_sequence,
+            tasks_orphaned,
+            tasks_reconciled,
+            pending_task_submissions,
+            unknown_heartbeat_registrations,
+            aggregator_recoveries,
+            // Derived from fleet size and tick count, both already pinned by
+            // the hashed event count; hashing it would add nothing but a
+            // second copy of run shape.
+            heartbeats: _,
+            // The placements themselves are fingerprinted through routes,
+            // reassignment counters, and final params; this is their
+            // observability roll-up.
+            tasks_placed: _,
+            // An observability mirror fully determined by the hashed dispatch
+            // counts; hashing it would double-count them.
+            control_log_events: _,
+            // Checkpoint cadence is an operator knob that must not alter run
+            // identity; bit-identity across cadences is the checkpoint
+            // correctness proof.
+            checkpoints_taken: _,
+            checkpoint_age_events: _,
+            // A restore must be fingerprint-invisible: identical fingerprints
+            // with and without one are the replay-fidelity proof.
+            coordinator_restores: _,
+        } = &self.fleet.control_plane;
+        h.word(*aggregator_failures);
+        h.word(*task_reassignments);
+        h.word(*stale_route_refusals);
+        h.word(*lost_in_transit_updates);
+        h.word(*final_map_sequence);
+        h.word(*tasks_orphaned);
+        h.word(*tasks_reconciled);
+        h.word(*pending_task_submissions);
+        h.word(*unknown_heartbeat_registrations);
+        h.word(*aggregator_recoveries);
         format!(
             "{:?}/{}ev/{}tasks/{:016x}",
             self.stop_reason,
@@ -461,6 +567,10 @@ impl Report {
     /// # Panics
     ///
     /// Panics if the scenario ran more than one task.
+    #[expect(
+        clippy::expect_used,
+        reason = "the assert directly above guarantees exactly one task; documented panic"
+    )]
     pub fn into_single(mut self) -> TaskReport {
         assert_eq!(
             self.tasks.len(),
@@ -468,7 +578,6 @@ impl Report {
             "scenario ran {} tasks",
             self.tasks.len()
         );
-        // papaya-lint: allow(panic-hygiene) -- the assert directly above guarantees exactly one task; documented panic
         self.tasks.pop().expect("one task")
     }
 }
@@ -619,7 +728,10 @@ impl ScenarioBuilder {
     /// non-positive/non-finite round deadline or client timeout, or a
     /// capability-tier restriction without a fleet to enforce it).
     pub fn build(self) -> Scenario {
-        // papaya-lint: allow(panic-hygiene) -- documented builder contract: build() panics without a population (see doc comment)
+        #[expect(
+            clippy::expect_used,
+            reason = "documented builder contract: build() panics without a population (see doc comment)"
+        )]
         let population = self.population.expect("a population is required");
         assert!(!population.is_empty(), "population must not be empty");
         assert!(!self.tasks.is_empty(), "at least one task is required");
@@ -799,8 +911,8 @@ fn validate_task_config(task: &TaskConfig, has_fleet: bool) {
 /// The choke point where a scenario acknowledges every [`RunLimits`] field
 /// it honors — the stop-condition sibling of [`validate_task_config`].  The
 /// destructuring is exhaustive on purpose: adding a limit knob without
-/// deciding how runs honor it becomes a compile error here (and a lint
-/// finding), never a silently ignored setting.
+/// deciding how runs honor it becomes a compile error here, never a
+/// silently ignored setting.
 ///
 /// # Panics
 ///
@@ -1173,6 +1285,13 @@ impl<'a> Run<'a> {
         }
     }
 
+    // No `_` arm may stand in for an event kind: rustc rejects a missing
+    // variant (E0004), and these lints reject a wildcard that would swallow
+    // a new one.
+    #[deny(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )]
     fn run(mut self) -> Report {
         self.schedule_initial_events();
 

@@ -483,10 +483,13 @@ impl TaskRuntime {
         if !self.aggregator.is_ready(now) {
             return None;
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "take() is called under is_ready(); a None here is an aggregator contract breach"
+        )]
         let delta = self
             .aggregator
             .take(now)
-            // papaya-lint: allow(panic-hygiene) -- take() is called under is_ready(); a None here is an aggregator contract breach
             .expect("ready aggregator must release");
         self.apply_server_update(&delta);
         let mut outcome = UpdateOutcome {

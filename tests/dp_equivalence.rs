@@ -28,7 +28,7 @@ fn population(n: usize) -> Population {
 }
 
 fn run(task: TaskConfig, hours: f64, parallelism: Parallelism) -> Report {
-    Scenario::builder()
+    let report = Scenario::builder()
         .population(population(600))
         .task(task)
         .limits(
@@ -39,7 +39,9 @@ fn run(task: TaskConfig, hours: f64, parallelism: Parallelism) -> Report {
         .eval(EvalPolicy::default().with_interval_s(600.0))
         .seed(53)
         .build()
-        .run()
+        .run();
+    assert_eq!(report.audit(), Ok(()));
+    report
 }
 
 /// A DP configuration that must change nothing: zero noise and a clip

@@ -33,15 +33,16 @@ fn run(
     if let Some(t) = target {
         limits = limits.with_target_loss(t);
     }
-    Scenario::builder()
+    let report = Scenario::builder()
         .population(population.clone())
         .task_with_trainer(task, trainer.clone())
         .limits(limits)
         .eval(EvalPolicy::default().with_interval_s(10.0))
         .seed(11)
         .build()
-        .run()
-        .into_single()
+        .run();
+    assert_eq!(report.audit(), Ok(()));
+    report.into_single()
 }
 
 #[test]

@@ -33,6 +33,7 @@ fn population(n: usize) -> Population {
 fn assert_identical_across_thread_counts(build: impl Fn(Parallelism) -> ScenarioBuilder) -> Report {
     let run = |parallelism: Parallelism| build(parallelism).build().run();
     let sequential = run(Parallelism::sequential());
+    assert_eq!(sequential.audit(), Ok(()));
     let reference = sequential.fingerprint();
     for parallelism in [Parallelism(1), Parallelism(4)] {
         let parallel = run(parallelism);

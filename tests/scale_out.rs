@@ -58,7 +58,7 @@ fn scenario(limits: RunLimits, parallelism: Parallelism) -> Report {
 }
 
 fn scenario_of(task: TaskConfig, limits: RunLimits, parallelism: Parallelism) -> Report {
-    Scenario::builder()
+    let report = Scenario::builder()
         .population(population(900))
         .task(task)
         .limits(
@@ -69,7 +69,9 @@ fn scenario_of(task: TaskConfig, limits: RunLimits, parallelism: Parallelism) ->
         .eval(EvalPolicy::default().with_interval_s(600.0))
         .seed(47)
         .build()
-        .run()
+        .run();
+    assert_eq!(report.audit(), Ok(()));
+    report
 }
 
 proptest! {

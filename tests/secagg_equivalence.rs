@@ -26,7 +26,7 @@ fn population(n: usize) -> Population {
 }
 
 fn run(task: TaskConfig, hours: f64, parallelism: Parallelism) -> Report {
-    Scenario::builder()
+    let report = Scenario::builder()
         .population(population(600))
         .task(task)
         .limits(
@@ -37,7 +37,9 @@ fn run(task: TaskConfig, hours: f64, parallelism: Parallelism) -> Report {
         .eval(EvalPolicy::default().with_interval_s(600.0))
         .seed(41)
         .build()
-        .run()
+        .run();
+    assert_eq!(report.audit(), Ok(()));
+    report
 }
 
 /// Runs `task` in the clear and through AsyncSecAgg and asserts the

@@ -14,7 +14,7 @@ use papaya_sim::scenario::{EvalPolicy, FleetSpec, RunLimits, Scenario, StopReaso
 #[test]
 fn deadline_releases_rescue_an_unreachable_goal() {
     let run = |task: TaskConfig| {
-        Scenario::builder()
+        let report = Scenario::builder()
             .population(papaya_data::population::Population::generate(
                 &papaya_data::population::PopulationConfig::default().with_size(500),
                 19,
@@ -24,7 +24,9 @@ fn deadline_releases_rescue_an_unreachable_goal() {
             .eval(EvalPolicy::default().with_interval_s(600.0))
             .seed(19)
             .build()
-            .run()
+            .run();
+        assert_eq!(report.audit(), Ok(()));
+        report
     };
 
     let fedbuff = run(TaskConfig::async_task("stalled", 24, 10_000));
@@ -65,15 +67,16 @@ fn hybrid_matches_fedbuff_when_the_goal_is_reachable() {
         )
     };
     let run = |task: TaskConfig| {
-        Scenario::builder()
+        let report = Scenario::builder()
             .population(population(23))
             .task(task)
             .limits(RunLimits::default().with_max_virtual_time_hours(2.0))
             .eval(EvalPolicy::default().with_interval_s(600.0))
             .seed(23)
             .build()
-            .run()
-            .into_single()
+            .run();
+        assert_eq!(report.audit(), Ok(()));
+        report.into_single()
     };
     let fedbuff = run(TaskConfig::async_task("fedbuff", 64, 16));
     // A deadline far above the natural buffer-fill time never fires.
@@ -102,6 +105,7 @@ fn hybrid_task_survives_failover_in_a_fleet() {
         .seed(29)
         .build()
         .run();
+    assert_eq!(report.audit(), Ok(()));
     assert_eq!(report.fleet.control_plane.aggregator_failures, 1);
     let hybrid = &report.tasks[1];
     assert!(
