@@ -21,7 +21,7 @@ fn run_with_weighting(weighting: StalenessWeighting) -> f64 {
     let obj = SurrogateObjective::new(&pop, SurrogateConfig::default(), 11);
     let mut model = ServerModel::new(obj.initial_parameters());
     let mut opt = FedAvg;
-    let mut agg = FedBuffAggregator::new(10, weighting, None);
+    let mut agg = FedBuffAggregator::new(10, weighting);
     let mut stale_params = obj.initial_parameters();
     for step in 0..40u64 {
         for c in 0..10usize {

@@ -25,7 +25,7 @@ fn fedbuff_throughput(c: &mut Criterion) {
     for dim in [1_000usize, 100_000] {
         group.bench_with_input(BenchmarkId::from_parameter(dim), &dim, |b, &dim| {
             b.iter(|| {
-                let mut agg = FedBuffAggregator::new(100, StalenessWeighting::PolynomialHalf, None);
+                let mut agg = FedBuffAggregator::new(100, StalenessWeighting::PolynomialHalf);
                 for i in 0..100 {
                     agg.accumulate(make_update(i, dim), i as u64 / 10, i as f64);
                 }

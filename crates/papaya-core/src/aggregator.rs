@@ -11,22 +11,22 @@
 //! Two strategies implement the trait:
 //!
 //! * [`FedBuffAggregator`] — buffered
-//!   asynchronous aggregation: release after `K` accepted updates, stale
-//!   updates down-weighted or rejected (Section 3.1 / Appendix E.2).  An
-//!   optional round deadline also releases whatever has arrived once it
-//!   expires, bounding the straggler tail the paper's sync/async comparison
-//!   is about;
+//!   asynchronous aggregation: release after `K` updates, stale updates
+//!   down-weighted (Section 3.1 / Appendix E.2).  An optional round
+//!   deadline also releases whatever has arrived once it expires, bounding
+//!   the straggler tail the paper's sync/async comparison is about;
 //! * [`SyncRoundAggregator`] —
 //!   synchronous rounds with over-selection: release once the cohort goal is
-//!   met, later arrivals discarded, and a release closes the round
-//!   (Section 7 / Appendix E.3).
+//!   met (Section 7 / Appendix E.3).
 //!
 //! [`for_task`] builds the strategy a [`TaskConfig`] asks for, so drivers
 //! hold a `Box<dyn Aggregator>` and never branch on the strategy.
 //!
 //! Whether a release closes a round and which staleness bound aborts
 //! in-flight clients are participation policy, fixed by the task's
-//! [`TrainingMode`]; the runtime reads them from the config, not the trait.
+//! [`TrainingMode`]; the runtime applies them after every release.  So a
+//! strategy folds every update it is offered; only a robust stage refuses
+//! one, by its contents.
 //! No method has a default body, so a decorator that forgets to forward a
 //! hook to its inner strategy does not compile.
 //!
@@ -68,16 +68,6 @@ pub enum AccumulateOutcome {
         /// Staleness of the accepted update.
         staleness: u64,
     },
-    /// The update exceeded the maximum allowed staleness and was discarded.
-    RejectedStale {
-        /// Staleness of the rejected update.
-        staleness: u64,
-        /// The configured bound it exceeded.
-        max_staleness: u64,
-    },
-    /// The update arrived after the goal was already met and was discarded
-    /// (the over-selection waste of synchronous rounds).
-    Discarded,
     /// A robust-aggregation defense rejected the update before it could
     /// reach the wrapped strategy's buffer: it carried NaN/infinite values
     /// or its L2 norm exceeded the configured filter bound
@@ -189,20 +179,17 @@ pub trait Aggregator: Send {
 ///
 /// This is the only place the mode picks a strategy; everything downstream
 /// works through `Box<dyn Aggregator>`.  The participation policy the mode
-/// fixes (demand, round closing, the staleness abort) the runtime reads
+/// fixes (demand, round closing, the staleness bound) the runtime reads
 /// from the config.
 pub fn for_task(config: &TaskConfig) -> Box<dyn Aggregator> {
     match config.mode {
         TrainingMode::Async {
-            max_staleness,
+            max_staleness: _,
             round_deadline_s,
         } => {
-            let fedbuff = FedBuffAggregator::new(
-                config.aggregation_goal,
-                StalenessWeighting::PolynomialHalf,
-                Some(max_staleness),
-            )
-            .with_example_weighting(config.weight_by_examples);
+            let fedbuff =
+                FedBuffAggregator::new(config.aggregation_goal, StalenessWeighting::PolynomialHalf)
+                    .with_example_weighting(config.weight_by_examples);
             Box::new(match round_deadline_s {
                 Some(deadline_s) => fedbuff.with_round_deadline(deadline_s),
                 None => fedbuff,
@@ -281,28 +268,27 @@ mod tests {
 
     #[test]
     fn factory_builds_the_mode_the_config_asks_for() {
-        let update = |start_version| ClientUpdate {
+        let update = ClientUpdate {
             client_id: 0,
             delta: ParamVec::from_vec(vec![1.0]),
             num_examples: 1,
-            start_version,
+            start_version: 0,
             train_loss: 0.0,
         };
-        let mut async_agg = for_task(&TaskConfig::async_task("a", 10, 4));
+        let async_agg = for_task(&TaskConfig::async_task("a", 10, 4));
         assert_eq!(async_agg.goal(), 4);
         assert_eq!(async_agg.next_deadline_s(), None);
-        // The mode's staleness bound of 500 screens uploads.
-        assert!(async_agg.accumulate(update(0), 500, 0.0).accepted());
-        assert!(!async_agg.accumulate(update(0), 501, 0.0).accepted());
+        // FedBuff down-weights by staleness: 1/√(1+3) halves a weight.
+        assert_eq!(async_agg.update_weight(10, 3), 5.0);
 
-        let mut sync_agg = for_task(&TaskConfig::sync_task("s", 13, 0.3));
+        let sync_agg = for_task(&TaskConfig::sync_task("s", 13, 0.3));
         assert_eq!(sync_agg.goal(), 10);
-        assert!(sync_agg.accumulate(update(0), 10_000, 0.0).accepted());
+        assert_eq!(sync_agg.update_weight(10, 3), 10.0);
 
         let mut hybrid = for_task(&TaskConfig::timed_hybrid_task("h", 10, 4, 120.0));
         assert_eq!(hybrid.goal(), 4);
-        assert!(!hybrid.accumulate(update(0), 501, 0.0).accepted());
-        assert!(hybrid.accumulate(update(0), 0, 30.0).accepted());
+        // The first update of a buffer opens the deadline window.
+        assert!(hybrid.accumulate(update, 0, 30.0).accepted());
         assert_eq!(hybrid.next_deadline_s(), Some(150.0));
     }
 
@@ -351,15 +337,10 @@ mod tests {
             train_loss: 0.0,
         };
         let mut strategies: Vec<Box<dyn Aggregator>> = vec![
-            Box::new(FedBuffAggregator::new(
-                2,
-                StalenessWeighting::Constant,
-                None,
-            )),
+            Box::new(FedBuffAggregator::new(2, StalenessWeighting::Constant)),
             Box::new(SyncRoundAggregator::new(2)),
             Box::new(
-                FedBuffAggregator::new(2, StalenessWeighting::Constant, None)
-                    .with_round_deadline(60.0),
+                FedBuffAggregator::new(2, StalenessWeighting::Constant).with_round_deadline(60.0),
             ),
         ];
         for agg in &mut strategies {

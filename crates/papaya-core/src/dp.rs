@@ -621,11 +621,7 @@ mod tests {
 
     fn dp_fedbuff(goal: usize, config: DpConfig) -> DpAggregator {
         DpAggregator::new(
-            Box::new(FedBuffAggregator::new(
-                goal,
-                StalenessWeighting::Constant,
-                Some(5),
-            )),
+            Box::new(FedBuffAggregator::new(goal, StalenessWeighting::Constant)),
             config,
             0xD1FF,
         )
@@ -645,7 +641,7 @@ mod tests {
 
     #[test]
     fn in_bound_updates_pass_through_bit_exact() {
-        let mut clear = FedBuffAggregator::new(2, StalenessWeighting::Constant, Some(5));
+        let mut clear = FedBuffAggregator::new(2, StalenessWeighting::Constant);
         let mut dp = dp_fedbuff(2, DpConfig::new(10.0, 0.0));
         for (id, delta) in [(0usize, vec![0.25, -1.5]), (1, vec![1.125, 0.5])] {
             clear.accumulate(update(id, delta.clone(), 10, 0), 0, 0.0);
@@ -665,11 +661,7 @@ mod tests {
     fn noise_is_deterministic_per_seed_and_differs_across_seeds() {
         let run = |seed: u64| {
             let mut agg = DpAggregator::new(
-                Box::new(FedBuffAggregator::new(
-                    2,
-                    StalenessWeighting::Constant,
-                    None,
-                )),
+                Box::new(FedBuffAggregator::new(2, StalenessWeighting::Constant)),
                 DpConfig::new(1.0, 1.0),
                 seed,
             );
@@ -688,11 +680,7 @@ mod tests {
         // (an ε claimed for weight-1 users would silently under-protect
         // the heaviest client under example weighting).
         let mut agg = DpAggregator::new(
-            Box::new(FedBuffAggregator::new(
-                2,
-                StalenessWeighting::Constant,
-                None,
-            )),
+            Box::new(FedBuffAggregator::new(2, StalenessWeighting::Constant)),
             DpConfig::new(2.0, 3.0),
             1,
         );
@@ -748,11 +736,7 @@ mod tests {
             .with_target_delta(1e-5)
             .with_epsilon_budget(6.0);
         let mut agg = DpAggregator::new(
-            Box::new(FedBuffAggregator::new(
-                1,
-                StalenessWeighting::Constant,
-                None,
-            )),
+            Box::new(FedBuffAggregator::new(1, StalenessWeighting::Constant)),
             config,
             3,
         );
@@ -781,11 +765,7 @@ mod tests {
         let mut dp_clear = dp_fedbuff(2, dp_cfg);
         let mut dp_secure = DpAggregator::new(
             Box::new(SecureAggregator::new(
-                Box::new(FedBuffAggregator::new(
-                    2,
-                    StalenessWeighting::Constant,
-                    Some(5),
-                )),
+                Box::new(FedBuffAggregator::new(2, StalenessWeighting::Constant)),
                 2,
                 2,
                 0xC0DE,

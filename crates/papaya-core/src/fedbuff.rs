@@ -1,11 +1,12 @@
 //! Buffered asynchronous aggregation (FedBuff) as deployed by PAPAYA.
 //!
 //! Clients upload updates whenever they finish; the aggregator folds each
-//! accepted update into a buffer, weighting it by the client's example count
-//! and a staleness factor.  Once `K` (the *aggregation goal*) updates have
-//! been buffered, the weighted average is released and the server model takes
-//! a step.  Updates staler than the configured maximum are rejected
-//! (the system aborts such clients, Appendix E.1/E.2).
+//! update into a buffer, weighting it by the client's example count and a
+//! staleness factor.  Once `K` (the *aggregation goal*) updates have been
+//! buffered, the weighted average is released and the server model takes a
+//! step.  The staleness bound is the runtime's: it aborts clients staler
+//! than the task's maximum after every release (Appendix E.1/E.2), so no
+//! such upload reaches the buffer.
 //!
 //! A count alone can stall when arrivals dry up (small populations,
 //! aggressive eligibility criteria, night-time troughs).  An optional round
@@ -14,7 +15,7 @@
 //! ticking, and when it expires the buffer is released with whatever has
 //! arrived.  Unlike a synchronous round, a deadline release does not close a
 //! round: still-running clients keep training and their uploads remain
-//! welcome, subject to the staleness bound.
+//! welcome, subject to the runtime's staleness bound.
 //!
 //! `FedBuffAggregator` implements the [`Aggregator`] protocol; drivers hold
 //! it as `Box<dyn Aggregator>` next to the synchronous strategy.
@@ -30,9 +31,6 @@ use papaya_nn::params::ParamVec;
 pub struct FedBuffAggregator {
     aggregation_goal: usize,
     staleness_weighting: StalenessWeighting,
-    /// Rejects uploads by the staleness they claim; the runtime aborts
-    /// overly stale in-flight clients by the task's mode.
-    max_staleness: Option<u64>,
     weight_by_examples: bool,
     /// Seconds after a buffer opens at which it is released even below the
     /// goal; `None` releases by count only.
@@ -46,21 +44,14 @@ pub struct FedBuffAggregator {
 impl FedBuffAggregator {
     /// Creates an aggregator with aggregation goal `K`.
     ///
-    /// `max_staleness = None` disables the staleness bound.
-    ///
     /// # Panics
     ///
     /// Panics if `aggregation_goal == 0`.
-    pub fn new(
-        aggregation_goal: usize,
-        staleness_weighting: StalenessWeighting,
-        max_staleness: Option<u64>,
-    ) -> Self {
+    pub fn new(aggregation_goal: usize, staleness_weighting: StalenessWeighting) -> Self {
         assert!(aggregation_goal > 0, "aggregation goal must be positive");
         FedBuffAggregator {
             aggregation_goal,
             staleness_weighting,
-            max_staleness,
             weight_by_examples: true,
             round_deadline_s: None,
             buffer: WeightedBuffer::default(),
@@ -91,9 +82,9 @@ impl FedBuffAggregator {
 }
 
 impl Aggregator for FedBuffAggregator {
-    /// Offers an update to the buffer; `current_version` is the server model
-    /// version at upload time (used to compute staleness).  Virtual time
-    /// matters only with a round deadline: the first accepted update of a
+    /// Folds an update into the buffer; `current_version` is the server
+    /// model version at upload time (used to compute staleness).  Virtual
+    /// time matters only with a round deadline: the first update of a
     /// buffer starts it.
     fn accumulate(
         &mut self,
@@ -102,14 +93,6 @@ impl Aggregator for FedBuffAggregator {
         now_s: f64,
     ) -> AccumulateOutcome {
         let staleness = update.staleness(current_version);
-        if let Some(max) = self.max_staleness {
-            if staleness > max {
-                return AccumulateOutcome::RejectedStale {
-                    staleness,
-                    max_staleness: max,
-                };
-            }
-        }
         let weight = self.update_weight(update.num_examples, staleness);
         if self.round_deadline_s.is_some() && self.buffer.len() == 0 {
             self.open_since_s = Some(now_s);
@@ -194,7 +177,7 @@ mod tests {
 
     #[test]
     fn equal_weights_give_plain_average() {
-        let mut agg = FedBuffAggregator::new(2, StalenessWeighting::Constant, None);
+        let mut agg = FedBuffAggregator::new(2, StalenessWeighting::Constant);
         agg.accumulate(update(0, vec![2.0, 0.0], 10, 0), 0, 0.0);
         agg.accumulate(update(1, vec![0.0, 4.0], 10, 0), 0, 0.0);
         let out = agg.take(0.0).unwrap();
@@ -203,7 +186,7 @@ mod tests {
 
     #[test]
     fn example_weighting_biases_towards_larger_clients() {
-        let mut agg = FedBuffAggregator::new(2, StalenessWeighting::Constant, None);
+        let mut agg = FedBuffAggregator::new(2, StalenessWeighting::Constant);
         agg.accumulate(update(0, vec![0.0], 30, 0), 0, 0.0);
         agg.accumulate(update(1, vec![4.0], 10, 0), 0, 0.0);
         let out = agg.take(0.0).unwrap();
@@ -212,8 +195,8 @@ mod tests {
 
     #[test]
     fn example_weighting_can_be_disabled() {
-        let mut agg = FedBuffAggregator::new(2, StalenessWeighting::Constant, None)
-            .with_example_weighting(false);
+        let mut agg =
+            FedBuffAggregator::new(2, StalenessWeighting::Constant).with_example_weighting(false);
         agg.accumulate(update(0, vec![0.0], 30, 0), 0, 0.0);
         agg.accumulate(update(1, vec![4.0], 10, 0), 0, 0.0);
         let out = agg.take(0.0).unwrap();
@@ -222,7 +205,7 @@ mod tests {
 
     #[test]
     fn stale_updates_are_down_weighted() {
-        let mut agg = FedBuffAggregator::new(2, StalenessWeighting::PolynomialHalf, None);
+        let mut agg = FedBuffAggregator::new(2, StalenessWeighting::PolynomialHalf);
         // Fresh update of 0.0 and an update of 1.0 with staleness 3 (weight 1/2).
         assert_eq!(
             agg.accumulate(update(0, vec![0.0], 10, 5), 5, 0.0),
@@ -238,27 +221,8 @@ mod tests {
     }
 
     #[test]
-    fn overly_stale_updates_are_rejected() {
-        let mut agg = FedBuffAggregator::new(1, StalenessWeighting::PolynomialHalf, Some(5));
-        let outcome = agg.accumulate(update(0, vec![1.0], 10, 0), 10, 0.0);
-        assert_eq!(
-            outcome,
-            AccumulateOutcome::RejectedStale {
-                staleness: 10,
-                max_staleness: 5
-            }
-        );
-        assert!(!agg.is_ready(0.0));
-        // A fresh update still works.
-        assert!(agg
-            .accumulate(update(1, vec![1.0], 10, 10), 10, 0.0)
-            .accepted());
-        assert!(agg.is_ready(0.0));
-    }
-
-    #[test]
     fn take_before_goal_returns_none() {
-        let mut agg = FedBuffAggregator::new(3, StalenessWeighting::Constant, None);
+        let mut agg = FedBuffAggregator::new(3, StalenessWeighting::Constant);
         agg.accumulate(update(0, vec![1.0], 1, 0), 0, 0.0);
         assert!(agg.take(0.0).is_none());
         assert_eq!(agg.buffered(), 1);
@@ -266,7 +230,7 @@ mod tests {
 
     #[test]
     fn buffer_resets_after_take() {
-        let mut agg = FedBuffAggregator::new(1, StalenessWeighting::Constant, None);
+        let mut agg = FedBuffAggregator::new(1, StalenessWeighting::Constant);
         assert!(agg
             .accumulate(update(0, vec![2.0], 1, 0), 0, 0.0)
             .accepted());
@@ -280,7 +244,7 @@ mod tests {
 
     #[test]
     fn goal_of_one_matches_pure_async() {
-        let mut agg = FedBuffAggregator::new(1, StalenessWeighting::Constant, None);
+        let mut agg = FedBuffAggregator::new(1, StalenessWeighting::Constant);
         for i in 0..5 {
             agg.accumulate(update(i, vec![i as f32], 1, 0), 0, 0.0);
             assert!(agg.is_ready(0.0));
@@ -293,7 +257,7 @@ mod tests {
         // Two zero-example clients fill the buffer; with example weighting
         // their combined weight is 0, so the release must be a zero delta,
         // not the unscaled raw sum.
-        let mut agg = FedBuffAggregator::new(2, StalenessWeighting::Constant, None);
+        let mut agg = FedBuffAggregator::new(2, StalenessWeighting::Constant);
         agg.accumulate(update(0, vec![3.0, -1.0], 0, 0), 0, 0.0);
         agg.accumulate(update(1, vec![5.0, 2.0], 0, 0), 0, 0.0);
         assert!(agg.is_ready(0.0));
@@ -307,7 +271,7 @@ mod tests {
 
     #[test]
     fn zero_example_update_contributes_nothing() {
-        let mut agg = FedBuffAggregator::new(2, StalenessWeighting::Constant, None);
+        let mut agg = FedBuffAggregator::new(2, StalenessWeighting::Constant);
         agg.accumulate(update(0, vec![100.0], 0, 0), 0, 0.0);
         agg.accumulate(update(1, vec![4.0], 10, 0), 0, 0.0);
         assert_eq!(agg.take(0.0).unwrap().as_slice(), &[4.0]);
@@ -315,7 +279,7 @@ mod tests {
 
     #[test]
     fn reset_drops_buffered_updates() {
-        let mut agg = FedBuffAggregator::new(3, StalenessWeighting::Constant, None);
+        let mut agg = FedBuffAggregator::new(3, StalenessWeighting::Constant);
         assert!(agg
             .accumulate(update(0, vec![1.0], 5, 0), 0, 0.0)
             .accepted());
@@ -333,8 +297,7 @@ mod tests {
     }
 
     fn with_deadline(goal: usize, deadline_s: f64) -> FedBuffAggregator {
-        FedBuffAggregator::new(goal, StalenessWeighting::Constant, None)
-            .with_round_deadline(deadline_s)
+        FedBuffAggregator::new(goal, StalenessWeighting::Constant).with_round_deadline(deadline_s)
     }
 
     #[test]
@@ -391,17 +354,6 @@ mod tests {
     }
 
     #[test]
-    fn rejected_update_does_not_open_the_deadline_window() {
-        let mut agg = FedBuffAggregator::new(10, StalenessWeighting::Constant, Some(3))
-            .with_round_deadline(60.0);
-        assert!(!agg
-            .accumulate(update(0, vec![1.0], 10, 0), 5, 0.0)
-            .accepted());
-        assert_eq!(agg.next_deadline_s(), None);
-        assert!(!agg.is_ready(1e9));
-    }
-
-    #[test]
     fn reset_closes_the_deadline_window() {
         let mut agg = with_deadline(10, 60.0);
         agg.accumulate(update(0, vec![1.0], 1, 0), 0, 0.0);
@@ -426,13 +378,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "aggregation goal must be positive")]
     fn zero_goal_rejected() {
-        let _ = FedBuffAggregator::new(0, StalenessWeighting::Constant, None);
+        let _ = FedBuffAggregator::new(0, StalenessWeighting::Constant);
     }
 
     #[test]
     #[should_panic(expected = "dimensionality changed")]
     fn mismatched_dimensions_panic() {
-        let mut agg = FedBuffAggregator::new(2, StalenessWeighting::Constant, None);
+        let mut agg = FedBuffAggregator::new(2, StalenessWeighting::Constant);
         agg.accumulate(update(0, vec![1.0, 2.0], 1, 0), 0, 0.0);
         agg.accumulate(update(1, vec![1.0], 1, 0), 0, 0.0);
     }

@@ -48,7 +48,7 @@
 //! use papaya_core::staleness::StalenessWeighting;
 //! use papaya_nn::params::ParamVec;
 //!
-//! let mut agg = FedBuffAggregator::new(2, StalenessWeighting::PolynomialHalf, None);
+//! let mut agg = FedBuffAggregator::new(2, StalenessWeighting::PolynomialHalf);
 //! let update = |id, delta: Vec<f32>| ClientUpdate {
 //!     client_id: id,
 //!     delta: ParamVec::from_vec(delta),

@@ -418,18 +418,14 @@ mod tests {
 
     fn robust_fedbuff(goal: usize, defense: RobustDefense) -> RobustAggregator {
         RobustAggregator::new(
-            Box::new(FedBuffAggregator::new(
-                goal,
-                StalenessWeighting::Constant,
-                Some(5),
-            )),
+            Box::new(FedBuffAggregator::new(goal, StalenessWeighting::Constant)),
             RobustConfig::new(defense),
         )
     }
 
     #[test]
     fn neutral_defense_is_bit_exact_against_clear() {
-        let mut clear = FedBuffAggregator::new(2, StalenessWeighting::Constant, Some(5));
+        let mut clear = FedBuffAggregator::new(2, StalenessWeighting::Constant);
         let mut robust = robust_fedbuff(2, RobustConfig::neutral().defense);
         for (id, delta) in [(0usize, vec![0.25, -1.5]), (1, vec![1.125, 0.5])] {
             clear.accumulate(update(id, delta.clone(), 10), 0, 0.0);
@@ -445,7 +441,7 @@ mod tests {
 
     #[test]
     fn zero_trim_is_a_documented_pass_through() {
-        let mut clear = FedBuffAggregator::new(2, StalenessWeighting::Constant, Some(5));
+        let mut clear = FedBuffAggregator::new(2, StalenessWeighting::Constant);
         let mut robust = robust_fedbuff(2, RobustDefense::TrimmedMean { trim_fraction: 0.0 });
         for (id, delta) in [(0usize, vec![3.0, 4.0]), (1, vec![-1.0, 2.0])] {
             clear.accumulate(update(id, delta.clone(), 10), 0, 0.0);
@@ -534,11 +530,7 @@ mod tests {
     #[test]
     fn weighted_median_respects_example_counts() {
         let mut robust = RobustAggregator::new(
-            Box::new(FedBuffAggregator::new(
-                3,
-                StalenessWeighting::Constant,
-                None,
-            )),
+            Box::new(FedBuffAggregator::new(3, StalenessWeighting::Constant)),
             RobustConfig::new(RobustDefense::CoordinateMedian),
         );
         // Weight 1+1 on the left of 5.0, weight 10 at 5.0: the weighted

@@ -29,10 +29,9 @@
 //!    an honest-but-curious server learns changes.
 //! 2. **The inner strategy still folds the clear update.**  In this
 //!    simulation the wrapped strategy serves as the *reference path*: it
-//!    drives policy (readiness, staleness, round semantics) exactly as a
-//!    production metadata service would, and its release is compared
-//!    against the decoded secure release to produce the per-buffer
-//!    quantization-error trace.  The value returned to the server model is
+//!    drives readiness and weighting exactly as a production metadata
+//!    service would, and its release is compared against the decoded
+//!    secure release to produce the per-buffer quantization-error trace.  The value returned to the server model is
 //!    always the **decoded secure sum**, never the clear reference.
 //!
 //! The protocol RNG is seeded deterministically, and every protocol step
@@ -64,9 +63,9 @@ use std::time::Instant;
 pub struct SecureTelemetry {
     /// Masked updates accepted into a ciphertext buffer.
     pub masked_updates: u64,
-    /// Masked uploads discarded by server policy (staleness rejection or a
-    /// closed round) — dropped on the host without forwarding the seed, so
-    /// host and TSA sums stay consistent.
+    /// Masked uploads refused beneath the secure layer, dropped on the host
+    /// without forwarding the seed so host and TSA sums stay consistent.
+    /// Always 0 in a run: no stack the runtime builds refuses beneath it.
     pub masked_discarded: u64,
     /// Per-buffer TSA key releases (aggregated unmasks generated).  Always
     /// equals the number of server updates of a secure task: the TSA never
@@ -623,10 +622,11 @@ impl SecureAggregator {
 
 impl Aggregator for SecureAggregator {
     /// Runs the client protocol for the offered update (attestation check,
-    /// key exchange, weight-scaled fixed-point encoding, masking), then lets
-    /// the inner strategy decide.  Accepted uploads are folded into the
-    /// host's masked sum and their seed forwarded into the TSA; rejected or
-    /// discarded uploads are dropped on the host without a seed forward.
+    /// key exchange, weight-scaled fixed-point encoding, masking), then
+    /// offers the clear update to the inner stack.  Accepted uploads are
+    /// folded into the host's masked sum and their seed forwarded into the
+    /// TSA; one refused beneath this layer (only a stack built by hand
+    /// refuses there) is dropped on the host without a seed forward.
     fn accumulate(
         &mut self,
         update: ClientUpdate,
@@ -791,6 +791,7 @@ impl Aggregator for SecureAggregator {
 mod tests {
     use super::*;
     use crate::fedbuff::FedBuffAggregator;
+    use crate::robust::{RobustAggregator, RobustConfig, RobustDefense};
     use crate::staleness::StalenessWeighting;
 
     fn update(id: usize, delta: Vec<f32>, examples: usize, start_version: u64) -> ClientUpdate {
@@ -805,7 +806,7 @@ mod tests {
 
     fn secure_fedbuff(goal: usize, weighting: StalenessWeighting) -> SecureAggregator {
         SecureAggregator::new(
-            Box::new(FedBuffAggregator::new(goal, weighting, Some(5))),
+            Box::new(FedBuffAggregator::new(goal, weighting)),
             2,
             goal,
             0xC0DE,
@@ -814,11 +815,26 @@ mod tests {
 
     fn per_update_fedbuff(goal: usize, weighting: StalenessWeighting) -> SecureAggregator {
         SecureAggregator::new_per_update(
-            Box::new(FedBuffAggregator::new(goal, weighting, Some(5))),
+            Box::new(FedBuffAggregator::new(goal, weighting)),
             2,
             goal,
             0xC0DE,
         )
+    }
+
+    /// FedBuff (goal 2) behind a norm filter of bound 10, for a secure
+    /// layer to wrap: the one stack shape in which an upload is refused
+    /// beneath the secure layer.  The filter refuses [`oversized`].
+    fn filtered_fedbuff() -> Box<dyn Aggregator> {
+        Box::new(RobustAggregator::new(
+            Box::new(FedBuffAggregator::new(2, StalenessWeighting::Constant)),
+            RobustConfig::new(RobustDefense::NormFilter { max_norm: 10.0 }),
+        ))
+    }
+
+    /// An update of norm 100√2, past the norm filter of [`filtered_fedbuff`].
+    fn oversized(id: usize) -> ClientUpdate {
+        update(id, vec![100.0, 100.0], 10, 0)
     }
 
     fn deviant_fedbuff(kind: crate::adversary::DeviationKind) -> SecureAggregator {
@@ -896,7 +912,7 @@ mod tests {
 
     #[test]
     fn secure_release_matches_clear_release_to_fixed_point_tolerance() {
-        let mut clear = FedBuffAggregator::new(3, StalenessWeighting::PolynomialHalf, Some(5));
+        let mut clear = FedBuffAggregator::new(3, StalenessWeighting::PolynomialHalf);
         let mut secure = secure_fedbuff(3, StalenessWeighting::PolynomialHalf);
         let updates = [
             update(0, vec![0.25, -1.5], 10, 0),
@@ -932,21 +948,15 @@ mod tests {
     }
 
     #[test]
-    fn rejected_stale_upload_is_discarded_masked_not_submitted() {
+    fn rejected_upload_is_discarded_masked_not_submitted() {
         for mut agg in [
-            secure_fedbuff(2, StalenessWeighting::Constant),
-            per_update_fedbuff(2, StalenessWeighting::Constant),
+            SecureAggregator::new(filtered_fedbuff(), 2, 2, 0xC0DE),
+            SecureAggregator::new_per_update(filtered_fedbuff(), 2, 2, 0xC0DE),
         ] {
-            // max_staleness is 5; staleness 7 must be rejected by the inner
-            // policy, and the masked upload dropped without a seed forward.
-            let outcome = agg.accumulate(update(0, vec![1.0, 1.0], 10, 0), 7, 0.0);
-            assert_eq!(
-                outcome,
-                AccumulateOutcome::RejectedStale {
-                    staleness: 7,
-                    max_staleness: 5
-                }
-            );
+            // The norm filter beneath refuses the upload, and the masked
+            // upload is dropped without a seed forward.
+            let outcome = agg.accumulate(oversized(0), 0, 0.0);
+            assert_eq!(outcome, AccumulateOutcome::RejectedByDefense);
             assert_eq!(agg.telemetry().masked_discarded, 1);
             assert_eq!(agg.telemetry().masked_updates, 0);
             assert_eq!(agg.tsa.processed_clients(), 0);
@@ -986,8 +996,7 @@ mod tests {
         // nothing moves and the buffered update survives for the next
         // arrival.
         let inner = Box::new(
-            FedBuffAggregator::new(10, StalenessWeighting::Constant, None)
-                .with_round_deadline(60.0),
+            FedBuffAggregator::new(10, StalenessWeighting::Constant).with_round_deadline(60.0),
         );
         let mut agg = SecureAggregator::new(inner, 2, 2, 7);
         agg.accumulate(update(0, vec![1.0, 0.0], 10, 0), 0, 0.0);
@@ -1012,11 +1021,7 @@ mod tests {
     #[test]
     fn tee_traffic_per_client_is_independent_of_model_size() {
         let per_client = |dim: usize| {
-            let inner = Box::new(FedBuffAggregator::new(
-                2,
-                StalenessWeighting::Constant,
-                None,
-            ));
+            let inner = Box::new(FedBuffAggregator::new(2, StalenessWeighting::Constant));
             let mut agg = SecureAggregator::new(inner, dim, 2, 3);
             agg.accumulate(update(0, [0.1; 2].repeat(dim / 2), 10, 0), 0, 0.0);
             agg.accumulate(update(1, [0.2; 2].repeat(dim / 2), 10, 0), 0, 0.0);
@@ -1034,11 +1039,7 @@ mod tests {
         // A deliberately tiny group (±128 representable) so two in-range
         // contributions wrap the modulus when summed: the release must be
         // counted as out-of-range instead of passing silently.
-        let inner = Box::new(FedBuffAggregator::new(
-            2,
-            StalenessWeighting::Constant,
-            None,
-        ));
+        let inner = Box::new(FedBuffAggregator::new(2, StalenessWeighting::Constant));
         let mut config = SecAggConfig::insecure_fast(1, 2);
         config.codec = FixedPointCodec::new(GroupParams::new(1 << 16), 256.0);
         let mut agg = SecureAggregator::with_config(inner, config, 9);
@@ -1059,19 +1060,19 @@ mod tests {
 
     #[test]
     fn rejected_upload_releases_tsa_exchange_state() {
-        let mut agg = per_update_fedbuff(2, StalenessWeighting::Constant);
-        // Rejected by the staleness bound: the exchange must be revoked, so
+        let mut agg = SecureAggregator::new_per_update(filtered_fedbuff(), 2, 2, 0xC0DE);
+        // Refused beneath the secure layer: the exchange must be revoked, so
         // the TSA holds no pending per-client state afterwards.
-        agg.accumulate(update(0, vec![1.0, 1.0], 10, 0), 7, 0.0);
+        agg.accumulate(oversized(0), 0, 0.0);
         assert_eq!(agg.tsa.pending_exchanges(), 0);
     }
 
     #[test]
     fn rejected_first_contact_pins_no_session_state_but_burns_its_counter() {
-        let mut agg = secure_fedbuff(2, StalenessWeighting::Constant);
-        // A policy-rejected first contact must not establish a session on
-        // either side of the boundary...
-        agg.accumulate(update(0, vec![1.0, 1.0], 10, 0), 7, 0.0);
+        let mut agg = SecureAggregator::new(filtered_fedbuff(), 2, 2, 0xC0DE);
+        // A rejected first contact must not establish a session on either
+        // side of the boundary...
+        agg.accumulate(oversized(0), 0, 0.0);
         assert_eq!(agg.tsa.active_sessions(), 0);
         let session = agg.session.as_ref().unwrap();
         assert!(session.session_keys.is_empty());
@@ -1094,13 +1095,13 @@ mod tests {
 
     #[test]
     fn rejected_resumed_participation_revokes_its_counter() {
-        let mut agg = secure_fedbuff(2, StalenessWeighting::Constant);
+        let mut agg = SecureAggregator::new(filtered_fedbuff(), 2, 2, 0xC0DE);
         // Establish client 0's session with an accepted first contact.
         agg.accumulate(update(0, vec![1.0, 1.0], 10, 0), 0, 0.0);
         assert_eq!(agg.telemetry().session_cache_misses, 1);
         // Its next participation is rejected: the cached session survives,
         // but the TSA burns the counter so the seed can never be released.
-        agg.accumulate(update(0, vec![2.0, 2.0], 10, 0), 7, 1.0);
+        agg.accumulate(oversized(0), 0, 1.0);
         assert_eq!(agg.telemetry().session_cache_hits, 1);
         assert_eq!(agg.tsa.active_sessions(), 1);
         // The pending counter 0 of the open buffer must still release.

@@ -649,7 +649,7 @@ mod tests {
 
         // Run 30 FedAvg rounds of 20 clients each.
         let mut opt = FedAvg;
-        let mut agg = FedBuffAggregator::new(20, StalenessWeighting::Constant, None);
+        let mut agg = FedBuffAggregator::new(20, StalenessWeighting::Constant);
         for round in 0..30u64 {
             for c in 0..20usize {
                 let client = (round as usize * 20 + c) % obj.num_clients();

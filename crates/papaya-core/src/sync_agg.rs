@@ -10,8 +10,10 @@
 //! `SyncRoundAggregator` implements the [`Aggregator`] protocol for
 //! [`TrainingMode::Sync`](crate::config::TrainingMode::Sync) tasks.  That a
 //! release closes the round is the mode's policy, not the strategy's: the
-//! runtime reads it from the task config and aborts still-running cohort
-//! members when the strategy releases.
+//! runtime reads it from the task config and, the moment the strategy
+//! releases, aborts still-running cohort members.  The over-selection
+//! waste is that abort; no update reaches a closed round, and the strategy
+//! folds every update it is offered.
 
 use crate::aggregator::{AccumulateOutcome, Aggregator, StackTelemetry, WeightedBuffer};
 use crate::client::ClientUpdate;
@@ -48,19 +50,14 @@ impl SyncRoundAggregator {
 }
 
 impl Aggregator for SyncRoundAggregator {
-    /// Offers an update.  Updates arriving after the round reached its goal
-    /// are discarded (the over-selection waste path).  Within a round the
-    /// server model does not move, so staleness is always zero; virtual time
-    /// is ignored.
+    /// Folds an update.  Within a round the server model does not move, so
+    /// staleness is always zero; virtual time is ignored.
     fn accumulate(
         &mut self,
         update: ClientUpdate,
         current_version: u64,
         _now_s: f64,
     ) -> AccumulateOutcome {
-        if self.buffer.len() >= self.aggregation_goal {
-            return AccumulateOutcome::Discarded;
-        }
         let staleness = update.staleness(current_version);
         let weight = self.update_weight(update.num_examples, staleness);
         self.buffer.fold(&update.delta, weight);
@@ -136,18 +133,6 @@ mod tests {
         let out = agg.take(0.0).unwrap();
         // (1*10 + 4*30) / 40 = 3.25
         assert!((out.as_slice()[0] - 3.25).abs() < 1e-6);
-    }
-
-    #[test]
-    fn updates_after_goal_are_discarded() {
-        let mut agg = SyncRoundAggregator::new(1);
-        assert!(agg.accumulate(update(0, vec![1.0], 1), 0, 0.0).accepted());
-        assert_eq!(
-            agg.accumulate(update(1, vec![100.0], 1), 0, 0.0),
-            AccumulateOutcome::Discarded
-        );
-        let out = agg.take(0.0).unwrap();
-        assert_eq!(out.as_slice(), &[1.0]);
     }
 
     #[test]

@@ -4,9 +4,10 @@
 //! synchronous rounds, and any future addition — must satisfy the same contract the
 //! runtime relies on: goal/readiness invariants, weighted-average releases
 //! (including the all-zero-weight edge case), reset-after-crash semantics
-//! with preserved lifetime telemetry, and staleness rejection wherever a
-//! bound is configured.  Each check is written once against
-//! `&mut dyn Aggregator` and run against all registered implementations —
+//! with preserved lifetime telemetry, and no refusal: the runtime alone
+//! bounds staleness and closes rounds, so every update offered is folded,
+//! however stale and however full the buffer.  Each check is written once
+//! against `&mut dyn Aggregator` and run against all registered implementations —
 //! including a [`SecureAggregator`]-wrapped variant of each strategy (the
 //! secure decorator alters the numerics only to fixed-point precision), a
 //! [`DpAggregator`]-wrapped variant (noiseless, with an unreachable clip
@@ -40,32 +41,18 @@ fn conformance_dp() -> DpConfig {
     DpConfig::new(1e6, 0.0)
 }
 
-/// The staleness bound every FedBuff factory is configured with.
-const MAX_STALENESS: u64 = 5;
-
-/// Whether a factory name is a synchronous-round stack: the strategy whose
-/// tasks close a round on release and which has no staleness bound.
-fn is_sync_round(name: &str) -> bool {
-    name.ends_with("sync_round")
-}
-
-/// One factory per clear implementation, all configured with the same goal
-/// and (where supported) the same staleness bound.
+/// One factory per clear implementation, all configured with the same goal.
 fn clear_implementations() -> Vec<(&'static str, Box<dyn Aggregator>)> {
     vec![
         (
             "fedbuff",
-            Box::new(FedBuffAggregator::new(
-                GOAL,
-                StalenessWeighting::Constant,
-                Some(MAX_STALENESS),
-            )),
+            Box::new(FedBuffAggregator::new(GOAL, StalenessWeighting::Constant)),
         ),
         ("sync_round", Box::new(SyncRoundAggregator::new(GOAL))),
         (
             "fedbuff_deadline",
             Box::new(
-                FedBuffAggregator::new(GOAL, StalenessWeighting::Constant, Some(MAX_STALENESS))
+                FedBuffAggregator::new(GOAL, StalenessWeighting::Constant)
                     // Deadline far away: behave like count-only FedBuff here.
                     .with_round_deadline(1_000_000.0),
             ),
@@ -220,56 +207,27 @@ fn reset_after_crash_drops_buffer_and_preserves_stats() {
     }
 }
 
+/// No strategy or decorator refuses an update for its age or for a met
+/// goal: an update at staleness 1 000 offered to a full buffer is folded.
+/// The runtime's sweeps are the only staleness bound and round close.
 #[test]
-fn staleness_rejection_where_applicable() {
-    for (name, mut agg) in implementations() {
-        if is_sync_round(&name) {
-            // Strategies without a staleness bound (synchronous rounds) must
-            // accept arbitrarily old start versions.
-            let outcome = agg.accumulate(update(0, 1.0, 10, 0), 1_000, 0.0);
-            assert!(outcome.accepted(), "{name}");
-            continue;
-        }
-        let stale_version = MAX_STALENESS + 1;
-        let outcome = agg.accumulate(update(0, 1.0, 10, 0), stale_version, 0.0);
-        assert_eq!(
-            outcome,
-            AccumulateOutcome::RejectedStale {
-                staleness: stale_version,
-                max_staleness: MAX_STALENESS,
-            },
-            "{name}"
-        );
-        assert_eq!(agg.buffered(), 0, "{name}: rejected update must not buffer");
-
-        // An update exactly at the bound is still accepted.
-        let outcome = agg.accumulate(update(1, 1.0, 10, 0), MAX_STALENESS, 0.0);
-        assert_eq!(
-            outcome,
-            AccumulateOutcome::Accepted {
-                staleness: MAX_STALENESS
-            },
-            "{name}"
-        );
+fn every_update_offered_is_folded() {
+    let robust = |agg| -> Box<dyn Aggregator> {
+        Box::new(RobustAggregator::new(agg, RobustConfig::neutral()))
+    };
+    let mut all = implementations();
+    for (name, agg) in clear_implementations() {
+        all.push((format!("robust+{name}"), robust(agg)));
     }
-}
-
-/// Strategy-specific release semantics: only synchronous rounds, whose
-/// tasks close a round on release, discard over-goal arrivals.
-#[test]
-fn round_closing_and_over_goal_behavior_match_the_strategy() {
-    for (name, mut agg) in implementations() {
-        let closes = is_sync_round(&name);
+    for (name, mut agg) in all {
         fill(agg.as_mut(), GOAL, 1.0);
-        let over_goal = agg.accumulate(update(99, 50.0, 10, 0), 0, 0.0);
-        if closes {
-            assert_eq!(over_goal, AccumulateOutcome::Discarded, "{name}");
-            assert_eq!(agg.buffered(), GOAL, "{name}");
-        } else {
-            // Buffered strategies keep accepting past the goal.
-            assert!(over_goal.accepted(), "{name}");
-            assert_eq!(agg.buffered(), GOAL + 1, "{name}");
-        }
+        let outcome = agg.accumulate(update(99, 1.0, 10, 0), 1_000, 0.0);
+        assert_eq!(
+            outcome,
+            AccumulateOutcome::Accepted { staleness: 1_000 },
+            "{name}"
+        );
+        assert_eq!(agg.buffered(), GOAL + 1, "{name}");
     }
 }
 
@@ -285,7 +243,7 @@ struct Probe {
 
 impl Aggregator for Probe {
     fn accumulate(&mut self, _: ClientUpdate, _: u64, _: f64) -> AccumulateOutcome {
-        AccumulateOutcome::Discarded
+        AccumulateOutcome::RejectedByDefense
     }
     fn is_ready(&self, _: f64) -> bool {
         false

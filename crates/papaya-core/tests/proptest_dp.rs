@@ -32,11 +32,7 @@ fn update(id: usize, delta: Vec<f32>, examples: usize) -> ClientUpdate {
 /// so the release *is* the (clipped, optionally noised) update.
 fn dp_goal_one(config: DpConfig, seed: u64) -> DpAggregator {
     DpAggregator::new(
-        Box::new(FedBuffAggregator::new(
-            1,
-            StalenessWeighting::Constant,
-            None,
-        )),
+        Box::new(FedBuffAggregator::new(1, StalenessWeighting::Constant)),
         config,
         seed,
     )
@@ -71,7 +67,7 @@ proptest! {
     ) {
         let norm = values.iter().map(|v| (*v as f64).powi(2)).sum::<f64>().sqrt();
         let clip_bound = norm + 1.0;
-        let mut clear = FedBuffAggregator::new(1, StalenessWeighting::Constant, None);
+        let mut clear = FedBuffAggregator::new(1, StalenessWeighting::Constant);
         let mut dp = dp_goal_one(DpConfig::new(clip_bound, 0.0), 2);
         clear.accumulate(update(0, values.clone(), 10), 0, 0.0);
         dp.accumulate(update(0, values, 10), 0, 0.0);

@@ -8,8 +8,8 @@ use papaya_core::secure::{SecureTelemetry, SecureTimings};
 use papaya_core::trace::{DecimatedTrace, Digest, TraceBudget, TraceSample};
 use papaya_data::stats::{ks_two_sample, KsTestResult};
 
-/// One client participation whose update was *aggregated* (or discarded),
-/// used for the sampling-bias analysis of Section 7.4.
+/// One client participation whose update reached the server, aggregated or
+/// refused, used for the sampling-bias analysis of Section 7.4.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ParticipationRecord {
     /// Device id.
@@ -19,7 +19,7 @@ pub struct ParticipationRecord {
     /// Number of training examples on the device.
     pub num_examples: usize,
     /// Whether the update was folded into a server model update (false for
-    /// updates discarded by over-selection or staleness rejection).
+    /// updates a robust-aggregation defense refused).
     pub aggregated: bool,
 }
 
@@ -55,11 +55,9 @@ pub struct MetricsCollector {
     pub loss_curve: DecimatedTrace<(f64, f64)>,
     /// Client updates received at the server ("communication trips").
     pub comm_trips: u64,
-    /// Updates discarded because the round had already closed
-    /// (over-selection waste).
+    /// Always 0 (no update reaches a closed round); unhashed, and kept only
+    /// because the repo benchmark (`benchmark/src/run.rs`) reads it.
     pub discarded_updates: u64,
-    /// Updates rejected because they exceeded the staleness bound.
-    pub rejected_stale_updates: u64,
     /// Client participations that failed (dropout, crash, timeout abort).
     pub failed_participations: u64,
     /// Clients aborted because the round ended while they were still training.

@@ -48,7 +48,7 @@
 //! println!("stopped: {}", report.stop_reason);
 //! ```
 
-use crate::cluster::{AggregatorId, RouteOutcome, Selector, TaskSpec};
+use crate::cluster::{AggregatorId, Selector, TaskSpec};
 use crate::control_plane::{ControlPlaneService, FleetStatus};
 use crate::events::{EventKind, EventQueue, SimTime};
 use crate::executor::{Executor, Parallelism};
@@ -410,8 +410,8 @@ impl Report {
                 active_clients_sum: _,
                 loss_curve,
                 comm_trips,
-                discarded_updates,
-                rejected_stale_updates,
+                // Never incremented; kept only for the repo benchmark's read.
+                discarded_updates: _,
                 failed_participations,
                 aborted_by_round_end,
                 server_updates,
@@ -464,8 +464,6 @@ impl Report {
             h.word(*comm_trips);
             h.word(*server_updates);
             h.word(*aggregated_updates);
-            h.word(*rejected_stale_updates);
-            h.word(*discarded_updates);
             h.word(*failed_participations);
             h.word(*aborted_by_round_end);
             h.word(*staleness_sum);
@@ -1132,10 +1130,12 @@ impl<'a> FleetPlane<'a> {
         }
     }
 
-    /// Routes a client assigned to `task` on `aggregator` through the next
-    /// Selector.  Returns false when the client must retry later (stale
-    /// Selector map or dead Aggregator).
-    fn route(&mut self, task: usize, aggregator: AggregatorId) -> bool {
+    /// Routes a client assigned to `aggregator` through the next Selector.
+    /// Returns false when the client must retry later (stale Selector map
+    /// or dead Aggregator).  A fresh Selector holds the Coordinator's map,
+    /// so it routes to `aggregator` itself: no route changes without a
+    /// sequence bump (`tests/control_plane_exhaustive.rs`).
+    fn route(&mut self, aggregator: AggregatorId) -> bool {
         let selector = &self.selectors[self.selector_cursor % self.selectors.len()];
         self.selector_cursor += 1;
 
@@ -1145,15 +1145,9 @@ impl<'a> FleetPlane<'a> {
             self.stats.stale_route_refusals += 1;
             return false;
         }
-        match selector.route(task) {
-            RouteOutcome::StaleMap => {
-                self.stats.stale_route_refusals += 1;
-                false
-            }
-            // The connection to a dead Aggregator fails outright; the
-            // client retries at a later check-in.
-            RouteOutcome::Routed(routed) => !self.crashed.contains(&routed) && routed == aggregator,
-        }
+        // The connection to a dead Aggregator fails outright; the client
+        // retries at a later check-in.
+        !self.crashed.contains(&aggregator)
     }
 
     /// Per-task reassignment counts and the end-of-run control-plane
@@ -1665,7 +1659,7 @@ impl<'a> Run<'a> {
         let Some((task, aggregator)) = plane.service.assign_client(plane.tiers[client_id]) else {
             return false;
         };
-        if !plane.route(task, aggregator) {
+        if !plane.route(aggregator) {
             return false;
         }
         self.start_participation(task, client_id, Some(aggregator));

@@ -179,8 +179,8 @@ pub(crate) mod tests {
             .run()
             .into_single();
         // With 256 concurrent clients and K = 4, staleness frequently
-        // exceeds 1, so some updates must be rejected or clients aborted.
-        assert!(result.metrics.rejected_stale_updates + result.metrics.failed_participations > 0);
+        // exceeds 1, so the runtime must abort some clients.
+        assert!(result.metrics.failed_participations > 0);
     }
 
     #[test]
@@ -189,7 +189,6 @@ pub(crate) mod tests {
         // Without over-selection the round waits for every member (failures
         // are replaced), so nobody is aborted when the round closes.
         assert_eq!(result.metrics.aborted_by_round_end, 0);
-        assert!(result.metrics.discarded_updates == 0);
     }
 
     #[test]

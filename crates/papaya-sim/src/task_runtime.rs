@@ -14,9 +14,10 @@
 //! loop with or without a control plane.
 //!
 //! Participation policy comes from the task's [`TrainingMode`], as client
-//! demand does: a synchronous release closes the round and aborts its
-//! stragglers (Appendix E.3); an asynchronous one aborts in-flight clients
-//! staler than the mode's bound (Appendix E.1).
+//! demand does, and only the runtime applies it, after every release: a
+//! synchronous release closes the round and aborts its stragglers
+//! (Appendix E.3); an asynchronous one aborts in-flight clients staler than
+//! the mode's bound (Appendix E.1).  So the strategy folds every update.
 //!
 //! The runtime is deliberately ignorant of *who* participates and *when*:
 //! client selection, event scheduling, dropouts, and timeouts belong to the
@@ -82,7 +83,6 @@ struct InFlight {
     client_id: usize,
     start_version: u64,
     start_params: Arc<ParamVec>,
-    round: u64,
     execution_time_s: f64,
 }
 
@@ -131,7 +131,6 @@ pub struct TaskRuntime {
     /// [`offer_update`](TaskRuntime::offer_update).
     executor: Option<Arc<Executor>>,
     completed_this_round: usize,
-    round_number: u64,
     round_start_time: SimTime,
     eval_ids: Vec<usize>,
     metrics: MetricsCollector,
@@ -231,7 +230,6 @@ impl TaskRuntime {
             in_flight: IdTable::new(),
             executor: None,
             completed_this_round: 0,
-            round_number: 0,
             round_start_time: 0.0,
             eval_ids,
             metrics: MetricsCollector::new(),
@@ -282,12 +280,6 @@ impl TaskRuntime {
         self.final_loss
     }
 
-    /// The synchronous round currently in progress (0-based; stays 0 for
-    /// buffered strategies, whose releases never close a round).
-    pub fn round_number(&self) -> u64 {
-        self.round_number
-    }
-
     /// Registers a selected client: it downloads the current snapshot and
     /// starts training.  The driver owns participation-id allocation and
     /// hands ids out in increasing order: a later participation never has
@@ -310,7 +302,6 @@ impl TaskRuntime {
                 client_id,
                 start_version: self.model.version(),
                 start_params: Arc::clone(&self.snapshot),
-                round: self.round_number,
                 execution_time_s,
             },
         );
@@ -423,19 +414,6 @@ impl TaskRuntime {
             }
         }
         let num_examples = result.num_examples;
-
-        if self.releases_close_rounds() && in_flight.round != self.round_number {
-            // Update from a previous round arriving late; discarded.
-            self.metrics.discarded_updates += 1;
-            self.metrics.participations.push(ParticipationRecord {
-                client_id,
-                execution_time_s: in_flight.execution_time_s,
-                num_examples,
-                aggregated: false,
-            });
-            return Some(UpdateOutcome::default());
-        }
-
         let update = ClientUpdate::from_result(client_id, claimed_start_version, result);
         let accumulate_outcome = self
             .aggregator
@@ -443,14 +421,21 @@ impl TaskRuntime {
         let accepted = accumulate_outcome.accepted();
         match accumulate_outcome {
             AccumulateOutcome::Accepted { staleness } => {
+                // The sweeps after each release are the only round close and
+                // staleness bound; this is what they guarantee.
+                match self.config.mode {
+                    TrainingMode::Sync => debug_assert_eq!(
+                        staleness, 0,
+                        "an upload from a closed round: end_sync_round missed it"
+                    ),
+                    TrainingMode::Async { max_staleness, .. } => debug_assert!(
+                        staleness <= max_staleness,
+                        "staleness {staleness} past the bound {max_staleness}: \
+                         abort_overly_stale_clients missed it"
+                    ),
+                }
                 self.metrics.staleness_sum += staleness;
                 self.metrics.aggregated_updates += 1;
-            }
-            AccumulateOutcome::RejectedStale { .. } => {
-                self.metrics.rejected_stale_updates += 1;
-            }
-            AccumulateOutcome::Discarded => {
-                self.metrics.discarded_updates += 1;
             }
             AccumulateOutcome::RejectedByDefense => {
                 self.metrics.rejected_by_defense_updates += 1;
@@ -635,21 +620,18 @@ impl TaskRuntime {
         freed
     }
 
-    /// Ends a synchronous round: aborts all still-running clients of the
-    /// round and starts the next one.
+    /// Ends a synchronous round: aborts every still-running client (all of
+    /// them belong to the closing round) and starts the next one.
     fn end_sync_round(&mut self, now: SimTime) -> Vec<FreedClient> {
-        let round = self.round_number;
         let aborted: Vec<(u64, InFlightSlot)> = self
             .in_flight
             .iter()
-            .filter(|(_, _, f)| f.round == round)
             .map(|(participation_id, slot, _)| (participation_id, slot))
             .collect();
         let freed = self.abort(&aborted);
         self.metrics.aborted_by_round_end += freed.len() as u64;
         self.metrics
             .record_round_duration(now - self.round_start_time);
-        self.round_number += 1;
         self.round_start_time = now;
         self.completed_this_round = 0;
         freed
@@ -753,7 +735,7 @@ mod tests {
             let freed_ids: Vec<u64> = outcome.freed.iter().map(|f| f.participation_id).collect();
             assert_eq!(freed_ids, vec![2, 5], "{secagg:?}");
             assert!(ascending(&outcome.freed));
-            assert_eq!(rt.round_number(), 1);
+            assert_eq!(rt.metrics().round_durations_s.offered(), 1);
             assert_eq!(rt.metrics().aborted_by_round_end, 2);
             // The straggler's late report is silently ignored.
             assert!(rt.offer_update(2, None, 100.0).is_none());
@@ -1165,8 +1147,8 @@ mod tests {
     fn hybrid_runtime_rejects_overly_stale_uploads() {
         let mut rt =
             runtime(TaskConfig::timed_hybrid_task("t", 8, 1, 1000.0).with_max_staleness(0));
-        // Client 0 downloads at version 0; two releases later its upload is
-        // staler than the bound and must be rejected.
+        // Clients 0 and 2 download at version 0; after one release they are
+        // staler than the bound, so the sweep aborts them before they upload.
         rt.begin_participation(0, 0, 1.0);
         rt.begin_participation(1, 1, 1.0);
         rt.begin_participation(2, 2, 1.0);
@@ -1178,16 +1160,9 @@ mod tests {
             "both other downloads are now too stale"
         );
         assert!(ascending(&release.freed));
-        let outcome = rt.offer_update(0, None, 2.0);
-        // Client 0 was aborted by the post-release staleness sweep (its
-        // staleness exceeded the bound), or rejected on arrival.
-        match outcome {
-            None => {}
-            Some(o) => assert!(!o.accepted),
-        }
-        assert!(
-            rt.metrics().rejected_stale_updates + rt.metrics().failed_participations > 0,
-            "stale client neither rejected nor aborted"
-        );
+        assert_eq!(rt.metrics().failed_participations, 2);
+        // The aborted client's late report is ignored.
+        assert!(rt.offer_update(0, None, 2.0).is_none());
+        assert_eq!(rt.metrics().comm_trips, 1);
     }
 }

@@ -140,10 +140,8 @@ fn main() {
         s.metrics.secure.tsa_key_releases
     );
     println!(
-        "  masked updates  {} accepted, {} dropped by policy, {} buffers dropped on crash",
-        s.metrics.secure.masked_updates,
-        s.metrics.secure.masked_discarded,
-        s.metrics.secure.buffers_dropped_unreleased
+        "  masked updates  {} accepted, {} buffers dropped on crash",
+        s.metrics.secure.masked_updates, s.metrics.secure.buffers_dropped_unreleased
     );
     println!(
         "  TEE boundary    {} bytes in total, {:.0} bytes per masked client",

@@ -63,8 +63,6 @@ fn assert_noiseless_dp_matches_clear(task: TaskConfig, hours: f64) -> (Report, R
     assert_eq!(c.comm_trips, p.comm_trips);
     assert_eq!(c.server_updates, p.server_updates);
     assert_eq!(c.aggregated_updates, p.aggregated_updates);
-    assert_eq!(c.rejected_stale_updates, p.rejected_stale_updates);
-    assert_eq!(c.discarded_updates, p.discarded_updates);
     assert_eq!(c.failed_participations, p.failed_participations);
     assert_eq!(c.aborted_by_round_end, p.aborted_by_round_end);
     assert_eq!(c.staleness_sum, p.staleness_sum);

@@ -138,7 +138,7 @@ proptest! {
         examples in proptest::collection::vec(1usize..100, 12),
     ) {
         let goal = deltas.len();
-        let mut agg = FedBuffAggregator::new(goal, StalenessWeighting::PolynomialHalf, None);
+        let mut agg = FedBuffAggregator::new(goal, StalenessWeighting::PolynomialHalf);
         for (i, delta) in deltas.iter().enumerate() {
             agg.accumulate(
                 ClientUpdate {

@@ -63,8 +63,6 @@ fn assert_secure_matches_clear(task: TaskConfig, hours: f64) -> (Report, Report)
     assert_eq!(c.comm_trips, s.comm_trips);
     assert_eq!(c.server_updates, s.server_updates);
     assert_eq!(c.aggregated_updates, s.aggregated_updates);
-    assert_eq!(c.rejected_stale_updates, s.rejected_stale_updates);
-    assert_eq!(c.discarded_updates, s.discarded_updates);
     assert_eq!(c.failed_participations, s.failed_participations);
     assert_eq!(c.participations, s.participations);
     assert!(s.server_updates > 0, "nothing was aggregated");
@@ -132,14 +130,11 @@ fn fedbuff_secure_run_matches_clear_run() {
     let (_, secure) = assert_secure_matches_clear(TaskConfig::async_task("fedbuff", 32, 8), 1.0);
     let m = &secure.single().metrics;
     assert!(secure.single().server_updates() > 10);
-    // Policy-dropped masked uploads are exactly the aggregator-level
-    // rejections (the runtime aborts most doomed-stale clients before they
-    // upload, so both are usually zero here; the masked-discard path itself
-    // is pinned by the secure-aggregator unit and conformance suites).
-    assert_eq!(
-        m.secure.masked_discarded,
-        m.rejected_stale_updates + m.discarded_updates
-    );
+    // No masked upload is dropped: the runtime aborts stale clients before
+    // they upload, and no stage beneath the secure layer refuses one (the
+    // masked-discard path itself is pinned by the secure-aggregator unit
+    // tests, over a norm filter placed beneath it).
+    assert_eq!(m.secure.masked_discarded, 0);
 }
 
 #[test]
@@ -194,8 +189,6 @@ fn assert_session_matches_per_update(task: TaskConfig, hours: f64) -> (Report, R
     assert_eq!(s.comm_trips, p.comm_trips);
     assert_eq!(s.server_updates, p.server_updates);
     assert_eq!(s.aggregated_updates, p.aggregated_updates);
-    assert_eq!(s.rejected_stale_updates, p.rejected_stale_updates);
-    assert_eq!(s.discarded_updates, p.discarded_updates);
     assert_eq!(s.participations, p.participations);
     assert_eq!(s.secure.masked_updates, p.secure.masked_updates);
     assert_eq!(s.secure.tsa_key_releases, p.secure.tsa_key_releases);
