@@ -2,7 +2,7 @@
 //!
 //! The workspace's headline guarantee is that scenario fingerprints are a
 //! pure function of the scenario definition and seed — invariant across
-//! thread counts, sampling-pool shard layouts, and internal refactors.
+//! thread counts, trace budgets, and internal refactors.
 //! This binary makes that pin auditable across commits: run it before and
 //! after a change that must not move fingerprints (see
 //! `docs/DETERMINISM.md`) and diff the output.

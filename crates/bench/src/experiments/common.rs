@@ -21,7 +21,7 @@ pub enum Scale {
 
 impl Scale {
     /// Population size used for the surrogate experiments.
-    pub fn population_size(&self) -> usize {
+    pub(crate) fn population_size(&self) -> usize {
         match self {
             Scale::Quick => 4_000,
             Scale::Full => 20_000,
@@ -29,7 +29,7 @@ impl Scale {
     }
 
     /// Concurrency sweep (Figures 3, 8, 9).
-    pub fn concurrencies(&self) -> Vec<usize> {
+    pub(crate) fn concurrencies(&self) -> Vec<usize> {
         match self {
             Scale::Quick => vec![65, 130, 325, 650],
             Scale::Full => vec![130, 650, 1300, 2000, 2600],
@@ -38,7 +38,7 @@ impl Scale {
 
     /// The reference concurrency used by Figures 7, 10, 12, 13 (1300 in the
     /// paper).
-    pub fn reference_concurrency(&self) -> usize {
+    pub(crate) fn reference_concurrency(&self) -> usize {
         match self {
             Scale::Quick => 325,
             Scale::Full => 1300,
@@ -47,7 +47,7 @@ impl Scale {
 
     /// The reference aggregation goal (`K = 100` in the paper, scaled with
     /// concurrency for quick runs).
-    pub fn reference_aggregation_goal(&self) -> usize {
+    pub(crate) fn reference_aggregation_goal(&self) -> usize {
         match self {
             Scale::Quick => 25,
             Scale::Full => 100,
@@ -102,7 +102,7 @@ fn parse_from(args: &[String]) -> Result<CliArgs, String> {
 /// The surrogate configuration used by the convergence experiments: enough
 /// gradient noise that cohort size matters, plus heavy-client bias so
 /// over-selection hurts.
-pub fn experiment_surrogate_config() -> SurrogateConfig {
+pub(crate) fn experiment_surrogate_config() -> SurrogateConfig {
     SurrogateConfig {
         dim: 32,
         heterogeneity: 0.8,
@@ -120,12 +120,12 @@ pub fn experiment_surrogate_config() -> SurrogateConfig {
 }
 
 /// Builds the default synthetic population.
-pub fn population(size: usize, seed: u64) -> Population {
+pub(crate) fn population(size: usize, seed: u64) -> Population {
     Population::generate(&PopulationConfig::default().with_size(size), seed)
 }
 
 /// Builds the surrogate trainer over a population.
-pub fn surrogate(population: &Population, seed: u64) -> Arc<SurrogateObjective> {
+pub(crate) fn surrogate(population: &Population, seed: u64) -> Arc<SurrogateObjective> {
     Arc::new(SurrogateObjective::new(
         population,
         experiment_surrogate_config(),
@@ -135,14 +135,14 @@ pub fn surrogate(population: &Population, seed: u64) -> Arc<SurrogateObjective> 
 
 /// The initial population loss of a surrogate objective (used to set
 /// relative loss targets).
-pub fn initial_loss(trainer: &SurrogateObjective) -> f64 {
+pub(crate) fn initial_loss(trainer: &SurrogateObjective) -> f64 {
     let all: Vec<usize> = (0..trainer.num_clients()).collect();
     trainer.evaluate(&trainer.initial_parameters(), &all)
 }
 
 /// A target loss for convergence experiments: the achievable floor (loss at
 /// the population optimum) plus 5 % of the initial-to-floor gap.
-pub fn target_loss(trainer: &SurrogateObjective) -> f64 {
+pub(crate) fn target_loss(trainer: &SurrogateObjective) -> f64 {
     let all: Vec<usize> = (0..trainer.num_clients()).collect();
     let floor = trainer.evaluate(&trainer.population_optimum(), &all);
     let initial = initial_loss(trainer);
@@ -151,7 +151,7 @@ pub fn target_loss(trainer: &SurrogateObjective) -> f64 {
 
 /// Runs one task to a target loss (or the virtual-time cap) through the
 /// unified [`Scenario`] entrypoint and returns the task's report.
-pub fn run_to_target(
+pub(crate) fn run_to_target(
     task: TaskConfig,
     population: &Population,
     trainer: &Arc<SurrogateObjective>,

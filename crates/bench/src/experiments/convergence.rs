@@ -10,22 +10,22 @@ use papaya_sim::scenario::TaskReport;
 #[derive(Clone, Debug)]
 pub struct SweepRow {
     /// Concurrency of the configuration.
-    pub concurrency: usize,
+    pub(crate) concurrency: usize,
     /// SyncFL (30 % over-selection) report.
-    pub sync: TaskReport,
+    pub(crate) sync: TaskReport,
     /// AsyncFL (K = reference aggregation goal) report.
-    pub async_fl: TaskReport,
+    pub(crate) async_fl: TaskReport,
 }
 
 impl SweepRow {
     /// AsyncFL speedup over SyncFL in wall-clock time to target
     /// (`None` when either configuration missed the target).
-    pub fn speedup(&self) -> Option<f64> {
+    pub(crate) fn speedup(&self) -> Option<f64> {
         Some(self.sync.hours_to_target? / self.async_fl.hours_to_target?)
     }
 
     /// Communication-efficiency gain: SyncFL trips / AsyncFL trips.
-    pub fn comm_gain(&self) -> f64 {
+    pub(crate) fn comm_gain(&self) -> f64 {
         self.sync.comm_trips() as f64 / self.async_fl.comm_trips().max(1) as f64
     }
 }

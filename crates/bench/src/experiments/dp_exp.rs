@@ -21,27 +21,27 @@ use std::sync::Arc;
 use super::common::{experiment_surrogate_config, Scale};
 
 /// The noise multipliers swept (0 = clear-equivalent baseline).
-pub const NOISE_MULTIPLIERS: [f64; 5] = [0.0, 0.25, 0.5, 1.0, 2.0];
+pub(crate) const NOISE_MULTIPLIERS: [f64; 5] = [0.0, 0.25, 0.5, 1.0, 2.0];
 
 /// One row of the privacy-utility ablation.
 #[derive(Clone, Debug)]
 pub struct DpAblationRow {
     /// Noise multiplier `z` of this run.
-    pub noise_multiplier: f64,
+    pub(crate) noise_multiplier: f64,
     /// Final evaluated population loss.
-    pub final_loss: f64,
+    pub(crate) final_loss: f64,
     /// `final_loss / clear_final_loss` — 1.0 for the baseline, growing
     /// with `z` (the convergence gap).
-    pub loss_vs_clear: f64,
+    pub(crate) loss_vs_clear: f64,
     /// Server updates (all of them accounted DP releases).
-    pub releases: u64,
+    pub(crate) releases: u64,
     /// Lifetime fraction of accepted updates that were clipped.
-    pub clip_fraction: f64,
+    pub(crate) clip_fraction: f64,
     /// Noise std of the last release (`C·z / weight_total`).
-    pub noise_std: f64,
+    pub(crate) noise_std: f64,
     /// Cumulative `epsilon(target_delta)` after the last release
     /// (`∞` at `z = 0`).
-    pub epsilon: f64,
+    pub(crate) epsilon: f64,
 }
 
 /// The `δ` the sweep reports ε at.

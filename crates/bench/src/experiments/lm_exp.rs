@@ -20,19 +20,19 @@ use std::sync::Arc;
 #[derive(Clone, Debug)]
 pub struct Table1Row {
     /// Configuration label.
-    pub method: &'static str,
+    pub(crate) method: &'static str,
     /// Test perplexity over all clients.
-    pub all: f64,
+    pub(crate) all: f64,
     /// Test perplexity over clients at or above the 75th data-volume
     /// percentile.
-    pub p75: f64,
+    pub(crate) p75: f64,
     /// Test perplexity over clients at or above the 99th data-volume
     /// percentile.
-    pub p99: f64,
+    pub(crate) p99: f64,
     /// Virtual hours the configuration ran for.
-    pub hours: f64,
+    pub(crate) hours: f64,
     /// Client updates received.
-    pub client_updates: u64,
+    pub(crate) client_updates: u64,
 }
 
 /// Scale parameters for the Table 1 run.

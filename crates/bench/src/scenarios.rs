@@ -24,7 +24,7 @@
 //! * `fleet-crash` — a 6-task multi-tenant fleet with an injected
 //!   Aggregator crash, which stresses the control plane;
 //! * `fedbuff-1m` — FedBuff over a **million-device** population (never
-//!   shrunk by `quick`): sharded sampling pool, packed population,
+//!   shrunk by `quick`): flat sampling pool, packed population,
 //!   procedural trainer, bounded traces (`docs/SCALING.md`);
 //! * `fleet-scale` — a 4-task fleet over 200 000 devices (50 000 quick),
 //!   the control plane at fleet population scale, also trace-bounded;
@@ -50,7 +50,7 @@ use std::sync::Arc;
 /// event loop, as the real LSTM does in production.  (The figure-experiment
 /// config is tuned for convergence dynamics instead and trains in ~1 µs,
 /// which would exercise the event queue rather than the training path.)
-pub fn perf_surrogate_config() -> SurrogateConfig {
+pub(crate) fn perf_surrogate_config() -> SurrogateConfig {
     SurrogateConfig {
         dim: 128,
         heterogeneity: 0.5,
@@ -226,7 +226,7 @@ pub fn build_scenario(name: &str, quick: bool, parallelism: Parallelism, seed: u
             // the memory story, so the population never shrinks — only
             // the update budget and concurrency do.  The pieces that make a
             // million idle clients affordable are all on this path: the
-            // packed population (12 B/device), the sharded sampling pool
+            // packed population (12 B/device), the flat sampling pool
             // (8 B/device), the procedural surrogate (4 B/device instead of
             // dim floats), and the default trace budget, which keeps metrics
             // O(budget) rather than O(events).

@@ -2,7 +2,7 @@
 //!
 //! Implements the subset of the criterion 0.5 API the workspace's benches
 //! use: [`Criterion`], benchmark groups, [`BenchmarkId`], [`Throughput`],
-//! [`black_box`], and the [`criterion_group!`]/[`criterion_main!`] macros.
+//! and the [`criterion_group!`]/[`criterion_main!`] macros.
 //! Timing is a simple best-of-N wall-clock measurement printed to stdout —
 //! good enough to compare orders of magnitude without a registry dependency.
 
@@ -14,11 +14,6 @@
 
 use std::time::{Duration, Instant};
 
-/// Prevents the optimizer from eliding a computed value.
-pub fn black_box<T>(x: T) -> T {
-    std::hint::black_box(x)
-}
-
 /// Label of one benchmark within a group.
 #[derive(Clone, Debug)]
 pub struct BenchmarkId {
@@ -26,13 +21,6 @@ pub struct BenchmarkId {
 }
 
 impl BenchmarkId {
-    /// Creates an id from a function name and a parameter.
-    pub fn new(function: impl Into<String>, parameter: impl std::fmt::Display) -> Self {
-        BenchmarkId {
-            id: format!("{}/{}", function.into(), parameter),
-        }
-    }
-
     /// Creates an id from a parameter alone.
     pub fn from_parameter(parameter: impl std::fmt::Display) -> Self {
         BenchmarkId {
@@ -91,13 +79,13 @@ impl Bencher {
     pub fn iter<O, R: FnMut() -> O>(&mut self, mut routine: R) {
         // Warm-up and calibration round.
         let start = Instant::now();
-        black_box(routine());
+        std::hint::black_box(routine());
         let once = start.elapsed().max(Duration::from_nanos(1));
         let target = Duration::from_millis(200);
         let iters = (target.as_nanos() / once.as_nanos()).clamp(1, 10_000) as u64;
         let start = Instant::now();
         for _ in 0..iters {
-            black_box(routine());
+            std::hint::black_box(routine());
         }
         self.elapsed = start.elapsed();
         self.iterations = iters;
@@ -125,11 +113,6 @@ pub struct BenchmarkGroup<'a> {
 impl<'a> BenchmarkGroup<'a> {
     /// Sets the sample size (accepted for API compatibility; unused).
     pub fn sample_size(&mut self, _n: usize) -> &mut Self {
-        self
-    }
-
-    /// Sets the measurement time (accepted for API compatibility; unused).
-    pub fn measurement_time(&mut self, _d: Duration) -> &mut Self {
         self
     }
 
@@ -201,11 +184,6 @@ impl Criterion {
             _criterion: self,
         }
     }
-
-    /// Accepted for API compatibility; unused.
-    pub fn sample_size(self, _n: usize) -> Self {
-        self
-    }
 }
 
 /// Declares a group of benchmark functions.
@@ -240,11 +218,15 @@ mod tests {
     use super::*;
 
     fn sample_bench(c: &mut Criterion) {
-        c.bench_function("add", |b| b.iter(|| black_box(1u64) + black_box(2u64)));
+        c.bench_function("add", |b| {
+            b.iter(|| std::hint::black_box(1u64) + std::hint::black_box(2u64))
+        });
         let mut group = c.benchmark_group("group");
         group.sample_size(10).throughput(Throughput::Bytes(8));
         group.bench_function(BenchmarkId::from_parameter(4), |b| b.iter(|| 4 * 4));
-        group.bench_with_input(BenchmarkId::new("sq", 3), &3u64, |b, &n| b.iter(|| n * n));
+        group.bench_with_input(BenchmarkId::from_parameter("sq"), &3u64, |b, &n| {
+            b.iter(|| n * n)
+        });
         group.finish();
     }
 

@@ -272,9 +272,10 @@ pub mod rngs {
             x.rotate_left(k)
         }
 
-        /// The full internal state, for checkpointing.  Feeding it back
-        /// through [`StdRng::from_state`] resumes the exact output stream.
-        pub fn state(&self) -> [u64; 4] {
+        /// The full internal state.  Feeding it back through
+        /// [`StdRng::from_state`] resumes the exact output stream.
+        #[cfg(test)]
+        pub(crate) fn state(&self) -> [u64; 4] {
             self.s
         }
 
@@ -284,7 +285,8 @@ pub mod rngs {
         ///
         /// Panics on the all-zero state, which xoshiro cannot escape; it can
         /// only come from a hand-rolled value, never from `state()`.
-        pub fn from_state(s: [u64; 4]) -> Self {
+        #[cfg(test)]
+        pub(crate) fn from_state(s: [u64; 4]) -> Self {
             assert!(s.iter().any(|&w| w != 0), "xoshiro state must be non-zero");
             StdRng { s }
         }

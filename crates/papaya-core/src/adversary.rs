@@ -41,7 +41,7 @@ pub enum DeviationKind {
 
 impl DeviationKind {
     /// Stable attack label for telemetry and reports.
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             DeviationKind::WrongCounter => "secagg-wrong-counter",
             DeviationKind::GarbageMask => "secagg-garbage-mask",
@@ -220,7 +220,7 @@ impl AdversarySpec {
 
 /// The shared collusion target: a pseudorandom direction derived from the
 /// adversary seed, scaled to the requested L2 magnitude.
-pub fn collusion_target(seed: u64, dimension: usize, magnitude: f64) -> ParamVec {
+pub(crate) fn collusion_target(seed: u64, dimension: usize, magnitude: f64) -> ParamVec {
     let mut values = Vec::with_capacity(dimension);
     for i in 0..dimension {
         let h = splitmix64(seed ^ 0xC011_0DE0 ^ (i as u64).wrapping_mul(0x2545_F491_4F6C_DD1D));

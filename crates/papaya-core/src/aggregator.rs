@@ -218,7 +218,7 @@ impl WeightedBuffer {
     /// # Panics
     ///
     /// Panics if the delta's dimensionality differs from earlier deltas.
-    pub fn fold(&mut self, delta: &ParamVec, weight: f64) {
+    pub(crate) fn fold(&mut self, delta: &ParamVec, weight: f64) {
         let buffer = self
             .buffer
             .get_or_insert_with(|| ParamVec::zeros(delta.len()));
@@ -233,14 +233,14 @@ impl WeightedBuffer {
     }
 
     /// Number of deltas folded since the last release or clear.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.buffered
     }
 
     /// Releases the weighted average and empties the buffer.  Returns `None`
     /// when nothing was buffered; returns a zero delta when every folded
     /// update carried zero weight.
-    pub fn release(&mut self) -> Option<ParamVec> {
+    pub(crate) fn release(&mut self) -> Option<ParamVec> {
         let mut buffer = self.buffer.take()?;
         if self.weight_sum > 0.0 {
             buffer.scale((1.0 / self.weight_sum) as f32);
@@ -253,7 +253,7 @@ impl WeightedBuffer {
     }
 
     /// Discards the buffer contents; returns how many deltas were dropped.
-    pub fn clear(&mut self) -> usize {
+    pub(crate) fn clear(&mut self) -> usize {
         let dropped = self.buffered;
         self.buffer = None;
         self.weight_sum = 0.0;

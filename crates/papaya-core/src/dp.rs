@@ -249,7 +249,7 @@ impl PrivacyAccountant {
     }
 
     /// Builds the accountant a [`DpConfig`] asks for.
-    pub fn for_config(config: &DpConfig) -> Self {
+    pub(crate) fn for_config(config: &DpConfig) -> Self {
         Self::new(config.sampling_rate, config.noise_multiplier)
     }
 
@@ -259,18 +259,8 @@ impl PrivacyAccountant {
     }
 
     /// Number of releases recorded so far.
-    pub fn releases(&self) -> u64 {
+    pub(crate) fn releases(&self) -> u64 {
         self.releases
-    }
-
-    /// The accountant's sampling probability `q`.
-    pub fn sampling_rate(&self) -> f64 {
-        self.sampling_rate
-    }
-
-    /// The accountant's noise multiplier `z`.
-    pub fn noise_multiplier(&self) -> f64 {
-        self.noise_multiplier
     }
 
     /// The cumulative `(ε, δ)` privacy loss after the recorded releases:
@@ -350,7 +340,7 @@ pub struct DpRelease {
     pub time_s: f64,
     /// Fraction of the released buffer's accepted updates that were clipped
     /// (their L2 norm exceeded the bound).
-    pub clip_fraction: f64,
+    pub(crate) clip_fraction: f64,
     /// Standard deviation of the Gaussian noise added to this release's
     /// weighted-average delta: `clip_bound * z * max_weight / weight_total`
     /// (`0` for a noiseless or all-zero-weight buffer).
@@ -449,16 +439,6 @@ impl DpAggregator {
             buffer_clipped: 0,
             telemetry: DpTelemetry::default(),
         }
-    }
-
-    /// The DP configuration.
-    pub fn config(&self) -> &DpConfig {
-        &self.config
-    }
-
-    /// The privacy accountant (releases recorded, ε queries).
-    pub fn accountant(&self) -> &PrivacyAccountant {
-        &self.accountant
     }
 
     /// The cumulative DP telemetry.
@@ -727,7 +707,7 @@ mod tests {
         agg.accumulate(update(2, vec![0.1, 0.1], 10, 0), 0, 1.0);
         agg.take(1.0).unwrap();
         assert_eq!(agg.telemetry().release_trace[0].clip_fraction, 0.0);
-        assert_eq!(agg.accountant().releases(), 1);
+        assert_eq!(agg.telemetry().releases, 1);
     }
 
     #[test]

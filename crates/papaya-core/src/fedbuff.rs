@@ -20,7 +20,7 @@
 //! `FedBuffAggregator` implements the [`Aggregator`] protocol; drivers hold
 //! it as `Box<dyn Aggregator>` next to the synchronous strategy.
 
-pub use crate::aggregator::AccumulateOutcome;
+use crate::aggregator::AccumulateOutcome;
 use crate::aggregator::{Aggregator, StackTelemetry, WeightedBuffer};
 use crate::client::ClientUpdate;
 use crate::staleness::StalenessWeighting;
@@ -60,7 +60,7 @@ impl FedBuffAggregator {
     }
 
     /// Disables (or re-enables) weighting by example count.
-    pub fn with_example_weighting(mut self, enabled: bool) -> Self {
+    pub(crate) fn with_example_weighting(mut self, enabled: bool) -> Self {
         self.weight_by_examples = enabled;
         self
     }

@@ -8,9 +8,10 @@
 //!   deadline), concurrency, aggregation goal, staleness limits, timeouts;
 //! * [`staleness`] — the staleness down-weighting schemes (the paper uses
 //!   `1/sqrt(1 + s)`);
-//! * [`aggregator`] — the [`Aggregator`] trait every aggregation strategy
-//!   implements, shared lifetime counters, and the
-//!   [`aggregator::for_task`] factory mapping a task's mode to a strategy;
+//! * [`aggregator`] — the [`Aggregator`](aggregator::Aggregator) trait
+//!   every aggregation strategy implements, shared lifetime counters, and
+//!   the [`aggregator::for_task`] factory mapping a task's mode to a
+//!   strategy;
 //! * [`fedbuff`] — buffered asynchronous aggregation (Nguyen et al., 2021 as
 //!   deployed by PAPAYA, Section 3.1 / Appendix E.2), optionally
 //!   force-released on a round deadline to bound the straggler tail;
@@ -39,7 +40,7 @@
 //!   weighted delta) shared by the real LSTM trainer (`papaya-lm`) and the
 //!   fast surrogate objective in [`surrogate`].
 //!
-//! # Example: one FedBuff buffer behind the [`Aggregator`] trait
+//! # Example: one FedBuff buffer behind the `Aggregator` trait
 //!
 //! ```
 //! use papaya_core::aggregator::Aggregator;
@@ -82,16 +83,9 @@ pub mod sync_agg;
 pub mod trace;
 
 pub use adversary::{AdversarySpec, DeviationKind, Malice};
-pub use aggregator::{AccumulateOutcome, Aggregator};
-pub use client::{ClientTrainer, ClientUpdate, LocalTrainResult};
 pub use config::{SecAggMode, TaskConfig, TrainingMode};
 pub use dp::{DpAggregator, DpConfig, DpTelemetry, PrivacyAccountant};
 pub use fedbuff::FedBuffAggregator;
-pub use model::ServerModel;
 pub use robust::{RobustAggregator, RobustConfig, RobustDefense, RobustTelemetry};
 pub use secure::{SecureAggregator, SecureTelemetry};
-pub use server_opt::{FedAdam, FedAvg, FedSgd, ServerOptimizer};
-pub use staleness::StalenessWeighting;
-pub use surrogate::{ProceduralSurrogate, SurrogateObjective};
 pub use sync_agg::SyncRoundAggregator;
-pub use trace::{DecimatedTrace, TraceBudget};

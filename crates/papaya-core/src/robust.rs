@@ -128,13 +128,13 @@ impl RobustConfig {
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RobustRelease {
     /// Virtual time of the release, in seconds.
-    pub time_s: f64,
+    pub(crate) time_s: f64,
     /// Number of clear updates the estimator was computed over.
-    pub estimated_over: u64,
+    pub(crate) estimated_over: u64,
     /// Largest absolute per-coordinate difference between the wrapped
     /// release and the robust estimate that replaced it — a measure of how
     /// much the defense actually corrected.
-    pub estimator_shift: f64,
+    pub(crate) estimator_shift: f64,
 }
 
 impl TraceSample for RobustRelease {
@@ -198,16 +198,6 @@ impl RobustAggregator {
             buffer: Vec::new(),
             telemetry: RobustTelemetry::default(),
         }
-    }
-
-    /// The robust configuration.
-    pub fn config(&self) -> &RobustConfig {
-        &self.config
-    }
-
-    /// The cumulative robustness telemetry.
-    pub fn telemetry(&self) -> &RobustTelemetry {
-        &self.telemetry
     }
 
     /// Whether releases are replaced by a robust estimator (as opposed to
@@ -405,6 +395,13 @@ mod tests {
     use super::*;
     use crate::fedbuff::FedBuffAggregator;
     use crate::staleness::StalenessWeighting;
+
+    impl RobustAggregator {
+        /// The cumulative robustness telemetry.
+        fn telemetry(&self) -> &RobustTelemetry {
+            &self.telemetry
+        }
+    }
 
     fn update(id: usize, delta: Vec<f32>, examples: usize) -> ClientUpdate {
         ClientUpdate {

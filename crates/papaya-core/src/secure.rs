@@ -145,11 +145,6 @@ pub struct SecureTimings {
 }
 
 impl SecureTimings {
-    /// On-loop seconds summed over the four stages.
-    pub fn total_s(&self) -> f64 {
-        self.handshake_s + self.mask_s + self.encode_s + self.unmask_s
-    }
-
     /// Accumulates another breakdown (e.g. across a fleet of aggregators).
     pub fn merge(&mut self, other: &SecureTimings) {
         self.handshake_s += other.handshake_s;
@@ -316,14 +311,14 @@ impl SecureAggregator {
     /// # Panics
     ///
     /// Panics if the config has no parameters or a zero threshold.
-    pub fn with_config(inner: Box<dyn Aggregator>, config: SecAggConfig, seed: u64) -> Self {
+    pub(crate) fn with_config(inner: Box<dyn Aggregator>, config: SecAggConfig, seed: u64) -> Self {
         let mut agg = Self::with_config_per_update(inner, config, seed);
         agg.session = Some(SessionState::new(seed));
         agg
     }
 
     /// [`SecureAggregator::with_config`] in per-update mode.
-    pub fn with_config_per_update(
+    pub(crate) fn with_config_per_update(
         inner: Box<dyn Aggregator>,
         config: SecAggConfig,
         seed: u64,
@@ -363,21 +358,6 @@ impl SecureAggregator {
             self.deviation = Some(spec);
         }
         self
-    }
-
-    /// The cumulative secure-pipeline telemetry.
-    pub fn telemetry(&self) -> &SecureTelemetry {
-        &self.telemetry
-    }
-
-    /// The on-loop timing breakdown.
-    pub fn timings(&self) -> SecureTimings {
-        self.timings
-    }
-
-    /// The TSA unmasking threshold.
-    pub fn threshold(&self) -> usize {
-        self.config.threshold
     }
 
     fn sync_boundary(&mut self) {
@@ -793,6 +773,13 @@ mod tests {
     use crate::fedbuff::FedBuffAggregator;
     use crate::robust::{RobustAggregator, RobustConfig, RobustDefense};
     use crate::staleness::StalenessWeighting;
+
+    impl SecureAggregator {
+        /// The cumulative secure-pipeline telemetry.
+        fn telemetry(&self) -> &SecureTelemetry {
+            &self.telemetry
+        }
+    }
 
     fn update(id: usize, delta: Vec<f32>, examples: usize, start_version: u64) -> ClientUpdate {
         ClientUpdate {

@@ -201,11 +201,6 @@ impl SurrogateObjective {
         self.client_optima.len()
     }
 
-    /// The configuration used to build the objective.
-    pub fn config(&self) -> &SurrogateConfig {
-        &self.config
-    }
-
     /// The population optimum: the unweighted mean of all client optima.
     /// Evaluating at this point gives the (approximate) lowest achievable
     /// population loss, useful for setting relative loss targets.
@@ -223,7 +218,7 @@ impl SurrogateObjective {
     }
 
     /// Loss of `params` for a single client.
-    pub fn client_loss(&self, params: &ParamVec, client_id: usize) -> f64 {
+    pub(crate) fn client_loss(&self, params: &ParamVec, client_id: usize) -> f64 {
         check_arguments(self.num_clients(), self.config.dim, client_id, params);
         loss_at(params.as_slice(), &self.client_optima[client_id])
     }
@@ -338,12 +333,6 @@ impl ProceduralSurrogate {
             .collect()
     }
 
-    /// Loss of `params` for a single client.
-    pub fn client_loss(&self, params: &ParamVec, client_id: usize) -> f64 {
-        check_arguments(self.num_clients(), self.config.dim, client_id, params);
-        loss_at(params.as_slice(), &self.client_optimum(client_id))
-    }
-
     /// Number of evaluation sets whose optima are kept.
     #[cfg(test)]
     fn cached_sets(&self) -> usize {
@@ -434,6 +423,14 @@ mod tests {
     use crate::server_opt::FedAvg;
     use crate::staleness::StalenessWeighting;
     use papaya_data::population::{Population, PopulationConfig};
+
+    impl ProceduralSurrogate {
+        /// Loss of `params` for a single client.
+        fn client_loss(&self, params: &ParamVec, client_id: usize) -> f64 {
+            check_arguments(self.num_clients(), self.config.dim, client_id, params);
+            loss_at(params.as_slice(), &self.client_optimum(client_id))
+        }
+    }
 
     fn objective(n: usize) -> SurrogateObjective {
         let pop = Population::generate(&PopulationConfig::default().with_size(n), 5);
@@ -705,7 +702,7 @@ mod tests {
             .collect();
         // Means of optima as quick stand-ins for the models fit to each group.
         let mean_of = |ids: &[usize]| {
-            let mut acc = vec![0.0f32; obj.config().dim];
+            let mut acc = vec![0.0f32; obj.config.dim];
             for &id in ids {
                 for (a, o) in acc.iter_mut().zip(obj.client_optima[id].iter()) {
                     *a += o;

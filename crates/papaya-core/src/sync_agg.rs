@@ -43,7 +43,7 @@ impl SyncRoundAggregator {
     }
 
     /// Disables (or re-enables) weighting by example count.
-    pub fn with_example_weighting(mut self, enabled: bool) -> Self {
+    pub(crate) fn with_example_weighting(mut self, enabled: bool) -> Self {
         self.weight_by_examples = enabled;
         self
     }

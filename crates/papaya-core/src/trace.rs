@@ -87,7 +87,7 @@ impl TraceSample for (f64, f64) {
 
 /// Retention budget for a [`DecimatedTrace`].
 ///
-/// Either [`TraceBudget::UNBOUNDED`] (keep every sample) or
+/// Either `TraceBudget::UNBOUNDED` (keep every sample) or
 /// [`TraceBudget::bounded`]`(n)` (keep at most `n` samples by stride
 /// decimation).  Surfaced per run as `RunLimits::trace_budget` in
 /// `papaya-sim`, bounded at 4 096 by default.
@@ -98,7 +98,7 @@ pub struct TraceBudget {
 
 impl TraceBudget {
     /// Keep every offered sample (the historical behaviour).
-    pub const UNBOUNDED: TraceBudget = TraceBudget {
+    pub(crate) const UNBOUNDED: TraceBudget = TraceBudget {
         max_samples: usize::MAX,
     };
 
@@ -140,7 +140,7 @@ pub struct DecimatedTrace<T> {
 
 impl<T> DecimatedTrace<T> {
     /// Creates an empty trace with the given budget.
-    pub fn with_budget(budget: TraceBudget) -> Self {
+    pub(crate) fn with_budget(budget: TraceBudget) -> Self {
         DecimatedTrace {
             samples: Vec::new(),
             budget,

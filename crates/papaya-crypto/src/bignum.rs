@@ -6,7 +6,7 @@
 //! constant-width big-integer type [`Uint`] and a [`Montgomery`] context that
 //! performs efficient `a^e mod n` for odd moduli.
 //!
-//! Widths are expressed in 64-bit limbs via const generics; [`U2048`]
+//! Widths are expressed in 64-bit limbs via const generics; `U2048`
 //! (32 limbs) is the width used by the RFC 3526 group 14 modulus, and
 //! [`U256`] (4 limbs) is used by the fast test group.
 
@@ -21,7 +21,7 @@ pub struct Uint<const N: usize> {
 }
 
 /// 2048-bit unsigned integer (32 limbs).
-pub type U2048 = Uint<32>;
+pub(crate) type U2048 = Uint<32>;
 /// 256-bit unsigned integer (4 limbs).
 pub type U256 = Uint<4>;
 
@@ -58,10 +58,10 @@ impl<const N: usize> Default for Uint<N> {
 
 impl<const N: usize> Uint<N> {
     /// The value 0.
-    pub const ZERO: Self = Uint { limbs: [0u64; N] };
+    pub(crate) const ZERO: Self = Uint { limbs: [0u64; N] };
 
     /// The value 1.
-    pub fn one() -> Self {
+    pub(crate) fn one() -> Self {
         let mut limbs = [0u64; N];
         limbs[0] = 1;
         Uint { limbs }
@@ -115,7 +115,7 @@ impl<const N: usize> Uint<N> {
     /// # Panics
     ///
     /// Panics if `out` is not exactly `N * 8` bytes long.
-    pub fn write_be_bytes(&self, out: &mut [u8]) {
+    pub(crate) fn write_be_bytes(&self, out: &mut [u8]) {
         assert_eq!(out.len(), N * 8, "output must be the serialized width");
         for (chunk, limb) in out.chunks_exact_mut(8).zip(self.limbs.iter().rev()) {
             chunk.copy_from_slice(&limb.to_be_bytes());
@@ -127,7 +127,7 @@ impl<const N: usize> Uint<N> {
     /// # Panics
     ///
     /// Panics on non-hex characters or if the value does not fit.
-    pub fn from_hex(s: &str) -> Self {
+    pub(crate) fn from_hex(s: &str) -> Self {
         let cleaned: String = s.chars().filter(|c| !c.is_whitespace()).collect();
         assert!(cleaned.len() <= N * 16, "hex string too long for width");
         let mut bytes = Vec::with_capacity(cleaned.len().div_ceil(2));
@@ -147,17 +147,17 @@ impl<const N: usize> Uint<N> {
     }
 
     /// Returns true if the value is zero.
-    pub fn is_zero(&self) -> bool {
+    pub(crate) fn is_zero(&self) -> bool {
         self.limbs.iter().all(|&l| l == 0)
     }
 
     /// Returns true if the value is odd.
-    pub fn is_odd(&self) -> bool {
+    pub(crate) fn is_odd(&self) -> bool {
         self.limbs[0] & 1 == 1
     }
 
     /// Returns the index of the highest set bit, or `None` for zero.
-    pub fn highest_bit(&self) -> Option<usize> {
+    pub(crate) fn highest_bit(&self) -> Option<usize> {
         for (i, limb) in self.limbs.iter().enumerate().rev() {
             if *limb != 0 {
                 return Some(i * 64 + 63 - limb.leading_zeros() as usize);
@@ -167,7 +167,7 @@ impl<const N: usize> Uint<N> {
     }
 
     /// Returns bit `i` (little-endian bit order).
-    pub fn bit(&self, i: usize) -> bool {
+    pub(crate) fn bit(&self, i: usize) -> bool {
         if i >= N * 64 {
             return false;
         }
@@ -177,7 +177,7 @@ impl<const N: usize> Uint<N> {
     /// Returns 4-bit window `w` (bits `4w..4w+4`; windows never straddle a
     /// limb boundary since 64 is a multiple of 4).
     #[inline]
-    pub fn window4(&self, w: usize) -> u64 {
+    pub(crate) fn window4(&self, w: usize) -> u64 {
         let bit = w * 4;
         if bit >= N * 64 {
             return 0;
@@ -186,7 +186,7 @@ impl<const N: usize> Uint<N> {
     }
 
     /// Compares two values.
-    pub fn cmp_value(&self, other: &Self) -> Ordering {
+    pub(crate) fn cmp_value(&self, other: &Self) -> Ordering {
         for i in (0..N).rev() {
             match self.limbs[i].cmp(&other.limbs[i]) {
                 Ordering::Equal => continue,
@@ -232,7 +232,7 @@ impl<const N: usize> Uint<N> {
 
     /// Modular addition `(self + other) mod modulus`, assuming both operands
     /// are already reduced.
-    pub fn add_mod(&self, other: &Self, modulus: &Self) -> Self {
+    pub(crate) fn add_mod(&self, other: &Self, modulus: &Self) -> Self {
         let (sum, carry) = self.overflowing_add(other);
         if carry || sum.cmp_value(modulus) != Ordering::Less {
             sum.overflowing_sub(modulus).0
@@ -242,13 +242,13 @@ impl<const N: usize> Uint<N> {
     }
 
     /// Modular doubling.
-    pub fn double_mod(&self, modulus: &Self) -> Self {
+    pub(crate) fn double_mod(&self, modulus: &Self) -> Self {
         self.add_mod(self, modulus)
     }
 
     /// Reduces `self` modulo `modulus` (general, bit-by-bit; used only at
     /// setup time, not in hot loops).
-    pub fn reduce(&self, modulus: &Self) -> Self {
+    pub(crate) fn reduce(&self, modulus: &Self) -> Self {
         assert!(!modulus.is_zero(), "modulus must be non-zero");
         if self.cmp_value(modulus) == Ordering::Less {
             return *self;
@@ -442,11 +442,6 @@ impl<const N: usize> Montgomery<N> {
         }
     }
 
-    /// Returns the modulus.
-    pub fn modulus(&self) -> &Uint<N> {
-        &self.modulus
-    }
-
     /// Width of the arrays this context's arithmetic runs on: the active
     /// width where it has the fixed-width instantiation, the storage width
     /// otherwise.  Fixed-base tables are laid out at this stride.
@@ -460,7 +455,7 @@ impl<const N: usize> Montgomery<N> {
     /// Converts into Montgomery form.  Operands at or above the modulus are
     /// reduced first: active-width multiplication requires both inputs'
     /// limbs beyond the modulus width to be zero.
-    pub fn to_mont(&self, a: &Uint<N>) -> Uint<N> {
+    pub(crate) fn to_mont(&self, a: &Uint<N>) -> Uint<N> {
         if a.cmp_value(&self.modulus) == Ordering::Less {
             self.mont_mul(a, &self.r2)
         } else {
@@ -468,17 +463,12 @@ impl<const N: usize> Montgomery<N> {
         }
     }
 
-    /// Converts out of Montgomery form.
-    pub fn from_mont(&self, a: &Uint<N>) -> Uint<N> {
-        self.mont_mul(a, &Uint::one())
-    }
-
     /// Montgomery multiplication: returns `a * b * R^{-1} mod modulus`.
     ///
     /// Both operands must be reduced (below the modulus); every caller in
     /// this module guarantees it.  Runs at the modulus's active width `w`:
     /// only the low `w` limbs participate.
-    pub fn mont_mul(&self, a: &Uint<N>, b: &Uint<N>) -> Uint<N> {
+    pub(crate) fn mont_mul(&self, a: &Uint<N>, b: &Uint<N>) -> Uint<N> {
         match self.active {
             4 => self.mul_at::<4>(4, a, b),
             w => self.mul_at::<N>(w, a, b),
@@ -496,7 +486,8 @@ impl<const N: usize> Montgomery<N> {
     pub fn mul_mod(&self, a: &Uint<N>, b: &Uint<N>) -> Uint<N> {
         let am = self.to_mont(a);
         let bm = self.to_mont(b);
-        self.from_mont(&self.mont_mul(&am, &bm))
+        // A Montgomery product with 1 converts back out of Montgomery form.
+        self.mont_mul(&self.mont_mul(&am, &bm), &Uint::one())
     }
 
     /// Modular exponentiation `base^exponent mod modulus` using a fixed
@@ -560,7 +551,7 @@ impl<const N: usize> Montgomery<N> {
     /// multiplication per window and **no squarings** — ~6x cheaper than
     /// [`pow_mod`](Montgomery::pow_mod) for 256-bit exponents.  Worth it
     /// from roughly four exponentiations on the same base.
-    pub fn precompute_base(&self, base: &Uint<N>, exp_bits: usize) -> FixedBase<N> {
+    pub(crate) fn precompute_base(&self, base: &Uint<N>, exp_bits: usize) -> FixedBase<N> {
         let windows = exp_bits.div_ceil(4);
         let stride = self.array_width();
         let mut table = Vec::with_capacity(windows * 15 * stride);
@@ -595,7 +586,7 @@ impl<const N: usize> Montgomery<N> {
     ///
     /// Panics if the exponent has set bits beyond the table's `exp_bits`, or
     /// if the table was built by a context of another modulus width.
-    pub fn pow_mod_fixed<const E: usize>(
+    pub(crate) fn pow_mod_fixed<const E: usize>(
         &self,
         base: &FixedBase<N>,
         exponent: &Uint<E>,
@@ -648,7 +639,7 @@ impl<const N: usize> Montgomery<N> {
 /// multiplies at, so the table of a 256-bit group is 30 KiB whatever the
 /// storage width of its [`Uint`].
 #[derive(Clone, Debug)]
-pub struct FixedBase<const N: usize> {
+pub(crate) struct FixedBase<const N: usize> {
     /// Entry `i * 15 + (d - 1)`, `stride` limbs long, is `base^(d * 16^i)`
     /// in Montgomery form.
     table: Vec<u64>,

@@ -70,7 +70,7 @@ impl ChaCha20 {
     }
 
     /// Produces the 64-byte keystream block for the given block index.
-    pub fn block(&self, block_counter: u32) -> [u8; 64] {
+    pub(crate) fn block(&self, block_counter: u32) -> [u8; 64] {
         let state = self.input(block_counter);
         let mut working = state;
         for _ in 0..10 {

@@ -33,7 +33,6 @@ const EXPONENT_BITS: usize = 256;
 #[derive(Clone, Debug)]
 pub struct DhGroup {
     ctx: Arc<Montgomery<LIMBS>>,
-    generator: U2048,
     /// Fixed-base table for the generator, used by every key generation.
     gen_table: Arc<FixedBase<LIMBS>>,
     /// Human-readable group label, included in key derivation transcripts.
@@ -141,20 +140,9 @@ impl DhGroup {
         let gen_table = Arc::new(ctx.precompute_base(&generator, EXPONENT_BITS));
         DhGroup {
             ctx,
-            generator,
             gen_table,
             name,
         }
-    }
-
-    /// The group's prime modulus.
-    pub fn modulus(&self) -> &U2048 {
-        self.ctx.modulus()
-    }
-
-    /// The group's generator.
-    pub fn generator(&self) -> &U2048 {
-        &self.generator
     }
 
     /// The group's label (bound into derived keys).
@@ -201,11 +189,6 @@ impl DhPublicKey {
     /// the 2048-bit storage width, whatever the group.
     pub const BYTE_LEN: usize = LIMBS * 8;
 
-    /// Returns the raw group element.
-    pub fn element(&self) -> &U2048 {
-        &self.element
-    }
-
     /// Serializes the public key to big-endian bytes.
     pub fn to_bytes(&self) -> Vec<u8> {
         self.to_byte_array().to_vec()
@@ -216,17 +199,6 @@ impl DhPublicKey {
         let mut out = [0u8; Self::BYTE_LEN];
         self.element.write_be_bytes(&mut out);
         out
-    }
-
-    /// Deserializes a public key from big-endian bytes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bytes` is longer than 256 bytes.
-    pub fn from_bytes(bytes: &[u8]) -> Self {
-        DhPublicKey {
-            element: U2048::from_be_bytes(bytes),
-        }
     }
 }
 
@@ -286,6 +258,19 @@ impl DhPrivateKey {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl DhPublicKey {
+        /// Deserializes a public key from big-endian bytes.
+        ///
+        /// # Panics
+        ///
+        /// Panics if `bytes` is longer than 256 bytes.
+        fn from_bytes(bytes: &[u8]) -> Self {
+            DhPublicKey {
+                element: U2048::from_be_bytes(bytes),
+            }
+        }
+    }
 
     #[test]
     fn exchange_agrees_test_group() {

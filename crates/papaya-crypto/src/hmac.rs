@@ -93,7 +93,7 @@ pub fn verify_tag(expected: &[u8; 32], actual: &[u8; 32]) -> bool {
 /// This is HKDF-Expand with a single output block, using the secret directly
 /// as the PRK (the secrets we derive from are already uniform DH outputs run
 /// through SHA-256).
-pub fn derive_key(secret: &[u8], info: &[u8]) -> [u8; 32] {
+pub(crate) fn derive_key(secret: &[u8], info: &[u8]) -> [u8; 32] {
     let mut message = Vec::with_capacity(info.len() + 1);
     message.extend_from_slice(info);
     message.push(0x01);

@@ -16,11 +16,11 @@
 //! validated against published test vectors in the unit tests.
 //!
 //! On x86-64, SHA-256 compresses on the CPU's SHA extensions when it has
-//! them, and [`ChaCha20Rng`] computes its keystream four blocks at a time in
-//! SSE2.  The CPU decides; there is no switch.  Every digest and keystream
-//! byte is the same as from the portable kernels, which stay as the
-//! reference the differential tests compare against and as the only path on
-//! other CPUs.  Those two private modules are this crate's only `unsafe`
+//! them, and [`ChaCha20Rng`](chacha20::ChaCha20Rng) computes its keystream
+//! four blocks at a time in SSE2.  The CPU decides; there is no switch.
+//! Every digest and keystream byte is the same as from the portable
+//! kernels, which stay as the reference the differential tests compare
+//! against and as the only path on other CPUs.  Those two private modules are this crate's only `unsafe`
 //! code: it denies it everywhere else.
 //!
 //! **Scope note:** these primitives are written for protocol correctness and
@@ -54,11 +54,3 @@ pub mod dh;
 pub mod hmac;
 pub mod merkle;
 pub mod sha256;
-
-pub use aead::{open, seal, AeadError, AeadKey};
-pub use bignum::U2048;
-pub use chacha20::{ChaCha20, ChaCha20Rng};
-pub use dh::{DhGroup, DhPrivateKey, DhPublicKey, SharedSecret};
-pub use hmac::hmac_sha256;
-pub use merkle::{ConsistencyProof, InclusionProof, MerkleLog};
-pub use sha256::{sha256, Sha256};

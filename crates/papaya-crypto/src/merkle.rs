@@ -12,7 +12,7 @@
 use crate::sha256::Sha256;
 
 /// A Merkle tree hash (root, node, or leaf hash).
-pub type Hash = [u8; 32];
+pub(crate) type Hash = [u8; 32];
 
 /// An append-only Merkle log of binary records.
 ///
@@ -37,14 +37,14 @@ pub struct MerkleLog {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct InclusionProof {
     /// Sibling hashes from the leaf to the root.
-    pub path: Vec<Hash>,
+    pub(crate) path: Vec<Hash>,
 }
 
 /// Proof that one log snapshot is a prefix of a later snapshot.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ConsistencyProof {
     /// Intermediate node hashes per RFC 6962 section 2.1.2.
-    pub path: Vec<Hash>,
+    pub(crate) path: Vec<Hash>,
 }
 
 fn leaf_hash(data: &[u8]) -> Hash {
@@ -136,7 +136,7 @@ impl MerkleLog {
 
     /// Builds an inclusion proof for record `index` against the snapshot of
     /// the first `size` records.
-    pub fn inclusion_proof_at(&self, index: usize, size: usize) -> Option<InclusionProof> {
+    pub(crate) fn inclusion_proof_at(&self, index: usize, size: usize) -> Option<InclusionProof> {
         if index >= size || size > self.len() {
             return None;
         }

@@ -3,30 +3,25 @@
 //! A [`FederatedTextDataset`] pairs a synthetic device [`Population`] with
 //! per-client character-level text, split into train/validation/test sets as
 //! described in Section 7.1 ("We partition each client's data into train,
-//! test, and validation sets randomly").
+//! test, and validation sets randomly").  No run tunes on the validation
+//! split, so it is held out and dropped rather than stored.
 
 use crate::population::Population;
 use crate::text::{vocab_size, TextGenerator};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// One client's local data: token sequences split into train/val/test.
+/// One client's local data: token sequences split into train/test (the
+/// validation split is held out, see the module docs).
 #[derive(Clone, Debug, Default)]
 pub struct ClientDataset {
     /// Training sequences (each a vector of character token ids).
     pub train: Vec<Vec<usize>>,
-    /// Validation sequences.
-    pub validation: Vec<Vec<usize>>,
     /// Test sequences.
     pub test: Vec<Vec<usize>>,
 }
 
 impl ClientDataset {
-    /// Total number of examples across all splits.
-    pub fn total_examples(&self) -> usize {
-        self.train.len() + self.validation.len() + self.test.len()
-    }
-
     /// Number of training examples.
     pub fn num_train(&self) -> usize {
         self.train.len()
@@ -70,10 +65,9 @@ impl FederatedTextDataset {
             let n_test = (n / 10).min(n.saturating_sub(1));
             let n_val = (n / 10).min(n.saturating_sub(1 + n_test));
             let test = sequences.split_off(n - n_test);
-            let validation = sequences.split_off(n - n_test - n_val);
+            sequences.truncate(n - n_test - n_val);
             clients.push(ClientDataset {
                 train: sequences,
-                validation,
                 test,
             });
         }
@@ -131,9 +125,12 @@ mod tests {
     fn example_counts_match_population() {
         let (pop, data) = small_dataset();
         for device in pop.iter() {
+            let n = device.num_examples;
+            let c = data.client(device.id);
+            let held_out = (n / 10).min(n.saturating_sub(1 + c.test.len()));
             assert_eq!(
-                data.client(device.id).total_examples(),
-                device.num_examples,
+                c.num_train() + held_out + c.test.len(),
+                n,
                 "client {}",
                 device.id
             );

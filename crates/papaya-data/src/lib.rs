@@ -35,6 +35,3 @@ pub mod math;
 pub mod population;
 pub mod stats;
 pub mod text;
-
-pub use dataset::{ClientDataset, FederatedTextDataset};
-pub use population::{DeviceProfile, Population, PopulationConfig};

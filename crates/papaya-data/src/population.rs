@@ -15,7 +15,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Identifier of a device in a population.
-pub type DeviceId = usize;
+pub(crate) type DeviceId = usize;
 
 /// Configuration for synthesizing a device population.
 #[derive(Clone, Debug)]
@@ -69,12 +69,6 @@ impl PopulationConfig {
     /// Sets the dropout probability.
     pub fn with_dropout(mut self, dropout_prob: f64) -> Self {
         self.dropout_prob = dropout_prob;
-        self
-    }
-
-    /// Sets the client training timeout.
-    pub fn with_timeout(mut self, timeout_s: f64) -> Self {
-        self.timeout_s = timeout_s;
         self
     }
 }
@@ -181,11 +175,6 @@ impl Population {
     /// Returns true when the population is empty.
     pub fn is_empty(&self) -> bool {
         self.examples.is_empty()
-    }
-
-    /// The configuration used to generate this population.
-    pub fn config(&self) -> &PopulationConfig {
-        &self.config
     }
 
     /// Materializes the profile of device `id` from the packed state.

@@ -22,7 +22,7 @@ pub fn standard_normal_pair(u1: f64, u2: f64) -> (f64, f64) {
 /// # Panics
 ///
 /// Panics if `values` is empty or `p` is outside `[0, 100]`.
-pub fn percentile(values: &[f64], p: f64) -> f64 {
+pub(crate) fn percentile(values: &[f64], p: f64) -> f64 {
     assert!(!values.is_empty(), "percentile of empty slice");
     assert!((0.0..=100.0).contains(&p), "percentile must be in [0, 100]");
     let mut sorted = values.to_vec();
@@ -56,7 +56,7 @@ pub fn mean(values: &[f64]) -> f64 {
 /// # Panics
 ///
 /// Panics if the slices have different lengths or fewer than two elements.
-pub fn pearson_correlation(x: &[f64], y: &[f64]) -> f64 {
+pub(crate) fn pearson_correlation(x: &[f64], y: &[f64]) -> f64 {
     assert_eq!(x.len(), y.len(), "length mismatch");
     assert!(x.len() >= 2, "need at least two points");
     let mx = mean(x);
@@ -81,7 +81,7 @@ pub struct Histogram {
     /// Bin edges (length = bins + 1).
     pub edges: Vec<f64>,
     /// Counts per bin.
-    pub counts: Vec<usize>,
+    pub(crate) counts: Vec<usize>,
 }
 
 impl Histogram {

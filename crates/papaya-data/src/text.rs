@@ -15,7 +15,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// The fixed character vocabulary: lowercase letters, space, and end-of-text.
-pub const VOCAB: &str = "abcdefghijklmnopqrstuvwxyz .";
+pub(crate) const VOCAB: &str = "abcdefghijklmnopqrstuvwxyz .";
 
 /// Word lists per topic.  Deliberately distinct letter statistics per topic
 /// so topic mixtures are visible to a character-level model.
@@ -43,7 +43,7 @@ const STOP_ID: usize = 27;
 ///
 /// # Panics
 ///
-/// Panics if the character is not in [`VOCAB`].
+/// Panics if the character is not in `VOCAB`.
 pub fn char_to_id(c: char) -> usize {
     match c {
         'a'..='z' => c as usize - 'a' as usize,
@@ -51,19 +51,6 @@ pub fn char_to_id(c: char) -> usize {
         '.' => STOP_ID,
         _ => panic!("character {c:?} not in vocabulary"),
     }
-}
-
-/// Maps a vocabulary index back to its character.
-///
-/// # Panics
-///
-/// Panics if `id` is out of range.
-#[expect(
-    clippy::expect_used,
-    reason = "documented panic: callers index with ids the tokenizer itself produced"
-)]
-pub fn id_to_char(id: usize) -> char {
-    VOCAB.chars().nth(id).expect("id out of vocabulary range")
 }
 
 /// Number of tokens in the character vocabulary.
@@ -141,11 +128,6 @@ impl TextGenerator {
         }
         self.topic_mixture.len() - 1
     }
-
-    /// The client's topic mixture.
-    pub fn topic_mixture(&self) -> &[f64] {
-        &self.topic_mixture
-    }
 }
 
 #[cfg(test)]
@@ -156,7 +138,6 @@ mod tests {
     fn vocab_roundtrip() {
         for (i, c) in VOCAB.chars().enumerate() {
             assert_eq!(char_to_id(c), i);
-            assert_eq!(id_to_char(i), c);
         }
         assert_eq!(vocab_size(), 28);
     }
@@ -227,15 +208,15 @@ mod tests {
         let g_light = TextGenerator::for_client(1, 0.0, 5);
         let g_heavy = TextGenerator::for_client(1, 1.0, 5);
         let tail = TOPIC_WORDS.len() - 1;
-        assert!(g_heavy.topic_mixture()[tail] > 0.7);
-        assert!(g_heavy.topic_mixture()[tail] > g_light.topic_mixture()[tail]);
+        assert!(g_heavy.topic_mixture[tail] > 0.7);
+        assert!(g_heavy.topic_mixture[tail] > g_light.topic_mixture[tail]);
     }
 
     #[test]
     fn mixture_sums_to_one() {
         for pct in [0.0, 0.3, 0.9, 1.0] {
             let g = TextGenerator::for_client(11, pct, 2);
-            let sum: f64 = g.topic_mixture().iter().sum();
+            let sum: f64 = g.topic_mixture.iter().sum();
             assert!((sum - 1.0).abs() < 1e-9);
         }
     }

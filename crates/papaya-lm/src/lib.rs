@@ -31,8 +31,8 @@
 #![deny(unsafe_code)]
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-pub mod model;
-pub mod trainer;
+pub(crate) mod model;
+pub(crate) mod trainer;
 
 pub use model::{CharLstm, LmConfig};
 pub use trainer::LmClientTrainer;

@@ -645,41 +645,15 @@ impl CharLstm {
         }
     }
 
-    /// The architecture configuration.
-    pub fn config(&self) -> LmConfig {
-        self.config
-    }
-
     /// Shapes of all parameter matrices, in the flattening order used by
     /// [`CharLstm::param_vector`].
     pub fn parameter_shapes(&self) -> Vec<(usize, usize)> {
         self.config.shapes().to_vec()
     }
 
-    /// Total number of scalar parameters.
-    pub fn parameter_count(&self) -> usize {
-        self.params.len()
-    }
-
     /// Flattens all parameters into a single vector.
     pub fn param_vector(&self) -> ParamVec {
         ParamVec::from_vec(self.params.clone())
-    }
-
-    /// Loads parameters from a flat vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the length does not match [`CharLstm::parameter_count`].
-    pub fn set_param_vector(&mut self, params: &ParamVec) {
-        assert_eq!(
-            params.len(),
-            self.params.len(),
-            "parameter vector has {} elements but the model has {}",
-            params.len(),
-            self.params.len()
-        );
-        self.params.copy_from_slice(params.as_slice());
     }
 
     /// Evaluates the mean per-token cross-entropy of one token sequence
@@ -724,6 +698,29 @@ impl CharLstm {
 mod tests {
     use super::*;
     use papaya_data::text::{char_to_id, TextGenerator};
+
+    impl CharLstm {
+        /// Total number of scalar parameters.
+        fn parameter_count(&self) -> usize {
+            self.params.len()
+        }
+
+        /// Loads parameters from a flat vector.
+        ///
+        /// # Panics
+        ///
+        /// Panics if the length does not match [`CharLstm::parameter_count`].
+        fn set_param_vector(&mut self, params: &ParamVec) {
+            assert_eq!(
+                params.len(),
+                self.params.len(),
+                "parameter vector has {} elements but the model has {}",
+                params.len(),
+                self.params.len()
+            );
+            self.params.copy_from_slice(params.as_slice());
+        }
+    }
 
     fn tokens(text: &str) -> Vec<usize> {
         text.chars().map(char_to_id).collect()

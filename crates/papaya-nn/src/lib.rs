@@ -29,5 +29,3 @@
 
 pub mod init;
 pub mod params;
-
-pub use params::ParamVec;

@@ -55,11 +55,6 @@ impl ParamVec {
         &mut self.data
     }
 
-    /// Consumes the vector and returns the underlying storage.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Element-wise difference `self - other`.
     ///
     /// # Panics

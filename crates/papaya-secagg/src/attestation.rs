@@ -21,15 +21,15 @@ use papaya_crypto::sha256::{sha256, Sha256};
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TrustedBinary {
     /// Human-readable name/version of the binary.
-    pub name: String,
+    pub(crate) name: String,
     /// The binary contents (here: an opaque byte string standing in for the
     /// enclave code).
-    pub code: Vec<u8>,
+    pub(crate) code: Vec<u8>,
 }
 
 impl TrustedBinary {
     /// Creates a trusted binary record.
-    pub fn new(name: impl Into<String>, code: impl Into<Vec<u8>>) -> Self {
+    pub(crate) fn new(name: impl Into<String>, code: impl Into<Vec<u8>>) -> Self {
         TrustedBinary {
             name: name.into(),
             code: code.into(),
@@ -37,12 +37,12 @@ impl TrustedBinary {
     }
 
     /// The measurement hash (what SGX would report as MRENCLAVE).
-    pub fn measurement(&self) -> [u8; 32] {
+    pub(crate) fn measurement(&self) -> [u8; 32] {
         sha256(&self.code)
     }
 
     /// The verifiable-log record for this binary (identity + manifest).
-    pub fn log_record(&self) -> Vec<u8> {
+    pub(crate) fn log_record(&self) -> Vec<u8> {
         let mut record = Vec::new();
         record.extend_from_slice(self.name.as_bytes());
         record.push(0);
@@ -53,7 +53,7 @@ impl TrustedBinary {
 
 /// Hash of the secure-aggregation public parameters (group, vector length,
 /// threshold), bound into every quote.
-pub fn params_hash(group_modulus: u64, vector_len: usize, threshold: usize) -> [u8; 32] {
+pub(crate) fn params_hash(group_modulus: u64, vector_len: usize, threshold: usize) -> [u8; 32] {
     let mut h = Sha256::new();
     h.update(b"papaya/secagg-params");
     h.update(&group_modulus.to_be_bytes());
@@ -66,13 +66,13 @@ pub fn params_hash(group_modulus: u64, vector_len: usize, threshold: usize) -> [
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct AttestationQuote {
     /// Measurement of the running trusted binary.
-    pub binary_measurement: [u8; 32],
+    pub(crate) binary_measurement: [u8; 32],
     /// Hash of the public protocol parameters the enclave was configured with.
-    pub params_hash: [u8; 32],
+    pub(crate) params_hash: [u8; 32],
     /// Hash of the attached payload (the DH key-exchange initial message).
-    pub payload_hash: [u8; 32],
+    pub(crate) payload_hash: [u8; 32],
     /// Signature over the above, produced with the enclave's hardware key.
-    pub signature: [u8; 32],
+    pub(crate) signature: [u8; 32],
 }
 
 impl AttestationQuote {
@@ -90,7 +90,7 @@ impl AttestationQuote {
     }
 
     /// Signs a new quote with the hardware key (only the TSA can do this).
-    pub fn sign(
+    pub(crate) fn sign(
         hardware_key: &[u8; 32],
         binary_measurement: [u8; 32],
         params_hash: [u8; 32],
@@ -116,19 +116,19 @@ pub struct TsaPublication {
     /// open-sourced code).
     pub expected_measurement: [u8; 32],
     /// Hash of the public parameters the server claims to use.
-    pub expected_params_hash: [u8; 32],
+    pub(crate) expected_params_hash: [u8; 32],
     /// Latest verifiable-log root ("snapshot").
-    pub log_root: [u8; 32],
+    pub(crate) log_root: [u8; 32],
     /// Size of the log at that snapshot.
-    pub log_size: usize,
+    pub(crate) log_size: usize,
     /// Index of the trusted binary's record in the log.
-    pub log_index: usize,
+    pub(crate) log_index: usize,
     /// The log record contents for the binary.
-    pub log_record: Vec<u8>,
+    pub(crate) log_record: Vec<u8>,
     /// Inclusion proof of the record in the snapshot.
-    pub inclusion_proof: InclusionProof,
+    pub(crate) inclusion_proof: InclusionProof,
     /// Verification key for quotes (stands in for Intel's collateral).
-    pub hardware_key: [u8; 32],
+    pub(crate) hardware_key: [u8; 32],
 }
 
 /// Errors a client can hit while validating the TSA.
@@ -166,7 +166,7 @@ impl std::error::Error for AttestationError {}
 /// # Errors
 ///
 /// Returns the first [`AttestationError`] encountered.
-pub fn verify_quote(
+pub(crate) fn verify_quote(
     publication: &TsaPublication,
     quote: &AttestationQuote,
     payload: &[u8],
@@ -207,7 +207,10 @@ pub fn verify_quote(
 
 /// Builds the verifiable-log side of a publication for a binary, appending it
 /// to `log` if not already present.
-pub fn publish_binary(log: &mut MerkleLog, binary: &TrustedBinary) -> (usize, InclusionProof) {
+pub(crate) fn publish_binary(
+    log: &mut MerkleLog,
+    binary: &TrustedBinary,
+) -> (usize, InclusionProof) {
     let record = binary.log_record();
     let index = (0..log.len())
         .find(|&i| log.get(i) == Some(record.as_slice()))

@@ -13,61 +13,15 @@
 
 /// Default per-client TSA payload in bytes: a 16-byte seed, AEAD nonce+tag
 /// overhead (44 bytes), a 256-byte DH completing key, and an 8-byte index.
-pub const DEFAULT_PER_CLIENT_TSA_BYTES: u64 = 16 + 44 + 256 + 8;
-
-/// Bytes a session establishment sends into the TEE: the client's stable id
-/// (8 bytes) and its 256-byte session public key.  Paid once per client per
-/// epoch, not per update.
-pub const SESSION_ESTABLISH_BYTES: u64 = 8 + 256;
-
-/// Bytes one session-mode masked update contributes to the batched key
-/// release: a [`crate::session::MaskRef`] (client id + ratchet counter).
-pub const SESSION_MASK_REF_BYTES: u64 = 16;
-
-/// Group exponentiations the **per-update** protocol performs per masked
-/// update: the TSA's and the client's key generations plus both shared-secret
-/// derivations.
-pub const PER_UPDATE_EXPONENTIATIONS: u64 = 4;
-
-/// Group exponentiations a session establishment costs: the client's key
-/// generation and both shared-secret derivations.  (The TSA's epoch key
-/// generation is paid once per epoch, see
-/// [`session_exponentiations`].)
-pub const SESSION_ESTABLISH_EXPONENTIATIONS: u64 = 3;
-
-/// Total group exponentiations for `updates` masked updates under the
-/// per-update protocol: `4·K`, the dominant cost the session cache removes.
-pub fn per_update_exponentiations(updates: u64) -> u64 {
-    PER_UPDATE_EXPONENTIATIONS * updates
-}
-
-/// Total group exponentiations under the session cache: `3·C` for `C`
-/// distinct clients plus one TSA epoch key generation per epoch — zero per
-/// resumed participation, however many updates those clients contribute.
-pub fn session_exponentiations(clients: u64, epochs: u64) -> u64 {
-    SESSION_ESTABLISH_EXPONENTIATIONS * clients + epochs
-}
-
-/// Host→TEE bytes for `updates` masked updates under the per-update
-/// protocol (excluding the model-sized unmask, identical in both modes).
-pub fn per_update_tsa_bytes(updates: u64) -> u64 {
-    updates * DEFAULT_PER_CLIENT_TSA_BYTES
-}
-
-/// Host→TEE bytes under the session cache: one establishment per client
-/// plus one 16-byte mask reference per update (excluding the model-sized
-/// unmask, identical in both modes).
-pub fn session_tsa_bytes(clients: u64, updates: u64) -> u64 {
-    clients * SESSION_ESTABLISH_BYTES + updates * SESSION_MASK_REF_BYTES
-}
+pub(crate) const DEFAULT_PER_CLIENT_TSA_BYTES: u64 = 16 + 44 + 256 + 8;
 
 /// Converts boundary byte counts into transfer time.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TeeBoundaryCostModel {
     /// Sustained bytes/second across the enclave boundary.
-    pub bytes_per_second: f64,
+    pub(crate) bytes_per_second: f64,
     /// Fixed per-message overhead (enclave transition cost) in seconds.
-    pub per_message_overhead_s: f64,
+    pub(crate) per_message_overhead_s: f64,
 }
 
 impl Default for TeeBoundaryCostModel {
@@ -85,18 +39,18 @@ impl Default for TeeBoundaryCostModel {
 impl TeeBoundaryCostModel {
     /// Bytes crossing into the TEE under **naive** aggregation: every client's
     /// full model update.
-    pub fn naive_bytes(aggregation_goal: usize, model_bytes: u64) -> u64 {
+    pub(crate) fn naive_bytes(aggregation_goal: usize, model_bytes: u64) -> u64 {
         aggregation_goal as u64 * model_bytes
     }
 
     /// Bytes crossing the TEE boundary under **AsyncSecAgg**: a constant-size
     /// payload per client plus one model-sized unmask vector out per buffer.
-    pub fn async_secagg_bytes(aggregation_goal: usize, model_bytes: u64) -> u64 {
+    pub(crate) fn async_secagg_bytes(aggregation_goal: usize, model_bytes: u64) -> u64 {
         aggregation_goal as u64 * DEFAULT_PER_CLIENT_TSA_BYTES + model_bytes
     }
 
     /// Transfer time for `bytes` split across `messages` boundary crossings.
-    pub fn transfer_time_s(&self, bytes: u64, messages: usize) -> f64 {
+    pub(crate) fn transfer_time_s(&self, bytes: u64, messages: usize) -> f64 {
         bytes as f64 / self.bytes_per_second + messages as f64 * self.per_message_overhead_s
     }
 
@@ -153,46 +107,6 @@ mod tests {
         assert!(naive > 5.0, "naive {naive}");
         assert!(ours < 0.2, "async {ours}");
         assert!(naive / ours > 50.0);
-    }
-
-    #[test]
-    fn session_cache_amortizes_exponentiations_across_participations() {
-        // 600 clients contributing 10 updates each: per-update mode pays
-        // 4 exponentiations per update; the session cache pays 3 per client
-        // once (plus one epoch keygen) — an ~8x reduction here, growing
-        // without bound in updates-per-client.
-        let clients = 600u64;
-        let updates = clients * 10;
-        let legacy = per_update_exponentiations(updates);
-        let cached = session_exponentiations(clients, 1);
-        assert_eq!(legacy, 24_000);
-        assert_eq!(cached, 1_801);
-        assert!(legacy / cached >= 13);
-        // With a single participation per client the cache still wins
-        // (3 exponentiations vs 4, amortizing the one epoch keygen).
-        assert!(session_exponentiations(clients, 1) < per_update_exponentiations(clients));
-    }
-
-    #[test]
-    fn session_tsa_bytes_beat_per_update_bytes_once_clients_repeat() {
-        let clients = 100u64;
-        // At one update per client the establishment (264 B) already beats
-        // the completing message (324 B).
-        assert!(session_tsa_bytes(clients, clients) < per_update_tsa_bytes(clients));
-        // At many updates per client the gap approaches 324/16 ≈ 20x.
-        let updates = clients * 50;
-        let ratio =
-            per_update_tsa_bytes(updates) as f64 / session_tsa_bytes(clients, updates) as f64;
-        assert!(ratio > 15.0, "ratio {ratio}");
-    }
-
-    #[test]
-    fn session_constants_match_wire_sizes() {
-        assert_eq!(SESSION_ESTABLISH_BYTES, 264);
-        assert_eq!(
-            SESSION_MASK_REF_BYTES,
-            crate::session::MaskRef::BYTE_LEN as u64
-        );
     }
 
     #[test]

@@ -51,17 +51,6 @@ impl GroupParams {
         }
     }
 
-    /// Additive inverse of `v` in the group.
-    #[inline]
-    pub fn negate(&self, v: u64) -> u64 {
-        let v = self.reduce(v);
-        if v == 0 {
-            0
-        } else {
-            self.modulus - v
-        }
-    }
-
     /// Group addition.
     #[inline]
     pub fn add(&self, a: u64, b: u64) -> u64 {
@@ -140,7 +129,7 @@ impl GroupVec {
     /// buffer element-by-element with reduced values (mask expansion,
     /// fixed-point encoding) use this to avoid a second walk over the
     /// vector.
-    pub fn from_reduced(params: GroupParams, values: Vec<u64>) -> Self {
+    pub(crate) fn from_reduced(params: GroupParams, values: Vec<u64>) -> Self {
         debug_assert!(
             params.all_reduced(&values),
             "from_reduced given an unreduced value"
@@ -149,7 +138,7 @@ impl GroupVec {
     }
 
     /// The group parameters.
-    pub fn params(&self) -> GroupParams {
+    pub(crate) fn params(&self) -> GroupParams {
         self.params
     }
 
@@ -246,7 +235,7 @@ impl GroupVec {
 
     /// Serialized size in bytes (used by the boundary-cost accounting):
     /// 8 bytes per element.
-    pub fn byte_len(&self) -> usize {
+    pub(crate) fn byte_len(&self) -> usize {
         self.values.len() * 8
     }
 }
@@ -270,14 +259,6 @@ mod tests {
         let params = GroupParams::new(10);
         let v = GroupVec::from_values(params, vec![10, 11, 25]);
         assert_eq!(v.values(), &[0, 1, 5]);
-    }
-
-    #[test]
-    fn negate_is_additive_inverse() {
-        let params = GroupParams::new(97);
-        for v in [0u64, 1, 50, 96] {
-            assert_eq!(params.add(v, params.negate(v)), 0);
-        }
     }
 
     #[test]

@@ -56,22 +56,19 @@
 #![forbid(unsafe_code)]
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-pub mod attestation;
-pub mod client;
+pub(crate) mod attestation;
+pub(crate) mod client;
 pub mod cost;
 pub mod fixed_point;
 pub mod group;
 pub mod mask;
-pub mod protocol;
-pub mod server;
+pub(crate) mod protocol;
+pub(crate) mod server;
 pub mod session;
-pub mod tsa;
+pub(crate) mod tsa;
 
 pub use attestation::{AttestationQuote, TrustedBinary, TsaPublication};
 pub use client::{ClientError, SecAggClient};
-pub use cost::TeeBoundaryCostModel;
-pub use fixed_point::FixedPointCodec;
-pub use group::{GroupParams, GroupVec};
 pub use protocol::{ClientUploadMessage, KeyExchangeInitialMessage, SecAggConfig};
 pub use server::{AggregatorError, UntrustedAggregator};
 pub use session::{

@@ -10,10 +10,10 @@ use crate::group::{GroupParams, GroupVec};
 use papaya_crypto::chacha20::ChaCha20Rng;
 
 /// The seed size used by the protocol (the paper's "usually 16 bytes").
-pub const SEED_LEN: usize = 16;
+pub(crate) const SEED_LEN: usize = 16;
 
 /// A mask seed.
-pub type MaskSeed = [u8; SEED_LEN];
+pub(crate) type MaskSeed = [u8; SEED_LEN];
 
 /// Deterministically expands `seed` into a mask of `len` group elements.
 pub fn expand_mask(seed: &MaskSeed, params: GroupParams, len: usize) -> GroupVec {
@@ -34,7 +34,7 @@ pub fn expand_mask_into(seed: &MaskSeed, params: GroupParams, len: usize, out: &
 }
 
 /// Samples a fresh random seed from the provided RNG.
-pub fn random_seed(rng: &mut ChaCha20Rng) -> MaskSeed {
+pub(crate) fn random_seed(rng: &mut ChaCha20Rng) -> MaskSeed {
     let mut seed = [0u8; SEED_LEN];
     rng.fill_bytes(&mut seed);
     seed

@@ -20,13 +20,13 @@ pub struct SecAggConfig {
     /// Diffie–Hellman group for the client↔TSA channels.
     pub dh_group: DhGroup,
     /// The trusted binary expected to run inside the enclave.
-    pub trusted_binary: TrustedBinary,
+    pub(crate) trusted_binary: TrustedBinary,
 }
 
 impl SecAggConfig {
     /// Production-flavoured configuration: `Z_{2^32}` fixed point and the
     /// RFC 3526 2048-bit Diffie–Hellman group.
-    pub fn production(vector_len: usize, threshold: usize) -> Self {
+    pub(crate) fn production(vector_len: usize, threshold: usize) -> Self {
         SecAggConfig {
             vector_len,
             threshold,
@@ -54,7 +54,7 @@ impl SecAggConfig {
     }
 
     /// Hash of the public parameters, bound into attestation quotes.
-    pub fn params_hash(&self) -> [u8; 32] {
+    pub(crate) fn params_hash(&self) -> [u8; 32] {
         params_hash(
             self.group_params().modulus(),
             self.vector_len,
@@ -70,9 +70,9 @@ pub struct KeyExchangeInitialMessage {
     /// Index of this initial message (each may be completed at most once).
     pub index: usize,
     /// The TSA's ephemeral public key for this exchange.
-    pub tsa_public: DhPublicKey,
+    pub(crate) tsa_public: DhPublicKey,
     /// Quote binding the binary, the parameters, and this public key.
-    pub quote: AttestationQuote,
+    pub(crate) quote: AttestationQuote,
 }
 
 /// The part of a client's upload that is forwarded into the TSA: the key
@@ -82,14 +82,14 @@ pub struct CompletingMessage {
     /// Index of the initial message being completed.
     pub index: usize,
     /// The client's ephemeral public key.
-    pub client_public: DhPublicKey,
+    pub(crate) client_public: DhPublicKey,
     /// The AEAD-sealed 16-byte mask seed.
     pub encrypted_seed: Vec<u8>,
 }
 
 impl CompletingMessage {
     /// Serialized size in bytes, used for host→TEE boundary accounting.
-    pub fn byte_len(&self) -> usize {
+    pub(crate) fn byte_len(&self) -> usize {
         8 + DhPublicKey::BYTE_LEN + self.encrypted_seed.len()
     }
 }

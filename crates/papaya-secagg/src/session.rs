@@ -1,6 +1,6 @@
 //! Session-cached key exchange and mask plans.
 //!
-//! The per-update protocol in [`crate::client`] pays four group
+//! The per-update protocol in `crate::client` pays four group
 //! exponentiations per masked update (two key generations, two shared
 //! secrets).  At production scale the same device participates in many
 //! aggregation rounds, so PAPAYA amortizes the handshake: the first
@@ -13,7 +13,7 @@
 //!
 //! Security invariants preserved from the per-update protocol:
 //!
-//! * **One seed per mask.**  [`RatchetKey::seed`] is called at most once per
+//! * **One seed per mask.**  `RatchetKey::seed` is called at most once per
 //!   `(secret, counter)` pair; the TSA enforces a monotone counter
 //!   floor per session and the host burns a counter per planned
 //!   participation, even when the upload is later rejected.
@@ -43,7 +43,7 @@ use std::sync::Arc;
 
 /// An established session's shared secret in the form the ratchet uses it:
 /// as an HMAC key with its pad blocks already absorbed, so each
-/// participation's [`seed`](RatchetKey::seed) costs two SHA-256
+/// participation's `seed` costs two SHA-256
 /// compressions instead of four.  Equivalent to the secret for every
 /// purpose (it derives every seed of the session), and handled like it:
 /// `Debug` prints no key material.
@@ -58,7 +58,7 @@ impl fmt::Debug for RatchetKey {
 
 impl RatchetKey {
     /// Keys the ratchet with a freshly established shared secret.
-    pub fn new(secret: &SharedSecret) -> Self {
+    pub(crate) fn new(secret: &SharedSecret) -> Self {
         RatchetKey(HmacKey::from(secret))
     }
 
@@ -70,7 +70,7 @@ impl RatchetKey {
     /// key and derive this exact value, so the masks cancel; distinct
     /// counters yield independent seeds, so no pad is ever reused while the
     /// counter discipline holds.
-    pub fn seed(&self, counter: u64) -> MaskSeed {
+    pub(crate) fn seed(&self, counter: u64) -> MaskSeed {
         const LABEL: &[u8; 20] = b"papaya/session-mask/";
         let mut message = [0u8; LABEL.len() + 8];
         message[..LABEL.len()].copy_from_slice(LABEL);
@@ -91,18 +91,11 @@ impl RatchetKey {
 #[derive(Clone, Debug)]
 pub struct SessionInitMessage {
     /// Epoch this key belongs to; bumped on every invalidation.
-    pub epoch: u64,
+    pub(crate) epoch: u64,
     /// The TSA's epoch public key.
-    pub tsa_public: DhPublicKey,
+    pub(crate) tsa_public: DhPublicKey,
     /// Quote binding the binary, the parameters, and the epoch public key.
-    pub quote: AttestationQuote,
-}
-
-impl SessionInitMessage {
-    /// Serialized size in bytes (key + quote), for boundary accounting.
-    pub fn byte_len(&self) -> usize {
-        DhPublicKey::BYTE_LEN + 128
-    }
+    pub(crate) quote: AttestationQuote,
 }
 
 /// A compact reference to one session-mode masked update: which client's
@@ -119,7 +112,7 @@ pub struct MaskRef {
 
 impl MaskRef {
     /// Serialized size in bytes, for boundary accounting.
-    pub const BYTE_LEN: usize = 16;
+    pub(crate) const BYTE_LEN: usize = 16;
 }
 
 /// The client half of a freshly established session: the public key to
@@ -216,7 +209,7 @@ pub struct PrecomputedMask {
 #[derive(Debug, Default)]
 pub struct MaskScratch {
     /// The staging buffer; keeps its capacity across computations.
-    pub values: Vec<u64>,
+    pub(crate) values: Vec<u64>,
 }
 
 /// Runs the client side of a session establishment: verifies the TSA's

@@ -30,9 +30,9 @@ pub struct BoundaryStats {
     /// Bytes transferred out of the enclave.
     pub bytes_out: u64,
     /// Number of messages into the enclave.
-    pub messages_in: u64,
+    pub(crate) messages_in: u64,
     /// Number of messages out of the enclave.
-    pub messages_out: u64,
+    pub(crate) messages_out: u64,
 }
 
 /// Errors returned by the TSA.
@@ -202,23 +202,6 @@ impl Tsa {
         }
     }
 
-    /// Records a new trusted binary release in the verifiable log (the
-    /// Appendix C.2 update flow).  Returns the new log size.
-    ///
-    /// A binary change is an attestation change, so every cached session is
-    /// invalidated: clients must re-verify the new measurement before any
-    /// further masking.
-    pub fn publish_new_binary(&mut self, binary: &crate::attestation::TrustedBinary) -> usize {
-        publish_binary(&mut self.log, binary);
-        self.invalidate_sessions();
-        self.log.len()
-    }
-
-    /// Read access to the verifiable log (for auditors).
-    pub fn verifiable_log(&self) -> &MerkleLog {
-        &self.log
-    }
-
     /// Prepares `n` Diffie–Hellman initial messages with attestation quotes
     /// (Figure 16 step 1).  Each may be completed by at most one client.
     pub fn prepare_initial_messages(
@@ -258,7 +241,10 @@ impl Tsa {
     /// # Errors
     ///
     /// See [`TsaError`].
-    pub fn process_client(&mut self, completing: &CompletingMessage) -> Result<(), TsaError> {
+    pub(crate) fn process_client(
+        &mut self,
+        completing: &CompletingMessage,
+    ) -> Result<(), TsaError> {
         if self.finalized {
             return Err(TsaError::RoundFinalized);
         }
@@ -327,7 +313,7 @@ impl Tsa {
     ///
     /// Returns [`TsaError::ThresholdNotMet`] below threshold and
     /// [`TsaError::RoundFinalized`] if already finalized.
-    pub fn generate_unmask(&mut self) -> Result<GroupVec, TsaError> {
+    pub(crate) fn generate_unmask(&mut self) -> Result<GroupVec, TsaError> {
         if self.finalized {
             return Err(TsaError::RoundFinalized);
         }
@@ -346,7 +332,7 @@ impl Tsa {
     /// Starts a new aggregation round (new buffer in FedBuff): resets the
     /// running mask sum and the processed counter.  Key-exchange indices stay
     /// single-use across rounds.
-    pub fn start_new_round(&mut self) {
+    pub(crate) fn start_new_round(&mut self) {
         self.mask_sum = GroupVec::zeros(self.config.group_params(), self.config.vector_len);
         self.processed = 0;
         self.finalized = false;
@@ -454,7 +440,7 @@ impl Tsa {
     /// [`TsaError::ThresholdNotMet`] when the batch is smaller than the
     /// threshold, [`TsaError::UnknownSession`] and
     /// [`TsaError::StaleSessionCounter`] on invalid refs.
-    pub fn release_batch(&mut self, refs: &[MaskRef]) -> Result<GroupVec, TsaError> {
+    pub(crate) fn release_batch(&mut self, refs: &[MaskRef]) -> Result<GroupVec, TsaError> {
         // The batch crosses the boundary as one message: the refs plus a
         // length header.
         self.boundary.bytes_in += (refs.len() * MaskRef::BYTE_LEN) as u64 + 8;
@@ -531,10 +517,10 @@ impl Tsa {
 
     /// Invalidates every cached session and bumps the epoch: the next
     /// [`Tsa::session_init`] offers a fresh key, and every client must
-    /// re-handshake.  Called on attestation change
-    /// ([`Tsa::publish_new_binary`]) and by the host on aggregator
-    /// crash/reset.  Unmetered: a crash tears the enclave down with it, so
-    /// no message crosses the boundary.
+    /// re-handshake.  Called by the host on aggregator crash/reset, and on
+    /// attestation change (a new trusted binary in the verifiable log; only
+    /// the tests publish one).  Unmetered: a crash tears the enclave down
+    /// with it, so no message crosses the boundary.
     pub fn invalidate_sessions(&mut self) {
         self.sessions.clear();
         self.epoch += 1;
@@ -546,15 +532,10 @@ impl Tsa {
     pub fn boundary_stats(&self) -> BoundaryStats {
         self.boundary
     }
-
-    /// The configuration this TSA was booted with.
-    pub fn config(&self) -> &SecAggConfig {
-        &self.config
-    }
 }
 
 /// Associated data binding an encrypted seed to its key-exchange index.
-pub fn seed_associated_data(index: usize) -> Vec<u8> {
+pub(crate) fn seed_associated_data(index: usize) -> Vec<u8> {
     let mut ad = b"papaya/seed/".to_vec();
     ad.extend_from_slice(&(index as u64).to_be_bytes());
     ad
@@ -564,6 +545,25 @@ pub fn seed_associated_data(index: usize) -> Vec<u8> {
 mod tests {
     use super::*;
     use crate::client::SecAggClient;
+
+    impl Tsa {
+        /// Records a new trusted binary release in the verifiable log (the
+        /// Appendix C.2 update flow).  Returns the new log size.
+        ///
+        /// A binary change is an attestation change, so every cached session is
+        /// invalidated: clients must re-verify the new measurement before any
+        /// further masking.
+        fn publish_new_binary(&mut self, binary: &crate::attestation::TrustedBinary) -> usize {
+            publish_binary(&mut self.log, binary);
+            self.invalidate_sessions();
+            self.log.len()
+        }
+
+        /// Read access to the verifiable log (for auditors).
+        fn verifiable_log(&self) -> &MerkleLog {
+            &self.log
+        }
+    }
 
     fn setup(vector_len: usize, threshold: usize) -> (Tsa, SecAggConfig, ChaCha20Rng) {
         let config = SecAggConfig::insecure_fast(vector_len, threshold);

@@ -11,9 +11,9 @@
 //!   tasks;
 //! * **Aggregators** are long-lived and stateful; the Coordinator moves tasks
 //!   only when it detects failure (missed heartbeats) or overload;
-//! * **Selectors** route client requests using an assignment map refreshed
-//!   from the Coordinator and identified by a sequence number, so stale maps
-//!   are detected and refreshed.
+//! * **Selectors** route client requests and refuse while their view of the
+//!   assignment map is stale: each holds the map sequence number it last
+//!   saw, and refreshes once the Coordinator has published a newer one.
 
 use crate::control_plane::reconcile::{self, Correction};
 use papaya_core::config::TaskConfig;
@@ -142,8 +142,7 @@ pub struct FailureSweep {
     pub orphaned: Vec<TaskId>,
 }
 
-/// A snapshot of task→aggregator routing, tagged with a sequence number so
-/// Selectors can detect staleness.
+/// A snapshot of task→aggregator routing, tagged with a sequence number.
 #[derive(Clone, Debug, PartialEq, Default)]
 pub struct AssignmentMap {
     /// Monotonic version of the map.
@@ -317,18 +316,18 @@ impl Coordinator {
     /// routed to a failed Aggregator) on the least-loaded healthy Aggregator
     /// and bumps the map sequence if anything moved, so stale Selectors
     /// refresh.  See [`crate::control_plane::reconcile`] for the invariants.
-    pub fn reconcile(&mut self) -> Vec<Correction> {
+    pub(crate) fn reconcile(&mut self) -> Vec<Correction> {
         reconcile::reconcile(self)
     }
 
     /// Whether a reconciliation pass would change any placement right now.
-    pub fn needs_reconciliation(&self) -> bool {
+    pub(crate) fn needs_reconciliation(&self) -> bool {
         reconcile::needs_reconciliation(self)
     }
 
     /// An Aggregator reports the current client demand of one of its tasks
     /// (Section 6.2, "tracking client demand for each task").
-    pub fn report_demand(&mut self, task: TaskId, demand: usize) {
+    pub(crate) fn report_demand(&mut self, task: TaskId, demand: usize) {
         let entry = self.demand.entry(task).or_default();
         entry.reported = demand;
         // A fresh report supersedes the unconfirmed-assignment estimate.
@@ -337,7 +336,7 @@ impl Coordinator {
 
     /// Effective demand: reported demand minus clients assigned but not yet
     /// confirmed by an Aggregator report.
-    pub fn effective_demand(&self, task: TaskId) -> usize {
+    pub(crate) fn effective_demand(&self, task: TaskId) -> usize {
         self.demand
             .get(&task)
             .map_or(0, |demand| demand.effective())
@@ -346,7 +345,7 @@ impl Coordinator {
     /// Tasks a client with the given capability tier is eligible for, in
     /// increasing id order: submitted, compatible and with positive
     /// effective demand (Section 6.2).
-    pub fn eligible_tasks(&self, capability_tier: u8) -> impl Iterator<Item = TaskId> + '_ {
+    pub(crate) fn eligible_tasks(&self, capability_tier: u8) -> impl Iterator<Item = TaskId> + '_ {
         self.demand
             .iter()
             .filter(move |(_, demand)| demand.admits(capability_tier))
@@ -358,7 +357,7 @@ impl Coordinator {
     /// task is eligible (the client is rejected and will try later).  The
     /// draw picks by position among the eligible tasks, so the walk runs
     /// twice: once to count them, once to find the one drawn.
-    pub fn assign_client(&mut self, capability_tier: u8) -> Option<(TaskId, AggregatorId)> {
+    pub(crate) fn assign_client(&mut self, capability_tier: u8) -> Option<(TaskId, AggregatorId)> {
         let eligible = self.eligible_tasks(capability_tier).count();
         if eligible == 0 {
             return None;
@@ -370,7 +369,7 @@ impl Coordinator {
         Some((task, aggregator))
     }
 
-    /// The current assignment map for Selectors.
+    /// A snapshot of the current assignment map.
     pub fn assignment_map(&self) -> AssignmentMap {
         AssignmentMap {
             sequence: self.sequence,
@@ -378,8 +377,8 @@ impl Coordinator {
         }
     }
 
-    /// Current sequence number of the assignment map.  Cheap staleness probe
-    /// for Selectors — no route cloning.
+    /// Current sequence number of the assignment map: bumped whenever a
+    /// route changes, so Selectors detect staleness by comparing numbers.
     pub fn sequence(&self) -> u64 {
         self.sequence
     }
@@ -400,24 +399,9 @@ impl Coordinator {
         self.tasks.keys().copied().collect()
     }
 
-    /// Ids of all registered Aggregators, ascending.
-    pub fn aggregator_ids(&self) -> Vec<AggregatorId> {
-        self.aggregators.keys().copied().collect()
-    }
-
     /// Whether at least one registered Aggregator is alive.
     pub fn has_alive_aggregator(&self) -> bool {
         self.aggregators.values().any(|s| s.alive)
-    }
-
-    /// Tasks submitted but currently without any route (queued by
-    /// [`Coordinator::submit_task`] during total Aggregator loss), ascending.
-    pub fn pending_tasks(&self) -> Vec<TaskId> {
-        self.tasks
-            .keys()
-            .filter(|t| !self.assignments.contains_key(t))
-            .copied()
-            .collect()
     }
 
     /// Routes `task` to the least-loaded alive Aggregator without touching
@@ -434,50 +418,30 @@ impl Coordinator {
     }
 }
 
-/// A Selector: routes client requests to Aggregators using a cached
-/// assignment map (Appendix E.4, "Client Routing").
+/// A Selector (Appendix E.4, "Client Routing"): it routes a client request
+/// to the Aggregator the Coordinator assigned, and refuses while its view
+/// of the assignment map is stale.  The view is only the map's sequence
+/// number: that is all staleness needs.
 #[derive(Clone, Debug, Default)]
 pub struct Selector {
-    map: AssignmentMap,
-}
-
-/// The result of routing a client request through a Selector.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RouteOutcome {
-    /// The request was routed to the given Aggregator.
-    Routed(AggregatorId),
-    /// The Selector's map does not know the task; the client should retry
-    /// through another Selector while this one refreshes.
-    StaleMap,
+    /// Sequence number of the assignment map as of the last refresh.
+    sequence: u64,
 }
 
 impl Selector {
-    /// Creates a Selector with an empty (stale) map.
+    /// Creates a Selector that has seen no map yet (sequence 0).
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Refreshes the cached assignment map from the Coordinator.
+    /// Catches up with the Coordinator's current map.
     pub fn refresh(&mut self, coordinator: &Coordinator) {
-        self.map = coordinator.assignment_map();
-    }
-
-    /// The sequence number of the cached map.
-    pub fn map_sequence(&self) -> u64 {
-        self.map.sequence
-    }
-
-    /// Routes a client request for `task`.
-    pub fn route(&self, task: TaskId) -> RouteOutcome {
-        match self.map.routes.get(&task) {
-            Some(&agg) => RouteOutcome::Routed(agg),
-            None => RouteOutcome::StaleMap,
-        }
+        self.sequence = coordinator.sequence();
     }
 
     /// Returns true when this Selector's map is older than the Coordinator's.
     pub fn is_stale(&self, coordinator: &Coordinator) -> bool {
-        self.map.sequence < coordinator.sequence()
+        self.sequence < coordinator.sequence()
     }
 }
 
@@ -634,10 +598,10 @@ mod tests {
         let mut c = coordinator_with_aggregators(2);
         let placed = c.submit_task(spec(0, 100, 0)).aggregator().unwrap();
         let mut s = Selector::new();
-        assert_eq!(s.route(0), RouteOutcome::StaleMap);
+        assert!(s.is_stale(&c), "a new Selector has seen no map");
         s.refresh(&c);
-        assert_eq!(s.route(0), RouteOutcome::Routed(placed));
         assert!(!s.is_stale(&c));
+        assert_eq!(c.aggregator_of(0), Some(placed));
         // A failure-driven reassignment bumps the sequence; the selector is
         // stale until it refreshes.
         c.heartbeat(1 - placed, 100.0);
@@ -645,14 +609,14 @@ mod tests {
         assert!(s.is_stale(&c));
         s.refresh(&c);
         assert!(!s.is_stale(&c));
-        assert_eq!(s.route(0), RouteOutcome::Routed(1 - placed));
+        assert_eq!(c.aggregator_of(0), Some(1 - placed));
     }
 
     #[test]
     fn submitting_with_no_alive_aggregator_queues_pending() {
         let mut c = Coordinator::new(30.0, 1);
         assert_eq!(c.submit_task(spec(0, 10, 0)), TaskPlacement::Pending);
-        assert_eq!(c.pending_tasks(), vec![0]);
+        assert_eq!(c.task_ids(), vec![0]);
         assert_eq!(c.aggregator_of(0), None);
         // No map version was published for a placement that did not happen.
         assert_eq!(c.sequence(), 0);
@@ -669,8 +633,20 @@ mod tests {
         assert!(!corrections[0].was_placed);
         assert_eq!(c.aggregator_of(0), Some(0));
         assert_eq!(c.sequence(), 1);
-        assert!(c.pending_tasks().is_empty());
         assert!(!c.needs_reconciliation());
+    }
+
+    /// A lease lasts exactly `heartbeat_timeout_s`: an Aggregator last heard
+    /// at 10 s with a 30 s timeout is alive at 40 s and failed one `f64`
+    /// step later.  Integer-valued times keep `now - last_heartbeat` exact.
+    #[test]
+    fn lease_holds_at_the_timeout_and_expires_just_after() {
+        let mut c = Coordinator::new(30.0, 7);
+        c.register_aggregator(0, 10.0);
+        assert!(c.detect_failures(40.0).failed.is_empty());
+        assert!(c.is_alive(0));
+        assert_eq!(c.detect_failures(40.0f64.next_up()).failed, vec![0]);
+        assert!(!c.is_alive(0));
     }
 
     #[test]
@@ -684,7 +660,6 @@ mod tests {
         // An id the Coordinator has never seen is registered, not dropped.
         assert_eq!(c.heartbeat(9, 150.0), HeartbeatOutcome::Registered);
         assert!(c.is_alive(9));
-        assert_eq!(c.aggregator_ids(), vec![0, 9]);
         // And it is durable: the next heartbeat is an ordinary refresh.
         assert_eq!(c.heartbeat(9, 160.0), HeartbeatOutcome::Refreshed);
     }
@@ -759,7 +734,8 @@ mod tests {
         // The reconcile pass bumped the sequence, so the selector notices.
         assert!(s.is_stale(&c));
         s.refresh(&c);
-        assert_eq!(s.route(0), RouteOutcome::Routed(1));
+        assert!(!s.is_stale(&c));
+        assert_eq!(c.aggregator_of(0), Some(1));
     }
 
     #[test]

@@ -117,29 +117,24 @@ pub struct EventLog {
 
 impl EventLog {
     /// Creates an empty log.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Appends one event and returns its absolute offset.
-    pub fn append(&mut self, event: ControlEvent) -> u64 {
+    pub(crate) fn append(&mut self, event: ControlEvent) -> u64 {
         let offset = self.len();
         self.events.push(event);
         offset
     }
 
     /// Absolute log length: total events ever appended.
-    pub fn len(&self) -> u64 {
+    pub(crate) fn len(&self) -> u64 {
         self.base_offset + self.events.len() as u64
     }
 
-    /// Whether nothing has ever been appended.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Offset of the oldest retained event.
-    pub fn base_offset(&self) -> u64 {
+    pub(crate) fn base_offset(&self) -> u64 {
         self.base_offset
     }
 
@@ -149,7 +144,7 @@ impl EventLog {
     ///
     /// Panics if `from` lies before the compaction horizon — those events
     /// no longer exist anywhere.
-    pub fn iter_from(&self, from: u64) -> impl Iterator<Item = &ControlEvent> {
+    pub(crate) fn iter_from(&self, from: u64) -> impl Iterator<Item = &ControlEvent> {
         assert!(
             from >= self.base_offset,
             "offset {from} is behind the compaction horizon {}",
@@ -161,22 +156,29 @@ impl EventLog {
 
     /// Drops storage for every event before absolute offset `upto`
     /// (typically the latest checkpoint's offset).  Offsets are preserved.
-    pub fn compact_to(&mut self, upto: u64) {
+    pub(crate) fn compact_to(&mut self, upto: u64) {
         let upto = upto.clamp(self.base_offset, self.len());
         let drop = (upto - self.base_offset) as usize;
         self.events.drain(..drop);
         self.base_offset = upto;
-    }
-
-    /// Number of events currently held in memory.
-    pub fn retained(&self) -> usize {
-        self.events.len()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl EventLog {
+        /// Whether nothing has ever been appended.
+        fn is_empty(&self) -> bool {
+            self.len() == 0
+        }
+
+        /// Number of events currently held in memory.
+        pub(crate) fn retained(&self) -> usize {
+            self.events.len()
+        }
+    }
 
     fn heartbeat(id: AggregatorId) -> ControlEvent {
         ControlEvent::Heartbeat {

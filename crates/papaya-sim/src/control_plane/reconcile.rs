@@ -25,17 +25,17 @@ use crate::cluster::{AggregatorId, Coordinator, TaskId};
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Correction {
     /// The task that was re-placed.
-    pub task: TaskId,
+    pub(crate) task: TaskId,
     /// The healthy Aggregator it now routes to.
-    pub aggregator: AggregatorId,
+    pub(crate) aggregator: AggregatorId,
     /// `true` when the task previously had a (dead) route — an orphan
     /// repair; `false` when it was pending with no route at all.
-    pub was_placed: bool,
+    pub(crate) was_placed: bool,
 }
 
 /// Tasks whose actual placement diverges from the desired state, ascending:
 /// no route, or a route to an Aggregator that is not alive.
-pub fn divergent_tasks(coordinator: &Coordinator) -> Vec<TaskId> {
+pub(crate) fn divergent_tasks(coordinator: &Coordinator) -> Vec<TaskId> {
     coordinator
         .task_ids()
         .into_iter()
@@ -48,12 +48,12 @@ pub fn divergent_tasks(coordinator: &Coordinator) -> Vec<TaskId> {
 
 /// Whether a reconciliation pass would change any placement right now:
 /// some task is divergent *and* an alive Aggregator exists to take it.
-pub fn needs_reconciliation(coordinator: &Coordinator) -> bool {
+pub(crate) fn needs_reconciliation(coordinator: &Coordinator) -> bool {
     coordinator.has_alive_aggregator() && !divergent_tasks(coordinator).is_empty()
 }
 
 /// Runs one reconciliation pass and returns the corrective placements.
-pub fn reconcile(coordinator: &mut Coordinator) -> Vec<Correction> {
+pub(crate) fn reconcile(coordinator: &mut Coordinator) -> Vec<Correction> {
     let mut corrections = Vec::new();
     for task in divergent_tasks(coordinator) {
         let was_placed = coordinator.aggregator_of(task).is_some();

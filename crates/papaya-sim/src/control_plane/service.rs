@@ -27,7 +27,7 @@ use crate::control_plane::event_log::{ControlEvent, EventLog};
 use crate::control_plane::reconcile::Correction;
 
 /// Checkpoint cadence, in log events.
-pub const DEFAULT_CHECKPOINT_INTERVAL: u64 = 1024;
+pub(crate) const DEFAULT_CHECKPOINT_INTERVAL: u64 = 1024;
 
 /// Service-level counters, replayed together with the Coordinator (they
 /// are a pure function of the event log, so a replayed service agrees with
@@ -60,39 +60,11 @@ pub struct ServiceCounters {
 pub struct Checkpoint {
     /// Absolute log offset the snapshot was taken at: replaying events
     /// `log_offset..` on top of it reproduces the present.
-    pub log_offset: u64,
+    pub(crate) log_offset: u64,
     /// The Coordinator as of the snapshot, RNG state included.
-    pub coordinator: Coordinator,
+    pub(crate) coordinator: Coordinator,
     /// The counters as of the snapshot.
-    pub counters: ServiceCounters,
-}
-
-/// Per-Aggregator line of a [`FleetStatus`] snapshot.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct AggregatorStatus {
-    /// The Aggregator.
-    pub id: AggregatorId,
-    /// Whether the Coordinator currently considers it alive.
-    pub alive: bool,
-    /// Sum of estimated workloads of the tasks routed to it.
-    pub load: u64,
-    /// Tasks routed to it, ascending.
-    pub tasks: Vec<TaskId>,
-}
-
-/// An operator-facing snapshot of the control plane.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct FleetStatus {
-    /// One line per registered Aggregator, ascending by id.
-    pub aggregators: Vec<AggregatorStatus>,
-    /// Tasks submitted but currently without a route, ascending.
-    pub pending_tasks: Vec<TaskId>,
-    /// Current assignment-map sequence number.
-    pub map_sequence: u64,
-    /// Absolute event-log length.
-    pub log_events: u64,
-    /// Log events appended since the last checkpoint.
-    pub checkpoint_age_events: u64,
+    pub(crate) counters: ServiceCounters,
 }
 
 /// What applying one [`ControlEvent`] produced.
@@ -164,24 +136,14 @@ impl ControlPlaneService {
         &self.log
     }
 
-    /// The latest checkpoint.
-    pub fn checkpoint(&self) -> &Checkpoint {
-        &self.checkpoint
-    }
-
     /// Log events appended since the latest checkpoint.
-    pub fn checkpoint_age_events(&self) -> u64 {
+    pub(crate) fn checkpoint_age_events(&self) -> u64 {
         self.log.len() - self.checkpoint.log_offset
     }
 
     /// Checkpoints taken so far (operational, not part of replayed state).
-    pub fn checkpoints_taken(&self) -> u64 {
+    pub(crate) fn checkpoints_taken(&self) -> u64 {
         self.checkpoints_taken
-    }
-
-    /// Restores performed so far (operational, not part of replayed state).
-    pub fn restores(&self) -> u64 {
-        self.restores
     }
 
     /// Registers a (healthy) Aggregator.
@@ -376,39 +338,18 @@ impl ControlPlaneService {
             }
         }
     }
-
-    /// Operator-facing snapshot of the fleet.
-    pub fn fleet_status(&self) -> FleetStatus {
-        let routes = self.coordinator.assignment_map().routes;
-        let loads = self.coordinator.aggregator_loads();
-        let aggregators = self
-            .coordinator
-            .aggregator_ids()
-            .into_iter()
-            .map(|id| AggregatorStatus {
-                id,
-                alive: self.coordinator.is_alive(id),
-                load: loads.get(&id).copied().unwrap_or(0),
-                tasks: routes
-                    .iter()
-                    .filter(|(_, &agg)| agg == id)
-                    .map(|(&task, _)| task)
-                    .collect(),
-            })
-            .collect();
-        FleetStatus {
-            aggregators,
-            pending_tasks: self.coordinator.pending_tasks(),
-            map_sequence: self.coordinator.sequence(),
-            log_events: self.log.len(),
-            checkpoint_age_events: self.checkpoint_age_events(),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl ControlPlaneService {
+        /// Restores performed so far (operational, not part of replayed state).
+        fn restores(&self) -> u64 {
+            self.restores
+        }
+    }
 
     fn spec(id: TaskId) -> TaskSpec {
         TaskSpec {
@@ -459,14 +400,6 @@ mod tests {
         let replayed = ControlPlaneService::replay(live.log());
         assert_eq!(replayed.coordinator(), live.coordinator());
         assert_eq!(replayed.counters(), live.counters());
-        // The reconstruction agrees on derived views too — modulo
-        // checkpoint bookkeeping, which is operational state: a replayed
-        // process owes no checkpoint cadence to the original one.
-        let mut replayed_status = replayed.fleet_status();
-        let mut live_status = live.fleet_status();
-        replayed_status.checkpoint_age_events = 0;
-        live_status.checkpoint_age_events = 0;
-        assert_eq!(replayed_status, live_status);
     }
 
     #[test]
@@ -510,33 +443,5 @@ mod tests {
         let live = service.coordinator().clone();
         service.restore_from_checkpoint();
         assert_eq!(service.coordinator(), &live);
-    }
-
-    #[test]
-    fn fleet_status_reports_routes_and_pending() {
-        let mut service = ControlPlaneService::new(25.0, 1);
-        service.register_aggregator(0, 0.0);
-        service.register_aggregator(1, 0.0);
-        service.submit_task(spec(0));
-        service.submit_task(spec(1));
-        let status = service.fleet_status();
-        assert_eq!(status.aggregators.len(), 2);
-        assert!(status.aggregators.iter().all(|a| a.alive));
-        assert_eq!(
-            status
-                .aggregators
-                .iter()
-                .map(|a| a.tasks.len())
-                .sum::<usize>(),
-            2
-        );
-        assert!(status.pending_tasks.is_empty());
-        assert_eq!(status.map_sequence, 2);
-        // Kill the fleet: routes stay (orphaned), a fresh submit parks.
-        service.detect_failures(1_000.0);
-        service.submit_task(spec(2));
-        let status = service.fleet_status();
-        assert!(status.aggregators.iter().all(|a| !a.alive));
-        assert_eq!(status.pending_tasks, vec![2]);
     }
 }

@@ -11,7 +11,7 @@
 //! function of `(client_id, start_params, seed)` (the trait demands
 //! determinism, and trainers take `&self`).  All three inputs are fixed the
 //! moment a client is selected — the download snapshot is captured at
-//! [`begin_participation`](crate::task_runtime::TaskRuntime::begin_participation)
+//! `begin_participation`
 //! time and the per-participation seed is derived with
 //! [`papaya_core::client::participation_seed`] — so the pool can start
 //! computing a result *speculatively* as soon as the client is selected,

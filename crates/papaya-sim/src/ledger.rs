@@ -13,11 +13,11 @@ use crate::scenario::{Report, TaskReport};
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LedgerViolation {
     /// The task whose counters break the law; `None` for a fleet-wide law.
-    pub task: Option<usize>,
+    pub(crate) task: Option<usize>,
     /// The law, written over the report's field names.
-    pub law: &'static str,
+    pub(crate) law: &'static str,
     /// Both sides as the report holds them.
-    pub found: String,
+    pub(crate) found: String,
 }
 
 impl Report {
@@ -37,7 +37,7 @@ impl Report {
     /// - with an engaged estimator, `robust.estimator_releases` =
     ///   `server_updates`.
     ///
-    /// Fleet-wide: each [`FleetSummary`](crate::FleetSummary) total is the
+    /// Fleet-wide: each [`FleetSummary`](crate::metrics::FleetSummary) total is the
     /// sum over the tasks, `lost_in_transit_updates` ≤ the failed
     /// participations, and `tasks_reconciled` ≤ `tasks_orphaned`.
     ///

@@ -18,9 +18,9 @@
 //!   control plane — into one [`Report`];
 //! * [`metrics`] — traces and summary statistics (utilization, communication
 //!   trips, server updates per hour, participation distributions);
-//! * [`ledger`] — the accounting laws every finished [`Report`] obeys,
+//! * `ledger` — the accounting laws every finished [`Report`] obeys,
 //!   checked by [`Report::audit`];
-//! * [`task_runtime`] — per-task server-side state (model, optimizer, a
+//! * `task_runtime` — per-task server-side state (model, optimizer, a
 //!   `Box<dyn Aggregator>` strategy, in-flight participations, per-task
 //!   metrics) driven by the scenario loop;
 //! * [`cluster`] — the control plane: Coordinator, Selectors, persistent
@@ -60,17 +60,15 @@ pub mod control_plane;
 pub mod events;
 pub mod executor;
 mod id_table;
-pub mod ledger;
+pub(crate) mod ledger;
 pub mod metrics;
 pub mod sampling;
 pub mod scenario;
 mod slab;
-pub mod task_runtime;
+pub(crate) mod task_runtime;
 
-pub use control_plane::{ControlEvent, ControlPlaneService, Correction, EventLog, FleetStatus};
+pub use control_plane::{ControlEvent, ControlPlaneService, Correction, EventLog};
 pub use executor::{Executor, Parallelism};
-pub use ledger::LedgerViolation;
-pub use metrics::{ControlPlaneStats, FleetSummary, ParticipationRecord};
 pub use scenario::{
     EvalPolicy, FleetSpec, InjectedCrash, Report, RunLimits, Scenario, ScenarioBuilder, StopReason,
     TaskReport,

@@ -13,14 +13,14 @@ use papaya_data::stats::{ks_two_sample, KsTestResult};
 #[derive(Clone, Debug, PartialEq)]
 pub struct ParticipationRecord {
     /// Device id.
-    pub client_id: usize,
+    pub(crate) client_id: usize,
     /// Execution time of the participation in seconds.
-    pub execution_time_s: f64,
+    pub(crate) execution_time_s: f64,
     /// Number of training examples on the device.
-    pub num_examples: usize,
+    pub(crate) num_examples: usize,
     /// Whether the update was folded into a server model update (false for
     /// updates a robust-aggregation defense refused).
-    pub aggregated: bool,
+    pub(crate) aggregated: bool,
 }
 
 impl TraceSample for ParticipationRecord {
@@ -42,8 +42,8 @@ impl TraceSample for ParticipationRecord {
 /// Counters are exact and the two means divide running totals by offer
 /// counts; only the participation distributions read the stride sample.
 /// Write `utilization_trace` and `round_durations_s` only through
-/// [`record_utilization`](Self::record_utilization) and
-/// [`record_round_duration`](Self::record_round_duration): a direct write
+/// `record_utilization` and
+/// `record_round_duration`: a direct write
 /// skips the totals and skews the means.
 #[derive(Clone, Debug, Default)]
 pub struct MetricsCollector {
@@ -58,7 +58,10 @@ pub struct MetricsCollector {
     /// Always 0 (no update reaches a closed round); unhashed, and kept only
     /// because the repo benchmark (`benchmark/src/run.rs`) reads it.
     pub discarded_updates: u64,
-    /// Client participations that failed (dropout, crash, timeout abort).
+    /// Client participations that ended without an upload: dropouts,
+    /// crashes and timeout aborts, plus the runtime's staleness-bound
+    /// aborts (`TaskRuntime::abort_overly_stale_clients`).  Round-end
+    /// aborts are counted apart, in `aborted_by_round_end`.
     pub failed_participations: u64,
     /// Clients aborted because the round ended while they were still training.
     pub aborted_by_round_end: u64,
@@ -126,7 +129,7 @@ pub struct MetricsCollector {
 
 impl MetricsCollector {
     /// Creates an empty collector with unbounded traces.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -135,7 +138,7 @@ impl MetricsCollector {
     /// run's fingerprint or a reported mean.
     ///
     /// Must be called before the first sample is recorded.
-    pub fn set_trace_budget(&mut self, budget: TraceBudget) {
+    pub(crate) fn set_trace_budget(&mut self, budget: TraceBudget) {
         self.utilization_trace.set_budget(budget);
         self.loss_curve.set_budget(budget);
         self.participations.set_budget(budget);
@@ -144,13 +147,13 @@ impl MetricsCollector {
     }
 
     /// Records `active_clients` in flight at `time_s`.
-    pub fn record_utilization(&mut self, time_s: f64, active_clients: usize) {
+    pub(crate) fn record_utilization(&mut self, time_s: f64, active_clients: usize) {
         self.active_clients_sum += active_clients as u64;
         self.utilization_trace.push((time_s, active_clients));
     }
 
     /// Records one completed synchronous round.
-    pub fn record_round_duration(&mut self, duration_s: f64) {
+    pub(crate) fn record_round_duration(&mut self, duration_s: f64) {
         self.round_duration_sum_s += duration_s;
         self.round_durations_s.push(duration_s);
     }
@@ -159,7 +162,7 @@ impl MetricsCollector {
     /// adversary injection calls this — a real deployment never knows which
     /// uploads were malicious, which is exactly why the robust defenses
     /// must work from the update contents alone.
-    pub fn record_attack(&mut self, time_s: f64, client_id: usize, label: &'static str) {
+    pub(crate) fn record_attack(&mut self, time_s: f64, client_id: usize, label: &'static str) {
         self.attacked_updates += 1;
         *self.attacks_by_label.entry(label).or_insert(0) += 1;
         self.attack_trace.push((time_s, client_id));
@@ -393,7 +396,10 @@ impl FleetSummary {
     /// Rolls up one collector per task and the control-plane counters.
     /// Collectors are borrowed — only scalar counters are read, never
     /// copied traces.
-    pub fn roll_up(collectors: &[&MetricsCollector], control_plane: ControlPlaneStats) -> Self {
+    pub(crate) fn roll_up(
+        collectors: &[&MetricsCollector],
+        control_plane: ControlPlaneStats,
+    ) -> Self {
         FleetSummary {
             total_comm_trips: collectors.iter().map(|m| m.comm_trips).sum(),
             total_server_updates: collectors.iter().map(|m| m.server_updates).sum(),

@@ -5,29 +5,26 @@
 //! O(population) per selection once most of the population participates.
 //! Multi-task sharing creates exactly that regime: several tenants drawing
 //! from one population can saturate it.  [`ShardedSamplingPool`] keeps the
-//! free device ids in a dense *sharded* vector with an id→slot index, so
-//! acquiring a uniformly random free device and releasing a busy one are
-//! both O(1) (index-swap / swap-remove) — O(draw), never O(population).
+//! free device ids in one dense vector with an id→slot index, so acquiring
+//! a uniformly random free device and releasing a busy one are both O(1)
+//! (`Vec::swap_remove` / push) — O(draw), never O(population).
 //!
-//! # Sharding
+//! # Memory
 //!
-//! At million-client scale a single contiguous free vector is hostile to
-//! the allocator: growth doubles a multi-megabyte allocation and every
-//! resize copies the whole population.  The pool therefore stores the free
-//! list as fixed-capacity shards (chunks of one *conceptual* flat vector):
-//! growth allocates at most one `shard_capacity`-sized block, and shrink
-//! returns whole shards to the allocator.  Idle bookkeeping is
-//! [`ShardedSamplingPool::BYTES_PER_DEVICE`] (8) bytes per device — a `u32`
-//! free-list entry plus a `u32` slot index (see `docs/SCALING.md`).
+//! The pool starts full and never holds more than `n` free ids, so the
+//! free vector is allocated once at capacity `n` and never reallocates.
+//! Idle bookkeeping is [`ShardedSamplingPool::BYTES_PER_DEVICE`] (8) bytes
+//! per device — a `u32` free-list entry plus a `u32` slot index (see
+//! `docs/SCALING.md`).
 //!
 //! # Determinism
 //!
-//! The shard layout is pure bookkeeping: a draw indexes the conceptual
-//! flat vector exactly as `Vec::swap_remove` would, so for a fixed seed
-//! the sequence of acquired ids is **bit-identical for every shard
-//! capacity** — and identical to the historical unsharded pool, so the
-//! layout never reaches a scenario fingerprint (see `docs/DETERMINISM.md`;
-//! pinned by this module's tests and by the root `scale_out` suite).
+//! A draw is `Vec::swap_remove` at a uniformly drawn index, so for a fixed
+//! seed the sequence of acquired ids is a pure function of the
+//! acquire/release sequence (see `docs/DETERMINISM.md`).
+//!
+//! The type keeps its historical name, from when the free list was split
+//! into shards: the repo benchmark (`benchmark/src/probes.rs`) names it.
 
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -35,25 +32,13 @@ use rand::Rng;
 /// Sentinel in the id→slot index marking an id as acquired (not free).
 const NOT_FREE: u32 = u32::MAX;
 
-/// Shard capacity used by [`ShardedSamplingPool::new`]: 64Ki ids (256 KiB
-/// per shard) keeps allocator traffic coarse at million-client scale while
-/// costing nothing at 20k.
-pub const DEFAULT_SHARD_CAPACITY: usize = 1 << 16;
-
-/// Constant-time uniform sampler over the free subset of `0..n` device ids,
-/// sharded so no single allocation scales with the population.  The shard
-/// capacity affects memory/allocator behaviour only, never the drawn
-/// sequence.
+/// Constant-time uniform sampler over the free subset of `0..n` device ids.
 #[derive(Clone, Debug)]
 pub struct ShardedSamplingPool {
-    /// Ids per shard; every shard except the last holds exactly this many.
-    shard_capacity: usize,
-    /// The conceptual flat free vector, split into fixed-capacity chunks.
-    shards: Vec<Vec<u32>>,
-    /// Total number of free ids across all shards.
-    free_len: usize,
-    /// `slot[id]` is the id's index in the conceptual flat free vector, or
-    /// [`NOT_FREE`] while acquired.
+    /// The free ids, in no particular order.
+    free: Vec<u32>,
+    /// `slot[id]` is the id's index in `free`, or [`NOT_FREE`] while
+    /// acquired.
     slot: Vec<u32>,
 }
 
@@ -63,117 +48,38 @@ impl ShardedSamplingPool {
     /// test pins it.
     pub const BYTES_PER_DEVICE: usize = 2 * std::mem::size_of::<u32>();
 
-    /// Creates a pool over ids `0..n`, all free, with
-    /// [`DEFAULT_SHARD_CAPACITY`].
-    pub fn new(n: usize) -> Self {
-        Self::with_shard_capacity(n, DEFAULT_SHARD_CAPACITY)
-    }
-
-    /// Creates a pool over ids `0..n`, all free, with `shard_capacity` ids
-    /// per shard.
+    /// Creates a pool over ids `0..n`, all free.
     ///
     /// # Panics
     ///
-    /// Panics when `shard_capacity` is zero or `n` exceeds the `u32` id
-    /// space.
-    pub fn with_shard_capacity(n: usize, shard_capacity: usize) -> Self {
-        assert!(shard_capacity > 0, "shard capacity must be positive");
+    /// Panics when `n` exceeds the `u32` id space.
+    pub fn new(n: usize) -> Self {
         assert!(
             n < u32::MAX as usize,
             "population of {n} exceeds the u32 id space"
         );
-        let mut shards = Vec::with_capacity(n.div_ceil(shard_capacity));
-        let mut next = 0u32;
-        let mut remaining = n;
-        while remaining > 0 {
-            let take = remaining.min(shard_capacity);
-            shards.push((next..next + take as u32).collect());
-            next += take as u32;
-            remaining -= take;
-        }
         ShardedSamplingPool {
-            shard_capacity,
-            shards,
-            free_len: n,
+            free: (0..n as u32).collect(),
             slot: (0..n as u32).collect(),
         }
     }
 
     /// Number of ids currently free.
     pub fn available(&self) -> usize {
-        self.free_len
-    }
-
-    /// Total number of ids managed by the pool.
-    pub fn len(&self) -> usize {
-        self.slot.len()
-    }
-
-    /// Returns true when the pool manages no ids.
-    pub fn is_empty(&self) -> bool {
-        self.slot.is_empty()
-    }
-
-    /// Ids per shard.
-    pub fn shard_capacity(&self) -> usize {
-        self.shard_capacity
-    }
-
-    /// Number of currently allocated shards (`ceil(available / capacity)`).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Whether `id` is currently free.
-    pub fn is_free(&self, id: usize) -> bool {
-        self.slot.get(id).map(|&s| s != NOT_FREE).unwrap_or(false)
-    }
-
-    /// Appends `id` at the tail of the conceptual flat free vector.
-    fn push_free(&mut self, id: u32) {
-        if self.free_len.is_multiple_of(self.shard_capacity) {
-            self.shards.push(Vec::with_capacity(self.shard_capacity));
-        }
-        let last = self.shards.len() - 1;
-        self.shards[last].push(id);
-        self.free_len += 1;
-    }
-
-    /// Pops the tail of the conceptual flat free vector, freeing emptied
-    /// shards.
-    fn pop_free(&mut self) -> Option<u32> {
-        let id = self.shards.last_mut()?.pop()?;
-        self.free_len -= 1;
-        if self.shards.last().is_some_and(|s| s.is_empty()) {
-            self.shards.pop();
-        }
-        Some(id)
+        self.free.len()
     }
 
     /// Acquires a uniformly random free id, or `None` when all are busy.
-    ///
-    /// Exactly `Vec::swap_remove` on the conceptual flat free vector: the
-    /// drawn sequence for a fixed RNG stream is independent of the shard
-    /// capacity.
     pub fn acquire_random(&mut self, rng: &mut StdRng) -> Option<usize> {
-        if self.free_len == 0 {
+        if self.free.is_empty() {
             return None;
         }
-        let index = rng.gen_range(0..self.free_len);
-        let tail = self.pop_free()?;
-        // After the pop, `free_len` is the conceptual vector's new length:
-        // an interior draw is replaced by the old tail, a tail draw is the
-        // popped element itself.
-        let id = if index < self.free_len {
-            let shard = index / self.shard_capacity;
-            let offset = index % self.shard_capacity;
-            let id = self.shards[shard][offset];
-            self.shards[shard][offset] = tail;
-            self.slot[tail as usize] = index as u32;
-            id
-        } else {
-            tail
-        };
+        let index = rng.gen_range(0..self.free.len());
+        let id = self.free.swap_remove(index);
+        // The old tail now sits at `index`, unless the draw was the tail.
+        if let Some(&moved) = self.free.get(index) {
+            self.slot[moved as usize] = index as u32;
+        }
         self.slot[id as usize] = NOT_FREE;
         Some(id as usize)
     }
@@ -188,8 +94,8 @@ impl ShardedSamplingPool {
             self.slot[id] == NOT_FREE,
             "device {id} released while already free"
         );
-        self.slot[id] = self.free_len as u32;
-        self.push_free(id as u32);
+        self.slot[id] = self.free.len() as u32;
+        self.free.push(id as u32);
     }
 }
 
@@ -198,6 +104,13 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
     use std::collections::BTreeSet;
+
+    impl ShardedSamplingPool {
+        /// Whether `id` is currently free.
+        fn is_free(&self, id: usize) -> bool {
+            self.slot[id] != NOT_FREE
+        }
+    }
 
     #[test]
     fn acquire_removes_and_release_restores() {
@@ -226,7 +139,7 @@ mod tests {
 
     #[test]
     fn never_hands_out_a_busy_id() {
-        let mut pool = ShardedSamplingPool::with_shard_capacity(50, 8);
+        let mut pool = ShardedSamplingPool::new(50);
         let mut rng = StdRng::seed_from_u64(3);
         let mut held: Vec<usize> = Vec::new();
         for step in 0..10_000 {
@@ -243,7 +156,7 @@ mod tests {
 
     #[test]
     fn sampling_is_roughly_uniform() {
-        let mut pool = ShardedSamplingPool::with_shard_capacity(10, 3);
+        let mut pool = ShardedSamplingPool::new(10);
         let mut rng = StdRng::seed_from_u64(4);
         let mut counts = [0usize; 10];
         for _ in 0..20_000 {
@@ -256,57 +169,49 @@ mod tests {
         }
     }
 
-    /// Replays a fixed mixed acquire/release script and records every draw.
-    fn draw_script(n: usize, capacity: usize, seed: u64) -> Vec<Option<usize>> {
-        let mut pool = ShardedSamplingPool::with_shard_capacity(n, capacity);
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut held: Vec<usize> = Vec::new();
-        let mut drawn = Vec::new();
-        for step in 0..5_000 {
-            if step % 3 == 2 && !held.is_empty() {
-                let id = held.swap_remove(step % held.len());
-                pool.release(id);
-            } else {
-                let got = pool.acquire_random(&mut rng);
-                if let Some(id) = got {
-                    held.push(id);
+    /// The pool against the naive model it replaces: a `Vec` of free ids
+    /// drawn with `swap_remove` at `gen_range(0..len)` and released with
+    /// `push`, without the slot index.  Random acquire/release scripts over
+    /// several population sizes (including drain-and-refill cycles) must
+    /// give the same draw at every step and the same free list after it.
+    #[test]
+    fn draws_match_a_naive_swap_remove_vec() {
+        for (n, seed) in [(1, 11), (2, 12), (7, 13), (64, 14), (300, 15)] {
+            let mut pool = ShardedSamplingPool::new(n);
+            let mut model: Vec<u32> = (0..n as u32).collect();
+            let mut rng_pool = StdRng::seed_from_u64(seed);
+            let mut rng_model = StdRng::seed_from_u64(seed);
+            let mut script = StdRng::seed_from_u64(seed ^ 0xdead_beef);
+            let mut held: Vec<usize> = Vec::new();
+            for step in 0..4_000 {
+                // Lean towards acquiring in one phase and releasing in the
+                // next, so the free list drains and refills.
+                let release_share = if (step / 200) % 2 == 0 { 0.3 } else { 0.7 };
+                if !held.is_empty() && script.gen_bool(release_share) {
+                    let id = held.swap_remove(script.gen_range(0..held.len()));
+                    pool.release(id);
+                    model.push(id as u32);
+                } else {
+                    let got = pool.acquire_random(&mut rng_pool);
+                    let want = (!model.is_empty()).then(|| {
+                        let index = rng_model.gen_range(0..model.len());
+                        model.swap_remove(index) as usize
+                    });
+                    assert_eq!(got, want, "n {n}, step {step}");
+                    held.extend(got);
                 }
-                drawn.push(got);
+                assert_eq!(pool.free, model, "n {n}, step {step}");
+                for (index, &id) in pool.free.iter().enumerate() {
+                    assert_eq!(pool.slot[id as usize], index as u32);
+                }
             }
         }
-        drawn
-    }
-
-    #[test]
-    fn draws_are_bit_identical_across_shard_capacities() {
-        // A capacity >= n is a single shard: the historical flat pool.
-        let flat = draw_script(100, 100, 7);
-        for capacity in [1, 3, 7, 64, 1024] {
-            assert_eq!(draw_script(100, capacity, 7), flat, "capacity {capacity}");
-        }
-    }
-
-    #[test]
-    fn shards_grow_and_shrink_with_the_free_set() {
-        let mut pool = ShardedSamplingPool::with_shard_capacity(10, 4);
-        assert_eq!(pool.shard_count(), 3);
-        let mut rng = StdRng::seed_from_u64(5);
-        let mut held = Vec::new();
-        while let Some(id) = pool.acquire_random(&mut rng) {
-            held.push(id);
-        }
-        assert_eq!(pool.shard_count(), 0);
-        for id in held {
-            pool.release(id);
-        }
-        assert_eq!(pool.shard_count(), 3);
-        assert_eq!(pool.available(), 10);
     }
 
     #[test]
     fn byte_budget_matches_the_stored_state() {
         // The documented per-device idle cost is exactly what the pool
-        // stores: one u32 in a shard plus one u32 slot entry.
+        // stores: one u32 free-list entry plus one u32 slot entry.
         assert_eq!(
             ShardedSamplingPool::BYTES_PER_DEVICE,
             std::mem::size_of::<u32>() * 2

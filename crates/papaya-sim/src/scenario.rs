@@ -49,7 +49,7 @@
 //! ```
 
 use crate::cluster::{AggregatorId, Selector, TaskSpec};
-use crate::control_plane::{ControlPlaneService, FleetStatus};
+use crate::control_plane::ControlPlaneService;
 use crate::events::{EventKind, EventQueue, SimTime};
 use crate::executor::{Executor, Parallelism};
 use crate::metrics::{ControlPlaneStats, FleetSummary, MetricsCollector};
@@ -100,17 +100,17 @@ impl fmt::Display for StopReason {
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RunLimits {
     /// Hard stop on virtual time, in seconds.
-    pub max_virtual_time_s: f64,
+    pub(crate) max_virtual_time_s: f64,
     /// Hard stop on the number of client updates received (summed over
     /// tasks in fleet runs).
-    pub max_client_updates: Option<u64>,
+    pub(crate) max_client_updates: Option<u64>,
     /// Stop once the evaluated population loss drops to this value (every
     /// task, for fleet runs).
-    pub target_loss: Option<f64>,
+    pub(crate) target_loss: Option<f64>,
     /// Worker threads running client local training off the event-loop
     /// thread.  Reports are bit-identical at every setting (see
     /// [`crate::executor`]); the default is the sequential path.
-    pub parallelism: Parallelism,
+    pub(crate) parallelism: Parallelism,
     /// Retention budget for the per-event metric traces (utilization, loss
     /// curve, participations, attacks) and the round durations: each keeps
     /// a deterministic stride sample of at most this many offers (see
@@ -118,7 +118,7 @@ pub struct RunLimits {
     /// choice: a run has one [`Report::fingerprint`] and the same means at
     /// every budget, and metrics memory stays O(budget) however many events
     /// the run takes.
-    pub trace_budget: TraceBudget,
+    pub(crate) trace_budget: TraceBudget,
 }
 
 /// Samples each bounded metric trace keeps by default.
@@ -227,7 +227,7 @@ pub struct FleetSpec {
     /// Number of persistent Aggregator processes.
     pub aggregators: usize,
     /// Number of Selector processes routing client requests.
-    pub selectors: usize,
+    pub(crate) selectors: usize,
     /// Interval of the control-plane sweep (heartbeats, failure detection,
     /// demand pooling, client assignment).
     pub control_plane_interval_s: f64,
@@ -255,27 +255,27 @@ impl FleetSpec {
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct InjectedCrash {
     /// When the Aggregator dies, in virtual seconds.
-    pub time_s: f64,
+    pub(crate) time_s: f64,
     /// Which Aggregator dies.
-    pub aggregator: AggregatorId,
+    pub(crate) aggregator: AggregatorId,
 }
 
 /// An Aggregator recovery injected at a fixed virtual time: the process
 /// comes back, heartbeats immediately, and the reconcile pass the heartbeat
 /// triggers re-places any orphaned tasks onto it.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct InjectedRecovery {
+pub(crate) struct InjectedRecovery {
     /// When the Aggregator comes back, in virtual seconds.
-    pub time_s: f64,
+    pub(crate) time_s: f64,
     /// Which Aggregator recovers.
-    pub aggregator: AggregatorId,
+    pub(crate) aggregator: AggregatorId,
 }
 
 /// End-of-run report for one task of a scenario.
 #[derive(Clone, Debug)]
 pub struct TaskReport {
     /// Task identifier (index into the scenario's task list).
-    pub task_id: usize,
+    pub(crate) task_id: usize,
     /// Human-readable task name.
     pub name: String,
     /// Population loss at the first evaluation.
@@ -285,13 +285,13 @@ pub struct TaskReport {
     /// Virtual hours at which the target loss was reached, if it was.
     pub hours_to_target: Option<f64>,
     /// Final server model version.
-    pub final_version: u64,
+    pub(crate) final_version: u64,
     /// Final model parameters.
     pub final_params: ParamVec,
     /// Times this task was moved to a new Aggregator after a failure.
     pub reassignments: u64,
     /// Total virtual hours simulated.
-    pub virtual_hours: f64,
+    pub(crate) virtual_hours: f64,
     /// Counters, traces and the means derived from them.
     pub metrics: MetricsCollector,
 }
@@ -979,22 +979,13 @@ impl Scenario {
 
     /// Runs the scenario to completion and returns the unified report.
     ///
-    /// With a non-sequential [`RunLimits::parallelism`] a worker pool is
+    /// With a non-sequential `RunLimits::parallelism` a worker pool is
     /// created for the duration of the run and client local training is
     /// executed speculatively off the event-loop thread; the report is
     /// bit-identical either way.
     pub fn run(&self) -> Report {
         let executor = Executor::from_parallelism(self.limits.parallelism);
         Run::new(self, executor).run()
-    }
-
-    /// The fleet's initial placement as the control plane would report it at
-    /// time zero: per-Aggregator liveness and load, pending tasks, and the
-    /// assignment-map sequence.  Returns `None` for direct (fleet-less)
-    /// scenarios, which have no control plane.
-    pub fn fleet_status(&self) -> Option<FleetStatus> {
-        let fleet = self.fleet.as_ref()?;
-        Some(initial_control_plane(self, fleet).fleet_status())
     }
 }
 
@@ -1055,9 +1046,7 @@ const SELECTION_LATENCY_S: f64 = 2.0;
 const UTILIZATION_SAMPLE_INTERVAL_S: f64 = 60.0;
 
 /// The control plane as of t=0: Coordinator created from the scenario
-/// seed, Aggregators registered, tasks submitted in id order.  Shared by
-/// [`FleetPlane::new`] and [`Scenario::fleet_status`] so the preview and
-/// the run agree on initial placement.
+/// seed, Aggregators registered, tasks submitted in id order.
 fn initial_control_plane(scenario: &Scenario, fleet: &FleetSpec) -> ControlPlaneService {
     let mut service = ControlPlaneService::new(fleet.heartbeat_timeout_s, scenario.seed ^ 0xC0FFEE);
     for id in 0..fleet.aggregators {

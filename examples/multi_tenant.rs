@@ -10,14 +10,16 @@
 //! Aggregators by estimated workload, clients routed to tasks with positive
 //! demand according to their capability tier, an Aggregator failure detected
 //! through missed heartbeats, and the resulting reassignment propagating to
-//! Selectors.
+//! Selectors.  Every operation goes through the event-sourced
+//! `ControlPlaneService`, as in a fleet run.
 
-use papaya_sim::cluster::{Coordinator, RouteOutcome, Selector, TaskSpec};
+use papaya_sim::cluster::{Selector, TaskSpec};
+use papaya_sim::ControlPlaneService;
 
 fn main() {
-    let mut coordinator = Coordinator::new(30.0, 7);
-    coordinator.register_aggregator(0, 0.0);
-    coordinator.register_aggregator(1, 0.0);
+    let mut service = ControlPlaneService::new(30.0, 7);
+    service.register_aggregator(0, 0.0);
+    service.register_aggregator(1, 0.0);
 
     // Three tenants with different scales and device requirements.
     let tasks = [
@@ -44,28 +46,29 @@ fn main() {
         },
     ];
     for spec in tasks {
-        let placed = coordinator.submit_task(spec.clone());
+        let placed = service.submit_task(spec.clone());
         println!(
             "task {:>12} (workload {:>5} MB-clients) -> {placed:?}",
             spec.name,
             spec.estimated_workload() / 1_000_000
         );
     }
-    println!("aggregator loads: {:?}\n", coordinator.aggregator_loads());
+    println!(
+        "aggregator loads: {:?}\n",
+        service.coordinator().aggregator_loads()
+    );
 
     // Aggregators report client demand; clients of different capability
     // tiers check in and are assigned to eligible tasks.
-    coordinator.report_demand(0, 500);
-    coordinator.report_demand(1, 100);
-    coordinator.report_demand(2, 50);
+    service.report_demand(0, 500);
+    service.report_demand(1, 100);
+    service.report_demand(2, 50);
     let mut selector = Selector::new();
-    selector.refresh(&coordinator);
+    selector.refresh(service.coordinator());
     for tier in [0u8, 1, 2] {
-        let assigned = coordinator.assign_client(tier);
-        match assigned {
+        match service.assign_client(tier) {
             Some((task, aggregator)) => println!(
-                "client with capability tier {tier}: assigned to task {task}, routed to aggregator {:?}",
-                selector.route(task) == RouteOutcome::Routed(aggregator)
+                "client with capability tier {tier}: assigned to task {task}, routed to aggregator {aggregator}"
             ),
             None => println!("client with capability tier {tier}: no eligible task right now"),
         }
@@ -74,15 +77,26 @@ fn main() {
     // Aggregator 0 stops heartbeating; its tasks are reassigned and stale
     // Selector maps are refreshed.
     println!("\naggregator 1 heartbeats, aggregator 0 goes silent...");
-    coordinator.heartbeat(1, 100.0);
-    let sweep = coordinator.detect_failures(100.0);
+    service.heartbeat(1, 100.0);
+    let sweep = service.detect_failures(100.0);
     println!(
         "failure sweep: failed {:?}, reassigned tasks {:?}, orphaned {:?}",
         sweep.failed, sweep.reassigned, sweep.orphaned
     );
-    println!("selector map stale? {}", selector.is_stale(&coordinator));
-    selector.refresh(&coordinator);
+    println!(
+        "selector map stale? {}",
+        selector.is_stale(service.coordinator())
+    );
+    selector.refresh(service.coordinator());
+    println!(
+        "selector map stale after refresh? {}",
+        selector.is_stale(service.coordinator())
+    );
     for task in [0usize, 1, 2] {
-        println!("  task {task} now routed to {:?}", selector.route(task));
+        let aggregator = service
+            .coordinator()
+            .aggregator_of(task)
+            .expect("every task was placed");
+        println!("  task {task} now routed to aggregator {aggregator}");
     }
 }

@@ -220,12 +220,10 @@ fn stale_selector_refuses_until_refreshed_after_failover() {
     assert!(sweep.orphaned.is_empty(), "a survivor exists: no orphans");
     assert!(coordinator.sequence() > sequence_before);
 
-    // The Selector is stale until it refreshes, then routes to the survivor.
+    // The Selector is stale until it refreshes; the task now routes to the
+    // survivor.
     assert!(selector.is_stale(&coordinator));
     selector.refresh(&coordinator);
     assert!(!selector.is_stale(&coordinator));
-    assert_eq!(
-        selector.route(0),
-        papaya_sim::cluster::RouteOutcome::Routed(placed_b)
-    );
+    assert_eq!(coordinator.aggregator_of(0), Some(placed_b));
 }

@@ -1,15 +1,9 @@
-//! Scale-out suite: the million-client path's three load-bearing claims.
+//! Scale-out suite: the million-client path's load-bearing claims.
 //!
-//! `docs/SCALING.md` rests on three properties, each pinned here from
-//! outside the implementing crates:
+//! `docs/SCALING.md` rests on two properties, each pinned here from outside
+//! the implementing crates:
 //!
-//! 1. **Sharding is invisible.**  The sharded sampling pool draws the
-//!    *bit-identical* client sequence at every shard capacity — including
-//!    the degenerate capacity that reproduces the historical flat pool —
-//!    so selection (and therefore every fingerprint) is independent of the
-//!    memory layout.  Checked by a property test over random
-//!    acquire/release interleavings.
-//! 2. **Decimation is deterministic and fingerprint-invisible.**  At a
+//! 1. **Decimation is deterministic and fingerprint-invisible.**  At a
 //!    fixed `RunLimits::trace_budget` the fingerprint is invariant across
 //!    thread counts and the retained traces respect the budget.  Every
 //!    trace digests each sample it is offered before decimation decides
@@ -17,9 +11,12 @@
 //!    runs at different budgets, including one that keeps every sample,
 //!    have one fingerprint and bit-equal means.  Retention is a reporting
 //!    choice.
-//! 3. **Idle clients are O(bytes).**  The combined per-idle-device state
+//! 2. **Idle clients are O(bytes).**  The combined per-idle-device state
 //!    across the packed population and the sampling pool is a documented
 //!    constant number of bytes, asserted at compile time.
+//!
+//! The sampling pool's draw sequence is held to a naive `Vec` +
+//! `swap_remove` model by its own unit test in `papaya-sim`.
 
 use papaya_core::TaskConfig;
 use papaya_data::population::{Population, PopulationConfig};
@@ -27,11 +24,8 @@ use papaya_sim::metrics::MetricsCollector;
 use papaya_sim::sampling::ShardedSamplingPool;
 use papaya_sim::scenario::{EvalPolicy, Report, RunLimits, Scenario};
 use papaya_sim::Parallelism;
-use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
-// Claim 3, at compile time: a packed population record (speed + example
+// Claim 2, at compile time: a packed population record (speed + example
 // count) plus a pool slot (free-list entry + slot index) per idle device.
 // 24 bytes of headroom documented in docs/SCALING.md; a struct growing
 // past it fails this build, not a profiling session six months later.
@@ -74,47 +68,7 @@ fn scenario_of(task: TaskConfig, limits: RunLimits, parallelism: Parallelism) ->
     report
 }
 
-proptest! {
-    /// Claim 1, directly on the pool: any interleaving of draws and
-    /// releases produces the same id sequence at every shard capacity,
-    /// because the sharded free list reproduces the flat `swap_remove`
-    /// semantics exactly.  (`capacity >= n` IS the flat pool, so this also
-    /// proves draws are distributionally unchanged from the historical
-    /// implementation.)
-    #[test]
-    fn shard_draws_match_flat_draws(
-        n in 1usize..300,
-        capacity in 1usize..64,
-        seed in 0u64..1_000,
-    ) {
-        let mut flat = ShardedSamplingPool::with_shard_capacity(n, n.max(1));
-        let mut sharded = ShardedSamplingPool::with_shard_capacity(n, capacity);
-        let mut rng_flat = StdRng::seed_from_u64(seed);
-        let mut rng_sharded = StdRng::seed_from_u64(seed);
-        let mut acquired: Vec<usize> = Vec::new();
-        let mut step_rng = StdRng::seed_from_u64(seed ^ 0xdead_beef);
-        for step in 0..400usize {
-            // Release roughly a third of the time, favoring drain-refill
-            // cycles that cross shard boundaries.
-            let release = !acquired.is_empty() && step % 3 == 0;
-            if release {
-                let idx = rand::Rng::gen_range(&mut step_rng, 0..acquired.len());
-                let id = acquired.swap_remove(idx);
-                flat.release(id);
-                sharded.release(id);
-            } else {
-                let a = flat.acquire_random(&mut rng_flat);
-                let b = sharded.acquire_random(&mut rng_sharded);
-                prop_assert_eq!(a, b, "diverged at step {}", step);
-                if let Some(id) = a {
-                    acquired.push(id);
-                }
-            }
-        }
-    }
-}
-
-/// Claim 2: at a fixed bounded budget the fingerprint is invariant across
+/// Claim 1: at a fixed bounded budget the fingerprint is invariant across
 /// thread counts — decimation is part of the deterministic contract, not a
 /// lossy afterthought.
 #[test]
@@ -135,7 +89,7 @@ fn budgeted_fingerprints_are_invariant_across_threads_and_shards() {
     }
 }
 
-/// Claim 2: the budget actually bounds the retained traces while the
+/// Claim 1: the budget actually bounds the retained traces while the
 /// counters (which are exact, never decimated) still see every event, each
 /// bounded trace was offered every sample a run that keeps everything kept,
 /// and no budget changes the fingerprint or a reported mean.  The sync run
@@ -228,7 +182,7 @@ fn decimation_bounds_traces_and_is_fingerprint_invisible() {
     }
 }
 
-/// Claim 3, at run time: the documented record sizes are what the packed
+/// Claim 2, at run time: the documented record sizes are what the packed
 /// containers actually store, and the materialized [`DeviceProfile`] they
 /// replace is several times larger — i.e. the profile really is re-derived
 /// on demand, not cached per device.
