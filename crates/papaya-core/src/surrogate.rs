@@ -72,10 +72,41 @@ pub struct SurrogateObjective {
     initial: ParamVec,
 }
 
-fn standard_normal(rng: &mut StdRng) -> f32 {
-    let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
-    let u2: f64 = rng.gen_range(0.0..1.0);
-    papaya_data::stats::standard_normal_pair(u1, u2).0 as f32
+/// Buffers for drawing standard normals a batch at a time through
+/// `papaya_data::stats::standard_normals_f32`, which returns what one
+/// Box–Muller draw per normal returned, bit for bit.
+struct Normals {
+    u1: Vec<f64>,
+    u2: Vec<f64>,
+    out: Vec<f32>,
+}
+
+impl Normals {
+    fn new(n: usize) -> Self {
+        Normals {
+            u1: vec![0.0; n],
+            u2: vec![0.0; n],
+            out: vec![0.0; n],
+        }
+    }
+
+    /// The next batch of normals of `rng`, its uniforms drawn in the order
+    /// the scalar draw took them: `u1` then `u2` for each normal.
+    fn draw(&mut self, rng: &mut StdRng) -> &[f32] {
+        for (u1, u2) in self.u1.iter_mut().zip(&mut self.u2) {
+            *u1 = rng.gen_range(f64::EPSILON..1.0);
+            *u2 = rng.gen_range(0.0..1.0);
+        }
+        papaya_data::stats::standard_normals_f32(&self.u1, &self.u2, &mut self.out);
+        &self.out
+    }
+}
+
+/// `n` normals of `rng`, drawn as [`Normals::draw`] draws them.
+fn standard_normals(rng: &mut StdRng, n: usize) -> Vec<f32> {
+    let mut normals = Normals::new(n);
+    normals.draw(rng);
+    normals.out
 }
 
 /// Loss of `params` for the client whose optimum is `optimum`: half the
@@ -99,8 +130,8 @@ fn check_arguments(num_clients: usize, dim: usize, client_id: usize, params: &Pa
 /// Draws the population-level optimum, then the unit bias direction for
 /// heavy clients, from the head of a trainer's construction stream.
 fn draw_global_optimum_and_bias(rng: &mut StdRng, dim: usize) -> (Vec<f32>, Vec<f32>) {
-    let global_optimum: Vec<f32> = (0..dim).map(|_| standard_normal(rng)).collect();
-    let mut bias_direction: Vec<f32> = (0..dim).map(|_| standard_normal(rng)).collect();
+    let global_optimum = standard_normals(rng, dim);
+    let mut bias_direction = standard_normals(rng, dim);
     let norm = bias_direction
         .iter()
         .map(|x| x * x)
@@ -121,7 +152,7 @@ fn draw_initial_model(
     config: &SurrogateConfig,
     global_optimum: &[f32],
 ) -> ParamVec {
-    let init_dir: Vec<f32> = (0..config.dim).map(|_| standard_normal(rng)).collect();
+    let init_dir = standard_normals(rng, config.dim);
     let norm = init_dir.iter().map(|x| x * x).sum::<f32>().sqrt().max(1e-6);
     let initial: Vec<f32> = (0..config.dim)
         .map(|j| global_optimum[j] + config.init_distance * init_dir[j] / norm)
@@ -146,10 +177,12 @@ fn train_toward(
         config.gradient_noise / (config.batch_size.min(examples).max(1) as f32).sqrt();
 
     let mut w: Vec<f32> = global.as_slice().to_vec();
+    let mut normals = Normals::new(config.dim);
     for _ in 0..steps {
-        for j in 0..config.dim {
-            let grad = (w[j] - optimum[j]) + noise_scale * standard_normal(&mut rng);
-            w[j] -= config.local_learning_rate * grad;
+        let noise = normals.draw(&mut rng);
+        for ((w, o), n) in w.iter_mut().zip(optimum).zip(noise) {
+            let grad = (*w - o) + noise_scale * n;
+            *w -= config.local_learning_rate * grad;
         }
     }
     let train_loss = loss_at(&w, optimum) as f32;
@@ -175,12 +208,14 @@ impl SurrogateObjective {
 
         let mut client_optima = Vec::with_capacity(population.len());
         let mut num_examples = Vec::with_capacity(population.len());
+        let mut normals = Normals::new(dim);
         for device in population.iter() {
             let volume_percentile = device.num_examples as f32 / max_examples;
+            let noise = normals.draw(&mut rng);
             let optimum: Vec<f32> = (0..dim)
                 .map(|j| {
                     global_optimum[j]
-                        + config.heterogeneity * standard_normal(&mut rng)
+                        + config.heterogeneity * noise[j]
                         + config.volume_bias * volume_percentile * bias_direction[j]
                 })
                 .collect();
@@ -324,10 +359,11 @@ impl ProceduralSurrogate {
             self.seed ^ (client_id as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15),
         );
         let volume_percentile = self.num_examples[client_id] as f32 / self.max_examples;
+        let noise = standard_normals(&mut rng, self.config.dim);
         (0..self.config.dim)
             .map(|j| {
                 self.global_optimum[j]
-                    + self.config.heterogeneity * standard_normal(&mut rng)
+                    + self.config.heterogeneity * noise[j]
                     + self.config.volume_bias * volume_percentile * self.bias_direction[j]
             })
             .collect()
@@ -423,6 +459,29 @@ mod tests {
     use crate::server_opt::FedAvg;
     use crate::staleness::StalenessWeighting;
     use papaya_data::population::{Population, PopulationConfig};
+
+    /// One Box–Muller draw: what every normal of the surrogates was before
+    /// they drew them in batches, and the oracle the batches are held to.
+    fn standard_normal(rng: &mut StdRng) -> f32 {
+        let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
+        let u2: f64 = rng.gen_range(0.0..1.0);
+        papaya_data::stats::standard_normal_pair(u1, u2).0 as f32
+    }
+
+    #[test]
+    fn batched_normals_are_the_scalar_draws_in_order() {
+        let (mut batched, mut scalar) = (StdRng::seed_from_u64(8), StdRng::seed_from_u64(8));
+        let mut normals = Normals::new(128);
+        for _ in 0..50 {
+            for &n in normals.draw(&mut batched) {
+                assert_eq!(n.to_bits(), standard_normal(&mut scalar).to_bits());
+            }
+        }
+        for &n in &standard_normals(&mut batched, 5) {
+            assert_eq!(n.to_bits(), standard_normal(&mut scalar).to_bits());
+        }
+        assert_eq!(batched.gen::<u64>(), scalar.gen::<u64>());
+    }
 
     impl ProceduralSurrogate {
         /// Loss of `params` for a single client.

@@ -12,8 +12,10 @@
 //! * [`text`] — per-client synthetic text with client-specific topic mixtures
 //!   (non-IID), tokenized at the character level.
 //! * [`dataset`] — federated dataset containers with train/val/test splits.
-//! * [`stats`] — percentiles, histograms, and the two-sample
-//!   Kolmogorov–Smirnov test used in Section 7.4.
+//! * [`stats`] — percentiles, histograms, the two-sample
+//!   Kolmogorov–Smirnov test used in Section 7.4, and Box–Muller: the
+//!   scalar transform and a batched kernel that computes it from IEEE
+//!   basic operations and equals the scalar one's `f32` bit for bit.
 //! * [`math`] — `f32` `exp`, `tanh` and `ln` from IEEE basic operations
 //!   only, so that the language model's bits do not depend on the host's
 //!   libm.

@@ -72,7 +72,7 @@ fn scenario_of(task: TaskConfig, limits: RunLimits, parallelism: Parallelism) ->
 /// thread counts — decimation is part of the deterministic contract, not a
 /// lossy afterthought.
 #[test]
-fn budgeted_fingerprints_are_invariant_across_threads_and_shards() {
+fn budgeted_fingerprints_are_invariant_across_threads() {
     let budget = 64;
     let reference = scenario(
         RunLimits::default().with_trace_budget(budget),
