@@ -511,6 +511,21 @@ mod tests {
     }
 
     #[test]
+    fn trimmed_mean_trims_the_floor_of_n_times_the_fraction() {
+        // Seven clients at 20 %: n·f = 1.4, so one value leaves each tail.
+        // The mean of 0, 1, 2, 3 and 14 is 4; trimming two a tail would
+        // leave 1, 2 and 3, whose mean is 2.
+        let mut robust = robust_fedbuff(7, RobustDefense::TrimmedMean { trim_fraction: 0.2 });
+        for (id, v) in [-50.0f32, 0.0, 1.0, 2.0, 3.0, 14.0, 100.0]
+            .into_iter()
+            .enumerate()
+        {
+            robust.accumulate(update(id, vec![v], 10), 0, 0.0);
+        }
+        assert_eq!(robust.take(0.0).unwrap().as_slice(), [4.0]);
+    }
+
+    #[test]
     fn median_shrugs_off_a_sign_flipping_minority() {
         let mut robust = robust_fedbuff(5, RobustDefense::CoordinateMedian);
         for (id, v) in [(0usize, 1.0f32), (1, 1.2), (2, 0.8)] {

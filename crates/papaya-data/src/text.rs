@@ -35,18 +35,21 @@ const TOPIC_WORDS: [&[&str]; 4] = [
 ];
 
 /// Token id of the space between words.
-const SPACE_ID: usize = 26;
+const SPACE_ID: u8 = 26;
 /// Token id of the end-of-text character.
-const STOP_ID: usize = 27;
+const STOP_ID: u8 = 27;
+
+// A token id is a `u8`: one byte a character in every stored sequence.
+const _: () = assert!(VOCAB.len() <= 256);
 
 /// Maps a character to its vocabulary index.
 ///
 /// # Panics
 ///
 /// Panics if the character is not in `VOCAB`.
-pub fn char_to_id(c: char) -> usize {
+pub fn char_to_id(c: char) -> u8 {
     match c {
-        'a'..='z' => c as usize - 'a' as usize,
+        'a'..='z' => c as u8 - b'a',
         ' ' => SPACE_ID,
         '.' => STOP_ID,
         _ => panic!("character {c:?} not in vocabulary"),
@@ -65,9 +68,6 @@ pub struct TextGenerator {
     /// Mixture weights over topics (sums to 1).
     topic_mixture: Vec<f64>,
     rng: StdRng,
-    /// The sentence being built; kept so that a sentence costs one
-    /// allocation, of exactly its own length.
-    scratch: Vec<usize>,
 }
 
 impl TextGenerator {
@@ -88,33 +88,24 @@ impl TextGenerator {
         for w in topic_mixture.iter_mut() {
             *w /= sum;
         }
-        TextGenerator {
-            topic_mixture,
-            rng,
-            scratch: Vec::new(),
-        }
+        TextGenerator { topic_mixture, rng }
     }
 
-    /// Samples one sentence of roughly `words` words and returns it as a
-    /// vector of character token ids terminated by the end-of-text token.
-    pub fn sentence(&mut self, words: usize) -> Vec<usize> {
-        self.scratch.clear();
+    /// Samples one sentence of roughly `words` words and appends it to
+    /// `out` as character token ids, terminated by the end-of-text token.
+    pub fn sentence(&mut self, words: usize, out: &mut Vec<u8>) {
         for i in 0..words.max(1) {
             let topic = self.sample_topic();
             let word_list = TOPIC_WORDS[topic];
             let word = word_list[self.rng.gen_range(0..word_list.len())];
             if i > 0 {
-                self.scratch.push(SPACE_ID);
+                out.push(SPACE_ID);
             }
             // Topic words are lowercase ASCII letters, whose ids are their
             // offsets from 'a'.
-            self.scratch
-                .extend(word.bytes().map(|b| usize::from(b - b'a')));
+            out.extend(word.bytes().map(|b| b - b'a'));
         }
-        self.scratch.push(STOP_ID);
-        // `to_vec` allocates exactly `len` elements; a dataset holds
-        // hundreds of thousands of these, so slack capacity is resident memory.
-        self.scratch.to_vec()
+        out.push(STOP_ID);
     }
 
     fn sample_topic(&mut self) -> usize {
@@ -137,7 +128,7 @@ mod tests {
     #[test]
     fn vocab_roundtrip() {
         for (i, c) in VOCAB.chars().enumerate() {
-            assert_eq!(char_to_id(c), i);
+            assert_eq!(usize::from(char_to_id(c)), i);
         }
         assert_eq!(vocab_size(), 28);
     }
@@ -148,20 +139,27 @@ mod tests {
         let _ = char_to_id('!');
     }
 
+    /// One sentence in a buffer of its own.
+    fn drawn(g: &mut TextGenerator, words: usize) -> Vec<u8> {
+        let mut sentence = Vec::new();
+        g.sentence(words, &mut sentence);
+        sentence
+    }
+
     #[test]
     fn sentences_are_valid_token_sequences() {
         let mut g = TextGenerator::for_client(3, 0.5, 1);
         for _ in 0..20 {
-            let s = g.sentence(5);
+            let s = drawn(&mut g, 5);
             assert!(!s.is_empty());
-            assert!(s.iter().all(|&t| t < vocab_size()));
+            assert!(s.iter().all(|&t| usize::from(t) < vocab_size()));
             assert_eq!(*s.last().unwrap(), char_to_id('.'));
         }
     }
 
     /// The construction `sentence` replaced: build the text, then look every
     /// character up.
-    fn sentence_through_a_string(g: &mut TextGenerator, words: usize) -> Vec<usize> {
+    fn sentence_through_a_string(g: &mut TextGenerator, words: usize) -> Vec<u8> {
         let mut text = String::new();
         for i in 0..words.max(1) {
             let topic = g.sample_topic();
@@ -177,13 +175,14 @@ mod tests {
     }
 
     #[test]
-    fn sentences_equal_the_string_construction_at_exact_capacity() {
+    fn appended_sentences_equal_the_string_construction() {
         let mut direct = TextGenerator::for_client(5, 0.7, 3);
         let mut reference = direct.clone();
+        let (mut appended, mut expected) = (Vec::new(), Vec::new());
         for words in [0, 1, 2, 4, 9, 1, 30] {
-            let sentence = direct.sentence(words);
-            assert_eq!(sentence, sentence_through_a_string(&mut reference, words));
-            assert_eq!(sentence.capacity(), sentence.len());
+            direct.sentence(words, &mut appended);
+            expected.extend(sentence_through_a_string(&mut reference, words));
+            assert_eq!(appended, expected);
         }
         // Every topic word is made of the letters whose ids are offsets.
         for word in TOPIC_WORDS.iter().flat_map(|list| list.iter()) {
@@ -195,11 +194,11 @@ mod tests {
     fn generator_is_deterministic_per_client() {
         let mut a = TextGenerator::for_client(7, 0.2, 9);
         let mut b = TextGenerator::for_client(7, 0.2, 9);
-        assert_eq!(a.sentence(4), b.sentence(4));
+        assert_eq!(drawn(&mut a, 4), drawn(&mut b, 4));
         let mut c = TextGenerator::for_client(8, 0.2, 9);
         // Different clients draw different text (overwhelmingly likely).
-        let s1: Vec<usize> = (0..5).flat_map(|_| a.sentence(4)).collect();
-        let s2: Vec<usize> = (0..5).flat_map(|_| c.sentence(4)).collect();
+        let s1: Vec<u8> = (0..5).flat_map(|_| drawn(&mut a, 4)).collect();
+        let s2: Vec<u8> = (0..5).flat_map(|_| drawn(&mut c, 4)).collect();
         assert_ne!(s1, s2);
     }
 

@@ -328,7 +328,7 @@ impl Workspace {
 ///
 /// Panics if a token id is outside the vocabulary.
 #[inline(always)]
-fn forward(config: &LmConfig, params: &[f32], tokens: &[usize], ws: &mut Workspace) -> f32 {
+fn forward(config: &LmConfig, params: &[f32], tokens: &[u8], ws: &mut Workspace) -> f32 {
     let (v, e, h) = (config.vocab_size, config.embedding_dim, config.hidden_size);
     let [table, w_x, w_h, bias, w_out, b_out] = config.split(params);
     let steps = tokens.len() - 1;
@@ -336,7 +336,7 @@ fn forward(config: &LmConfig, params: &[f32], tokens: &[usize], ws: &mut Workspa
 
     // Every step's input projection, before the recurrence.
     for (x, pair) in ws.x.chunks_exact_mut(e).zip(tokens.windows(2)) {
-        let (token, target) = (pair[0], pair[1]);
+        let (token, target) = (usize::from(pair[0]), usize::from(pair[1]));
         assert!(token < v, "token id {token} out of range");
         assert!(target < v, "target {target} out of range");
         x.copy_from_slice(&table[token * e..(token + 1) * e]);
@@ -381,7 +381,7 @@ fn forward(config: &LmConfig, params: &[f32], tokens: &[usize], ws: &mut Workspa
             *logit += bias;
         }
         let max = exp.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-        let target_logit = exp[target];
+        let target_logit = exp[usize::from(target)];
         for logit in exp.iter_mut() {
             *logit = math::exp(*logit - max);
         }
@@ -397,7 +397,7 @@ fn forward(config: &LmConfig, params: &[f32], tokens: &[usize], ws: &mut Workspa
 /// mean per-token loss before the update.  Only [`dispatch`] calls it,
 /// once per build.
 #[inline(always)]
-fn train(model: &mut CharLstm, tokens: &[usize], learning_rate: f32) -> f32 {
+fn train(model: &mut CharLstm, tokens: &[u8], learning_rate: f32) -> f32 {
     let CharLstm {
         config,
         params,
@@ -422,7 +422,7 @@ fn train(model: &mut CharLstm, tokens: &[usize], learning_rate: f32) -> f32 {
         for (grad, exp) in grad.iter_mut().zip(exp) {
             *grad = exp / sum;
         }
-        grad[target] -= 1.0;
+        grad[usize::from(target)] -= 1.0;
     }
     outer_sum(&ws.h[h..], &ws.grad_logits, v, w_out_grad);
     sum_rows(&ws.grad_logits, b_out_grad);
@@ -475,6 +475,7 @@ fn train(model: &mut CharLstm, tokens: &[usize], learning_rate: f32) -> f32 {
     // Embedding: scatter into the rows of the steps' tokens, last step first.
     table_grad.fill(0.0);
     for (grad_x, &token) in ws.grad_x.chunks_exact(e).zip(&tokens[..steps]).rev() {
+        let token = usize::from(token);
         let row = &mut table_grad[token * e..(token + 1) * e];
         for (grad, x) in row.iter_mut().zip(grad_x) {
             *grad += x;
@@ -514,7 +515,7 @@ mod dispatch {
     pub(super) fn forward(
         config: &LmConfig,
         params: &[f32],
-        tokens: &[usize],
+        tokens: &[u8],
         ws: &mut Workspace,
     ) -> f32 {
         #[cfg(target_arch = "x86_64")]
@@ -528,7 +529,7 @@ mod dispatch {
 
     /// [`super::train`] in the build this CPU runs.
     #[inline]
-    pub(super) fn train(model: &mut CharLstm, tokens: &[usize], learning_rate: f32) -> f32 {
+    pub(super) fn train(model: &mut CharLstm, tokens: &[u8], learning_rate: f32) -> f32 {
         #[cfg(target_arch = "x86_64")]
         if avx2() {
             // SAFETY: `avx2()` has just confirmed AVX2, the only feature
@@ -542,37 +543,28 @@ mod dispatch {
     pub(super) fn forward_portable(
         config: &LmConfig,
         params: &[f32],
-        tokens: &[usize],
+        tokens: &[u8],
         ws: &mut Workspace,
     ) -> f32 {
         super::forward(config, params, tokens, ws)
     }
 
     /// [`super::train`] for the target's baseline.
-    pub(super) fn train_portable(
-        model: &mut CharLstm,
-        tokens: &[usize],
-        learning_rate: f32,
-    ) -> f32 {
+    pub(super) fn train_portable(model: &mut CharLstm, tokens: &[u8], learning_rate: f32) -> f32 {
         super::train(model, tokens, learning_rate)
     }
 
     /// [`super::forward`] for AVX2.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
-    fn forward_avx2(
-        config: &LmConfig,
-        params: &[f32],
-        tokens: &[usize],
-        ws: &mut Workspace,
-    ) -> f32 {
+    fn forward_avx2(config: &LmConfig, params: &[f32], tokens: &[u8], ws: &mut Workspace) -> f32 {
         super::forward(config, params, tokens, ws)
     }
 
     /// [`super::train`] for AVX2.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
-    fn train_avx2(model: &mut CharLstm, tokens: &[usize], learning_rate: f32) -> f32 {
+    fn train_avx2(model: &mut CharLstm, tokens: &[u8], learning_rate: f32) -> f32 {
         super::train(model, tokens, learning_rate)
     }
 }
@@ -660,7 +652,7 @@ impl CharLstm {
     /// (next-character prediction), without updating any state.
     ///
     /// Returns `None` for sequences shorter than two tokens.
-    pub fn sequence_loss(&self, tokens: &[usize]) -> Option<f32> {
+    pub fn sequence_loss(&self, tokens: &[u8]) -> Option<f32> {
         self.sequence_losses([tokens]).next()
     }
 
@@ -669,7 +661,7 @@ impl CharLstm {
     /// call's own, shared by all the sequences.
     pub(crate) fn sequence_losses<'a, I>(&'a self, sequences: I) -> impl Iterator<Item = f32> + 'a
     where
-        I: IntoIterator<Item = &'a [usize]>,
+        I: IntoIterator<Item = &'a [u8]>,
         I::IntoIter: 'a,
     {
         let mut ws = Workspace::default();
@@ -686,7 +678,7 @@ impl CharLstm {
     /// time, and an in-place SGD step with the given learning rate).
     /// Returns the mean per-token loss before the update, or `None` for
     /// sequences shorter than two tokens.
-    pub fn train_sequence(&mut self, tokens: &[usize], learning_rate: f32) -> Option<f32> {
+    pub fn train_sequence(&mut self, tokens: &[u8], learning_rate: f32) -> Option<f32> {
         if tokens.len() < 2 {
             return None;
         }
@@ -722,7 +714,7 @@ mod tests {
         }
     }
 
-    fn tokens(text: &str) -> Vec<usize> {
+    fn tokens(text: &str) -> Vec<u8> {
         text.chars().map(char_to_id).collect()
     }
 
@@ -766,8 +758,13 @@ mod tests {
         // Train on sentences from one client generator and check loss drops
         // on fresh sentences from the same generator.
         let mut generator = TextGenerator::for_client(1, 0.2, 7);
-        let train: Vec<Vec<usize>> = (0..30).map(|_| generator.sentence(4)).collect();
-        let test: Vec<Vec<usize>> = (0..10).map(|_| generator.sentence(4)).collect();
+        let mut sentence = || {
+            let mut tokens = Vec::new();
+            generator.sentence(4, &mut tokens);
+            tokens
+        };
+        let train: Vec<Vec<u8>> = (0..30).map(|_| sentence()).collect();
+        let test: Vec<Vec<u8>> = (0..10).map(|_| sentence()).collect();
         let mut model = CharLstm::new(LmConfig::tiny(), 5);
         let eval = |m: &CharLstm| -> f32 {
             let losses: Vec<f32> = test.iter().filter_map(|s| m.sequence_loss(s)).collect();
@@ -843,7 +840,7 @@ mod tests {
 
     /// The portable build's [`CharLstm::sequence_losses`].
     #[cfg(target_arch = "x86_64")]
-    fn portable_losses(model: &CharLstm, sequences: &[Vec<usize>]) -> Vec<u32> {
+    fn portable_losses(model: &CharLstm, sequences: &[Vec<u8>]) -> Vec<u32> {
         let mut ws = Workspace::default();
         let long_enough = sequences.iter().filter(|tokens| tokens.len() >= 2);
         long_enough
@@ -871,14 +868,14 @@ mod tests {
             seed in proptest::prelude::any::<u64>(),
             learning_rate in 0.01f32..2.0,
             drawn in proptest::collection::vec(
-                proptest::collection::vec(0usize..40, 0..=40),
+                proptest::collection::vec(0u8..40, 0..=40),
                 1..5,
             ),
         ) {
             let config = LmConfig { vocab_size, embedding_dim, hidden_size };
-            let sequences: Vec<Vec<usize>> = drawn
+            let sequences: Vec<Vec<u8>> = drawn
                 .iter()
-                .map(|tokens| tokens.iter().map(|t| t % vocab_size).collect())
+                .map(|tokens| tokens.iter().map(|&t| t % vocab_size as u8).collect())
                 .collect();
             let mut dispatched = CharLstm::new(config, seed);
             let mut portable = dispatched.clone();

@@ -98,7 +98,7 @@ impl ClientTrainer for LmClientTrainer {
         let mut loss_sum = 0.0f32;
         let mut loss_count = 0usize;
         for &idx in &order {
-            if let Some(loss) = model.train_sequence(&client.train[idx], CLIENT_LEARNING_RATE) {
+            if let Some(loss) = model.train_sequence(client.train.get(idx), CLIENT_LEARNING_RATE) {
                 loss_sum += loss;
                 loss_count += 1;
             }
@@ -127,7 +127,7 @@ impl ClientTrainer for LmClientTrainer {
             } else {
                 &client.test
             };
-            eval_set.iter().take(8).map(Vec::as_slice)
+            eval_set.iter().take(8)
         });
         let mut total = 0.0f64;
         let mut count = 0usize;

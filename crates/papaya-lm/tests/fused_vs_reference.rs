@@ -188,13 +188,13 @@ impl NaiveLstm {
 
     /// Runs the network over `tokens`, predicting each next token: the
     /// summed cross-entropy, and what every step keeps for `backward`.
-    fn forward(&self, tokens: &[usize]) -> (f32, Vec<Step>) {
+    fn forward(&self, tokens: &[u8]) -> (f32, Vec<Step>) {
         let hidden = self.w_h.len();
         let (mut h, mut c) = (vec![0.0f32; hidden], vec![0.0f32; hidden]);
         let mut total = 0.0f32;
         let mut steps = Vec::new();
         for pair in tokens.windows(2) {
-            let (token, target) = (pair[0], pair[1]);
+            let (token, target) = (usize::from(pair[0]), usize::from(pair[1]));
             // z = (x·W_x + h·W_h) + b, cut into the four gates.
             let from_x = times(&self.table[token], &self.w_x);
             let from_h = times(&h, &self.w_h);
@@ -292,12 +292,12 @@ impl NaiveLstm {
         }
     }
 
-    fn sequence_loss(&self, tokens: &[usize]) -> Option<f32> {
+    fn sequence_loss(&self, tokens: &[u8]) -> Option<f32> {
         let (total, steps) = self.forward(tokens);
         (!steps.is_empty()).then(|| total / steps.len() as f32)
     }
 
-    fn train_sequence(&mut self, tokens: &[usize], learning_rate: f32) -> Option<f32> {
+    fn train_sequence(&mut self, tokens: &[u8], learning_rate: f32) -> Option<f32> {
         let (total, steps) = self.forward(tokens);
         if steps.is_empty() {
             return None;
@@ -314,7 +314,7 @@ fn bits(params: &ParamVec) -> Vec<u32> {
 
 /// Feeds `sequences` to both models in order and compares the evaluation
 /// loss before, the training loss, and every parameter after each one.
-fn assert_bit_identical(config: LmConfig, seed: u64, learning_rate: f32, sequences: &[Vec<usize>]) {
+fn assert_bit_identical(config: LmConfig, seed: u64, learning_rate: f32, sequences: &[Vec<u8>]) {
     let mut fused = CharLstm::new(config, seed);
     let mut naive = NaiveLstm::from_params(&fused.parameter_shapes(), &fused.param_vector());
     assert_eq!(bits(&fused.param_vector()), bits(&naive.param_vector()));
@@ -359,7 +359,7 @@ proptest! {
         seed in any::<u64>(),
         learning_rate in 0.01f32..2.0,
         sequences in proptest::collection::vec(
-            proptest::collection::vec(0usize..28, 2..=60),
+            proptest::collection::vec(0u8..28, 2..=60),
             1..5,
         ),
     ) {
@@ -376,17 +376,24 @@ proptest! {
         seed in any::<u64>(),
         learning_rate in 0.01f32..2.0,
         drawn in proptest::collection::vec(
-            proptest::collection::vec(0usize..40, 2..=60),
+            proptest::collection::vec(0u8..40, 2..=60),
             1..5,
         ),
     ) {
         let config = LmConfig { vocab_size, embedding_dim, hidden_size };
-        let sequences: Vec<Vec<usize>> = drawn
+        let sequences: Vec<Vec<u8>> = drawn
             .iter()
-            .map(|tokens| tokens.iter().map(|t| t % vocab_size).collect())
+            .map(|tokens| tokens.iter().map(|&t| t % vocab_size as u8).collect())
             .collect();
         assert_bit_identical(config, seed, learning_rate, &sequences);
     }
+}
+
+/// One sentence of `words` words in a buffer of its own.
+fn sentence(generator: &mut TextGenerator, words: usize) -> Vec<u8> {
+    let mut tokens = Vec::new();
+    generator.sentence(words, &mut tokens);
+    tokens
 }
 
 #[test]
@@ -394,14 +401,14 @@ fn repeated_tokens_and_one_word_sentences_match() {
     let mut generator = TextGenerator::for_client(3, 0.4, 11);
     let sequences = vec![
         vec![5; 40],
-        generator.sentence(1),
+        sentence(&mut generator, 1),
         vec![27, 27],
-        generator.sentence(6),
+        sentence(&mut generator, 6),
         vec![0],
         vec![],
     ];
     assert_bit_identical(LmConfig::tiny(), 9, 0.5, &sequences);
-    let odd: Vec<Vec<usize>> = vec![vec![10; 17], vec![3, 3, 3], vec![1, 2, 3, 4, 5, 6, 7]];
+    let odd: Vec<Vec<u8>> = vec![vec![10; 17], vec![3, 3, 3], vec![1, 2, 3, 4, 5, 6, 7]];
     assert_bit_identical(odd_config(), 9, 0.5, &odd);
 }
 
@@ -410,7 +417,9 @@ fn training_from_trained_parameters_matches() {
     // A long run: after a few hundred updates activations saturate and
     // exact zeros (the skipped rows of `x·W` and the rank-1 update) appear.
     let mut generator = TextGenerator::for_client(1, 0.9, 4);
-    let sequences: Vec<Vec<usize>> = (0..120).map(|n| generator.sentence(1 + n % 5)).collect();
+    let sequences: Vec<Vec<u8>> = (0..120)
+        .map(|n| sentence(&mut generator, 1 + n % 5))
+        .collect();
     assert_bit_identical(LmConfig::tiny(), 21, 1.0, &sequences);
 }
 
@@ -426,18 +435,18 @@ fn training_from_trained_parameters_matches() {
 #[test]
 fn train_sequence_gradient_matches_finite_differences() {
     for config in [LmConfig::tiny(), odd_config()] {
-        let tokens: Vec<usize> = [3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7]
+        let tokens: Vec<u8> = [3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7]
             .iter()
-            .map(|t| t % config.vocab_size)
+            .map(|t| t % config.vocab_size as u8)
             .collect();
         // Start from a model fitted to another sequence: its gates have left
         // the flat initial regime, so every gate's gradient is well above
         // the rounding of an `f32` loss.
         let mut start = CharLstm::new(config, 17);
-        let other: Vec<usize> = tokens
+        let other: Vec<u8> = tokens
             .iter()
             .rev()
-            .map(|t| (t + 1) % config.vocab_size)
+            .map(|t| (t + 1) % config.vocab_size as u8)
             .collect();
         for _ in 0..60 {
             start.train_sequence(&other, 1.0).expect("long enough");

@@ -27,6 +27,9 @@ impl Report {
     /// - every upload has one outcome: `comm_trips` = `aggregated_updates` +
     ///   `rejected_by_defense_updates`;
     /// - `server_updates` = `final_version`;
+    /// - the synchronous rounds fit in the run: `round_duration_sum_s` ≤
+    ///   the run's virtual seconds (`virtual_hours · 3600`), within four
+    ///   ulps of rounding;
     /// - `discarded_updates` = 0 (see below);
     /// - `rejected_by_defense_updates` = the robust stage's rejections;
     /// - under DP, `dp.releases` = `server_updates` and
@@ -95,6 +98,17 @@ impl Ledger {
             "server_updates = final_version",
             m.server_updates,
             report.final_version,
+        );
+        // Each round runs from the previous round's end, so the durations
+        // tile part of the run and their sum is at most its length; the
+        // slack covers the rounding of `virtual_hours · 3600` and of the
+        // first rounds' subtractions.
+        let run_s = report.virtual_hours * 3600.0;
+        self.check(
+            task,
+            "round_duration_sum_s <= virtual_hours * 3600",
+            m.round_duration_sum_s <= run_s * (1.0 + 4.0 * f64::EPSILON),
+            format!("{} vs {run_s}", m.round_duration_sum_s),
         );
         // Nothing increments `discarded_updates`: no update reaches a closed
         // round, because `end_sync_round` aborts the round's stragglers.
@@ -272,7 +286,7 @@ mod tests {
     fn each_miscount_breaks_its_law() {
         let clean = stacked_run();
         type Tamper = fn(&mut Report);
-        let cases: [(Tamper, &str); 9] = [
+        let cases: [(Tamper, &str); 10] = [
             (
                 // An update counted as accepted that no stage accepted.
                 |r| {
@@ -294,6 +308,11 @@ mod tests {
             (
                 |r| r.tasks[0].metrics.comm_trips += 1,
                 "comm_trips = aggregated_updates + rejected_by_defense_updates",
+            ),
+            (
+                // A round timed from the start of the run, not of the round.
+                |r| r.tasks[0].metrics.round_duration_sum_s = r.virtual_hours * 3600.0 * 1.000_001,
+                "round_duration_sum_s <= virtual_hours * 3600",
             ),
             // A server update applied without being counted.
             (|r| r.tasks[0].final_version += 1, "server_updates = final_version"),
