@@ -1,13 +1,13 @@
-//! Criterion bench: FedBuff and synchronous aggregation throughput
-//! (Section 6.3, "Fast Model Aggregation").
+//! Criterion bench: FedBuff aggregation throughput, asynchronous and as a
+//! synchronous round (Section 6.3, "Fast Model Aggregation").
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use papaya_core::aggregator::Aggregator;
+use papaya_core::aggregator::{for_task, Aggregator};
 use papaya_core::client::ClientUpdate;
 use papaya_core::fedbuff::FedBuffAggregator;
 use papaya_core::server_opt::{FedAdam, FedAvg, ServerOptimizer};
 use papaya_core::staleness::StalenessWeighting;
-use papaya_core::sync_agg::SyncRoundAggregator;
+use papaya_core::TaskConfig;
 use papaya_nn::params::ParamVec;
 
 fn make_update(id: usize, dim: usize) -> ClientUpdate {
@@ -39,7 +39,7 @@ fn fedbuff_throughput(c: &mut Criterion) {
 fn sync_round_throughput(c: &mut Criterion) {
     c.bench_function("sync_round_aggregate_100x10k", |b| {
         b.iter(|| {
-            let mut agg = SyncRoundAggregator::new(100);
+            let mut agg = for_task(&TaskConfig::sync_task("round", 100, 0.0));
             for i in 0..100 {
                 agg.accumulate(make_update(i, 10_000), 0, i as f64);
             }

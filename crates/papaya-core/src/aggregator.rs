@@ -1,4 +1,5 @@
-//! The aggregation protocol: one trait, many strategies.
+//! The aggregation protocol: one trait, one buffering strategy, and the
+//! decorators that wrap it.
 //!
 //! PAPAYA's central systems claim is that a single server architecture
 //! serves synchronous rounds, buffered asynchronous aggregation, and
@@ -8,19 +9,18 @@
 //! delta for the server optimizer — while the runtime driving it never
 //! branches on *which* strategy is plugged in.
 //!
-//! Two strategies implement the trait:
+//! One buffering strategy serves both modes, [`FedBuffAggregator`]:
 //!
-//! * [`FedBuffAggregator`] — buffered
-//!   asynchronous aggregation: release after `K` updates, stale updates
+//! * asynchronous tasks release after `K` updates, stale updates
 //!   down-weighted (Section 3.1 / Appendix E.2).  An optional round
 //!   deadline also releases whatever has arrived once it expires, bounding
 //!   the straggler tail the paper's sync/async comparison is about;
-//! * [`SyncRoundAggregator`] —
-//!   synchronous rounds with over-selection: release once the cohort goal is
-//!   met (Section 7 / Appendix E.3).
+//! * synchronous tasks with over-selection release once the cohort goal is
+//!   met (Section 7 / Appendix E.3), at constant staleness weight: within a
+//!   round the server model does not move.
 //!
 //! [`for_task`] builds the strategy a [`TaskConfig`] asks for, so drivers
-//! hold a `Box<dyn Aggregator>` and never branch on the strategy.
+//! hold a `Box<dyn Aggregator>` and never branch on the mode.
 //!
 //! Whether a release closes a round and which staleness bound aborts
 //! in-flight clients are participation policy, fixed by the task's
@@ -57,7 +57,6 @@ use crate::client::ClientUpdate;
 use crate::config::{TaskConfig, TrainingMode};
 use crate::fedbuff::FedBuffAggregator;
 use crate::staleness::StalenessWeighting;
-use crate::sync_agg::SyncRoundAggregator;
 use papaya_nn::params::ParamVec;
 
 /// The outcome of offering one update to an aggregator.
@@ -138,9 +137,6 @@ pub trait Aggregator: Send {
     /// cohort goal for rounds).
     fn goal(&self) -> usize;
 
-    /// Number of updates currently buffered.
-    fn buffered(&self) -> usize;
-
     /// The virtual time at which this strategy becomes ready without any
     /// further arrival, if such a time exists (deadline strategies with an
     /// open buffer).  Drivers schedule an exact readiness check at this
@@ -175,12 +171,13 @@ pub trait Aggregator: Send {
     fn plan_mask_precompute(&mut self, client_id: usize);
 }
 
-/// Builds the aggregation strategy a task's [`TrainingMode`] asks for.
+/// Builds the aggregation strategy a task's [`TrainingMode`] asks for: one
+/// FedBuff buffer, configured per mode.
 ///
-/// This is the only place the mode picks a strategy; everything downstream
-/// works through `Box<dyn Aggregator>`.  The participation policy the mode
-/// fixes (demand, round closing, the staleness bound) the runtime reads
-/// from the config.
+/// This is the only place the mode configures the strategy; everything
+/// downstream works through `Box<dyn Aggregator>`.  The participation
+/// policy the mode fixes (demand, round closing, the staleness bound) the
+/// runtime reads from the config.
 pub fn for_task(config: &TaskConfig) -> Box<dyn Aggregator> {
     match config.mode {
         TrainingMode::Async {
@@ -195,14 +192,16 @@ pub fn for_task(config: &TaskConfig) -> Box<dyn Aggregator> {
                 None => fedbuff,
             })
         }
+        // Within a round the server model does not move; constant weighting
+        // keeps the weight the example count without relying on that.
         TrainingMode::Sync => Box::new(
-            SyncRoundAggregator::new(config.aggregation_goal)
+            FedBuffAggregator::new(config.aggregation_goal, StalenessWeighting::Constant)
                 .with_example_weighting(config.weight_by_examples),
         ),
     }
 }
 
-/// The weighted running sum shared by every buffering strategy: folds
+/// The weighted running sum behind [`FedBuffAggregator`]: folds
 /// deltas scaled by their weight and releases the weighted average (or a
 /// zero delta when all weights were zero).
 #[derive(Clone, Debug, Default)]
@@ -275,15 +274,15 @@ mod tests {
             start_version: 0,
             train_loss: 0.0,
         };
-        let async_agg = for_task(&TaskConfig::async_task("a", 10, 4));
-        assert_eq!(async_agg.goal(), 4);
-        assert_eq!(async_agg.next_deadline_s(), None);
+        let async_fedbuff = for_task(&TaskConfig::async_task("a", 10, 4));
+        assert_eq!(async_fedbuff.goal(), 4);
+        assert_eq!(async_fedbuff.next_deadline_s(), None);
         // FedBuff down-weights by staleness: 1/√(1+3) halves a weight.
-        assert_eq!(async_agg.update_weight(10, 3), 5.0);
+        assert_eq!(async_fedbuff.update_weight(10, 3), 5.0);
 
-        let sync_agg = for_task(&TaskConfig::sync_task("s", 13, 0.3));
-        assert_eq!(sync_agg.goal(), 10);
-        assert_eq!(sync_agg.update_weight(10, 3), 10.0);
+        let sync_round = for_task(&TaskConfig::sync_task("s", 13, 0.3));
+        assert_eq!(sync_round.goal(), 10);
+        assert_eq!(sync_round.update_weight(10, 3), 10.0);
 
         let mut hybrid = for_task(&TaskConfig::timed_hybrid_task("h", 10, 4, 120.0));
         assert_eq!(hybrid.goal(), 4);
@@ -338,7 +337,6 @@ mod tests {
         };
         let mut strategies: Vec<Box<dyn Aggregator>> = vec![
             Box::new(FedBuffAggregator::new(2, StalenessWeighting::Constant)),
-            Box::new(SyncRoundAggregator::new(2)),
             Box::new(
                 FedBuffAggregator::new(2, StalenessWeighting::Constant).with_round_deadline(60.0),
             ),

@@ -556,10 +556,6 @@ impl Aggregator for DpAggregator {
         self.inner.goal()
     }
 
-    fn buffered(&self) -> usize {
-        self.inner.buffered()
-    }
-
     fn next_deadline_s(&self) -> Option<f64> {
         self.inner.next_deadline_s()
     }

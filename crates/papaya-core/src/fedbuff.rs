@@ -17,8 +17,11 @@
 //! round: still-running clients keep training and their uploads remain
 //! welcome, subject to the runtime's staleness bound.
 //!
-//! `FedBuffAggregator` implements the [`Aggregator`] protocol; drivers hold
-//! it as `Box<dyn Aggregator>` next to the synchronous strategy.
+//! `FedBuffAggregator` implements the [`Aggregator`] protocol, and it is the
+//! one buffering strategy for both training modes: a synchronous task runs
+//! it at [`StalenessWeighting::Constant`] with no deadline, and the runtime
+//! closes the round at each release
+//! ([`aggregator::for_task`](crate::aggregator::for_task)).
 
 use crate::aggregator::AccumulateOutcome;
 use crate::aggregator::{Aggregator, StackTelemetry, WeightedBuffer};
@@ -130,10 +133,6 @@ impl Aggregator for FedBuffAggregator {
         self.aggregation_goal
     }
 
-    fn buffered(&self) -> usize {
-        self.buffer.len()
-    }
-
     /// The virtual time at which the open buffer will be released by the
     /// round deadline; `None` without a deadline or while the buffer is
     /// empty.
@@ -225,7 +224,7 @@ mod tests {
         let mut agg = FedBuffAggregator::new(3, StalenessWeighting::Constant);
         agg.accumulate(update(0, vec![1.0], 1, 0), 0, 0.0);
         assert!(agg.take(0.0).is_none());
-        assert_eq!(agg.buffered(), 1);
+        assert_eq!(agg.reset(), 1);
     }
 
     #[test]
@@ -235,7 +234,7 @@ mod tests {
             .accumulate(update(0, vec![2.0], 1, 0), 0, 0.0)
             .accepted());
         assert_eq!(agg.take(0.0).unwrap().as_slice(), &[2.0]);
-        assert_eq!(agg.buffered(), 0);
+        assert_eq!(agg.reset(), 0);
         assert!(agg
             .accumulate(update(1, vec![6.0], 1, 0), 0, 0.0)
             .accepted());
@@ -287,7 +286,7 @@ mod tests {
             .accumulate(update(1, vec![2.0], 5, 0), 0, 0.0)
             .accepted());
         assert_eq!(agg.reset(), 2);
-        assert_eq!(agg.buffered(), 0);
+        assert_eq!(agg.reset(), 0);
         assert!(agg.take(0.0).is_none());
         // The next goal starts from an empty buffer.
         agg.accumulate(update(2, vec![9.0], 5, 0), 0, 0.0);
@@ -320,8 +319,8 @@ mod tests {
         assert!(agg.take(69.9).is_none());
         assert!(agg.is_ready(70.0));
         assert_eq!(agg.take(70.0).unwrap().as_slice(), &[2.0]);
-        assert_eq!(agg.buffered(), 0);
         assert_eq!(agg.next_deadline_s(), None);
+        assert_eq!(agg.reset(), 0);
     }
 
     #[test]

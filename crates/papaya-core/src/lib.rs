@@ -12,11 +12,11 @@
 //!   every aggregation strategy implements, shared lifetime counters, and
 //!   the [`aggregator::for_task`] factory mapping a task's mode to a
 //!   strategy;
-//! * [`fedbuff`] — buffered asynchronous aggregation (Nguyen et al., 2021 as
-//!   deployed by PAPAYA, Section 3.1 / Appendix E.2), optionally
-//!   force-released on a round deadline to bound the straggler tail;
-//! * [`sync_agg`] — synchronous round aggregation with over-selection and
-//!   mid-round replacement;
+//! * [`fedbuff`] — the one buffering strategy, two modes: buffered
+//!   asynchronous aggregation (Nguyen et al., 2021 as deployed by PAPAYA,
+//!   Section 3.1 / Appendix E.2), optionally force-released on a round
+//!   deadline to bound the straggler tail, and synchronous rounds with
+//!   over-selection at constant staleness weight;
 //! * [`secure`] — the [`secure::SecureAggregator`] decorator running any
 //!   strategy through the TEE-based asynchronous secure-aggregation
 //!   protocol (masking on accumulate, per-buffer TSA key release on take);
@@ -79,7 +79,6 @@ pub mod secure;
 pub mod server_opt;
 pub mod staleness;
 pub mod surrogate;
-pub mod sync_agg;
 pub mod trace;
 
 pub use adversary::{AdversarySpec, DeviationKind, Malice};
@@ -88,4 +87,3 @@ pub use dp::{DpAggregator, DpConfig, DpTelemetry, PrivacyAccountant};
 pub use fedbuff::FedBuffAggregator;
 pub use robust::{RobustAggregator, RobustConfig, RobustDefense, RobustTelemetry};
 pub use secure::{SecureAggregator, SecureTelemetry};
-pub use sync_agg::SyncRoundAggregator;

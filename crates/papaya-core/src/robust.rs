@@ -302,10 +302,6 @@ impl Aggregator for RobustAggregator {
         self.inner.goal()
     }
 
-    fn buffered(&self) -> usize {
-        self.inner.buffered()
-    }
-
     fn next_deadline_s(&self) -> Option<f64> {
         self.inner.next_deadline_s()
     }
@@ -460,7 +456,7 @@ mod tests {
             assert!(!outcome.accepted());
         }
         assert_eq!(robust.telemetry().rejected_non_finite, 3);
-        assert_eq!(robust.buffered(), 0, "poison never reached the buffer");
+        assert_eq!(robust.reset(), 0, "poison never reached the buffer");
     }
 
     #[test]

@@ -1,14 +1,16 @@
 //! Behavioral conformance suite for the [`Aggregator`] protocol.
 //!
-//! Every aggregation strategy — FedBuff with and without a round deadline,
-//! synchronous rounds, and any future addition — must satisfy the same contract the
+//! One buffering strategy serves both training modes, and every
+//! configuration of it — FedBuff for asynchronous tasks, with and without a
+//! round deadline, and FedBuff at constant weighting for synchronous rounds,
+//! built by `aggregator::for_task` — must satisfy the same contract the
 //! runtime relies on: goal/readiness invariants, weighted-average releases
 //! (including the all-zero-weight edge case), reset-after-crash semantics
 //! with preserved lifetime telemetry, and no refusal: the runtime alone
 //! bounds staleness and closes rounds, so every update offered is folded,
 //! however stale and however full the buffer.  Each check is written once
 //! against `&mut dyn Aggregator` and run against all registered implementations —
-//! including a [`SecureAggregator`]-wrapped variant of each strategy (the
+//! including a [`SecureAggregator`]-wrapped variant of each configuration (the
 //! secure decorator alters the numerics only to fixed-point precision), a
 //! [`DpAggregator`]-wrapped variant (noiseless, with an unreachable clip
 //! bound — DP alters the numerics only when clipping or noise actually
@@ -22,12 +24,12 @@
 //! stack.  The compiler already makes each decorator spell every hook out;
 //! this checks the forwards go to the inner strategy.
 
-use papaya_core::aggregator::{AccumulateOutcome, Aggregator, StackTelemetry};
+use papaya_core::aggregator::{for_task, AccumulateOutcome, Aggregator, StackTelemetry};
 use papaya_core::client::ClientUpdate;
 use papaya_core::staleness::StalenessWeighting;
 use papaya_core::{
     DpAggregator, DpConfig, DpTelemetry, FedBuffAggregator, RobustAggregator, RobustConfig,
-    RobustTelemetry, SecureAggregator, SecureTelemetry, SyncRoundAggregator,
+    RobustTelemetry, SecureAggregator, SecureTelemetry, TaskConfig,
 };
 use papaya_nn::params::ParamVec;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -41,14 +43,19 @@ fn conformance_dp() -> DpConfig {
     DpConfig::new(1e6, 0.0)
 }
 
-/// One factory per clear implementation, all configured with the same goal.
+/// One factory per clear configuration, all with the same goal.  The
+/// synchronous one comes from the task factory, so its Sync arm is held to
+/// the whole contract.
 fn clear_implementations() -> Vec<(&'static str, Box<dyn Aggregator>)> {
     vec![
         (
             "fedbuff",
             Box::new(FedBuffAggregator::new(GOAL, StalenessWeighting::Constant)),
         ),
-        ("sync_round", Box::new(SyncRoundAggregator::new(GOAL))),
+        (
+            "sync_round",
+            for_task(&TaskConfig::sync_task("sync_round", GOAL, 0.0)),
+        ),
         (
             "fedbuff_deadline",
             Box::new(
@@ -119,7 +126,6 @@ fn fill(agg: &mut dyn Aggregator, n: usize, value: f32) {
 fn goal_and_readiness_invariants() {
     for (name, mut agg) in implementations() {
         assert_eq!(agg.goal(), GOAL, "{name}");
-        assert_eq!(agg.buffered(), 0, "{name}");
         assert!(!agg.is_ready(0.0), "{name}: empty buffer must not be ready");
         assert!(
             agg.take(0.0).is_none(),
@@ -127,7 +133,6 @@ fn goal_and_readiness_invariants() {
         );
 
         fill(agg.as_mut(), GOAL - 1, 1.0);
-        assert_eq!(agg.buffered(), GOAL - 1, "{name}");
         assert!(!agg.is_ready(2.0), "{name}: one short of goal");
         assert!(agg.take(2.0).is_none(), "{name}");
 
@@ -135,9 +140,9 @@ fn goal_and_readiness_invariants() {
         assert!(agg.is_ready(2.0), "{name}: goal met must be ready");
         let released = agg.take(2.0).expect("ready aggregator must release");
         assert_eq!(released.len(), 2, "{name}");
-        assert_eq!(agg.buffered(), 0, "{name}: release empties the buffer");
         assert!(!agg.is_ready(2.0), "{name}: drained buffer is not ready");
         assert!(agg.take(2.0).is_none(), "{name}");
+        assert_eq!(agg.reset(), 0, "{name}: release empties the buffer");
     }
 }
 
@@ -185,7 +190,7 @@ fn reset_after_crash_drops_buffer_and_preserves_stats() {
             GOAL - 1,
             "{name}: reset must report dropped updates"
         );
-        assert_eq!(agg.buffered(), 0, "{name}");
+        assert_eq!(agg.reset(), 0, "{name}: a second reset drops nothing");
         assert!(!agg.is_ready(1e12), "{name}: reset buffer is never ready");
         assert!(agg.take(1e12).is_none(), "{name}");
         if let Some(secure) = agg.stack_telemetry().secure {
@@ -227,7 +232,7 @@ fn every_update_offered_is_folded() {
             AccumulateOutcome::Accepted { staleness: 1_000 },
             "{name}"
         );
-        assert_eq!(agg.buffered(), GOAL + 1, "{name}");
+        assert_eq!(agg.reset(), GOAL + 1, "{name}");
     }
 }
 
@@ -256,9 +261,6 @@ impl Aggregator for Probe {
     }
     fn goal(&self) -> usize {
         41
-    }
-    fn buffered(&self) -> usize {
-        0
     }
     fn next_deadline_s(&self) -> Option<f64> {
         Some(123.5)

@@ -24,15 +24,6 @@ pub enum EventKind {
         /// Identifier of this participation (ties the finish to its start).
         participation_id: u64,
     },
-    /// [`EventKind::TaskClientFailed`] for task 0.
-    ClientFailed {
-        /// Device id of the client.
-        client_id: usize,
-        /// Identifier of this participation.
-        participation_id: u64,
-    },
-    /// [`EventKind::EvaluateTask`] for task 0.
-    Evaluate,
     /// Periodic utilization sample (direct runs; fleet runs sample at
     /// control-plane ticks).
     SampleUtilization,
@@ -114,14 +105,6 @@ impl fmt::Display for EventKind {
                 f,
                 "client {client_id} finished (participation {participation_id})"
             ),
-            EventKind::ClientFailed {
-                client_id,
-                participation_id,
-            } => write!(
-                f,
-                "client {client_id} failed (participation {participation_id})"
-            ),
-            EventKind::Evaluate => write!(f, "evaluate global model"),
             EventKind::SampleUtilization => write!(f, "sample utilization"),
             EventKind::TaskClientFinished {
                 task,
@@ -259,9 +242,9 @@ mod tests {
     #[test]
     fn events_pop_in_time_order() {
         let mut q = EventQueue::new();
-        q.schedule(5.0, EventKind::Evaluate);
+        q.schedule(5.0, EventKind::EvaluateTask { task: 0 });
         q.schedule(1.0, EventKind::SampleUtilization);
-        q.schedule(3.0, EventKind::Evaluate);
+        q.schedule(3.0, EventKind::EvaluateTask { task: 0 });
         let times: Vec<f64> = std::iter::from_fn(|| q.pop()).map(|e| e.time).collect();
         assert_eq!(times, vec![1.0, 3.0, 5.0]);
     }
@@ -305,7 +288,7 @@ mod tests {
     fn len_and_is_empty() {
         let mut q = EventQueue::new();
         assert!(q.is_empty());
-        q.schedule(1.0, EventKind::Evaluate);
+        q.schedule(1.0, EventKind::SampleUtilization);
         assert_eq!(q.len(), 1);
         q.pop();
         assert!(q.is_empty());
@@ -350,7 +333,7 @@ mod tests {
     #[should_panic(expected = "finite")]
     fn non_finite_time_rejected() {
         let mut q = EventQueue::new();
-        q.schedule(f64::NAN, EventKind::Evaluate);
+        q.schedule(f64::NAN, EventKind::SampleUtilization);
     }
 
     /// An event and its schedule sequence number, ordered the way the queue

@@ -30,6 +30,10 @@ impl Report {
     /// - the synchronous rounds fit in the run: `round_duration_sum_s` ≤
     ///   the run's virtual seconds (`virtual_hours · 3600`), within four
     ///   ulps of rounding;
+    /// - one timed round per release: `round_durations_s.offered()` is 0
+    ///   (an asynchronous task) or `server_updates` (a synchronous one).  A
+    ///   report does not carry its task's mode, so the law is the
+    ///   disjunction;
     /// - `discarded_updates` = 0 (see below);
     /// - `rejected_by_defense_updates` = the robust stage's rejections;
     /// - under DP, `dp.releases` = `server_updates` and
@@ -109,6 +113,13 @@ impl Ledger {
             "round_duration_sum_s <= virtual_hours * 3600",
             m.round_duration_sum_s <= run_s * (1.0 + 4.0 * f64::EPSILON),
             format!("{} vs {run_s}", m.round_duration_sum_s),
+        );
+        let rounds = m.round_durations_s.offered();
+        self.check(
+            task,
+            "round_durations_s.offered() is 0 or server_updates",
+            rounds == 0 || rounds == m.server_updates,
+            format!("{rounds} vs {}", m.server_updates),
         );
         // Nothing increments `discarded_updates`: no update reaches a closed
         // round, because `end_sync_round` aborts the round's stragglers.
@@ -236,7 +247,7 @@ impl Ledger {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::{EvalPolicy, RunLimits, Scenario};
+    use crate::scenario::{EvalPolicy, FleetSpec, RunLimits, Scenario};
     use papaya_core::{
         AdversarySpec, DpConfig, Malice, RobustConfig, RobustDefense, SecAggMode, TaskConfig,
     };
@@ -266,6 +277,25 @@ mod tests {
             .run()
     }
 
+    /// Synchronous rounds with one over-selected client and a high
+    /// dropout rate on the fleet path, where demand is refilled only at
+    /// control-plane ticks: some rounds close with a straggler to abort,
+    /// others after the extra dropped out unreplaced, with none in flight.
+    fn sync_run() -> Report {
+        Scenario::builder()
+            .population(Population::generate(
+                &PopulationConfig::default().with_size(200).with_dropout(0.3),
+                5,
+            ))
+            .task(TaskConfig::sync_task("sync", 5, 0.25))
+            .fleet(FleetSpec::new(1, 1))
+            .limits(RunLimits::default().with_max_client_updates(200))
+            .eval(EvalPolicy::default().with_interval_s(600.0))
+            .seed(5)
+            .build()
+            .run()
+    }
+
     fn broken_laws(report: &Report) -> Vec<&'static str> {
         let violations = report.audit().err().unwrap_or_default();
         violations.iter().map(|v| v.law).collect()
@@ -283,10 +313,20 @@ mod tests {
     }
 
     #[test]
+    fn a_synchronous_run_times_one_round_per_release() {
+        let report = sync_run();
+        assert_eq!(report.audit(), Ok(()));
+        let m = &report.single().metrics;
+        assert!(m.server_updates > 0);
+        assert!(m.aborted_by_round_end > 0);
+        assert_eq!(m.round_durations_s.offered(), m.server_updates);
+    }
+
+    #[test]
     fn each_miscount_breaks_its_law() {
         let clean = stacked_run();
         type Tamper = fn(&mut Report);
-        let cases: [(Tamper, &str); 10] = [
+        let cases: [(Tamper, &str); 11] = [
             (
                 // An update counted as accepted that no stage accepted.
                 |r| {
@@ -313,6 +353,11 @@ mod tests {
                 // A round timed from the start of the run, not of the round.
                 |r| r.tasks[0].metrics.round_duration_sum_s = r.virtual_hours * 3600.0 * 1.000_001,
                 "round_duration_sum_s <= virtual_hours * 3600",
+            ),
+            (
+                // A round timed that no release closed.
+                |r| r.tasks[0].metrics.record_round_duration(60.0),
+                "round_durations_s.offered() is 0 or server_updates",
             ),
             // A server update applied without being counted.
             (|r| r.tasks[0].final_version += 1, "server_updates = final_version"),

@@ -1288,7 +1288,7 @@ impl<'a> Run<'a> {
             }
             self.now = event.time;
             events_processed += 1;
-            // The un-scoped client and evaluation events are task 0's.
+            // The un-scoped finish event is task 0's.
             let mut stop = None;
             match event.kind {
                 EventKind::ClientFinished {
@@ -1305,17 +1305,12 @@ impl<'a> Run<'a> {
                     stop =
                         self.client_finished(task, client_id, participation_id, Some(slot), route)
                 }
-                EventKind::ClientFailed {
-                    client_id: _,
-                    participation_id,
-                } => self.client_failed(0, participation_id, None),
                 EventKind::TaskClientFailed {
                     task,
                     client_id: _,
                     participation_id,
                     slot,
-                } => self.client_failed(task, participation_id, Some(slot)),
-                EventKind::Evaluate => stop = self.evaluate(0),
+                } => self.client_failed(task, participation_id, slot),
                 EventKind::EvaluateTask { task } => stop = self.evaluate(task),
                 EventKind::SampleUtilization => self.sample_utilization(),
                 EventKind::AggregatorDeadline { task } => stop = self.aggregator_deadline(task),
@@ -1522,8 +1517,9 @@ impl<'a> Run<'a> {
 
     /// A participation ended without an upload (dropout or timeout); its
     /// device is free again.
-    fn client_failed(&mut self, task: usize, participation_id: u64, slot: Option<InFlightSlot>) {
-        if let Some(freed_client) = self.runtimes[task].client_failed(participation_id, slot) {
+    fn client_failed(&mut self, task: usize, participation_id: u64, slot: InFlightSlot) {
+        if let Some(freed_client) = self.runtimes[task].client_failed(participation_id, Some(slot))
+        {
             self.pool.release(freed_client);
             if self.plane.is_none() {
                 self.fill_demand(task);
@@ -2243,7 +2239,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "eval.interval_s must be positive and finite")]
     fn zero_eval_interval_rejected() {
-        // Would reschedule `Evaluate` at `now + 0` forever.
+        // Would reschedule `EvaluateTask` at `now + 0` forever.
         let _ = one_task()
             .eval(EvalPolicy::default().with_interval_s(0.0))
             .build();
