@@ -50,7 +50,7 @@ use std::sync::Arc;
 /// event loop, as the real LSTM does in production.  (The figure-experiment
 /// config is tuned for convergence dynamics instead and trains in ~1 µs,
 /// which would exercise the event queue rather than the training path.)
-pub(crate) fn perf_surrogate_config() -> SurrogateConfig {
+pub fn perf_surrogate_config() -> SurrogateConfig {
     SurrogateConfig {
         dim: 128,
         heterogeneity: 0.5,

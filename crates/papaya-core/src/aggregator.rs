@@ -19,8 +19,10 @@
 //!   met (Section 7 / Appendix E.3), at constant staleness weight: within a
 //!   round the server model does not move.
 //!
-//! [`for_task`] builds the strategy a [`TaskConfig`] asks for, so drivers
-//! hold a `Box<dyn Aggregator>` and never branch on the mode.
+//! [`for_task`] builds the strategy a [`TaskConfig`] asks for, and
+//! [`AggregationStack::for_task`] wraps it in the decorators the config asks
+//! for, so drivers hold an [`AggregationStack`] and never branch on the mode
+//! or on which layers are on.
 //!
 //! Whether a release closes a round and which staleness bound aborts
 //! in-flight clients are participation policy, fixed by the task's
@@ -54,8 +56,11 @@
 //! ```
 
 use crate::client::ClientUpdate;
-use crate::config::{TaskConfig, TrainingMode};
+use crate::config::{SecAggMode, TaskConfig, TrainingMode};
+use crate::dp::DpAggregator;
 use crate::fedbuff::FedBuffAggregator;
+use crate::robust::RobustAggregator;
+use crate::secure::{self, SecureAggregator};
 use crate::staleness::StalenessWeighting;
 use papaya_nn::params::ParamVec;
 
@@ -70,7 +75,7 @@ pub enum AccumulateOutcome {
     /// A robust-aggregation defense rejected the update before it could
     /// reach the wrapped strategy's buffer: it carried NaN/infinite values
     /// or its L2 norm exceeded the configured filter bound
-    /// ([`crate::robust::RobustAggregator`]).
+    /// ([`RobustAggregator`]).
     RejectedByDefense,
 }
 
@@ -87,16 +92,16 @@ impl AccumulateOutcome {
 #[derive(Clone, Copy, Debug, Default)]
 pub struct StackTelemetry<'a> {
     /// Counters and the quantization-error trace of the
-    /// [`SecureAggregator`](crate::secure::SecureAggregator).
+    /// [`SecureAggregator`].
     pub secure: Option<&'a crate::secure::SecureTelemetry>,
     /// On-loop wall-clock of the secure pipeline's phases, for profiling
     /// (machine-dependent, so never part of a report fingerprint).
     pub secure_timings: Option<crate::secure::SecureTimings>,
     /// Clip counts, release trace and cumulative ε of the
-    /// [`DpAggregator`](crate::dp::DpAggregator).
+    /// [`DpAggregator`].
     pub dp: Option<&'a crate::dp::DpTelemetry>,
     /// Rejection counts and the estimator trace of the
-    /// [`RobustAggregator`](crate::robust::RobustAggregator).
+    /// [`RobustAggregator`].
     pub robust: Option<&'a crate::robust::RobustTelemetry>,
 }
 
@@ -149,7 +154,7 @@ pub trait Aggregator: Send {
     ///
     /// Must be a pure function of that metadata (no buffer state) and must
     /// be exactly the weight [`accumulate`](Aggregator::accumulate) folds
-    /// with — [`crate::secure::SecureAggregator`] relies on this to
+    /// with — [`SecureAggregator`] relies on this to
     /// reproduce the weighted average in ciphertext space, where the weight
     /// is applied client-side before masking and the weight *total* is the
     /// only thing the server tracks in the clear.
@@ -174,10 +179,10 @@ pub trait Aggregator: Send {
 /// Builds the aggregation strategy a task's [`TrainingMode`] asks for: one
 /// FedBuff buffer, configured per mode.
 ///
-/// This is the only place the mode configures the strategy; everything
-/// downstream works through `Box<dyn Aggregator>`.  The participation
-/// policy the mode fixes (demand, round closing, the staleness bound) the
-/// runtime reads from the config.
+/// This is the only place the mode configures the strategy;
+/// [`AggregationStack::for_task`] wraps it in the task's layers.  The
+/// participation policy the mode fixes (demand, round closing, the
+/// staleness bound) the runtime reads from the config.
 pub fn for_task(config: &TaskConfig) -> Box<dyn Aggregator> {
     match config.mode {
         TrainingMode::Async {
@@ -198,6 +203,118 @@ pub fn for_task(config: &TaskConfig) -> Box<dyn Aggregator> {
             FedBuffAggregator::new(config.aggregation_goal, StalenessWeighting::Constant)
                 .with_example_weighting(config.weight_by_examples),
         ),
+    }
+}
+
+/// The aggregation stack of one task: its [`for_task`] strategy inside the
+/// layers its config asks for, always as `robust(dp(secure(strategy)))`,
+/// each layer optional.
+///
+/// [`AggregationStack::for_task`] is the only constructor, so every stack a
+/// run holds has the same order:
+///
+/// - SecAgg ([`SecAggMode`]) wraps the strategy: masking on accumulate, a
+///   per-buffer TSA key release on take, crash-time buffer drops without a
+///   key release, at the threshold [`secure::recommended_threshold`]
+///   derives from the mode;
+/// - DP ([`crate::dp::DpConfig`]) goes outside SecAgg, so clipping happens
+///   on the client before any masking and the release noise lands on the
+///   decoded aggregate (where the TEE would add it);
+/// - the robust defense ([`crate::robust::RobustConfig`]) goes outermost:
+///   it screens raw client updates before any layer buffers them, and its
+///   engaged estimators replace the final release.  No inner layer ever
+///   sees an update it refuses.
+pub struct AggregationStack {
+    tower: Box<dyn Aggregator>,
+}
+
+impl AggregationStack {
+    /// Builds the stack `config` asks for.  `dim` is the length of the
+    /// updates (the secure layer sizes its group vectors by it) and `seed`
+    /// the task seed, from which the secure protocol and the DP noise draw
+    /// their own streams.
+    pub fn for_task(config: &TaskConfig, dim: usize, seed: u64) -> Self {
+        let strategy = for_task(config);
+        // The two secure modes differ only in the key-exchange schedule.
+        let secure: Option<fn(_, _, _, _) -> SecureAggregator> = match config.secagg {
+            SecAggMode::Disabled => None,
+            SecAggMode::AsyncSecAgg => Some(SecureAggregator::new),
+            SecAggMode::AsyncSecAggPerUpdate => Some(SecureAggregator::new_per_update),
+        };
+        let tower: Box<dyn Aggregator> = match secure {
+            None => strategy,
+            Some(build) => {
+                let mut secure = build(
+                    strategy,
+                    dim,
+                    secure::recommended_threshold(config),
+                    // Domain-separate the protocol stream from the training
+                    // and driver streams derived from the same task seed.
+                    seed ^ 0x5ECA_665E_CA66,
+                );
+                if let Some(spec) = config.adversary {
+                    // Arms wrong-counter / garbage-mask uploads for the
+                    // spec's malicious cohort (no-op for payload attacks):
+                    // the simulated malicious client lives inside the
+                    // secure pipeline's client side.
+                    secure = secure.with_deviation(spec);
+                }
+                Box::new(secure)
+            }
+        };
+        let tower: Box<dyn Aggregator> = match config.dp {
+            None => tower,
+            // Domain-separate the noise stream from the training, driver,
+            // and secure-protocol streams derived from the same task seed
+            // (DpAggregator hashes its seed again under a dp-only domain).
+            Some(dp) => Box::new(DpAggregator::new(tower, dp, seed ^ 0xD1FF_D1FF)),
+        };
+        let tower: Box<dyn Aggregator> = match config.robust {
+            None => tower,
+            // Fully deterministic: no seed to domain-separate.
+            Some(robust) => Box::new(RobustAggregator::new(tower, robust)),
+        };
+        AggregationStack { tower }
+    }
+
+    /// [`Aggregator::accumulate`] through every layer.
+    pub fn accumulate(
+        &mut self,
+        update: ClientUpdate,
+        current_version: u64,
+        now_s: f64,
+    ) -> AccumulateOutcome {
+        self.tower.accumulate(update, current_version, now_s)
+    }
+
+    /// [`Aggregator::is_ready`].
+    pub fn is_ready(&self, now_s: f64) -> bool {
+        self.tower.is_ready(now_s)
+    }
+
+    /// [`Aggregator::take`]: the release every layer has processed.
+    pub fn take(&mut self, now_s: f64) -> Option<ParamVec> {
+        self.tower.take(now_s)
+    }
+
+    /// [`Aggregator::reset`]: every layer drops its buffer.
+    pub fn reset(&mut self) -> usize {
+        self.tower.reset()
+    }
+
+    /// [`Aggregator::next_deadline_s`].
+    pub fn next_deadline_s(&self) -> Option<f64> {
+        self.tower.next_deadline_s()
+    }
+
+    /// [`Aggregator::plan_mask_precompute`].
+    pub fn plan_mask_precompute(&mut self, client_id: usize) {
+        self.tower.plan_mask_precompute(client_id);
+    }
+
+    /// What the stack's layers have recorded so far, one field per layer.
+    pub fn telemetry(&self) -> StackTelemetry<'_> {
+        self.tower.stack_telemetry()
     }
 }
 
@@ -305,6 +422,101 @@ mod tests {
         agg.accumulate(update(0, 0.0, 1000), 0, 0.0);
         agg.accumulate(update(1, 2.0, 1), 0, 0.0);
         assert!((agg.take(0.0).unwrap().as_slice()[0] - 1.0).abs() < 1e-6);
+    }
+
+    /// A task under every layer: SecAgg, DP and a norm filter.
+    fn fully_stacked_task() -> TaskConfig {
+        TaskConfig::async_task("stack", 8, 2)
+            .with_secagg(SecAggMode::AsyncSecAgg)
+            .with_dp(crate::DpConfig::new(4.0, 0.5))
+            .with_robust(crate::RobustConfig::new(crate::RobustDefense::NormFilter {
+                max_norm: 5.0,
+            }))
+    }
+
+    fn unit_update(client_id: usize, value: f32) -> ClientUpdate {
+        ClientUpdate {
+            client_id,
+            delta: ParamVec::from_vec(vec![value; 4]),
+            num_examples: 10,
+            start_version: 0,
+            train_loss: 0.0,
+        }
+    }
+
+    #[test]
+    fn aggregation_stack_screens_updates_before_any_inner_layer() {
+        let mut stack = AggregationStack::for_task(&fully_stacked_task(), 4, 9);
+        stack.plan_mask_precompute(0);
+        assert_eq!(
+            stack.accumulate(unit_update(0, 100.0), 0, 0.0),
+            AccumulateOutcome::RejectedByDefense
+        );
+        let telemetry = stack.telemetry();
+        let (secure, dp) = (telemetry.secure.unwrap(), telemetry.dp.unwrap());
+        assert_eq!(telemetry.robust.unwrap().rejected_by_norm, 1);
+        assert_eq!(secure.masked_updates, 0);
+        assert_eq!(secure.masked_discarded, 0);
+        assert_eq!(dp.accepted_updates, 0);
+        // An update within the bound reaches every layer.
+        stack.plan_mask_precompute(1);
+        assert!(stack.accumulate(unit_update(1, 0.5), 0, 1.0).accepted());
+        let telemetry = stack.telemetry();
+        assert_eq!(telemetry.secure.unwrap().masked_updates, 1);
+        assert_eq!(telemetry.dp.unwrap().accepted_updates, 1);
+    }
+
+    #[test]
+    fn aggregation_stack_is_the_hand_built_tower() {
+        // A protocol deviation, so the secure layer's arming is compared too.
+        let deviation = crate::Malice::SecAggDeviation {
+            kind: crate::DeviationKind::WrongCounter,
+        };
+        let task = fully_stacked_task().with_adversary(crate::AdversarySpec::new(0.5, deviation));
+        let seed = 9;
+        let secure = SecureAggregator::new(
+            for_task(&task),
+            4,
+            secure::recommended_threshold(&task),
+            seed ^ 0x5ECA_665E_CA66,
+        )
+        .with_deviation(task.adversary.unwrap());
+        let dp = DpAggregator::new(Box::new(secure), task.dp.unwrap(), seed ^ 0xD1FF_D1FF);
+        let mut tower = RobustAggregator::new(Box::new(dp), task.robust.unwrap());
+        let mut stack = AggregationStack::for_task(&task, 4, seed);
+        for client_id in 0..6 {
+            tower.plan_mask_precompute(client_id);
+            stack.plan_mask_precompute(client_id);
+            let value = client_id as f32 * 0.25 - 0.5;
+            let now = client_id as f64;
+            assert_eq!(
+                tower.accumulate(unit_update(client_id, value), 0, now),
+                stack.accumulate(unit_update(client_id, value), 0, now)
+            );
+            assert_eq!(tower.is_ready(now), stack.is_ready(now));
+            let released = (tower.take(now), stack.take(now));
+            let bits = |delta: Option<ParamVec>| {
+                delta.map(|d| d.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>())
+            };
+            assert_eq!(bits(released.0), bits(released.1));
+        }
+        let (expected, actual) = (tower.stack_telemetry(), stack.telemetry());
+        assert_eq!(expected.secure, actual.secure);
+        assert_eq!(expected.dp, actual.dp);
+        assert_eq!(expected.robust, actual.robust);
+    }
+
+    #[test]
+    fn aggregation_stack_without_layers_reports_none() {
+        let mut stack = AggregationStack::for_task(&TaskConfig::sync_task("s", 2, 0.0), 4, 9);
+        stack.plan_mask_precompute(0);
+        assert!(stack.accumulate(unit_update(0, 1.0), 0, 0.0).accepted());
+        assert!(!stack.is_ready(0.0));
+        assert_eq!(stack.next_deadline_s(), None);
+        assert_eq!(stack.reset(), 1);
+        let telemetry = stack.telemetry();
+        assert!(telemetry.secure.is_none() && telemetry.dp.is_none());
+        assert!(telemetry.robust.is_none() && telemetry.secure_timings.is_none());
     }
 
     #[test]

@@ -9,9 +9,10 @@
 //! * [`staleness`] — the staleness down-weighting schemes (the paper uses
 //!   `1/sqrt(1 + s)`);
 //! * [`aggregator`] — the [`Aggregator`](aggregator::Aggregator) trait
-//!   every aggregation strategy implements, shared lifetime counters, and
-//!   the [`aggregator::for_task`] factory mapping a task's mode to a
-//!   strategy;
+//!   every aggregation strategy implements, the [`aggregator::for_task`]
+//!   factory mapping a task's mode to a strategy, and
+//!   [`aggregator::AggregationStack`], the one place a task's strategy and
+//!   decorators are composed;
 //! * [`fedbuff`] — the one buffering strategy, two modes: buffered
 //!   asynchronous aggregation (Nguyen et al., 2021 as deployed by PAPAYA,
 //!   Section 3.1 / Appendix E.2), optionally force-released on a round

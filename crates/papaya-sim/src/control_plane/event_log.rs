@@ -76,34 +76,6 @@ pub enum ControlEvent {
     },
 }
 
-impl std::fmt::Display for ControlEvent {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ControlEvent::Init {
-                heartbeat_timeout_s,
-                seed,
-            } => write!(f, "init timeout={heartbeat_timeout_s}s seed={seed}"),
-            ControlEvent::AggregatorRegistered { id, time_s } => {
-                write!(f, "aggregator {id} registered at {time_s}s")
-            }
-            ControlEvent::Heartbeat { id, time_s } => {
-                write!(f, "heartbeat from aggregator {id} at {time_s}s")
-            }
-            ControlEvent::TaskSubmitted { spec } => {
-                write!(f, "task {} ({}) submitted", spec.id, spec.name)
-            }
-            ControlEvent::DemandReported { task, demand } => {
-                write!(f, "task {task} demand reported: {demand}")
-            }
-            ControlEvent::ClientCheckIn { capability_tier } => {
-                write!(f, "client check-in (tier {capability_tier})")
-            }
-            ControlEvent::FailureSweep { time_s } => write!(f, "failure sweep at {time_s}s"),
-            ControlEvent::Reconcile { time_s } => write!(f, "reconcile pass at {time_s}s"),
-        }
-    }
-}
-
 /// The append-only log, possibly compacted behind a checkpoint.
 ///
 /// Offsets are *absolute*: event `i` keeps offset `i` forever, compaction
@@ -220,42 +192,5 @@ mod tests {
         }
         log.compact_to(2);
         let _ = log.iter_from(1).count();
-    }
-
-    #[test]
-    fn events_display_readably() {
-        let spec = TaskSpec {
-            id: 3,
-            name: "keyboard".into(),
-            concurrency: 10,
-            model_size_bytes: 1_000,
-            min_capability_tier: 0,
-        };
-        let rendered = [
-            ControlEvent::Init {
-                heartbeat_timeout_s: 25.0,
-                seed: 7,
-            }
-            .to_string(),
-            ControlEvent::AggregatorRegistered { id: 1, time_s: 0.0 }.to_string(),
-            ControlEvent::Heartbeat { id: 2, time_s: 9.5 }.to_string(),
-            ControlEvent::TaskSubmitted { spec }.to_string(),
-            ControlEvent::DemandReported { task: 3, demand: 8 }.to_string(),
-            ControlEvent::ClientCheckIn { capability_tier: 2 }.to_string(),
-            ControlEvent::FailureSweep { time_s: 30.0 }.to_string(),
-            ControlEvent::Reconcile { time_s: 30.0 }.to_string(),
-        ];
-        for (text, needle) in rendered.iter().zip([
-            "init",
-            "registered",
-            "heartbeat",
-            "keyboard",
-            "demand",
-            "check-in",
-            "sweep",
-            "reconcile",
-        ]) {
-            assert!(text.contains(needle), "{text:?} missing {needle:?}");
-        }
     }
 }

@@ -9,7 +9,6 @@ use crate::slab::Slab;
 use crate::task_runtime::InFlightSlot;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::fmt;
 
 /// Virtual time in seconds.
 pub(crate) type SimTime = f64;
@@ -92,57 +91,6 @@ pub enum EventKind {
         /// The task whose aggregator reached its deadline.
         task: usize,
     },
-}
-
-impl fmt::Display for EventKind {
-    /// Human-readable event description for logs and example/bench output.
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            EventKind::ClientFinished {
-                client_id,
-                participation_id,
-            } => write!(
-                f,
-                "client {client_id} finished (participation {participation_id})"
-            ),
-            EventKind::SampleUtilization => write!(f, "sample utilization"),
-            EventKind::TaskClientFinished {
-                task,
-                client_id,
-                participation_id,
-                ..
-            } => write!(
-                f,
-                "task {task}: client {client_id} finished (participation {participation_id})"
-            ),
-            EventKind::TaskClientFailed {
-                task,
-                client_id,
-                participation_id,
-                ..
-            } => write!(
-                f,
-                "task {task}: client {client_id} failed (participation {participation_id})"
-            ),
-            EventKind::EvaluateTask { task } => write!(f, "evaluate task {task}"),
-            EventKind::ControlPlaneTick => {
-                write!(f, "control-plane sweep (heartbeats, demand, assignment)")
-            }
-            EventKind::RefreshSelectors => write!(f, "refresh stale selector maps"),
-            EventKind::AggregatorCrash { aggregator } => {
-                write!(f, "aggregator {aggregator} crashes")
-            }
-            EventKind::AggregatorRecover { aggregator } => {
-                write!(f, "aggregator {aggregator} recovers")
-            }
-            EventKind::ReconcileTick => {
-                write!(f, "control-plane reconcile pass (re-place divergent tasks)")
-            }
-            EventKind::AggregatorDeadline { task } => {
-                write!(f, "task {task}: aggregation deadline check")
-            }
-        }
-    }
 }
 
 /// A scheduled event.
@@ -292,41 +240,6 @@ mod tests {
         assert_eq!(q.len(), 1);
         q.pop();
         assert!(q.is_empty());
-    }
-
-    #[test]
-    fn control_plane_events_display_readably() {
-        assert_eq!(
-            EventKind::AggregatorCrash { aggregator: 2 }.to_string(),
-            "aggregator 2 crashes"
-        );
-        assert_eq!(
-            EventKind::ControlPlaneTick.to_string(),
-            "control-plane sweep (heartbeats, demand, assignment)"
-        );
-        assert_eq!(
-            EventKind::RefreshSelectors.to_string(),
-            "refresh stale selector maps"
-        );
-        assert_eq!(
-            EventKind::TaskClientFinished {
-                task: 1,
-                client_id: 7,
-                participation_id: 9,
-                slot: InFlightSlot(3),
-                route: Some(2),
-            }
-            .to_string(),
-            "task 1: client 7 finished (participation 9)"
-        );
-        assert_eq!(
-            EventKind::AggregatorRecover { aggregator: 2 }.to_string(),
-            "aggregator 2 recovers"
-        );
-        assert_eq!(
-            EventKind::ReconcileTick.to_string(),
-            "control-plane reconcile pass (re-place divergent tasks)"
-        );
     }
 
     #[test]

@@ -6,15 +6,16 @@
 //! to the caller as an [`InFlightSlot`], and a lookup or removal that passes
 //! it reaches the entry in one step.  Because an aborted participation frees
 //! its slot for the next insert, a hinted lookup checks the id stored in the
-//! slot and, on a mismatch or without a hint, falls back to a binary search
-//! of the index.
+//! slot; on a mismatch the entry is gone, since no entry leaves its slot.
+//! Only a lookup without a hint binary-searches the index.
 //!
 //! The index is the id-ordered list of `(id, slot)` pairs that serves
 //! everything walking the table in order: [`IdTable::iter`], and through it
 //! the staleness prefix scan and the end of a synchronous round.
 //! Participation ids come from one monotone counter
 //! (`Run::next_participation_id` in [`crate::scenario`]), so an insert is a
-//! push at the back.  A removal leaves its pair behind; dead pairs are popped
+//! push at the back; an id not above every id inserted before is refused.
+//! A removal leaves its pair behind; dead pairs are popped
 //! from the front as the oldest entries leave, and the index is compacted in
 //! place once dead pairs outnumber live ones [`MAX_DEAD_PER_LIVE`] to one —
 //! each removal pays for at most one and a half pairs of a later compaction,
@@ -22,9 +23,6 @@
 //! Compaction moves pairs, never entries, so every slot handed out stays
 //! valid.  Iteration order depends on nothing ambient, which is what
 //! `docs/DETERMINISM.md` asks of every collection on a fingerprinted path.
-//!
-//! An id that arrives out of order takes a sorted-insert slow path, so the
-//! type is a correct map for any sequence of calls, not only the run loop's.
 
 use crate::slab::Slab;
 use std::collections::VecDeque;
@@ -37,8 +35,8 @@ const MAX_DEAD_PER_LIVE: usize = 2;
 /// Where an in-flight participation is stored in its task's runtime: a
 /// handle [`TaskRuntime::begin_participation`] returns and the calls that
 /// end the participation take back, so they reach it without a search.  A
-/// slot is reused once its participation ends, and a call whose slot no
-/// longer holds its participation falls back to a search by id.
+/// slot is reused once its participation ends, so a call whose slot no
+/// longer holds its participation finds nothing.
 ///
 /// [`TaskRuntime::begin_participation`]: crate::task_runtime::TaskRuntime::begin_participation
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -53,6 +51,8 @@ pub(crate) struct IdTable<V> {
     /// been popped or compacted away yet.
     order: VecDeque<(u64, u32)>,
     live: usize,
+    /// The largest id inserted so far.
+    last_inserted: Option<u64>,
 }
 
 impl<V> IdTable<V> {
@@ -61,6 +61,7 @@ impl<V> IdTable<V> {
             entries: Slab::default(),
             order: VecDeque::new(),
             live: 0,
+            last_inserted: None,
         }
     }
 
@@ -69,34 +70,21 @@ impl<V> IdTable<V> {
         self.live
     }
 
-    /// Inserts `value` under `id` and returns its slot, with the value it
-    /// replaces.  A replaced entry keeps its slot.
-    pub(crate) fn insert(&mut self, id: u64, value: V) -> (InFlightSlot, Option<V>) {
-        if self.order.back().is_none_or(|&(last, _)| last < id) {
-            let slot = self.occupy(id, value);
-            self.order.push_back((id, slot));
-            return (InFlightSlot(slot), None);
-        }
-        match self.order.binary_search_by_key(&id, |&(id, _)| id) {
-            Ok(at) => {
-                let slot = self.order[at].1;
-                if let Some((present, old)) = self.entries.get_mut(slot) {
-                    if *present == id {
-                        return (InFlightSlot(slot), Some(std::mem::replace(old, value)));
-                    }
-                }
-                // The dead pair of an earlier entry under this id: the new
-                // entry takes over its place in the order.
-                let slot = self.occupy(id, value);
-                self.order[at] = (id, slot);
-                (InFlightSlot(slot), None)
-            }
-            Err(at) => {
-                let slot = self.occupy(id, value);
-                self.order.insert(at, (id, slot));
-                (InFlightSlot(slot), None)
-            }
-        }
+    /// Inserts `value` under `id` and returns its slot.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `id` is above every id inserted before.
+    pub(crate) fn insert(&mut self, id: u64, value: V) -> InFlightSlot {
+        assert!(
+            self.last_inserted.is_none_or(|last| last < id),
+            "participation id {id} inserted out of order"
+        );
+        self.last_inserted = Some(id);
+        self.live += 1;
+        let slot = self.entries.insert((id, value));
+        self.order.push_back((id, slot));
+        InFlightSlot(slot)
     }
 
     /// The value stored under `id`; `hint` is where it was inserted.
@@ -134,21 +122,18 @@ impl<V> IdTable<V> {
             })
     }
 
-    fn occupy(&mut self, id: u64, value: V) -> u32 {
-        self.live += 1;
-        self.entries.insert((id, value))
-    }
-
     /// The slot of the entry under `id`: `hint` if it holds that entry,
-    /// else the one the index records.
+    /// else none, since an entry never leaves the slot its insert returned.
+    /// Without a hint, the one the index records.
     fn find(&self, id: u64, hint: Option<InFlightSlot>) -> Option<u32> {
-        if let Some(InFlightSlot(slot)) = hint {
-            if holds(&self.entries, slot, id) {
-                return Some(slot);
+        let slot = match hint {
+            Some(InFlightSlot(slot)) => slot,
+            // Only the un-scoped `EventKind::ClientFinished` carries no slot.
+            None => {
+                let at = self.order.binary_search_by_key(&id, |&(id, _)| id).ok()?;
+                self.order[at].1
             }
-        }
-        let at = self.order.binary_search_by_key(&id, |&(id, _)| id).ok()?;
-        let slot = self.order[at].1;
+        };
         holds(&self.entries, slot, id).then_some(slot)
     }
 }
@@ -172,7 +157,8 @@ mod tests {
         /// The slot the id was last inserted into.  Stale when the id has
         /// been removed since, and possibly reused by another id.
         Own,
-        /// The slot another id was last inserted into.
+        /// The slot another id was last inserted into: it finds nothing
+        /// unless that is also where this id sits.
         Foreign { pick: usize },
     }
 
@@ -183,9 +169,6 @@ mod tests {
     enum Op {
         /// Insert the next id of the monotone counter.
         InsertNext,
-        /// Insert an id below the largest handed out: out of order, and a
-        /// duplicate when it is still present.
-        InsertOld { pick: usize },
         /// Remove an id below the largest handed out: present, already
         /// removed, or never inserted.
         Remove { pick: usize, hint: Hint },
@@ -218,10 +201,7 @@ mod tests {
                     _ => Op::Remove { pick, hint },
                 }
             } else {
-                match (0u32..10).sample(rng) {
-                    0 => Op::InsertOld { pick },
-                    _ => Op::InsertNext,
-                }
+                Op::InsertNext
             }
         }
     }
@@ -248,6 +228,18 @@ mod tests {
                 }
             }
         }
+
+        /// What a lookup of `id` through `slot` finds: the entry, if no slot
+        /// was passed or the one its insert returned.
+        fn find(&self, id: u64, slot: Option<InFlightSlot>) -> Option<&u64> {
+            let reaches = slot.is_none() || slot == self.slots.get(&id).copied();
+            self.map.get(&id).filter(|_| reaches)
+        }
+
+        fn remove(&mut self, id: u64, slot: Option<InFlightSlot>) -> Option<u64> {
+            self.find(id, slot)?;
+            self.map.remove(&id)
+        }
     }
 
     /// Applies `ops` to an `IdTable` and a `BTreeMap` side by side and
@@ -266,33 +258,23 @@ mod tests {
             let counter = reference.next_id;
             let below_counter = |pick: usize| pick as u64 % counter.max(1);
             let (probe, hint) = match op {
-                Op::InsertNext | Op::InsertOld { .. } => {
-                    let id = match op {
-                        Op::InsertOld { pick } => below_counter(pick),
-                        _ => {
-                            reference.next_id += 2;
-                            counter
-                        }
-                    };
-                    let present = reference.map.contains_key(&id);
-                    let (slot, replaced) = table.insert(id, value);
-                    prop_assert_eq!(replaced, reference.map.insert(id, value));
-                    if present {
-                        prop_assert_eq!(Some(slot), reference.slots.get(&id).copied());
-                    }
-                    reference.slots.insert(id, slot);
-                    (id, Hint::Own)
+                Op::InsertNext => {
+                    reference.next_id += 2;
+                    let slot = table.insert(counter, value);
+                    reference.map.insert(counter, value);
+                    reference.slots.insert(counter, slot);
+                    (counter, Hint::Own)
                 }
                 Op::Remove { pick, hint } => {
                     let id = below_counter(pick);
                     let slot = reference.hint(id, hint);
-                    prop_assert_eq!(table.remove(id, slot), reference.map.remove(&id));
+                    prop_assert_eq!(table.remove(id, slot), reference.remove(id, slot));
                     (id, hint)
                 }
                 Op::RemoveFirst { hint } => {
                     let id = reference.map.keys().next().copied().unwrap_or(0);
                     let slot = reference.hint(id, hint);
-                    prop_assert_eq!(table.remove(id, slot), reference.map.remove(&id));
+                    prop_assert_eq!(table.remove(id, slot), reference.remove(id, slot));
                     (id, hint)
                 }
                 Op::RemoveAbsent => {
@@ -301,9 +283,9 @@ mod tests {
                     (id, Hint::Unhinted)
                 }
             };
-            let expected = reference.map.get(&probe);
-            prop_assert_eq!(table.get(probe, reference.hint(probe, hint)), expected);
-            prop_assert_eq!(table.get(probe, None), expected);
+            let slot = reference.hint(probe, hint);
+            prop_assert_eq!(table.get(probe, slot), reference.find(probe, slot));
+            prop_assert_eq!(table.get(probe, None), reference.map.get(&probe));
             prop_assert_eq!(table.len(), reference.map.len());
             prop_assert!(
                 table
@@ -356,7 +338,7 @@ mod tests {
     #[test]
     fn compaction_keeps_slots_within_twice_the_live_entries() {
         let mut table = IdTable::new();
-        let slots: Vec<InFlightSlot> = (0..1000u64).map(|id| table.insert(id, id).0).collect();
+        let slots: Vec<InFlightSlot> = (0..1000u64).map(|id| table.insert(id, id)).collect();
         // Remove every entry but the stragglers at the front and the back.
         for id in 1..999u64 {
             assert_eq!(table.remove(id, Some(slots[id as usize])), Some(id));
@@ -369,17 +351,32 @@ mod tests {
         // Compaction moved pairs, not entries: both hints still hold.
         assert_eq!(table.get(0, Some(slots[0])), Some(&0));
         assert_eq!(table.get(999, Some(slots[999])), Some(&999));
-        // A removed id can come back after its pair was compacted away; it
-        // takes the slot freed last, so the stale hint of the id that slot
-        // held last misses and falls back.
-        let (slot, replaced) = table.insert(500, 7);
-        assert_eq!((slot, replaced), (slots[998], None));
+        // The next id takes the slot freed last, so the stale hint of the
+        // id that slot held last finds nothing.
+        let slot = table.insert(1000, 7);
+        assert_eq!(slot, slots[998]);
         assert_eq!(table.get(998, Some(slot)), None);
-        assert_eq!(table.get(500, None), Some(&7));
-        let order: Vec<u64> = table.iter().map(|(id, ..)| id).collect();
-        assert_eq!(order, vec![0, 500, 999]);
+        assert_eq!(table.get(1000, Some(slot)), Some(&7));
         // Popping the front drops the dead pairs behind it at once.
         assert_eq!(table.remove(0, None), Some(0));
-        assert_eq!(table.order.front().map(|&(id, _)| id), Some(500));
+        assert_eq!(table.order.front().map(|&(id, _)| id), Some(999));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of order")]
+    fn an_id_below_an_earlier_insert_is_refused() {
+        let mut table = IdTable::new();
+        table.insert(5, ());
+        table.remove(5, None);
+        // The table is empty, and the id still must rise.
+        table.insert(4, ());
+    }
+
+    #[test]
+    #[should_panic(expected = "out of order")]
+    fn a_repeated_id_is_refused() {
+        let mut table = IdTable::new();
+        table.insert(5, ());
+        table.insert(5, ());
     }
 }

@@ -8,6 +8,7 @@
 //! [`Report::audit`] checks them over the fields a report already has.
 
 use crate::scenario::{Report, TaskReport};
+use papaya_core::config::TrainingMode;
 
 /// One law a [`Report`] breaks.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -30,10 +31,11 @@ impl Report {
     /// - the synchronous rounds fit in the run: `round_duration_sum_s` ≤
     ///   the run's virtual seconds (`virtual_hours · 3600`), within four
     ///   ulps of rounding;
-    /// - one timed round per release: `round_durations_s.offered()` is 0
-    ///   (an asynchronous task) or `server_updates` (a synchronous one).  A
-    ///   report does not carry its task's mode, so the law is the
-    ///   disjunction;
+    /// - under `Sync`, one timed round per release
+    ///   (`round_durations_s.offered()` = `server_updates`) and every
+    ///   accepted update fresh (`staleness_sum` = 0);
+    /// - under `Async`, no round is timed (`round_durations_s.offered()` =
+    ///   0) and none is closed (`aborted_by_round_end` = 0);
     /// - `discarded_updates` = 0 (see below);
     /// - `rejected_by_defense_updates` = the robust stage's rejections;
     /// - under DP, `dp.releases` = `server_updates` and
@@ -115,12 +117,28 @@ impl Ledger {
             format!("{} vs {run_s}", m.round_duration_sum_s),
         );
         let rounds = m.round_durations_s.offered();
-        self.check(
-            task,
-            "round_durations_s.offered() is 0 or server_updates",
-            rounds == 0 || rounds == m.server_updates,
-            format!("{rounds} vs {}", m.server_updates),
-        );
+        match report.mode {
+            // Within a round the model does not move, and every release
+            // closes one.
+            TrainingMode::Sync => {
+                self.equal(
+                    task,
+                    "sync: round_durations_s.offered() = server_updates",
+                    rounds,
+                    m.server_updates,
+                );
+                self.equal(task, "sync: staleness_sum = 0", m.staleness_sum, 0u64);
+            }
+            TrainingMode::Async { .. } => {
+                self.equal(task, "async: round_durations_s.offered() = 0", rounds, 0u64);
+                self.equal(
+                    task,
+                    "async: aborted_by_round_end = 0",
+                    m.aborted_by_round_end,
+                    0u64,
+                );
+            }
+        }
         // Nothing increments `discarded_updates`: no update reaches a closed
         // round, because `end_sync_round` aborts the round's stragglers.
         // The field exists only because the repo benchmark
@@ -326,7 +344,7 @@ mod tests {
     fn each_miscount_breaks_its_law() {
         let clean = stacked_run();
         type Tamper = fn(&mut Report);
-        let cases: [(Tamper, &str); 11] = [
+        let async_cases: [(Tamper, &str); 12] = [
             (
                 // An update counted as accepted that no stage accepted.
                 |r| {
@@ -355,9 +373,13 @@ mod tests {
                 "round_duration_sum_s <= virtual_hours * 3600",
             ),
             (
-                // A round timed that no release closed.
+                // A round timed in a task that has none.
                 |r| r.tasks[0].metrics.record_round_duration(60.0),
-                "round_durations_s.offered() is 0 or server_updates",
+                "async: round_durations_s.offered() = 0",
+            ),
+            (
+                |r| r.tasks[0].metrics.aborted_by_round_end += 1,
+                "async: aborted_by_round_end = 0",
             ),
             // A server update applied without being counted.
             (|r| r.tasks[0].final_version += 1, "server_updates = final_version"),
@@ -380,7 +402,22 @@ mod tests {
                 "control_plane.tasks_reconciled <= control_plane.tasks_orphaned",
             ),
         ];
-        for (tamper, law) in cases {
+        let sync_cases: [(Tamper, &str); 2] = [
+            (
+                // A round timed that no release closed.
+                |r| r.tasks[0].metrics.record_round_duration(60.0),
+                "sync: round_durations_s.offered() = server_updates",
+            ),
+            (
+                // An upload from a closed round, folded.
+                |r| r.tasks[0].metrics.staleness_sum += 1,
+                "sync: staleness_sum = 0",
+            ),
+        ];
+        let synchronous = sync_run();
+        let cases = (async_cases.iter().map(|case| (&clean, case)))
+            .chain(sync_cases.iter().map(|case| (&synchronous, case)));
+        for (clean, &(tamper, law)) in cases {
             let mut report = clean.clone();
             tamper(&mut report);
             assert!(

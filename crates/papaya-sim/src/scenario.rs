@@ -294,6 +294,8 @@ pub struct TaskReport {
     pub(crate) virtual_hours: f64,
     /// Counters, traces and the means derived from them.
     pub metrics: MetricsCollector,
+    /// The task's training mode, which fixes the laws its counters obey.
+    pub(crate) mode: TrainingMode,
 }
 
 impl TaskReport {
@@ -402,6 +404,9 @@ impl Report {
                 // Every task's copy of the run's `virtual_hours`, hashed above.
                 virtual_hours: _,
                 metrics,
+                // Configuration, not an outcome: the ledger reads it to
+                // pick the task's round law.
+                mode: _,
             } = task;
             let MetricsCollector {
                 utilization_trace,
@@ -1014,6 +1019,7 @@ fn task_report(
     runtime: TaskRuntime,
     virtual_hours: f64,
 ) -> TaskReport {
+    let mode = runtime.config().mode;
     let (metrics, final_params, final_version, final_loss, hours_to_target) = runtime.into_parts();
     let initial_loss = metrics
         .loss_curve
@@ -1031,6 +1037,7 @@ fn task_report(
         reassignments,
         virtual_hours,
         metrics,
+        mode,
     }
 }
 

@@ -45,11 +45,6 @@ impl<T> Slab<T> {
         self.slots.get(slot as usize)?.as_ref()
     }
 
-    /// The value in `slot`, mutably, if the slot is occupied.
-    pub(crate) fn get_mut(&mut self, slot: u32) -> Option<&mut T> {
-        self.slots.get_mut(slot as usize)?.as_mut()
-    }
-
     /// Takes the value out of `slot` and frees the slot.
     pub(crate) fn remove(&mut self, slot: u32) -> Option<T> {
         let value = self.slots.get_mut(slot as usize)?.take()?;
@@ -82,8 +77,7 @@ mod tests {
         assert_eq!(slab.insert(4), 4);
         assert_eq!(slab.get(2), Some(&2));
         assert_eq!(slab.get(9), None);
-        *slab.get_mut(4).unwrap() += 1;
-        assert_eq!(slab.get(4), Some(&5));
+        assert_eq!(slab.get(4), Some(&4));
         assert_eq!(slab.slots(), 5);
     }
 }

@@ -1,8 +1,8 @@
 //! Per-task server-side training state.
 //!
 //! A [`TaskRuntime`] owns everything one federated task needs server-side:
-//! the versioned model and its optimizer, the aggregation strategy (held as
-//! a `Box<dyn Aggregator>`, so the runtime never branches on the strategy or
+//! the versioned model and its optimizer, the aggregation stack (an
+//! [`AggregationStack`], so the runtime never branches on the strategy or
 //! its decorators), the download snapshot, the in-flight participation map,
 //! round bookkeeping, and a per-task [`MetricsCollector`].  It exposes a narrow
 //! API — [`begin_participation`](TaskRuntime::begin_participation),
@@ -34,13 +34,10 @@ use crate::executor::{Executor, TrainJob};
 use crate::id_table::IdTable;
 pub(crate) use crate::id_table::InFlightSlot;
 use crate::metrics::{MetricsCollector, ParticipationRecord};
-use papaya_core::aggregator::{self, AccumulateOutcome, Aggregator};
+use papaya_core::aggregator::{AccumulateOutcome, AggregationStack};
 use papaya_core::client::{participation_seed, ClientTrainer, ClientUpdate};
-use papaya_core::config::{SecAggMode, TaskConfig, TrainingMode};
-use papaya_core::dp::DpAggregator;
+use papaya_core::config::{TaskConfig, TrainingMode};
 use papaya_core::model::ServerModel;
-use papaya_core::robust::RobustAggregator;
-use papaya_core::secure::{self, SecureAggregator};
 use papaya_core::server_opt::{FedAdam, FedAvg, FedSgd, ServerOptimizer};
 use papaya_nn::params::ParamVec;
 use std::sync::Arc;
@@ -120,7 +117,7 @@ pub struct TaskRuntime {
     /// stale initial model while claiming its update is fresh.
     initial_params: Arc<ParamVec>,
     optimizer: Box<dyn ServerOptimizer>,
-    aggregator: Box<dyn Aggregator>,
+    aggregator: AggregationStack,
     in_flight: IdTable<InFlight>,
     /// Parallel training pool, shared across the scenario's runtimes.
     /// `None` is the sequential path: training runs inline in
@@ -137,30 +134,8 @@ pub struct TaskRuntime {
 impl TaskRuntime {
     /// Creates the runtime for one task.  `eval_ids` is the fixed evaluation
     /// sample (chosen by the driver from its population) and `seed` salts the
-    /// per-participation training randomness.  The aggregation strategy is
-    /// built from the task's mode by [`papaya_core::aggregator::for_task`].
-    ///
-    /// When the task asks for secure aggregation ([`SecAggMode`]), the
-    /// strategy is wrapped in a [`SecureAggregator`] here — the single place
-    /// the flag is honored: masking on accumulate, a per-buffer TSA key
-    /// release on take, crash-time buffer drops without a key release, with
-    /// the threshold [`secure::recommended_threshold`] derives from the mode.
-    ///
-    /// When the task carries a [`papaya_core::dp::DpConfig`], the (possibly
-    /// secure) strategy is additionally wrapped in a [`DpAggregator`] — DP
-    /// goes outside SecAgg, so clipping happens on the client before any
-    /// masking and the release noise lands on the decoded aggregate (where
-    /// the TEE would add it).
-    ///
-    /// When the task carries a [`papaya_core::robust::RobustConfig`], the
-    /// stack is finally wrapped in a [`RobustAggregator`] — the defense
-    /// goes **outermost**: it screens raw client updates before any layer
-    /// buffers them, and its engaged estimators replace the final release
-    /// the server would otherwise apply.  When the task also carries an
-    /// [`papaya_core::adversary::AdversarySpec`] with a SecAgg protocol
-    /// deviation, the deviation is armed on the [`SecureAggregator`] here —
-    /// the simulated malicious client stub lives inside the secure
-    /// pipeline's client side.
+    /// per-participation training randomness.  The aggregation stack is
+    /// built from the task's config by [`AggregationStack::for_task`].
     pub(crate) fn new(
         config: TaskConfig,
         server_optimizer: ServerOptimizerKind,
@@ -169,46 +144,7 @@ impl TaskRuntime {
         seed: u64,
         target_loss: Option<f64>,
     ) -> Self {
-        let aggregator = aggregator::for_task(&config);
-        // The two secure modes differ only in the key-exchange schedule.
-        let secure: Option<fn(_, _, _, _) -> SecureAggregator> = match config.secagg {
-            SecAggMode::Disabled => None,
-            SecAggMode::AsyncSecAgg => Some(SecureAggregator::new),
-            SecAggMode::AsyncSecAggPerUpdate => Some(SecureAggregator::new_per_update),
-        };
-        let aggregator: Box<dyn Aggregator> = match secure {
-            None => aggregator,
-            Some(build) => {
-                let mut secure = build(
-                    aggregator,
-                    trainer.parameter_count(),
-                    secure::recommended_threshold(&config),
-                    // Domain-separate the protocol stream from the training
-                    // and driver streams derived from the same task seed.
-                    seed ^ 0x5ECA_665E_CA66,
-                );
-                if let Some(spec) = config.adversary {
-                    // Arms wrong-counter / garbage-mask uploads for the
-                    // spec's malicious cohort (no-op for payload attacks).
-                    secure = secure.with_deviation(spec);
-                }
-                Box::new(secure)
-            }
-        };
-        let aggregator: Box<dyn Aggregator> = match config.dp {
-            None => aggregator,
-            // Domain-separate the noise stream from the training, driver,
-            // and secure-protocol streams derived from the same task seed
-            // (DpAggregator hashes its seed again under a dp-only domain).
-            Some(dp) => Box::new(DpAggregator::new(aggregator, dp, seed ^ 0xD1FF_D1FF)),
-        };
-        let aggregator: Box<dyn Aggregator> = match config.robust {
-            None => aggregator,
-            // The defense wraps last: it screens raw updates before any
-            // inner layer buffers them and corrects the stack's final
-            // release.  Fully deterministic — no seed to domain-separate.
-            Some(robust) => Box::new(RobustAggregator::new(aggregator, robust)),
-        };
+        let aggregator = AggregationStack::for_task(&config, trainer.parameter_count(), seed);
         let model = ServerModel::new(trainer.initial_parameters());
         let snapshot = Arc::new(model.snapshot());
         let initial_params = Arc::clone(&snapshot);
@@ -267,7 +203,7 @@ impl TaskRuntime {
         client_id: usize,
         execution_time_s: f64,
     ) -> InFlightSlot {
-        let (slot, _) = self.in_flight.insert(
+        self.in_flight.insert(
             participation_id,
             InFlight {
                 client_id,
@@ -275,8 +211,7 @@ impl TaskRuntime {
                 start_params: Arc::clone(&self.snapshot),
                 execution_time_s,
             },
-        );
-        slot
+        )
     }
 
     /// Attaches (or detaches) the parallel training pool.  Scenario drivers
@@ -365,7 +300,8 @@ impl TaskRuntime {
         // after local training, before anything server-side sees it.  The
         // ground truth recorded here never reaches the defenses — they must
         // work from the update contents alone.  (SecAgg protocol deviations
-        // are armed inside the secure pipeline instead; see `new`.)
+        // are armed inside the secure pipeline instead; see
+        // `AggregationStack::for_task`.)
         let mut claimed_start_version = in_flight.start_version;
         if let Some(spec) = self.config.adversary {
             if spec.is_malicious(client_id) {
@@ -518,7 +454,7 @@ impl TaskRuntime {
             return false;
         };
         self.aggregator
-            .stack_telemetry()
+            .telemetry()
             .dp
             .is_some_and(|telemetry| telemetry.cumulative_epsilon >= budget)
     }
@@ -528,7 +464,7 @@ impl TaskRuntime {
     /// each layer keeps its own counters and traces during the run, and
     /// they are copied out once, here.
     pub(crate) fn into_parts(mut self) -> (MetricsCollector, ParamVec, u64, f64, Option<f64>) {
-        let stack = self.aggregator.stack_telemetry();
+        let stack = self.aggregator.telemetry();
         self.metrics.secure = stack.secure.cloned().unwrap_or_default();
         self.metrics.secure_timings = stack.secure_timings.unwrap_or_default();
         self.metrics.dp = stack.dp.cloned().unwrap_or_default();
@@ -666,7 +602,7 @@ mod tests {
     fn clear_and_fully_stacked(config: TaskConfig) -> [TaskConfig; 2] {
         let stacked = config
             .clone()
-            .with_secagg(SecAggMode::AsyncSecAgg)
+            .with_secagg(papaya_core::SecAggMode::AsyncSecAgg)
             .with_dp(papaya_core::DpConfig::new(1e6, 0.0))
             .with_robust(papaya_core::RobustConfig::neutral());
         [config, stacked]
