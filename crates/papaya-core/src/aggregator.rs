@@ -484,6 +484,9 @@ mod tests {
         let dp = DpAggregator::new(Box::new(secure), task.dp.unwrap(), seed ^ 0xD1FF_D1FF);
         let mut tower = RobustAggregator::new(Box::new(dp), task.robust.unwrap());
         let mut stack = AggregationStack::for_task(&task, 4, seed);
+        let bits = |delta: Option<ParamVec>| {
+            delta.map(|d| d.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>())
+        };
         for client_id in 0..6 {
             tower.plan_mask_precompute(client_id);
             stack.plan_mask_precompute(client_id);
@@ -494,11 +497,7 @@ mod tests {
                 stack.accumulate(unit_update(client_id, value), 0, now)
             );
             assert_eq!(tower.is_ready(now), stack.is_ready(now));
-            let released = (tower.take(now), stack.take(now));
-            let bits = |delta: Option<ParamVec>| {
-                delta.map(|d| d.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>())
-            };
-            assert_eq!(bits(released.0), bits(released.1));
+            assert_eq!(bits(tower.take(now)), bits(stack.take(now)));
         }
         let (expected, actual) = (tower.stack_telemetry(), stack.telemetry());
         assert_eq!(expected.secure, actual.secure);
