@@ -227,9 +227,8 @@ impl Coordinator {
         self.demand.entry(task_id).or_default().min_capability_tier =
             Some(spec.min_capability_tier);
         self.tasks.insert(task_id, spec);
-        match self.least_loaded_alive_aggregator() {
+        match self.place_on_least_loaded(task_id) {
             Some(target) => {
-                self.assignments.insert(task_id, target);
                 self.sequence += 1;
                 TaskPlacement::Placed(target)
             }
@@ -238,19 +237,9 @@ impl Coordinator {
     }
 
     fn least_loaded_alive_aggregator(&self) -> Option<AggregatorId> {
-        let mut loads: BTreeMap<AggregatorId, u64> = self
-            .aggregators
-            .iter()
-            .filter(|(_, s)| s.alive)
-            .map(|(&id, _)| (id, 0))
-            .collect();
-        for (task, agg) in &self.assignments {
-            if let (Some(load), Some(spec)) = (loads.get_mut(agg), self.tasks.get(task)) {
-                *load += spec.estimated_workload();
-            }
-        }
-        loads
+        self.aggregator_loads()
             .into_iter()
+            .filter(|&(id, _)| self.is_alive(id))
             .min_by_key(|&(id, load)| (load, id))
             .map(|(id, _)| id)
     }
@@ -292,8 +281,7 @@ impl Coordinator {
         // (the sort also documents the order for future map changes).
         orphaned.sort_unstable();
         for task in orphaned {
-            if let Some(target) = self.least_loaded_alive_aggregator() {
-                self.assignments.insert(task, target);
+            if self.place_on_least_loaded(task).is_some() {
                 reassigned.push(task);
             } else {
                 // Total loss: the route is left pointing at the failed
@@ -405,7 +393,8 @@ impl Coordinator {
     }
 
     /// Routes `task` to the least-loaded alive Aggregator without touching
-    /// the sequence; the reconciler batches its bump.
+    /// the sequence: submission, the failure sweep and the reconciler each
+    /// bump it themselves, the last two once per batch.
     pub(crate) fn place_on_least_loaded(&mut self, task: TaskId) -> Option<AggregatorId> {
         let target = self.least_loaded_alive_aggregator()?;
         self.assignments.insert(task, target);
