@@ -11,14 +11,14 @@ use papaya_core::fedbuff::FedBuffAggregator;
 use papaya_core::model::ServerModel;
 use papaya_core::server_opt::FedAvg;
 use papaya_core::staleness::StalenessWeighting;
-use papaya_core::surrogate::{SurrogateConfig, SurrogateObjective};
+use papaya_core::surrogate::{ProceduralSurrogate, SurrogateConfig};
 use papaya_data::population::{Population, PopulationConfig};
 
 /// Trains for a fixed number of server updates with artificially stale
 /// clients and returns the final population loss.
 fn run_with_weighting(weighting: StalenessWeighting) -> f64 {
     let pop = Population::generate(&PopulationConfig::default().with_size(300), 11);
-    let obj = SurrogateObjective::new(&pop, SurrogateConfig::default(), 11);
+    let obj = ProceduralSurrogate::new(&pop, SurrogateConfig::default(), 11);
     let mut model = ServerModel::new(obj.initial_parameters());
     let mut opt = FedAvg;
     let mut agg = FedBuffAggregator::new(10, weighting);

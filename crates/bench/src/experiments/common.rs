@@ -2,7 +2,7 @@
 //! command-line handling for the figure binaries.
 
 use papaya_core::client::ClientTrainer;
-use papaya_core::surrogate::{SurrogateConfig, SurrogateObjective};
+use papaya_core::surrogate::{ProceduralSurrogate, SurrogateConfig};
 use papaya_core::TaskConfig;
 use papaya_data::population::{Population, PopulationConfig};
 use papaya_sim::scenario::{EvalPolicy, RunLimits, Scenario, TaskReport};
@@ -125,8 +125,8 @@ pub(crate) fn population(size: usize, seed: u64) -> Population {
 }
 
 /// Builds the surrogate trainer over a population.
-pub(crate) fn surrogate(population: &Population, seed: u64) -> Arc<SurrogateObjective> {
-    Arc::new(SurrogateObjective::new(
+pub(crate) fn surrogate(population: &Population, seed: u64) -> Arc<ProceduralSurrogate> {
+    Arc::new(ProceduralSurrogate::new(
         population,
         experiment_surrogate_config(),
         seed,
@@ -135,14 +135,14 @@ pub(crate) fn surrogate(population: &Population, seed: u64) -> Arc<SurrogateObje
 
 /// The initial population loss of a surrogate objective (used to set
 /// relative loss targets).
-pub(crate) fn initial_loss(trainer: &SurrogateObjective) -> f64 {
+pub(crate) fn initial_loss(trainer: &ProceduralSurrogate) -> f64 {
     let all: Vec<usize> = (0..trainer.num_clients()).collect();
     trainer.evaluate(&trainer.initial_parameters(), &all)
 }
 
 /// A target loss for convergence experiments: the achievable floor (loss at
 /// the population optimum) plus 5 % of the initial-to-floor gap.
-pub(crate) fn target_loss(trainer: &SurrogateObjective) -> f64 {
+pub(crate) fn target_loss(trainer: &ProceduralSurrogate) -> f64 {
     let all: Vec<usize> = (0..trainer.num_clients()).collect();
     let floor = trainer.evaluate(&trainer.population_optimum(), &all);
     let initial = initial_loss(trainer);
@@ -154,7 +154,7 @@ pub(crate) fn target_loss(trainer: &SurrogateObjective) -> f64 {
 pub(crate) fn run_to_target(
     task: TaskConfig,
     population: &Population,
-    trainer: &Arc<SurrogateObjective>,
+    trainer: &Arc<ProceduralSurrogate>,
     target_loss: f64,
     max_hours: f64,
     seed: u64,

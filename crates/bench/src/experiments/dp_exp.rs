@@ -13,7 +13,7 @@
 //! onto a signal-to-noise sweep.
 
 use crate::experiments::common::population;
-use papaya_core::surrogate::SurrogateObjective;
+use papaya_core::surrogate::ProceduralSurrogate;
 use papaya_core::{DpConfig, TaskConfig};
 use papaya_sim::scenario::{EvalPolicy, RunLimits, Scenario, TaskReport};
 use std::sync::Arc;
@@ -57,7 +57,7 @@ fn run_once(scale: Scale, seed: u64, noise_multiplier: f64) -> TaskReport {
         Scale::Full => 4.0,
     };
     let pop = population(size, seed);
-    let trainer = Arc::new(SurrogateObjective::new(
+    let trainer = Arc::new(ProceduralSurrogate::new(
         &pop,
         experiment_surrogate_config(),
         seed,

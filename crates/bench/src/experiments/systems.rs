@@ -1,7 +1,7 @@
 //! System-behaviour experiments: Figures 2, 7, 8, and 11.
 
 use crate::experiments::common::{population, surrogate, Scale};
-use papaya_core::surrogate::SurrogateObjective;
+use papaya_core::surrogate::ProceduralSurrogate;
 use papaya_core::TaskConfig;
 use papaya_data::population::Population;
 use papaya_data::stats::{mean, Histogram, KsTestResult};
@@ -13,7 +13,7 @@ use std::sync::Arc;
 fn run_system_task(
     task: TaskConfig,
     pop: &Population,
-    trainer: &Arc<SurrogateObjective>,
+    trainer: &Arc<ProceduralSurrogate>,
     hours: f64,
     seed: u64,
 ) -> TaskReport {

@@ -37,7 +37,7 @@
 
 use crate::experiments::common::population;
 use papaya_core::config::SecAggMode;
-use papaya_core::surrogate::{ProceduralSurrogate, SurrogateConfig, SurrogateObjective};
+use papaya_core::surrogate::{ProceduralSurrogate, SurrogateConfig};
 use papaya_core::{DpConfig, TaskConfig};
 use papaya_data::dataset::FederatedTextDataset;
 use papaya_data::population::{Population, PopulationConfig};
@@ -46,12 +46,14 @@ use papaya_sim::scenario::{EvalPolicy, FleetSpec, RunLimits, Scenario};
 use papaya_sim::Parallelism;
 use std::sync::Arc;
 
-/// A surrogate objective heavy enough that client training dominates the
-/// event loop, as the real LSTM does in production.  (The figure-experiment
-/// config is tuned for convergence dynamics instead and trains in ~1 µs,
-/// which would exercise the event queue rather than the training path.)
-pub fn perf_surrogate_config() -> SurrogateConfig {
-    SurrogateConfig {
+/// The procedural surrogate on a configuration heavy enough that client
+/// training dominates the event loop, as the real LSTM does in production:
+/// the trainer of every canonical surrogate scenario.  (The
+/// figure-experiment config is tuned for convergence dynamics instead and
+/// trains in ~1 µs, which would exercise the event queue rather than the
+/// training path.)
+pub fn perf_trainer(population: &Population, seed: u64) -> Arc<ProceduralSurrogate> {
+    let config = SurrogateConfig {
         dim: 128,
         heterogeneity: 0.5,
         volume_bias: 2.0,
@@ -60,7 +62,8 @@ pub fn perf_surrogate_config() -> SurrogateConfig {
         max_local_steps: 32,
         gradient_noise: 1.0,
         init_distance: 8.0,
-    }
+    };
+    Arc::new(ProceduralSurrogate::new(population, config, seed))
 }
 
 /// Builds one canonical scenario by name.
@@ -73,7 +76,7 @@ pub fn build_scenario(name: &str, quick: bool, parallelism: Parallelism, seed: u
     match name {
         "fedbuff-20k" => {
             let pop = population(scale(20_000, 2_000), seed);
-            let trainer = Arc::new(SurrogateObjective::new(&pop, perf_surrogate_config(), seed));
+            let trainer = perf_trainer(&pop, seed);
             Scenario::builder()
                 .population(pop)
                 .task_with_trainer(
@@ -102,7 +105,7 @@ pub fn build_scenario(name: &str, quick: bool, parallelism: Parallelism, seed: u
             // (when per-update DH dominated the wall clock) and is kept so
             // the committed fingerprint does not move.
             let pop = population(scale(20_000, 2_000), seed);
-            let trainer = Arc::new(SurrogateObjective::new(&pop, perf_surrogate_config(), seed));
+            let trainer = perf_trainer(&pop, seed);
             Scenario::builder()
                 .population(pop)
                 .task_with_trainer(
@@ -134,7 +137,7 @@ pub fn build_scenario(name: &str, quick: bool, parallelism: Parallelism, seed: u
             // user; FedBuff selection is speed-biased, so it is not a
             // worst-case certificate — see papaya_core::dp.)
             let pop = population(scale(20_000, 2_000), seed);
-            let trainer = Arc::new(SurrogateObjective::new(&pop, perf_surrogate_config(), seed));
+            let trainer = perf_trainer(&pop, seed);
             Scenario::builder()
                 .population(pop)
                 .task_with_trainer(
@@ -160,7 +163,7 @@ pub fn build_scenario(name: &str, quick: bool, parallelism: Parallelism, seed: u
         }
         "timed-hybrid" => {
             let pop = population(scale(6_000, 1_500), seed);
-            let trainer = Arc::new(SurrogateObjective::new(&pop, perf_surrogate_config(), seed));
+            let trainer = perf_trainer(&pop, seed);
             Scenario::builder()
                 .population(pop)
                 .task_with_trainer(
@@ -188,7 +191,7 @@ pub fn build_scenario(name: &str, quick: bool, parallelism: Parallelism, seed: u
         }
         "fleet-crash" => {
             let pop = population(scale(10_000, 2_500), seed);
-            let trainer = Arc::new(SurrogateObjective::new(&pop, perf_surrogate_config(), seed));
+            let trainer = perf_trainer(&pop, seed);
             let unit = scale(4, 1);
             let tasks = vec![
                 TaskConfig::async_task("keyboard-lm", 48 * unit, 12 * unit),
@@ -231,11 +234,7 @@ pub fn build_scenario(name: &str, quick: bool, parallelism: Parallelism, seed: u
             // dim floats), and the default trace budget, which keeps metrics
             // O(budget) rather than O(events).
             let pop = population(1_000_000, seed);
-            let trainer = Arc::new(ProceduralSurrogate::new(
-                &pop,
-                perf_surrogate_config(),
-                seed,
-            ));
+            let trainer = perf_trainer(&pop, seed);
             Scenario::builder()
                 .population(pop)
                 .task_with_trainer(
@@ -263,11 +262,7 @@ pub fn build_scenario(name: &str, quick: bool, parallelism: Parallelism, seed: u
             // exercises steady-state routing/selection where fleet-crash
             // exercises failover.
             let pop = population(scale(200_000, 50_000), seed);
-            let trainer = Arc::new(ProceduralSurrogate::new(
-                &pop,
-                perf_surrogate_config(),
-                seed,
-            ));
+            let trainer = perf_trainer(&pop, seed);
             let unit = scale(4, 1);
             let tasks = vec![
                 TaskConfig::async_task("assistant-lm", 256 * unit, 64 * unit),

@@ -23,15 +23,13 @@
 //! One that means to alter it replaces the file with the text this test
 //! prints on mismatch, and the diff of the file is the review artifact.
 
-use bench::scenarios::{build_scenario, perf_surrogate_config, soak_scenario, SCENARIO_NAMES};
+use bench::scenarios::{build_scenario, perf_trainer, soak_scenario, SCENARIO_NAMES};
 use papaya_core::config::SecAggMode;
-use papaya_core::surrogate::SurrogateObjective;
 use papaya_core::{AdversarySpec, DpConfig, Malice, RobustConfig, RobustDefense, TaskConfig};
 use papaya_data::population::{Population, PopulationConfig};
 use papaya_sim::metrics::MetricsCollector;
 use papaya_sim::scenario::{EvalPolicy, Report, RunLimits, Scenario};
 use papaya_sim::Parallelism;
-use std::sync::Arc;
 
 const SEED: u64 = 42;
 const GOLDEN: &str = include_str!("golden_fingerprints.txt");
@@ -66,11 +64,7 @@ fn sync_over_selection(parallelism: Parallelism) -> Scenario {
 /// runtime's sweep aborts the oldest in-flight clients after releases.
 fn tight_staleness(parallelism: Parallelism) -> Scenario {
     let population = population(2_000, 0.05);
-    let trainer = Arc::new(SurrogateObjective::new(
-        &population,
-        perf_surrogate_config(),
-        SEED,
-    ));
+    let trainer = perf_trainer(&population, SEED);
     Scenario::builder()
         .population(population)
         .task_with_trainer(

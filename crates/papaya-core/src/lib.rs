@@ -39,7 +39,7 @@
 //! * [`model`] — the versioned server model;
 //! * [`client`] — the client-trainer abstraction (local SGD producing a
 //!   weighted delta) shared by the real LSTM trainer (`papaya-lm`) and the
-//!   fast surrogate objective in [`surrogate`].
+//!   procedural surrogate in [`surrogate`].
 //!
 //! # Example: one FedBuff buffer behind the `Aggregator` trait
 //!

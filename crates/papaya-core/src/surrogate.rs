@@ -63,15 +63,6 @@ impl Default for SurrogateConfig {
     }
 }
 
-/// The surrogate federated objective (implements [`ClientTrainer`]).
-#[derive(Clone, Debug)]
-pub struct SurrogateObjective {
-    config: SurrogateConfig,
-    client_optima: Vec<Vec<f32>>,
-    num_examples: Vec<usize>,
-    initial: ParamVec,
-}
-
 /// Buffers for drawing standard normals a batch at a time through
 /// `papaya_data::stats::standard_normals_f32`, which returns what one
 /// Box–Muller draw per normal returned, bit for bit.
@@ -127,157 +118,20 @@ fn check_arguments(num_clients: usize, dim: usize, client_id: usize, params: &Pa
     assert_eq!(params.len(), dim, "parameter length mismatch");
 }
 
-/// Draws the population-level optimum, then the unit bias direction for
-/// heavy clients, from the head of a trainer's construction stream.
-fn draw_global_optimum_and_bias(rng: &mut StdRng, dim: usize) -> (Vec<f32>, Vec<f32>) {
-    let global_optimum = standard_normals(rng, dim);
-    let mut bias_direction = standard_normals(rng, dim);
-    let norm = bias_direction
-        .iter()
-        .map(|x| x * x)
-        .sum::<f32>()
-        .sqrt()
-        .max(1e-6);
-    for b in bias_direction.iter_mut() {
-        *b /= norm;
-    }
-    (global_optimum, bias_direction)
+/// The Euclidean norm of `v`, floored so that dividing by it is safe.
+fn norm(v: &[f32]) -> f32 {
+    v.iter().map(|x| x * x).sum::<f32>().sqrt().max(1e-6)
 }
 
-/// Draws the initial model: the global optimum displaced by
-/// `init_distance` along a random direction, so there is something to
-/// learn.
-fn draw_initial_model(
-    rng: &mut StdRng,
-    config: &SurrogateConfig,
-    global_optimum: &[f32],
-) -> ParamVec {
-    let init_dir = standard_normals(rng, config.dim);
-    let norm = init_dir.iter().map(|x| x * x).sum::<f32>().sqrt().max(1e-6);
-    let initial: Vec<f32> = (0..config.dim)
-        .map(|j| global_optimum[j] + config.init_distance * init_dir[j] / norm)
-        .collect();
-    ParamVec::from_vec(initial)
-}
-
-/// Local SGD on the quadratic toward `optimum`: the training body both
-/// surrogates share.  Callers have checked the arguments.
-fn train_toward(
-    config: &SurrogateConfig,
-    client_id: usize,
-    global: &ParamVec,
-    seed: u64,
-    optimum: &[f32],
-    examples: usize,
-) -> LocalTrainResult {
-    let mut rng = StdRng::seed_from_u64(seed ^ (client_id as u64).wrapping_mul(0x9e37_79b9));
-    let steps = (examples.div_ceil(config.batch_size)).clamp(1, config.max_local_steps);
-    // Gradient noise shrinks with the batch size actually used.
-    let noise_scale =
-        config.gradient_noise / (config.batch_size.min(examples).max(1) as f32).sqrt();
-
-    let mut w: Vec<f32> = global.as_slice().to_vec();
-    let mut normals = Normals::new(config.dim);
-    for _ in 0..steps {
-        let noise = normals.draw(&mut rng);
-        for ((w, o), n) in w.iter_mut().zip(optimum).zip(noise) {
-            let grad = (*w - o) + noise_scale * n;
-            *w -= config.local_learning_rate * grad;
-        }
-    }
-    let train_loss = loss_at(&w, optimum) as f32;
-    LocalTrainResult {
-        delta: ParamVec::from_vec(w).sub(global),
-        num_examples: examples,
-        train_loss,
-    }
-}
-
-impl SurrogateObjective {
-    /// Builds the objective for a device population.
-    pub fn new(population: &Population, config: SurrogateConfig, seed: u64) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let dim = config.dim;
-        let (global_optimum, bias_direction) = draw_global_optimum_and_bias(&mut rng, dim);
-        let max_examples = population
-            .iter()
-            .map(|d| d.num_examples)
-            .max()
-            .unwrap_or(1)
-            .max(1) as f32;
-
-        let mut client_optima = Vec::with_capacity(population.len());
-        let mut num_examples = Vec::with_capacity(population.len());
-        let mut normals = Normals::new(dim);
-        for device in population.iter() {
-            let volume_percentile = device.num_examples as f32 / max_examples;
-            let noise = normals.draw(&mut rng);
-            let optimum: Vec<f32> = (0..dim)
-                .map(|j| {
-                    global_optimum[j]
-                        + config.heterogeneity * noise[j]
-                        + config.volume_bias * volume_percentile * bias_direction[j]
-                })
-                .collect();
-            client_optima.push(optimum);
-            num_examples.push(device.num_examples);
-        }
-        let initial = draw_initial_model(&mut rng, &config, &global_optimum);
-        SurrogateObjective {
-            config,
-            client_optima,
-            num_examples,
-            initial,
-        }
-    }
-
-    /// Number of clients.
-    pub fn num_clients(&self) -> usize {
-        self.client_optima.len()
-    }
-
-    /// The population optimum: the unweighted mean of all client optima.
-    /// Evaluating at this point gives the (approximate) lowest achievable
-    /// population loss, useful for setting relative loss targets.
-    pub fn population_optimum(&self) -> ParamVec {
-        let mut mean = vec![0.0f32; self.config.dim];
-        for optimum in &self.client_optima {
-            for (m, o) in mean.iter_mut().zip(optimum.iter()) {
-                *m += o;
-            }
-        }
-        for m in mean.iter_mut() {
-            *m /= self.client_optima.len().max(1) as f32;
-        }
-        ParamVec::from_vec(mean)
-    }
-
-    /// Loss of `params` for a single client.
-    pub(crate) fn client_loss(&self, params: &ParamVec, client_id: usize) -> f64 {
-        check_arguments(self.num_clients(), self.config.dim, client_id, params);
-        loss_at(params.as_slice(), &self.client_optima[client_id])
-    }
-}
-
-/// The surrogate objective with O(bytes) per-client state: client optima
-/// are *derived on demand* from `(seed, client_id)` instead of being
-/// materialized up front.
+/// The surrogate federated objective (implements [`ClientTrainer`]), with
+/// O(bytes) per-client state: client optima are *derived on demand* from
+/// `(seed, client_id)` instead of being materialized up front.
 ///
-/// [`SurrogateObjective`] stores `dim` floats per client (512 MB for a
-/// million clients at `dim = 128`), which caps how large a population fits
-/// in memory.  This variant stores only the population-level state (global
-/// optimum, bias direction, initial model — all O(dim)) plus a packed
-/// 4-byte example count per client, and re-derives a client's optimum from
-/// a per-client seeded RNG each time that client trains.
-/// Same statistical family as [`SurrogateObjective`] (per-client optimum =
-/// global + heterogeneity noise + volume-biased shift), but the two are
-/// *not* draw-for-draw identical: this one seeds per client rather than
-/// consuming one sequential RNG stream, precisely so that idle clients
-/// cost nothing.
-///
-/// This is the trainer behind the `fedbuff-1m` scenario and the
-/// benchmark's `million-idle` workload (`docs/SCALING.md`): a million idle clients cost 4 MB here instead of
-/// half a gigabyte.
+/// It stores only the population-level state (global optimum, bias
+/// direction, initial model — all O(dim)) plus a packed 4-byte example
+/// count per client, and re-derives a client's optimum from a per-client
+/// seeded RNG each time that client trains, so idle clients cost nothing:
+/// a million of them cost 4 MB at any `dim` (`docs/SCALING.md`).
 ///
 /// `evaluate` keeps the optima of every evaluation set it has been given,
 /// keyed by the exact list of ids, so a task that evaluates the same
@@ -329,16 +183,28 @@ impl fmt::Debug for EvalOptima {
 impl ProceduralSurrogate {
     /// Builds the objective for a device population.
     pub fn new(population: &Population, config: SurrogateConfig, seed: u64) -> Self {
+        // The population optimum, the unit direction heavy clients' optima
+        // shift along, and the direction the initial model is displaced
+        // along by `init_distance`, so that there is something to learn.
         let mut rng = StdRng::seed_from_u64(seed);
-        let (global_optimum, bias_direction) = draw_global_optimum_and_bias(&mut rng, config.dim);
+        let global_optimum = standard_normals(&mut rng, config.dim);
+        let mut bias_direction = standard_normals(&mut rng, config.dim);
+        let bias_norm = norm(&bias_direction);
+        bias_direction.iter_mut().for_each(|b| *b /= bias_norm);
+        let init_dir = standard_normals(&mut rng, config.dim);
+        let init_norm = norm(&init_dir);
+        let initial = global_optimum
+            .iter()
+            .zip(&init_dir)
+            .map(|(g, d)| g + config.init_distance * d / init_norm)
+            .collect();
         let num_examples: Vec<u32> = population.iter().map(|d| d.num_examples as u32).collect();
         let max_examples = num_examples.iter().copied().max().unwrap_or(1).max(1) as f32;
-        let initial = draw_initial_model(&mut rng, &config, &global_optimum);
         ProceduralSurrogate {
             config,
             global_optimum,
             bias_direction,
-            initial,
+            initial: ParamVec::from_vec(initial),
             num_examples,
             max_examples,
             seed,
@@ -369,6 +235,25 @@ impl ProceduralSurrogate {
             .collect()
     }
 
+    /// The population optimum: the `f32` mean of every client's optimum,
+    /// summed in id order.  Evaluating at this point gives the
+    /// (approximate) lowest achievable population loss, useful for setting
+    /// relative loss targets.  Each optimum is derived and dropped in turn,
+    /// so this holds O(dim) floats; but an `evaluate` over every client
+    /// keeps that set's optima, `n · dim` floats, what storing every
+    /// client's optimum would cost.
+    pub fn population_optimum(&self) -> ParamVec {
+        let mut mean = vec![0.0f32; self.config.dim];
+        for id in 0..self.num_clients() {
+            for (m, o) in mean.iter_mut().zip(self.client_optimum(id)) {
+                *m += o;
+            }
+        }
+        let n = self.num_clients().max(1) as f32;
+        mean.iter_mut().for_each(|m| *m /= n);
+        ParamVec::from_vec(mean)
+    }
+
     /// Number of evaluation sets whose optima are kept.
     #[cfg(test)]
     fn cached_sets(&self) -> usize {
@@ -385,16 +270,33 @@ impl ClientTrainer for ProceduralSurrogate {
         self.initial.clone()
     }
 
+    /// Local SGD on the quadratic toward the client's optimum.
     fn train(&self, client_id: usize, global: &ParamVec, seed: u64) -> LocalTrainResult {
         check_arguments(self.num_clients(), self.config.dim, client_id, global);
-        train_toward(
-            &self.config,
-            client_id,
-            global,
-            seed,
-            &self.client_optimum(client_id),
-            self.num_examples[client_id] as usize,
-        )
+        let config = &self.config;
+        let optimum = self.client_optimum(client_id);
+        let examples = self.num_examples[client_id] as usize;
+        let mut rng = StdRng::seed_from_u64(seed ^ (client_id as u64).wrapping_mul(0x9e37_79b9));
+        let steps = (examples.div_ceil(config.batch_size)).clamp(1, config.max_local_steps);
+        // Gradient noise shrinks with the batch size actually used.
+        let noise_scale =
+            config.gradient_noise / (config.batch_size.min(examples).max(1) as f32).sqrt();
+
+        let mut w: Vec<f32> = global.as_slice().to_vec();
+        let mut normals = Normals::new(config.dim);
+        for _ in 0..steps {
+            let noise = normals.draw(&mut rng);
+            for ((w, o), n) in w.iter_mut().zip(&optimum).zip(noise) {
+                let grad = (*w - o) + noise_scale * n;
+                *w -= config.local_learning_rate * grad;
+            }
+        }
+        let train_loss = loss_at(&w, &optimum) as f32;
+        LocalTrainResult {
+            delta: ParamVec::from_vec(w).sub(global),
+            num_examples: examples,
+            train_loss,
+        }
     }
 
     fn evaluate(&self, params: &ParamVec, client_ids: &[usize]) -> f64 {
@@ -418,37 +320,6 @@ impl ClientTrainer for ProceduralSurrogate {
     }
 }
 
-impl ClientTrainer for SurrogateObjective {
-    fn parameter_count(&self) -> usize {
-        self.config.dim
-    }
-
-    fn initial_parameters(&self) -> ParamVec {
-        self.initial.clone()
-    }
-
-    fn train(&self, client_id: usize, global: &ParamVec, seed: u64) -> LocalTrainResult {
-        check_arguments(self.num_clients(), self.config.dim, client_id, global);
-        train_toward(
-            &self.config,
-            client_id,
-            global,
-            seed,
-            &self.client_optima[client_id],
-            self.num_examples[client_id],
-        )
-    }
-
-    fn evaluate(&self, params: &ParamVec, client_ids: &[usize]) -> f64 {
-        assert!(!client_ids.is_empty(), "evaluate needs at least one client");
-        client_ids
-            .iter()
-            .map(|&id| self.client_loss(params, id))
-            .sum::<f64>()
-            / client_ids.len() as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -460,8 +331,8 @@ mod tests {
     use crate::staleness::StalenessWeighting;
     use papaya_data::population::{Population, PopulationConfig};
 
-    /// One Box–Muller draw: what every normal of the surrogates was before
-    /// they drew them in batches, and the oracle the batches are held to.
+    /// One Box–Muller draw: what every normal of the surrogate was before
+    /// it drew them in batches, and the oracle the batches are held to.
     fn standard_normal(rng: &mut StdRng) -> f32 {
         let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
         let u2: f64 = rng.gen_range(0.0..1.0);
@@ -489,11 +360,6 @@ mod tests {
             check_arguments(self.num_clients(), self.config.dim, client_id, params);
             loss_at(params.as_slice(), &self.client_optimum(client_id))
         }
-    }
-
-    fn objective(n: usize) -> SurrogateObjective {
-        let pop = Population::generate(&PopulationConfig::default().with_size(n), 5);
-        SurrogateObjective::new(&pop, SurrogateConfig::default(), 5)
     }
 
     #[test]
@@ -670,23 +536,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "parameter length mismatch")]
-    fn objective_evaluate_rejects_a_short_parameter_vector() {
-        let obj = objective(10);
-        obj.evaluate(&ParamVec::zeros(obj.config.dim - 1), &[0, 1]);
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown client")]
-    fn objective_client_loss_rejects_an_unknown_client() {
-        let obj = objective(10);
-        obj.client_loss(&obj.initial_parameters(), 10);
-    }
-
-    #[test]
     fn procedural_surrogate_per_client_state_is_bytes_not_dim() {
         // The scale claim: per-client cost is one packed u32, independent of
-        // the model dimension (SurrogateObjective stores dim floats/client).
+        // the model dimension.
         let pop = Population::generate(&PopulationConfig::default().with_size(1000), 5);
         let obj = ProceduralSurrogate::new(&pop, SurrogateConfig::default(), 5);
         assert_eq!(obj.num_clients(), 1000);
@@ -697,8 +549,27 @@ mod tests {
     }
 
     #[test]
+    fn population_optimum_is_the_mean_of_the_derived_optima() {
+        let obj = procedural(300);
+        let mut sum = vec![0.0f32; obj.config.dim];
+        for id in 0..obj.num_clients() {
+            for (s, o) in sum.iter_mut().zip(obj.client_optimum(id)) {
+                *s += o;
+            }
+        }
+        let optimum = obj.population_optimum();
+        for (j, (got, s)) in optimum.as_slice().iter().zip(&sum).enumerate() {
+            let want = s / obj.num_clients() as f32;
+            assert_eq!(got.to_bits(), want.to_bits(), "coordinate {j}");
+        }
+        let all: Vec<usize> = (0..obj.num_clients()).collect();
+        let initial = obj.initial_parameters();
+        assert!(obj.evaluate(&optimum, &all) < obj.evaluate(&initial, &all));
+    }
+
+    #[test]
     fn initial_loss_is_high_training_reduces_it() {
-        let obj = objective(200);
+        let obj = procedural(200);
         let all: Vec<usize> = (0..obj.num_clients()).collect();
         let mut model = ServerModel::new(obj.initial_parameters());
         let initial_loss = obj.evaluate(model.params(), &all);
@@ -728,7 +599,7 @@ mod tests {
 
     #[test]
     fn training_is_deterministic_given_seed() {
-        let obj = objective(50);
+        let obj = procedural(50);
         let global = obj.initial_parameters();
         let a = obj.train(3, &global, 42);
         let b = obj.train(3, &global, 42);
@@ -739,7 +610,7 @@ mod tests {
 
     #[test]
     fn delta_moves_towards_client_optimum() {
-        let obj = objective(50);
+        let obj = procedural(50);
         let global = obj.initial_parameters();
         let before = obj.client_loss(&global, 7);
         let result = obj.train(7, &global, 1);
@@ -750,7 +621,7 @@ mod tests {
     #[test]
     fn heavy_clients_have_systematically_different_optima() {
         let pop = Population::generate(&PopulationConfig::default().with_size(2000), 9);
-        let obj = SurrogateObjective::new(&pop, SurrogateConfig::default(), 9);
+        let obj = ProceduralSurrogate::new(&pop, SurrogateConfig::default(), 9);
         // A model fit only to the light half of clients is worse for the
         // heaviest 1% than a model fit to everyone (bias direction matters).
         let heavy = pop.ids_above_example_percentile(99.0);
@@ -763,7 +634,7 @@ mod tests {
         let mean_of = |ids: &[usize]| {
             let mut acc = vec![0.0f32; obj.config.dim];
             for &id in ids {
-                for (a, o) in acc.iter_mut().zip(obj.client_optima[id].iter()) {
+                for (a, o) in acc.iter_mut().zip(obj.client_optimum(id)) {
                     *a += o;
                 }
             }
@@ -781,7 +652,7 @@ mod tests {
     #[test]
     fn evaluate_on_subsets_differs_from_population() {
         let pop = Population::generate(&PopulationConfig::default().with_size(500), 2);
-        let obj = SurrogateObjective::new(&pop, SurrogateConfig::default(), 2);
+        let obj = ProceduralSurrogate::new(&pop, SurrogateConfig::default(), 2);
         let params = obj.initial_parameters();
         let all: Vec<usize> = (0..obj.num_clients()).collect();
         let heavy = pop.ids_above_example_percentile(75.0);
@@ -803,7 +674,7 @@ mod tests {
             },
             1,
         );
-        let obj = SurrogateObjective::new(&pop, SurrogateConfig::default(), 1);
+        let obj = ProceduralSurrogate::new(&pop, SurrogateConfig::default(), 1);
         let result = obj.train(0, &obj.initial_parameters(), 0);
         assert_eq!(result.num_examples, 5000);
         // The delta norm stays bounded because steps are capped.
@@ -813,7 +684,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "unknown client")]
     fn unknown_client_panics() {
-        let obj = objective(5);
+        let obj = procedural(5);
         let _ = obj.train(99, &obj.initial_parameters(), 0);
     }
 }

@@ -355,12 +355,16 @@ fn worker_loop(shared: &Shared) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use papaya_core::surrogate::{SurrogateConfig, SurrogateObjective};
+    use papaya_core::surrogate::{ProceduralSurrogate, SurrogateConfig};
     use papaya_data::population::{Population, PopulationConfig};
 
     fn trainer() -> Arc<dyn ClientTrainer> {
         let pop = Population::generate(&PopulationConfig::default().with_size(50), 3);
-        Arc::new(SurrogateObjective::new(&pop, SurrogateConfig::default(), 3))
+        Arc::new(ProceduralSurrogate::new(
+            &pop,
+            SurrogateConfig::default(),
+            3,
+        ))
     }
 
     fn job(trainer: &Arc<dyn ClientTrainer>, pid: u64, client: usize) -> TrainJob {

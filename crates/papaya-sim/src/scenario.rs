@@ -60,7 +60,7 @@ use papaya_core::config::{SecAggMode, TaskConfig, TrainingMode};
 use papaya_core::dp::DpTelemetry;
 use papaya_core::robust::RobustTelemetry;
 use papaya_core::secure::SecureTelemetry;
-use papaya_core::surrogate::{SurrogateConfig, SurrogateObjective};
+use papaya_core::surrogate::{ProceduralSurrogate, SurrogateConfig};
 use papaya_core::trace::{DecimatedTrace, Digest, TraceBudget};
 use papaya_data::population::{DeviceProfile, Population};
 use papaya_nn::params::ParamVec;
@@ -635,8 +635,9 @@ impl Default for ScenarioBuilder {
 }
 
 impl ScenarioBuilder {
-    /// Adds a task trained with a default surrogate objective (seeded per
-    /// task, so tasks are distinct learning problems).
+    /// Adds a task trained with the procedural surrogate at its default
+    /// configuration (seeded per task, so tasks are distinct learning
+    /// problems).
     pub fn task(mut self, task: TaskConfig) -> Self {
         self.tasks.push(task);
         self.trainers.push(None);
@@ -799,7 +800,7 @@ impl ScenarioBuilder {
                 trainer.unwrap_or_else(|| {
                     // Salt with task_id + 1 so task 0's stream is decorrelated
                     // from the driver RNG (and the population generator) too.
-                    Arc::new(SurrogateObjective::new(
+                    Arc::new(ProceduralSurrogate::new(
                         &population,
                         SurrogateConfig::default(),
                         seed ^ (task_id as u64 + 1).wrapping_mul(0x9E3779B97F4A7C15),

@@ -8,7 +8,7 @@ pub(crate) mod tests {
     };
     use papaya_core::client::ClientTrainer;
     use papaya_core::config::TaskConfig;
-    use papaya_core::surrogate::{SurrogateConfig, SurrogateObjective};
+    use papaya_core::surrogate::{ProceduralSurrogate, SurrogateConfig};
     use papaya_core::trace::DecimatedTrace;
     use papaya_data::population::{Population, PopulationConfig};
     use std::sync::Arc;
@@ -34,8 +34,12 @@ pub(crate) mod tests {
         Population::generate(&PopulationConfig::default().with_size(n), 17)
     }
 
-    fn trainer(pop: &Population) -> Arc<SurrogateObjective> {
-        Arc::new(SurrogateObjective::new(pop, SurrogateConfig::default(), 17))
+    fn trainer(pop: &Population) -> Arc<ProceduralSurrogate> {
+        Arc::new(ProceduralSurrogate::new(
+            pop,
+            SurrogateConfig::default(),
+            17,
+        ))
     }
 
     /// `task` over `pop`, trained by the surrogate objective.

@@ -557,7 +557,7 @@ impl TaskRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use papaya_core::surrogate::{SurrogateConfig, SurrogateObjective};
+    use papaya_core::surrogate::{ProceduralSurrogate, SurrogateConfig};
     use papaya_data::population::{Population, PopulationConfig};
 
     impl TaskRuntime {
@@ -584,7 +584,11 @@ mod tests {
 
     fn runtime(config: TaskConfig) -> TaskRuntime {
         let pop = Population::generate(&PopulationConfig::default().with_size(200), 5);
-        let trainer = Arc::new(SurrogateObjective::new(&pop, SurrogateConfig::default(), 5));
+        let trainer = Arc::new(ProceduralSurrogate::new(
+            &pop,
+            SurrogateConfig::default(),
+            5,
+        ));
         TaskRuntime::new(
             config,
             ServerOptimizerKind::FedAvg,
@@ -783,7 +787,11 @@ mod tests {
     #[test]
     fn evaluate_tracks_target() {
         let pop = Population::generate(&PopulationConfig::default().with_size(100), 5);
-        let trainer = Arc::new(SurrogateObjective::new(&pop, SurrogateConfig::default(), 5));
+        let trainer = Arc::new(ProceduralSurrogate::new(
+            &pop,
+            SurrogateConfig::default(),
+            5,
+        ));
         let initial = trainer.evaluate(&trainer.initial_parameters(), &[0, 1, 2]);
         let mut rt = TaskRuntime::new(
             TaskConfig::async_task("t", 4, 2),

@@ -10,7 +10,7 @@
 //! server-update frequency, and utilization.
 
 use papaya_core::client::ClientTrainer;
-use papaya_core::surrogate::{SurrogateConfig, SurrogateObjective};
+use papaya_core::surrogate::{ProceduralSurrogate, SurrogateConfig};
 use papaya_core::TaskConfig;
 use papaya_data::population::{Population, PopulationConfig};
 use papaya_sim::scenario::{EvalPolicy, RunLimits, Scenario, TaskReport};
@@ -19,7 +19,7 @@ use std::sync::Arc;
 fn run(
     task: TaskConfig,
     population: &Population,
-    trainer: &Arc<SurrogateObjective>,
+    trainer: &Arc<ProceduralSurrogate>,
     target: f64,
 ) -> TaskReport {
     // Evaluate often: time-to-target is quantized by the evaluation
@@ -42,7 +42,7 @@ fn run(
 fn main() {
     let concurrency = 260;
     let population = Population::generate(&PopulationConfig::default().with_size(5_000), 7);
-    let trainer = Arc::new(SurrogateObjective::new(
+    let trainer = Arc::new(ProceduralSurrogate::new(
         &population,
         SurrogateConfig::default(),
         7,

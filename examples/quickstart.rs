@@ -9,7 +9,7 @@
 //! (concurrency 128, aggregation goal 32), and prints the loss curve and the
 //! run summary.
 
-use papaya_core::surrogate::{SurrogateConfig, SurrogateObjective};
+use papaya_core::surrogate::{ProceduralSurrogate, SurrogateConfig};
 use papaya_core::TaskConfig;
 use papaya_data::population::{Population, PopulationConfig};
 use papaya_sim::scenario::{EvalPolicy, RunLimits, Scenario};
@@ -28,7 +28,7 @@ fn main() {
     // 2. A federated objective. The surrogate is a heterogeneous quadratic
     //    that trains in microseconds per client; swap in
     //    `papaya_lm::LmClientTrainer` for the real character-level LSTM.
-    let trainer = Arc::new(SurrogateObjective::new(
+    let trainer = Arc::new(ProceduralSurrogate::new(
         &population,
         SurrogateConfig::default(),
         42,

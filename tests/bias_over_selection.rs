@@ -1,14 +1,18 @@
 //! Cross-crate integration test for Section 7.4: over-selection introduces
 //! sampling bias, asynchronous training does not.
 
-use papaya_core::surrogate::{SurrogateConfig, SurrogateObjective};
+use papaya_core::surrogate::{ProceduralSurrogate, SurrogateConfig};
 use papaya_core::TaskConfig;
 use papaya_data::population::{Population, PopulationConfig};
 use papaya_data::stats::mean;
 use papaya_sim::scenario::{EvalPolicy, RunLimits, Scenario, TaskReport};
 use std::sync::Arc;
 
-fn run(task: TaskConfig, population: &Population, trainer: &Arc<SurrogateObjective>) -> TaskReport {
+fn run(
+    task: TaskConfig,
+    population: &Population,
+    trainer: &Arc<ProceduralSurrogate>,
+) -> TaskReport {
     Scenario::builder()
         .population(population.clone())
         .task_with_trainer(task, trainer.clone())
@@ -23,7 +27,7 @@ fn run(task: TaskConfig, population: &Population, trainer: &Arc<SurrogateObjecti
 #[test]
 fn over_selection_biases_participation_async_does_not() {
     let population = Population::generate(&PopulationConfig::default().with_size(3_000), 29);
-    let trainer = Arc::new(SurrogateObjective::new(
+    let trainer = Arc::new(ProceduralSurrogate::new(
         &population,
         SurrogateConfig::default(),
         29,

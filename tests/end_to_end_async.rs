@@ -3,15 +3,15 @@
 //! the paper's qualitative claims at a small scale.
 
 use papaya_core::client::ClientTrainer;
-use papaya_core::surrogate::{SurrogateConfig, SurrogateObjective};
+use papaya_core::surrogate::{ProceduralSurrogate, SurrogateConfig};
 use papaya_core::TaskConfig;
 use papaya_data::population::{Population, PopulationConfig};
 use papaya_sim::scenario::{EvalPolicy, RunLimits, Scenario, TaskReport};
 use std::sync::Arc;
 
-fn setup(seed: u64) -> (Population, Arc<SurrogateObjective>) {
+fn setup(seed: u64) -> (Population, Arc<ProceduralSurrogate>) {
     let population = Population::generate(&PopulationConfig::default().with_size(1_500), seed);
-    let trainer = Arc::new(SurrogateObjective::new(
+    let trainer = Arc::new(ProceduralSurrogate::new(
         &population,
         SurrogateConfig::default(),
         seed,
@@ -22,7 +22,7 @@ fn setup(seed: u64) -> (Population, Arc<SurrogateObjective>) {
 fn run(
     task: TaskConfig,
     population: &Population,
-    trainer: &Arc<SurrogateObjective>,
+    trainer: &Arc<ProceduralSurrogate>,
     target: Option<f64>,
     hours: f64,
 ) -> TaskReport {

@@ -10,7 +10,7 @@
 
 use papaya_core::client::ClientTrainer;
 use papaya_core::server_opt::{FedAvg, ServerOptimizer};
-use papaya_core::surrogate::{SurrogateConfig, SurrogateObjective};
+use papaya_core::surrogate::{ProceduralSurrogate, SurrogateConfig};
 use papaya_crypto::chacha20::ChaCha20Rng;
 use papaya_data::population::{Population, PopulationConfig};
 use papaya_nn::params::ParamVec;
@@ -19,7 +19,7 @@ use papaya_secagg::{SecAggClient, SecAggConfig, Tsa, UntrustedAggregator};
 #[test]
 fn secure_buffers_match_cleartext_aggregation() {
     let population = Population::generate(&PopulationConfig::default().with_size(64), 23);
-    let objective = SurrogateObjective::new(&population, SurrogateConfig::default(), 23);
+    let objective = ProceduralSurrogate::new(&population, SurrogateConfig::default(), 23);
     let dim = objective.parameter_count();
 
     let buffer_size = 8usize;
