@@ -333,18 +333,17 @@ fn coordinate_trimmed_mean(buffered: &[(f64, ParamVec)], trim_fraction: f64) -> 
     let k = (trim_fraction * n as f64).floor() as usize;
     let dimension = buffered[0].1.len();
     let mut out = Vec::with_capacity(dimension);
-    let mut column: Vec<(f32, f64)> = Vec::with_capacity(n);
+    let mut column = Vec::with_capacity(n);
     for i in 0..dimension {
-        column.clear();
-        column.extend(buffered.iter().map(|(w, delta)| (delta.as_slice()[i], *w)));
-        // total_cmp gives a total order; values are finite (non-finite
-        // updates never reach the buffer), so ties resolve bitwise and the
-        // sort is deterministic regardless of arrival interleaving.
-        column.sort_by(|a, b| a.0.total_cmp(&b.0));
-        let survivors = &column[k..n - k];
-        let weight_sum: f64 = survivors.iter().map(|(_, w)| w).sum();
+        sort_column(buffered, i, &mut column);
+        let survivors = || {
+            column[k..n - k]
+                .iter()
+                .map(|&key| column_entry(buffered, key))
+        };
+        let weight_sum: f64 = survivors().map(|(_, w)| w).sum();
         out.push(if weight_sum > 0.0 {
-            (survivors.iter().map(|(v, w)| *v as f64 * w).sum::<f64>() / weight_sum) as f32
+            (survivors().map(|(v, w)| v as f64 * w).sum::<f64>() / weight_sum) as f32
         } else {
             0.0
         });
@@ -360,17 +359,16 @@ fn coordinate_weighted_median(buffered: &[(f64, ParamVec)]) -> ParamVec {
     let n = buffered.len();
     let dimension = buffered[0].1.len();
     let mut out = Vec::with_capacity(dimension);
-    let mut column: Vec<(f32, f64)> = Vec::with_capacity(n);
+    let mut column = Vec::with_capacity(n);
     for i in 0..dimension {
-        column.clear();
-        column.extend(buffered.iter().map(|(w, delta)| (delta.as_slice()[i], *w)));
-        column.sort_by(|a, b| a.0.total_cmp(&b.0));
-        let total: f64 = column.iter().map(|(_, w)| w).sum();
+        sort_column(buffered, i, &mut column);
+        let entries = || column.iter().map(|&key| column_entry(buffered, key));
+        let total: f64 = entries().map(|(_, w)| w).sum();
         let value = if total > 0.0 {
             let half = total / 2.0;
             let mut cumulative = 0.0;
-            let mut picked = column[n - 1].0;
-            for &(v, w) in &column {
+            let mut picked = column_entry(buffered, column[n - 1]).0;
+            for (v, w) in entries() {
                 cumulative += w;
                 if cumulative >= half {
                     picked = v;
@@ -379,11 +377,57 @@ fn coordinate_weighted_median(buffered: &[(f64, ParamVec)]) -> ParamVec {
             }
             picked
         } else {
-            column[(n - 1) / 2].0
+            column_entry(buffered, column[(n - 1) / 2]).0
         };
         out.push(value);
     }
     ParamVec::from_vec(out)
+}
+
+/// Fills `column` with coordinate `i` of every buffered update, sorted
+/// ascending by [`f32::total_cmp`], equal values in arrival order: the
+/// order a stable `sort_by(total_cmp)` gives.  Values are finite
+/// (non-finite updates never reach the buffer), so ties resolve bitwise
+/// and the order is deterministic regardless of arrival interleaving.
+///
+/// Each entry is a `u64` key, the value's total-order bits above its
+/// arrival index, so `sort_unstable` on plain integers sorts the column
+/// and the index breaks ties.  [`column_entry`] reads an entry back.
+fn sort_column(buffered: &[(f64, ParamVec)], i: usize, column: &mut Vec<u64>) {
+    assert!(
+        u32::try_from(buffered.len()).is_ok(),
+        "an arrival index must fit in the key's low 32 bits"
+    );
+    column.clear();
+    column.extend(buffered.iter().enumerate().map(|(index, (_, delta))| {
+        (u64::from(total_order_bits(delta.as_slice()[i])) << 32) | index as u64
+    }));
+    column.sort_unstable();
+}
+
+/// The value and weight of a [`sort_column`] entry.
+fn column_entry(buffered: &[(f64, ParamVec)], key: u64) -> (f32, f64) {
+    let bits = (key >> 32) as u32;
+    // Invert total_order_bits: a set top bit marks a non-negative value.
+    let value = f32::from_bits(if bits >> 31 == 1 {
+        bits ^ (1 << 31)
+    } else {
+        !bits
+    });
+    (value, buffered[key as u32 as usize].0)
+}
+
+/// `x`'s bits mapped so that unsigned order is [`f32::total_cmp`]'s:
+/// negative values have every bit flipped, so a larger magnitude sorts
+/// lower, and non-negative values have the sign bit set, above them all.
+/// −0.0 sorts just below +0.0.
+fn total_order_bits(x: f32) -> u32 {
+    let bits = x.to_bits();
+    if bits >> 31 == 1 {
+        !bits
+    } else {
+        bits | (1 << 31)
+    }
 }
 
 #[cfg(test)]
@@ -597,5 +641,48 @@ mod tests {
     #[should_panic(expected = "trim fraction must be in [0, 0.5)")]
     fn invalid_trim_fraction_rejected() {
         RobustConfig::new(RobustDefense::TrimmedMean { trim_fraction: 0.5 }).validate();
+    }
+
+    /// Few distinct values, many repeats: ±0.0, a subnormal of each sign,
+    /// ±f32::MAX and ±1.0.
+    const TIE_VALUES: [f32; 8] = [
+        0.0,
+        -0.0,
+        f32::from_bits(1),
+        -f32::from_bits(1),
+        f32::MAX,
+        f32::MIN,
+        1.0,
+        -1.0,
+    ];
+
+    proptest::proptest! {
+        /// The keyed sort orders a column exactly as a stable
+        /// `sort_by(total_cmp)` of `(value, weight)` pairs: same values,
+        /// bit for bit, and ties in arrival order, which the distinct
+        /// weights reveal.  Columns run past the length where
+        /// `sort_unstable` stops sorting by insertion.
+        #[test]
+        fn keyed_column_sort_matches_a_stable_total_cmp_sort(
+            picks in proptest::collection::vec(0..TIE_VALUES.len(), 1..200),
+        ) {
+            let buffered: Vec<(f64, ParamVec)> = picks
+                .iter()
+                .enumerate()
+                .map(|(index, &pick)| (index as f64 + 0.5, ParamVec::from_vec(vec![TIE_VALUES[pick]])))
+                .collect();
+            let mut expected: Vec<(f32, f64)> =
+                buffered.iter().map(|(w, delta)| (delta.as_slice()[0], *w)).collect();
+            expected.sort_by(|a, b| a.0.total_cmp(&b.0));
+            let mut column = Vec::new();
+            sort_column(&buffered, 0, &mut column);
+            let got: Vec<(u32, f64)> = column
+                .iter()
+                .map(|&key| column_entry(&buffered, key))
+                .map(|(v, w)| (v.to_bits(), w))
+                .collect();
+            let expected: Vec<(u32, f64)> = expected.iter().map(|&(v, w)| (v.to_bits(), w)).collect();
+            proptest::prop_assert_eq!(got, expected);
+        }
     }
 }

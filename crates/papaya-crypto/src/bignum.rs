@@ -1,10 +1,21 @@
-//! Fixed-width big unsigned integers with Montgomery modular arithmetic.
+//! Fixed-width big unsigned integers with modular arithmetic.
 //!
 //! The Diffie–Hellman exchange between clients and the Trusted Secure
 //! Aggregator (Appendix A.1 of the PAPAYA paper) needs modular exponentiation
 //! over a large prime group.  This module provides a small, from-scratch,
 //! constant-width big-integer type [`Uint`] and a [`Montgomery`] context that
 //! performs efficient `a^e mod n` for odd moduli.
+//!
+//! The context has two multiplication bodies and the modulus picks one.  A
+//! modulus `2^256 − c` with `c < 2^64`, the simulator's group, multiplies
+//! on four limbs and reduces by folding the high half by `c`, because
+//! `2^256 ≡ c`; its residues need no Montgomery form.  Every other odd
+//! modulus, the 2048-bit RFC 3526 group among them, runs CIOS Montgomery
+//! multiplication at the width the modulus occupies.  The fold replaces the
+//! reduction half of a multiply, not just some of its limb products, which
+//! is why the simulator's group has its own body.  Both return the unique
+//! residue in `[0, n)`, and the window loops of every exponentiation are
+//! written once, over both.
 //!
 //! Widths are expressed in 64-bit limbs via const generics; `U2048`
 //! (32 limbs) is the width used by the RFC 3526 group 14 modulus, and
@@ -176,7 +187,7 @@ impl<const N: usize> Uint<N> {
 
     /// Returns 4-bit window `w` (bits `4w..4w+4`; windows never straddle a
     /// limb boundary since 64 is a multiple of 4).
-    #[inline]
+    #[inline(always)]
     pub(crate) fn window4(&self, w: usize) -> u64 {
         let bit = w * 4;
         if bit >= N * 64 {
@@ -280,58 +291,243 @@ impl<const N: usize> Ord for Uint<N> {
     }
 }
 
-/// Montgomery-form modular arithmetic context for an odd modulus.
+/// Modular arithmetic context for an odd modulus: multiplication and
+/// exponentiation `a^e mod n`.
 ///
-/// Supports modular multiplication and exponentiation in `O(w^2)` limb
-/// operations per multiplication using the CIOS method, where `w ≤ N` is the
-/// number of limbs the modulus actually occupies.  Arithmetic runs at the
-/// modulus's *active* width, so a 256-bit group embedded in a `Uint<32>`
-/// costs 4-limb multiplications, not 32-limb ones.
+/// [`Montgomery::new`] picks one of two multiplication bodies from the
+/// modulus alone:
 ///
-/// The width the simulator's Diffie–Hellman group uses (4 limbs, 256 bits)
-/// runs the multiplication body with the width as a compile-time constant on
-/// `[u64; 4]` arrays; every other width, the 2048-bit RFC 3526 group's
-/// included, runs the same body on storage-width arrays with the width read
-/// at run time.  The choice is made from the modulus alone.
+/// - **The special form.** A four-limb modulus `2^256 − c` with `c < 2^64`,
+///   which is the secp256k1 field prime of the simulator's Diffie–Hellman
+///   group ([`crate::dh::DhGroup::test_group_256`]).  A multiply is a 4×4
+///   schoolbook product and a square a 10-product squaring.  Because
+///   `2^256 ≡ c`, the 512-bit result is reduced by folding its high half
+///   twice by `c`, then by a final carry and one conditional subtraction.
+///   Folding by a constant that fits in one limb costs a fraction of a
+///   Montgomery reduction, which is half of every CIOS multiply.  Residues
+///   stay in plain form, so entering and leaving the body are identities.
+/// - **CIOS Montgomery multiplication** for every other odd modulus: the
+///   2048-bit RFC 3526 group, small test primes, any width.  It runs at the
+///   modulus's *active* width `w ≤ N`, the number of limbs the modulus
+///   occupies, read at run time, so a narrow modulus in a wide `Uint`
+///   costs `w`-limb products.
+///
+/// Both bodies return the unique residue in `[0, n)`, so a result does not
+/// depend on which body computed it.  Every CIOS field is kept for a
+/// special-form modulus too; the tests compare the two bodies through it.
 #[derive(Clone, Debug)]
 pub struct Montgomery<const N: usize> {
+    /// The modulus's CIOS body, run when it has no special form.
+    cios: Cios<N>,
+    /// The special-form body, when the modulus is `2^256 − c`.
+    fold: Option<Fold>,
+}
+
+/// One multiplication body.  It keeps residues as `W`-limb arrays in its
+/// own representation; every operand is below the modulus, and every
+/// result is too.  The window loops are written once, over this trait.
+trait Body<const W: usize> {
+    /// The representation of 1.
+    fn one(&self) -> [u64; W];
+    /// The representation of a reduced value.
+    fn enter(&self, a: &[u64; W]) -> [u64; W];
+    /// The value a representation stands for.
+    fn leave(&self, a: &[u64; W]) -> [u64; W];
+    /// The product of two representations.
+    fn mul(&self, a: &[u64; W], b: &[u64; W]) -> [u64; W];
+    /// The square of a representation.
+    fn sqr(&self, a: &[u64; W]) -> [u64; W];
+
+    /// `a * b mod n` for reduced `a` and `b`.
+    fn mul_mod<const N: usize>(&self, a: &Uint<N>, b: &Uint<N>) -> Uint<N> {
+        let product = self.mul(&self.enter(&narrow(a)), &self.enter(&narrow(b)));
+        widen(&self.leave(&product))
+    }
+
+    /// `base^exponent mod n` for a reduced `base`, by a fixed 4-bit window
+    /// read left to right: a multiply per nonzero window on top of the
+    /// squarings, instead of one per set bit.
+    fn pow<const N: usize, const E: usize>(&self, base: &Uint<N>, exponent: &Uint<E>) -> Uint<N> {
+        // powers[d - 1] = base^d, d = 1..=15.
+        let mut powers = [self.enter(&narrow(base)); 15];
+        for d in 1..15 {
+            powers[d] = self.mul(&powers[d - 1], &powers[0]);
+        }
+        let top_window = exponent.highest_bit().map_or(0, |h| h / 4);
+        let mut acc = self.one();
+        for window in (0..=top_window).rev() {
+            if window != top_window {
+                for _ in 0..4 {
+                    acc = self.sqr(&acc);
+                }
+            }
+            let digit = exponent.window4(window);
+            if digit != 0 {
+                acc = self.mul(&acc, &powers[digit as usize - 1]);
+            }
+        }
+        widen(&self.leave(&acc))
+    }
+
+    /// The fixed-base table of a reduced `base` over `windows` 4-bit
+    /// windows: entry `i * 15 + (d - 1)` is `base^(d * 16^i)`.
+    fn precompute<const N: usize>(&self, base: &Uint<N>, windows: usize) -> FixedBase<N> {
+        let mut table = Vec::with_capacity(windows * 15 * W);
+        // window_base = base^(16^i).
+        let mut window_base = self.enter(&narrow(base));
+        for i in 0..windows {
+            if i > 0 {
+                for _ in 0..4 {
+                    window_base = self.sqr(&window_base);
+                }
+            }
+            let mut acc = window_base;
+            table.extend_from_slice(&acc);
+            for _ in 1..15 {
+                acc = self.mul(&acc, &window_base);
+                table.extend_from_slice(&acc);
+            }
+        }
+        FixedBase {
+            table,
+            stride: W,
+            windows,
+        }
+    }
+
+    /// `base^exponent mod n` against a table from
+    /// [`precompute`](Body::precompute): one multiply per nonzero window
+    /// and no squarings.
+    fn pow_fixed<const N: usize, const E: usize>(
+        &self,
+        base: &FixedBase<N>,
+        exponent: &Uint<E>,
+    ) -> Uint<N> {
+        assert_eq!(
+            base.stride, W,
+            "fixed-base table was built for another modulus"
+        );
+        let mut acc = self.one();
+        let mut entry = [0u64; W];
+        for window in 0..base.windows {
+            let digit = exponent.window4(window);
+            if digit != 0 {
+                let at = (window * 15 + digit as usize - 1) * W;
+                entry.copy_from_slice(&base.table[at..at + W]);
+                acc = self.mul(&acc, &entry);
+            }
+        }
+        widen(&self.leave(&acc))
+    }
+}
+
+/// The low `W` limbs of `x`.
+fn narrow<const N: usize, const W: usize>(x: &Uint<N>) -> [u64; W] {
+    let mut out = [0u64; W];
+    out.copy_from_slice(&x.limbs[..W]);
+    out
+}
+
+/// `W` limbs zero-extended to the storage width.
+fn widen<const N: usize, const W: usize>(x: &[u64; W]) -> Uint<N> {
+    let mut limbs = [0u64; N];
+    limbs[..W].copy_from_slice(x);
+    Uint { limbs }
+}
+
+/// CIOS (coarsely integrated operand scanning) Montgomery multiplication
+/// at the modulus's active width, on storage-width arrays.  Residues are
+/// in Montgomery form `a R mod n`, `R = 2^(64 w)`.
+#[derive(Clone, Debug)]
+struct Cios<const N: usize> {
     modulus: Uint<N>,
     /// Number of significant limbs of the modulus; all arithmetic and the
     /// Montgomery radix use this width.
     active: usize,
     /// `-modulus^{-1} mod 2^64`.
     n0_inv: u64,
-    /// `R^2 mod modulus` where `R = 2^(64 w)` and `w` is the active width.
+    /// `R^2 mod modulus`.
     r2: Uint<N>,
     /// `R mod modulus` (the Montgomery form of 1).
     r1: Uint<N>,
 }
 
-/// CIOS (coarsely integrated operand scanning) Montgomery multiplication:
-/// returns `a * b * 2^(-64 w) mod n` for reduced `a` and `b`, computed on the
-/// low `w` limbs of `W`-limb arrays (limbs `w..W` of every operand must be
-/// zero, and stay zero in the result).  The two overflow limbs of the
-/// accumulator are held in scalars.
-///
-/// This is the only multiplication body in the module.  It is
-/// `#[inline(always)]` so that a caller passing `w` as a literal gets
-/// constant loop bounds and an accumulator the compiler can keep in
-/// registers; a caller passing the modulus's run-time width gets the general
-/// loop.  Both compute the same limbs.
+impl<const N: usize> Cios<N> {
+    /// # Panics
+    ///
+    /// Panics if `modulus` is zero.
+    fn new(modulus: Uint<N>) -> Self {
+        #[expect(
+            clippy::expect_used,
+            reason = "documented panic: Montgomery construction requires a non-zero odd modulus (asserted by the caller)"
+        )]
+        let active = modulus.highest_bit().expect("modulus must be non-zero") / 64 + 1;
+        let n0_inv = inv_mod_2_64(modulus.limbs[0]).wrapping_neg();
+
+        // r1 = 2^(64 w) mod modulus, computed by repeated modular doubling
+        // of 1.  The radix must match the active width `cios` runs at, or
+        // every conversion in and out of Montgomery form would be off by a
+        // power of two.
+        let mut r1 = Uint::<N>::one().reduce(&modulus);
+        for _ in 0..(64 * active) {
+            r1 = r1.double_mod(&modulus);
+        }
+        // r2 = 2^(128 w) mod modulus = r1 doubled 64 w more times.
+        let mut r2 = r1;
+        for _ in 0..(64 * active) {
+            r2 = r2.double_mod(&modulus);
+        }
+        Cios {
+            modulus,
+            active,
+            n0_inv,
+            r2,
+            r1,
+        }
+    }
+}
+
+impl<const N: usize> Body<N> for Cios<N> {
+    fn one(&self) -> [u64; N] {
+        self.r1.limbs
+    }
+
+    fn enter(&self, a: &[u64; N]) -> [u64; N] {
+        self.mul(a, &self.r2.limbs)
+    }
+
+    fn leave(&self, a: &[u64; N]) -> [u64; N] {
+        // A Montgomery product with 1 converts back out of Montgomery form.
+        self.mul(a, &Uint::<N>::one().limbs)
+    }
+
+    fn mul(&self, a: &[u64; N], b: &[u64; N]) -> [u64; N] {
+        cios(self.active, a, b, &self.modulus.limbs, self.n0_inv)
+    }
+
+    fn sqr(&self, a: &[u64; N]) -> [u64; N] {
+        self.mul(a, a)
+    }
+}
+
+/// CIOS Montgomery multiplication: returns `a * b * 2^(-64 w) mod n` for
+/// reduced `a` and `b`, computed on the low `w` limbs of `N`-limb arrays
+/// (limbs `w..N` of every operand must be zero, and stay zero in the
+/// result).  The two overflow limbs of the accumulator are held in scalars.
 #[expect(
     clippy::needless_range_loop,
     reason = "index style keeps the CIOS carry chains legible across `t`, `a`, `b`"
 )]
 #[inline(always)]
-fn cios<const W: usize>(
+fn cios<const N: usize>(
     w: usize,
-    a: &[u64; W],
-    b: &[u64; W],
-    n: &[u64; W],
+    a: &[u64; N],
+    b: &[u64; N],
+    n: &[u64; N],
     n0_inv: u64,
-) -> [u64; W] {
-    assert!(0 < w && w <= W, "active width exceeds the array width");
-    let mut t = [0u64; W];
+) -> [u64; N] {
+    assert!(0 < w && w <= N, "active width exceeds the array width");
+    let mut t = [0u64; N];
     let mut t_hi = 0u64; // t[w]
     let mut t_hi2; // t[w + 1]; assigned each iteration before use
     for i in 0..w {
@@ -380,30 +576,130 @@ fn cios<const W: usize>(
     t
 }
 
-/// The low `W` limbs of `x`, for handing to [`cios`].
-fn narrow<const N: usize, const W: usize>(x: &Uint<N>) -> [u64; W] {
-    let mut out = [0u64; W];
-    out.copy_from_slice(&x.limbs[..W]);
-    out
+/// The special-form body for the modulus `p = 2^256 − c`, `0 < c < 2^64`:
+/// plain residues on four limbs, reduced by folding by `c`.
+#[derive(Clone, Copy, Debug)]
+struct Fold {
+    c: u64,
 }
 
-/// The value 1 on `W` limbs: multiplying by it converts out of Montgomery
-/// form.
-fn one<const W: usize>() -> [u64; W] {
-    let mut out = [0u64; W];
-    out[0] = 1;
-    out
+impl Fold {
+    /// The body for `modulus` if it is `2^256 − c` with `c < 2^64`: limbs
+    /// 1 to 3 all ones and nothing above them.  The modulus is odd, so its
+    /// low limb is nonzero and `c` is its two's complement.
+    fn of<const N: usize>(modulus: &Uint<N>) -> Option<Self> {
+        let limbs = &modulus.limbs;
+        let special = N >= 4
+            && limbs[1..4].iter().all(|&l| l == u64::MAX)
+            && limbs[4..].iter().all(|&l| l == 0);
+        special.then(|| Fold {
+            c: limbs[0].wrapping_neg(),
+        })
+    }
+
+    /// The residue in `[0, p)` of the 512-bit `t` (little-endian limbs).
+    #[inline(always)]
+    fn reduce(&self, t: &[u64; 8]) -> [u64; 4] {
+        let c = self.c as u128;
+        // First fold: lo + hi * c, below 2^320; its fifth limb is `top`.
+        let mut r = [0u64; 4];
+        let mut top = 0u128;
+        for i in 0..4 {
+            let sum = t[i] as u128 + t[i + 4] as u128 * c + top;
+            r[i] = sum as u64;
+            top = sum >> 64;
+        }
+        // Second fold: r + top * c, below 2^256 + 2^128.
+        let (r, carried) = add_wide(&r, top * c);
+        let (plus_c, at_least_p) = add_wide(&r, c);
+        if carried || at_least_p {
+            // A final carry out of the second fold is worth c again; it
+            // left r below 2^128, so r + c is below p.  Otherwise r < 2^256
+            // < 2p, and r ≥ p exactly when r + c carries out of 256 bits:
+            // the low 256 bits of r + c are then r − p.
+            plus_c
+        } else {
+            r
+        }
+    }
 }
 
-/// `W` limbs zero-extended back to the storage width.
-fn widen<const N: usize, const W: usize>(x: &[u64; W]) -> Uint<N> {
-    let mut limbs = [0u64; N];
-    limbs[..W].copy_from_slice(x);
-    Uint { limbs }
+/// `r + x` for `x ≤ (2^64 − 1)^2`, and whether it carried out of 256 bits.
+#[inline(always)]
+fn add_wide(r: &[u64; 4], x: u128) -> ([u64; 4], bool) {
+    let mut out = [0u64; 4];
+    let mut carry = x;
+    for (o, limb) in out.iter_mut().zip(r) {
+        let sum = *limb as u128 + carry;
+        *o = sum as u64;
+        carry = sum >> 64;
+    }
+    (out, carry != 0)
+}
+
+impl Body<4> for Fold {
+    fn one(&self) -> [u64; 4] {
+        [1, 0, 0, 0]
+    }
+
+    fn enter(&self, a: &[u64; 4]) -> [u64; 4] {
+        *a
+    }
+
+    fn leave(&self, a: &[u64; 4]) -> [u64; 4] {
+        *a
+    }
+
+    /// 4×4 schoolbook product, then [`Fold::reduce`].
+    #[inline(always)]
+    fn mul(&self, a: &[u64; 4], b: &[u64; 4]) -> [u64; 4] {
+        let mut t = [0u64; 8];
+        for i in 0..4 {
+            let mut carry = 0u128;
+            for j in 0..4 {
+                let sum = t[i + j] as u128 + a[i] as u128 * b[j] as u128 + carry;
+                t[i + j] = sum as u64;
+                carry = sum >> 64;
+            }
+            t[i + 4] = carry as u64;
+        }
+        self.reduce(&t)
+    }
+
+    /// The six cross products once, doubled by a one-bit shift, plus the
+    /// four squares: ten limb products where [`mul`](Body::mul) takes
+    /// sixteen.
+    #[inline(always)]
+    fn sqr(&self, a: &[u64; 4]) -> [u64; 4] {
+        let mut t = [0u64; 8];
+        for i in 0..3 {
+            let mut carry = 0u128;
+            for j in i + 1..4 {
+                let sum = t[i + j] as u128 + a[i] as u128 * a[j] as u128 + carry;
+                t[i + j] = sum as u64;
+                carry = sum >> 64;
+            }
+            t[i + 4] = carry as u64;
+        }
+        for k in (1..8).rev() {
+            t[k] = t[k] << 1 | t[k - 1] >> 63;
+        }
+        let mut carry = 0u128;
+        for i in 0..4 {
+            let square = a[i] as u128 * a[i] as u128;
+            let sum = t[2 * i] as u128 + (square as u64) as u128 + carry;
+            t[2 * i] = sum as u64;
+            let sum = t[2 * i + 1] as u128 + (square >> 64) + (sum >> 64);
+            t[2 * i + 1] = sum as u64;
+            carry = sum >> 64;
+        }
+        self.reduce(&t)
+    }
 }
 
 impl<const N: usize> Montgomery<N> {
-    /// Creates a context for the given odd modulus.
+    /// Creates a context for the given odd modulus, with the body the
+    /// modulus's form picks.
     ///
     /// # Panics
     ///
@@ -413,135 +709,36 @@ impl<const N: usize> Montgomery<N> {
             modulus.is_odd(),
             "Montgomery arithmetic requires an odd modulus"
         );
-        #[expect(
-            clippy::expect_used,
-            reason = "documented panic: Montgomery construction requires a non-zero odd modulus (asserted above)"
-        )]
-        let active = modulus.highest_bit().expect("modulus must be non-zero") / 64 + 1;
-        let n0_inv = inv_mod_2_64(modulus.limbs[0]).wrapping_neg();
-
-        // r1 = 2^(64 w) mod modulus, computed by repeated modular doubling
-        // of 1.  The radix must match the active width mont_mul runs at, or
-        // every conversion in and out of Montgomery form would be off by a
-        // power of two.
-        let mut r1 = Uint::<N>::one().reduce(&modulus);
-        for _ in 0..(64 * active) {
-            r1 = r1.double_mod(&modulus);
-        }
-        // r2 = 2^(128 w) mod modulus = r1 doubled 64 w more times.
-        let mut r2 = r1;
-        for _ in 0..(64 * active) {
-            r2 = r2.double_mod(&modulus);
-        }
         Montgomery {
-            modulus,
-            active,
-            n0_inv,
-            r2,
-            r1,
+            cios: Cios::new(modulus),
+            fold: Fold::of(&modulus),
         }
     }
 
-    /// Width of the arrays this context's arithmetic runs on: the active
-    /// width where it has the fixed-width instantiation, the storage width
-    /// otherwise.  Fixed-base tables are laid out at this stride.
-    fn array_width(&self) -> usize {
-        match self.active {
-            4 => self.active,
-            _ => N,
-        }
+    /// `a` reduced below the modulus.
+    fn reduced(&self, a: &Uint<N>) -> Uint<N> {
+        a.reduce(&self.cios.modulus)
     }
 
-    /// Converts into Montgomery form.  Operands at or above the modulus are
-    /// reduced first: active-width multiplication requires both inputs'
-    /// limbs beyond the modulus width to be zero.
-    pub(crate) fn to_mont(&self, a: &Uint<N>) -> Uint<N> {
-        if a.cmp_value(&self.modulus) == Ordering::Less {
-            self.mont_mul(a, &self.r2)
-        } else {
-            self.mont_mul(&a.reduce(&self.modulus), &self.r2)
-        }
-    }
-
-    /// Montgomery multiplication: returns `a * b * R^{-1} mod modulus`.
-    ///
-    /// Both operands must be reduced (below the modulus); every caller in
-    /// this module guarantees it.  Runs at the modulus's active width `w`:
-    /// only the low `w` limbs participate.
-    pub(crate) fn mont_mul(&self, a: &Uint<N>, b: &Uint<N>) -> Uint<N> {
-        match self.active {
-            4 => self.mul_at::<4>(4, a, b),
-            w => self.mul_at::<N>(w, a, b),
-        }
-    }
-
-    #[inline(always)]
-    fn mul_at<const W: usize>(&self, w: usize, a: &Uint<N>, b: &Uint<N>) -> Uint<N> {
-        let n = narrow::<N, W>(&self.modulus);
-        widen(&cios(w, &narrow(a), &narrow(b), &n, self.n0_inv))
-    }
-
-    /// Modular multiplication `a * b mod modulus` for ordinary (non-Montgomery)
-    /// operands.
+    /// Modular multiplication `a * b mod modulus`; operands at or above the
+    /// modulus are reduced first.
     pub fn mul_mod(&self, a: &Uint<N>, b: &Uint<N>) -> Uint<N> {
-        let am = self.to_mont(a);
-        let bm = self.to_mont(b);
-        // A Montgomery product with 1 converts back out of Montgomery form.
-        self.mont_mul(&self.mont_mul(&am, &bm), &Uint::one())
+        let (a, b) = (self.reduced(a), self.reduced(b));
+        match &self.fold {
+            Some(fold) => fold.mul_mod(&a, &b),
+            None => self.cios.mul_mod(&a, &b),
+        }
     }
 
     /// Modular exponentiation `base^exponent mod modulus` using a fixed
-    /// 4-bit window over Montgomery form (left-to-right): ~w/4 windowed
-    /// multiplies instead of one per set bit, on top of the w squarings.
+    /// 4-bit window (left-to-right): ~w/4 windowed multiplies instead of
+    /// one per set bit, on top of the w squarings.
     pub fn pow_mod<const E: usize>(&self, base: &Uint<N>, exponent: &Uint<E>) -> Uint<N> {
-        match self.active {
-            4 => self.pow_at::<4, E>(4, base, exponent),
-            w => self.pow_at::<N, E>(w, base, exponent),
+        let base = self.reduced(base);
+        match &self.fold {
+            Some(fold) => fold.pow(&base, exponent),
+            None => self.cios.pow(&base, exponent),
         }
-    }
-
-    /// [`pow_mod`](Montgomery::pow_mod) on `W`-limb arrays at active width
-    /// `w`; operands are narrowed once on entry and the result widened once
-    /// on exit, so the ~335 multiplications in between move `W` limbs each,
-    /// not `N`.
-    #[inline(always)]
-    fn pow_at<const W: usize, const E: usize>(
-        &self,
-        w: usize,
-        base: &Uint<N>,
-        exponent: &Uint<E>,
-    ) -> Uint<N> {
-        let highest = match exponent.highest_bit() {
-            Some(h) => h,
-            None => return Uint::one().reduce(&self.modulus),
-        };
-        let n = narrow::<N, W>(&self.modulus);
-        // powers[d - 1] = base^d in Montgomery form, d = 1..=15.
-        let base_m = cios(
-            w,
-            &narrow(&base.reduce(&self.modulus)),
-            &narrow(&self.r2),
-            &n,
-            self.n0_inv,
-        );
-        let mut powers = [base_m; 15];
-        for d in 1..15 {
-            powers[d] = cios(w, &powers[d - 1], &base_m, &n, self.n0_inv);
-        }
-        let mut acc: [u64; W] = narrow(&self.r1); // Montgomery form of 1.
-        let top_window = highest / 4;
-        for window in (0..=top_window).rev() {
-            if window != top_window {
-                for _ in 0..4 {
-                    acc = cios(w, &acc, &acc, &n, self.n0_inv);
-                }
-            }
-            let digit = exponent.window4(window);
-            if digit != 0 {
-                acc = cios(w, &acc, &powers[digit as usize - 1], &n, self.n0_inv);
-            }
-        }
-        widen(&cios(w, &acc, &one(), &n, self.n0_inv))
     }
 
     /// Builds a fixed-base window table for repeated exponentiations of the
@@ -552,29 +749,11 @@ impl<const N: usize> Montgomery<N> {
     /// [`pow_mod`](Montgomery::pow_mod) for 256-bit exponents.  Worth it
     /// from roughly four exponentiations on the same base.
     pub(crate) fn precompute_base(&self, base: &Uint<N>, exp_bits: usize) -> FixedBase<N> {
+        let base = self.reduced(base);
         let windows = exp_bits.div_ceil(4);
-        let stride = self.array_width();
-        let mut table = Vec::with_capacity(windows * 15 * stride);
-        // window_base = base^(16^i) in Montgomery form.
-        let mut window_base = self.to_mont(&base.reduce(&self.modulus));
-        for i in 0..windows {
-            if i > 0 {
-                for _ in 0..4 {
-                    window_base = self.mont_mul(&window_base, &window_base);
-                }
-            }
-            // Entry i * 15 + (d - 1) = base^(d * 16^i), d = 1..=15.
-            let mut acc = window_base;
-            table.extend_from_slice(&acc.limbs[..stride]);
-            for _ in 1..15 {
-                acc = self.mont_mul(&acc, &window_base);
-                table.extend_from_slice(&acc.limbs[..stride]);
-            }
-        }
-        FixedBase {
-            table,
-            stride,
-            windows,
+        match &self.fold {
+            Some(fold) => fold.precompute(&base, windows),
+            None => self.cios.precompute(&base, windows),
         }
     }
 
@@ -585,7 +764,8 @@ impl<const N: usize> Montgomery<N> {
     /// # Panics
     ///
     /// Panics if the exponent has set bits beyond the table's `exp_bits`, or
-    /// if the table was built by a context of another modulus width.
+    /// if the table was built by a context whose body keeps residues at
+    /// another width.
     pub(crate) fn pow_mod_fixed<const E: usize>(
         &self,
         base: &FixedBase<N>,
@@ -595,53 +775,28 @@ impl<const N: usize> Montgomery<N> {
             exponent.highest_bit().map_or(0, |h| h / 4 + 1) <= base.windows,
             "exponent exceeds the precomputed window count"
         );
-        assert_eq!(
-            base.stride,
-            self.array_width(),
-            "fixed-base table was built for another modulus width"
-        );
-        match self.active {
-            4 => self.pow_fixed_at::<4, E>(4, base, exponent),
-            w => self.pow_fixed_at::<N, E>(w, base, exponent),
+        match &self.fold {
+            Some(fold) => fold.pow_fixed(base, exponent),
+            None => self.cios.pow_fixed(base, exponent),
         }
-    }
-
-    #[inline(always)]
-    fn pow_fixed_at<const W: usize, const E: usize>(
-        &self,
-        w: usize,
-        base: &FixedBase<N>,
-        exponent: &Uint<E>,
-    ) -> Uint<N> {
-        let n = narrow::<N, W>(&self.modulus);
-        let mut acc: [u64; W] = narrow(&self.r1); // Montgomery form of 1.
-        let mut entry = [0u64; W];
-        for window in 0..base.windows {
-            let digit = exponent.window4(window);
-            if digit != 0 {
-                let at = (window * 15 + digit as usize - 1) * W;
-                entry.copy_from_slice(&base.table[at..at + W]);
-                acc = cios(w, &acc, &entry, &n, self.n0_inv);
-            }
-        }
-        widen(&cios(w, &acc, &one(), &n, self.n0_inv))
     }
 }
 
-/// A precomputed 4-bit fixed-base window table: Montgomery-form powers
-/// `base^(d * 16^i)` for every window `i` and nonzero digit `d`, built by
+/// A precomputed 4-bit fixed-base window table: the powers
+/// `base^(d * 16^i)` for every window `i` and nonzero digit `d`, in the
+/// representation of the body that built it, by
 /// [`Montgomery::precompute_base`].  Exponentiation against it
 /// ([`Montgomery::pow_mod_fixed`]) needs no squarings at all, which is what
 /// makes per-epoch bases (a group generator, a TSA epoch key) cheap to
 /// exponentiate thousands of times.
 ///
-/// Entries are stored back to back at the width the owning context
-/// multiplies at, so the table of a 256-bit group is 30 KiB whatever the
-/// storage width of its [`Uint`].
+/// Entries are stored back to back at the width the owning body keeps
+/// residues at: four limbs for a special-form modulus, so the table of the
+/// simulator's 256-bit group is 30 KiB whatever the storage width of its
+/// [`Uint`]; the storage width for a CIOS modulus.
 #[derive(Clone, Debug)]
 pub(crate) struct FixedBase<const N: usize> {
-    /// Entry `i * 15 + (d - 1)`, `stride` limbs long, is `base^(d * 16^i)`
-    /// in Montgomery form.
+    /// Entry `i * 15 + (d - 1)`, `stride` limbs long, is `base^(d * 16^i)`.
     table: Vec<u64>,
     /// Limbs per entry.
     stride: usize,
@@ -779,8 +934,8 @@ mod tests {
 
     #[test]
     fn narrow_modulus_in_wide_type_matches_narrow_type() {
-        // The DH module embeds the 256-bit test group in a Uint<32>; the
-        // active-width fast path must agree with a natively 4-limb context.
+        // The DH module embeds the 256-bit test group in a Uint<32>; its
+        // special form must agree with a natively 4-limb context's.
         let hex = "fffffffffffffffffffffffffffffffffffffffffffffffffffffffefffffc2f";
         let wide = Montgomery::new(U2048::from_hex(hex));
         let narrow = Montgomery::new(U256::from_hex(hex));
@@ -852,9 +1007,9 @@ mod tests {
 
     #[test]
     fn to_mont_reduces_oversized_operands() {
-        // mul_mod feeds raw (possibly unreduced) operands through to_mont;
-        // values at or above the modulus must be reduced before the
-        // active-width multiply sees them.
+        // mul_mod takes raw (possibly unreduced) operands; values at or
+        // above the modulus must be reduced before the active-width CIOS
+        // multiply converts them into Montgomery form.
         let p = U2048::from_u64(1_000_000_007);
         let ctx = Montgomery::new(p);
         let big = U2048::from_hex("ffffffffffffffffffffffffffffffff"); // 128 bits
@@ -882,49 +1037,228 @@ mod tests {
          E39E772C180E86039B2783A2EC07A28FB5C55DF06F4C52C9DE2BCBF695581718\
          3995497CEA956AE515D2261898FA051015728E5A8AACAA68FFFFFFFFFFFFFFFF";
 
-    /// The fixed-width instantiation the public entry points pick for
-    /// `modulus`, against the run-time-width instantiation of the same body
-    /// (what a modulus of any other width runs): every multiplication and
+    /// The secp256k1 field prime `2^256 − c`, `c = 2^32 + 977`, in the
+    /// storage width the Diffie–Hellman module uses.
+    fn special_form() -> (Montgomery<32>, Fold) {
+        let ctx = Montgomery::new(U2048::from_hex(P256));
+        let fold = ctx.fold.expect("2^256 - c takes the special form");
+        assert_eq!(fold.c, (1 << 32) + 977);
+        (ctx, fold)
+    }
+
+    /// The special form against the run-time-width CIOS body of the same
+    /// modulus, which is what any modulus without a special form runs: a
+    /// product, a square, an exponentiation and a fixed-base
     /// exponentiation must agree limb for limb.
-    fn fixed_width_agrees_with_run_time_width(
-        modulus: U2048,
-        a: [u64; 32],
-        b: [u64; 32],
-        e: [u64; 4],
+    fn special_form_agrees_with_run_time_width(
+        a: &U2048,
+        b: &U2048,
+        e: &U256,
     ) -> Result<(), TestCaseError> {
-        let ctx = Montgomery::new(modulus);
-        prop_assert_eq!(ctx.active, 4, "the fixed width");
-        let a = U2048::from_limbs(a).reduce(&modulus);
-        let b = U2048::from_limbs(b).reduce(&modulus);
-        let e = U256::from_limbs(e);
-        prop_assert_eq!(ctx.mont_mul(&a, &b), ctx.mul_at::<32>(ctx.active, &a, &b));
-        let by_run_time_width = ctx.pow_at::<32, 4>(ctx.active, &a, &e);
-        prop_assert_eq!(ctx.pow_mod(&a, &e), by_run_time_width);
+        let (ctx, fold) = special_form();
+        let cios = &ctx.cios;
+        prop_assert_eq!(cios.active, 4);
+        let (a, b) = (ctx.reduced(a), ctx.reduced(b));
+        prop_assert_eq!(fold.mul_mod(&a, &b), cios.mul_mod(&a, &b));
+        let a4: [u64; 4] = narrow(&a);
+        prop_assert_eq!(
+            widen::<32, 4>(&fold.sqr(&a4)),
+            Uint::from_limbs(cios.leave(&cios.sqr(&cios.enter(&a.limbs))))
+        );
+        prop_assert_eq!(fold.sqr(&a4), fold.mul(&a4, &a4));
+        let by_cios = cios.pow(&a, e);
+        prop_assert_eq!(ctx.pow_mod(&a, e), by_cios);
         let table = ctx.precompute_base(&a, 256);
-        prop_assert_eq!(ctx.pow_mod_fixed(&table, &e), by_run_time_width);
+        prop_assert_eq!(table.stride, 4);
+        prop_assert_eq!(ctx.pow_mod_fixed(&table, e), by_cios);
         Ok(())
+    }
+
+    /// [`Fold::reduce`] of a 512-bit value against bit-by-bit reduction.
+    fn fold_reduces_like_uint(fold: &Fold, t: [u64; 8]) -> Result<(), TestCaseError> {
+        let p = Uint::<8>::from_hex(P256);
+        let expected = Uint::<8>::from_limbs(t).reduce(&p);
+        prop_assert_eq!(widen::<8, 4>(&fold.reduce(&t)), expected, "t = {:?}", t);
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn special_form_matches_run_time_width(
+            a in any::<[u64; 4]>(), b in any::<[u64; 4]>(), e in any::<[u64; 4]>(),
+            t in any::<[u64; 8]>(),
+        ) {
+            special_form_agrees_with_run_time_width(
+                &widen(&a), &widen(&b), &U256::from_limbs(e),
+            )?;
+            fold_reduces_like_uint(&special_form().1, t)?;
+        }
+    }
+
+    #[test]
+    fn special_form_edge_operands_reach_every_branch_of_the_fold() {
+        let (ctx, fold) = special_form();
+        let p = U2048::from_hex(P256);
+        let minus = |k: u64| p.overflowing_sub(&U2048::from_u64(k)).0;
+        let all_ones = U2048::from_hex(&"f".repeat(64));
+        // (2^256 − 1) / 3: times 3 it is 2^256 − 1, a product with a zero
+        // high half whose low half is at least p.
+        let third = U2048::from_hex(&"5".repeat(64));
+        let operands = [
+            U2048::ZERO,
+            U2048::one(),
+            U2048::from_u64(3),
+            third,
+            minus(2),
+            minus(1),
+        ];
+        let exponents = [
+            U256::ZERO,
+            U256::one(),
+            U256::from_u64(2),
+            U256::from_hex(&"f".repeat(64)),
+        ];
+        for a in &operands {
+            for b in &operands {
+                special_form_agrees_with_run_time_width(a, b, &U256::from_u64(0xdead_beef))
+                    .unwrap();
+            }
+            for e in &exponents {
+                special_form_agrees_with_run_time_width(a, a, e).unwrap();
+            }
+        }
+        assert_eq!(
+            ctx.mul_mod(&U2048::from_u64(3), &third),
+            U2048::from_u64(fold.c - 1),
+            "2^256 − 1 ≡ c − 1 needs the conditional subtraction"
+        );
+        // Inputs in [p, 2^256) are reduced on entry.
+        let five = U2048::from_u64(5);
+        let e = U256::from_u64(65_537);
+        for above in [p, p.overflowing_add(&five).0, all_ones] {
+            let low = above.reduce(&p);
+            assert_eq!(ctx.pow_mod(&above, &e), ctx.pow_mod(&low, &e));
+            assert_eq!(ctx.mul_mod(&above, &five), ctx.mul_mod(&low, &five));
+        }
+        // The fold itself, on 512-bit values: p − 1 and p (no high half),
+        // 2^256 − 1 (the conditional subtraction), (p − 1)^2 (the largest
+        // product of reduced operands), and high halves of all ones, where
+        // the second fold carries out and takes the final carry.
+        let m = u64::MAX;
+        let p_limbs = narrow::<32, 4>(&p);
+        let p_minus_1 = narrow::<32, 4>(&minus(1));
+        let mut square = [0u64; 8];
+        for i in 0..4 {
+            let mut carry = 0u128;
+            for j in 0..4 {
+                let sum =
+                    square[i + j] as u128 + p_minus_1[i] as u128 * p_minus_1[j] as u128 + carry;
+                square[i + j] = sum as u64;
+                carry = sum >> 64;
+            }
+            square[i + 4] = carry as u64;
+        }
+        for t in [
+            [0; 8],
+            [1, 0, 0, 0, 0, 0, 0, 0],
+            [p_minus_1[0], m, m, m, 0, 0, 0, 0],
+            [p_limbs[0], m, m, m, 0, 0, 0, 0],
+            [m, m, m, m, 0, 0, 0, 0],
+            square,
+            [0, 0, 0, 0, m, m, m, m],
+            [m; 8],
+        ] {
+            fold_reduces_like_uint(&fold, t).unwrap();
+        }
+        let c_squared_minus_1 = (fold.c as u128).pow(2) - 1;
+        assert_eq!(
+            fold.reduce(&[m; 8]),
+            [
+                c_squared_minus_1 as u64,
+                (c_squared_minus_1 >> 64) as u64,
+                0,
+                0
+            ],
+            "2^512 − 1 ≡ c² − 1"
+        );
+    }
+
+    #[test]
+    fn special_form_known_answers() {
+        // 5^e mod p, computed by the fixed-width CIOS body this form
+        // replaced.
+        let (ctx, _) = special_form();
+        let five = U2048::from_u64(5);
+        for (e, expected) in [
+            ("3", "7d"),
+            (
+                "10001",
+                "49e7a38858dddf318e0a1c7d14308670f8aae78f3dcfefa3de2584ded340a16e",
+            ),
+            (
+                "123456789abcdef0fedcba9876543210aa55aa55aa55aa550123456789abcdef",
+                "a2ece4bfe55324b5c9210500d50e2e583c582e19a15097ebe4621715fb71c9fc",
+            ),
+            // (p − 1) / 2: 5 is not a square mod p.
+            (
+                "7fffffffffffffffffffffffffffffffffffffffffffffffffffffff7ffffe17",
+                "fffffffffffffffffffffffffffffffffffffffffffffffffffffffefffffc2e",
+            ),
+            // p − 2: the inverse of 5.
+            (
+                "fffffffffffffffffffffffffffffffffffffffffffffffffffffffefffffc2d",
+                "99999999999999999999999999999999999999999999999999999998fffffdb6",
+            ),
+            (
+                "ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff",
+                "39b0ac0df15233177d413295e9f5f3bd0f9c7a79f50b874c0fbea90d1f41d50c",
+            ),
+        ] {
+            let e = U256::from_hex(e);
+            let expected = U2048::from_hex(expected);
+            assert_eq!(ctx.pow_mod(&five, &e), expected, "5^{e}");
+            let table = ctx.precompute_base(&five, 256);
+            assert_eq!(ctx.pow_mod_fixed(&table, &e), expected, "5^{e} by table");
+        }
+    }
+
+    #[test]
+    #[ignore = "2^22 triples, about 30 s in release: run with --release -- --ignored"]
+    fn special_form_sweep_of_2_pow_22_triples() {
+        let (ctx, fold) = special_form();
+        let cios = &ctx.cios;
+        let mut rng = crate::chacha20::ChaCha20Rng::from_seed([22u8; 32]);
+        let mut draw = || -> [u64; 4] { core::array::from_fn(|_| rng.next_u64()) };
+        for _ in 0..1 << 22 {
+            let (a, b) = (draw(), draw());
+            let e = Uint::<1>::from_u64(draw()[0]);
+            let (a, b) = (ctx.reduced(&widen(&a)), ctx.reduced(&widen(&b)));
+            let a4: [u64; 4] = narrow(&a);
+            assert_eq!(fold.mul_mod(&a, &b), cios.mul_mod(&a, &b), "{a} * {b}");
+            assert_eq!(
+                widen::<32, 4>(&fold.sqr(&a4)),
+                cios.mul_mod(&a, &a),
+                "{a}^2"
+            );
+            assert_eq!(fold.pow(&a, &e), cios.pow(&a, &e), "{a}^{e}");
+        }
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(12))]
 
-        #[test]
-        fn fixed_width_4_matches_run_time_width(
-            a in any::<[u64; 4]>(), b in any::<[u64; 4]>(), e in any::<[u64; 4]>(),
-        ) {
-            let widen = |x: [u64; 4]| core::array::from_fn(|i| if i < 4 { x[i] } else { 0 });
-            fixed_width_agrees_with_run_time_width(U2048::from_hex(P256), widen(a), widen(b), e)?;
-        }
-
-        /// A one-limb prime has no fixed-width instantiation: the run-time
-        /// width is all it runs, checked against 128-bit arithmetic.
+        /// A one-limb prime has no special form: the run-time-width CIOS
+        /// body is all it runs, checked against 128-bit arithmetic.
         #[test]
         fn one_limb_prime_matches_u128_arithmetic(
             a in any::<u64>(), b in any::<u64>(), e in any::<u64>(),
         ) {
             const P: u64 = 0xffff_ffff_ffff_ffc5; // 2^64 - 59
             let ctx = Montgomery::new(U2048::from_u64(P));
-            prop_assert_eq!(ctx.active, 1);
+            prop_assert_eq!(ctx.cios.active, 1);
+            prop_assert!(ctx.fold.is_none());
             let (a, b) = (a % P, b % P);
             let mul = |x: u64, y: u64| (x as u128 * y as u128 % P as u128) as u64;
             prop_assert_eq!(

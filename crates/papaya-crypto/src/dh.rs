@@ -130,6 +130,10 @@ impl DhGroup {
     /// Not intended to offer production-grade security; it exists so that
     /// simulations involving thousands of clients can run the full protocol
     /// quickly.  The protocol code paths are identical to the 2048-bit group.
+    /// Only the arithmetic differs: the prime is `2^256 − c` with
+    /// `c = 2^32 + 977`, a special form the group's [`Montgomery`] context
+    /// recognises, so its exponentiations multiply and fold by `c` instead of
+    /// running Montgomery reductions, with the same results.
     pub fn test_group_256() -> Self {
         let p = U2048::from_hex("fffffffffffffffffffffffffffffffffffffffffffffffffffffffefffffc2f");
         Self::new(p, U2048::from_u64(5), "test-256")

@@ -15,6 +15,12 @@
 //! RFC 8439 for ChaCha20, RFC 3526 for the MODP Diffie–Hellman group) and are
 //! validated against published test vectors in the unit tests.
 //!
+//! The modulus picks the modular multiplication body, with no switch: the
+//! simulator's 256-bit group, `2^256 − c` with a one-limb `c`, multiplies
+//! and reduces by folding by `c`, and every other modulus (RFC 3526 group
+//! 14 among them) runs CIOS Montgomery multiplication.  Both give the same
+//! residues; see [`bignum::Montgomery`].
+//!
 //! On x86-64, SHA-256 compresses on the CPU's SHA extensions when it has
 //! them, and [`ChaCha20Rng`](chacha20::ChaCha20Rng) computes its keystream
 //! four blocks at a time in SSE2.  The CPU decides; there is no switch.
