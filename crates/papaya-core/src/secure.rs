@@ -446,24 +446,34 @@ impl SecureAggregator {
             .filter(|spec| spec.is_malicious(client_id))
             .and_then(|spec| spec.deviation());
         let (plan, pre) = self.consume_mask(client_id);
-        // Client side: scale by the metadata-derived weight exactly as the
-        // clear buffer would (`f32` product), encode, apply the one-time
-        // pad.
-        let mut scaled = update.delta.clone();
-        scaled.scale(weight as f32);
+        let PrecomputedMask {
+            mask: mut masked,
+            handshake,
+        } = pre;
         #[expect(
             clippy::disallowed_methods,
             reason = "stage timing for SecureTimings; profiling only, never fingerprinted"
         )]
         let start = Instant::now();
-        let mut masked = self.config.codec.encode_vec(scaled.as_slice());
-        masked.add_assign(&pre.mask);
-        if deviation == Some(crate::adversary::DeviationKind::GarbageMask) {
-            // A garbage-mask client pads twice: the TSA's unmask removes
-            // one copy and the released aggregate keeps a full
-            // pseudorandom pad — caught downstream as an out-of-range
-            // release (the decode no longer matches the clear reference).
-            masked.add_assign(&pre.mask);
+        // A garbage-mask client pads twice: the TSA's unmask removes one
+        // copy and the released aggregate keeps a full pseudorandom pad —
+        // caught downstream as an out-of-range release (the decode no
+        // longer matches the clear reference).
+        let second_pad = (deviation == Some(crate::adversary::DeviationKind::GarbageMask))
+            .then(|| masked.clone());
+        // Client side: scale by the metadata-derived weight exactly as the
+        // clear buffer would (the `f32` product of `ParamVec::scale`),
+        // encode, and add into the one-time pad in place.
+        let (codec, scale) = (self.config.codec, weight as f32);
+        masked.add_assign_iter(
+            update
+                .delta
+                .as_slice()
+                .iter()
+                .map(|&d| codec.encode_value(d * scale)),
+        );
+        if let Some(pad) = &second_pad {
+            masked.add_assign(pad);
         }
         self.timings.encode_s += start.elapsed().as_secs_f64();
 
@@ -478,7 +488,7 @@ impl SecureAggregator {
             MaskPlanKind::Handshake(_) => self.telemetry.session_cache_misses += 1,
         }
         if outcome.accepted() {
-            if let Some(handshake) = pre.handshake {
+            if let Some(handshake) = handshake {
                 #[expect(
                     clippy::disallowed_methods,
                     reason = "stage timing for SecureTimings; profiling only, never fingerprinted"
@@ -528,6 +538,7 @@ impl SecureAggregator {
             }
             self.telemetry.masked_discarded += 1;
         }
+        session_state(&mut self.session).scratch.recycle(masked);
         self.sync_boundary();
         outcome
     }

@@ -7,6 +7,13 @@
 //! TSA (to regenerate the aggregated unmask).  [`ChaCha20Rng`] provides that
 //! deterministic keystream; [`ChaCha20`] provides the raw cipher used by the
 //! seed-encryption AEAD.
+//!
+//! The generator refills eight keystream blocks (512 bytes) at a time.  On
+//! x86-64 the eight come from one call to an AVX2 kernel when the CPU has
+//! AVX2, and from two calls to an SSE2 kernel (part of the x86-64 baseline)
+//! otherwise; elsewhere from eight calls to the scalar block function, which
+//! both kernels are tested against.  The stream is consumed in order, so the
+//! refill width changes no byte of it.
 
 /// The ChaCha20 block function / stream cipher.
 #[derive(Clone, Debug)]
@@ -93,19 +100,50 @@ impl ChaCha20 {
         out
     }
 
-    /// Writes keystream blocks `first .. first + 4` to `out`, concatenated:
-    /// bit-identical to four [`block`](ChaCha20::block) calls, computed four
-    /// lanes at a time on x86-64.
+    /// Writes keystream blocks `first .. first + 8` to `out`, concatenated:
+    /// bit-identical to eight [`block`](ChaCha20::block) calls, computed
+    /// eight lanes at a time in AVX2 when the CPU has it, and as two
+    /// [`blocks4`](ChaCha20::blocks4) calls otherwise.
+    ///
+    /// # Panics
+    ///
+    /// Panics if block `first + 7` would pass block `2^32 - 1`: the 32-bit
+    /// counter would wrap and repeat the stream's first blocks.
+    fn blocks8(&self, first: u32, out: &mut [u8; 8 * 64]) {
+        assert!(
+            first <= u32::MAX - 7,
+            "ChaCha20: blocks {first}..={first}+7 pass block 2^32 - 1; the 32-bit counter would wrap"
+        );
+        #[cfg(target_arch = "x86_64")]
+        if avx2::blocks8(&self.input(first), out) {
+            return;
+        }
+        self.blocks8_by_four(first, out);
+    }
+
+    /// [`blocks8`](ChaCha20::blocks8) without AVX2: two
+    /// [`blocks4`](ChaCha20::blocks4) calls.
+    fn blocks8_by_four(&self, first: u32, out: &mut [u8; 8 * 64]) {
+        let (low, high) = out.split_at_mut(4 * 64);
+        self.blocks4(first, low);
+        self.blocks4(first + 4, high);
+    }
+
+    /// Writes keystream blocks `first .. first + 4` to `out`, 256 bytes,
+    /// concatenated: bit-identical to four [`block`](ChaCha20::block) calls,
+    /// computed four lanes at a time in SSE2 on x86-64.
     ///
     /// # Panics
     ///
     /// Panics if block `first + 3` would pass block `2^32 - 1`: the 32-bit
-    /// counter would wrap and repeat the stream's first blocks.
-    fn blocks4(&self, first: u32, out: &mut [u8; 4 * 64]) {
+    /// counter would wrap and repeat the stream's first blocks.  Panics if
+    /// `out` is not 256 bytes long.
+    fn blocks4(&self, first: u32, out: &mut [u8]) {
         assert!(
             first <= u32::MAX - 3,
             "ChaCha20: blocks {first}..={first}+3 pass block 2^32 - 1; the 32-bit counter would wrap"
         );
+        assert_eq!(out.len(), 4 * 64, "four blocks are 256 bytes");
         #[cfg(target_arch = "x86_64")]
         sse2::blocks4(&self.input(first), out);
         #[cfg(not(target_arch = "x86_64"))]
@@ -178,10 +216,10 @@ mod sse2 {
         x[b] = rotl::<7, 25>(_mm_xor_si128(x[b], x[c]));
     }
 
-    /// Writes to `out` the keystream of the block with input words `input`
-    /// and of the three blocks after it (counter word + 1, + 2, + 3, which
-    /// must not wrap).
-    pub(super) fn blocks4(input: &[u32; 16], out: &mut [u8; 4 * 64]) {
+    /// Writes to `out`, 256 bytes, the keystream of the block with input
+    /// words `input` and of the three blocks after it (counter word + 1,
+    /// + 2, + 3, which must not wrap).
+    pub(super) fn blocks4(input: &[u32; 16], out: &mut [u8]) {
         // SAFETY: `blocks4_sse2` enables only SSE2, which is part of the
         // x86-64 baseline: every CPU this module compiles for has it.
         unsafe { blocks4_sse2(input, out) }
@@ -193,7 +231,8 @@ mod sse2 {
     ///
     /// Needs SSE2, which every x86-64 CPU has.
     #[target_feature(enable = "sse2")]
-    fn blocks4_sse2(input: &[u32; 16], out: &mut [u8; 4 * 64]) {
+    fn blocks4_sse2(input: &[u32; 16], out: &mut [u8]) {
+        let out = &mut out[..4 * 64];
         let mut state: [__m128i; 16] = core::array::from_fn(|i| _mm_set1_epi32(input[i] as i32));
         state[12] = _mm_add_epi32(state[12], _mm_set_epi32(3, 2, 1, 0));
         let mut x = state;
@@ -230,12 +269,150 @@ mod sse2 {
     }
 }
 
+/// ChaCha20 on eight consecutive blocks at once in AVX2: vector `i` holds
+/// state word `i` of all eight blocks, one block per 32-bit lane.  The 16-
+/// and 8-bit rotations are byte shuffles.  A 4×4 transpose inside each
+/// 128-bit half puts the words of blocks `k` (low half) and `k + 4` (high
+/// half) side by side, and the halves of two word groups make 32 bytes of
+/// one block.
+#[cfg(target_arch = "x86_64")]
+#[expect(unsafe_code, reason = "the AVX2 intrinsics are unsafe to call")]
+mod avx2 {
+    use std::arch::x86_64::{
+        __m256i, _mm256_add_epi32, _mm256_or_si256, _mm256_permute2x128_si256, _mm256_set1_epi32,
+        _mm256_set_epi32, _mm256_set_epi64x, _mm256_setzero_si256, _mm256_shuffle_epi8,
+        _mm256_slli_epi32, _mm256_srli_epi32, _mm256_storeu_si256, _mm256_unpackhi_epi32,
+        _mm256_unpackhi_epi64, _mm256_unpacklo_epi32, _mm256_unpacklo_epi64, _mm256_xor_si256,
+    };
+
+    /// Every lane rotated left by `L` bits (`R` = `32 - L`).
+    #[target_feature(enable = "avx2")]
+    fn rotl<const L: i32, const R: i32>(x: __m256i) -> __m256i {
+        _mm256_or_si256(_mm256_slli_epi32::<L>(x), _mm256_srli_epi32::<R>(x))
+    }
+
+    /// Every lane rotated left by 16 bits: bytes `[2, 3, 0, 1]` of each.
+    #[target_feature(enable = "avx2")]
+    fn rotl16(x: __m256i) -> __m256i {
+        let bytes = 0x0d0c_0f0e_0908_0b0a_0504_0706_0100_0302_u128;
+        _mm256_shuffle_epi8(x, lanes(bytes))
+    }
+
+    /// Every lane rotated left by 8 bits: bytes `[3, 0, 1, 2]` of each.
+    #[target_feature(enable = "avx2")]
+    fn rotl8(x: __m256i) -> __m256i {
+        let bytes = 0x0e0d_0c0f_0a09_080b_0605_0407_0201_0003_u128;
+        _mm256_shuffle_epi8(x, lanes(bytes))
+    }
+
+    /// The 128-bit shuffle pattern `bytes` in both halves.
+    #[target_feature(enable = "avx2")]
+    fn lanes(bytes: u128) -> __m256i {
+        let (high, low) = ((bytes >> 64) as i64, bytes as i64);
+        _mm256_set_epi64x(high, low, high, low)
+    }
+
+    #[target_feature(enable = "avx2")]
+    fn quarter_round(x: &mut [__m256i; 16], a: usize, b: usize, c: usize, d: usize) {
+        x[a] = _mm256_add_epi32(x[a], x[b]);
+        x[d] = rotl16(_mm256_xor_si256(x[d], x[a]));
+        x[c] = _mm256_add_epi32(x[c], x[d]);
+        x[b] = rotl::<12, 20>(_mm256_xor_si256(x[b], x[c]));
+        x[a] = _mm256_add_epi32(x[a], x[b]);
+        x[d] = rotl8(_mm256_xor_si256(x[d], x[a]));
+        x[c] = _mm256_add_epi32(x[c], x[d]);
+        x[b] = rotl::<7, 25>(_mm256_xor_si256(x[b], x[c]));
+    }
+
+    /// Writes to `out` the keystream of the block with input words `input`
+    /// and of the seven blocks after it (counter word + 1 to + 7, which must
+    /// not wrap), and returns `true`; on a CPU without AVX2 returns `false`
+    /// and writes nothing.
+    #[inline]
+    pub(super) fn blocks8(input: &[u32; 16], out: &mut [u8; 8 * 64]) -> bool {
+        if !is_x86_feature_detected!("avx2") {
+            return false;
+        }
+        // SAFETY: the CPU has just been confirmed to have AVX2, the only
+        // feature `blocks8_avx2` enables.
+        unsafe { blocks8_avx2(input, out) };
+        true
+    }
+
+    /// [`blocks8`] itself.
+    ///
+    /// # Safety
+    ///
+    /// Needs AVX2.
+    #[target_feature(enable = "avx2")]
+    fn blocks8_avx2(input: &[u32; 16], out: &mut [u8; 8 * 64]) {
+        // Loops rather than `array::from_fn` closures throughout: a closure
+        // would need to inherit this function's AVX2 to call the intrinsics.
+        let mut state = [_mm256_setzero_si256(); 16];
+        for (lanes, &word) in state.iter_mut().zip(input) {
+            *lanes = _mm256_set1_epi32(word as i32);
+        }
+        state[12] = _mm256_add_epi32(state[12], _mm256_set_epi32(7, 6, 5, 4, 3, 2, 1, 0));
+        let mut x = state;
+        for _ in 0..10 {
+            quarter_round(&mut x, 0, 4, 8, 12);
+            quarter_round(&mut x, 1, 5, 9, 13);
+            quarter_round(&mut x, 2, 6, 10, 14);
+            quarter_round(&mut x, 3, 7, 11, 15);
+            quarter_round(&mut x, 0, 5, 10, 15);
+            quarter_round(&mut x, 1, 6, 11, 12);
+            quarter_round(&mut x, 2, 7, 8, 13);
+            quarter_round(&mut x, 3, 4, 9, 14);
+        }
+        for (word, input) in x.iter_mut().zip(state) {
+            *word = _mm256_add_epi32(*word, input);
+        }
+        // `rows[group][k]`: words `4 * group .. 4 * group + 4` of block `k`
+        // in the low half and of block `k + 4` in the high half.
+        let mut rows = [[_mm256_setzero_si256(); 4]; 4];
+        for (row, words) in rows.iter_mut().zip(x.chunks_exact(4)) {
+            let ab_low = _mm256_unpacklo_epi32(words[0], words[1]);
+            let cd_low = _mm256_unpacklo_epi32(words[2], words[3]);
+            let ab_high = _mm256_unpackhi_epi32(words[0], words[1]);
+            let cd_high = _mm256_unpackhi_epi32(words[2], words[3]);
+            *row = [
+                _mm256_unpacklo_epi64(ab_low, cd_low),
+                _mm256_unpackhi_epi64(ab_low, cd_low),
+                _mm256_unpacklo_epi64(ab_high, cd_high),
+                _mm256_unpackhi_epi64(ab_high, cd_high),
+            ];
+        }
+        // Groups `2 * pair` and `2 * pair + 1` make bytes `32 * pair ..
+        // 32 * pair + 32` of each block.
+        let [g0, g1, g2, g3] = rows;
+        for (pair, (front, back)) in [(g0, g1), (g2, g3)].into_iter().enumerate() {
+            for (k, (first, second)) in front.into_iter().zip(back).enumerate() {
+                let halves = [
+                    (k, _mm256_permute2x128_si256::<0x20>(first, second)),
+                    (k + 4, _mm256_permute2x128_si256::<0x31>(first, second)),
+                ];
+                for (block, bytes) in halves {
+                    let dest = &mut out[64 * block + 32 * pair..][..32];
+                    // SAFETY: `dest` is 32 writable bytes, and `storeu` has
+                    // no alignment requirement.
+                    unsafe { _mm256_storeu_si256(dest.as_mut_ptr().cast(), bytes) };
+                }
+            }
+        }
+    }
+}
+
 /// Deterministic cryptographically secure random number generator backed by
 /// the ChaCha20 keystream.
 ///
 /// This is the PRNG used to expand per-client 16/32-byte seeds into
 /// model-sized one-time pads.  Both the client and the TSA construct the same
 /// `ChaCha20Rng` from the shared seed, so the masks cancel exactly.
+///
+/// It refills eight keystream blocks, 512 bytes, at a time: in one AVX2
+/// call on an x86-64 CPU that has AVX2, in two SSE2 calls on any other
+/// x86-64 CPU.  Every byte it hands out is the keystream in block order, so
+/// the refill width shows in no output.
 ///
 /// # Example
 ///
@@ -248,22 +425,22 @@ mod sse2 {
 #[derive(Clone, Debug)]
 pub struct ChaCha20Rng {
     cipher: ChaCha20,
-    /// Keystream blocks `first_block .. first_block + 4`.
+    /// Keystream blocks `first_block .. first_block + 8`.
     buffer: [u8; BUFFER_LEN],
     first_block: u32,
     /// Bytes of `buffer` already handed out.
     offset: usize,
 }
 
-/// The generator refills four blocks at a time.
-const BUFFER_LEN: usize = 4 * 64;
+/// The generator refills eight blocks at a time.
+const BUFFER_LEN: usize = 8 * 64;
 
 impl ChaCha20Rng {
     /// Creates a generator from a 256-bit seed.
     pub fn from_seed(seed: [u8; 32]) -> Self {
         let cipher = ChaCha20::new(&seed, &[0u8; 12], 0);
         let mut buffer = [0u8; BUFFER_LEN];
-        cipher.blocks4(0, &mut buffer);
+        cipher.blocks8(0, &mut buffer);
         ChaCha20Rng {
             cipher,
             buffer,
@@ -279,17 +456,17 @@ impl ChaCha20Rng {
         Self::from_seed(digest)
     }
 
-    /// Advances to the next four keystream blocks.
+    /// Advances to the next eight keystream blocks.
     ///
     /// # Panics
     ///
     /// Panics once the stream has handed out all `2^32` blocks its 32-bit
     /// counter can address, rather than wrap and repeat them.
     fn refill(&mut self) {
-        let Some(next) = self.first_block.checked_add(4) else {
+        let Some(next) = self.first_block.checked_add(8) else {
             panic!("ChaCha20Rng: keystream exhausted at block 2^32; the 32-bit counter would wrap");
         };
-        self.cipher.blocks4(next, &mut self.buffer);
+        self.cipher.blocks8(next, &mut self.buffer);
         self.first_block = next;
         self.offset = 0;
     }
@@ -381,18 +558,41 @@ impl ChaCha20Rng {
     pub fn fill_below(&mut self, bound: u64, dest: &mut [u64]) {
         assert!(bound > 0, "bound must be positive");
         let zone = u64::MAX - (u64::MAX % bound);
-        let low_bits = bound.is_power_of_two().then(|| bound - 1);
-        for slot in dest.iter_mut() {
-            let v = loop {
+        if bound.is_power_of_two() {
+            self.fill_below_with(zone, dest, |v| v & (bound - 1));
+        } else {
+            self.fill_below_with(zone, dest, |v| v % bound);
+        }
+    }
+
+    /// [`fill_below`](Self::fill_below) with the reduction `reduce`: reads
+    /// the 8-byte words still in the buffer in place, keeps those below
+    /// `zone` and skips the rest, exactly as a [`next_u64`](Self::next_u64)
+    /// per draw would; only a word that straddles a refill, or the first one
+    /// after it, goes through `next_u64`.
+    #[inline(always)]
+    fn fill_below_with(&mut self, zone: u64, dest: &mut [u64], reduce: impl Fn(u64) -> u64) {
+        let mut filled = 0;
+        while filled < dest.len() {
+            let mut offset = self.offset;
+            while offset + 8 <= BUFFER_LEN && filled < dest.len() {
+                let mut word = [0u8; 8];
+                word.copy_from_slice(&self.buffer[offset..offset + 8]);
+                offset += 8;
+                let v = u64::from_le_bytes(word);
+                if v < zone {
+                    dest[filled] = reduce(v);
+                    filled += 1;
+                }
+            }
+            self.offset = offset;
+            if filled < dest.len() {
                 let v = self.next_u64();
                 if v < zone {
-                    break v;
+                    dest[filled] = reduce(v);
+                    filled += 1;
                 }
-            };
-            *slot = match low_bits {
-                Some(mask) => v & mask,
-                None => v % bound,
-            };
+            }
         }
     }
 }
@@ -474,9 +674,25 @@ mod tests {
     #[should_panic(expected = "counter would wrap")]
     fn rng_refill_past_the_last_block_panics() {
         let mut rng = ChaCha20Rng::from_seed([3u8; 32]);
-        rng.first_block = u32::MAX - 3;
+        rng.first_block = u32::MAX - 7;
         rng.offset = BUFFER_LEN;
         rng.next_byte();
+    }
+
+    #[test]
+    fn rng_refill_up_to_the_last_block_is_allowed() {
+        let mut rng = ChaCha20Rng::from_seed([3u8; 32]);
+        rng.first_block = u32::MAX - 15;
+        rng.offset = BUFFER_LEN;
+        let mut tail = [0u8; BUFFER_LEN];
+        rng.fill_bytes(&mut tail);
+        assert_eq!(tail[BUFFER_LEN - 64..], rng.cipher.block(u32::MAX));
+    }
+
+    #[test]
+    #[should_panic(expected = "counter would wrap")]
+    fn eight_blocks_across_the_wrap_panic() {
+        ChaCha20::new(&[1u8; 32], &[2u8; 12], 0).blocks8(u32::MAX - 6, &mut [0u8; 8 * 64]);
     }
 
     #[test]
@@ -497,8 +713,114 @@ mod tests {
         blocks4_matches_block();
     }
 
+    /// The eight-block kernel against eight calls to the scalar
+    /// [`ChaCha20::block`]: random keys, nonces and counters, plus the first
+    /// block and the last eight-block run before the counter would wrap.
+    /// Runs the AVX2 kernel when the CPU has it, and says which ran.
+    #[test]
+    fn eight_block_keystream_matches_scalar_blocks() {
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx2") {
+            println!("eight_block_keystream_matches_scalar_blocks: AVX2 arm against block()");
+        } else {
+            println!(
+                "eight_block_keystream_matches_scalar_blocks: no AVX2; two SSE2 calls against block()"
+            );
+        }
+        blocks8_matches_block();
+    }
+
+    /// [`ChaCha20::blocks8`]'s fallback, two [`ChaCha20::blocks4`] calls,
+    /// by name, so a CPU with AVX2 still runs it against the scalar blocks.
+    #[test]
+    fn eight_blocks_by_four_match_scalar_blocks() {
+        if cfg!(target_arch = "x86_64") {
+            println!("eight_blocks_by_four_match_scalar_blocks: two SSE2 calls against block()");
+        }
+        blocks8_by_four_matches_block();
+    }
+
+    /// `fill(cipher, first, out)` against eight [`ChaCha20::block`] calls,
+    /// at `counter`, at block 0 and at the last eight blocks.
+    fn check_eight_blocks(
+        cipher: &ChaCha20,
+        counter: u32,
+        fill: impl Fn(&ChaCha20, u32, &mut [u8; 8 * 64]),
+    ) -> Result<(), proptest::prelude::TestCaseError> {
+        for first in [counter, 0, u32::MAX - 7] {
+            let mut eight = [0u8; 8 * 64];
+            fill(cipher, first, &mut eight);
+            for (i, chunk) in (0u32..).zip(eight.chunks_exact(64)) {
+                proptest::prop_assert_eq!(chunk, &cipher.block(first + i)[..], "block {}", first);
+            }
+        }
+        Ok(())
+    }
+
+    /// The per-draw rejection loop [`ChaCha20Rng::fill_below`] stood for
+    /// before it read the buffer in bulk: one [`ChaCha20Rng::next_u64`] per
+    /// draw.
+    fn fill_below_per_draw(rng: &mut ChaCha20Rng, bound: u64, dest: &mut [u64]) {
+        let zone = u64::MAX - (u64::MAX % bound);
+        for slot in dest.iter_mut() {
+            let v = loop {
+                let v = rng.next_u64();
+                if v < zone {
+                    break v;
+                }
+            };
+            *slot = v % bound;
+        }
+    }
+
+    /// The bulk [`ChaCha20Rng::fill_below`] hands out the values and
+    /// consumes the bytes of the per-draw loop: powers of two and not, a
+    /// bound that rejects a quarter of the draws, lengths 0 to 150, after
+    /// 0 to 9 single bytes, so draws straddle the 512-byte refill at every
+    /// alignment; the byte after each fill must agree too.
+    #[test]
+    fn fill_below_matches_the_per_draw_loop() {
+        for bound in [1u64, 1 << 40, 1_000_003, 3 << 62, u64::MAX] {
+            for len in 0..=150 {
+                for skip in 0..=9 {
+                    let mut bulk = ChaCha20Rng::from_seed([len as u8; 32]);
+                    let mut reference = bulk.clone();
+                    for _ in 0..skip {
+                        assert_eq!(bulk.next_byte(), reference.next_byte());
+                    }
+                    for _ in 0..2 {
+                        let mut got = vec![0u64; len];
+                        let mut want = vec![0u64; len];
+                        bulk.fill_below(bound, &mut got);
+                        fill_below_per_draw(&mut reference, bound, &mut want);
+                        assert_eq!(got, want, "bound {bound}, len {len}, skip {skip}");
+                        assert_eq!(bulk.next_byte(), reference.next_byte());
+                    }
+                }
+            }
+        }
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        fn blocks8_matches_block(
+            key in proptest::prelude::any::<[u8; 32]>(),
+            nonce in proptest::prelude::any::<[u8; 12]>(),
+            counter in 0u32..=u32::MAX - 7,
+        ) {
+            let cipher = ChaCha20::new(&key, &nonce, 0);
+            check_eight_blocks(&cipher, counter, ChaCha20::blocks8)?;
+        }
+
+        fn blocks8_by_four_matches_block(
+            key in proptest::prelude::any::<[u8; 32]>(),
+            nonce in proptest::prelude::any::<[u8; 12]>(),
+            counter in 0u32..=u32::MAX - 7,
+        ) {
+            let cipher = ChaCha20::new(&key, &nonce, 0);
+            check_eight_blocks(&cipher, counter, ChaCha20::blocks8_by_four)?;
+        }
 
         fn blocks4_matches_block(
             key in proptest::prelude::any::<[u8; 32]>(),

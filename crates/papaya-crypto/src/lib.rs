@@ -23,11 +23,12 @@
 //!
 //! On x86-64, SHA-256 compresses on the CPU's SHA extensions when it has
 //! them, and [`ChaCha20Rng`](chacha20::ChaCha20Rng) computes its keystream
-//! four blocks at a time in SSE2.  The CPU decides; there is no switch.
-//! Every digest and keystream byte is the same as from the portable
-//! kernels, which stay as the reference the differential tests compare
-//! against and as the only path on other CPUs.  Those two private modules are this crate's only `unsafe`
-//! code: it denies it everywhere else.
+//! eight blocks at a time: in AVX2 when the CPU has it, else as two
+//! four-block SSE2 calls.  The CPU decides; there is no switch.  Every
+//! digest and keystream byte is the same as from the portable kernels,
+//! which stay as the reference the differential tests compare against and
+//! as the only path on other CPUs.  Those three private modules are this
+//! crate's only `unsafe` code: it denies it everywhere else.
 //!
 //! **Scope note:** these primitives are written for protocol correctness and
 //! reproducibility of the paper's experiments, not as hardened production

@@ -137,6 +137,11 @@ impl GroupVec {
         GroupVec { params, values }
     }
 
+    /// The elements' buffer, for reuse.
+    pub(crate) fn into_values(self) -> Vec<u64> {
+        self.values
+    }
+
     /// The group parameters.
     pub(crate) fn params(&self) -> GroupParams {
         self.params
@@ -176,12 +181,21 @@ impl GroupVec {
     ///
     /// Panics on length mismatch.
     pub fn add_assign_slice(&mut self, other: &[u64]) {
+        self.add_assign_iter(other.iter().copied());
+    }
+
+    /// Element-wise in-place addition of reduced group elements as they are
+    /// made, for example fixed-point encodings of an update added straight
+    /// into its one-time pad, with no vector collected for them.
+    ///
+    /// # Panics
+    ///
+    /// Panics on length mismatch.
+    #[inline]
+    pub fn add_assign_iter(&mut self, other: impl ExactSizeIterator<Item = u64>) {
         assert_eq!(self.len(), other.len(), "length mismatch");
-        debug_assert!(
-            self.params.all_reduced(other),
-            "add_assign_slice given an unreduced value"
-        );
-        for (a, &b) in self.values.iter_mut().zip(other.iter()) {
+        for (a, b) in self.values.iter_mut().zip(other) {
+            debug_assert!(b < self.params.modulus, "added an unreduced value");
             *a = self.params.add_reduced(*a, b);
         }
     }

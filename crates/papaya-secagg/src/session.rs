@@ -204,12 +204,21 @@ pub struct PrecomputedMask {
     pub handshake: Option<SessionHandshake>,
 }
 
-/// A reusable expansion buffer so repeated [`MaskPlan::compute`] calls
-/// allocate once per mask instead of twice.
+/// A reusable expansion buffer: [`MaskPlan::compute`] expands the pad into
+/// it and moves it into the [`PrecomputedMask`], and
+/// [`recycle`](MaskScratch::recycle) hands it back once the masked upload is
+/// submitted, so a stream of masks allocates no buffer after the first.
 #[derive(Debug, Default)]
 pub struct MaskScratch {
     /// The staging buffer; keeps its capacity across computations.
     pub(crate) values: Vec<u64>,
+}
+
+impl MaskScratch {
+    /// Takes `pad`'s buffer back for the next [`MaskPlan::compute`].
+    pub fn recycle(&mut self, pad: GroupVec) {
+        self.values = pad.into_values();
+    }
 }
 
 /// Runs the client side of a session establishment: verifies the TSA's
@@ -283,7 +292,7 @@ impl MaskPlan {
         };
         expand_mask_into(&seed, self.params, self.vector_len, &mut scratch.values);
         PrecomputedMask {
-            mask: GroupVec::from_reduced(self.params, scratch.values.clone()),
+            mask: GroupVec::from_reduced(self.params, std::mem::take(&mut scratch.values)),
             handshake,
         }
     }
@@ -414,6 +423,30 @@ mod tests {
         };
         assert_eq!(plan.compute(&mut a).mask, plan.compute(&mut b).mask);
         assert_eq!(plan.compute(&mut a).mask, plan.compute(&mut a).mask);
+    }
+
+    #[test]
+    fn compute_expands_into_a_recycled_buffer() {
+        let config = SecAggConfig::insecure_fast(32, 1);
+        let plan = MaskPlan {
+            counter: 5,
+            vector_len: 32,
+            params: config.group_params(),
+            kind: MaskPlanKind::Resumed {
+                key: RatchetKey::new(&SharedSecret::from([8u8; 32])),
+            },
+        };
+        let mut scratch = MaskScratch::default();
+        let first = plan.compute(&mut scratch).mask;
+        let (buffer, reference) = (first.values().as_ptr(), first.clone());
+        scratch.recycle(first);
+        let again = plan.compute(&mut scratch).mask;
+        assert_eq!(again, reference);
+        assert_eq!(
+            again.values().as_ptr(),
+            buffer,
+            "the recycled buffer was not reused"
+        );
     }
 
     #[test]
